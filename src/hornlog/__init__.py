@@ -45,6 +45,7 @@ from .encoding import (
 )
 from .programs import (
     HornProgram,
+    ProgramBuilder,
     compose,
     evaluate,
     prove_bounded,

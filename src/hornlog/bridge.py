@@ -21,12 +21,12 @@ from .minsky import (
     TESTZERO,
     Computation,
     Configuration,
-    MinskyMachine,
     search_halting,
     validate_computation,
 )
 from .programs import (
     HornProgram,
+    ProgramBuilder,
     evaluate,
     prove_bounded,
     program_height,
@@ -67,18 +67,6 @@ class ProgramTrace:
     side_chains: tuple[SideChain, ...]
 
 
-class _Builder:
-    def __init__(self):
-        self.edges: list[tuple[int, int, PlainImplication]] = []
-        self.next_id = 1
-
-    def add_edge(self, parent: int, label: PlainImplication) -> int:
-        child = self.next_id
-        self.next_id += 1
-        self.edges.append((parent, child, label))
-        return child
-
-
 def computation_to_program(enc: MachineEncoding, computation: Computation) -> ProgramTrace:
     """Build the strong-solution witness of a halting run.
 
@@ -94,7 +82,7 @@ def computation_to_program(enc: MachineEncoding, computation: Computation) -> Pr
     if computation.configs[-1] != machine.halting_configuration():
         raise ValueError(f"computation ends at {computation.configs[-1]}, not the halting configuration")
 
-    builder = _Builder()
+    builder = ProgramBuilder()
     main = [0]
     side_chains: list[SideChain] = []
     for u, move in enumerate(computation.moves):
@@ -126,8 +114,7 @@ def computation_to_program(enc: MachineEncoding, computation: Computation) -> Pr
         chain.append(builder.add_edge(chain[-1], closing))
         side_chains.append(SideChain(fork, m, tuple(chain), kill_count))
 
-    program = HornProgram.build(0, builder.edges)
-    return ProgramTrace(program, tuple(main), tuple(side_chains))
+    return ProgramTrace(builder.build(), tuple(main), tuple(side_chains))
 
 
 def program_to_computation(

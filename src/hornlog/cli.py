@@ -8,12 +8,11 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import bridge, hll, ll, minsky, programs
 from .encoding import MachineEncoding, build_sequent
-from .minsky import MachineFormatError, parse_computation, parse_machine
+from .minsky import parse_computation, parse_machine
 from .syntax import FormatError, parse_sequent, sequent_text
 
 OK, REJECT, MALFORMED = 0, 1, 2
@@ -290,10 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FormatError, MachineFormatError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MALFORMED
-    except (ValueError, OSError, ll.ProofStructureError) as exc:
+    except (ValueError, OSError) as exc:  # every reader's error is one of these
         print(f"error: {exc}", file=sys.stderr)
         return MALFORMED
 

@@ -7,9 +7,11 @@ two-premise choice rule, the three bang rules, and cut.  Proof nodes store
 their full conclusion sequent so every inference is checked locally against
 its schema, giving precise failure positions.
 
-The compiler runs by structural recursion: axioms become one-vertex or
-one-edge programs, the choice rule becomes a strong fork, cut becomes
-composition, and everything else passes the premise program through.
+The compiler emits one program into a single builder by structural
+recursion: an identity axiom adds nothing, a single-step axiom adds one edge,
+the choice rule adds its two edges and emits each premise under its own edge,
+a cut emits its second premise under each leaf of its first, and everything
+else passes through to its premise.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .programs import HornProgram, compose, single_edge, single_vertex, strong_fork
+from .programs import HornProgram, ProgramBuilder
 from .syntax import (
     Frame,
     HornFormula,
@@ -26,7 +28,9 @@ from .syntax import (
     OplusImplication,
     PlainImplication,
     SimpleProduct,
+    canonical_zone,
     formula_text,
+    multiset_minus,
     parse_formula,
     parse_product,
     parse_sequent,
@@ -68,10 +72,14 @@ class HllProof:
     principal: HornFormula | None = None  # OPLUS_H, LBANG, WBANG, CBANG
     frame: SimpleProduct | Frame | None = None  # M (product), OPLUS_H (frame)
 
-    def cut_product(self) -> SimpleProduct:
-        if self.rule is not HllRule.CUT:
-            raise ValueError("not a cut node")
-        return self.premises[0].conclusion.goal
+    def __post_init__(self):
+        # The choice rule's frame may be empty, so it is always held as a Frame.
+        if self.rule is HllRule.OPLUS_H:
+            frame = self.frame
+            if frame is None:
+                object.__setattr__(self, "frame", Frame())
+            elif isinstance(frame, SimpleProduct):
+                object.__setattr__(self, "frame", Frame(frame.entries))
 
 
 @dataclass(frozen=True)
@@ -92,23 +100,6 @@ class CheckResult:
 
     def __str__(self) -> str:
         return "valid" if self.ok else str(self.failure)
-
-
-def _zone_minus(zone: tuple[HornFormula, ...], f: HornFormula) -> tuple[HornFormula, ...] | None:
-    out = list(zone)
-    try:
-        out.remove(f)
-    except ValueError:
-        return None
-    return tuple(out)
-
-
-def _zone_plus(zone: tuple[HornFormula, ...], f: HornFormula) -> tuple[HornFormula, ...]:
-    return tuple(sorted(zone + (f,), key=formula_text))
-
-
-def _merge(z1: tuple[HornFormula, ...], z2: tuple[HornFormula, ...]) -> tuple[HornFormula, ...]:
-    return tuple(sorted(z1 + z2, key=formula_text))
 
 
 def _check_node(node: HllProof) -> str | None:
@@ -162,10 +153,8 @@ def _check_node(node: HllProof) -> str | None:
         f = node.principal
         if not isinstance(f, OplusImplication):
             return "choice rule needs a choice implication as principal"
-        v = node.frame if node.frame is not None else Frame()
-        if isinstance(v, SimpleProduct):
-            v = Frame(v.entries)
-        gamma = _zone_minus(c.linear, f)
+        v = node.frame
+        gamma = multiset_minus(c.linear, f)
         if gamma is None:
             return f"principal {formula_text(f)} not in the linear zone"
         if c.input != f.antecedent.tensor(v):
@@ -191,10 +180,10 @@ def _check_node(node: HllProof) -> str | None:
         a = node.principal
         if a is None:
             return "bang rule needs its principal formula"
-        banged_rest = _zone_minus(c.banged, a)
+        banged_rest = multiset_minus(c.banged, a)
         if banged_rest is None or banged_rest != p.banged:
             return "conclusion banged zone must be the premise's plus the principal"
-        linear_rest = _zone_minus(p.linear, a)
+        linear_rest = multiset_minus(p.linear, a)
         if linear_rest is None or linear_rest != c.linear:
             return "premise must carry the principal linearly"
         if p.input != c.input or p.goal != c.goal:
@@ -206,7 +195,7 @@ def _check_node(node: HllProof) -> str | None:
         a = node.principal
         if a is None:
             return "weakening needs its principal formula"
-        if _zone_minus(c.banged, a) != p.banged:
+        if multiset_minus(c.banged, a) != p.banged:
             return "conclusion banged zone must be the premise's plus the principal"
         if p.linear != c.linear or p.input != c.input or p.goal != c.goal:
             return "everything but the banged zone must be unchanged"
@@ -219,7 +208,7 @@ def _check_node(node: HllProof) -> str | None:
             return "contraction needs its principal formula"
         if a not in c.banged:
             return "principal must stay in the conclusion's banged zone"
-        if p.banged != _zone_plus(c.banged, a):
+        if p.banged != canonical_zone(c.banged + (a,)):
             return "premise banged zone must be the conclusion's plus one principal copy"
         if p.linear != c.linear or p.input != c.input or p.goal != c.goal:
             return "everything but the banged zone must be unchanged"
@@ -233,9 +222,9 @@ def _check_node(node: HllProof) -> str | None:
             return "conclusion input must be the first premise's input"
         if c.goal != p2.goal:
             return "conclusion goal must be the second premise's goal"
-        if c.linear != _merge(p1.linear, p2.linear):
+        if c.linear != canonical_zone(p1.linear + p2.linear):
             return "conclusion linear zone must merge the premises'"
-        if c.banged != _merge(p1.banged, p2.banged):
+        if c.banged != canonical_zone(p1.banged + p2.banged):
             return "conclusion banged zone must merge the premises'"
         return None
 
@@ -259,31 +248,33 @@ def compile_hll_to_program(proof: HllProof) -> HornProgram:
     result = check_hll_proof(proof)
     if not result.ok:
         raise ValueError(f"cannot compile an invalid proof: {result}")
-    return _compile(proof)
+    builder = ProgramBuilder()
+    _emit(proof, 0, builder)
+    return builder.build()
 
 
-def _compile(node: HllProof) -> HornProgram:
+def _emit(node: HllProof, at: int, builder: ProgramBuilder) -> list[int]:
+    """Append the program of a checked node under vertex at; return its leaves."""
     rule = node.rule
     if rule is HllRule.I:
-        return single_vertex()
+        return [at]
     if rule is HllRule.H:
         f = node.conclusion.linear[0]
         assert isinstance(f, PlainImplication)
-        return single_edge(f)
+        return [builder.add_edge(at, f)]
     if rule in (HllRule.LTENSOR, HllRule.M, HllRule.LBANG, HllRule.WBANG, HllRule.CBANG):
-        return _compile(node.premises[0])
+        return _emit(node.premises[0], at, builder)
     if rule is HllRule.OPLUS_H:
         f = node.principal
         assert isinstance(f, OplusImplication)
-        v = node.frame if node.frame is not None else Frame()
-        if isinstance(v, SimpleProduct):
-            v = Frame(v.entries)
-        p1, p2 = node.premises
-        y1 = _premise_consequent(f, v, p1.conclusion.input)
-        y2 = _premise_consequent(f, v, p2.conclusion.input)
-        return strong_fork(f.antecedent, y1, y2, _compile(p1), _compile(p2))
+        leaves = []
+        for p in node.premises:
+            y = _premise_consequent(f, node.frame, p.conclusion.input)
+            leaves += _emit(p, builder.add_edge(at, PlainImplication(f.antecedent, y)), builder)
+        return leaves
     if rule is HllRule.CUT:
-        return compose(_compile(node.premises[0]), _compile(node.premises[1]))
+        first, second = node.premises
+        return [leaf for mid in _emit(first, at, builder) for leaf in _emit(second, mid, builder)]
     raise AssertionError(rule)
 
 
@@ -330,29 +321,29 @@ def frame_rule(premise: HllProof, v: SimpleProduct) -> HllProof:
 def oplus_h(premise1: HllProof, premise2: HllProof, f: OplusImplication, v: Frame) -> HllProof:
     c1 = premise1.conclusion
     conclusion = HornSequent(
-        f.antecedent.tensor(v), _zone_plus(c1.linear, f), c1.banged, c1.goal
+        f.antecedent.tensor(v), c1.linear + (f,), c1.banged, c1.goal
     )
     return HllProof(HllRule.OPLUS_H, conclusion, (premise1, premise2), principal=f, frame=v)
 
 
 def lbang(premise: HllProof, a: HornFormula) -> HllProof:
     c = premise.conclusion
-    linear = _zone_minus(c.linear, a)
+    linear = multiset_minus(c.linear, a)
     if linear is None:
         raise ValueError(f"premise does not carry {formula_text(a)} linearly")
-    conclusion = HornSequent(c.input, linear, _zone_plus(c.banged, a), c.goal)
+    conclusion = HornSequent(c.input, linear, c.banged + (a,), c.goal)
     return HllProof(HllRule.LBANG, conclusion, (premise,), principal=a)
 
 
 def wbang(premise: HllProof, a: HornFormula) -> HllProof:
     c = premise.conclusion
-    conclusion = HornSequent(c.input, c.linear, _zone_plus(c.banged, a), c.goal)
+    conclusion = HornSequent(c.input, c.linear, c.banged + (a,), c.goal)
     return HllProof(HllRule.WBANG, conclusion, (premise,), principal=a)
 
 
 def cbang(premise: HllProof, a: HornFormula) -> HllProof:
     c = premise.conclusion
-    banged = _zone_minus(c.banged, a)
+    banged = multiset_minus(c.banged, a)
     if banged is None or a not in banged:
         raise ValueError(f"premise needs two banged copies of {formula_text(a)}")
     conclusion = HornSequent(c.input, c.linear, banged, c.goal)
@@ -364,7 +355,7 @@ def cut(premise1: HllProof, premise2: HllProof) -> HllProof:
     if c2.input != c1.goal:
         raise ValueError("cut premises do not chain")
     conclusion = HornSequent(
-        c1.input, _merge(c1.linear, c2.linear), _merge(c1.banged, c2.banged), c2.goal
+        c1.input, c1.linear + c2.linear, c1.banged + c2.banged, c2.goal
     )
     return HllProof(HllRule.CUT, conclusion, (premise1, premise2))
 
@@ -397,11 +388,5 @@ def _from_data(data: dict) -> HllProof:
     conclusion = parse_sequent(data["conclusion"])
     premises = tuple(_from_data(p) for p in data.get("premises", []))
     principal = parse_formula(data["principal"]) if "principal" in data else None
-    frame: SimpleProduct | Frame | None = None
-    if "frame" in data:
-        frame = parse_product(data["frame"])
-    elif rule is HllRule.OPLUS_H:
-        frame = Frame()
-    if rule is HllRule.OPLUS_H and isinstance(frame, SimpleProduct):
-        frame = Frame(frame.entries)
+    frame = parse_product(data["frame"]) if "frame" in data else None
     return HllProof(rule, conclusion, premises, principal=principal, frame=frame)

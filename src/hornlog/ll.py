@@ -41,6 +41,7 @@ from .syntax import (
     _parse_formula_rest,
     _parse_operand,
     formula_text,
+    multiset_minus,
     parse_product,
     product_text,
     tensor_all,
@@ -111,12 +112,8 @@ class LlOplusProduct:
 LlFormula = Union[LlProduct, LlImp, LlBang, LlOplusProduct]
 
 
-def ll_formula_text(f: LlFormula) -> str:
-    return str(f)
-
-
 def _context_sorted(formulas) -> tuple[LlFormula, ...]:
-    return tuple(sorted(formulas, key=ll_formula_text))
+    return tuple(sorted(formulas, key=str))
 
 
 @dataclass(frozen=True)
@@ -129,26 +126,6 @@ class LlSequent:
 
     def __str__(self) -> str:
         return ll_sequent_text(self)
-
-    def minus(self, f: LlFormula) -> tuple[LlFormula, ...] | None:
-        out = list(self.context)
-        try:
-            out.remove(f)
-        except ValueError:
-            return None
-        return tuple(out)
-
-    def count(self, f: LlFormula) -> int:
-        return sum(1 for g in self.context if g == f)
-
-
-def _ctx_minus(context: tuple[LlFormula, ...], f: LlFormula) -> tuple[LlFormula, ...] | None:
-    out = list(context)
-    try:
-        out.remove(f)
-    except ValueError:
-        return None
-    return tuple(out)
 
 
 class LlRule(Enum):
@@ -225,7 +202,7 @@ def _check_ll_node(node: LlProof) -> str | None:
         x, y = node.split
         if x.tensor(y) != node.principal.product:
             return "split does not recombine to the principal product"
-        rest = _ctx_minus(c.context, node.principal)
+        rest = multiset_minus(c.context, node.principal)
         if rest is None:
             return "principal product not in the conclusion context"
         p = node.premises[0].conclusion
@@ -253,7 +230,7 @@ def _check_ll_node(node: LlProof) -> str | None:
         if p1.goal != imp.antecedent:
             return "first premise must prove the antecedent"
         consequent = LlProduct(imp.consequent)
-        p2_rest = _ctx_minus(p2.context, consequent)
+        p2_rest = multiset_minus(p2.context, consequent)
         if p2_rest is None:
             return "second premise context must carry the consequent product"
         if p2.goal != c.goal:
@@ -283,7 +260,7 @@ def _check_ll_node(node: LlProof) -> str | None:
         # Content-equal occurrences may coexist under different tags; the
         # conclusion determines which one was consumed.
         for occurrence in pending:
-            expected = _context_sorted(p1.context + _ctx_minus(p2.context, occurrence) + (f,))
+            expected = _context_sorted(p1.context + multiset_minus(p2.context, occurrence) + (f,))
             if c.context == expected:
                 return None
         return "conclusion context must merge premises around the principal"
@@ -292,7 +269,7 @@ def _check_ll_node(node: LlProof) -> str | None:
         occ = node.principal
         if not isinstance(occ, LlOplusProduct):
             return "left choice needs a pending choice product principal"
-        rest = _ctx_minus(c.context, occ)
+        rest = multiset_minus(c.context, occ)
         if rest is None:
             return "principal choice product not in the conclusion context"
         p1, p2 = (p.conclusion for p in node.premises)
@@ -313,7 +290,7 @@ def _check_ll_node(node: LlProof) -> str | None:
         p = node.premises[0].conclusion
         if p.goal != c.goal:
             return "goal must be unchanged"
-        rest = _ctx_minus(c.context, a)
+        rest = multiset_minus(c.context, a)
         if rest is None:
             return "banged principal not in the conclusion context"
         if rule is LlRule.LBANG:
@@ -349,10 +326,10 @@ def ll_i(x: SimpleProduct) -> LlProof:
 
 def ll_ltensor(premise: LlProof, x: SimpleProduct, y: SimpleProduct) -> LlProof:
     principal = LlProduct(x.tensor(y))
-    rest = _ctx_minus(premise.conclusion.context, LlProduct(x))
+    rest = multiset_minus(premise.conclusion.context, LlProduct(x))
     if rest is None:
         raise ValueError(f"premise lacks product {x}")
-    rest = _ctx_minus(rest, LlProduct(y))
+    rest = multiset_minus(rest, LlProduct(y))
     if rest is None:
         raise ValueError(f"premise lacks product {y}")
     conclusion = LlSequent(rest + (principal,), premise.conclusion.goal)
@@ -369,7 +346,7 @@ def ll_limp(premise1: LlProof, premise2: LlProof, imp: PlainImplication) -> LlPr
     c1, c2 = premise1.conclusion, premise2.conclusion
     if c1.goal != imp.antecedent:
         raise ValueError("first premise must prove the antecedent")
-    rest = _ctx_minus(c2.context, LlProduct(imp.consequent))
+    rest = multiset_minus(c2.context, LlProduct(imp.consequent))
     if rest is None:
         raise ValueError("second premise lacks the consequent product")
     conclusion = LlSequent(c1.context + rest + (LlImp(imp),), c2.goal)
@@ -381,7 +358,7 @@ def ll_limpoplus(premise1: LlProof, premise2: LlProof, imp: OplusImplication, ta
     if c1.goal != imp.antecedent:
         raise ValueError("first premise must prove the antecedent")
     occurrence = LlOplusProduct(imp.left, imp.right, tag)
-    rest = _ctx_minus(c2.context, occurrence)
+    rest = multiset_minus(c2.context, occurrence)
     if rest is None:
         raise ValueError(f"second premise lacks the pending choice {occurrence}")
     conclusion = LlSequent(c1.context + rest + (LlImp(imp),), c2.goal)
@@ -392,8 +369,8 @@ def ll_loplus(premise1: LlProof, premise2: LlProof, occurrence: LlOplusProduct) 
     c1, c2 = premise1.conclusion, premise2.conclusion
     if c1.goal != c2.goal:
         raise ValueError("premise goals differ")
-    rest1 = _ctx_minus(c1.context, LlProduct(occurrence.left))
-    rest2 = _ctx_minus(c2.context, LlProduct(occurrence.right))
+    rest1 = multiset_minus(c1.context, LlProduct(occurrence.left))
+    rest2 = multiset_minus(c2.context, LlProduct(occurrence.right))
     if rest1 is None or rest2 is None or _context_sorted(rest1) != _context_sorted(rest2):
         raise ValueError("premise contexts do not share a frame for the choice")
     conclusion = LlSequent(rest1 + (occurrence,), c1.goal)
@@ -402,7 +379,7 @@ def ll_loplus(premise1: LlProof, premise2: LlProof, occurrence: LlOplusProduct) 
 
 def ll_lbang(premise: LlProof, formula: HornFormula) -> LlProof:
     c = premise.conclusion
-    rest = _ctx_minus(c.context, LlImp(formula))
+    rest = multiset_minus(c.context, LlImp(formula))
     if rest is None:
         raise ValueError(f"premise lacks linear {formula_text(formula)}")
     banged = LlBang(formula)
@@ -419,7 +396,7 @@ def ll_wbang(premise: LlProof, formula: HornFormula) -> LlProof:
 def ll_cbang(premise: LlProof, formula: HornFormula) -> LlProof:
     banged = LlBang(formula)
     c = premise.conclusion
-    rest = _ctx_minus(c.context, banged)
+    rest = multiset_minus(c.context, banged)
     if rest is None or banged not in rest:
         raise ValueError(f"premise needs two banged copies of {formula_text(formula)}")
     conclusion = LlSequent(rest, c.goal)
@@ -476,13 +453,6 @@ def _consumed_tag(node: LlProof) -> int:
 
 def _context_has_tag(sequent: LlSequent, tag: int) -> bool:
     return any(isinstance(g, LlOplusProduct) and g.tag == tag for g in sequent.context)
-
-
-def _occurrence_with_tag(sequent: LlSequent, tag: int) -> LlOplusProduct:
-    for g in sequent.context:
-        if isinstance(g, LlOplusProduct) and g.tag == tag:
-            return g
-    raise ProofStructureError(f"tag {tag} missing from context")
 
 
 def _check_tag_linearity(node: LlProof):
@@ -757,7 +727,7 @@ def _translate(node: LlProof) -> HllProof:
         imp: PlainImplication = node.principal.formula
         pi1, pi2 = node.premises
         inner = hll.cut(_translate(pi1), hll.h_axiom(imp))
-        rest = _ctx_minus(pi2.conclusion.context, LlProduct(imp.consequent))
+        rest = multiset_minus(pi2.conclusion.context, LlProduct(imp.consequent))
         w2 = _context_products(rest)
         return hll.cut(_framed(inner, w2), _translate(pi2))
 
@@ -769,7 +739,7 @@ def _translate(node: LlProof) -> HllProof:
                 "implication-choice without its adjacent left choice; normalize first"
             )
         pi1, pi2 = loplus.premises
-        rest1 = _ctx_minus(pi1.conclusion.context, LlProduct(imp.left))
+        rest1 = multiset_minus(pi1.conclusion.context, LlProduct(imp.left))
         v = _context_products(rest1)
         choice = hll.oplus_h(_translate(pi1), _translate(pi2), imp, v)
         return hll.cut(_framed(_translate(pi0), v), choice)

@@ -171,7 +171,13 @@ def successors(machine: MinskyMachine, config: Configuration) -> tuple[tuple[int
 
 
 def validate_computation(machine: MinskyMachine, computation: Computation) -> ValidationResult:
-    """Accept iff every recorded move is enabled at its source configuration."""
+    """Accept iff every configuration has the machine's arity and every
+    recorded move is enabled at its source configuration."""
+    for u, config in enumerate(computation.configs):
+        if len(config.counters) != machine.n:
+            return ValidationResult(
+                False, u, f"{config} has {len(config.counters)} counters, machine has {machine.n}"
+            )
     for u, move in enumerate(computation.moves):
         if not 0 <= move < len(machine.instructions):
             return ValidationResult(False, u, f"no instruction I{move + 1}")

@@ -10,6 +10,9 @@ obtained by rewriting along its path; an edge whose antecedent is missing
 makes the whole subtree undefined.  A program solves a sequent when every
 leaf reaches the goal using only the sequent's formulas, with each linear
 occurrence used exactly once on every root-to-leaf path.
+
+Every program the library constructs is appended to one ``ProgramBuilder``
+and validated once, by its ``build``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .syntax import (
+    FormatError,
     HornFormula,
     HornSequent,
     OplusImplication,
@@ -28,6 +32,7 @@ from .syntax import (
     apply_implication,
     formula_text,
     match_antecedent,
+    multiset_minus,
     parse_formula,
     product_equiv,
 )
@@ -109,25 +114,60 @@ class HornProgram:
             return OplusImplication(f1.antecedent, f1.consequent, f2.consequent)
         return label
 
-    def path_to(self, v: int) -> tuple[int, ...]:
-        parents = {child: parent for parent, child, _ in self.edges}
-        path = [v]
-        while path[-1] != self.root:
-            path.append(parents[path[-1]])
-        return tuple(reversed(path))
+
+class ProgramBuilder:
+    """An append-only program rooted at 0; ids are issued in insertion order."""
+
+    def __init__(self):
+        self.edges: list[tuple[int, int, PlainImplication]] = []
+
+    def add_edge(self, parent: int, label: PlainImplication) -> int:
+        """Append an edge below parent and return the new child."""
+        child = len(self.edges) + 1
+        self.edges.append((parent, child, label))
+        return child
+
+    def graft(self, at: int, program: HornProgram) -> list[int]:
+        """Copy a built program under vertex at; return its leaves' copies."""
+        children = program.children
+        return self.unfold(at, program.root, lambda v: [(label, c) for c, label in children[v]])
+
+    def unfold(self, at: int, key, moves) -> list[int]:
+        """Append under vertex at the tree spelled out from key by ``moves``,
+        which maps a key to its (label, child key) pairs; return the leaves.
+
+        Each edge is added when popped from an explicit stack, so both the ids
+        and the returned leaves follow preorder.
+        """
+        stack = [(at, label, child) for label, child in reversed(moves(key))]
+        leaves = [] if stack else [at]
+        while stack:
+            parent, label, key = stack.pop()
+            vertex = self.add_edge(parent, label)
+            out = moves(key)
+            if not out:
+                leaves.append(vertex)
+            stack.extend((vertex, f, child) for f, child in reversed(out))
+        return leaves
+
+    def build(self) -> HornProgram:
+        return HornProgram.build(0, self.edges)
 
 
 def single_vertex() -> HornProgram:
-    return HornProgram.build(0, ())
+    return ProgramBuilder().build()
 
 
 def single_edge(f: PlainImplication) -> HornProgram:
-    return HornProgram.build(0, ((0, 1, f),))
+    return chain((f,))
 
 
 def chain(formulas: Iterable[PlainImplication]) -> HornProgram:
-    edges = [(i, i + 1, f) for i, f in enumerate(formulas)]
-    return HornProgram.build(0, edges)
+    builder = ProgramBuilder()
+    at = 0
+    for f in formulas:
+        at = builder.add_edge(at, f)
+    return builder.build()
 
 
 @dataclass(frozen=True)
@@ -222,44 +262,38 @@ def verify_strong_solution(program: HornProgram, sequent: HornSequent) -> Strong
         linear_need[f] = linear_need.get(f, 0) + 1
     banged_set = set(sequent.banged)
 
-    def walk(v: int, used_counts: dict[HornFormula, int]):
-        if not program.children[v]:
+    # Depth-first with an explicit stack, so deep programs cannot exhaust the
+    # recursion limit.  An entry (None, f) undoes the charge of f once the
+    # subtree below its edge is done.
+    used_counts: dict[HornFormula, int] = {}
+    stack: list[tuple[int | None, HornFormula | None]] = [(program.root, None)]
+    while stack:
+        v, used = stack.pop()
+        if v is None:
+            used_counts[used] -= 1
+            continue
+        if used is not None:
+            used_counts[used] = used_counts.get(used, 0) + 1
+            stack.append((None, used))
+        children = program.children[v]
+        if not children:
             for f, need in linear_need.items():
                 got = used_counts.get(f, 0)
                 if got != need and not (f in banged_set and got > need):
                     violations.append(Violation(LINEAR_COUNT, vertex=v, formula=f, count=got))
-            return
-        for child, _ in program.children[v]:
-            used = program.used_formula(v, child)
-            used_counts[used] = used_counts.get(used, 0) + 1
-            walk(child, used_counts)
-            used_counts[used] -= 1
-
-    walk(program.root, {})
+        stack.extend((child, program.used_formula(v, child)) for child, _ in reversed(children))
     return StrongSolutionReport(not violations, tuple(violations))
 
 
-# --- Builders -----------------------------------------------------------------
+# --- Composition ----------------------------------------------------------------
 
 
 def compose(p1: HornProgram, p2: HornProgram) -> HornProgram:
     """Graft a fresh copy of p2 onto every leaf of p1."""
-    edges: list[tuple[int, int, PlainImplication]] = []
-    fresh = [0]
-
-    def allocate() -> int:
-        fresh[0] += 1
-        return fresh[0] - 1
-
-    mapping1 = {v: allocate() for v in p1.preorder()}
-    edges.extend((mapping1[a], mapping1[b], f) for a, b, f in p1.edges)
-    for leaf in p1.leaves:
-        mapping2 = {p2.root: mapping1[leaf]}
-        for v in p2.preorder():
-            if v != p2.root:
-                mapping2[v] = allocate()
-        edges.extend((mapping2[a], mapping2[b], f) for a, b, f in p2.edges)
-    return HornProgram.build(mapping1[p1.root], edges)
+    builder = ProgramBuilder()
+    for leaf in builder.graft(0, p1):
+        builder.graft(leaf, p2)
+    return builder.build()
 
 
 def strong_fork(
@@ -270,22 +304,20 @@ def strong_fork(
     p2: HornProgram,
 ) -> HornProgram:
     """A new root branching into p1 and p2 via ``x -o y1`` and ``x -o y2``."""
-    edges: list[tuple[int, int, PlainImplication]] = []
-    fresh = [1]
+    builder = ProgramBuilder()
+    for y, p in ((y1, p1), (y2, p2)):
+        builder.graft(builder.add_edge(0, PlainImplication(x, y)), p)
+    return builder.build()
 
-    def copy_in(p: HornProgram) -> int:
-        mapping = {}
-        for v in p.preorder():
-            mapping[v] = fresh[0]
-            fresh[0] += 1
-        edges.extend((mapping[a], mapping[b], f) for a, b, f in p.edges)
-        return mapping[p.root]
 
-    root1 = copy_in(p1)
-    root2 = copy_in(p2)
-    edges.insert(0, (0, root1, PlainImplication(x, y1)))
-    edges.insert(1, (0, root2, PlainImplication(x, y2)))
-    return HornProgram.build(0, edges)
+def program_height(program: HornProgram) -> int:
+    depth = {program.root: 0}
+    best = 0
+    for v in program.preorder():
+        for child, _ in program.children[v]:
+            depth[child] = depth[v] + 1
+            best = max(best, depth[child])
+    return best
 
 
 # --- Bounded witness search -----------------------------------------------------
@@ -301,14 +333,30 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
     tried before choice branches, candidates ordered by printed form, linear
     formulas consumed and banged ones kept.  A choice formula succeeds only if
     both branches do.  Absence within the depth bound proves nothing.
+
+    The memo keeps one winning move per state; the witness is read back from
+    it and built once.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be positive")
     banged = tuple(sorted(set(sequent.banged), key=formula_text))
     goal = sequent.goal
 
-    # memo: state -> ("win", program, height) | ("fail", budget tried)
+    # memo: state -> ("win", height, moves) | ("fail", budget tried), where
+    # moves is a tuple of (edge label, child state): empty at a leaf, one pair
+    # for a plain step, two for a fork.
     memo: dict[tuple, tuple] = {}
+
+    def win(state: tuple, height: int, moves: tuple) -> int:
+        # A win never replaces a lower-or-equal one.  A state can recur on its
+        # own search path (a -o b, b -o a); overwriting its lower win with the
+        # higher one found around the cycle would make the moves loop.  With
+        # this rule heights fall strictly along moves, so the read-back ends.
+        prior = memo.get(state)
+        if prior is not None and prior[0] == _WIN and prior[1] <= height:
+            return prior[1]
+        memo[state] = (_WIN, height, moves)
+        return height
 
     def candidates(linear: tuple[HornFormula, ...]):
         seen = []
@@ -320,22 +368,17 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
         seen.sort(key=lambda item: (item[0], item[1] != "linear"))
         return seen
 
-    def remove_one(linear: tuple[HornFormula, ...], f: HornFormula) -> tuple[HornFormula, ...]:
-        index = linear.index(f)
-        return linear[:index] + linear[index + 1:]
-
-    def search(product: SimpleProduct, linear: tuple[HornFormula, ...], budget: int):
-        state = (product, linear)
+    def search(state: tuple, budget: int) -> int | None:
+        """The height of a win for the state within budget, or None."""
+        product, linear = state
         known = memo.get(state)
         if known is not None:
-            if known[0] == _WIN and known[2] <= budget:
+            if known[0] == _WIN and known[1] <= budget:
                 return known[1]
             if known[0] == _FAIL and budget <= known[1]:
                 return None
         if not linear and product_equiv(product, goal):
-            result = single_vertex()
-            memo[state] = (_WIN, result, 0)
-            return result
+            return win(state, 0, ())
         plain_moves = []
         fork_moves = []
         for _, source, f in candidates(linear):
@@ -348,49 +391,38 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
                 nxt = apply_implication(product, f)
                 if nxt is None:
                     continue
-                rest = remove_one(linear, f) if source == "linear" else linear
-                sub = search(nxt, rest, budget - 1)
-                if sub is not None:
-                    result = compose(single_edge(f), sub)
-                    memo[state] = (_WIN, result, _height(result))
-                    return result
+                child = (nxt, multiset_minus(linear, f) if source == "linear" else linear)
+                height = search(child, budget - 1)
+                if height is not None:
+                    return win(state, height + 1, ((f, child),))
             for source, f in fork_moves:
                 residual = match_antecedent(product, f.antecedent)
                 if residual is None:
                     continue
-                rest = remove_one(linear, f) if source == "linear" else linear
-                left = search(f.left.tensor(residual), rest, budget - 1)
-                if left is None:
-                    continue
-                right = search(f.right.tensor(residual), rest, budget - 1)
-                if right is None:
-                    continue
-                result = strong_fork(f.antecedent, f.left, f.right, left, right)
-                memo[state] = (_WIN, result, _height(result))
-                return result
+                rest = multiset_minus(linear, f) if source == "linear" else linear
+                branches = []  # (height, move), left before right
+                for y in (f.left, f.right):
+                    child = (y.tensor(residual), rest)
+                    height = search(child, budget - 1)
+                    if height is None:
+                        break
+                    branches.append((height, (PlainImplication(f.antecedent, y), child)))
+                else:
+                    return win(state, max(h for h, _ in branches) + 1, tuple(m for _, m in branches))
         prior = memo.get(state)
         if prior is None or (prior[0] == _FAIL and prior[1] < budget):
             memo[state] = (_FAIL, budget)
         return None
 
-    witness = search(sequent.input, sequent.linear, max_depth)
-    if witness is not None:
-        report = verify_strong_solution(witness, sequent)
-        assert report.ok, f"prover returned a bad witness: {report}"
+    start = (sequent.input, sequent.linear)
+    if search(start, max_depth) is None:
+        return None
+    builder = ProgramBuilder()
+    builder.unfold(0, start, lambda state: memo[state][2])
+    witness = builder.build()
+    report = verify_strong_solution(witness, sequent)
+    assert report.ok, f"prover returned a bad witness: {report}"
     return witness
-
-
-def _height(program: HornProgram) -> int:
-    depth = {program.root: 0}
-    best = 0
-    for v in program.preorder():
-        for child, _ in program.children[v]:
-            depth[child] = depth[v] + 1
-            best = max(best, depth[child])
-    return best
-
-
-program_height = _height
 
 
 # --- Serialization ---------------------------------------------------------------
@@ -408,16 +440,29 @@ def program_to_json(program: HornProgram) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def _json_id(value) -> int:
+    if type(value) is not int:
+        raise FormatError(f"root, parent and child must be integer vertex ids, got {value!r}")
+    return value
+
+
 def program_from_json(text: str) -> HornProgram:
     data = json.loads(text)
+    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
+        raise FormatError("a program is a JSON object with an edge list")
+    vertices = data.get("vertices", [])
+    if not isinstance(vertices, list):
+        raise FormatError("the vertex list must be a JSON list")
     edges = []
     for e in data["edges"]:
+        if not isinstance(e, dict) or not isinstance(e.get("label"), str):
+            raise FormatError(f"an edge is a JSON object with a string label: {e!r}")
         label = parse_formula(e["label"])
         if not isinstance(label, PlainImplication):
             raise ValueError(f"edge label must be a plain implication: {e['label']}")
-        edges.append((int(e["parent"]), int(e["child"]), label))
-    program = HornProgram.build(int(data["root"]), edges)
-    declared = sorted(int(v) for v in data.get("vertices", []))
+        edges.append((_json_id(e.get("parent")), _json_id(e.get("child")), label))
+    program = HornProgram.build(_json_id(data.get("root")), edges)
+    declared = sorted(_json_id(v) for v in vertices)
     if declared and declared != sorted(program.vertices):
         raise ValueError("vertex list does not match the edge list")
     return program

@@ -32,7 +32,7 @@ LITERAL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 class FormatError(ValueError):
-    """A product, formula or sequent text failed to parse."""
+    """A product, formula or sequent text, or a program's JSON, failed to parse."""
 
     def __init__(self, message: str, position: int | None = None):
         self.position = position
@@ -165,12 +165,8 @@ class OplusImplication:
 HornFormula = Union[PlainImplication, OplusImplication]
 
 
-def formula_key(f: HornFormula) -> str:
-    return formula_text(f)
-
-
-def _canonical_zone(formulas: Iterable[HornFormula]) -> tuple[HornFormula, ...]:
-    return tuple(sorted(formulas, key=formula_key))
+def canonical_zone(formulas: Iterable[HornFormula]) -> tuple[HornFormula, ...]:
+    return tuple(sorted(formulas, key=formula_text))
 
 
 @dataclass(frozen=True)
@@ -187,14 +183,23 @@ class HornSequent:
     goal: SimpleProduct
 
     def __post_init__(self):
-        object.__setattr__(self, "linear", _canonical_zone(self.linear))
-        object.__setattr__(self, "banged", _canonical_zone(self.banged))
+        object.__setattr__(self, "linear", canonical_zone(self.linear))
+        object.__setattr__(self, "banged", canonical_zone(self.banged))
 
     def __str__(self) -> str:
         return sequent_text(self)
 
 
 # --- Multiset operations ---------------------------------------------------
+
+
+def multiset_minus(items: tuple, item) -> tuple | None:
+    """The tuple without one occurrence of item, or None if item is absent."""
+    try:
+        index = items.index(item)
+    except ValueError:
+        return None
+    return items[:index] + items[index + 1:]
 
 
 def product_equiv(x: SimpleProduct, y: SimpleProduct) -> bool:
@@ -316,9 +321,6 @@ class TokenStream:
         if tok.text != text:
             raise FormatError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.position)
         return tok
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "end"
 
     def done(self):
         tok = self.peek()

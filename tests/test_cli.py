@@ -52,6 +52,13 @@ def test_machine_search_and_run(dec_file, tmp_path):
     assert result.stdout.strip() == "accept"
 
 
+def test_machine_run_rejects_wrong_arity(dec_file, tmp_path):
+    run = tmp_path / "run.txt"
+    run.write_text("L1 : 1,0,7\nI2 -> L1 : 0,0,7\nI1 -> L0 : 0,0,7\n")
+    result = run_cli("machine", "run", str(dec_file), str(run), expect=1)
+    assert result.stdout.startswith("reject at index 0")
+
+
 def test_machine_search_absent(dec_file):
     result = run_cli("machine", "search", str(dec_file), "--input", "0,1", expect=1)
     assert result.stdout.strip() == "absent"
@@ -142,3 +149,22 @@ def test_malformed_json_exits_2(tmp_path):
 
 def test_missing_file_exits_2():
     run_cli("machine", "check", "/nonexistent/machine.mm", expect=2)
+
+
+@pytest.mark.parametrize("text", [
+    "{}",
+    "[]",
+    '{"root": 0, "edges": [{"parent": 0, "child": 1}]}',
+    '{"edges": [{"parent": 0, "child": 1, "label": "l1 -o l0"}]}',
+    '{"root": 0, "edges": [{"parent": 0, "child": 1, "label": 5}]}',
+    '{"root": 0, "edges": [{"parent": 0, "child": "one", "label": "l1 -o l0"}]}',
+    '{"root": 0.5, "edges": []}',
+    '{"root": 0, "vertices": 3, "edges": []}',
+])
+def test_malformed_program_exits_2(dec_file, tmp_path, text):
+    seq_file = tmp_path / "dec.seq"
+    seq_file.write_text(run_cli("encode", str(dec_file), "--input", "1,0").stdout)
+    prog_file = tmp_path / "bad.prog.json"
+    prog_file.write_text(text)
+    result = run_cli("verify", "sequent-program", str(seq_file), str(prog_file), expect=2)
+    assert "Traceback" not in result.stderr

@@ -80,6 +80,15 @@ def test_validate_rejects_double_decrement(dec):
     assert not result.ok and result.index == 0
 
 
+def test_validate_rejects_wrong_arity(dec):
+    three = (Configuration(1, (1, 0, 7)), Configuration(1, (0, 0, 7)), Configuration(0, (0, 0, 7)))
+    result = validate_computation(dec, Computation(three, (1, 0)))
+    assert not result.ok and result.index == 0 and "3 counters" in result.reason
+    one = (Configuration(1, (0, 0)), Configuration(0, (0,)))
+    result = validate_computation(dec, Computation(one, (0,)))
+    assert not result.ok and result.index == 1
+
+
 def test_validate_accepts_singleton(dec):
     assert validate_computation(dec, Computation((Configuration(0, (0, 0)),), ())).ok
 

@@ -3,6 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hornlog.bridge import computation_to_program
+from hornlog.encoding import MachineEncoding
+from hornlog.minsky import Computation, Configuration, parse_machine, search_halting
 from hornlog.programs import (
     FOREIGN_FORMULA,
     HornProgram,
@@ -202,6 +205,52 @@ def test_prove_bounded_formula_in_both_zones():
     assert witness is not None
     assert verify_strong_solution(witness, s).ok
     assert len(witness.edges) == 1
+
+
+def test_prove_bounded_terminates_on_a_loop():
+    # a -o b and b -o a bring the search back to a state it is still
+    # expanding; the witness must still be read back and stay within depth.
+    s = parse_sequent("a ; ; a -o b, b -o a, a -o g |- g")
+    witness = prove_bounded(s, 6)
+    assert witness is not None and program_height(witness) <= 6
+    assert verify_strong_solution(witness, s).ok
+
+
+def test_verify_deep_program():
+    # Deeper than Python's recursion limit: a 2000-move DEC run.
+    machine = parse_machine("counters 2\nL1: ifzero x1 goto L0\nL1: dec x1 goto L1\n")
+    k = 2000
+    configs = [Configuration(1, (k - i, 0)) for i in range(k + 1)] + [Configuration(0, (0, 0))]
+    enc = MachineEncoding.build(machine)
+    trace = computation_to_program(enc, Computation(tuple(configs), (1,) * k + (0,)))
+    assert program_height(trace.program) == k + 2
+    assert verify_strong_solution(trace.program, enc.sequent((k, 0))).ok
+
+
+def _shape(program, v=None):
+    """The tree below v up to vertex ids and child order."""
+    v = program.root if v is None else v
+    return tuple(sorted((str(label), _shape(program, child)) for child, label in program.children[v]))
+
+
+TRANSFER = (
+    "counters 2\nL1: dec x1 goto L2\nL2: inc x2 goto L1\nL1: ifzero x1 goto L3\n"
+    "L3: dec x2 goto L3\nL3: ifzero x2 goto L0\n"
+)
+
+
+@pytest.mark.parametrize("text, ks", [
+    ("counters 2\nL1: ifzero x1 goto L0\nL1: dec x1 goto L1\n", range(6)),
+    (TRANSFER, range(4)),
+])
+def test_prover_witness_is_the_bridge_program(text, ks):
+    machine = parse_machine(text)
+    enc = MachineEncoding.build(machine)
+    for k in ks:
+        run = search_halting(machine, machine.initial_configuration((k, 0)), 100, 10)
+        program = computation_to_program(enc, run).program
+        witness = prove_bounded(enc.sequent((k, 0)), program_height(program))
+        assert witness is not None and _shape(witness) == _shape(program)
 
 
 def test_serialization_round_trip(p0):
