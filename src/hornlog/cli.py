@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit status: 0 on success/accept, 1 on reject or no witness within bounds,
-2 on malformed input.  Machine-readable results go to stdout, diagnostics to
-stderr.
+2 on malformed input, 3 on an internal error (never a verdict, e.g. hitting
+the recursion limit).  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -11,11 +11,11 @@ import argparse
 import sys
 
 from . import bridge, hll, ll, minsky, programs
-from .encoding import MachineEncoding, build_sequent
+from .encoding import MachineEncoding
 from .minsky import parse_computation, parse_machine
 from .syntax import FormatError, parse_sequent, sequent_text
 
-OK, REJECT, MALFORMED = 0, 1, 2
+OK, REJECT, MALFORMED, INTERNAL = 0, 1, 2, 3
 
 
 def _read(path: str) -> str:
@@ -86,8 +86,7 @@ def cmd_machine_search(args) -> int:
 
 def cmd_encode(args) -> int:
     machine = _load_machine(args.machine)
-    enc = MachineEncoding.build(machine)
-    sequent = build_sequent(enc.ctx, machine, _parse_inputs(args.input))
+    sequent = MachineEncoding.build(machine).sequent(_parse_inputs(args.input))
     _write_out(sequent_text(sequent) + "\n", args.output)
     return OK
 
@@ -292,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # every reader's error is one of these
         print(f"error: {exc}", file=sys.stderr)
         return MALFORMED
+    except Exception as exc:  # a fault of hornlog itself, not of the input
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -209,16 +209,19 @@ class MachineEncoding:
         return None
 
     def sequent(self, inputs: tuple[int, ...]) -> HornSequent:
-        return build_sequent(self.ctx, self.machine, inputs)
+        """The target sequent: encoded start at L1, everything reusable, goal l0."""
+        if any(k < 0 for k in inputs):
+            raise ValueError("inputs must be non-negative")
+        if len(inputs) != self.machine.n:
+            raise ValueError(f"expected {self.machine.n} inputs, got {len(inputs)}")
+        start = encode_config(self.ctx, Configuration(1, tuple(inputs)))
+        banged = self.program_formulas() + self.killer_zone()
+        return HornSequent(start, (), banged, SimpleProduct.of(self.ctx.label_literal(HALT_LABEL)))
 
 
 def build_sequent(ctx: EncodingContext, machine: MinskyMachine, inputs: tuple[int, ...]) -> HornSequent:
-    """The target sequent: encoded start at L1, everything reusable, goal l0."""
-    if any(k < 0 for k in inputs):
-        raise ValueError("inputs must be non-negative")
-    if len(inputs) != machine.n:
-        raise ValueError(f"expected {machine.n} inputs, got {len(inputs)}")
+    """The target sequent of ``MachineEncoding.build(machine)``; ctx must be its context."""
     enc = MachineEncoding.build(machine)
-    start = encode_config(ctx, Configuration(1, tuple(inputs)))
-    banged = enc.program_formulas() + enc.killer_zone()
-    return HornSequent(start, (), banged, SimpleProduct.of(ctx.label_literal(HALT_LABEL)))
+    if ctx != enc.ctx:
+        raise ValueError(f"a {ctx.n}-counter context does not fit a {machine.n}-counter machine")
+    return enc.sequent(inputs)

@@ -22,6 +22,7 @@ from enum import Enum
 
 from .programs import HornProgram, ProgramBuilder
 from .syntax import (
+    FormatError,
     Frame,
     HornFormula,
     HornSequent,
@@ -70,16 +71,12 @@ class HllProof:
     conclusion: HornSequent
     premises: tuple["HllProof", ...] = ()
     principal: HornFormula | None = None  # OPLUS_H, LBANG, WBANG, CBANG
-    frame: SimpleProduct | Frame | None = None  # M (product), OPLUS_H (frame)
+    frame: Frame | None = None  # M (a SimpleProduct), OPLUS_H (maybe empty)
 
     def __post_init__(self):
-        # The choice rule's frame may be empty, so it is always held as a Frame.
-        if self.rule is HllRule.OPLUS_H:
-            frame = self.frame
-            if frame is None:
-                object.__setattr__(self, "frame", Frame())
-            elif isinstance(frame, SimpleProduct):
-                object.__setattr__(self, "frame", Frame(frame.entries))
+        # The choice rule's frame may be empty; no frame means the empty one.
+        if self.rule is HllRule.OPLUS_H and self.frame is None:
+            object.__setattr__(self, "frame", Frame())
 
 
 @dataclass(frozen=True)
@@ -231,16 +228,21 @@ def _check_node(node: HllProof) -> str | None:
     raise AssertionError(rule)
 
 
-def check_hll_proof(proof: HllProof) -> CheckResult:
-    """Verify every node against its rule schema; report the first failure."""
-    stack: list[tuple[HllProof, tuple[int, ...]]] = [(proof, ())]
+def check_tree(proof, check_node) -> CheckResult:
+    """Check each node of either calculus's proof tree; report the first failure."""
+    stack = [(proof, ())]
     while stack:
         node, path = stack.pop()
-        reason = _check_node(node)
+        reason = check_node(node)
         if reason is not None:
             return CheckResult(False, CheckFailure(path, node.rule.value, reason))
         stack.extend((p, path + (i,)) for i, p in enumerate(node.premises))
     return CheckResult(True)
+
+
+def check_hll_proof(proof: HllProof) -> CheckResult:
+    """Verify every node against its rule schema; report the first failure."""
+    return check_tree(proof, _check_node)
 
 
 def compile_hll_to_program(proof: HllProof) -> HornProgram:
@@ -371,9 +373,8 @@ def _to_data(node: HllProof) -> dict:
     data: dict = {"rule": node.rule.value, "conclusion": sequent_text(node.conclusion)}
     if node.principal is not None:
         data["principal"] = formula_text(node.principal)
-    if node.frame is not None and not (isinstance(node.frame, Frame) and node.frame.is_empty):
-        frame = node.frame
-        data["frame"] = str(frame.to_product() if isinstance(frame, Frame) else frame)
+    if node.frame is not None and not node.frame.is_empty:
+        data["frame"] = node.frame.text
     if node.premises:
         data["premises"] = [_to_data(p) for p in node.premises]
     return data
@@ -383,7 +384,20 @@ def hll_proof_from_json(text: str) -> HllProof:
     return _from_data(json.loads(text))
 
 
-def _from_data(data: dict) -> HllProof:
+def check_node_shape(data) -> None:
+    """Raise FormatError unless data has the JSON shape of one proof node."""
+    if not isinstance(data, dict):
+        raise FormatError(f"a proof node is a JSON object, got {type(data).__name__}")
+    for key, kind in (("rule", str), ("conclusion", str), ("premises", list), ("principal", str), ("frame", str)):
+        if (key in data or key in ("rule", "conclusion")) and not isinstance(data.get(key), kind):
+            raise FormatError(f"a proof node's {key!r} must be a JSON {'list' if kind is list else 'string'}")
+    split = data.get("split", ["", ""])
+    if not (isinstance(split, list) and len(split) == 2 and all(isinstance(x, str) for x in split)):
+        raise FormatError("a proof node's 'split' must be a JSON list of two strings")
+
+
+def _from_data(data) -> HllProof:
+    check_node_shape(data)
     rule = HllRule(data["rule"])
     conclusion = parse_sequent(data["conclusion"])
     premises = tuple(_from_data(p) for p in data.get("premises", []))

@@ -21,29 +21,31 @@ calculus, reading a flat context as input-product/linear/banged zones.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 from . import hll
 from .hll import HllProof
 from .syntax import (
+    Choice,
     Frame,
     FormatError,
     HornFormula,
     HornSequent,
     OplusImplication,
     PlainImplication,
+    Printed,
     SimpleProduct,
     TokenStream,
     _parse_bare_product,
     _parse_formula_rest,
     _parse_operand,
+    canonical_zone,
     formula_text,
     multiset_minus,
     parse_product,
-    product_text,
     tensor_all,
 )
 
@@ -56,64 +58,48 @@ class ProofStructureError(ValueError):
 
 
 @dataclass(frozen=True)
-class LlProduct:
+class LlProduct(Printed):
     product: SimpleProduct
 
-    def __str__(self) -> str:
-        return product_text(self.product)
+    @cached_property
+    def text(self) -> str:
+        return self.product.text
 
 
 @dataclass(frozen=True)
-class LlImp:
+class LlImp(Printed):
     formula: HornFormula
 
-    def __str__(self) -> str:
-        return formula_text(self.formula)
+    @cached_property
+    def text(self) -> str:
+        return self.formula.text
 
 
 @dataclass(frozen=True)
-class LlBang:
+class LlBang(Printed):
     # Payload is normally an implication; a banged product is representable
     # so the checker can reject it against the side condition.
     formula: Union[HornFormula, SimpleProduct]
 
-    def __str__(self) -> str:
-        inner = (
-            product_text(self.formula)
-            if isinstance(self.formula, SimpleProduct)
-            else formula_text(self.formula)
-        )
-        return f"!({inner})"
+    @cached_property
+    def text(self) -> str:
+        return f"!({self.formula.text})"
 
 
 @dataclass(frozen=True)
-class LlOplusProduct:
+class LlOplusProduct(Choice):
     """A pending choice ``(Y1 + Y2)`` with its occurrence tag."""
 
     left: SimpleProduct
     right: SimpleProduct
     tag: int
 
-    def __post_init__(self):
-        if product_text(self.right) < product_text(self.left):
-            first, second = self.right, self.left
-            object.__setattr__(self, "left", first)
-            object.__setattr__(self, "right", second)
-
-    def component(self, side: int) -> SimpleProduct:
-        if side not in (1, 2):
-            raise ValueError("side must be 1 or 2")
-        return self.left if side == 1 else self.right
-
-    def __str__(self) -> str:
-        return f"({product_text(self.left)} + {product_text(self.right)})#{self.tag}"
+    @cached_property
+    def text(self) -> str:
+        return f"({self.left.text} + {self.right.text})#{self.tag}"
 
 
 LlFormula = Union[LlProduct, LlImp, LlBang, LlOplusProduct]
-
-
-def _context_sorted(formulas) -> tuple[LlFormula, ...]:
-    return tuple(sorted(formulas, key=str))
 
 
 @dataclass(frozen=True)
@@ -122,7 +108,7 @@ class LlSequent:
     goal: SimpleProduct
 
     def __post_init__(self):
-        object.__setattr__(self, "context", _context_sorted(self.context))
+        object.__setattr__(self, "context", canonical_zone(self.context))
 
     def __str__(self) -> str:
         return ll_sequent_text(self)
@@ -163,26 +149,6 @@ class LlProof:
     split: tuple[SimpleProduct, SimpleProduct] | None = None
 
 
-@dataclass(frozen=True)
-class LlCheckFailure:
-    path: tuple[int, ...]
-    rule: str
-    reason: str
-
-    def __str__(self) -> str:
-        where = "root" if not self.path else ".".join(str(i) for i in self.path)
-        return f"{self.rule} at {where}: {self.reason}"
-
-
-@dataclass(frozen=True)
-class LlCheckResult:
-    ok: bool
-    failure: LlCheckFailure | None = None
-
-    def __str__(self) -> str:
-        return "valid" if self.ok else str(self.failure)
-
-
 def _check_ll_node(node: LlProof) -> str | None:
     c = node.conclusion
     rule = node.rule
@@ -206,7 +172,7 @@ def _check_ll_node(node: LlProof) -> str | None:
         if rest is None:
             return "principal product not in the conclusion context"
         p = node.premises[0].conclusion
-        expected = _context_sorted(rest + (LlProduct(x), LlProduct(y)))
+        expected = canonical_zone(rest + (LlProduct(x), LlProduct(y)))
         if p.context != expected:
             return "premise context must split the principal product"
         if p.goal != c.goal:
@@ -217,7 +183,7 @@ def _check_ll_node(node: LlProof) -> str | None:
         p1, p2 = (p.conclusion for p in node.premises)
         if c.goal != p1.goal.tensor(p2.goal):
             return "goal must be the tensor of the premise goals"
-        if c.context != _context_sorted(p1.context + p2.context):
+        if c.context != canonical_zone(p1.context + p2.context):
             return "context must merge the premise contexts"
         return None
 
@@ -235,7 +201,7 @@ def _check_ll_node(node: LlProof) -> str | None:
             return "second premise context must carry the consequent product"
         if p2.goal != c.goal:
             return "goal must come from the second premise"
-        expected = _context_sorted(p1.context + p2_rest + (f,))
+        expected = canonical_zone(p1.context + p2_rest + (f,))
         if c.context != expected:
             return "conclusion context must merge premises around the principal"
         return None
@@ -260,7 +226,7 @@ def _check_ll_node(node: LlProof) -> str | None:
         # Content-equal occurrences may coexist under different tags; the
         # conclusion determines which one was consumed.
         for occurrence in pending:
-            expected = _context_sorted(p1.context + multiset_minus(p2.context, occurrence) + (f,))
+            expected = canonical_zone(p1.context + multiset_minus(p2.context, occurrence) + (f,))
             if c.context == expected:
                 return None
         return "conclusion context must merge premises around the principal"
@@ -273,9 +239,9 @@ def _check_ll_node(node: LlProof) -> str | None:
         if rest is None:
             return "principal choice product not in the conclusion context"
         p1, p2 = (p.conclusion for p in node.premises)
-        if p1.context != _context_sorted(rest + (LlProduct(occ.left),)):
+        if p1.context != canonical_zone(rest + (LlProduct(occ.left),)):
             return "first premise context must expand to the left component"
-        if p2.context != _context_sorted(rest + (LlProduct(occ.right),)):
+        if p2.context != canonical_zone(rest + (LlProduct(occ.right),)):
             return "second premise context must expand to the right component"
         if p1.goal != c.goal or p2.goal != c.goal:
             return "premise goals must match the conclusion"
@@ -294,11 +260,11 @@ def _check_ll_node(node: LlProof) -> str | None:
         if rest is None:
             return "banged principal not in the conclusion context"
         if rule is LlRule.LBANG:
-            expected = _context_sorted(rest + (LlImp(a.formula),))
+            expected = canonical_zone(rest + (LlImp(a.formula),))
         elif rule is LlRule.WBANG:
-            expected = _context_sorted(rest)
+            expected = canonical_zone(rest)
         else:  # CBANG
-            expected = _context_sorted(rest + (a, a))
+            expected = canonical_zone(rest + (a, a))
         if p.context != expected:
             return "premise context does not match the bang schema"
         return None
@@ -306,15 +272,9 @@ def _check_ll_node(node: LlProof) -> str | None:
     raise AssertionError(rule)
 
 
-def check_ll_proof(proof: LlProof) -> LlCheckResult:
-    stack: list[tuple[LlProof, tuple[int, ...]]] = [(proof, ())]
-    while stack:
-        node, path = stack.pop()
-        reason = _check_ll_node(node)
-        if reason is not None:
-            return LlCheckResult(False, LlCheckFailure(path, node.rule.value, reason))
-        stack.extend((p, path + (i,)) for i, p in enumerate(node.premises))
-    return LlCheckResult(True)
+def check_ll_proof(proof: LlProof) -> hll.CheckResult:
+    """Verify every node against its rule schema; report the first failure."""
+    return hll.check_tree(proof, _check_ll_node)
 
 
 # --- Node builders ------------------------------------------------------------
@@ -371,7 +331,7 @@ def ll_loplus(premise1: LlProof, premise2: LlProof, occurrence: LlOplusProduct) 
         raise ValueError("premise goals differ")
     rest1 = multiset_minus(c1.context, LlProduct(occurrence.left))
     rest2 = multiset_minus(c2.context, LlProduct(occurrence.right))
-    if rest1 is None or rest2 is None or _context_sorted(rest1) != _context_sorted(rest2):
+    if rest1 is None or rest2 is None or rest1 != rest2:
         raise ValueError("premise contexts do not share a frame for the choice")
     conclusion = LlSequent(rest1 + (occurrence,), c1.goal)
     return LlProof(LlRule.LOPLUS, conclusion, (premise1, premise2), principal=occurrence)
@@ -677,15 +637,12 @@ def horn_reading(sequent: LlSequent) -> HornSequent:
 
 
 def _context_products(context: tuple[LlFormula, ...]) -> Frame:
-    total: Counter[str] = Counter()
-    for g in context:
-        if isinstance(g, LlProduct):
-            total += g.product.counter()
-    return Frame.from_counter(total)
+    products = [g.product for g in context if isinstance(g, LlProduct)]
+    return tensor_all(products) if products else Frame()
 
 
 def _framed(proof: HllProof, frame: Frame) -> HllProof:
-    return proof if frame.is_empty else hll.frame_rule(proof, frame.to_product())
+    return hll.frame_rule(proof, frame) if isinstance(frame, SimpleProduct) else proof
 
 
 def translate_ll_to_hll(proof: LlProof) -> HllProof:
@@ -763,9 +720,9 @@ def _translate(node: LlProof) -> HllProof:
 
 
 def ll_sequent_text(s: LlSequent) -> str:
-    context = ", ".join(str(g) for g in s.context)
+    context = ", ".join(g.text for g in s.context)
     left = context + " " if context else ""
-    return f"{left}|- {product_text(s.goal)}"
+    return f"{left}|- {s.goal.text}"
 
 
 def parse_ll_formula(text: str) -> LlFormula:
@@ -842,9 +799,9 @@ def ll_proof_to_json(proof: LlProof) -> str:
 def _ll_to_data(node: LlProof) -> dict:
     data: dict = {"rule": node.rule.value, "conclusion": ll_sequent_text(node.conclusion)}
     if node.principal is not None:
-        data["principal"] = str(node.principal)
+        data["principal"] = node.principal.text
     if node.split is not None:
-        data["split"] = [product_text(node.split[0]), product_text(node.split[1])]
+        data["split"] = [node.split[0].text, node.split[1].text]
     if node.premises:
         data["premises"] = [_ll_to_data(p) for p in node.premises]
     return data
@@ -854,7 +811,8 @@ def ll_proof_from_json(text: str) -> LlProof:
     return _ll_from_data(json.loads(text))
 
 
-def _ll_from_data(data: dict) -> LlProof:
+def _ll_from_data(data) -> LlProof:
+    hll.check_node_shape(data)
     rule = LlRule(data["rule"])
     conclusion = parse_ll_sequent(data["conclusion"])
     premises = tuple(_ll_from_data(p) for p in data.get("premises", []))

@@ -339,7 +339,7 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
     """
     if max_depth < 1:
         raise ValueError("max_depth must be positive")
-    banged = tuple(sorted(set(sequent.banged), key=formula_text))
+    banged = tuple(dict.fromkeys(sequent.banged))  # canonical order, deduplicated
     goal = sequent.goal
 
     # memo: state -> ("win", height, moves) | ("fail", budget tried), where
@@ -364,7 +364,7 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
             for i, f in enumerate(formulas):
                 if source == "linear" and i > 0 and formulas[i - 1] == f:
                     continue  # duplicate occurrence, same successor state
-                seen.append((formula_text(f), source, f))
+                seen.append((f.text, source, f))
         seen.sort(key=lambda item: (item[0], item[1] != "linear"))
         return seen
 

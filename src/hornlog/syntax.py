@@ -1,14 +1,18 @@
-"""Canonical syntax for the Horn fragment.
+"""Canonical syntax for the Horn fragment; every layer reads canonical form here.
 
-A simple product is a non-empty multiset of positive literals.  Products are
-stored as sorted ``(literal, count)`` tuples, so two products denote the same
-multiset exactly when they compare equal; tensor reassociation and reordering
-never matter.  A :class:`Frame` is the possibly-empty variant used for
-residuals left over after matching an antecedent.
+A :class:`Frame` is a literal multiset stored as ``(literal, count)`` pairs
+sorted by literal, so two frames denote the same multiset exactly when they
+compare equal; tensor reassociation and reordering never matter.  A frame may
+be empty (the residual of an antecedent match); a :class:`SimpleProduct` is
+the frame that must be non-empty.  Constructions from outside validate once;
+``tensor``, ``match_antecedent`` and ``tensor_all`` merge entries that are
+already canonical and skip validation.
 
 Implications come in two shapes, ``X -o Y`` and ``X -o (Y1 + Y2)``, and a
 sequent bundles an input product, a linear zone, a reusable (banged) zone and
-a goal product.  The module also owns the text grammar::
+a goal product.  Products, formulas and flat-calculus context members compute
+their printed ``text`` once; it is the only order, for the two sides of a
+choice and for the members of a zone.  The module also owns the grammar::
 
     literal   = [A-Za-z][A-Za-z0-9_]*
     product   = lit * lit * ...
@@ -26,9 +30,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 LITERAL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+Entries = tuple[tuple[str, int], ...]
 
 
 class FormatError(ValueError):
@@ -47,36 +55,59 @@ def check_literal(name: str) -> str:
     return name
 
 
-def _canonical_entries(counts: Counter[str]) -> tuple[tuple[str, int], ...]:
-    for name, count in counts.items():
-        check_literal(name)
-        if count < 1:
-            raise ValueError(f"literal {name!r} has non-positive count {count}")
-    return tuple(sorted(counts.items()))
+class Printed:
+    """A value printed as its canonical ``text``, which it computes once."""
+
+    def __str__(self) -> str:
+        return self.text
 
 
-@dataclass(frozen=True)
-class SimpleProduct:
-    """A non-empty multiset of literals, canonically sorted."""
+@dataclass(frozen=True, eq=False)
+class Frame(Printed):
+    """A literal multiset, possibly empty: the residual of an antecedent match.
 
-    entries: tuple[tuple[str, int], ...]
+    Equality is multiset equality, whether either side is a plain frame or a
+    :class:`SimpleProduct`.
+    """
+
+    entries: Entries = ()
 
     def __post_init__(self):
-        if not self.entries:
-            raise ValueError("a simple product must contain at least one literal")
-        if self.entries != _canonical_entries(Counter(dict(self.entries))):
+        counts = dict(self.entries)
+        for name, count in counts.items():
+            check_literal(name)
+            if count < 1:
+                raise ValueError(f"literal {name!r} has non-positive count {count}")
+        if self.entries != tuple(sorted(counts.items())):
             raise ValueError(f"entries not canonical: {self.entries!r}")
 
-    @staticmethod
-    def of(*names: str) -> "SimpleProduct":
-        return SimpleProduct(_canonical_entries(Counter(names)))
+    @classmethod
+    def _trusted(cls, entries: Entries):
+        """Wrap entries already in canonical form, skipping validation."""
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "entries", entries)
+        return frame
 
-    @staticmethod
-    def from_counter(counts: Counter[str]) -> "SimpleProduct":
-        return SimpleProduct(_canonical_entries(counts))
+    @classmethod
+    def of(cls, *names: str):
+        return cls(tuple(sorted(Counter(names).items())))
+
+    @classmethod
+    def from_counter(cls, counts: Counter[str]):
+        return cls(tuple(sorted(counts.items())))
+
+    def __eq__(self, other) -> bool:
+        return self.entries == other.entries if isinstance(other, Frame) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     def counter(self) -> Counter[str]:
         return Counter(dict(self.entries))
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.entries
 
     @property
     def size(self) -> int:
@@ -90,90 +121,85 @@ class SimpleProduct:
             for _ in range(count):
                 yield name
 
-    def tensor(self, other: Union["SimpleProduct", "Frame"]) -> "SimpleProduct":
-        return SimpleProduct.from_counter(self.counter() + other.counter())
-
-    def __str__(self) -> str:
-        return product_text(self)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A possibly-empty literal multiset: the residual of an antecedent match."""
-
-    entries: tuple[tuple[str, int], ...] = ()
-
-    def __post_init__(self):
-        if self.entries != _canonical_entries(Counter(dict(self.entries))):
-            raise ValueError(f"entries not canonical: {self.entries!r}")
-
-    @staticmethod
-    def of(*names: str) -> "Frame":
-        return Frame(_canonical_entries(Counter(names)))
-
-    @staticmethod
-    def from_counter(counts: Counter[str]) -> "Frame":
-        return Frame(_canonical_entries(+counts))
-
-    def counter(self) -> Counter[str]:
-        return Counter(dict(self.entries))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    @property
-    def size(self) -> int:
-        return sum(count for _, count in self.entries)
-
-    def to_product(self) -> SimpleProduct:
+    def to_product(self) -> "SimpleProduct":
         """Lossless conversion; requires at least one entry."""
         return SimpleProduct(self.entries)
 
+    @cached_property
+    def text(self) -> str:
+        return "*".join(self.literals())
+
     def __str__(self) -> str:
-        return product_text(self) if self.entries else "<empty>"
+        return self.text if self.entries else "<empty>"
+
+
+class SimpleProduct(Frame):
+    """A non-empty literal multiset: the products formulas and sequents hold."""
+
+    def __post_init__(self):
+        if not self.entries:
+            raise ValueError("a simple product must contain at least one literal")
+        super().__post_init__()
+
+    def tensor(self, other: Frame) -> "SimpleProduct":
+        return SimpleProduct._trusted(_sum_entries(self.entries, other.entries))
+
+
+def _sum_entries(*parts: Entries) -> Entries:
+    """The entries of the tensor of canonical entry tuples."""
+    counts: dict[str, int] = {}
+    for entries in parts:
+        for name, count in entries:
+            counts[name] = counts.get(name, 0) + count
+    return tuple(sorted(counts.items()))
+
+
+class Choice(Printed):
+    """A frozen choice, its two sides stored in text order (choice commutes)."""
+
+    def __post_init__(self):
+        if self.right.text < self.left.text:
+            left, right = self.right, self.left
+            object.__setattr__(self, "left", left)
+            object.__setattr__(self, "right", right)
+
+
+def canonical_zone(members: Iterable) -> tuple:
+    """A zone or flat context in canonical order: sorted by printed text."""
+    return tuple(sorted(members, key=attrgetter("text")))
 
 
 @dataclass(frozen=True)
-class PlainImplication:
+class PlainImplication(Printed):
     antecedent: SimpleProduct
     consequent: SimpleProduct
 
-    def __str__(self) -> str:
-        return formula_text(self)
+    @cached_property
+    def text(self) -> str:
+        return f"{_operand_text(self.antecedent)} -o {_operand_text(self.consequent)}"
 
 
 @dataclass(frozen=True)
-class OplusImplication:
-    """``X -o (Y1 + Y2)``; the two consequents are stored sorted since the
-    choice connective is commutative."""
+class OplusImplication(Choice):
+    """``X -o (Y1 + Y2)``; the two consequents are stored in text order."""
 
     antecedent: SimpleProduct
     left: SimpleProduct
     right: SimpleProduct
 
-    def __post_init__(self):
-        if product_text(self.right) < product_text(self.left):
-            first, second = self.right, self.left
-            object.__setattr__(self, "left", first)
-            object.__setattr__(self, "right", second)
-
-    def __str__(self) -> str:
-        return formula_text(self)
+    @cached_property
+    def text(self) -> str:
+        return f"{_operand_text(self.antecedent)} -o ({self.left.text} + {self.right.text})"
 
 
 HornFormula = Union[PlainImplication, OplusImplication]
-
-
-def canonical_zone(formulas: Iterable[HornFormula]) -> tuple[HornFormula, ...]:
-    return tuple(sorted(formulas, key=formula_text))
 
 
 @dataclass(frozen=True)
 class HornSequent:
     """``W ; Gamma ; Delta |- Z``: input product, linear zone, banged zone, goal.
 
-    Zones are multisets; they are stored sorted by printed form so sequent
+    Zones are multisets; they are stored in canonical order so sequent
     equality is zone-multiset equality.
     """
 
@@ -212,11 +238,13 @@ def match_antecedent(x: SimpleProduct, antecedent: SimpleProduct) -> Frame | Non
 
     The residual may be empty (exact match); absence is a value, not an error.
     """
-    residual = x.counter()
-    residual.subtract(antecedent.counter())
-    if any(count < 0 for count in residual.values()):
-        return None
-    return Frame.from_counter(residual)
+    counts = dict(x.entries)
+    for name, need in antecedent.entries:
+        counts[name] = counts.get(name, 0) - need
+        if counts[name] < 0:
+            return None
+    # Only x's names remain, still in x's sorted order.
+    return Frame._trusted(tuple((name, count) for name, count in counts.items() if count))
 
 
 def apply_implication(x: SimpleProduct, f: PlainImplication) -> SimpleProduct | None:
@@ -230,43 +258,37 @@ def apply_implication(x: SimpleProduct, f: PlainImplication) -> SimpleProduct | 
 
 
 def tensor_all(products: Iterable[SimpleProduct]) -> SimpleProduct:
-    counts: Counter[str] = Counter()
-    for p in products:
-        counts += p.counter()
-    return SimpleProduct.from_counter(counts)
+    entries = _sum_entries(*(p.entries for p in products))
+    if not entries:
+        raise ValueError("tensor_all needs at least one product")
+    return SimpleProduct._trusted(entries)
 
 
 # --- Printing ---------------------------------------------------------------
 
 
-def product_text(p: SimpleProduct | Frame) -> str:
-    return "*".join(name for name, count in p.entries for _ in range(count))
+def product_text(p: Frame) -> str:
+    return p.text
 
 
 def _operand_text(p: SimpleProduct) -> str:
-    text = product_text(p)
-    return f"({text})" if p.size >= 2 else text
+    return f"({p.text})" if p.size >= 2 else p.text
 
 
 def formula_text(f: HornFormula) -> str:
-    if isinstance(f, PlainImplication):
-        return f"{_operand_text(f.antecedent)} -o {_operand_text(f.consequent)}"
-    return (
-        f"{_operand_text(f.antecedent)} -o "
-        f"({product_text(f.left)} + {product_text(f.right)})"
-    )
+    return f.text
 
 
 def sequent_text(s: HornSequent) -> str:
-    gamma = ", ".join(formula_text(f) for f in s.linear)
-    delta = ", ".join(formula_text(f) for f in s.banged)
-    left = product_text(s.input) + " ;"
+    gamma = ", ".join(f.text for f in s.linear)
+    delta = ", ".join(f.text for f in s.banged)
+    left = s.input.text + " ;"
     if gamma:
         left += " " + gamma
     left += " ;"
     if delta:
         left += " " + delta
-    return f"{left} |- {product_text(s.goal)}"
+    return f"{left} |- {s.goal.text}"
 
 
 # --- Parsing ----------------------------------------------------------------

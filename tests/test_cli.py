@@ -1,8 +1,10 @@
+import json
 import subprocess
 import sys
 
 import pytest
 
+from hornlog import cli
 from hornlog.minsky import parse_computation, parse_machine, validate_computation
 from hornlog.programs import program_from_json, program_to_json, single_edge
 from hornlog.syntax import parse_formula, parse_sequent
@@ -168,3 +170,50 @@ def test_malformed_program_exits_2(dec_file, tmp_path, text):
     prog_file.write_text(text)
     result = run_cli("verify", "sequent-program", str(seq_file), str(prog_file), expect=2)
     assert "Traceback" not in result.stderr
+
+
+DROP = object()
+VALID_NODE = {"hll": {"rule": "I", "conclusion": "a ; ; |- a"}, "ll": {"rule": "I", "conclusion": "a |- a"}}
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "hll"), ("verify", "ll"), ("compile", "hll-to-program"),
+], ids="-".join)
+@pytest.mark.parametrize("key,value", [
+    pytest.param(None, {}, id="empty-object"),
+    pytest.param(None, [], id="list-node"),
+    pytest.param("rule", DROP, id="no-rule"),
+    pytest.param("conclusion", DROP, id="no-conclusion"),
+    pytest.param("conclusion", 5, id="number-conclusion"),
+    pytest.param("premises", {}, id="object-premises"),
+    pytest.param("premises", [5], id="number-premise"),
+    pytest.param("principal", 5, id="number-principal"),
+    pytest.param("frame", 5, id="number-frame"),
+    pytest.param("split", "ab", id="string-split"),
+    pytest.param("split", ["a", 5], id="number-in-split"),
+])
+def test_malformed_proof_node_exits_2(tmp_path, capsys, command, key, value):
+    node = dict(VALID_NODE["ll" if command[1] == "ll" else "hll"])
+    if key is None:
+        node = value
+    elif value is DROP:
+        del node[key]
+    else:
+        node[key] = value
+    proof_file = tmp_path / "bad.proof.json"
+    proof_file.write_text(json.dumps(node))
+    assert cli.main([*command, str(proof_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unexpected_error_exits_3(tmp_path, capsys, monkeypatch):
+    def crash(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_prove", crash)
+    seq_file = tmp_path / "q.seq"
+    seq_file.write_text("q ; ; |- q")
+    assert cli.main(["prove", str(seq_file)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: internal RecursionError: maximum recursion depth exceeded\n"

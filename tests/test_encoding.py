@@ -101,6 +101,22 @@ def test_build_sequent_matches_expected_text(ctx):
     assert build_sequent(ctx, DEC, (2, 0)) == expected
 
 
+def test_encoding_builds_its_sequent_without_rebuilding(ctx, monkeypatch):
+    enc = MachineEncoding.build(DEC)
+    expected = build_sequent(ctx, DEC, (2, 0))
+
+    def rebuild(machine):
+        raise AssertionError("the encoding was built a second time")
+
+    monkeypatch.setattr(MachineEncoding, "build", staticmethod(rebuild))
+    assert enc.sequent((2, 0)) == expected
+
+
+def test_build_sequent_rejects_a_foreign_context():
+    with pytest.raises(ValueError):
+        build_sequent(EncodingContext(3), DEC, (2, 0))
+
+
 def test_build_sequent_zero_inputs(ctx):
     s = build_sequent(ctx, DEC, (0, 0))
     assert s.input == parse_product("l1")

@@ -17,7 +17,10 @@ from hornlog.syntax import (
     product_equiv,
     product_text,
     sequent_text,
+    tensor_all,
 )
+from hornlog import syntax
+from hornlog.ll import ll_sequent_text, parse_ll_sequent
 
 names = st.sampled_from(["a", "b", "c", "d", "e"])
 products = st.lists(names, min_size=1, max_size=5).map(lambda ns: SimpleProduct.of(*ns))
@@ -108,6 +111,57 @@ def test_print_forms():
     assert formula_text(parse_formula("l1*r1 -o l1")) == "(l1*r1) -o l1"
     assert formula_text(parse_formula("l2 -o (l3*r1)")) == "l2 -o (l3*r1)"
     assert formula_text(parse_formula("l1 -o (l0 + k1)")) == "l1 -o (k1 + l0)"
+
+
+# In each text below, text order and entry-tuple order disagree: ``a*a``
+# prints before ``a*b`` although (("a", 2),) sorts after (("a", 1), ("b", 1)),
+# and ``(a*a) -o b`` prints before ``a -o b``.
+ZONED = "a*b ; (a*a) -o b, a -o (a*a + a*b), a -o b ; (a*b) -o (a*a), (a*b) -o a |- a*a"
+FLAT = "!((a*a) -o b), !(a -o b), !(a*b), (a*a + a*b)#2, (a*a) -o b, a -o b, a*a, a*b |- q"
+
+
+def test_zones_print_in_text_order():
+    assert sequent_text(parse_sequent(ZONED)) == ZONED
+    shuffled = "b*a ; a -o b, a -o (a*b + a*a), a*a -o b ; a*b -o a, a*b -o a*a |- a*a"
+    assert sequent_text(parse_sequent(shuffled)) == ZONED
+    assert parse_sequent(shuffled) == parse_sequent(ZONED)
+
+
+def test_flat_context_prints_in_text_order():
+    assert ll_sequent_text(parse_ll_sequent(FLAT)) == FLAT
+    shuffled = "a*b, (a*b + a*a)#2, a -o b, !((a*a) -o b), a*a, (a*a) -o b, !(a -o b), !(b*a) |- q"
+    assert ll_sequent_text(parse_ll_sequent(shuffled)) == FLAT
+    assert parse_ll_sequent(shuffled) == parse_ll_sequent(FLAT)
+
+
+def _is_validated(r: Frame):
+    assert type(r)(r.entries) == r
+    assert r == Frame.of(*r.literals())
+
+
+@given(products, products, st.lists(products, min_size=1, max_size=4))
+def test_merged_results_equal_their_validated_construction(x, a, xs):
+    _is_validated(x.tensor(a))
+    _is_validated(tensor_all(xs))
+    assert match_antecedent(x.tensor(a), a) == x
+    for residual in (match_antecedent(x, a), match_antecedent(x.tensor(a), a)):
+        if residual is not None:
+            assert type(residual) is Frame
+            _is_validated(residual)
+            _is_validated(a.tensor(residual))
+
+
+def test_constructions_validate_once_and_merges_not_at_all(monkeypatch):
+    checked = []
+    real = syntax.check_literal
+    monkeypatch.setattr(syntax, "check_literal", lambda name: checked.append(name) or real(name))
+    x = SimpleProduct.of("a", "b", "a")
+    assert checked == ["a", "b"]
+    checked.clear()
+    x.tensor(x)
+    match_antecedent(x, x)
+    tensor_all([x, x])
+    assert checked == []
 
 
 def test_sequent_text_empty_zones():
