@@ -8,11 +8,12 @@ and the implication-choice rule that introduces them.  Each choice product
 carries an integer tag so the two rules pair by occurrence even when equal
 formulas coexist.
 
-``push_oplus_down`` commutes every left-choice inference downwards until it
-sits immediately above the implication-choice inference that consumes its
-principal.  Commuting past a context-sharing left-choice step needs the
-standard invertibility transformation (``specialize``), which replaces a
-tagged choice product by one of its components throughout a subproof.
+``push_oplus_down`` moves every left-choice inference down until it sits
+immediately above the implication-choice inference that consumes its
+principal.  The left-choice rule is invertible: ``specialize`` replaces a
+tagged choice product by one of its components throughout a subproof, so a
+choice moves in one step, re-expanding the consumer's second premise from its
+two specializations.
 
 ``translate_ll_to_hll`` normalizes and then maps rule-for-rule into the zoned
 calculus, reading a flat context as input-product/linear/banged zones.
@@ -21,7 +22,7 @@ calculus, reading a flat context as input-product/linear/banged zones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import Union
@@ -473,83 +474,48 @@ def unadjacent_choice_paths(proof: LlProof) -> list[tuple[int, ...]]:
     return found
 
 
-def _subproof(proof: LlProof, path: tuple[int, ...]) -> LlProof:
-    node = proof
-    for i in path:
-        node = node.premises[i]
-    return node
+def _move_choice(proof: LlProof, path: tuple[int, ...]) -> LlProof:
+    """Move the left choice at ``path`` onto the inference consuming its tag.
 
-
-def _replace_subproof(proof: LlProof, path: tuple[int, ...], replacement: LlProof) -> LlProof:
-    if not path:
-        return replacement
-    index = path[0]
-    premises = list(proof.premises)
-    premises[index] = _replace_subproof(premises[index], path[1:], replacement)
-    return _rebuild(proof, tuple(premises))
-
-
-def _commute_once(parent: LlProof, child_index: int) -> LlProof:
-    """Swap a left-choice premise with the inference below it.
-
-    Both orders derive the same conclusion; side premises are shared between
-    the two rebuilt branches, and a sibling left-choice step is inverted via
-    specialize.
+    With ``S`` the consumer's second premise, ``S`` becomes the left choice
+    of ``specialize(S, tag, 1)`` and ``specialize(S, tag, 2)``.  No
+    conclusion changes, so the nodes below are copied with one premise
+    swapped.
     """
-    loplus = parent.premises[child_index]
-    occ: LlOplusProduct = loplus.principal
-    pi1, pi2 = loplus.premises
-
-    if parent.rule in (LlRule.LTENSOR, LlRule.LBANG, LlRule.WBANG, LlRule.CBANG):
-        branches = (_rebuild(parent, (pi1,)), _rebuild(parent, (pi2,)))
-    elif parent.rule in (LlRule.RTENSOR, LlRule.LIMP, LlRule.LIMPOPLUS):
-        other_index = 1 - child_index
-        other = parent.premises[other_index]
-
-        def with_premise(p: LlProof) -> LlProof:
-            ps = [None, None]
-            ps[child_index] = p
-            ps[other_index] = other
-            return _rebuild(parent, tuple(ps))
-
-        branches = (with_premise(pi1), with_premise(pi2))
-    elif parent.rule is LlRule.LOPLUS:
-        other_index = 1 - child_index
-        other = parent.premises[other_index]
-
-        def with_premise(p: LlProof, side: int) -> LlProof:
-            # The sibling still carries our pending choice; commit it to the
-            # same component before re-applying the parent inference.
-            sibling = specialize(other, occ.tag, side)
-            ps = [None, None]
-            ps[child_index] = p
-            ps[other_index] = sibling
-            return _rebuild(parent, tuple(ps))
-
-        branches = (with_premise(pi1, 1), with_premise(pi2, 2))
+    spine = [proof]
+    for i in path:
+        spine.append(spine[-1].premises[i])
+    occ: LlOplusProduct = spine[-1].principal
+    for depth in reversed(range(len(path))):
+        node = spine[depth]
+        if node.rule is LlRule.LIMPOPLUS and path[depth] == 1 and _consumed_tag(node) == occ.tag:
+            break
     else:
-        raise ProofStructureError(
-            f"no commuting conversion for a left choice under {parent.rule.value}"
-        )
-    result = ll_loplus(branches[0], branches[1], occ)
-    if result.conclusion != parent.conclusion:
-        raise ProofStructureError("commuting conversion changed the conclusion")
-    return result
+        raise ProofStructureError(f"left-choice tag {occ.tag} has no consumer below it")
+    premise = spine[depth + 1]
+    moved = ll_loplus(specialize(premise, occ.tag, 1), specialize(premise, occ.tag, 2), occ)
+    if moved.conclusion != premise.conclusion:
+        raise ProofStructureError("moving a left choice changed the conclusion")
+    for node, i in zip(reversed(spine[: depth + 1]), reversed(path[: depth + 1])):
+        premises = list(node.premises)
+        premises[i] = moved
+        moved = replace(node, premises=tuple(premises))
+    return moved
 
 
 def push_oplus_down(proof: LlProof, on_step=None) -> LlProof:
-    """Commute left-choice inferences down to their consuming implications.
+    """Move left-choice inferences down to their consuming implications.
 
     Repeatedly picks the unadjacent left-choice node closest to the conclusion
-    (ties by leftmost path) and commutes it one step down.  Picking the one
-    furthest from the conclusion instead livelocks on stacked choices: pushing
-    an outer choice past an adjacent inner one displaces the inner one, and
-    the two then swap forever.  The result proves the same conclusion, with
-    every left-choice node the immediate second premise of the
-    implication-choice node consuming its tag.
+    (ties by leftmost path) and moves it in one step: the left-choice rule is
+    invertible, so the consumer's second premise ``S`` becomes
+    ``ll_loplus(specialize(S, t, 1), specialize(S, t, 2), occ)``.  The other
+    choices in ``S`` are copied into both sides and move later.  The
+    result proves the same conclusion, with every left-choice node the
+    immediate second premise of the implication-choice node consuming its tag.
 
-    ``on_step``, when given, is called with the whole proof after each
-    conversion (test instrumentation).
+    ``on_step``, when given, is called with the whole proof once per choice
+    moved; ``loplus_distance_sum`` strictly decreases across those calls.
     """
     result = check_ll_proof(proof)
     if not result.ok:
@@ -559,16 +525,10 @@ def push_oplus_down(proof: LlProof, on_step=None) -> LlProof:
     guard = 0
     limit = 4 * (_proof_size(proof) + 1) ** 3
     while True:
-        all_paths = unadjacent_choice_paths(proof)
-        if any(not p for p in all_paths):
-            raise ProofStructureError("left-choice at the root has no consumer below it")
-        paths = [p for p in all_paths if p]
+        paths = unadjacent_choice_paths(proof)
         if not paths:
             return proof
-        target = min(paths, key=lambda p: (len(p), p))
-        parent_path, child_index = target[:-1], target[-1]
-        parent = _subproof(proof, parent_path)
-        proof = _replace_subproof(proof, parent_path, _commute_once(parent, child_index))
+        proof = _move_choice(proof, min(paths, key=lambda p: (len(p), p)))
         if on_step is not None:
             on_step(proof)
         guard += 1

@@ -347,6 +347,15 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
     # for a plain step, two for a fork.
     memo: dict[tuple, tuple] = {}
 
+    # Candidates in text order, a linear occurrence before a banged copy of
+    # the same formula; a state tries a linear one only while it holds it.
+    ordered = sorted(
+        [(f, True) for f in dict.fromkeys(sequent.linear)] + [(f, False) for f in banged],
+        key=lambda item: (item[0].text, not item[1]),
+    )
+    plain_order = [item for item in ordered if isinstance(item[0], PlainImplication)]
+    fork_order = [item for item in ordered if not isinstance(item[0], PlainImplication)]
+
     def win(state: tuple, height: int, moves: tuple) -> int:
         # A win never replaces a lower-or-equal one.  A state can recur on its
         # own search path (a -o b, b -o a); overwriting its lower win with the
@@ -357,16 +366,6 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
             return prior[1]
         memo[state] = (_WIN, height, moves)
         return height
-
-    def candidates(linear: tuple[HornFormula, ...]):
-        seen = []
-        for source, formulas in (("linear", linear), ("banged", banged)):
-            for i, f in enumerate(formulas):
-                if source == "linear" and i > 0 and formulas[i - 1] == f:
-                    continue  # duplicate occurrence, same successor state
-                seen.append((f.text, source, f))
-        seen.sort(key=lambda item: (item[0], item[1] != "linear"))
-        return seen
 
     def search(state: tuple, budget: int) -> int | None:
         """The height of a win for the state within budget, or None."""
@@ -379,27 +378,24 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
                 return None
         if not linear and product_equiv(product, goal):
             return win(state, 0, ())
-        plain_moves = []
-        fork_moves = []
-        for _, source, f in candidates(linear):
-            if isinstance(f, PlainImplication):
-                plain_moves.append((source, f))
-            else:
-                fork_moves.append((source, f))
         if budget >= 1:
-            for source, f in plain_moves:
+            for f, is_linear in plain_order:
+                if is_linear and f not in linear:
+                    continue
                 nxt = apply_implication(product, f)
                 if nxt is None:
                     continue
-                child = (nxt, multiset_minus(linear, f) if source == "linear" else linear)
+                child = (nxt, multiset_minus(linear, f) if is_linear else linear)
                 height = search(child, budget - 1)
                 if height is not None:
                     return win(state, height + 1, ((f, child),))
-            for source, f in fork_moves:
+            for f, is_linear in fork_order:
+                if is_linear and f not in linear:
+                    continue
                 residual = match_antecedent(product, f.antecedent)
                 if residual is None:
                     continue
-                rest = multiset_minus(linear, f) if source == "linear" else linear
+                rest = multiset_minus(linear, f) if is_linear else linear
                 branches = []  # (height, move), left before right
                 for y in (f.left, f.right):
                     child = (y.tensor(residual), rest)

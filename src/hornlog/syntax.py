@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 LITERAL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -299,8 +299,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "num" | "op" | "end"
     text: str
     position: int
@@ -315,10 +314,8 @@ def tokenize(text: str) -> list[Token]:
             if text[pos:].strip():
                 raise FormatError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
             break
-        for kind in ("ident", "num", "op"):
-            if m.group(kind) is not None:
-                tokens.append(Token(kind, m.group(kind), m.start(kind)))
-                break
+        kind = m.lastgroup
+        tokens.append(Token(kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(Token("end", "", len(text)))
     return tokens

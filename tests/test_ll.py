@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from corpora import ll_corpus, ll_separation
@@ -132,6 +134,29 @@ def test_push_down_two_conversions():
     assert unadjacent_choice_paths(normalized) == []
 
 
+def _two_rule_separation():
+    """A choice separated from its consumer by a tensor and an implication."""
+    block = make_choice_block()
+    block = ll.ll_rtensor(block, ll.ll_i(C))
+    block = ll.ll_limp(block, ll.ll_i(Z), PlainImplication(parse_product("m*c"), Z))
+    return ll.ll_limpoplus(ll.ll_i(F), block, OplusImplication(F, G, H), 1)
+
+
+def test_push_down_moves_a_choice_in_one_step():
+    proof = _two_rule_separation()
+    measures = [loplus_distance_sum(proof)]
+    push_oplus_down(proof, on_step=lambda p: measures.append(loplus_distance_sum(p)))
+    assert measures == [3, 1]
+
+
+def test_moved_choice_is_the_consumer_premise_specialized_both_ways():
+    proof = _two_rule_separation()
+    premise = proof.premises[1]
+    occ = LlOplusProduct(G, H, 1)
+    expected = ll.ll_loplus(specialize(premise, 1, 1), specialize(premise, 1, 2), occ)
+    assert push_oplus_down(proof).premises[1] == expected
+
+
 def test_push_down_rejects_orphan_choice():
     with pytest.raises(ProofStructureError):
         push_oplus_down(make_choice_block())
@@ -258,3 +283,15 @@ def test_translation_laws_on_corpus():
         assert t.conclusion == horn_reading(proof.conclusion)
         program = hll.compile_hll_to_program(t)
         assert verify_strong_solution(program, t.conclusion).ok
+
+
+# sha256 of every normalized corpus proof and its translation, as JSON text.
+NORMAL_FORM_SHA256 = "9e5f7af46b0b418f8f93188938a4b87634588e2e26057dbda47895f6b4e1d637"
+
+
+def test_normal_form_of_corpus_is_pinned():
+    digest = hashlib.sha256()
+    for proof in ll_corpus():
+        digest.update(ll_proof_to_json(push_oplus_down(proof)).encode())
+        digest.update(hll.hll_proof_to_json(translate_ll_to_hll(proof)).encode())
+    assert digest.hexdigest() == NORMAL_FORM_SHA256
