@@ -117,19 +117,9 @@ def cmd_verify_sequent_program(args) -> int:
     return REJECT
 
 
-def cmd_verify_hll(args) -> int:
-    proof = hll.hll_proof_from_json(_read(args.proof))
-    result = hll.check_hll_proof(proof)
-    if result.ok:
-        print("accept")
-        return OK
-    print(result.failure)
-    return REJECT
-
-
-def cmd_verify_ll(args) -> int:
-    proof = ll.ll_proof_from_json(_read(args.proof))
-    result = ll.check_ll_proof(proof)
+def cmd_verify_proof(args) -> int:
+    read, check = args.calculus
+    result = check(read(_read(args.proof)))
     if result.ok:
         print("accept")
         return OK
@@ -239,10 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify_sequent_program)
     p = verify_sub.add_parser("hll", help="check a zoned-calculus proof")
     p.add_argument("proof")
-    p.set_defaults(handler=cmd_verify_hll)
+    p.set_defaults(handler=cmd_verify_proof, calculus=(hll.hll_proof_from_json, hll.check_hll_proof))
     p = verify_sub.add_parser("ll", help="check a flat-calculus proof")
     p.add_argument("proof")
-    p.set_defaults(handler=cmd_verify_ll)
+    p.set_defaults(handler=cmd_verify_proof, calculus=(ll.ll_proof_from_json, ll.check_ll_proof))
 
     compile_ = sub.add_parser("compile", help="proof transformations")
     compile_sub = compile_.add_subparsers(dest="subcommand", required=True)

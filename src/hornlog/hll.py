@@ -7,18 +7,21 @@ two-premise choice rule, the three bang rules, and cut.  Proof nodes store
 their full conclusion sequent so every inference is checked locally against
 its schema, giving precise failure positions.
 
-The compiler emits one program into a single builder by structural
-recursion: an identity axiom adds nothing, a single-step axiom adds one edge,
-the choice rule adds its two edges and emits each premise under its own edge,
-a cut emits its second premise under each leaf of its first, and everything
-else passes through to its premise.
+The compiler emits one program into a single builder from an explicit
+stack: an identity axiom adds nothing, a single-step axiom adds one edge, the
+choice rule adds its two edges and emits each premise under its own edge, a
+cut emits its second premise under each leaf of its first, and everything
+else passes through to its premise.  Both calculi's proofs are traversed
+only by ``walk`` and ``fold`` here, so depth never meets the recursion limit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .programs import HornProgram, ProgramBuilder
 from .syntax import (
@@ -228,15 +231,52 @@ def _check_node(node: HllProof) -> str | None:
     raise AssertionError(rule)
 
 
+def walk(tree):
+    """Yield ``(node, trail)`` for every node of a proof tree in preorder,
+    premises left to right.  The trail is None at the root and otherwise
+    ``(parent_trail, parent, premise_index)``."""
+    stack = [(tree, None)]
+    while stack:
+        node, trail = stack.pop()
+        yield node, trail
+        premises = node.premises
+        for i in range(len(premises) - 1, -1, -1):
+            stack.append((premises[i], (trail, node, i)))
+
+
+def path_of(trail) -> tuple[int, ...]:
+    """The premise indices from the root to the node a trail leads to."""
+    path = []
+    while trail is not None:
+        trail, _, index = trail
+        path.append(index)
+    return tuple(reversed(path))
+
+
+def fold(tree, combine, premises=attrgetter("premises")):
+    """Post-order fold without recursion: ``combine(node, premise_results)``
+    gives each node's result, premises taken left to right."""
+    order, stack = [], [tree]
+    while stack:  # preorder, last premise first: reversed, it is post-order
+        node = stack.pop()
+        below = premises(node)
+        order.append((node, below))
+        stack.extend(below)
+    results: list = []
+    for node, below in reversed(order):
+        start = len(results) - len(below)
+        done = results[start:]
+        del results[start:]
+        results.append(combine(node, done))
+    return results[0]
+
+
 def check_tree(proof, check_node) -> CheckResult:
     """Check each node of either calculus's proof tree; report the first failure."""
-    stack = [(proof, ())]
-    while stack:
-        node, path = stack.pop()
+    for node, trail in walk(proof):
         reason = check_node(node)
         if reason is not None:
-            return CheckResult(False, CheckFailure(path, node.rule.value, reason))
-        stack.extend((p, path + (i,)) for i, p in enumerate(node.premises))
+            return CheckResult(False, CheckFailure(path_of(trail), node.rule.value, reason))
     return CheckResult(True)
 
 
@@ -251,52 +291,50 @@ def compile_hll_to_program(proof: HllProof) -> HornProgram:
     if not result.ok:
         raise ValueError(f"cannot compile an invalid proof: {result}")
     builder = ProgramBuilder()
-    _emit(proof, 0, builder)
+    _emit(proof, builder)
     return builder.build()
 
 
-def _emit(node: HllProof, at: int, builder: ProgramBuilder) -> list[int]:
-    """Append the program of a checked node under vertex at; return its leaves."""
-    rule = node.rule
-    if rule is HllRule.I:
-        return [at]
-    if rule is HllRule.H:
-        f = node.conclusion.linear[0]
-        assert isinstance(f, PlainImplication)
-        return [builder.add_edge(at, f)]
-    if rule in (HllRule.LTENSOR, HllRule.M, HllRule.LBANG, HllRule.WBANG, HllRule.CBANG):
-        return _emit(node.premises[0], at, builder)
-    if rule is HllRule.OPLUS_H:
-        f = node.principal
-        assert isinstance(f, OplusImplication)
-        leaves = []
-        for p in node.premises:
-            y = _premise_consequent(f, node.frame, p.conclusion.input)
-            leaves += _emit(p, builder.add_edge(at, PlainImplication(f.antecedent, y)), builder)
-        return leaves
-    if rule is HllRule.CUT:
-        first, second = node.premises
-        return [leaf for mid in _emit(first, at, builder) for leaf in _emit(second, mid, builder)]
-    raise AssertionError(rule)
+def _emit(proof: HllProof, builder: ProgramBuilder) -> None:
+    """Append the program of a checked proof under the builder's root.
+
+    A frame (node, where, leaves) emits node at where, a vertex, a (parent,
+    label) edge added only when popped, or a cut's first-premise leaves, and
+    appends its leaves to leaves; so ids are issued depth-first, left first.
+    """
+    stack = [(proof, 0, [])]
+    while stack:
+        node, where, leaves = stack.pop()
+        if type(where) is list:
+            stack.extend((node, mid, leaves) for mid in reversed(where))
+            continue
+        if type(where) is tuple:
+            where = builder.add_edge(*where)
+        rule = node.rule
+        if rule is HllRule.I:
+            leaves.append(where)
+        elif rule is HllRule.H:
+            f = node.conclusion.linear[0]
+            assert isinstance(f, PlainImplication)
+            leaves.append(builder.add_edge(where, f))
+        elif rule is HllRule.OPLUS_H:
+            f = node.principal
+            assert isinstance(f, OplusImplication)
+            for p in reversed(node.premises):  # checked: each input is one side tensor the frame
+                y = f.left if p.conclusion.input == f.left.tensor(node.frame) else f.right
+                stack.append((p, (where, PlainImplication(f.antecedent, y)), leaves))
+        elif rule is HllRule.CUT:
+            first, second = node.premises
+            mids: list[int] = []
+            stack.append((second, mids, leaves))
+            stack.append((first, where, mids))
+        else:
+            stack.append((node.premises[0], where, leaves))
 
 
-def _premise_consequent(f: OplusImplication, v: Frame, premise_input: SimpleProduct) -> SimpleProduct:
-    for y in (f.left, f.right):
-        if premise_input == y.tensor(v):
-            return y
-    raise AssertionError("checked choice node has an unmatched premise input")
-
-
-def compiled_leaf_count(node: HllProof) -> int:
+def compiled_leaf_count(proof: HllProof) -> int:
     """The leaf count the compiler must produce: forks add, cuts multiply."""
-    rule = node.rule
-    if rule in (HllRule.I, HllRule.H):
-        return 1
-    if rule is HllRule.OPLUS_H:
-        return sum(compiled_leaf_count(p) for p in node.premises)
-    if rule is HllRule.CUT:
-        return compiled_leaf_count(node.premises[0]) * compiled_leaf_count(node.premises[1])
-    return compiled_leaf_count(node.premises[0])
+    return fold(proof, lambda node, counts: math.prod(counts) if node.rule is HllRule.CUT else sum(counts) or 1)
 
 
 # --- Node builders (conclusions computed, for construction sites) -------------
@@ -366,26 +404,27 @@ def cut(premise1: HllProof, premise2: HllProof) -> HllProof:
 
 
 def hll_proof_to_json(proof: HllProof) -> str:
-    return json.dumps(_to_data(proof), indent=2) + "\n"
+    return json.dumps(fold(proof, _to_data), indent=2) + "\n"
 
 
-def _to_data(node: HllProof) -> dict:
+def _to_data(node: HllProof, premises: list[dict]) -> dict:
     data: dict = {"rule": node.rule.value, "conclusion": sequent_text(node.conclusion)}
     if node.principal is not None:
         data["principal"] = formula_text(node.principal)
     if node.frame is not None and not node.frame.is_empty:
         data["frame"] = node.frame.text
-    if node.premises:
-        data["premises"] = [_to_data(p) for p in node.premises]
+    if premises:
+        data["premises"] = premises
     return data
 
 
 def hll_proof_from_json(text: str) -> HllProof:
-    return _from_data(json.loads(text))
+    return fold(json.loads(text), _from_data, json_premises)
 
 
-def check_node_shape(data) -> None:
-    """Raise FormatError unless data has the JSON shape of one proof node."""
+def json_premises(data) -> list:
+    """The premises of a parsed JSON proof node; FormatError unless it has
+    the shape of one."""
     if not isinstance(data, dict):
         raise FormatError(f"a proof node is a JSON object, got {type(data).__name__}")
     for key, kind in (("rule", str), ("conclusion", str), ("premises", list), ("principal", str), ("frame", str)):
@@ -394,13 +433,12 @@ def check_node_shape(data) -> None:
     split = data.get("split", ["", ""])
     if not (isinstance(split, list) and len(split) == 2 and all(isinstance(x, str) for x in split)):
         raise FormatError("a proof node's 'split' must be a JSON list of two strings")
+    return data.get("premises", [])
 
 
-def _from_data(data) -> HllProof:
-    check_node_shape(data)
+def _from_data(data: dict, premises: list[HllProof]) -> HllProof:
     rule = HllRule(data["rule"])
     conclusion = parse_sequent(data["conclusion"])
-    premises = tuple(_from_data(p) for p in data.get("premises", []))
     principal = parse_formula(data["principal"]) if "principal" in data else None
     frame = parse_product(data["frame"]) if "frame" in data else None
-    return HllProof(rule, conclusion, premises, principal=principal, frame=frame)
+    return HllProof(rule, conclusion, tuple(premises), principal=principal, frame=frame)

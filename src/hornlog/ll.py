@@ -22,6 +22,7 @@ calculus, reading a flat context as input-product/linear/banged zones.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -364,25 +365,6 @@ def ll_cbang(premise: LlProof, formula: HornFormula) -> LlProof:
     return LlProof(LlRule.CBANG, conclusion, (premise,), principal=banged)
 
 
-_REBUILDERS = {
-    LlRule.LTENSOR: lambda node, ps: ll_ltensor(ps[0], *node.split),
-    LlRule.RTENSOR: lambda node, ps: ll_rtensor(ps[0], ps[1]),
-    LlRule.LIMP: lambda node, ps: ll_limp(ps[0], ps[1], node.principal.formula),
-    LlRule.LOPLUS: lambda node, ps: ll_loplus(ps[0], ps[1], node.principal),
-    LlRule.LBANG: lambda node, ps: ll_lbang(ps[0], node.principal.formula),
-    LlRule.WBANG: lambda node, ps: ll_wbang(ps[0], node.principal.formula),
-    LlRule.CBANG: lambda node, ps: ll_cbang(ps[0], node.principal.formula),
-}
-
-
-def _rebuild(node: LlProof, premises: tuple[LlProof, ...]) -> LlProof:
-    """The same inference applied to replacement premises."""
-    if node.rule is LlRule.LIMPOPLUS:
-        tag = _consumed_tag(node)
-        return ll_limpoplus(premises[0], premises[1], node.principal.formula, tag)
-    return _REBUILDERS[node.rule](node, premises)
-
-
 def _consumed_tag(node: LlProof) -> int:
     """The tag of the pending occurrence an implication-choice node consumes.
 
@@ -412,66 +394,59 @@ def _consumed_tag(node: LlProof) -> int:
 # --- The normalizer -----------------------------------------------------------
 
 
-def _context_has_tag(sequent: LlSequent, tag: int) -> bool:
-    return any(isinstance(g, LlOplusProduct) and g.tag == tag for g in sequent.context)
-
-
-def _check_tag_linearity(node: LlProof):
-    seen: set[int] = set()
-    duplicated = set()
-    for g in node.conclusion.context:
-        if isinstance(g, LlOplusProduct):
-            if g.tag in seen:
-                duplicated.add(g.tag)
-            seen.add(g.tag)
-    if duplicated:
-        raise ProofStructureError(f"choice tags duplicated in one context: {sorted(duplicated)}")
-    for p in node.premises:
-        _check_tag_linearity(p)
+def _check_tag_linearity(proof: LlProof):
+    for node, _ in hll.walk(proof):
+        tags = Counter(g.tag for g in node.conclusion.context if isinstance(g, LlOplusProduct))
+        duplicated = [tag for tag, count in tags.items() if count > 1]
+        if duplicated:
+            raise ProofStructureError(f"choice tags duplicated in one context: {sorted(duplicated)}")
 
 
 def specialize(proof: LlProof, tag: int, side: int) -> LlProof:
     """Invert every left-choice step for a tag, committing to one component.
 
     The result proves the same sequent with the tagged choice product replaced
-    by its chosen side, and contains no left-choice node for the tag.
+    by its chosen side, and has no left-choice node for the tag.  A tag is in
+    a conclusion exactly when its left choice lies in the subtree, so only a
+    node with a changed premise gets the chosen side in its conclusion.
     """
-    if not _context_has_tag(proof.conclusion, tag):
+    occ = next((g for g in proof.conclusion.context if isinstance(g, LlOplusProduct) and g.tag == tag), None)
+    if occ is None:
         raise ProofStructureError(f"cannot specialize: tag {tag} absent from conclusion")
-    if proof.rule is LlRule.LOPLUS and proof.principal.tag == tag:
-        return proof.premises[side - 1]
-    new_premises = tuple(
-        specialize(p, tag, side) if _context_has_tag(p.conclusion, tag) else p
-        for p in proof.premises
-    )
-    if not any(_context_has_tag(p.conclusion, tag) for p in proof.premises):
+    chosen = LlProduct(occ.left if side == 1 else occ.right)
+
+    def expands(node: LlProof) -> bool:
+        return node.rule is LlRule.LOPLUS and node.principal.tag == tag
+
+    def combine(node: LlProof, premises: list[LlProof]) -> LlProof:
+        if expands(node):
+            return node.premises[side - 1]
+        if all(new is old for new, old in zip(premises, node.premises)):
+            return node
+        rest = multiset_minus(node.conclusion.context, occ)
+        if rest is None:  # the subtree consumes its own choice for the tag
+            return node
+        conclusion = LlSequent(rest + (chosen,), node.conclusion.goal)
+        return replace(node, conclusion=conclusion, premises=tuple(premises))
+
+    result = hll.fold(proof, combine, lambda node: () if expands(node) else node.premises)
+    if result is proof:
         raise ProofStructureError(f"tag {tag} vanished above its expansion (corrupt proof)")
-    return _rebuild(proof, new_premises)
+    return result
 
 
-def _is_adjacent(parent: LlProof, child_index: int) -> bool:
-    """Whether a left-choice premise sits directly on its consuming inference."""
-    child = parent.premises[child_index]
-    return (
-        parent.rule is LlRule.LIMPOPLUS
-        and child_index == 1
-        and child.rule is LlRule.LOPLUS
-        and _consumed_tag(parent) == child.principal.tag
-    )
+def _consumes(node: LlProof, index: int, tag: int) -> bool:
+    """Whether node consumes the choice tagged tag from its premise index."""
+    return node.rule is LlRule.LIMPOPLUS and index == 1 and _consumed_tag(node) == tag
 
 
 def unadjacent_choice_paths(proof: LlProof) -> list[tuple[int, ...]]:
-    found: list[tuple[int, ...]] = []
-
-    def visit(node: LlProof, path: tuple[int, ...]):
-        for i, p in enumerate(node.premises):
-            if p.rule is LlRule.LOPLUS and not _is_adjacent(node, i):
-                found.append(path + (i,))
-            visit(p, path + (i,))
-    if proof.rule is LlRule.LOPLUS:
-        found.append(())
-    visit(proof, ())
-    return found
+    return [
+        hll.path_of(trail)
+        for node, trail in hll.walk(proof)
+        if node.rule is LlRule.LOPLUS
+        and (trail is None or not _consumes(trail[1], trail[2], node.principal.tag))
+    ]
 
 
 def _move_choice(proof: LlProof, path: tuple[int, ...]) -> LlProof:
@@ -482,24 +457,18 @@ def _move_choice(proof: LlProof, path: tuple[int, ...]) -> LlProof:
     conclusion changes, so the nodes below are copied with one premise
     swapped.
     """
-    spine = [proof]
+    trail, premise = None, proof
     for i in path:
-        spine.append(spine[-1].premises[i])
-    occ: LlOplusProduct = spine[-1].principal
-    for depth in reversed(range(len(path))):
-        node = spine[depth]
-        if node.rule is LlRule.LIMPOPLUS and path[depth] == 1 and _consumed_tag(node) == occ.tag:
-            break
-    else:
-        raise ProofStructureError(f"left-choice tag {occ.tag} has no consumer below it")
-    premise = spine[depth + 1]
+        trail, premise = (trail, premise, i), premise.premises[i]
+    occ: LlOplusProduct = premise.principal
+    for _ in range(consumer_distance(occ.tag, trail) - 1):
+        trail, premise = trail[0], trail[1]
     moved = ll_loplus(specialize(premise, occ.tag, 1), specialize(premise, occ.tag, 2), occ)
     if moved.conclusion != premise.conclusion:
         raise ProofStructureError("moving a left choice changed the conclusion")
-    for node, i in zip(reversed(spine[: depth + 1]), reversed(path[: depth + 1])):
-        premises = list(node.premises)
-        premises[i] = moved
-        moved = replace(node, premises=tuple(premises))
+    while trail is not None:
+        trail, node, i = trail
+        moved = replace(node, premises=node.premises[:i] + (moved,) + node.premises[i + 1:])
     return moved
 
 
@@ -523,7 +492,7 @@ def push_oplus_down(proof: LlProof, on_step=None) -> LlProof:
     _check_tag_linearity(proof)
 
     guard = 0
-    limit = 4 * (_proof_size(proof) + 1) ** 3
+    limit = 4 * (sum(1 for _ in hll.walk(proof)) + 1) ** 3
     while True:
         paths = unadjacent_choice_paths(proof)
         if not paths:
@@ -536,8 +505,16 @@ def push_oplus_down(proof: LlProof, on_step=None) -> LlProof:
             raise ProofStructureError("normalization exceeded its conversion budget")
 
 
-def _proof_size(proof: LlProof) -> int:
-    return 1 + sum(_proof_size(p) for p in proof.premises)
+def consumer_distance(tag: int, trail) -> int:
+    """Edges from a left choice, reached by ``trail``, down to the
+    implication-choice node that consumes its tag."""
+    steps = 1
+    while trail is not None:
+        trail, lower, index = trail
+        if _consumes(lower, index, tag):
+            return steps
+        steps += 1
+    raise ProofStructureError(f"left-choice tag {tag} has no consumer below")
 
 
 def loplus_distance_sum(proof: LlProof) -> int:
@@ -545,30 +522,11 @@ def loplus_distance_sum(proof: LlProof) -> int:
 
     The measure the conversions drive down; adjacency contributes 1 per node.
     """
-    total = 0
-
-    def visit(node: LlProof, ancestors: list[tuple[LlProof, int]]):
-        nonlocal total
-        for i, p in enumerate(node.premises):
-            if p.rule is LlRule.LOPLUS:
-                tag = p.principal.tag
-                distance = None
-                chain = ancestors + [(node, i)]
-                for steps, (lower, premise_index) in enumerate(reversed(chain), start=1):
-                    if (
-                        lower.rule is LlRule.LIMPOPLUS
-                        and premise_index == 1
-                        and _consumed_tag(lower) == tag
-                    ):
-                        distance = steps
-                        break
-                if distance is None:
-                    raise ProofStructureError(f"left-choice tag {tag} has no consumer below")
-                total += distance
-            visit(p, ancestors + [(node, i)])
-
-    visit(proof, [])
-    return total
+    return sum(
+        consumer_distance(node.principal.tag, trail)
+        for node, trail in hll.walk(proof)
+        if node.rule is LlRule.LOPLUS and trail is not None
+    )
 
 
 # --- Horn reading and translation ----------------------------------------------
@@ -611,8 +569,7 @@ def translate_ll_to_hll(proof: LlProof) -> HllProof:
     The output checks valid and concludes exactly the zoned reading of the
     input's conclusion.
     """
-    normalized = push_oplus_down(proof)
-    translated = _translate(normalized)
+    translated = hll.fold(push_oplus_down(proof), _translate)
     expected = horn_reading(proof.conclusion)
     if translated.conclusion != expected:
         raise AssertionError(
@@ -621,8 +578,20 @@ def translate_ll_to_hll(proof: LlProof) -> HllProof:
     return translated
 
 
-def _translate(node: LlProof) -> HllProof:
+_BANG_RULES = {LlRule.LBANG: hll.lbang, LlRule.WBANG: hll.wbang, LlRule.CBANG: hll.cbang}
+
+
+def _translate(node: LlProof, premises: list):
+    """One inference simulated in the zoned calculus, given the translations
+    of its premises.  A left choice gives the pair of its premises'
+    translations, which only the implication-choice consuming it unpacks."""
     rule = node.rule
+    for i, p in enumerate(node.premises):
+        if p.rule is LlRule.LOPLUS and not (rule is LlRule.LIMPOPLUS and i == 1):
+            raise ProofStructureError("left choice surfaced outside its consuming inference")
+
+    if rule is LlRule.LOPLUS:
+        return tuple(premises)
 
     if rule is LlRule.I:
         return hll.i_axiom(node.conclusion.goal)
@@ -630,48 +599,40 @@ def _translate(node: LlProof) -> HllProof:
     if rule is LlRule.LTENSOR:
         # Regrouping is invisible in the canonical reading; keep the rule
         # as an explicit no-op step.
-        return hll.ltensor(_translate(node.premises[0]))
+        return hll.ltensor(premises[0])
 
     if rule is LlRule.RTENSOR:
         pi1, pi2 = node.premises
+        t1, t2 = premises
         w1 = _context_products(pi1.conclusion.context)
         z2 = pi2.conclusion.goal
-        proves = _framed(_translate(pi2), w1)  # ... |- Z2 (x) W1
-        uses = hll.frame_rule(_translate(pi1), z2)  # W1 (x) Z2, ... |- Z1 (x) Z2
+        proves = _framed(t2, w1)  # ... |- Z2 (x) W1
+        uses = hll.frame_rule(t1, z2)  # W1 (x) Z2, ... |- Z1 (x) Z2
         return hll.cut(proves, uses)
 
     if rule is LlRule.LIMP:
         imp: PlainImplication = node.principal.formula
-        pi1, pi2 = node.premises
-        inner = hll.cut(_translate(pi1), hll.h_axiom(imp))
-        rest = multiset_minus(pi2.conclusion.context, LlProduct(imp.consequent))
+        t1, t2 = premises
+        inner = hll.cut(t1, hll.h_axiom(imp))
+        rest = multiset_minus(node.premises[1].conclusion.context, LlProduct(imp.consequent))
         w2 = _context_products(rest)
-        return hll.cut(_framed(inner, w2), _translate(pi2))
+        return hll.cut(_framed(inner, w2), t2)
 
     if rule is LlRule.LIMPOPLUS:
         imp: OplusImplication = node.principal.formula
-        pi0, loplus = node.premises
+        loplus = node.premises[1]
         if loplus.rule is not LlRule.LOPLUS or _consumed_tag(node) != loplus.principal.tag:
             raise ProofStructureError(
                 "implication-choice without its adjacent left choice; normalize first"
             )
-        pi1, pi2 = loplus.premises
-        rest1 = multiset_minus(pi1.conclusion.context, LlProduct(imp.left))
+        t0, (t1, t2) = premises
+        rest1 = multiset_minus(loplus.premises[0].conclusion.context, LlProduct(imp.left))
         v = _context_products(rest1)
-        choice = hll.oplus_h(_translate(pi1), _translate(pi2), imp, v)
-        return hll.cut(_framed(_translate(pi0), v), choice)
+        choice = hll.oplus_h(t1, t2, imp, v)
+        return hll.cut(_framed(t0, v), choice)
 
-    if rule is LlRule.LOPLUS:
-        raise ProofStructureError("left choice surfaced outside its consuming inference")
-
-    if rule in (LlRule.LBANG, LlRule.WBANG, LlRule.CBANG):
-        a: HornFormula = node.principal.formula
-        sub = _translate(node.premises[0])
-        if rule is LlRule.LBANG:
-            return hll.lbang(sub, a)
-        if rule is LlRule.WBANG:
-            return hll.wbang(sub, a)
-        return hll.cbang(sub, a)
+    if rule in _BANG_RULES:
+        return _BANG_RULES[rule](premises[0], node.principal.formula)
 
     raise AssertionError(rule)
 
@@ -753,31 +714,29 @@ def parse_ll_sequent(text: str) -> LlSequent:
 
 
 def ll_proof_to_json(proof: LlProof) -> str:
-    return json.dumps(_ll_to_data(proof), indent=2) + "\n"
+    return json.dumps(hll.fold(proof, _ll_to_data), indent=2) + "\n"
 
 
-def _ll_to_data(node: LlProof) -> dict:
+def _ll_to_data(node: LlProof, premises: list[dict]) -> dict:
     data: dict = {"rule": node.rule.value, "conclusion": ll_sequent_text(node.conclusion)}
     if node.principal is not None:
         data["principal"] = node.principal.text
     if node.split is not None:
         data["split"] = [node.split[0].text, node.split[1].text]
-    if node.premises:
-        data["premises"] = [_ll_to_data(p) for p in node.premises]
+    if premises:
+        data["premises"] = premises
     return data
 
 
 def ll_proof_from_json(text: str) -> LlProof:
-    return _ll_from_data(json.loads(text))
+    return hll.fold(json.loads(text), _ll_from_data, hll.json_premises)
 
 
-def _ll_from_data(data) -> LlProof:
-    hll.check_node_shape(data)
+def _ll_from_data(data: dict, premises: list[LlProof]) -> LlProof:
     rule = LlRule(data["rule"])
     conclusion = parse_ll_sequent(data["conclusion"])
-    premises = tuple(_ll_from_data(p) for p in data.get("premises", []))
     principal = parse_ll_formula(data["principal"]) if "principal" in data else None
     split = None
     if "split" in data:
         split = (parse_product(data["split"][0]), parse_product(data["split"][1]))
-    return LlProof(rule, conclusion, premises, principal=principal, split=split)
+    return LlProof(rule, conclusion, tuple(premises), principal=principal, split=split)

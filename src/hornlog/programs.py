@@ -367,8 +367,9 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
         memo[state] = (_WIN, height, moves)
         return height
 
-    def search(state: tuple, budget: int) -> int | None:
-        """The height of a win for the state within budget, or None."""
+    def search(state: tuple, budget: int):
+        """Yield (child, budget) requests, each answered with that child's win
+        height or None; return the state's win height within budget, or None."""
         product, linear = state
         known = memo.get(state)
         if known is not None:
@@ -386,7 +387,7 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
                 if nxt is None:
                     continue
                 child = (nxt, multiset_minus(linear, f) if is_linear else linear)
-                height = search(child, budget - 1)
+                height = yield child, budget - 1
                 if height is not None:
                     return win(state, height + 1, ((f, child),))
             for f, is_linear in fork_order:
@@ -399,7 +400,7 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
                 branches = []  # (height, move), left before right
                 for y in (f.left, f.right):
                     child = (y.tensor(residual), rest)
-                    height = search(child, budget - 1)
+                    height = yield child, budget - 1
                     if height is None:
                         break
                     branches.append((height, (PlainImplication(f.antecedent, y), child)))
@@ -410,8 +411,18 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
             memo[state] = (_FAIL, budget)
         return None
 
+    # An explicit stack of searches, so depth never meets the recursion limit.
     start = (sequent.input, sequent.linear)
-    if search(start, max_depth) is None:
+    stack = [search(start, max_depth)]
+    height = None
+    while stack:
+        try:
+            stack.append(search(*stack[-1].send(height)))
+            height = None
+        except StopIteration as done:
+            stack.pop()
+            height = done.value
+    if height is None:
         return None
     builder = ProgramBuilder()
     builder.unfold(0, start, lambda state: memo[state][2])

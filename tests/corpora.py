@@ -127,15 +127,18 @@ def hll_corpus(seed: int = 20240811, count: int = 60) -> list[hll.HllProof]:
 
 def hll_rule_counts(proofs) -> dict[str, int]:
     counts: dict[str, int] = {rule.value: 0 for rule in hll.HllRule}
-
-    def visit(node: hll.HllProof):
-        counts[node.rule.value] += 1
-        for p in node.premises:
-            visit(p)
-
     for proof in proofs:
-        visit(proof)
+        for node, _ in hll.walk(proof):
+            counts[node.rule.value] += 1
     return counts
+
+
+def ltensor_chain(n: int) -> hll.HllProof:
+    """An n-node zoned proof: one axiom under n - 1 regroupings."""
+    proof = hll.h_axiom(PlainImplication(SimpleProduct.of("a"), SimpleProduct.of("b")))
+    for _ in range(n - 1):
+        proof = hll.ltensor(proof)
+    return proof
 
 
 # --- Flat-calculus corpus -------------------------------------------------------
@@ -270,25 +273,25 @@ def ll_corpus() -> list[ll.LlProof]:
 
 def ll_separation(proof: ll.LlProof) -> int:
     """Max intervening rules between a left choice and its consumer (distance - 1)."""
-    most = 0
+    return max(
+        (
+            ll.consumer_distance(node.principal.tag, trail) - 1
+            for node, trail in hll.walk(proof)
+            if node.rule is ll.LlRule.LOPLUS and trail is not None
+        ),
+        default=0,
+    )
 
-    def visit(node: ll.LlProof, chain: list[tuple[ll.LlProof, int]]):
-        nonlocal most
-        for i, p in enumerate(node.premises):
-            if p.rule is ll.LlRule.LOPLUS:
-                tag = p.principal.tag
-                for steps, (lower, index) in enumerate(reversed(chain + [(node, i)]), start=1):
-                    if (
-                        lower.rule is ll.LlRule.LIMPOPLUS
-                        and index == 1
-                        and ll._consumed_tag(lower) == tag
-                    ):
-                        most = max(most, steps - 1)
-                        break
-            visit(p, chain + [(node, i)])
 
-    visit(proof, [])
-    return most
+def stacked_weakenings(n: int) -> ll.LlProof:
+    """A choice block under n weakenings by distinct formulas, then its
+    consumer: the unary separated shape, n + 6 inferences deep."""
+    names = ("f", "g", "h", "m")
+    block = _choice_block(names, 1)
+    for i in range(n):
+        u = SimpleProduct.of(f"u{i}")
+        block = ll.ll_wbang(block, PlainImplication(u, u))
+    return _finish(block, names, 1)
 
 
 # --- Random machines ----------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from hornlog import cli
 from hornlog.minsky import parse_computation, parse_machine, validate_computation
-from hornlog.programs import program_from_json, program_to_json, single_edge
+from hornlog.programs import program_from_json, program_height, program_to_json, single_edge
 from hornlog.syntax import parse_formula, parse_sequent
 
 DEC_TEXT = "counters 2\nL1: ifzero x1 goto L0\nL1: dec x1 goto L1\nL0: halt\n"
@@ -81,6 +81,18 @@ def test_prove_and_verify(dec_file, tmp_path):
     run_cli("prove", str(seq_file), "--depth", "8", "--output", str(prog_file))
     program = program_from_json(prog_file.read_text())
     assert len(program.leaves) >= 2
+    accept = run_cli("verify", "sequent-program", str(seq_file), str(prog_file))
+    assert accept.stdout.strip() == "accept"
+
+
+def test_prove_deep_run(dec_file, tmp_path):
+    """A 2000-move run needs a witness thousands of edges deep: the prover
+    searches without recursion, and the witness verifies."""
+    seq_file = tmp_path / "dec2000.seq"
+    seq_file.write_text(run_cli("encode", str(dec_file), "--input", "2000,0").stdout)
+    prog_file = tmp_path / "dec2000.prog.json"
+    run_cli("prove", str(seq_file), "--depth", "2004", "--output", str(prog_file))
+    assert program_height(program_from_json(prog_file.read_text())) > 2000
     accept = run_cli("verify", "sequent-program", str(seq_file), str(prog_file))
     assert accept.stdout.strip() == "accept"
 

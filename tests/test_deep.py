@@ -1,0 +1,52 @@
+"""Valid proofs thousands of inferences deep go through every layer.
+
+No layer may fail on a valid object just because it is deep; the chain and
+the stacked weakenings once raised ``RecursionError``.  The nested proof JSON
+is the exception: the ``json`` module itself bounds its nesting, at about 497
+proof levels, so the round trips stay below that.  Deep proofs are compared
+through their JSON text, since dataclass equality itself recurses.
+"""
+
+from corpora import ltensor_chain, stacked_weakenings
+from hornlog import hll, ll
+from hornlog.programs import verify_strong_solution
+from hornlog.syntax import PlainImplication, SimpleProduct
+
+
+def test_deep_zoned_chain_compiles():
+    proof = ltensor_chain(5000)
+    assert hll.check_hll_proof(proof).ok
+    program = hll.compile_hll_to_program(proof)
+    assert len(program.edges) == 1
+    assert verify_strong_solution(program, proof.conclusion).ok
+
+
+def test_deep_flat_proof_normalizes_translates_and_compiles():
+    proof = stacked_weakenings(2000)
+    assert ll.check_ll_proof(proof).ok
+    normalized = ll.push_oplus_down(proof)
+    assert normalized.conclusion == proof.conclusion
+    assert ll.unadjacent_choice_paths(normalized) == []
+    translated = ll.translate_ll_to_hll(proof)
+    assert translated.conclusion == ll.horn_reading(proof.conclusion)
+    program = hll.compile_hll_to_program(translated)
+    assert len(program.leaves) == 2
+    assert verify_strong_solution(program, translated.conclusion).ok
+
+
+def test_deep_proof_json_round_trips():
+    chain = ltensor_chain(400)
+    text = hll.hll_proof_to_json(chain)
+    again = hll.hll_proof_from_json(text)
+    assert hll.check_hll_proof(again).ok
+    assert hll.hll_proof_to_json(again) == text
+
+    # Weakening then contracting the same formula keeps the context small.
+    junk = PlainImplication(SimpleProduct.of("a"), SimpleProduct.of("a"))
+    flat = ll.ll_wbang(ll.ll_i(SimpleProduct.of("a")), junk)
+    for _ in range(195):
+        flat = ll.ll_cbang(ll.ll_wbang(flat, junk), junk)
+    text = ll.ll_proof_to_json(flat)
+    again = ll.ll_proof_from_json(text)
+    assert ll.check_ll_proof(again).ok
+    assert ll.ll_proof_to_json(again) == text

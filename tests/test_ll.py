@@ -95,6 +95,17 @@ def test_specialize_commits_a_branch():
     assert not any(isinstance(g, LlOplusProduct) for g in left.conclusion.context)
 
 
+def test_specialize_keeps_a_premise_that_consumes_its_own_choice():
+    """Tags are unique per context only: a sibling subtree may expand and
+    consume its own choice under the same tag, and stays as it is."""
+    pair = ll.ll_limpoplus(ll.ll_i(F), make_choice_block(), OplusImplication(F, G, H), 1)
+    proof = ll.ll_rtensor(make_choice_block(), pair)
+    assert check_ll_proof(proof).ok
+    left = specialize(proof, 1, 1)
+    assert left == ll.ll_rtensor(specialize(make_choice_block(), 1, 1), pair)
+    assert left.premises[1] is pair
+
+
 def test_push_oplus_down_fixpoint():
     proof = ll.ll_limpoplus(ll.ll_i(F), make_choice_block(), OplusImplication(F, G, H), 1)
     assert unadjacent_choice_paths(proof) == []
