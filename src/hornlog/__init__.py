@@ -21,7 +21,6 @@ from .syntax import (
     parse_formula,
     parse_product,
     parse_sequent,
-    product_equiv,
     sequent_text,
 )
 from .minsky import (

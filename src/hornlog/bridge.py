@@ -145,8 +145,7 @@ def program_to_computation(
             raise ExtractionError(NON_ENCODING_EDGE, f"main vertex {vertex} decodes to a killer state", edge)
         return d.to_configuration()
 
-    def check_side_chain(fork: int, side_child: int, m: int) -> tuple[int, ...]:
-        vertices = [side_child]
+    def check_side_chain(fork: int, side_child: int, m: int) -> None:
         at = side_child
         closed = False
         while not closed:
@@ -165,7 +164,6 @@ def program_to_computation(
                     f"edge label {label} is not a killing implication for counter {m}",
                     (at, child),
                 )
-            vertices.append(child)
             at = child
             closed = label.consequent == SimpleProduct.of(ctx.label_literal(0))
         if program.children[at]:
@@ -189,7 +187,6 @@ def program_to_computation(
                 SIDE_CHAIN_NOT_KILLED,
                 f"side leaf {at} evaluates to {value}, not the goal",
             )
-        return tuple(vertices)
 
     configs = [initial]
     moves: list[int] = []

@@ -33,12 +33,10 @@ from .syntax import (
     PlainImplication,
     SimpleProduct,
     canonical_zone,
-    formula_text,
     multiset_minus,
     parse_formula,
     parse_product,
     parse_sequent,
-    product_equiv,
     sequent_text,
 )
 
@@ -112,7 +110,7 @@ def _check_node(node: HllProof) -> str | None:
     if rule is HllRule.I:
         if c.linear or c.banged:
             return "identity sequent must have empty zones"
-        if not product_equiv(c.input, c.goal):
+        if c.input != c.goal:
             return "identity requires input = goal"
         return None
 
@@ -122,15 +120,15 @@ def _check_node(node: HllProof) -> str | None:
         f = c.linear[0]
         if not isinstance(f, PlainImplication):
             return "axiom formula must be a plain implication"
-        if not product_equiv(f.antecedent, c.input):
+        if f.antecedent != c.input:
             return "axiom input must be the implication's antecedent"
-        if not product_equiv(f.consequent, c.goal):
+        if f.consequent != c.goal:
             return "axiom goal must be the implication's consequent"
         return None
 
     if rule is HllRule.LTENSOR:
         p = node.premises[0].conclusion
-        if not product_equiv(p.input, c.input):
+        if p.input != c.input:
             return "regrouping must keep the input multiset"
         if p.linear != c.linear or p.banged != c.banged or p.goal != c.goal:
             return "regrouping must keep zones and goal"
@@ -156,7 +154,7 @@ def _check_node(node: HllProof) -> str | None:
         v = node.frame
         gamma = multiset_minus(c.linear, f)
         if gamma is None:
-            return f"principal {formula_text(f)} not in the linear zone"
+            return f"principal {f.text} not in the linear zone"
         if c.input != f.antecedent.tensor(v):
             return f"conclusion input must be the antecedent tensored with frame {v}"
         p1, p2 = (p.conclusion for p in node.premises)
@@ -370,7 +368,7 @@ def lbang(premise: HllProof, a: HornFormula) -> HllProof:
     c = premise.conclusion
     linear = multiset_minus(c.linear, a)
     if linear is None:
-        raise ValueError(f"premise does not carry {formula_text(a)} linearly")
+        raise ValueError(f"premise does not carry {a.text} linearly")
     conclusion = HornSequent(c.input, linear, c.banged + (a,), c.goal)
     return HllProof(HllRule.LBANG, conclusion, (premise,), principal=a)
 
@@ -385,7 +383,7 @@ def cbang(premise: HllProof, a: HornFormula) -> HllProof:
     c = premise.conclusion
     banged = multiset_minus(c.banged, a)
     if banged is None or a not in banged:
-        raise ValueError(f"premise needs two banged copies of {formula_text(a)}")
+        raise ValueError(f"premise needs two banged copies of {a.text}")
     conclusion = HornSequent(c.input, c.linear, banged, c.goal)
     return HllProof(HllRule.CBANG, conclusion, (premise,), principal=a)
 
@@ -410,7 +408,7 @@ def hll_proof_to_json(proof: HllProof) -> str:
 def _to_data(node: HllProof, premises: list[dict]) -> dict:
     data: dict = {"rule": node.rule.value, "conclusion": sequent_text(node.conclusion)}
     if node.principal is not None:
-        data["principal"] = formula_text(node.principal)
+        data["principal"] = node.principal.text
     if node.frame is not None and not node.frame.is_empty:
         data["frame"] = node.frame.text
     if premises:

@@ -2,11 +2,12 @@
 translation into the zoned calculus.
 
 Sequents here are a flat context multiset over a single product goal.  Context
-members are products, implications (linear or banged), and choice products
-``(Y1 + Y2)`` that exist only between the left-choice rule that expands them
-and the implication-choice rule that introduces them.  Each choice product
-carries an integer tag so the two rules pair by occurrence even when equal
-formulas coexist.
+members are ``syntax.py``'s own products and implications, plus two kinds of
+its own: ``LlBang``, a banged implication, and ``LlOplusProduct``, a choice
+product ``(Y1 + Y2)`` that exists only between the left-choice rule that
+expands it and the implication-choice rule that introduces it.  Each choice
+product carries an integer tag so the two rules pair by occurrence even when
+equal formulas coexist; one context holds each tag at most once.
 
 ``push_oplus_down`` moves every left-choice inference down until it sits
 immediately above the implication-choice inference that consumes its
@@ -43,9 +44,7 @@ from .syntax import (
     TokenStream,
     _parse_bare_product,
     _parse_formula_rest,
-    _parse_operand,
     canonical_zone,
-    formula_text,
     multiset_minus,
     parse_product,
     tensor_all,
@@ -57,24 +56,6 @@ class ProofStructureError(ValueError):
 
 
 # --- Context formulas --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LlProduct(Printed):
-    product: SimpleProduct
-
-    @cached_property
-    def text(self) -> str:
-        return self.product.text
-
-
-@dataclass(frozen=True)
-class LlImp(Printed):
-    formula: HornFormula
-
-    @cached_property
-    def text(self) -> str:
-        return self.formula.text
 
 
 @dataclass(frozen=True)
@@ -101,7 +82,7 @@ class LlOplusProduct(Choice):
         return f"({self.left.text} + {self.right.text})#{self.tag}"
 
 
-LlFormula = Union[LlProduct, LlImp, LlBang, LlOplusProduct]
+LlFormula = Union[SimpleProduct, PlainImplication, OplusImplication, LlBang, LlOplusProduct]
 
 
 @dataclass(frozen=True)
@@ -156,25 +137,30 @@ def _check_ll_node(node: LlProof) -> str | None:
     rule = node.rule
     if len(node.premises) != _LL_ARITY[rule]:
         return f"{rule.value} takes {_LL_ARITY[rule]} premises, got {len(node.premises)}"
+    # Tags pair a left choice with its consumer, so one context holds each once.
+    tags = [g.tag for g in c.context if isinstance(g, LlOplusProduct)]
+    if len(set(tags)) != len(tags):
+        duplicated = sorted(tag for tag, count in Counter(tags).items() if count > 1)
+        return f"choice tags duplicated in one context: {duplicated}"
 
     if rule is LlRule.I:
-        if len(c.context) != 1 or not isinstance(c.context[0], LlProduct):
+        if len(c.context) != 1 or not isinstance(c.context[0], SimpleProduct):
             return "identity context must be a single product"
-        if c.context[0].product != c.goal:
+        if c.context[0] != c.goal:
             return "identity requires context product = goal"
         return None
 
     if rule is LlRule.LTENSOR:
-        if not isinstance(node.principal, LlProduct) or node.split is None:
+        if not isinstance(node.principal, SimpleProduct) or node.split is None:
             return "product regrouping needs its principal product and split"
         x, y = node.split
-        if x.tensor(y) != node.principal.product:
+        if x.tensor(y) != node.principal:
             return "split does not recombine to the principal product"
         rest = multiset_minus(c.context, node.principal)
         if rest is None:
             return "principal product not in the conclusion context"
         p = node.premises[0].conclusion
-        expected = canonical_zone(rest + (LlProduct(x), LlProduct(y)))
+        expected = canonical_zone(rest + (x, y))
         if p.context != expected:
             return "premise context must split the principal product"
         if p.goal != c.goal:
@@ -191,14 +177,12 @@ def _check_ll_node(node: LlProof) -> str | None:
 
     if rule is LlRule.LIMP:
         f = node.principal
-        if not isinstance(f, LlImp) or not isinstance(f.formula, PlainImplication):
+        if not isinstance(f, PlainImplication):
             return "left implication needs a plain implication principal"
-        imp = f.formula
         p1, p2 = (p.conclusion for p in node.premises)
-        if p1.goal != imp.antecedent:
+        if p1.goal != f.antecedent:
             return "first premise must prove the antecedent"
-        consequent = LlProduct(imp.consequent)
-        p2_rest = multiset_minus(p2.context, consequent)
+        p2_rest = multiset_minus(p2.context, f.consequent)
         if p2_rest is None:
             return "second premise context must carry the consequent product"
         if p2.goal != c.goal:
@@ -210,16 +194,15 @@ def _check_ll_node(node: LlProof) -> str | None:
 
     if rule is LlRule.LIMPOPLUS:
         f = node.principal
-        if not isinstance(f, LlImp) or not isinstance(f.formula, OplusImplication):
+        if not isinstance(f, OplusImplication):
             return "implication-choice needs a choice implication principal"
-        imp = f.formula
         p1, p2 = (p.conclusion for p in node.premises)
-        if p1.goal != imp.antecedent:
+        if p1.goal != f.antecedent:
             return "first premise must prove the antecedent"
         pending = [
             g
             for g in p2.context
-            if isinstance(g, LlOplusProduct) and g.left == imp.left and g.right == imp.right
+            if isinstance(g, LlOplusProduct) and g.left == f.left and g.right == f.right
         ]
         if not pending:
             return "second premise context must carry the pending choice product"
@@ -241,9 +224,9 @@ def _check_ll_node(node: LlProof) -> str | None:
         if rest is None:
             return "principal choice product not in the conclusion context"
         p1, p2 = (p.conclusion for p in node.premises)
-        if p1.context != canonical_zone(rest + (LlProduct(occ.left),)):
+        if p1.context != canonical_zone(rest + (occ.left,)):
             return "first premise context must expand to the left component"
-        if p2.context != canonical_zone(rest + (LlProduct(occ.right),)):
+        if p2.context != canonical_zone(rest + (occ.right,)):
             return "second premise context must expand to the right component"
         if p1.goal != c.goal or p2.goal != c.goal:
             return "premise goals must match the conclusion"
@@ -262,7 +245,7 @@ def _check_ll_node(node: LlProof) -> str | None:
         if rest is None:
             return "banged principal not in the conclusion context"
         if rule is LlRule.LBANG:
-            expected = canonical_zone(rest + (LlImp(a.formula),))
+            expected = canonical_zone(rest + (a.formula,))
         elif rule is LlRule.WBANG:
             expected = canonical_zone(rest)
         else:  # CBANG
@@ -283,15 +266,15 @@ def check_ll_proof(proof: LlProof) -> hll.CheckResult:
 
 
 def ll_i(x: SimpleProduct) -> LlProof:
-    return LlProof(LlRule.I, LlSequent((LlProduct(x),), x))
+    return LlProof(LlRule.I, LlSequent((x,), x))
 
 
 def ll_ltensor(premise: LlProof, x: SimpleProduct, y: SimpleProduct) -> LlProof:
-    principal = LlProduct(x.tensor(y))
-    rest = multiset_minus(premise.conclusion.context, LlProduct(x))
+    principal = x.tensor(y)
+    rest = multiset_minus(premise.conclusion.context, x)
     if rest is None:
         raise ValueError(f"premise lacks product {x}")
-    rest = multiset_minus(rest, LlProduct(y))
+    rest = multiset_minus(rest, y)
     if rest is None:
         raise ValueError(f"premise lacks product {y}")
     conclusion = LlSequent(rest + (principal,), premise.conclusion.goal)
@@ -308,11 +291,11 @@ def ll_limp(premise1: LlProof, premise2: LlProof, imp: PlainImplication) -> LlPr
     c1, c2 = premise1.conclusion, premise2.conclusion
     if c1.goal != imp.antecedent:
         raise ValueError("first premise must prove the antecedent")
-    rest = multiset_minus(c2.context, LlProduct(imp.consequent))
+    rest = multiset_minus(c2.context, imp.consequent)
     if rest is None:
         raise ValueError("second premise lacks the consequent product")
-    conclusion = LlSequent(c1.context + rest + (LlImp(imp),), c2.goal)
-    return LlProof(LlRule.LIMP, conclusion, (premise1, premise2), principal=LlImp(imp))
+    conclusion = LlSequent(c1.context + rest + (imp,), c2.goal)
+    return LlProof(LlRule.LIMP, conclusion, (premise1, premise2), principal=imp)
 
 
 def ll_limpoplus(premise1: LlProof, premise2: LlProof, imp: OplusImplication, tag: int) -> LlProof:
@@ -323,16 +306,16 @@ def ll_limpoplus(premise1: LlProof, premise2: LlProof, imp: OplusImplication, ta
     rest = multiset_minus(c2.context, occurrence)
     if rest is None:
         raise ValueError(f"second premise lacks the pending choice {occurrence}")
-    conclusion = LlSequent(c1.context + rest + (LlImp(imp),), c2.goal)
-    return LlProof(LlRule.LIMPOPLUS, conclusion, (premise1, premise2), principal=LlImp(imp))
+    conclusion = LlSequent(c1.context + rest + (imp,), c2.goal)
+    return LlProof(LlRule.LIMPOPLUS, conclusion, (premise1, premise2), principal=imp)
 
 
 def ll_loplus(premise1: LlProof, premise2: LlProof, occurrence: LlOplusProduct) -> LlProof:
     c1, c2 = premise1.conclusion, premise2.conclusion
     if c1.goal != c2.goal:
         raise ValueError("premise goals differ")
-    rest1 = multiset_minus(c1.context, LlProduct(occurrence.left))
-    rest2 = multiset_minus(c2.context, LlProduct(occurrence.right))
+    rest1 = multiset_minus(c1.context, occurrence.left)
+    rest2 = multiset_minus(c2.context, occurrence.right)
     if rest1 is None or rest2 is None or rest1 != rest2:
         raise ValueError("premise contexts do not share a frame for the choice")
     conclusion = LlSequent(rest1 + (occurrence,), c1.goal)
@@ -341,9 +324,9 @@ def ll_loplus(premise1: LlProof, premise2: LlProof, occurrence: LlOplusProduct) 
 
 def ll_lbang(premise: LlProof, formula: HornFormula) -> LlProof:
     c = premise.conclusion
-    rest = multiset_minus(c.context, LlImp(formula))
+    rest = multiset_minus(c.context, formula)
     if rest is None:
-        raise ValueError(f"premise lacks linear {formula_text(formula)}")
+        raise ValueError(f"premise lacks linear {formula.text}")
     banged = LlBang(formula)
     conclusion = LlSequent(rest + (banged,), c.goal)
     return LlProof(LlRule.LBANG, conclusion, (premise,), principal=banged)
@@ -360,7 +343,7 @@ def ll_cbang(premise: LlProof, formula: HornFormula) -> LlProof:
     c = premise.conclusion
     rest = multiset_minus(c.context, banged)
     if rest is None or banged not in rest:
-        raise ValueError(f"premise needs two banged copies of {formula_text(formula)}")
+        raise ValueError(f"premise needs two banged copies of {formula.text}")
     conclusion = LlSequent(rest, c.goal)
     return LlProof(LlRule.CBANG, conclusion, (premise,), principal=banged)
 
@@ -372,7 +355,7 @@ def _consumed_tag(node: LlProof) -> int:
     one is the tag present in the second premise but absent from the
     conclusion.
     """
-    imp = node.principal.formula
+    imp = node.principal
     surviving = {
         g.tag for g in node.conclusion.context if isinstance(g, LlOplusProduct)
     }
@@ -394,14 +377,6 @@ def _consumed_tag(node: LlProof) -> int:
 # --- The normalizer -----------------------------------------------------------
 
 
-def _check_tag_linearity(proof: LlProof):
-    for node, _ in hll.walk(proof):
-        tags = Counter(g.tag for g in node.conclusion.context if isinstance(g, LlOplusProduct))
-        duplicated = [tag for tag, count in tags.items() if count > 1]
-        if duplicated:
-            raise ProofStructureError(f"choice tags duplicated in one context: {sorted(duplicated)}")
-
-
 def specialize(proof: LlProof, tag: int, side: int) -> LlProof:
     """Invert every left-choice step for a tag, committing to one component.
 
@@ -413,7 +388,7 @@ def specialize(proof: LlProof, tag: int, side: int) -> LlProof:
     occ = next((g for g in proof.conclusion.context if isinstance(g, LlOplusProduct) and g.tag == tag), None)
     if occ is None:
         raise ProofStructureError(f"cannot specialize: tag {tag} absent from conclusion")
-    chosen = LlProduct(occ.left if side == 1 else occ.right)
+    chosen = occ.left if side == 1 else occ.right
 
     def expands(node: LlProof) -> bool:
         return node.rule is LlRule.LOPLUS and node.principal.tag == tag
@@ -489,7 +464,6 @@ def push_oplus_down(proof: LlProof, on_step=None) -> LlProof:
     result = check_ll_proof(proof)
     if not result.ok:
         raise ValueError(f"cannot normalize an invalid proof: {result}")
-    _check_tag_linearity(proof)
 
     guard = 0
     limit = 4 * (sum(1 for _ in hll.walk(proof)) + 1) ** 3
@@ -539,10 +513,10 @@ def horn_reading(sequent: LlSequent) -> HornSequent:
     linear: list[HornFormula] = []
     banged: list[HornFormula] = []
     for g in sequent.context:
-        if isinstance(g, LlProduct):
-            products.append(g.product)
-        elif isinstance(g, LlImp):
-            linear.append(g.formula)
+        if isinstance(g, SimpleProduct):
+            products.append(g)
+        elif isinstance(g, (PlainImplication, OplusImplication)):
+            linear.append(g)
         elif isinstance(g, LlBang):
             if isinstance(g.formula, SimpleProduct):
                 raise ValueError("banged product has no zoned reading")
@@ -555,7 +529,7 @@ def horn_reading(sequent: LlSequent) -> HornSequent:
 
 
 def _context_products(context: tuple[LlFormula, ...]) -> Frame:
-    products = [g.product for g in context if isinstance(g, LlProduct)]
+    products = [g for g in context if isinstance(g, SimpleProduct)]
     return tensor_all(products) if products else Frame()
 
 
@@ -611,22 +585,22 @@ def _translate(node: LlProof, premises: list):
         return hll.cut(proves, uses)
 
     if rule is LlRule.LIMP:
-        imp: PlainImplication = node.principal.formula
+        imp: PlainImplication = node.principal
         t1, t2 = premises
         inner = hll.cut(t1, hll.h_axiom(imp))
-        rest = multiset_minus(node.premises[1].conclusion.context, LlProduct(imp.consequent))
+        rest = multiset_minus(node.premises[1].conclusion.context, imp.consequent)
         w2 = _context_products(rest)
         return hll.cut(_framed(inner, w2), t2)
 
     if rule is LlRule.LIMPOPLUS:
-        imp: OplusImplication = node.principal.formula
+        imp: OplusImplication = node.principal
         loplus = node.premises[1]
         if loplus.rule is not LlRule.LOPLUS or _consumed_tag(node) != loplus.principal.tag:
             raise ProofStructureError(
                 "implication-choice without its adjacent left choice; normalize first"
             )
         t0, (t1, t2) = premises
-        rest1 = multiset_minus(loplus.premises[0].conclusion.context, LlProduct(imp.left))
+        rest1 = multiset_minus(loplus.premises[0].conclusion.context, imp.left)
         v = _context_products(rest1)
         choice = hll.oplus_h(t1, t2, imp, v)
         return hll.cut(_framed(t0, v), choice)
@@ -654,21 +628,18 @@ def parse_ll_formula(text: str) -> LlFormula:
 
 
 def _parse_ll_formula(ts: TokenStream) -> LlFormula:
-    tok = ts.peek()
-    if tok.text == "!":
+    """One member: an optional ``!(``, then a product, bare or parenthesised,
+    and an optional ``-o`` rest; outside a bang the parenthesis may instead
+    open a tagged choice ``(Y1 + Y2)#n``."""
+    banged = ts.peek().text == "!"
+    if banged:
         ts.next()
         ts.expect("(")
-        if _looks_like_product_then(ts, ")"):
-            inner: Union[HornFormula, SimpleProduct] = _parse_bare_product(ts)
-        else:
-            inner = _parse_formula_rest(ts, _parse_operand(ts))
-        ts.expect(")")
-        return LlBang(inner)
-    if tok.text == "(":
+    if ts.peek().text == "(":
         ts.next()
         first = _parse_bare_product(ts)
-        nxt = ts.next()
-        if nxt.text == "+":
+        if not banged and ts.peek().text == "+":
+            ts.next()
             second = _parse_bare_product(ts)
             ts.expect(")")
             ts.expect("#")
@@ -676,27 +647,14 @@ def _parse_ll_formula(ts: TokenStream) -> LlFormula:
             if num.kind != "num":
                 raise FormatError("expected a tag number after '#'", num.position)
             return LlOplusProduct(first, second, int(num.text))
-        if nxt.text == ")":
-            if ts.peek().text == "-o":
-                return LlImp(_parse_formula_rest(ts, first))
-            return LlProduct(first)
-        raise FormatError(f"expected '+' or ')', found {nxt.text!r}", nxt.position)
-    product = _parse_bare_product(ts)
-    if ts.peek().text == "-o":
-        return LlImp(_parse_formula_rest(ts, product))
-    return LlProduct(product)
-
-
-def _looks_like_product_then(ts: TokenStream, closing: str) -> bool:
-    """Lookahead: does a bare product followed by `closing` start here?"""
-    index = ts.index
-    try:
-        _parse_bare_product(ts)
-        result = ts.peek().text == closing
-    except FormatError:
-        result = False
-    ts.index = index
-    return result
+        ts.expect(")")
+    else:
+        first = _parse_bare_product(ts)
+    member = _parse_formula_rest(ts, first) if ts.peek().text == "-o" else first
+    if banged:
+        ts.expect(")")
+        return LlBang(member)
+    return member
 
 
 def parse_ll_sequent(text: str) -> LlSequent:

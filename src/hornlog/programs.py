@@ -30,11 +30,9 @@ from .syntax import (
     PlainImplication,
     SimpleProduct,
     apply_implication,
-    formula_text,
     match_antecedent,
     multiset_minus,
     parse_formula,
-    product_equiv,
 )
 
 Edge = tuple[int, int]  # (parent, child)
@@ -71,7 +69,7 @@ class HornProgram:
                 if f1.antecedent != f2.antecedent:
                     raise ValueError(
                         f"divergent vertex {v} edges must share an antecedent "
-                        f"({formula_text(f1)} vs {formula_text(f2)})"
+                        f"({f1.text} vs {f2.text})"
                     )
             vertices.extend(c for c, _ in out)
         if len(vertices) != len(seen_child) + 1:
@@ -212,7 +210,7 @@ class Violation:
         if self.edge is not None:
             parts.append(f"edge={self.edge[0]}->{self.edge[1]}")
         if self.formula is not None:
-            parts.append(f"formula={formula_text(self.formula)}")
+            parts.append(f"formula={self.formula.text}")
         if self.count is not None:
             parts.append(f"count={self.count}")
         if self.detail:
@@ -246,7 +244,7 @@ def verify_strong_solution(program: HornProgram, sequent: HornSequent) -> Strong
         value = evaluation.out[leaf]
         if value is None:
             violations.append(Violation(LEAF_MISMATCH, vertex=leaf, detail="undefined"))
-        elif not product_equiv(value, sequent.goal):
+        elif value != sequent.goal:
             violations.append(
                 Violation(LEAF_MISMATCH, vertex=leaf, detail=f"evaluates to {value}")
             )
@@ -377,7 +375,7 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
                 return known[1]
             if known[0] == _FAIL and budget <= known[1]:
                 return None
-        if not linear and product_equiv(product, goal):
+        if not linear and product == goal:
             return win(state, 0, ())
         if budget >= 1:
             for f, is_linear in plain_order:
@@ -440,7 +438,7 @@ def program_to_json(program: HornProgram) -> str:
         "root": program.root,
         "vertices": list(program.vertices),
         "edges": [
-            {"parent": parent, "child": child, "label": formula_text(label)}
+            {"parent": parent, "child": child, "label": label.text}
             for parent, child, label in program.edges
         ],
     }
@@ -481,6 +479,6 @@ def program_to_dot(program: HornProgram) -> str:
         shape = "doublecircle" if v == program.root else "circle"
         lines.append(f'  v{v} [label="{v}", shape={shape}];')
     for parent, child, label in program.edges:
-        lines.append(f'  v{parent} -> v{child} [label="{formula_text(label)}"];')
+        lines.append(f'  v{parent} -> v{child} [label="{label.text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -228,11 +228,6 @@ def multiset_minus(items: tuple, item) -> tuple | None:
     return items[:index] + items[index + 1:]
 
 
-def product_equiv(x: SimpleProduct, y: SimpleProduct) -> bool:
-    """Whether two products represent one and the same multiset."""
-    return x.entries == y.entries
-
-
 def match_antecedent(x: SimpleProduct, antecedent: SimpleProduct) -> Frame | None:
     """The residual V with ``x = antecedent (x) V``, or None if no match.
 
@@ -267,16 +262,8 @@ def tensor_all(products: Iterable[SimpleProduct]) -> SimpleProduct:
 # --- Printing ---------------------------------------------------------------
 
 
-def product_text(p: Frame) -> str:
-    return p.text
-
-
 def _operand_text(p: SimpleProduct) -> str:
     return f"({p.text})" if p.size >= 2 else p.text
-
-
-def formula_text(f: HornFormula) -> str:
-    return f.text
 
 
 def sequent_text(s: HornSequent) -> str:

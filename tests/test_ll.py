@@ -3,11 +3,10 @@ import hashlib
 import pytest
 
 from corpora import ll_corpus, ll_separation
-from hornlog import hll, ll
+from hornlog import cli, hll, ll
 from hornlog.ll import (
     LlBang,
     LlOplusProduct,
-    LlProduct,
     LlProof,
     LlRule,
     LlSequent,
@@ -28,6 +27,7 @@ from hornlog.programs import verify_strong_solution
 from hornlog.syntax import (
     OplusImplication,
     PlainImplication,
+    parse_formula,
     parse_product,
     parse_sequent,
 )
@@ -64,7 +64,7 @@ def test_checker_rejects_context_drift():
     good = ll.ll_limp(ll.ll_i(F), ll.ll_i(G), PlainImplication(F, G))
     tampered = LlProof(
         LlRule.LIMP,
-        LlSequent(good.conclusion.context + (LlProduct(C),), good.conclusion.goal),
+        LlSequent(good.conclusion.context + (C,), good.conclusion.goal),
         good.premises,
         principal=good.principal,
     )
@@ -91,7 +91,7 @@ def test_specialize_commits_a_branch():
     block = make_choice_block()
     left = specialize(block, 1, 1)
     assert check_ll_proof(left).ok
-    assert LlProduct(G) in left.conclusion.context
+    assert G in left.conclusion.context
     assert not any(isinstance(g, LlOplusProduct) for g in left.conclusion.context)
 
 
@@ -104,6 +104,23 @@ def test_specialize_keeps_a_premise_that_consumes_its_own_choice():
     left = specialize(proof, 1, 1)
     assert left == ll.ll_rtensor(specialize(make_choice_block(), 1, 1), pair)
     assert left.premises[1] is pair
+
+
+def test_checker_rejects_a_tag_twice_in_one_context(tmp_path):
+    """Two blocks expanding tag 1 side by side, each consumed below: the
+    tensor's conclusion holds (g + h)#1 twice, which the normalizer cannot
+    pair with its consumers."""
+    imp = OplusImplication(F, G, H)
+    pair = ll.ll_rtensor(make_choice_block(), make_choice_block())
+    proof = ll.ll_limpoplus(ll.ll_i(F), ll.ll_limpoplus(ll.ll_i(F), pair, imp, 1), imp, 1)
+    result = check_ll_proof(proof)
+    assert not result.ok
+    assert result.failure.path == (1, 1)
+    assert result.failure.reason == "choice tags duplicated in one context: [1]"
+    proof_file = tmp_path / "dup.ll.json"
+    proof_file.write_text(ll_proof_to_json(proof))
+    assert cli.main(["verify", "ll", str(proof_file)]) == 1
+    assert cli.main(["compile", "ll-to-hll", str(proof_file)]) == 2
 
 
 def test_push_oplus_down_fixpoint():
@@ -243,6 +260,11 @@ def test_horn_reading_zones():
     assert reading == parse_sequent("c*f ; f -o (g + h) ; g -o m |- m")
     with pytest.raises(ValueError):
         horn_reading(parse_ll_sequent("f -o g |- g"))
+
+
+def test_context_members_are_syntax_objects():
+    context = parse_ll_sequent("a, a -o b |- b").context
+    assert context == (parse_product("a"), parse_formula("a -o b"))
 
 
 def test_ll_sequent_text_round_trip():

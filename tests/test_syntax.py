@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,29 +11,41 @@ from hornlog.syntax import (
     PlainImplication,
     SimpleProduct,
     apply_implication,
-    formula_text,
     match_antecedent,
     parse_formula,
     parse_product,
     parse_sequent,
-    product_equiv,
-    product_text,
     sequent_text,
     tensor_all,
 )
-from hornlog import syntax
-from hornlog.ll import ll_sequent_text, parse_ll_sequent
+from hornlog import cli, syntax
+from hornlog.ll import (
+    LlBang,
+    LlOplusProduct,
+    LlSequent,
+    ll_sequent_text,
+    parse_ll_formula,
+    parse_ll_sequent,
+)
 
 names = st.sampled_from(["a", "b", "c", "d", "e"])
 products = st.lists(names, min_size=1, max_size=5).map(lambda ns: SimpleProduct.of(*ns))
 frames = st.lists(names, min_size=0, max_size=4).map(lambda ns: Frame.of(*ns))
 plains = st.tuples(products, products).map(lambda xy: PlainImplication(*xy))
+opluses = st.tuples(products, products, products).map(lambda xyz: OplusImplication(*xyz))
+bangs = st.one_of(products, plains, opluses).map(LlBang)
+pendings = st.builds(LlOplusProduct, products, products, st.integers(0, 99))
+members = st.one_of(products, plains, opluses, bangs, pendings)
+# Every member kind at least once, plus a few more, in shuffled order.
+mixed_contexts = st.tuples(
+    st.tuples(products, plains, opluses, bangs, pendings), st.lists(members, max_size=4)
+).flatmap(lambda parts: st.permutations(list(parts[0]) + parts[1]))
 
 
 def test_product_equiv_examples():
-    assert product_equiv(parse_product("l1*r1*r1"), parse_product("r1*l1*r1"))
-    assert not product_equiv(parse_product("l1*r1"), parse_product("l1*r1*r1"))
-    assert product_equiv(parse_product("q"), parse_product("q"))
+    assert parse_product("l1*r1*r1") == parse_product("r1*l1*r1")
+    assert parse_product("l1*r1") != parse_product("l1*r1*r1")
+    assert parse_product("q") == parse_product("q")
 
 
 def test_match_antecedent_examples():
@@ -72,12 +86,12 @@ def test_choice_consequents_commute():
 
 @given(products)
 def test_equiv_reflexive(x):
-    assert product_equiv(x, x)
+    assert x == x
 
 
 @given(products, products)
 def test_equiv_symmetric(x, y):
-    assert product_equiv(x, y) == product_equiv(y, x)
+    assert (x == y) == (y == x)
 
 
 @given(products)
@@ -90,7 +104,7 @@ def test_canonicalization_idempotent(x):
 def test_match_round_trip(x, a):
     residual = match_antecedent(x, a)
     if residual is not None:
-        assert product_equiv(a.tensor(residual), x)
+        assert a.tensor(residual) == x
     else:
         assert any(x.count(name) < a.count(name) for name, _ in a.entries)
 
@@ -107,10 +121,10 @@ def test_apply_frame_law(x, v, f):
 
 
 def test_print_forms():
-    assert product_text(parse_product("r1*l1*r1")) == "l1*r1*r1"
-    assert formula_text(parse_formula("l1*r1 -o l1")) == "(l1*r1) -o l1"
-    assert formula_text(parse_formula("l2 -o (l3*r1)")) == "l2 -o (l3*r1)"
-    assert formula_text(parse_formula("l1 -o (l0 + k1)")) == "l1 -o (k1 + l0)"
+    assert parse_product("r1*l1*r1").text == "l1*r1*r1"
+    assert parse_formula("l1*r1 -o l1").text == "(l1*r1) -o l1"
+    assert parse_formula("l2 -o (l3*r1)").text == "l2 -o (l3*r1)"
+    assert parse_formula("l1 -o (l0 + k1)").text == "l1 -o (k1 + l0)"
 
 
 # In each text below, text order and entry-tuple order disagree: ``a*a``
@@ -132,6 +146,39 @@ def test_flat_context_prints_in_text_order():
     shuffled = "a*b, (a*b + a*a)#2, a -o b, !((a*a) -o b), a*a, (a*a) -o b, !(a -o b), !(b*a) |- q"
     assert ll_sequent_text(parse_ll_sequent(shuffled)) == FLAT
     assert parse_ll_sequent(shuffled) == parse_ll_sequent(FLAT)
+
+
+@given(mixed_contexts, products)
+def test_flat_context_print_parse_print(context, goal):
+    for member in context:
+        assert parse_ll_formula(member.text) == member
+    shuffled = ", ".join(g.text for g in context) + " |- " + goal.text
+    sequent = parse_ll_sequent(shuffled)
+    assert sequent == LlSequent(tuple(context), goal)
+    text = ll_sequent_text(sequent)
+    assert ll_sequent_text(parse_ll_sequent(text)) == text
+
+
+MALFORMED_MEMBERS = ["!((a + b)#1)", "(a + b)", "(a + b)#x", "!(a -o b", "(a b)"]
+
+
+@pytest.mark.parametrize("bad", MALFORMED_MEMBERS)
+def test_flat_member_parse_errors(bad):
+    with pytest.raises(FormatError):
+        parse_ll_formula(bad)
+    with pytest.raises(FormatError):
+        parse_ll_sequent(f"a, {bad} |- a")
+
+
+def test_malformed_member_exits_2_from_verify(tmp_path, capsys):
+    proof_file = tmp_path / "bad.proof.json"
+    proof_file.write_text(json.dumps({"rule": "I", "conclusion": f"{MALFORMED_MEMBERS[0]}, a |- a"}))
+    assert cli.main(["verify", "ll", str(proof_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bang_accepts_a_parenthesised_product():
+    assert parse_ll_formula("!((a*b))") == parse_ll_formula("!(a*b)") == LlBang(parse_product("a*b"))
 
 
 def _is_validated(r: Frame):
@@ -178,14 +225,14 @@ def test_whitespace_insignificant():
 
 @given(products)
 def test_product_text_round_trip(x):
-    assert parse_product(product_text(x)) == x
+    assert parse_product(x.text) == x
 
 
 @given(st.tuples(products, products, products))
 def test_formula_text_round_trip(xyz):
     x, y, z = xyz
     for f in (PlainImplication(x, y), OplusImplication(x, y, z)):
-        assert parse_formula(formula_text(f)) == f
+        assert parse_formula(f.text) == f
 
 
 @given(products, st.lists(plains, max_size=3), st.lists(plains, max_size=3), products)
