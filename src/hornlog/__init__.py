@@ -36,8 +36,6 @@ from .minsky import (
 from .encoding import (
     EncodingContext,
     MachineEncoding,
-    build_killers,
-    build_sequent,
     decode_product,
     encode_config,
     encode_instruction,

@@ -6,7 +6,9 @@ erases the other counters one unit per edge and then closes at the goal.
 Conversely, a strong-solution program over an encoded sequent is walked from
 the root: single edges must carry instruction formulas, forks must carry a
 zero-test choice with a valid killing chain on the side branch, and the main
-branch reads back as a machine run ending at the halting configuration.
+branch must end at the goal.  Every formula shape comes from
+``MachineEncoding``; the run read back is re-checked by
+``validate_computation``.
 
 Nothing structural is assumed of input programs: every claim is checked and
 violations are reported with a code.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoding import LABEL, MachineEncoding, decode_product, encode_config
+from .encoding import MachineEncoding, decode_product, encode_config
 from .minsky import (
     TESTZERO,
     Computation,
@@ -32,7 +34,7 @@ from .programs import (
     program_height,
     verify_strong_solution,
 )
-from .syntax import HornSequent, OplusImplication, PlainImplication, SimpleProduct
+from .syntax import HornSequent
 
 MAIN_LEAF_NOT_L0 = "MAIN_LEAF_NOT_L0"
 SIDE_CHAIN_FOREIGN_FORMULA = "SIDE_CHAIN_FOREIGN_FORMULA"
@@ -75,7 +77,7 @@ def computation_to_program(enc: MachineEncoding, computation: Computation) -> Pr
     per remaining counter unit (counters in ascending order) erases the frame,
     and a closing edge reaches the goal.
     """
-    machine, ctx = enc.machine, enc.ctx
+    machine = enc.machine
     result = validate_computation(machine, computation)
     if not result.ok:
         raise ValueError(f"not a computation of this machine: {result.reason} (index {result.index})")
@@ -87,32 +89,22 @@ def computation_to_program(enc: MachineEncoding, computation: Computation) -> Pr
     side_chains: list[SideChain] = []
     for u, move in enumerate(computation.moves):
         instruction = machine.instructions[move]
-        formula = enc.phi[move]
-        source = computation.configs[u]
         if instruction.kind != TESTZERO:
-            assert isinstance(formula, PlainImplication)
-            main.append(builder.add_edge(main[-1], formula))
+            main.append(builder.add_edge(main[-1], enc.phi[move]))
             continue
-        assert isinstance(formula, OplusImplication)
         m = instruction.counter
-        l_i = SimpleProduct.of(ctx.label_literal(instruction.label))
-        l_j = SimpleProduct.of(ctx.label_literal(instruction.target))
-        k_m = SimpleProduct.of(ctx.killer_literal(m))
+        goto, killer = enc.branches(move)
+        closing, *killing = enc.killers[m - 1]
         fork = main[-1]
-        main.append(builder.add_edge(fork, PlainImplication(l_i, l_j)))
-        side = builder.add_edge(fork, PlainImplication(l_i, k_m))
-        chain = [side]
-        kill_count = 0
-        for i, count in enumerate(source.counters, start=1):
-            if i == m:
-                continue
-            killing = PlainImplication(k_m.tensor(SimpleProduct.of(ctx.counter_literal(i))), k_m)
+        main.append(builder.add_edge(fork, goto))
+        chain = [builder.add_edge(fork, killer)]
+        counters = computation.configs[u].counters
+        # The killing formulas follow the other counters in ascending order.
+        for formula, count in zip(killing, counters[: m - 1] + counters[m:]):
             for _ in range(count):
-                chain.append(builder.add_edge(chain[-1], killing))
-                kill_count += 1
-        closing = PlainImplication(k_m, SimpleProduct.of(ctx.label_literal(0)))
+                chain.append(builder.add_edge(chain[-1], formula))
         chain.append(builder.add_edge(chain[-1], closing))
-        side_chains.append(SideChain(fork, m, tuple(chain), kill_count))
+        side_chains.append(SideChain(fork, m, tuple(chain), len(chain) - 2))
 
     return ProgramTrace(builder.build(), tuple(main), tuple(side_chains))
 
@@ -124,28 +116,21 @@ def program_to_computation(
 
     Raises ExtractionError with a violation code when the program is not of
     the run shape: a main branch of instruction edges whose forks are zero
-    tests with pure killing side chains ending at the goal.
+    tests with pure killing side chains ending at the goal.  Every value on
+    the main branch is then an encoded configuration, so the walk decodes
+    without re-checking; ``validate_computation`` re-checks the moves.
     """
     machine, ctx = enc.machine, enc.ctx
-    w0 = encode_config(ctx, initial)
-    values = evaluate(program, w0).out
+    values = evaluate(program, encode_config(ctx, initial)).out
 
-    def decoded(vertex: int, edge: tuple[int, int] | None):
+    def main_config(vertex: int, edge: tuple[int, int]) -> Configuration:
         value = values[vertex]
         if value is None:
             raise ExtractionError(NON_ENCODING_EDGE, f"vertex {vertex} is undefined", edge)
-        d = decode_product(ctx, value)
-        if d is None:
-            raise ExtractionError(NON_ENCODING_EDGE, f"vertex {vertex} value {value} is not an encoded state", edge)
-        return d
-
-    def main_config(vertex: int, edge: tuple[int, int] | None) -> Configuration:
-        d = decoded(vertex, edge)
-        if d.kind != LABEL:
-            raise ExtractionError(NON_ENCODING_EDGE, f"main vertex {vertex} decodes to a killer state", edge)
-        return d.to_configuration()
+        return decode_product(ctx, value).to_configuration()
 
     def check_side_chain(fork: int, side_child: int, m: int) -> None:
+        closing = enc.killers[m - 1][0]
         at = side_child
         closed = False
         while not closed:
@@ -165,19 +150,19 @@ def program_to_computation(
                     (at, child),
                 )
             at = child
-            closed = label.consequent == SimpleProduct.of(ctx.label_literal(0))
+            closed = label == closing
         if program.children[at]:
             raise ExtractionError(
                 SIDE_CHAIN_FOREIGN_FORMULA,
                 f"side chain continues past the closing edge at vertex {at}",
                 (fork, side_child),
             )
+        # The closing edge yields l0 times the counters left unkilled.
         value = values[at]
-        if value is None or decode_product(ctx, value) is None:
+        if value is None:
             raise ExtractionError(SIDE_CHAIN_NOT_KILLED, f"side leaf {at} is undefined or foreign")
-        leaf = decode_product(ctx, value)
-        if leaf.kind != LABEL or leaf.index != 0 or any(leaf.counts):
-            tested = leaf.counts[m - 1] if leaf.kind == LABEL else None
+        if value != enc.goal:
+            tested = decode_product(ctx, value).counts[m - 1]
             if tested:
                 raise ExtractionError(
                     SIDE_CHAIN_NOT_KILLED,
@@ -190,17 +175,12 @@ def program_to_computation(
 
     configs = [initial]
     moves: list[int] = []
-    d0 = decoded(program.root, None)
-    if d0.kind != LABEL or d0.to_configuration() != initial:
-        raise ExtractionError(
-            NON_ENCODING_EDGE, f"root decodes to {d0}, not the initial configuration"
-        )
     at = program.root
     while True:
         out = program.children[at]
         if not out:
             value = values[at]
-            if value != SimpleProduct.of(ctx.label_literal(0)):
+            if value != enc.goal:
                 raise ExtractionError(MAIN_LEAF_NOT_L0, f"main leaf {at} evaluates to {value}")
             break
         if len(out) == 1:
@@ -214,8 +194,9 @@ def program_to_computation(
             configs.append(main_config(child, (at, child)))
             at = child
             continue
-        # Divergent: the joint formula must be a zero test.
-        (c1, f1), (c2, f2) = out
+        # Divergent: the joint formula must be a zero test.  HornProgram
+        # forces a shared antecedent, so the two edges are its two branches.
+        (c1, f1), (c2, _) = out
         joint = program.used_formula(at, c1)
         index = enc.instruction_for(joint)
         instruction = machine.instructions[index] if index is not None else None
@@ -225,18 +206,7 @@ def program_to_computation(
                 f"fork at {at} uses {joint}, not a zero-test formula",
                 (at, c1),
             )
-        l_j = SimpleProduct.of(ctx.label_literal(instruction.target))
-        k_m = SimpleProduct.of(ctx.killer_literal(instruction.counter))
-        if f1.consequent == l_j and f2.consequent == k_m:
-            main_child, side_child = c1, c2
-        elif f2.consequent == l_j and f1.consequent == k_m:
-            main_child, side_child = c2, c1
-        else:
-            raise ExtractionError(
-                NON_ENCODING_EDGE,
-                f"fork at {at} does not split into goto/killer edges for {instruction}",
-                (at, c1),
-            )
+        main_child, side_child = (c1, c2) if f1 == enc.branches(index)[0] else (c2, c1)
         check_side_chain(at, side_child, instruction.counter)
         moves.append(index)
         configs.append(main_config(main_child, (at, main_child)))
@@ -248,10 +218,6 @@ def program_to_computation(
         raise ExtractionError(
             NON_ENCODING_EDGE,
             f"extracted moves are not machine moves: {result.reason} (index {result.index})",
-        )
-    if computation.configs[-1] != machine.halting_configuration():
-        raise ExtractionError(
-            MAIN_LEAF_NOT_L0, f"extracted run ends at {computation.configs[-1]}"
         )
     return computation
 

@@ -6,11 +6,16 @@ states that erase the other counters after a zero test.  Each instruction
 becomes one implication, a machine becomes the reusable multiset of its
 instruction formulas plus the killer formulas, and a configuration becomes
 the product ``l_i * r_1^c1 * ... * r_n^cn``.
+
+This module is the one owner of those shapes: ``MachineEncoding`` holds the
+instruction formulas, the killer families, the two branch edges of each zero
+test and the goal ``l0``, and both bridges read them from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .minsky import (
     DEC,
@@ -102,41 +107,12 @@ def encode_instruction(ctx: EncodingContext, instruction: Instruction) -> HornFo
     raise AssertionError(instruction.kind)
 
 
-def killer_formulas(ctx: EncodingContext, m: int) -> tuple[PlainImplication, ...]:
-    """The closing implication ``k_m -o l0`` plus one killing implication per other counter."""
-    k_m = SimpleProduct.of(ctx.killer_literal(m))
-    formulas = [PlainImplication(k_m, SimpleProduct.of(ctx.label_literal(HALT_LABEL)))]
-    for i in range(1, ctx.n + 1):
-        if i == m:
-            continue
-        formulas.append(
-            PlainImplication(k_m.tensor(SimpleProduct.of(ctx.counter_literal(i))), k_m)
-        )
-    return tuple(formulas)
-
-
-def build_killers(ctx: EncodingContext) -> tuple[PlainImplication, ...]:
-    """All killer implications; n*n formulas in ascending killer order."""
-    formulas: list[PlainImplication] = []
-    for m in range(1, ctx.n + 1):
-        formulas.extend(killer_formulas(ctx, m))
-    return tuple(formulas)
-
-
 def encode_config(ctx: EncodingContext, config: Configuration) -> SimpleProduct:
     if len(config.counters) != ctx.n:
         raise ValueError(f"expected {ctx.n} counters, got {len(config.counters)}")
     names = [ctx.label_literal(config.label)]
     for m, count in enumerate(config.counters, start=1):
         names.extend([ctx.counter_literal(m)] * count)
-    return SimpleProduct.of(*names)
-
-
-def killer_product(ctx: EncodingContext, m: int, counters: tuple[int, ...]) -> SimpleProduct:
-    """The killer-headed analogue of encode_config, ``k_m * r_1^c1 * ...``."""
-    names = [ctx.killer_literal(m)]
-    for i, count in enumerate(counters, start=1):
-        names.extend([ctx.counter_literal(i)] * count)
     return SimpleProduct.of(*names)
 
 
@@ -170,13 +146,13 @@ class MachineEncoding:
 
     ``phi[i]`` is the formula of instruction i (None for halt); killer
     formulas are grouped per killer index so extraction can tell which family
-    an implication was drawn from.
+    an implication was drawn from.  The n*n killer formulas are built on
+    first use.
     """
 
     ctx: EncodingContext
     machine: MinskyMachine
     phi: tuple[HornFormula | None, ...]
-    killers: tuple[tuple[PlainImplication, ...], ...]  # indexed by m-1
 
     @staticmethod
     def build(machine: MinskyMachine) -> "MachineEncoding":
@@ -185,13 +161,41 @@ class MachineEncoding:
             None if inst.kind == HALT else encode_instruction(ctx, inst)
             for inst in machine.instructions
         )
-        killers = tuple(killer_formulas(ctx, m) for m in range(1, machine.n + 1))
-        return MachineEncoding(ctx, machine, phi, killers)
+        return MachineEncoding(ctx, machine, phi)
+
+    @cached_property
+    def goal(self) -> SimpleProduct:
+        return SimpleProduct.of(self.ctx.label_literal(HALT_LABEL))
+
+    @cached_property
+    def killers(self) -> tuple[tuple[PlainImplication, ...], ...]:
+        """Per killer index m (at m-1): the closing implication ``k_m -o l0``,
+        then one killing implication ``(k_m*r_i) -o k_m`` per other counter i
+        in ascending order."""
+        ctx, families = self.ctx, []
+        for m in range(1, ctx.n + 1):
+            k_m = SimpleProduct.of(ctx.killer_literal(m))
+            families.append((PlainImplication(k_m, self.goal),) + tuple(
+                PlainImplication(k_m.tensor(SimpleProduct.of(ctx.counter_literal(i))), k_m)
+                for i in range(1, ctx.n + 1)
+                if i != m
+            ))
+        return tuple(families)
+
+    def branches(self, index: int) -> tuple[PlainImplication, PlainImplication]:
+        """The goto edge ``l_i -o l_j`` and the killer edge ``l_i -o k_m`` of zero test ``index``."""
+        instruction = self.machine.instructions[index]
+        l_i = SimpleProduct.of(self.ctx.label_literal(instruction.label))
+        return (
+            PlainImplication(l_i, SimpleProduct.of(self.ctx.label_literal(instruction.target))),
+            PlainImplication(l_i, SimpleProduct.of(self.ctx.killer_literal(instruction.counter))),
+        )
 
     def program_formulas(self) -> tuple[HornFormula, ...]:
         return tuple(f for f in self.phi if f is not None)
 
     def killer_zone(self) -> tuple[PlainImplication, ...]:
+        """All killer implications; n*n formulas in ascending killer order."""
         return tuple(f for group in self.killers for f in group)
 
     def instruction_for(self, formula: HornFormula) -> int | None:
@@ -216,12 +220,4 @@ class MachineEncoding:
             raise ValueError(f"expected {self.machine.n} inputs, got {len(inputs)}")
         start = encode_config(self.ctx, Configuration(1, tuple(inputs)))
         banged = self.program_formulas() + self.killer_zone()
-        return HornSequent(start, (), banged, SimpleProduct.of(self.ctx.label_literal(HALT_LABEL)))
-
-
-def build_sequent(ctx: EncodingContext, machine: MinskyMachine, inputs: tuple[int, ...]) -> HornSequent:
-    """The target sequent of ``MachineEncoding.build(machine)``; ctx must be its context."""
-    enc = MachineEncoding.build(machine)
-    if ctx != enc.ctx:
-        raise ValueError(f"a {ctx.n}-counter context does not fit a {machine.n}-counter machine")
-    return enc.sequent(inputs)
+        return HornSequent(start, (), banged, self.goal)

@@ -109,6 +109,8 @@ class MinskyMachine:
     def initial_configuration(self, counters: tuple[int, ...], label: int = 1) -> Configuration:
         if len(counters) != self.n:
             raise ValueError(f"expected {self.n} counters, got {len(counters)}")
+        if label < 0:
+            raise ValueError(f"start label must be >= 0, got L{label}")
         return Configuration(label, tuple(counters))
 
 

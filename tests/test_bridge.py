@@ -23,8 +23,8 @@ from hornlog.minsky import (
     search_halting,
     validate_computation,
 )
-from hornlog.programs import HornProgram, evaluate, verify_strong_solution
-from hornlog.syntax import parse_formula, parse_product
+from hornlog.programs import HornProgram, evaluate, prove_bounded, verify_strong_solution
+from hornlog.syntax import OplusImplication, PlainImplication, parse_formula, parse_product
 
 DEC = parse_machine("counters 2\nL1: ifzero x1 goto L0\nL1: dec x1 goto L1\n")
 INC = parse_machine("counters 2\nL1: inc x1 goto L1\n")
@@ -100,8 +100,6 @@ def test_extraction_round_trip(enc):
 
 
 def test_extraction_accepts_prover_witnesses(enc):
-    from hornlog.programs import prove_bounded
-
     witness = prove_bounded(enc.sequent((1, 0)), 10)
     assert witness is not None
     back = program_to_computation(enc, witness, Configuration(1, (1, 0)))
@@ -182,3 +180,132 @@ def test_random_machines_cross_validate():
         if report.code == "DISAGREEMENT":
             disagreements.append((machine, inputs, report))
     assert not disagreements
+
+
+# --- Extraction diagnostics -----------------------------------------------------
+
+
+def dec_program(*edges: tuple[int, int, str]) -> HornProgram:
+    return HornProgram.build(0, tuple((p, c, parse_formula(f)) for p, c, f in edges))
+
+
+ZERO_TEST_FORK = ((0, 1, "l1 -o l0"), (0, 2, "l1 -o k1"))
+
+
+@pytest.mark.parametrize("edges,counters,message", [
+    pytest.param(
+        ((0, 1, "(l1*r1) -o l1"),), (0, 0),
+        "NON_ENCODING_EDGE at edge 0->1: vertex 1 is undefined",
+        id="main-vertex-undefined",
+    ),
+    pytest.param(
+        ((0, 1, "l1 -o l0"), (0, 2, "l1 -o k2")), (0, 0),
+        "NON_ENCODING_EDGE at edge 0->1: fork at 0 uses l1 -o (k2 + l0), not a zero-test formula",
+        id="fork-not-a-zero-test",
+    ),
+    pytest.param(
+        ZERO_TEST_FORK + ((2, 3, "k1 -o l0"), (2, 4, "k1 -o l0")), (0, 0),
+        "SIDE_CHAIN_FOREIGN_FORMULA at edge 0->2: side vertex 2 has 2 children; killing chains are unary",
+        id="side-vertex-with-two-children",
+    ),
+    pytest.param(
+        ZERO_TEST_FORK + ((2, 3, "k1 -o l0"), (3, 4, "(l1*r1) -o l1")), (0, 0),
+        "SIDE_CHAIN_FOREIGN_FORMULA at edge 0->2: side chain continues past the closing edge at vertex 3",
+        id="side-chain-past-closing-edge",
+    ),
+    pytest.param(
+        ZERO_TEST_FORK + ((2, 3, "(k1*r2) -o k1"), (3, 4, "k1 -o l0")), (0, 0),
+        "SIDE_CHAIN_NOT_KILLED: side leaf 4 is undefined or foreign",
+        id="side-leaf-undefined",
+    ),
+    pytest.param(
+        ZERO_TEST_FORK + ((2, 3, "k1 -o l0"),), (1, 0),
+        "SIDE_CHAIN_NOT_KILLED: tested counter x1 is 1, not 0, at side leaf 3",
+        id="tested-counter-not-zero",
+    ),
+])
+def test_extraction_diagnostics(enc, edges, counters, message):
+    with pytest.raises(ExtractionError) as err:
+        program_to_computation(enc, dec_program(*edges), Configuration(1, counters))
+    assert str(err.value) == message
+
+
+def mutate(rng: random.Random, enc: MachineEncoding, program: HornProgram, start: Configuration):
+    """One random mutation of a program or of its start configuration; None
+    when the mutated edges no longer form a program."""
+    formulas = []
+    for f in enc.program_formulas() + enc.killer_zone():
+        if isinstance(f, OplusImplication):
+            formulas.extend(PlainImplication(f.antecedent, side) for side in (f.left, f.right))
+        else:
+            formulas.append(f)
+    edges = list(program.edges)
+    kind = rng.choice(["relabel", "drop", "graft", "start"])
+    if kind == "start":
+        label = rng.choice(sorted(enc.machine.labels))
+        return program, Configuration(label, tuple(rng.randint(0, 2) for _ in range(enc.machine.n)))
+    if kind == "relabel" and edges:
+        at = rng.randrange(len(edges))
+        edges[at] = edges[at][:2] + (rng.choice(formulas),)
+    elif kind == "drop" and edges:
+        leaf_edges = [e for e in edges if e[1] in program.leaves]
+        edges.remove(rng.choice(leaf_edges))
+    elif kind == "graft":
+        edges.append((rng.choice(program.vertices), max(program.vertices) + 1, rng.choice(formulas)))
+    try:
+        return HornProgram.build(program.root, edges), start
+    except ValueError:
+        return None
+
+
+def test_mutated_programs_extract_to_halting_runs_or_raise_extraction_error():
+    rng = random.Random(8080)
+    outcomes = {"extracted": 0, "rejected": 0}
+    while outcomes["extracted"] + outcomes["rejected"] < 1500:
+        n = rng.randint(1, 3)
+        machine = random_machine(rng, n)
+        enc = MachineEncoding.build(machine)
+        init = Configuration(1, tuple(rng.randint(0, 2) for _ in range(n)))
+        run = search_halting(machine, init, 30, 6)
+        if run is None:
+            continue
+        program = computation_to_program(enc, run).program
+        for _ in range(10):
+            mutated = mutate(rng, enc, program, init)
+            if mutated is None:
+                continue
+            program_m, start = mutated
+            try:
+                back = program_to_computation(enc, program_m, start)
+            except ExtractionError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["extracted"] += 1
+            assert validate_computation(machine, back).ok
+            assert back.configs[0] == start
+            assert back.configs[-1] == machine.halting_configuration()
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_three_counter_zero_test_on_the_middle_counter():
+    machine = parse_machine(
+        "counters 3\nL1: ifzero x2 goto L2\nL2: dec x1 goto L2\nL2: dec x3 goto L2\n"
+        "L2: ifzero x1 goto L3\nL3: ifzero x3 goto L0\n"
+    )
+    enc = MachineEncoding.build(machine)
+    init = Configuration(1, (2, 0, 1))
+    run = search_halting(machine, init, 100, 10)
+    trace = computation_to_program(enc, run)
+    first = trace.side_chains[0]
+    assert first.counter == 2
+    assert [
+        trace.program.used_formula(a, b) for a, b in zip(first.vertices, first.vertices[1:])
+    ] == [parse_formula(f) for f in ("(k2*r1) -o k2", "(k2*r1) -o k2", "(k2*r3) -o k2", "k2 -o l0")]
+    sequent = enc.sequent((2, 0, 1))
+    assert verify_strong_solution(trace.program, sequent).ok
+    assert program_to_computation(enc, trace.program, init) == run
+    witness = prove_bounded(sequent, 8)
+    assert witness is not None
+    back = program_to_computation(enc, witness, init)
+    assert validate_computation(machine, back).ok
+    assert back.configs[-1] == machine.halting_configuration()

@@ -12,11 +12,12 @@ from hornlog.syntax import parse_formula, parse_sequent
 DEC_TEXT = "counters 2\nL1: ifzero x1 goto L0\nL1: dec x1 goto L1\nL0: halt\n"
 
 
-def run_cli(*args, expect: int = 0):
+def run_cli(*args, expect: int = 0, timeout: float | None = None):
     result = subprocess.run(
         [sys.executable, "-m", "hornlog.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     assert result.returncode == expect, (
         f"exit {result.returncode} != {expect}\nstdout: {result.stdout}\nstderr: {result.stderr}"
@@ -59,6 +60,12 @@ def test_machine_run_rejects_wrong_arity(dec_file, tmp_path):
     run.write_text("L1 : 1,0,7\nI2 -> L1 : 0,0,7\nI1 -> L0 : 0,0,7\n")
     result = run_cli("machine", "run", str(dec_file), str(run), expect=1)
     assert result.stdout.startswith("reject at index 0")
+
+
+def test_machine_search_rejects_a_negative_start_label(dec_file):
+    result = run_cli("machine", "search", str(dec_file), "--input", "2,0", "--start", "-1", expect=2)
+    assert result.stdout == ""
+    assert result.stderr == "error: start label must be >= 0, got L-1\n"
 
 
 def test_machine_search_absent(dec_file):
@@ -136,6 +143,23 @@ def test_bridge_roundtrip_agreement(dec_file):
                      "--max-steps", "100", "--depth", "12")
     assert result.stdout.strip() == "AGREE_NO_WITNESS_WITHIN_BOUNDS"
     run_cli("bridge", "roundtrip", str(dec_file), "--input", "0,1", "--strict", expect=1)
+
+
+@pytest.mark.parametrize("command", [
+    ("encode", "{machine}", "--input", "1"),
+    ("bridge", "roundtrip", "{machine}", "--input", "1"),
+    ("bridge", "prog-to-comp", "{machine}", "{program}", "--input", "1"),
+    ("bridge", "comp-to-prog", "{machine}", "{run}"),
+], ids=["encode", "roundtrip", "prog-to-comp", "comp-to-prog"])
+def test_huge_counter_count_exits_2_at_once(tmp_path, command):
+    # The n*n killer formulas must not be built before the arity is checked.
+    files = {"machine": "counters 99999999999999999999\nL1: inc x1 goto L0\n",
+             "program": '{"root": 0, "edges": []}', "run": "L1 : 0\nI1 -> L0 : 1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    args = [arg.format(**{name: str(tmp_path / name) for name in files}) for arg in command]
+    result = run_cli(*args, expect=2, timeout=5)
+    assert "99999999999999999999" in result.stderr
 
 
 def test_compile_pipeline(tmp_path):

@@ -5,17 +5,15 @@ from hornlog.encoding import (
     EncodingContext,
     DecodedProduct,
     MachineEncoding,
-    build_killers,
-    build_sequent,
     decode_product,
     encode_config,
     encode_instruction,
-    killer_product,
 )
 from hornlog.minsky import Configuration, Instruction, parse_machine
 from hornlog.syntax import (
     OplusImplication,
     PlainImplication,
+    apply_implication,
     parse_formula,
     parse_product,
     parse_sequent,
@@ -45,27 +43,42 @@ def test_encode_instruction_rejects_halt(ctx):
         encode_instruction(ctx, Instruction("halt", 0))
 
 
-def test_build_killers_n2(ctx):
+def killer_zone(n: int):
+    machine = parse_machine(f"counters {n}\nL1: inc x1 goto L1\n")
+    return MachineEncoding.build(machine).killer_zone()
+
+
+def test_build_killers_n2():
     expected = {
         parse_formula("k1 -o l0"),
         parse_formula("(k1*r2) -o k1"),
         parse_formula("k2 -o l0"),
         parse_formula("(k2*r1) -o k2"),
     }
-    assert set(build_killers(ctx)) == expected
+    assert set(killer_zone(2)) == expected
 
 
 def test_build_killers_n1():
-    assert build_killers(EncodingContext(1)) == (parse_formula("k1 -o l0"),)
+    assert killer_zone(1) == (parse_formula("k1 -o l0"),)
 
 
 def test_build_killers_n3_family():
-    killers = build_killers(EncodingContext(3))
+    killers = killer_zone(3)
     family2 = [f for f in killers if f.antecedent.count("k2") or f.consequent.count("k2")]
     assert parse_formula("(k2*r1) -o k2") in family2
     assert parse_formula("(k2*r3) -o k2") in family2
     assert parse_formula("(k2*r2) -o k2") not in family2
     assert len(killers) == 9
+    # Per family: the closing formula, then the killing ones in counter order.
+    assert killers[3:6] == tuple(
+        parse_formula(text) for text in ("k2 -o l0", "(k2*r1) -o k2", "(k2*r3) -o k2")
+    )
+
+
+def test_zero_test_branches_and_goal():
+    enc = MachineEncoding.build(DEC)
+    assert enc.branches(0) == (parse_formula("l1 -o l0"), parse_formula("l1 -o k1"))
+    assert enc.goal == parse_product("l0")
 
 
 def test_encode_config_examples(ctx):
@@ -88,22 +101,24 @@ def test_decode_rejects_foreign_and_double_heads(ctx):
 
 
 def test_killer_product_round_trip(ctx):
-    x = killer_product(ctx, 1, (0, 1))
+    # The killer edge of a zero test turns a configuration into a killer state.
+    killer = MachineEncoding.build(DEC).branches(0)[1]
+    x = apply_implication(encode_config(ctx, Configuration(1, (0, 1))), killer)
     assert x == parse_product("k1*r2")
     assert decode_product(ctx, x) == DecodedProduct("killer", 1, (0, 1))
 
 
-def test_build_sequent_matches_expected_text(ctx):
+def test_build_sequent_matches_expected_text():
     expected = parse_sequent(
         "l1*r1*r1 ; ; l1 -o (l0 + k1), (l1*r1) -o l1, k1 -o l0, (k1*r2) -o k1,"
         " k2 -o l0, (k2*r1) -o k2 |- l0"
     )
-    assert build_sequent(ctx, DEC, (2, 0)) == expected
+    assert MachineEncoding.build(DEC).sequent((2, 0)) == expected
 
 
-def test_encoding_builds_its_sequent_without_rebuilding(ctx, monkeypatch):
+def test_encoding_builds_its_sequent_without_rebuilding(monkeypatch):
     enc = MachineEncoding.build(DEC)
-    expected = build_sequent(ctx, DEC, (2, 0))
+    expected = MachineEncoding.build(DEC).sequent((2, 0))
 
     def rebuild(machine):
         raise AssertionError("the encoding was built a second time")
@@ -112,13 +127,8 @@ def test_encoding_builds_its_sequent_without_rebuilding(ctx, monkeypatch):
     assert enc.sequent((2, 0)) == expected
 
 
-def test_build_sequent_rejects_a_foreign_context():
-    with pytest.raises(ValueError):
-        build_sequent(EncodingContext(3), DEC, (2, 0))
-
-
-def test_build_sequent_zero_inputs(ctx):
-    s = build_sequent(ctx, DEC, (0, 0))
+def test_build_sequent_zero_inputs():
+    s = MachineEncoding.build(DEC).sequent((0, 0))
     assert s.input == parse_product("l1")
     assert s.linear == ()
     assert s.goal == parse_product("l0")
@@ -126,7 +136,7 @@ def test_build_sequent_zero_inputs(ctx):
 
 def test_build_sequent_n1_single_killer():
     machine = parse_machine("counters 1\nL1: dec x1 goto L1\n")
-    s = build_sequent(EncodingContext(1), machine, (1,))
+    s = MachineEncoding.build(machine).sequent((1,))
     killer_like = [f for f in s.banged if isinstance(f, PlainImplication) and f.antecedent.count("k1")]
     assert killer_like == [parse_formula("k1 -o l0")]
 
