@@ -34,7 +34,6 @@ from .minsky import (
     validate_computation,
 )
 from .encoding import (
-    EncodingContext,
     MachineEncoding,
     decode_product,
     encode_config,

@@ -6,7 +6,9 @@ erases the other counters one unit per edge and then closes at the goal.
 Conversely, a strong-solution program over an encoded sequent is walked from
 the root: single edges must carry instruction formulas, forks must carry a
 zero-test choice with a valid killing chain on the side branch, and the main
-branch must end at the goal.  Every formula shape comes from
+branch must end at the goal.  That walk reads plain values: ``evaluate``'s
+product at each vertex, which on the main branch ``decode_product`` turns
+into the ``Configuration`` it encodes.  Every formula shape comes from
 ``MachineEncoding``; the run read back is re-checked by
 ``validate_computation``.
 
@@ -120,14 +122,14 @@ def program_to_computation(
     the main branch is then an encoded configuration, so the walk decodes
     without re-checking; ``validate_computation`` re-checks the moves.
     """
-    machine, ctx = enc.machine, enc.ctx
-    values = evaluate(program, encode_config(ctx, initial)).out
+    machine = enc.machine
+    values = evaluate(program, encode_config(machine.n, initial))
 
     def main_config(vertex: int, edge: tuple[int, int]) -> Configuration:
         value = values[vertex]
         if value is None:
             raise ExtractionError(NON_ENCODING_EDGE, f"vertex {vertex} is undefined", edge)
-        return decode_product(ctx, value).to_configuration()
+        return decode_product(machine.n, value)
 
     def check_side_chain(fork: int, side_child: int, m: int) -> None:
         closing = enc.killers[m - 1][0]
@@ -162,7 +164,7 @@ def program_to_computation(
         if value is None:
             raise ExtractionError(SIDE_CHAIN_NOT_KILLED, f"side leaf {at} is undefined or foreign")
         if value != enc.goal:
-            tested = decode_product(ctx, value).counts[m - 1]
+            tested = decode_product(machine.n, value).counters[m - 1]
             if tested:
                 raise ExtractionError(
                     SIDE_CHAIN_NOT_KILLED,

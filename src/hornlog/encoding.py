@@ -7,9 +7,12 @@ becomes one implication, a machine becomes the reusable multiset of its
 instruction formulas plus the killer formulas, and a configuration becomes
 the product ``l_i * r_1^c1 * ... * r_n^cn``.
 
-This module is the one owner of those shapes: ``MachineEncoding`` holds the
-instruction formulas, the killer families, the two branch edges of each zero
-test and the goal ``l0``, and both bridges read them from it.
+This module is the one owner of those shapes.  The naming lives in three
+module functions, ``label_literal``, ``counter_literal`` and
+``killer_literal``; ``MachineEncoding`` holds the instruction formulas, the
+killer families, the two branch edges of each zero test and the goal ``l0``,
+and both bridges read them from it.  ``decode_product`` reads an encoded
+configuration back as a ``Configuration``.
 """
 
 from __future__ import annotations
@@ -36,64 +39,26 @@ from .syntax import (
     SimpleProduct,
 )
 
-LABEL, KILLER = "label", "killer"
+
+def label_literal(i: int) -> str:
+    return f"l{i}"
 
 
-@dataclass(frozen=True)
-class EncodingContext:
-    """Literal naming for an n-counter encoding."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one counter")
-
-    def label_literal(self, i: int) -> str:
-        return f"l{i}"
-
-    def counter_literal(self, m: int) -> str:
-        if not 1 <= m <= self.n:
-            raise ValueError(f"counter index {m} out of range 1..{self.n}")
-        return f"r{m}"
-
-    def killer_literal(self, m: int) -> str:
-        if not 1 <= m <= self.n:
-            raise ValueError(f"killer index {m} out of range 1..{self.n}")
-        return f"k{m}"
-
-    def classify_literal(self, name: str) -> tuple[str, int] | None:
-        """(family, index) for l/r/k literals of this context, else None."""
-        if len(name) >= 2 and name[0] in "lrk" and name[1:].isdigit():
-            index = int(name[1:])
-            if name[0] == "l" and index >= 0:
-                return (LABEL, index)
-            if name[0] == "r" and 1 <= index <= self.n:
-                return ("counter", index)
-            if name[0] == "k" and 1 <= index <= self.n:
-                return (KILLER, index)
-        return None
+def counter_literal(m: int) -> str:
+    return f"r{m}"
 
 
-@dataclass(frozen=True)
-class DecodedProduct:
-    kind: str  # LABEL or KILLER
-    index: int
-    counts: tuple[int, ...]
-
-    def to_configuration(self) -> Configuration:
-        if self.kind != LABEL:
-            raise ValueError(f"{self.kind} product is not a machine configuration")
-        return Configuration(self.index, self.counts)
+def killer_literal(m: int) -> str:
+    return f"k{m}"
 
 
-def encode_instruction(ctx: EncodingContext, instruction: Instruction) -> HornFormula:
+def encode_instruction(instruction: Instruction) -> HornFormula:
     """The implication axiomatizing one non-halt instruction."""
     if instruction.kind == HALT:
         raise ValueError("the halt instruction is not encoded")
-    l_i = SimpleProduct.of(ctx.label_literal(instruction.label))
-    l_j = SimpleProduct.of(ctx.label_literal(instruction.target))
-    r_m = ctx.counter_literal(instruction.counter)
+    l_i = SimpleProduct.of(label_literal(instruction.label))
+    l_j = SimpleProduct.of(label_literal(instruction.target))
+    r_m = counter_literal(instruction.counter)
     if instruction.kind == INC:
         return PlainImplication(l_i, l_j.tensor(SimpleProduct.of(r_m)))
     if instruction.kind == DEC:
@@ -103,41 +68,41 @@ def encode_instruction(ctx: EncodingContext, instruction: Instruction) -> HornFo
             l_i.tensor(SimpleProduct.of(r_m)), l_j.tensor(SimpleProduct.of(r_m))
         )
     if instruction.kind == TESTZERO:
-        return OplusImplication(l_i, l_j, SimpleProduct.of(ctx.killer_literal(instruction.counter)))
+        return OplusImplication(l_i, l_j, SimpleProduct.of(killer_literal(instruction.counter)))
     raise AssertionError(instruction.kind)
 
 
-def encode_config(ctx: EncodingContext, config: Configuration) -> SimpleProduct:
-    if len(config.counters) != ctx.n:
-        raise ValueError(f"expected {ctx.n} counters, got {len(config.counters)}")
-    names = [ctx.label_literal(config.label)]
+def encode_config(n: int, config: Configuration) -> SimpleProduct:
+    if len(config.counters) != n:
+        raise ValueError(f"expected {n} counters, got {len(config.counters)}")
+    names = [label_literal(config.label)]
     for m, count in enumerate(config.counters, start=1):
-        names.extend([ctx.counter_literal(m)] * count)
+        names.extend([counter_literal(m)] * count)
     return SimpleProduct.of(*names)
 
 
-def decode_product(ctx: EncodingContext, product: SimpleProduct) -> DecodedProduct | None:
-    """Read back a label- or killer-headed product; None if the shape is foreign.
+def decode_product(n: int, product: SimpleProduct) -> Configuration | None:
+    """The configuration a product encodes; None if it encodes none.
 
-    The product must contain exactly one label-or-killer literal occurrence and
-    otherwise only counter literals.
+    The product must hold exactly one label literal, once, and otherwise only
+    counter literals ``r1..rn``.
     """
-    head: tuple[str, int] | None = None
-    counts = [0] * ctx.n
+    label = None
+    counts = [0] * n
     for name, count in product.entries:
-        family = ctx.classify_literal(name)
-        if family is None:
+        kind, digits = name[:1], name[1:]
+        if not digits.isdigit():
             return None
-        kind, index = family
-        if kind == "counter":
+        index = int(digits)
+        if kind == "r" and 1 <= index <= n:
             counts[index - 1] = count
+        elif kind == "l" and label is None and count == 1:
+            label = index
         else:
-            if head is not None or count != 1:
-                return None
-            head = (kind, index)
-    if head is None:
+            return None
+    if label is None:
         return None
-    return DecodedProduct(head[0], head[1], tuple(counts))
+    return Configuration(label, tuple(counts))
 
 
 @dataclass(frozen=True)
@@ -150,34 +115,32 @@ class MachineEncoding:
     first use.
     """
 
-    ctx: EncodingContext
     machine: MinskyMachine
     phi: tuple[HornFormula | None, ...]
 
     @staticmethod
     def build(machine: MinskyMachine) -> "MachineEncoding":
-        ctx = EncodingContext(machine.n)
         phi = tuple(
-            None if inst.kind == HALT else encode_instruction(ctx, inst)
+            None if inst.kind == HALT else encode_instruction(inst)
             for inst in machine.instructions
         )
-        return MachineEncoding(ctx, machine, phi)
+        return MachineEncoding(machine, phi)
 
     @cached_property
     def goal(self) -> SimpleProduct:
-        return SimpleProduct.of(self.ctx.label_literal(HALT_LABEL))
+        return SimpleProduct.of(label_literal(HALT_LABEL))
 
     @cached_property
     def killers(self) -> tuple[tuple[PlainImplication, ...], ...]:
         """Per killer index m (at m-1): the closing implication ``k_m -o l0``,
         then one killing implication ``(k_m*r_i) -o k_m`` per other counter i
         in ascending order."""
-        ctx, families = self.ctx, []
-        for m in range(1, ctx.n + 1):
-            k_m = SimpleProduct.of(ctx.killer_literal(m))
+        n, families = self.machine.n, []
+        for m in range(1, n + 1):
+            k_m = SimpleProduct.of(killer_literal(m))
             families.append((PlainImplication(k_m, self.goal),) + tuple(
-                PlainImplication(k_m.tensor(SimpleProduct.of(ctx.counter_literal(i))), k_m)
-                for i in range(1, ctx.n + 1)
+                PlainImplication(k_m.tensor(SimpleProduct.of(counter_literal(i))), k_m)
+                for i in range(1, n + 1)
                 if i != m
             ))
         return tuple(families)
@@ -185,10 +148,10 @@ class MachineEncoding:
     def branches(self, index: int) -> tuple[PlainImplication, PlainImplication]:
         """The goto edge ``l_i -o l_j`` and the killer edge ``l_i -o k_m`` of zero test ``index``."""
         instruction = self.machine.instructions[index]
-        l_i = SimpleProduct.of(self.ctx.label_literal(instruction.label))
+        l_i = SimpleProduct.of(label_literal(instruction.label))
         return (
-            PlainImplication(l_i, SimpleProduct.of(self.ctx.label_literal(instruction.target))),
-            PlainImplication(l_i, SimpleProduct.of(self.ctx.killer_literal(instruction.counter))),
+            PlainImplication(l_i, SimpleProduct.of(label_literal(instruction.target))),
+            PlainImplication(l_i, SimpleProduct.of(killer_literal(instruction.counter))),
         )
 
     def program_formulas(self) -> tuple[HornFormula, ...]:
@@ -218,6 +181,6 @@ class MachineEncoding:
             raise ValueError("inputs must be non-negative")
         if len(inputs) != self.machine.n:
             raise ValueError(f"expected {self.machine.n} inputs, got {len(inputs)}")
-        start = encode_config(self.ctx, Configuration(1, tuple(inputs)))
+        start = encode_config(self.machine.n, Configuration(1, tuple(inputs)))
         banged = self.program_formulas() + self.killer_zone()
         return HornSequent(start, (), banged, self.goal)

@@ -213,6 +213,10 @@ def _check_ll_node(node: LlProof) -> str | None:
         for occurrence in pending:
             expected = canonical_zone(p1.context + multiset_minus(p2.context, occurrence) + (f,))
             if c.context == expected:
+                if any(isinstance(g, LlOplusProduct) and g.tag == occurrence.tag for g in p1.context):
+                    # The conclusion would still hold the tag, so no consumer
+                    # below could tell which choice this node consumed.
+                    return "consumed choice tag is still pending in the first premise"
                 return None
         return "conclusion context must merge premises around the principal"
 

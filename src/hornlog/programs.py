@@ -168,23 +168,14 @@ def chain(formulas: Iterable[PlainImplication]) -> HornProgram:
     return builder.build()
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """Per-vertex strong-computation values; None marks undefined."""
-
-    out: dict[int, SimpleProduct | None]
-
-    def defined_everywhere(self) -> bool:
-        return all(value is not None for value in self.out.values())
-
-
-def evaluate(program: HornProgram, w: SimpleProduct) -> Evaluation:
+def evaluate(program: HornProgram, w: SimpleProduct) -> dict[int, SimpleProduct | None]:
+    """Per-vertex strong-computation values from ``w`` at the root; None marks undefined."""
     out: dict[int, SimpleProduct | None] = {program.root: w}
     for v in program.preorder():
         value = out[v]
         for child, label in program.children[v]:
             out[child] = None if value is None else apply_implication(value, label)
-    return Evaluation(out)
+    return out
 
 
 # --- Strong-solution verification --------------------------------------------
@@ -239,9 +230,9 @@ def verify_strong_solution(program: HornProgram, sequent: HornSequent) -> Strong
     the banged zone may be charged any number of additional times.
     """
     violations: list[Violation] = []
-    evaluation = evaluate(program, sequent.input)
+    values = evaluate(program, sequent.input)
     for leaf in program.leaves:
-        value = evaluation.out[leaf]
+        value = values[leaf]
         if value is None:
             violations.append(Violation(LEAF_MISMATCH, vertex=leaf, detail="undefined"))
         elif value != sequent.goal:

@@ -119,11 +119,11 @@ def test_criterion_6_frame_property():
         program, x = random_program(rng, max_vertices=6)
         v = SimpleProduct.of(*rng.choices(["a", "b", "c", "d", "e"], k=rng.randint(1, 3)))
         base = evaluate(program, x)
-        if not base.defined_everywhere():
+        if None in base.values():
             continue
         framed = evaluate(program, x.tensor(v))
         for vertex in program.vertices:
-            assert framed.out[vertex] == base.out[vertex].tensor(v)
+            assert framed[vertex] == base[vertex].tensor(v)
         checked += 1
     assert checked >= 50, f"only {checked} fully-defined triples"
     report(6, f"exact frame equality at every vertex on {checked}/100 defined triples")
@@ -156,10 +156,10 @@ def test_criterion_8_vertex_correspondence():
         init = Configuration(1, (k1, 0))
         run = search_halting(DEC, init, 100, 20)
         trace = computation_to_program(enc, run)
-        values = evaluate(trace.program, encode_config(enc.ctx, init)).out
+        values = evaluate(trace.program, encode_config(enc.machine.n, init))
         assert len(trace.main_vertices) == len(run.configs)
         for vertex, config in zip(trace.main_vertices, run.configs):
-            assert values[vertex] == encode_config(enc.ctx, config)
+            assert values[vertex] == encode_config(enc.machine.n, config)
         for side in trace.side_chains:
             fork_index = trace.main_vertices.index(side.fork_vertex)
             at_fork = run.configs[fork_index]

@@ -6,6 +6,7 @@ from corpora import random_machine
 from hornlog.bridge import (
     AGREE_HALTS,
     AGREE_NO_WITNESS_WITHIN_BOUNDS,
+    BOUNDS_INCONCLUSIVE,
     MAIN_LEAF_NOT_L0,
     NON_ENCODING_EDGE,
     SIDE_CHAIN_FOREIGN_FORMULA,
@@ -48,7 +49,7 @@ def test_dec_program_shape(enc):
     labels = [str(label) for _, _, label in program.edges]
     assert labels.count("(l1*r1) -o l1") == 2
     assert "l1 -o l0" in labels and "l1 -o k1" in labels and "k1 -o l0" in labels
-    values = evaluate(program, enc.sequent((2, 0)).input).out
+    values = evaluate(program, enc.sequent((2, 0)).input)
     assert all(values[leaf] == parse_product("l0") for leaf in program.leaves)
     assert verify_strong_solution(program, enc.sequent((2, 0))).ok
 
@@ -71,7 +72,7 @@ def test_empty_computation_single_vertex(enc):
     trace = computation_to_program(enc, Computation((Configuration(0, (0, 0)),), ()))
     assert len(trace.program.vertices) == 1
     assert trace.main_vertices == (trace.program.root,)
-    values = evaluate(trace.program, parse_product("l0")).out
+    values = evaluate(trace.program, parse_product("l0"))
     assert values[trace.program.root] == parse_product("l0")
 
 
@@ -84,10 +85,10 @@ def test_rejects_non_halting_computation(enc):
 def test_main_branch_correspondence(enc):
     run = dec_run(3)
     trace = computation_to_program(enc, run)
-    values = evaluate(trace.program, encode_config(enc.ctx, run.configs[0])).out
+    values = evaluate(trace.program, encode_config(enc.machine.n, run.configs[0]))
     assert len(trace.main_vertices) == len(run.configs)
     for vertex, config in zip(trace.main_vertices, run.configs):
-        assert values[vertex] == encode_config(enc.ctx, config)
+        assert values[vertex] == encode_config(enc.machine.n, config)
 
 
 def test_extraction_round_trip(enc):
@@ -161,6 +162,21 @@ def test_round_trip_agree_halts(enc):
 def test_round_trip_agree_absent(enc):
     report = round_trip_check(enc, (0, 1), 1000, 10, 20)
     assert report.code == AGREE_NO_WITNESS_WITHIN_BOUNDS
+
+
+def test_round_trip_run_beyond_the_depth_bound_is_inconclusive(enc):
+    report = round_trip_check(enc, (2, 0), 100, 10, 2)
+    assert report.code == BOUNDS_INCONCLUSIVE
+    assert str(report) == "BOUNDS_INCONCLUSIVE: run found but its program needs height 4 > 2"
+    assert report.witness is None and report.computation is not None
+
+
+def test_round_trip_witness_beyond_the_step_bound_is_inconclusive(enc):
+    report = round_trip_check(enc, (2, 0), 1, 10, 20)
+    assert report.code == BOUNDS_INCONCLUSIVE
+    assert str(report) == "BOUNDS_INCONCLUSIVE: witness run needs 3 steps / counter peak 2"
+    assert report.computation is None
+    assert report.extracted.configs[-1] == DEC.halting_configuration()
 
 
 def test_round_trip_inc_absent():

@@ -2,8 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hornlog.encoding import (
-    EncodingContext,
-    DecodedProduct,
     MachineEncoding,
     decode_product,
     encode_config,
@@ -22,25 +20,20 @@ from hornlog.syntax import (
 DEC = parse_machine("counters 2\nL1: ifzero x1 goto L0\nL1: dec x1 goto L1\n")
 
 
-@pytest.fixture
-def ctx():
-    return EncodingContext(2)
-
-
-def test_encode_instruction_forms(ctx):
+def test_encode_instruction_forms():
     inc = Instruction("inc", 2, 1, 3)
-    assert encode_instruction(EncodingContext(1), inc) == parse_formula("l2 -o (l3*r1)")
+    assert encode_instruction(inc) == parse_formula("l2 -o (l3*r1)")
     zero = Instruction("ifzero", 1, 1, 0)
-    assert encode_instruction(ctx, zero) == parse_formula("l1 -o (l0 + k1)")
+    assert encode_instruction(zero) == parse_formula("l1 -o (l0 + k1)")
     dec = Instruction("dec", 1, 1, 1)
-    assert encode_instruction(ctx, dec) == parse_formula("(l1*r1) -o l1")
+    assert encode_instruction(dec) == parse_formula("(l1*r1) -o l1")
     pos = Instruction("ifpos", 1, 2, 2)
-    assert encode_instruction(ctx, pos) == parse_formula("(l1*r2) -o (l2*r2)")
+    assert encode_instruction(pos) == parse_formula("(l1*r2) -o (l2*r2)")
 
 
-def test_encode_instruction_rejects_halt(ctx):
+def test_encode_instruction_rejects_halt():
     with pytest.raises(ValueError):
-        encode_instruction(ctx, Instruction("halt", 0))
+        encode_instruction(Instruction("halt", 0))
 
 
 def killer_zone(n: int):
@@ -81,31 +74,38 @@ def test_zero_test_branches_and_goal():
     assert enc.goal == parse_product("l0")
 
 
-def test_encode_config_examples(ctx):
-    assert encode_config(ctx, Configuration(1, (2, 0))) == parse_product("l1*r1*r1")
-    assert encode_config(ctx, Configuration(0, (0, 0))) == parse_product("l0")
-    assert encode_config(ctx, Configuration(2, (0, 3))) == parse_product("l2*r2*r2*r2")
+def test_encode_config_examples():
+    assert encode_config(2, Configuration(1, (2, 0))) == parse_product("l1*r1*r1")
+    assert encode_config(2, Configuration(0, (0, 0))) == parse_product("l0")
+    assert encode_config(2, Configuration(2, (0, 3))) == parse_product("l2*r2*r2*r2")
+    with pytest.raises(ValueError, match="expected 2 counters, got 1"):
+        encode_config(2, Configuration(1, (0,)))
 
 
-def test_decode_product_examples(ctx):
-    assert decode_product(ctx, parse_product("l1*r1*r1")) == DecodedProduct("label", 1, (2, 0))
-    assert decode_product(ctx, parse_product("k1*r2")) == DecodedProduct("killer", 1, (0, 1))
-    assert decode_product(ctx, parse_product("r1*r2")) is None
+def test_decode_product_examples():
+    assert decode_product(2, parse_product("l1*r1*r1")) == Configuration(1, (2, 0))
+    assert decode_product(2, parse_product("l0")) == Configuration(0, (0, 0))
+    assert decode_product(2, parse_product("k1*r2")) is None  # a killer state is no configuration
+    assert decode_product(2, parse_product("r1*r2")) is None
 
 
-def test_decode_rejects_foreign_and_double_heads(ctx):
-    assert decode_product(ctx, parse_product("l1*z")) is None
-    assert decode_product(ctx, parse_product("l1*k1")) is None
-    assert decode_product(ctx, parse_product("l1*l1")) is None
-    assert decode_product(ctx, parse_product("r3*l1")) is None  # r3 out of range for n=2
+def test_decode_rejects_foreign_and_double_heads():
+    assert decode_product(2, parse_product("l1*z")) is None
+    assert decode_product(2, parse_product("l1*k1")) is None
+    assert decode_product(2, parse_product("l1*l1")) is None
+    assert decode_product(2, parse_product("l1*l2")) is None
+    assert decode_product(2, parse_product("r3*l1")) is None  # r3 out of range for n=2
+    assert decode_product(2, parse_product("r0*l1")) is None
+    assert decode_product(2, parse_product("l*r1")) is None
 
 
-def test_killer_product_round_trip(ctx):
-    # The killer edge of a zero test turns a configuration into a killer state.
+def test_killer_product_round_trip():
+    # The killer edge of a zero test turns a configuration into a killer
+    # state, which encodes no configuration.
     killer = MachineEncoding.build(DEC).branches(0)[1]
-    x = apply_implication(encode_config(ctx, Configuration(1, (0, 1))), killer)
+    x = apply_implication(encode_config(2, Configuration(1, (0, 1))), killer)
     assert x == parse_product("k1*r2")
-    assert decode_product(ctx, x) == DecodedProduct("killer", 1, (0, 1))
+    assert decode_product(2, x) is None
 
 
 def test_build_sequent_matches_expected_text():
@@ -141,20 +141,18 @@ def test_build_sequent_n1_single_killer():
     assert killer_like == [parse_formula("k1 -o l0")]
 
 
-def test_formula_counts(ctx):
+def test_formula_counts():
     enc = MachineEncoding.build(DEC)
     non_halt = [i for i in DEC.instructions if i.kind != "halt"]
     assert len(enc.program_formulas()) == len(non_halt)
     assert len(enc.killer_zone()) == DEC.n * DEC.n
 
 
-def test_formula_head_structure(ctx):
+def test_formula_head_structure():
     """Every encoded formula has exactly one head literal in its antecedent and
     one or two heads in total."""
     enc = MachineEncoding.build(DEC)
-    heads = lambda p: sum(
-        count for name, count in p.entries if ctx.classify_literal(name)[0] in ("label", "killer")
-    )
+    heads = lambda p: sum(count for name, count in p.entries if name[0] in "lk")
     for f in enc.program_formulas() + enc.killer_zone():
         assert heads(f.antecedent) == 1
         if isinstance(f, OplusImplication):
@@ -185,7 +183,4 @@ configs = st.tuples(st.integers(0, 9), st.integers(0, 4), st.integers(0, 4)).map
 
 @given(configs)
 def test_decode_encode_round_trip(config):
-    ctx = EncodingContext(2)
-    decoded = decode_product(ctx, encode_config(ctx, config))
-    assert decoded == DecodedProduct("label", config.label, config.counters)
-    assert decoded.to_configuration() == config
+    assert decode_product(2, encode_config(2, config)) == config

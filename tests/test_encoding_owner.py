@@ -28,11 +28,11 @@ def literal_calls(source: str) -> list[str]:
 
 def test_guard_finds_literal_calls():
     source = '''
-def goto(ctx, j):
-    return SimpleProduct.of(ctx.label_literal(j))
+def goto(j):
+    return SimpleProduct.of(label_literal(j))
 
-def kill(enc, m, i):
-    return enc.ctx.killer_literal(m), counter_literal(i)
+def kill(m, i):
+    return encoding.killer_literal(m), counter_literal(i)
 
 def fine(enc, index):
     return enc.branches(index), enc.goal

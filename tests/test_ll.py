@@ -123,6 +123,35 @@ def test_checker_rejects_a_tag_twice_in_one_context(tmp_path):
     assert cli.main(["compile", "ll-to-hll", str(proof_file)]) == 2
 
 
+def test_checker_rejects_a_consumed_tag_still_pending_in_the_first_premise(tmp_path):
+    """An implication-choice node whose first premise still holds a choice
+    under the tag it consumes: its conclusion keeps the tag, so the node
+    below that consumes it cannot be paired, and the translation would call
+    the proof malformed."""
+    a, b, c, d, x, g, w = (parse_product(name) for name in "abcdxgw")
+
+    def expansion(y1, y2, goal):
+        imps = [PlainImplication(y1, goal), PlainImplication(y2, goal)]
+
+        def branch(y, mine, other):
+            node = ll.ll_lbang(ll.ll_limp(ll.ll_i(y), ll.ll_i(goal), mine), mine)
+            return ll.ll_wbang(node, other)
+
+        occ = LlOplusProduct(y1, y2, 5)
+        return ll.ll_loplus(branch(y1, *imps), branch(y2, *imps[::-1]), occ)
+
+    inner = ll.ll_limpoplus(expansion(a, b, x), expansion(c, d, g), OplusImplication(x, c, d), 5)
+    proof = ll.ll_limpoplus(ll.ll_i(w), inner, OplusImplication(w, a, b), 5)
+    result = check_ll_proof(proof)
+    assert not result.ok
+    assert result.failure.path == (1,)
+    assert result.failure.reason == "consumed choice tag is still pending in the first premise"
+    proof_file = tmp_path / "pending.ll.json"
+    proof_file.write_text(ll_proof_to_json(proof))
+    assert cli.main(["verify", "ll", str(proof_file)]) == 1
+    assert cli.main(["compile", "ll-to-hll", str(proof_file)]) == 2
+
+
 def test_push_oplus_down_fixpoint():
     proof = ll.ll_limpoplus(ll.ll_i(F), make_choice_block(), OplusImplication(F, G, H), 1)
     assert unadjacent_choice_paths(proof) == []

@@ -42,7 +42,7 @@ def p0():
 
 
 def leaf_values(program, w):
-    out = evaluate(program, w).out
+    out = evaluate(program, w)
     return [out[v] for v in program.leaves]
 
 
@@ -56,7 +56,7 @@ def test_evaluate_p0_frame(p0):
 
 
 def test_evaluate_undefined_propagates(p0):
-    out = evaluate(p0, G).out
+    out = evaluate(p0, G)
     children = [child for child, _ in p0.children[p0.root]]
     assert all(out[c] is None for c in children)
     assert all(out[v] is None for v in p0.leaves)
@@ -323,11 +323,11 @@ def test_frame_law_random(seed):
     v = SimpleProduct.of(*rng.choices(LITS, k=rng.randint(1, 3)))
     base = evaluate(program, x)
     framed = evaluate(program, x.tensor(v))
-    if base.defined_everywhere():
+    if None not in base.values():
         for vertex in program.vertices:
-            assert framed.out[vertex] == base.out[vertex].tensor(v)
+            assert framed[vertex] == base[vertex].tensor(v)
     else:
-        undefined = [vertex for vertex in program.vertices if base.out[vertex] is None]
+        undefined = [vertex for vertex in program.vertices if base[vertex] is None]
         assert undefined
 
 
@@ -336,4 +336,4 @@ def test_frame_law_random(seed):
 def test_evaluate_deterministic(seed):
     rng = random.Random(seed)
     program, x = random_program(rng)
-    assert evaluate(program, x).out == evaluate(program, x).out
+    assert evaluate(program, x) == evaluate(program, x)
