@@ -145,6 +145,20 @@ class MachineEncoding:
             ))
         return tuple(families)
 
+    @cached_property
+    def instruction_index(self) -> dict[HornFormula, int]:
+        """Each instruction formula to the lowest instruction index it axiomatizes."""
+        index: dict[HornFormula, int] = {}
+        for i, f in enumerate(self.phi):
+            if f is not None:
+                index.setdefault(f, i)
+        return index
+
+    @cached_property
+    def killer_family_index(self) -> dict[PlainImplication, int]:
+        """Each killer formula to its killer index m (the families are disjoint)."""
+        return {f: m for m, group in enumerate(self.killers, start=1) for f in group}
+
     def branches(self, index: int) -> tuple[PlainImplication, PlainImplication]:
         """The goto edge ``l_i -o l_j`` and the killer edge ``l_i -o k_m`` of zero test ``index``."""
         instruction = self.machine.instructions[index]
@@ -163,17 +177,11 @@ class MachineEncoding:
 
     def instruction_for(self, formula: HornFormula) -> int | None:
         """Lowest instruction index axiomatized by this formula, if any."""
-        for index, f in enumerate(self.phi):
-            if f == formula:
-                return index
-        return None
+        return self.instruction_index.get(formula)
 
     def killer_family_for(self, formula: HornFormula) -> int | None:
         """The killer index m whose family contains this formula, if any."""
-        for m, group in enumerate(self.killers, start=1):
-            if formula in group:
-                return m
-        return None
+        return self.killer_family_index.get(formula)
 
     def sequent(self, inputs: tuple[int, ...]) -> HornSequent:
         """The target sequent: encoded start at L1, everything reusable, goal l0."""

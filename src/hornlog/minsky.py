@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 INC, DEC, TESTPOS, TESTZERO, HALT = "inc", "dec", "ifpos", "ifzero", "halt"
 
@@ -103,6 +104,15 @@ class MinskyMachine:
                 raise ValueError(f"goto target L{i.target} has no instruction ({i})")
         return MinskyMachine(n, instructions, labels)
 
+    @cached_property
+    def index_by_label(self) -> dict[int, tuple[tuple[int, Instruction], ...]]:
+        """Each label's non-halt instructions as (index, instruction), in program order."""
+        groups: dict[int, list[tuple[int, Instruction]]] = {}
+        for index, instruction in enumerate(self.instructions):
+            if instruction.kind != HALT:
+                groups.setdefault(instruction.label, []).append((index, instruction))
+        return {label: tuple(group) for label, group in groups.items()}
+
     def halting_configuration(self) -> Configuration:
         return Configuration(HALT_LABEL, (0,) * self.n)
 
@@ -161,11 +171,15 @@ def _step(instruction: Instruction, config: Configuration) -> Configuration | No
 
 
 def successors(machine: MinskyMachine, config: Configuration) -> tuple[tuple[int, Configuration], ...]:
-    """Every enabled move as (instruction index, next configuration), in program order."""
+    """Every enabled move as (instruction index, next configuration).
+
+    Only the instructions at the configuration's label are stepped, in
+    program order, so the cost is the number of instructions at that label.
+    """
     if len(config.counters) != machine.n:
         raise ValueError(f"configuration has {len(config.counters)} counters, machine has {machine.n}")
     moves = []
-    for index, instruction in enumerate(machine.instructions):
+    for index, instruction in machine.index_by_label.get(config.label, ()):
         nxt = _step(instruction, config)
         if nxt is not None:
             moves.append((index, nxt))
@@ -202,11 +216,14 @@ def search_halting(
 ) -> Computation | None:
     """Breadth-first search for a shortest run from init to the halting configuration.
 
-    Visited configurations are expanded once; successors with any counter above
-    max_counter are pruned.  Absence within the bounds proves nothing.
+    Visited configurations are expanded once, each by one ``successors`` call
+    that costs the number of instructions at its label; successors with any
+    counter above max_counter are pruned.  Zero is a valid bound for both; with
+    max_steps 0 the answer is the empty run iff init is halting.  Absence
+    within the bounds proves nothing.
     """
-    if max_steps < 1 or max_counter < 1:
-        raise ValueError("bounds must be positive")
+    if max_steps < 0 or max_counter < 0:
+        raise ValueError("bounds must be non-negative")
     target = machine.halting_configuration()
     if init == target:
         return Computation((init,), ())

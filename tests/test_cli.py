@@ -73,6 +73,37 @@ def test_machine_search_absent(dec_file):
     assert result.stdout.strip() == "absent"
 
 
+@pytest.fixture
+def one_move_file(tmp_path):
+    path = tmp_path / "one.mm"
+    path.write_text("counters 1\nL1: ifzero x1 goto L0\n")
+    return path
+
+
+def test_machine_search_zero_counter_bound(one_move_file):
+    result = run_cli("machine", "search", str(one_move_file), "--input", "0",
+                     "--max-counter", "0", "--max-steps", "5")
+    assert result.stdout == "L1 : 0\nI1 -> L0 : 0\n"
+    result = run_cli("machine", "search", str(one_move_file), "--input", "1",
+                     "--max-counter", "0", expect=1)
+    assert result.stdout == "absent\n"
+
+
+def test_machine_search_zero_step_bound(one_move_file):
+    result = run_cli("machine", "search", str(one_move_file), "--start", "0", "--input", "0",
+                     "--max-steps", "0")
+    assert result.stdout == "L0 : 0\n"
+    result = run_cli("machine", "search", str(one_move_file), "--input", "0",
+                     "--max-steps", "0", expect=1)
+    assert result.stdout == "absent\n"
+
+
+def test_machine_search_rejects_a_negative_bound(one_move_file):
+    result = run_cli("machine", "search", str(one_move_file), "--input", "0",
+                     "--max-steps", "-1", expect=2)
+    assert result.stderr == "error: bounds must be non-negative\n"
+
+
 def test_encode_output_parses(dec_file):
     result = run_cli("encode", str(dec_file), "--input", "2,0")
     sequent = parse_sequent(result.stdout)

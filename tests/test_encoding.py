@@ -176,6 +176,27 @@ def test_ambiguous_instruction_resolves_lowest():
     assert enc.instruction_for(parse_formula("l1 -o (l1*r1)")) == 0
 
 
+def test_repeated_instruction_line_resolves_to_its_first_occurrence():
+    machine = parse_machine(
+        "counters 1\nL1: dec x1 goto L1\nL0: halt\nL1: inc x1 goto L1\nL1: inc x1 goto L1\n"
+    )
+    enc = MachineEncoding.build(machine)
+    assert enc.instruction_for(parse_formula("l1 -o (l1*r1)")) == 2
+    assert enc.instruction_for(parse_formula("(l1*r1) -o l1")) == 0
+
+
+def test_killer_family_for_every_killer_formula_of_three_counters():
+    machine = parse_machine("counters 3\nL1: ifzero x2 goto L0\nL1: dec x3 goto L1\n")
+    enc = MachineEncoding.build(machine)
+    for m in (1, 2, 3):
+        assert enc.killer_family_for(parse_formula(f"k{m} -o l0")) == m
+        for i in (1, 2, 3):
+            killing = parse_formula(f"(k{m}*r{i}) -o k{m}")
+            assert enc.killer_family_for(killing) == (None if i == m else m)
+    for formula in enc.program_formulas():
+        assert enc.killer_family_for(formula) is None
+
+
 configs = st.tuples(st.integers(0, 9), st.integers(0, 4), st.integers(0, 4)).map(
     lambda t: Configuration(t[0], (t[1], t[2]))
 )

@@ -1,9 +1,11 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpora import random_machine
+from hornlog import minsky
 from hornlog.minsky import (
     Computation,
     Configuration,
@@ -113,6 +115,29 @@ def test_search_trivial_at_halt(dec):
     assert run == Computation((Configuration(0, (0, 0)),), ())
 
 
+ONE_MOVE_TEXT = "counters 1\nL1: ifzero x1 goto L0\n"
+
+
+def test_search_zero_counter_bound():
+    machine = parse_machine(ONE_MOVE_TEXT)
+    run = search_halting(machine, Configuration(1, (0,)), 5, 0)
+    assert run == Computation((Configuration(1, (0,)), Configuration(0, (0,))), (0,))
+    assert search_halting(machine, Configuration(1, (1,)), 5, 0) is None
+
+
+def test_search_zero_step_bound():
+    machine = parse_machine(ONE_MOVE_TEXT)
+    halted = Configuration(0, (0,))
+    assert search_halting(machine, halted, 0, 0) == Computation((halted,), ())
+    assert search_halting(machine, Configuration(1, (0,)), 0, 10) is None
+
+
+@pytest.mark.parametrize("max_steps, max_counter", [(-1, 5), (5, -1)])
+def test_search_rejects_negative_bounds(max_steps, max_counter):
+    with pytest.raises(ValueError):
+        search_halting(parse_machine(ONE_MOVE_TEXT), Configuration(1, (0,)), max_steps, max_counter)
+
+
 def test_machine_text_round_trip(dec):
     assert parse_machine(machine_text(dec)) == dec
 
@@ -200,3 +225,130 @@ def test_search_monotone_in_bounds(machine, config):
         large = search_halting(machine, config, 40, 12)
         assert large is not None
         assert len(large.moves) <= len(small.moves)
+
+
+# --- The label index changes nothing observable -------------------------------
+
+
+def naive_successors(machine, config):
+    """Every instruction stepped in program order, disabled moves dropped."""
+    stepped = ((index, minsky._step(instruction, config))
+               for index, instruction in enumerate(machine.instructions))
+    return tuple((index, nxt) for index, nxt in stepped if nxt is not None)
+
+
+def naive_search(machine, init, max_steps, max_counter):
+    """Breadth-first search over naive_successors, first-found parents."""
+    target = machine.halting_configuration()
+    parent = {init: None}
+    frontier = deque([(init, 0)])
+    found = init == target
+    while frontier and not found:
+        config, depth = frontier.popleft()
+        if depth >= max_steps:
+            continue
+        for index, nxt in naive_successors(machine, config):
+            if nxt in parent or max(nxt.counters) > max_counter:
+                continue
+            parent[nxt] = (config, index)
+            if nxt == target:
+                found = True
+                break
+            frontier.append((nxt, depth + 1))
+    if not found:
+        return None
+    configs, moves, at = [target], [], target
+    while parent[at] is not None:
+        at, move = parent[at]
+        configs.append(at)
+        moves.append(move)
+    return Computation(tuple(reversed(configs)), tuple(reversed(moves)))
+
+
+HAND_MACHINES = [
+    parse_machine(text)
+    for text in (
+        # duplicate labels, interleaved in program order
+        "counters 2\nL1: dec x1 goto L2\nL2: ifpos x2 goto L1\nL1: inc x2 goto L1\n"
+        "L2: dec x2 goto L2\nL1: ifzero x1 goto L0\nL2: ifzero x2 goto L0\n",
+        # an explicit halt listed first
+        "counters 2\nL0: halt\nL1: dec x1 goto L1\nL1: ifzero x1 goto L2\nL2: dec x2 goto L0\n",
+        # one label only, so most configuration labels have no instructions
+        "counters 3\nL4: inc x3 goto L4\nL4: dec x3 goto L0\nL4: ifzero x2 goto L0\n",
+    )
+]
+
+
+@st.composite
+def machines_and_configs(draw):
+    """Random machines with 1..3 counters or hand-made ones, and a configuration
+    at any label 0..5 (non-zero counters at L0 included)."""
+    if draw(st.booleans()):
+        seed, n = draw(st.integers(0, 10_000)), draw(st.integers(1, 3))
+        machine = random_machine(random.Random(seed), n=n)
+    else:
+        machine = draw(st.sampled_from(HAND_MACHINES))
+    counters = draw(st.tuples(*[st.integers(0, 3)] * machine.n))
+    return machine, Configuration(draw(st.integers(0, 5)), counters)
+
+
+@given(machines_and_configs())
+@settings(max_examples=200)
+def test_successors_match_the_naive_reference(case):
+    machine, config = case
+    assert successors(machine, config) == naive_successors(machine, config)
+
+
+@given(machines_and_configs())
+@settings(max_examples=60)
+def test_search_matches_the_naive_reference(case):
+    machine, config = case
+    for max_steps, max_counter in ((1, 1), (4, 2), (25, 6)):
+        assert (search_halting(machine, config, max_steps, max_counter)
+                == naive_search(machine, config, max_steps, max_counter))
+
+
+def ladder_text(rungs: int, seed: int) -> str:
+    """A shuffled ladder: inc and dec of x1 and x2 from each rung to the next,
+    then drain and test x1 at the top rung and x2 one label above it."""
+    lines = [
+        f"L{i}: {kind} x{m} goto L{i + 1}"
+        for i in range(1, rungs)
+        for kind in ("inc", "dec")
+        for m in (1, 2)
+    ]
+    top, last = rungs, rungs + 1
+    lines += [
+        f"L{top}: dec x1 goto L{top}",
+        f"L{top}: ifzero x1 goto L{last}",
+        f"L{last}: dec x2 goto L{last}",
+        f"L{last}: ifzero x2 goto L0",
+    ]
+    random.Random(seed).shuffle(lines)
+    return "counters 2\n" + "\n".join(lines) + "\n"
+
+
+def test_search_steps_only_the_instructions_at_each_label(monkeypatch):
+    machine = parse_machine(ladder_text(16, seed=3))
+    assert len(machine.instructions) == 64 + 1
+    expanded, stepped = [], []
+    real_successors, real_step = minsky.successors, minsky._step
+
+    def counting_successors(machine, config):
+        expanded.append(config)
+        return real_successors(machine, config)
+
+    def counting_step(instruction, config):
+        stepped.append((instruction, config))
+        return real_step(instruction, config)
+
+    monkeypatch.setattr(minsky, "successors", counting_successors)
+    monkeypatch.setattr(minsky, "_step", counting_step)
+    run = search_halting(machine, Configuration(1, (20, 0)), 60, 30)
+    at_label = [
+        sum(1 for i in machine.instructions if i.kind != "halt" and i.label == config.label)
+        for config in expanded
+    ]
+    assert len(stepped) == sum(at_label)
+    assert all(instruction.label == config.label for instruction, config in stepped)
+    assert run is not None and validate_computation(machine, run).ok

@@ -323,12 +323,11 @@ def test_frame_law_random(seed):
     v = SimpleProduct.of(*rng.choices(LITS, k=rng.randint(1, 3)))
     base = evaluate(program, x)
     framed = evaluate(program, x.tensor(v))
-    if None not in base.values():
-        for vertex in program.vertices:
+    # A vertex undefined in the base may become defined under the frame, so
+    # the law speaks only of the vertices the base evaluation defines.
+    for vertex in program.vertices:
+        if base[vertex] is not None:
             assert framed[vertex] == base[vertex].tensor(v)
-    else:
-        undefined = [vertex for vertex in program.vertices if base[vertex] is None]
-        assert undefined
 
 
 @given(st.integers(0, 10_000))
