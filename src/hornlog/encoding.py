@@ -187,8 +187,6 @@ class MachineEncoding:
         """The target sequent: encoded start at L1, everything reusable, goal l0."""
         if any(k < 0 for k in inputs):
             raise ValueError("inputs must be non-negative")
-        if len(inputs) != self.machine.n:
-            raise ValueError(f"expected {self.machine.n} inputs, got {len(inputs)}")
         start = encode_config(self.machine.n, Configuration(1, tuple(inputs)))
         banged = self.program_formulas() + self.killer_zone()
         return HornSequent(start, (), banged, self.goal)

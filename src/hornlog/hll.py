@@ -13,12 +13,13 @@ choice rule adds its two edges and emits each premise under its own edge, a
 cut emits its second premise under each leaf of its first, and everything
 else passes through to its premise.  Both calculi's proofs are traversed
 only by ``walk`` and ``fold`` here, so depth never meets the recursion limit.
+Both calculi's proof files are one flat table, read and written here by one
+codec that each calculus configures with a ``ProofFormat``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -36,8 +37,6 @@ from .syntax import (
     multiset_minus,
     parse_formula,
     parse_product,
-    parse_sequent,
-    sequent_text,
 )
 
 
@@ -53,16 +52,11 @@ class HllRule(Enum):
     CUT = "CUT"
 
 
-_ARITY = {
-    HllRule.I: 0,
-    HllRule.H: 0,
-    HllRule.LTENSOR: 1,
-    HllRule.M: 1,
-    HllRule.LBANG: 1,
-    HllRule.WBANG: 1,
-    HllRule.CBANG: 1,
-    HllRule.OPLUS_H: 2,
-    HllRule.CUT: 2,
+# Each rule's premise count and its principal's kind (None: it has none).
+_RULES = {
+    HllRule.I: (0, None), HllRule.H: (0, None), HllRule.LTENSOR: (1, None), HllRule.M: (1, None),
+    HllRule.LBANG: (1, HornFormula), HllRule.WBANG: (1, HornFormula), HllRule.CBANG: (1, HornFormula),
+    HllRule.OPLUS_H: (2, OplusImplication), HllRule.CUT: (2, None),
 }
 
 
@@ -104,8 +98,6 @@ def _check_node(node: HllProof) -> str | None:
     """None when the node instantiates its rule schema; otherwise the mismatch."""
     c = node.conclusion
     rule = node.rule
-    if len(node.premises) != _ARITY[rule]:
-        return f"{rule.value} takes {_ARITY[rule]} premises, got {len(node.premises)}"
 
     if rule is HllRule.I:
         if c.linear or c.banged:
@@ -149,8 +141,6 @@ def _check_node(node: HllProof) -> str | None:
 
     if rule is HllRule.OPLUS_H:
         f = node.principal
-        if not isinstance(f, OplusImplication):
-            return "choice rule needs a choice implication as principal"
         v = node.frame
         gamma = multiset_minus(c.linear, f)
         if gamma is None:
@@ -176,8 +166,6 @@ def _check_node(node: HllProof) -> str | None:
     if rule is HllRule.LBANG:
         p = node.premises[0].conclusion
         a = node.principal
-        if a is None:
-            return "bang rule needs its principal formula"
         banged_rest = multiset_minus(c.banged, a)
         if banged_rest is None or banged_rest != p.banged:
             return "conclusion banged zone must be the premise's plus the principal"
@@ -191,8 +179,6 @@ def _check_node(node: HllProof) -> str | None:
     if rule is HllRule.WBANG:
         p = node.premises[0].conclusion
         a = node.principal
-        if a is None:
-            return "weakening needs its principal formula"
         if multiset_minus(c.banged, a) != p.banged:
             return "conclusion banged zone must be the premise's plus the principal"
         if p.linear != c.linear or p.input != c.input or p.goal != c.goal:
@@ -202,8 +188,6 @@ def _check_node(node: HllProof) -> str | None:
     if rule is HllRule.CBANG:
         p = node.premises[0].conclusion
         a = node.principal
-        if a is None:
-            return "contraction needs its principal formula"
         if a not in c.banged:
             return "principal must stay in the conclusion's banged zone"
         if p.banged != canonical_zone(c.banged + (a,)):
@@ -269,10 +253,17 @@ def fold(tree, combine, premises=attrgetter("premises")):
     return results[0]
 
 
-def check_tree(proof, check_node) -> CheckResult:
-    """Check each node of either calculus's proof tree; report the first failure."""
+def check_tree(proof, check_node, rules: dict) -> CheckResult:
+    """Check each node of either calculus's proof tree: its premise count and
+    principal kind against ``rules``, then its schema; report the first failure."""
     for node, trail in walk(proof):
-        reason = check_node(node)
+        arity, kind = rules[node.rule]
+        if len(node.premises) != arity:
+            reason = f"{node.rule.value} takes {arity} premises, got {len(node.premises)}"
+        elif not isinstance(node.principal, kind or type(None)):
+            reason = f"{node.rule.value} cannot have {node.principal} as its principal"
+        else:
+            reason = check_node(node)
         if reason is not None:
             return CheckResult(False, CheckFailure(path_of(trail), node.rule.value, reason))
     return CheckResult(True)
@@ -280,7 +271,7 @@ def check_tree(proof, check_node) -> CheckResult:
 
 def check_hll_proof(proof: HllProof) -> CheckResult:
     """Verify every node against its rule schema; report the first failure."""
-    return check_tree(proof, _check_node)
+    return check_tree(proof, _check_node, _RULES)
 
 
 def compile_hll_to_program(proof: HllProof) -> HornProgram:
@@ -312,12 +303,9 @@ def _emit(proof: HllProof, builder: ProgramBuilder) -> None:
         if rule is HllRule.I:
             leaves.append(where)
         elif rule is HllRule.H:
-            f = node.conclusion.linear[0]
-            assert isinstance(f, PlainImplication)
-            leaves.append(builder.add_edge(where, f))
+            leaves.append(builder.add_edge(where, node.conclusion.linear[0]))
         elif rule is HllRule.OPLUS_H:
             f = node.principal
-            assert isinstance(f, OplusImplication)
             for p in reversed(node.premises):  # checked: each input is one side tensor the frame
                 y = f.left if p.conclusion.input == f.left.tensor(node.frame) else f.right
                 stack.append((p, (where, PlainImplication(f.antecedent, y)), leaves))
@@ -328,11 +316,6 @@ def _emit(proof: HllProof, builder: ProgramBuilder) -> None:
             stack.append((first, where, mids))
         else:
             stack.append((node.premises[0], where, leaves))
-
-
-def compiled_leaf_count(proof: HllProof) -> int:
-    """The leaf count the compiler must produce: forks add, cuts multiply."""
-    return fold(proof, lambda node, counts: math.prod(counts) if node.rule is HllRule.CUT else sum(counts) or 1)
 
 
 # --- Node builders (conclusions computed, for construction sites) -------------
@@ -398,45 +381,115 @@ def cut(premise1: HllProof, premise2: HllProof) -> HllProof:
     return HllProof(HllRule.CUT, conclusion, (premise1, premise2))
 
 
-# --- Serialization -------------------------------------------------------------
+# --- Proof files -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ProofFormat:
+    """How one calculus's proofs read and write as a flat table: ``formulas``
+    holds each distinct text once, and ``nodes`` runs in post-order, each with
+    its ``rule``, its ``premises`` as indices of earlier nodes, and its
+    ``conclusion`` parts and ``fields`` as indices into ``formulas``.  Parts
+    and fields are ``(attribute, parser, count)``: count 1 is one index, 2 a
+    pair, None a zone.  A principal must be of the kind ``rules`` gives."""
+
+    node: type
+    sequent: type
+    rules: dict
+    parts: tuple
+    fields: tuple
+
+
+def proof_to_json(proof, form: ProofFormat) -> str:
+    formulas: dict[str, int] = {}
+    nodes: list[str] = []
+
+    def refs(value, count):
+        indices = [formulas.setdefault(v.text, len(formulas)) for v in ((value,) if count == 1 else value)]
+        return indices[0] if count == 1 else indices
+
+    def row(node, premises: list[int]) -> int:
+        data = {"rule": node.rule.value,
+                "conclusion": [refs(getattr(node.conclusion, name), n) for name, _, n in form.parts]}
+        if premises:
+            data["premises"] = premises
+        for name, _, count in form.fields:
+            value = getattr(node, name)
+            if value is not None and not (isinstance(value, Frame) and value.is_empty):
+                data[name] = refs(value, count)
+        nodes.append(json.dumps(data))
+        return len(nodes) - 1
+
+    fold(proof, row)
+    texts, rows = (",\n    ".join(lines) for lines in (map(json.dumps, formulas), nodes))
+    return f'{{\n  "formulas": [\n    {texts}\n  ],\n  "nodes": [\n    {rows}\n  ]\n}}\n'
+
+
+def proof_from_json(text: str, form: ProofFormat):
+    """The proof a table describes; FormatError unless the table is well formed."""
+    try:
+        data = json.loads(text)
+    except RecursionError:  # a table nests four levels deep at most
+        raise FormatError("a proof is a flat table, not a nested document") from None
+    texts, rows = (data.get("formulas"), data.get("nodes")) if isinstance(data, dict) else (None, None)
+    if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts) and isinstance(rows, list) and rows):
+        raise FormatError("a proof is a JSON object with a 'formulas' list of strings and a 'nodes' list")
+    columns: dict = {}  # parser -> {index: value} of the texts it has read
+
+    def read(i, name, parse, refs, count):
+        listed = count != 1
+        refs = refs if listed else [refs]
+        if not (isinstance(refs, list) and count in (None, len(refs)) and set(map(type, refs)) <= {int}
+                and 0 <= min(refs, default=0) and max(refs, default=0) < len(texts)):
+            what = "a list of indices" if listed else "an index"
+            raise FormatError(f"node {i}'s {name} must be {what} into 'formulas'")
+        column = columns.setdefault(parse, {})
+        for ref in sorted(set(refs).difference(column)):
+            try:
+                column[ref] = parse(texts[ref])
+            except FormatError as exc:
+                raise FormatError(f"node {i}'s {name}: formulas[{ref}] {texts[ref]!r}: {exc}") from None
+        values = tuple(map(column.__getitem__, refs))
+        return values if listed else values[0]
+
+    keys = {"rule", "conclusion", "premises", *(name for name, _, _ in form.fields)}
+    built: list = []
+    for i, row in enumerate(rows):
+        if not (isinstance(row, dict) and row.keys() <= keys):
+            raise FormatError(f"node {i} must be a JSON object with fields among {sorted(keys)}")
+        rule = next((r for r in form.rules if r.value == row.get("rule")), None)
+        if rule is None:
+            raise FormatError(f"node {i}'s rule must be one of {[r.value for r in form.rules]}")
+        conclusion, premises = row.get("conclusion"), row.get("premises", [])
+        if not (isinstance(conclusion, list) and len(conclusion) == len(form.parts) and isinstance(premises, list)):
+            raise FormatError(f"node {i} needs a conclusion list of {len(form.parts)} parts and a premise list")
+        parts = [read(i, name, parse, ref, n) for (name, parse, n), ref in zip(form.parts, conclusion)]
+        fields = {name: read(i, name, parse, row[name], n) for name, parse, n in form.fields if name in row}
+        if "principal" in fields and not isinstance(fields["principal"], form.rules[rule][1] or type(None)):
+            raise FormatError(f"node {i}: {rule.value} cannot have {fields['principal']} as its principal")
+        below = []
+        for p in premises:
+            if type(p) is not int or not 0 <= p < i or built[p] is None:
+                raise FormatError(f"node {i}'s premise {p!r} is not an earlier node that is no other premise")
+            below.append(built[p])
+            built[p] = None  # each node is the premise of one node only
+        built.append(form.node(rule, form.sequent(*parts), tuple(below), **fields))
+    if sum(node is not None for node in built) != 1:
+        raise FormatError("a proof has one root: every node but the last is the premise of a later one")
+    return built[-1]
+
+
+_HLL_FORMAT = ProofFormat(
+    HllProof, HornSequent, _RULES,
+    parts=(("input", parse_product, 1), ("linear", parse_formula, None),
+           ("banged", parse_formula, None), ("goal", parse_product, 1)),
+    fields=(("principal", parse_formula, 1), ("frame", parse_product, 1)),
+)
 
 
 def hll_proof_to_json(proof: HllProof) -> str:
-    return json.dumps(fold(proof, _to_data), indent=2) + "\n"
-
-
-def _to_data(node: HllProof, premises: list[dict]) -> dict:
-    data: dict = {"rule": node.rule.value, "conclusion": sequent_text(node.conclusion)}
-    if node.principal is not None:
-        data["principal"] = node.principal.text
-    if node.frame is not None and not node.frame.is_empty:
-        data["frame"] = node.frame.text
-    if premises:
-        data["premises"] = premises
-    return data
+    return proof_to_json(proof, _HLL_FORMAT)
 
 
 def hll_proof_from_json(text: str) -> HllProof:
-    return fold(json.loads(text), _from_data, json_premises)
-
-
-def json_premises(data) -> list:
-    """The premises of a parsed JSON proof node; FormatError unless it has
-    the shape of one."""
-    if not isinstance(data, dict):
-        raise FormatError(f"a proof node is a JSON object, got {type(data).__name__}")
-    for key, kind in (("rule", str), ("conclusion", str), ("premises", list), ("principal", str), ("frame", str)):
-        if (key in data or key in ("rule", "conclusion")) and not isinstance(data.get(key), kind):
-            raise FormatError(f"a proof node's {key!r} must be a JSON {'list' if kind is list else 'string'}")
-    split = data.get("split", ["", ""])
-    if not (isinstance(split, list) and len(split) == 2 and all(isinstance(x, str) for x in split)):
-        raise FormatError("a proof node's 'split' must be a JSON list of two strings")
-    return data.get("premises", [])
-
-
-def _from_data(data: dict, premises: list[HllProof]) -> HllProof:
-    rule = HllRule(data["rule"])
-    conclusion = parse_sequent(data["conclusion"])
-    principal = parse_formula(data["principal"]) if "principal" in data else None
-    frame = parse_product(data["frame"]) if "frame" in data else None
-    return HllProof(rule, conclusion, tuple(premises), principal=principal, frame=frame)
+    return proof_from_json(text, _HLL_FORMAT)

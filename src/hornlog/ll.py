@@ -18,11 +18,11 @@ two specializations.
 
 ``translate_ll_to_hll`` normalizes and then maps rule-for-rule into the zoned
 calculus, reading a flat context as input-product/linear/banged zones.
+Proof files are ``hll``'s proof table, laid out for this calculus.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -109,16 +109,12 @@ class LlRule(Enum):
     CBANG = "CBANG"
 
 
-_LL_ARITY = {
-    LlRule.I: 0,
-    LlRule.LTENSOR: 1,
-    LlRule.LBANG: 1,
-    LlRule.WBANG: 1,
-    LlRule.CBANG: 1,
-    LlRule.RTENSOR: 2,
-    LlRule.LIMP: 2,
-    LlRule.LIMPOPLUS: 2,
-    LlRule.LOPLUS: 2,
+# Each rule's premise count and its principal's kind (None: it has none).
+_LL_RULES = {
+    LlRule.I: (0, None), LlRule.LTENSOR: (1, SimpleProduct),
+    LlRule.LBANG: (1, LlBang), LlRule.WBANG: (1, LlBang), LlRule.CBANG: (1, LlBang),
+    LlRule.RTENSOR: (2, None), LlRule.LIMP: (2, PlainImplication),
+    LlRule.LIMPOPLUS: (2, OplusImplication), LlRule.LOPLUS: (2, LlOplusProduct),
 }
 
 
@@ -135,8 +131,6 @@ class LlProof:
 def _check_ll_node(node: LlProof) -> str | None:
     c = node.conclusion
     rule = node.rule
-    if len(node.premises) != _LL_ARITY[rule]:
-        return f"{rule.value} takes {_LL_ARITY[rule]} premises, got {len(node.premises)}"
     # Tags pair a left choice with its consumer, so one context holds each once.
     tags = [g.tag for g in c.context if isinstance(g, LlOplusProduct)]
     if len(set(tags)) != len(tags):
@@ -151,8 +145,8 @@ def _check_ll_node(node: LlProof) -> str | None:
         return None
 
     if rule is LlRule.LTENSOR:
-        if not isinstance(node.principal, SimpleProduct) or node.split is None:
-            return "product regrouping needs its principal product and split"
+        if node.split is None:
+            return "product regrouping needs its split"
         x, y = node.split
         if x.tensor(y) != node.principal:
             return "split does not recombine to the principal product"
@@ -177,8 +171,6 @@ def _check_ll_node(node: LlProof) -> str | None:
 
     if rule is LlRule.LIMP:
         f = node.principal
-        if not isinstance(f, PlainImplication):
-            return "left implication needs a plain implication principal"
         p1, p2 = (p.conclusion for p in node.premises)
         if p1.goal != f.antecedent:
             return "first premise must prove the antecedent"
@@ -194,8 +186,6 @@ def _check_ll_node(node: LlProof) -> str | None:
 
     if rule is LlRule.LIMPOPLUS:
         f = node.principal
-        if not isinstance(f, OplusImplication):
-            return "implication-choice needs a choice implication principal"
         p1, p2 = (p.conclusion for p in node.premises)
         if p1.goal != f.antecedent:
             return "first premise must prove the antecedent"
@@ -222,8 +212,6 @@ def _check_ll_node(node: LlProof) -> str | None:
 
     if rule is LlRule.LOPLUS:
         occ = node.principal
-        if not isinstance(occ, LlOplusProduct):
-            return "left choice needs a pending choice product principal"
         rest = multiset_minus(c.context, occ)
         if rest is None:
             return "principal choice product not in the conclusion context"
@@ -238,8 +226,6 @@ def _check_ll_node(node: LlProof) -> str | None:
 
     if rule in (LlRule.LBANG, LlRule.WBANG, LlRule.CBANG):
         a = node.principal
-        if not isinstance(a, LlBang):
-            return "bang rules need a banged principal"
         if isinstance(a.formula, SimpleProduct):
             return "only implications may be banged"
         p = node.premises[0].conclusion
@@ -263,7 +249,7 @@ def _check_ll_node(node: LlProof) -> str | None:
 
 def check_ll_proof(proof: LlProof) -> hll.CheckResult:
     """Verify every node against its rule schema; report the first failure."""
-    return hll.check_tree(proof, _check_ll_node)
+    return hll.check_tree(proof, _check_ll_node, _LL_RULES)
 
 
 # --- Node builders ------------------------------------------------------------
@@ -625,16 +611,10 @@ def ll_sequent_text(s: LlSequent) -> str:
 
 
 def parse_ll_formula(text: str) -> LlFormula:
-    ts = TokenStream(text)
-    f = _parse_ll_formula(ts)
-    ts.done()
-    return f
-
-
-def _parse_ll_formula(ts: TokenStream) -> LlFormula:
     """One member: an optional ``!(``, then a product, bare or parenthesised,
     and an optional ``-o`` rest; outside a bang the parenthesis may instead
     open a tagged choice ``(Y1 + Y2)#n``."""
+    ts = TokenStream(text)
     banged = ts.peek().text == "!"
     if banged:
         ts.next()
@@ -650,6 +630,7 @@ def _parse_ll_formula(ts: TokenStream) -> LlFormula:
             num = ts.next()
             if num.kind != "num":
                 raise FormatError("expected a tag number after '#'", num.position)
+            ts.done()
             return LlOplusProduct(first, second, int(num.text))
         ts.expect(")")
     else:
@@ -657,48 +638,21 @@ def _parse_ll_formula(ts: TokenStream) -> LlFormula:
     member = _parse_formula_rest(ts, first) if ts.peek().text == "-o" else first
     if banged:
         ts.expect(")")
-        return LlBang(member)
+        member = LlBang(member)
+    ts.done()
     return member
 
 
-def parse_ll_sequent(text: str) -> LlSequent:
-    ts = TokenStream(text)
-    context: list[LlFormula] = []
-    if ts.peek().text != "|-":
-        context.append(_parse_ll_formula(ts))
-        while ts.peek().text == ",":
-            ts.next()
-            context.append(_parse_ll_formula(ts))
-    ts.expect("|-")
-    goal = _parse_bare_product(ts)
-    ts.done()
-    return LlSequent(tuple(context), goal)
+_LL_FORMAT = hll.ProofFormat(
+    LlProof, LlSequent, _LL_RULES,
+    parts=(("context", parse_ll_formula, None), ("goal", parse_product, 1)),
+    fields=(("principal", parse_ll_formula, 1), ("split", parse_product, 2)),
+)
 
 
 def ll_proof_to_json(proof: LlProof) -> str:
-    return json.dumps(hll.fold(proof, _ll_to_data), indent=2) + "\n"
-
-
-def _ll_to_data(node: LlProof, premises: list[dict]) -> dict:
-    data: dict = {"rule": node.rule.value, "conclusion": ll_sequent_text(node.conclusion)}
-    if node.principal is not None:
-        data["principal"] = node.principal.text
-    if node.split is not None:
-        data["split"] = [node.split[0].text, node.split[1].text]
-    if premises:
-        data["premises"] = premises
-    return data
+    return hll.proof_to_json(proof, _LL_FORMAT)
 
 
 def ll_proof_from_json(text: str) -> LlProof:
-    return hll.fold(json.loads(text), _ll_from_data, hll.json_premises)
-
-
-def _ll_from_data(data: dict, premises: list[LlProof]) -> LlProof:
-    rule = LlRule(data["rule"])
-    conclusion = parse_ll_sequent(data["conclusion"])
-    principal = parse_ll_formula(data["principal"]) if "principal" in data else None
-    split = None
-    if "split" in data:
-        split = (parse_product(data["split"][0]), parse_product(data["split"][1]))
-    return LlProof(rule, conclusion, tuple(premises), principal=principal, split=split)
+    return hll.proof_from_json(text, _LL_FORMAT)

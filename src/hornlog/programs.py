@@ -152,14 +152,6 @@ class ProgramBuilder:
         return HornProgram.build(0, self.edges)
 
 
-def single_vertex() -> HornProgram:
-    return ProgramBuilder().build()
-
-
-def single_edge(f: PlainImplication) -> HornProgram:
-    return chain((f,))
-
-
 def chain(formulas: Iterable[PlainImplication]) -> HornProgram:
     builder = ProgramBuilder()
     at = 0

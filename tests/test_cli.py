@@ -6,7 +6,7 @@ import pytest
 
 from hornlog import cli
 from hornlog.minsky import parse_computation, parse_machine, validate_computation
-from hornlog.programs import program_from_json, program_height, program_to_json, single_edge
+from hornlog.programs import chain, program_from_json, program_height, program_to_json
 from hornlog.syntax import parse_formula, parse_sequent
 
 DEC_TEXT = "counters 2\nL1: ifzero x1 goto L0\nL1: dec x1 goto L1\nL0: halt\n"
@@ -147,7 +147,7 @@ def test_verify_rejects_bad_program(dec_file, tmp_path):
     seq_file = tmp_path / "dec.seq"
     seq_file.write_text(run_cli("encode", str(dec_file), "--input", "1,0").stdout)
     prog_file = tmp_path / "bad.prog.json"
-    prog_file.write_text(program_to_json(single_edge(parse_formula("l1 -o l9"))))
+    prog_file.write_text(program_to_json(chain((parse_formula("l1 -o l9"),))))
     result = run_cli("verify", "sequent-program", str(seq_file), str(prog_file), expect=1)
     assert "LEAF_MISMATCH" in result.stdout or "FOREIGN_FORMULA" in result.stdout
 
@@ -240,7 +240,22 @@ def test_malformed_program_exits_2(dec_file, tmp_path, text):
 
 
 DROP = object()
-VALID_NODE = {"hll": {"rule": "I", "conclusion": "a ; ; |- a"}, "ll": {"rule": "I", "conclusion": "a |- a"}}
+# One-node tables, one per calculus: the identity axiom on the product ``a``.
+VALID_TABLE = {
+    "hll": {"formulas": ["a"], "nodes": [{"rule": "I", "conclusion": [0, [], [], 0]}]},
+    "ll": {"formulas": ["a"], "nodes": [{"rule": "I", "conclusion": [[0], 0]}]},
+}
+
+
+def run_main(tmp_path, capsys, command, table) -> int:
+    """Run the CLI in process on a proof file; check that any error is one line."""
+    proof_file = tmp_path / "proof.json"
+    proof_file.write_text(table if isinstance(table, str) else json.dumps(table))
+    code = cli.main([*command, str(proof_file)])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return code
 
 
 @pytest.mark.parametrize("command", [
@@ -253,25 +268,136 @@ VALID_NODE = {"hll": {"rule": "I", "conclusion": "a ; ; |- a"}, "ll": {"rule": "
     pytest.param("conclusion", DROP, id="no-conclusion"),
     pytest.param("conclusion", 5, id="number-conclusion"),
     pytest.param("premises", {}, id="object-premises"),
-    pytest.param("premises", [5], id="number-premise"),
-    pytest.param("principal", 5, id="number-principal"),
-    pytest.param("frame", 5, id="number-frame"),
+    pytest.param("premises", [0.5], id="number-premise"),
+    pytest.param("principal", 0.5, id="number-principal"),
+    pytest.param("frame", 0.5, id="number-frame"),
     pytest.param("split", "ab", id="string-split"),
-    pytest.param("split", ["a", 5], id="number-in-split"),
+    pytest.param("split", [0, 0.5], id="number-in-split"),
 ])
 def test_malformed_proof_node_exits_2(tmp_path, capsys, command, key, value):
-    node = dict(VALID_NODE["ll" if command[1] == "ll" else "hll"])
+    """Each node field with a JSON value of the wrong type; an index is an
+    integer, so a fractional number is the wrong type wherever one is due."""
+    table = json.loads(json.dumps(VALID_TABLE["ll" if command[1] == "ll" else "hll"]))
+    node = table["nodes"][0]
     if key is None:
-        node = value
+        table["nodes"][0] = value
     elif value is DROP:
         del node[key]
     else:
         node[key] = value
-    proof_file = tmp_path / "bad.proof.json"
-    proof_file.write_text(json.dumps(node))
-    assert cli.main([*command, str(proof_file)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run_main(tmp_path, capsys, command, table) == 2
+
+
+def _two_node_table(calculus: str) -> dict:
+    """A valid two-node table: an identity axiom under one unary inference."""
+    if calculus == "hll":
+        return {"formulas": ["a", "a -o a"], "nodes": [
+            {"rule": "I", "conclusion": [0, [], [], 0]},
+            {"rule": "WBANG", "conclusion": [0, [], [1], 0], "premises": [0], "principal": 1},
+        ]}
+    return {"formulas": ["a", "!(a -o a)", "a -o a"], "nodes": [
+        {"rule": "I", "conclusion": [[0], 0]},
+        {"rule": "WBANG", "conclusion": [[0, 1], 0], "premises": [0], "principal": 1},
+    ]}
+
+
+def _set(path, value):
+    def mutate(table):
+        *keys, last = path
+        target = table
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        return table
+    return mutate
+
+
+# The two commands that read each calculus's proofs.
+READERS = {"hll": (("verify", "hll"), ("compile", "hll-to-program")), "ll": (("verify", "ll"), ("compile", "ll-to-hll"))}
+
+TABLE_CASES = [
+    pytest.param(_set(("nodes", 1, "premises"), [7]), id="premise-out-of-range"),
+    pytest.param(_set(("nodes", 0, "premises"), [1]), id="premise-points-forward"),
+    pytest.param(_set(("nodes", 1, "premises"), [0, 0]), id="premise-used-twice"),
+    pytest.param(lambda t: {**t, "nodes": t["nodes"] + [t["nodes"][0]]}, id="two-roots"),
+    pytest.param(_set(("nodes", 1, "principal"), 9), id="formula-index-out-of-range"),
+    pytest.param(_set(("nodes", 0, "principal"), -1), id="negative-formula-index"),
+    pytest.param(_set(("formulas", 0), 5), id="non-string-formula"),
+    pytest.param(lambda t: {"rule": "I", "conclusion": "a |- a"}, id="nested-document"),
+    pytest.param(lambda t: '{"premises": [' * 5000 + "]}" * 5000, id="deeply-nested-document"),
+    pytest.param(lambda t: {**t, "nodes": []}, id="no-nodes"),
+    pytest.param(_set(("nodes", 1, "rule"), "CUT?"), id="unknown-rule"),
+    pytest.param(_set(("nodes", 0, "principal"), 1), id="principal-on-an-axiom"),
+]
+
+
+@pytest.mark.parametrize("command", [*READERS["hll"], *READERS["ll"]], ids="-".join)
+@pytest.mark.parametrize("mutate", TABLE_CASES)
+def test_malformed_table_exits_2(tmp_path, capsys, command, mutate):
+    table = mutate(_two_node_table(command[1].split("-to-")[0]))
+    assert run_main(tmp_path, capsys, command, table) == 2
+
+
+@pytest.mark.parametrize("calculus,mutate", [
+    pytest.param("hll", _set(("nodes", 0, "conclusion"), [0, [0], [], 0]), id="product-in-linear-zone"),
+    pytest.param("hll", _set(("nodes", 0, "conclusion"), [0, [], [], 1]), id="hll-implication-as-goal"),
+    pytest.param("ll", _set(("nodes", 0, "conclusion"), [[0], 2]), id="ll-implication-as-goal"),
+    pytest.param("hll", _set(("nodes", 1, "principal"), 0), id="product-as-banged-principal"),
+    pytest.param("ll", _set(("nodes", 1, "principal"), 2), id="plain-formula-as-bang-principal"),
+    pytest.param("ll", lambda t: {**t, "nodes": [t["nodes"][0], t["nodes"][0], {
+        "rule": "LOPLUS", "conclusion": [[0], 0], "premises": [0, 1], "principal": 2}]},
+        id="plain-formula-as-loplus-principal"),
+])
+def test_wrong_kind_member_exits_2(tmp_path, capsys, calculus, mutate):
+    """A formula index whose text is not of the kind its field holds."""
+    table = mutate(_two_node_table(calculus))
+    for command in READERS[calculus]:
+        assert run_main(tmp_path, capsys, command, table) == 2
+
+
+def test_two_node_tables_are_valid(tmp_path, capsys):
+    for calculus in ("hll", "ll"):
+        assert run_main(tmp_path, capsys, ("verify", calculus), _two_node_table(calculus)) == 0
+
+
+def test_a_missing_principal_reads_and_fails_the_check(tmp_path, capsys):
+    proof_file = tmp_path / "proof.json"
+    for calculus in ("hll", "ll"):
+        table = _two_node_table(calculus)
+        del table["nodes"][1]["principal"]
+        proof_file.write_text(json.dumps(table))
+        assert cli.main(["verify", calculus, str(proof_file)]) == 1
+        assert capsys.readouterr().out == "WBANG at root: WBANG cannot have None as its principal\n"
+
+
+def test_deep_zoned_proof_through_the_cli(tmp_path):
+    from corpora import ltensor_chain
+    from hornlog import hll
+
+    proof_file = tmp_path / "chain.hll.json"
+    proof_file.write_text(hll.hll_proof_to_json(ltensor_chain(5000)))
+    assert run_cli("verify", "hll", str(proof_file)).stdout == "accept\n"
+    program = program_from_json(run_cli("compile", "hll-to-program", str(proof_file)).stdout)
+    assert [str(label) for _, _, label in program.edges] == ["a -o b"]
+
+
+def test_deep_flat_proof_through_the_cli(tmp_path):
+    from corpora import stacked_weakenings
+    from hornlog import hll, ll
+
+    proof = stacked_weakenings(1000)
+    proof_file = tmp_path / "weakenings.ll.json"
+    proof_file.write_text(ll.ll_proof_to_json(proof))
+    assert run_cli("verify", "ll", str(proof_file)).stdout == "accept\n"
+    translated = hll.hll_proof_from_json(run_cli("compile", "ll-to-hll", str(proof_file)).stdout)
+    assert hll.check_hll_proof(translated).ok
+    assert translated.conclusion == ll.horn_reading(proof.conclusion)
+
+
+def test_encode_rejects_a_wrong_input_count(dec_file):
+    result = run_cli("encode", str(dec_file), "--input", "1", expect=2)
+    assert result.stdout == ""
+    assert result.stderr == "error: expected 2 counters, got 1\n"
 
 
 def test_unexpected_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import pytest
 
 from corpora import hll_corpus, hll_rule_counts
@@ -7,7 +10,6 @@ from hornlog.hll import (
     HllRule,
     check_hll_proof,
     compile_hll_to_program,
-    compiled_leaf_count,
     hll_proof_from_json,
     hll_proof_to_json,
 )
@@ -88,6 +90,13 @@ def test_choice_rule_accepts_either_orientation():
         assert verify_strong_solution(program, node.conclusion).ok
 
 
+def test_checker_rejects_a_principal_of_another_kind():
+    axiom = HllProof(HllRule.I, parse_sequent("q ; ; |- q"), principal=parse_formula("q -o q"))
+    assert str(check_hll_proof(axiom)) == "I at root: I cannot have q -o q as its principal"
+    weakening = replace(hll.wbang(hll.i_axiom(Q), PlainImplication(F, G)), principal=None)
+    assert str(check_hll_proof(weakening)) == "WBANG at root: WBANG cannot have None as its principal"
+
+
 def test_checker_reports_failure_path():
     bad_leaf = HllProof(HllRule.I, parse_sequent("q ; ; |- p"))
     node = hll.wbang(hll.wbang(bad_leaf, PlainImplication(F, G)), PlainImplication(G, H))
@@ -162,6 +171,10 @@ def test_corpus_soundness():
 
 
 def test_leaf_count_law():
+    """The compiled program's leaves: forks add them, cuts multiply them."""
+    def leaf_count(node, counts):
+        return math.prod(counts) if node.rule is HllRule.CUT else sum(counts) or 1
+
     for proof in hll_corpus(seed=99, count=20):
         program = compile_hll_to_program(proof)
-        assert len(program.leaves) == compiled_leaf_count(proof)
+        assert len(program.leaves) == hll.fold(proof, leaf_count)

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,7 @@ from hornlog.ll import (
     ll_proof_to_json,
     ll_sequent_text,
     loplus_distance_sum,
-    parse_ll_sequent,
+    parse_ll_formula,
     push_oplus_down,
     specialize,
     translate_ll_to_hll,
@@ -58,6 +59,12 @@ def test_weakening_rejects_banged_product():
     node = LlProof(LlRule.WBANG, conclusion, (premise,), principal=banged_product)
     result = check_ll_proof(node)
     assert not result.ok and "implication" in result.failure.reason
+
+
+def test_checker_rejects_a_principal_of_another_kind():
+    block = make_choice_block()
+    result = check_ll_proof(replace(block, principal=PlainImplication(G, M)))
+    assert result.failure.path == () and result.failure.reason == "LOPLUS cannot have g -o m as its principal"
 
 
 def test_checker_rejects_context_drift():
@@ -283,30 +290,37 @@ def test_translate_choice_pipeline_builds_fork():
     assert verify_strong_solution(program, t.conclusion).ok
 
 
+def flat(members, goal: str) -> LlSequent:
+    """The flat sequent whose context holds these member texts."""
+    return LlSequent(tuple(parse_ll_formula(text) for text in members), parse_product(goal))
+
+
 def test_horn_reading_zones():
-    s = parse_ll_sequent("c, f, f -o (g + h), !(g -o m) |- m")
+    s = flat(["c", "f", "f -o (g + h)", "!(g -o m)"], "m")
     reading = horn_reading(s)
     assert reading == parse_sequent("c*f ; f -o (g + h) ; g -o m |- m")
     with pytest.raises(ValueError):
-        horn_reading(parse_ll_sequent("f -o g |- g"))
+        horn_reading(flat(["f -o g"], "g"))
 
 
 def test_context_members_are_syntax_objects():
-    context = parse_ll_sequent("a, a -o b |- b").context
+    context = flat(["a", "a -o b"], "b").context
     assert context == (parse_product("a"), parse_formula("a -o b"))
 
 
 def test_ll_sequent_text_round_trip():
-    texts = [
-        "f, f -o g |- g",
-        "(g + h)#1, !(g -o m), !((h*h) -o m) |- m",
-        "|- q",
-        "!(f -o (g + h)), c*d |- c",
-        "!(x*y), (a*a) -o b |- b",
+    cases = [
+        (["f", "f -o g"], "g"),
+        (["(g + h)#1", "!(g -o m)", "!((h*h) -o m)"], "m"),
+        ([], "q"),
+        (["!(f -o (g + h))", "c*d"], "c"),
+        (["!(x*y)", "(a*a) -o b"], "b"),
     ]
-    for text in texts:
-        s = parse_ll_sequent(text)
-        assert parse_ll_sequent(ll_sequent_text(s)) == s
+    for members, goal in cases:
+        s = flat(members, goal)
+        assert [g.text for g in s.context] == sorted(members)
+        assert flat([g.text for g in s.context], goal) == s
+        assert ll_sequent_text(s) == ", ".join(sorted(members)) + (" " if members else "") + f"|- {goal}"
 
 
 def test_proof_serialization_round_trip():
@@ -347,13 +361,26 @@ def test_translation_laws_on_corpus():
         assert verify_strong_solution(program, t.conclusion).ok
 
 
-# sha256 of every normalized corpus proof and its translation, as JSON text.
-NORMAL_FORM_SHA256 = "9e5f7af46b0b418f8f93188938a4b87634588e2e26057dbda47895f6b4e1d637"
+def rendering(proof):
+    """One line per node in preorder: rule, conclusion, principal, and split
+    or frame; it does not depend on the proof file format."""
+    for node, _ in hll.walk(proof):
+        extra = getattr(node, "frame", None)
+        split = getattr(node, "split", None)
+        if split is not None:
+            extra = " ".join(p.text for p in split)
+        principal = "" if node.principal is None else node.principal.text
+        yield f"{node.rule.value} | {node.conclusion} | {principal} | {'' if extra is None else extra}\n"
+
+
+# sha256 of the rendering of every normalized corpus proof and its translation.
+NORMAL_FORM_SHA256 = "80c31b83d77e454ed95fc9173ed4d118eebff68c2bc842a0f282e31f25e7b5fa"
 
 
 def test_normal_form_of_corpus_is_pinned():
     digest = hashlib.sha256()
     for proof in ll_corpus():
-        digest.update(ll_proof_to_json(push_oplus_down(proof)).encode())
-        digest.update(hll.hll_proof_to_json(translate_ll_to_hll(proof)).encode())
+        for tree in (push_oplus_down(proof), translate_ll_to_hll(proof)):
+            for line in rendering(tree):
+                digest.update(line.encode())
     assert digest.hexdigest() == NORMAL_FORM_SHA256

@@ -19,8 +19,6 @@ from hornlog.programs import (
     program_to_dot,
     program_to_json,
     prove_bounded,
-    single_edge,
-    single_vertex,
     strong_fork,
     verify_strong_solution,
 )
@@ -38,7 +36,7 @@ F, G, H, M = (parse_product(x) for x in "fghm")
 
 @pytest.fixture
 def p0():
-    return strong_fork(F, G, H, single_edge(PlainImplication(G, M)), single_edge(PlainImplication(H, M)))
+    return strong_fork(F, G, H, chain((PlainImplication(G, M),)), chain((PlainImplication(H, M),)))
 
 
 def leaf_values(program, w):
@@ -127,7 +125,7 @@ def test_verify_linear_used_twice():
 
 
 def test_verify_linear_unused():
-    program = single_edge(parse_formula("a -o b"))
+    program = chain((parse_formula("a -o b"),))
     s = parse_sequent("a ; a -o b, b -o c ; |- b")
     report = verify_strong_solution(program, s)
     assert any(v.kind == LINEAR_COUNT and v.count == 0 for v in report.violations)
@@ -140,24 +138,24 @@ def test_verify_linear_with_banged_copy_allows_extra_uses():
 
 
 def test_compose_chains():
-    left = single_edge(parse_formula("a -o b"))
-    right = single_edge(parse_formula("b -o c"))
+    left = chain((parse_formula("a -o b"),))
+    right = chain((parse_formula("b -o c"),))
     composed = compose(left, right)
     assert leaf_values(composed, parse_product("a")) == [parse_product("c")]
 
 
 def test_compose_multiplies_leaves(p0):
-    three = strong_fork(M, F, F, single_vertex(), strong_fork(F, G, H, single_vertex(), single_vertex()))
+    three = strong_fork(M, F, F, chain(()), strong_fork(F, G, H, chain(()), chain(())))
     assert len(three.leaves) == 3
     assert len(compose(p0, three).leaves) == 6
 
 
 def test_compose_identity():
-    assert len(compose(single_vertex(), single_edge(parse_formula("a -o b"))).edges) == 1
+    assert len(compose(chain(()), chain((parse_formula("a -o b"),))).edges) == 1
 
 
 def test_strong_fork_shapes(p0):
-    two = strong_fork(F, G, H, single_vertex(), single_vertex())
+    two = strong_fork(F, G, H, chain(()), chain(()))
     assert len(two.leaves) == 2 and program_height(two) == 1
     assert len(p0.leaves) == 2 and program_height(p0) == 2
     assert p0.is_divergent(p0.root)

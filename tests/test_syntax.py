@@ -25,7 +25,6 @@ from hornlog.ll import (
     LlSequent,
     ll_sequent_text,
     parse_ll_formula,
-    parse_ll_sequent,
 )
 
 names = st.sampled_from(["a", "b", "c", "d", "e"])
@@ -131,7 +130,13 @@ def test_print_forms():
 # prints before ``a*b`` although (("a", 2),) sorts after (("a", 1), ("b", 1)),
 # and ``(a*a) -o b`` prints before ``a -o b``.
 ZONED = "a*b ; (a*a) -o b, a -o (a*a + a*b), a -o b ; (a*b) -o (a*a), (a*b) -o a |- a*a"
-FLAT = "!((a*a) -o b), !(a -o b), !(a*b), (a*a + a*b)#2, (a*a) -o b, a -o b, a*a, a*b |- q"
+FLAT_MEMBERS = ["!((a*a) -o b)", "!(a -o b)", "!(a*b)", "(a*a + a*b)#2", "(a*a) -o b", "a -o b", "a*a", "a*b"]
+FLAT = ", ".join(FLAT_MEMBERS) + " |- q"
+
+
+def flat_sequent(members) -> LlSequent:
+    """The flat sequent over ``q`` whose context holds these member texts."""
+    return LlSequent(tuple(parse_ll_formula(text) for text in members), parse_product("q"))
 
 
 def test_zones_print_in_text_order():
@@ -142,21 +147,21 @@ def test_zones_print_in_text_order():
 
 
 def test_flat_context_prints_in_text_order():
-    assert ll_sequent_text(parse_ll_sequent(FLAT)) == FLAT
-    shuffled = "a*b, (a*b + a*a)#2, a -o b, !((a*a) -o b), a*a, (a*a) -o b, !(a -o b), !(b*a) |- q"
-    assert ll_sequent_text(parse_ll_sequent(shuffled)) == FLAT
-    assert parse_ll_sequent(shuffled) == parse_ll_sequent(FLAT)
+    assert ll_sequent_text(flat_sequent(FLAT_MEMBERS)) == FLAT
+    shuffled = ["a*b", "(a*b + a*a)#2", "a -o b", "!((a*a) -o b)", "a*a", "(a*a) -o b", "!(a -o b)", "!(b*a)"]
+    assert ll_sequent_text(flat_sequent(shuffled)) == FLAT
+    assert flat_sequent(shuffled) == flat_sequent(FLAT_MEMBERS)
 
 
 @given(mixed_contexts, products)
 def test_flat_context_print_parse_print(context, goal):
     for member in context:
         assert parse_ll_formula(member.text) == member
-    shuffled = ", ".join(g.text for g in context) + " |- " + goal.text
-    sequent = parse_ll_sequent(shuffled)
+    sequent = LlSequent(tuple(parse_ll_formula(g.text) for g in context), goal)
     assert sequent == LlSequent(tuple(context), goal)
     text = ll_sequent_text(sequent)
-    assert ll_sequent_text(parse_ll_sequent(text)) == text
+    again = LlSequent(tuple(parse_ll_formula(g.text) for g in sequent.context), goal)
+    assert ll_sequent_text(again) == text
 
 
 MALFORMED_MEMBERS = ["!((a + b)#1)", "(a + b)", "(a + b)#x", "!(a -o b", "(a b)"]
@@ -166,15 +171,16 @@ MALFORMED_MEMBERS = ["!((a + b)#1)", "(a + b)", "(a + b)#x", "!(a -o b", "(a b)"
 def test_flat_member_parse_errors(bad):
     with pytest.raises(FormatError):
         parse_ll_formula(bad)
-    with pytest.raises(FormatError):
-        parse_ll_sequent(f"a, {bad} |- a")
 
 
 def test_malformed_member_exits_2_from_verify(tmp_path, capsys):
     proof_file = tmp_path / "bad.proof.json"
-    proof_file.write_text(json.dumps({"rule": "I", "conclusion": f"{MALFORMED_MEMBERS[0]}, a |- a"}))
-    assert cli.main(["verify", "ll", str(proof_file)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    for bad in MALFORMED_MEMBERS:
+        table = {"formulas": ["a", bad], "nodes": [{"rule": "I", "conclusion": [[1, 0], 0]}]}
+        proof_file.write_text(json.dumps(table))
+        assert cli.main(["verify", "ll", str(proof_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: node 0's context: formulas[1]") and err.count("\n") == 1
 
 
 def test_bang_accepts_a_parenthesised_product():
