@@ -282,10 +282,11 @@ def round_trip_check(
                 computation=computation, trace=trace, extracted=extracted, sequent=sequent,
             )
         if witness is None:
-            if program_height(trace.program) > max_depth:
+            height = program_height(trace.program)
+            if height > max_depth:
                 return RoundTripReport(
                     BOUNDS_INCONCLUSIVE,
-                    f"run found but its program needs height {program_height(trace.program)} > {max_depth}",
+                    f"run found but its program needs height {height} > {max_depth}",
                     computation=computation, trace=trace, sequent=sequent,
                 )
             return RoundTripReport(

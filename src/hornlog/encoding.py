@@ -185,8 +185,6 @@ class MachineEncoding:
 
     def sequent(self, inputs: tuple[int, ...]) -> HornSequent:
         """The target sequent: encoded start at L1, everything reusable, goal l0."""
-        if any(k < 0 for k in inputs):
-            raise ValueError("inputs must be non-negative")
         start = encode_config(self.machine.n, Configuration(1, tuple(inputs)))
         banged = self.program_formulas() + self.killer_zone()
         return HornSequent(start, (), banged, self.goal)

@@ -3,9 +3,12 @@ compiler from checked derivations to tree-like Horn programs.
 
 Nine rules: two axioms (identity and a single implication step), a regrouping
 no-op, a frame rule that tensors the same product onto input and goal, the
-two-premise choice rule, the three bang rules, and cut.  Proof nodes store
-their full conclusion sequent so every inference is checked locally against
-its schema, giving precise failure positions.
+two-premise choice rule, the three bang rules, and cut.  Each rule's
+conclusion is stated once, in ``_conclude``: a node builder takes its
+conclusion from there, and the checker rebuilds every node from its premises
+and compares, so builders and checker cannot drift apart.  Proof nodes store
+their full conclusion sequent, so each inference is checked locally, giving
+precise failure positions.
 
 The compiler emits one program into a single builder from an explicit
 stack: an identity axiom adds nothing, a single-step axiom adds one edge, the
@@ -94,123 +97,74 @@ class CheckResult:
         return "valid" if self.ok else str(self.failure)
 
 
-def _check_node(node: HllProof) -> str | None:
-    """None when the node instantiates its rule schema; otherwise the mismatch."""
-    c = node.conclusion
-    rule = node.rule
-
+def _conclude(rule: HllRule, premises: tuple, principal, frame) -> HornSequent | str:
+    """The conclusion ``rule`` draws from its premises, or the side condition
+    that fails.  An axiom takes its one parameter as ``principal``: the
+    product for I, the implication for H.  Premise zones are canonical, and
+    so is what is left when a member is removed; a zone that gains members
+    is sorted again."""
+    f, sequent = principal, HornSequent.of_canonical
     if rule is HllRule.I:
-        if c.linear or c.banged:
-            return "identity sequent must have empty zones"
-        if c.input != c.goal:
-            return "identity requires input = goal"
-        return None
-
+        return sequent(f, (), (), f)
     if rule is HllRule.H:
-        if c.banged or len(c.linear) != 1:
-            return "axiom needs exactly one linear formula and no banged zone"
-        f = c.linear[0]
         if not isinstance(f, PlainImplication):
             return "axiom formula must be a plain implication"
-        if f.antecedent != c.input:
-            return "axiom input must be the implication's antecedent"
-        if f.consequent != c.goal:
-            return "axiom goal must be the implication's consequent"
-        return None
-
-    if rule is HllRule.LTENSOR:
-        p = node.premises[0].conclusion
-        if p.input != c.input:
-            return "regrouping must keep the input multiset"
-        if p.linear != c.linear or p.banged != c.banged or p.goal != c.goal:
-            return "regrouping must keep zones and goal"
-        return None
-
+        return sequent(f.antecedent, (f,), (), f.consequent)
+    p = premises[0].conclusion
+    if rule is HllRule.LTENSOR:  # regrouping is invisible in canonical form
+        return p
     if rule is HllRule.M:
-        p = node.premises[0].conclusion
-        v = node.frame
-        if not isinstance(v, SimpleProduct):
+        if not isinstance(frame, SimpleProduct):
             return "frame rule needs a non-empty frame product"
-        if c.input != p.input.tensor(v):
-            return f"conclusion input must be premise input tensored with {v}"
-        if c.goal != p.goal.tensor(v):
-            return f"conclusion goal must be premise goal tensored with {v}"
-        if p.linear != c.linear or p.banged != c.banged:
-            return "frame rule must keep both zones"
-        return None
-
+        return sequent(p.input.tensor(frame), p.linear, p.banged, p.goal.tensor(frame))
     if rule is HllRule.OPLUS_H:
-        f = node.principal
-        v = node.frame
-        gamma = multiset_minus(c.linear, f)
-        if gamma is None:
-            return f"principal {f.text} not in the linear zone"
-        if c.input != f.antecedent.tensor(v):
-            return f"conclusion input must be the antecedent tensored with frame {v}"
-        p1, p2 = (p.conclusion for p in node.premises)
-        for p in (p1, p2):
-            if p.linear != gamma:
-                return "premise linear zones must be the conclusion's minus the principal"
-            if p.banged != c.banged:
-                return "premise banged zones must match the conclusion"
-            if p.goal != c.goal:
-                return "premise goals must match the conclusion"
-        left, right = f.left.tensor(v), f.right.tensor(v)
-        if not (
-            (p1.input == left and p2.input == right)
-            or (p1.input == right and p2.input == left)
-        ):
+        q = premises[1].conclusion
+        if (q.linear, q.banged, q.goal) != (p.linear, p.banged, p.goal):
+            return "premises must share both zones and the goal"
+        if {p.input, q.input} != {f.left.tensor(frame), f.right.tensor(frame)}:
             return "premise inputs must be the two consequents tensored with the frame"
-        return None
-
+        return sequent(f.antecedent.tensor(frame), canonical_zone(p.linear + (f,)), p.banged, p.goal)
     if rule is HllRule.LBANG:
-        p = node.premises[0].conclusion
-        a = node.principal
-        banged_rest = multiset_minus(c.banged, a)
-        if banged_rest is None or banged_rest != p.banged:
-            return "conclusion banged zone must be the premise's plus the principal"
-        linear_rest = multiset_minus(p.linear, a)
-        if linear_rest is None or linear_rest != c.linear:
+        linear = multiset_minus(p.linear, f)
+        if linear is None:
             return "premise must carry the principal linearly"
-        if p.input != c.input or p.goal != c.goal:
-            return "input and goal must be unchanged"
-        return None
-
+        return sequent(p.input, linear, canonical_zone(p.banged + (f,)), p.goal)
     if rule is HllRule.WBANG:
-        p = node.premises[0].conclusion
-        a = node.principal
-        if multiset_minus(c.banged, a) != p.banged:
-            return "conclusion banged zone must be the premise's plus the principal"
-        if p.linear != c.linear or p.input != c.input or p.goal != c.goal:
-            return "everything but the banged zone must be unchanged"
-        return None
-
+        return sequent(p.input, p.linear, canonical_zone(p.banged + (f,)), p.goal)
     if rule is HllRule.CBANG:
-        p = node.premises[0].conclusion
-        a = node.principal
-        if a not in c.banged:
-            return "principal must stay in the conclusion's banged zone"
-        if p.banged != canonical_zone(c.banged + (a,)):
-            return "premise banged zone must be the conclusion's plus one principal copy"
-        if p.linear != c.linear or p.input != c.input or p.goal != c.goal:
-            return "everything but the banged zone must be unchanged"
-        return None
-
+        banged = multiset_minus(p.banged, f)
+        if banged is None or f not in banged:
+            return "premise banged zone must hold two copies of the principal"
+        return sequent(p.input, p.linear, banged, p.goal)
     if rule is HllRule.CUT:
-        p1, p2 = (p.conclusion for p in node.premises)
-        if p2.input != p1.goal:
+        q = premises[1].conclusion
+        if q.input != p.goal:
             return "second premise input must be the first premise's goal"
-        if c.input != p1.input:
-            return "conclusion input must be the first premise's input"
-        if c.goal != p2.goal:
-            return "conclusion goal must be the second premise's goal"
-        if c.linear != canonical_zone(p1.linear + p2.linear):
-            return "conclusion linear zone must merge the premises'"
-        if c.banged != canonical_zone(p1.banged + p2.banged):
-            return "conclusion banged zone must merge the premises'"
-        return None
-
+        return sequent(p.input, canonical_zone(p.linear + q.linear), canonical_zone(p.banged + q.banged), q.goal)
     raise AssertionError(rule)
+
+
+def _node(rule: HllRule, premises: tuple = (), principal=None, frame=None) -> HllProof:
+    """The node ``rule`` draws from its premises; ValueError if it draws none.
+    An axiom's parameter is read back from its conclusion, so it is not kept."""
+    conclusion = _conclude(rule, premises, principal, frame)
+    if isinstance(conclusion, str):
+        raise ValueError(f"{rule.value}: {conclusion}")
+    return HllProof(rule, conclusion, premises, principal if premises else None, frame)
+
+
+def _check_node(node: HllProof) -> str | None:
+    """None when the node's rule draws its conclusion; otherwise the mismatch."""
+    c = node.conclusion
+    principal = node.principal
+    if node.rule is HllRule.I:
+        principal = c.goal
+    elif node.rule is HllRule.H:
+        principal = c.linear[0] if len(c.linear) == 1 else None
+    expected = _conclude(node.rule, node.premises, principal, node.frame)
+    if expected == c:
+        return None
+    return expected if isinstance(expected, str) else f"conclusion must be {expected}"
 
 
 def walk(tree):
@@ -318,67 +272,43 @@ def _emit(proof: HllProof, builder: ProgramBuilder) -> None:
             stack.append((node.premises[0], where, leaves))
 
 
-# --- Node builders (conclusions computed, for construction sites) -------------
+# --- Node builders: each rule's conclusion comes from ``_conclude`` -------------
 
 
 def i_axiom(x: SimpleProduct) -> HllProof:
-    return HllProof(HllRule.I, HornSequent(x, (), (), x))
+    return _node(HllRule.I, principal=x)
 
 
 def h_axiom(f: PlainImplication) -> HllProof:
-    return HllProof(HllRule.H, HornSequent(f.antecedent, (f,), (), f.consequent))
+    return _node(HllRule.H, principal=f)
 
 
 def ltensor(premise: HllProof) -> HllProof:
-    return HllProof(HllRule.LTENSOR, premise.conclusion, (premise,))
+    return _node(HllRule.LTENSOR, (premise,))
 
 
 def frame_rule(premise: HllProof, v: SimpleProduct) -> HllProof:
-    c = premise.conclusion
-    conclusion = HornSequent(c.input.tensor(v), c.linear, c.banged, c.goal.tensor(v))
-    return HllProof(HllRule.M, conclusion, (premise,), frame=v)
+    return _node(HllRule.M, (premise,), frame=v)
 
 
 def oplus_h(premise1: HllProof, premise2: HllProof, f: OplusImplication, v: Frame) -> HllProof:
-    c1 = premise1.conclusion
-    conclusion = HornSequent(
-        f.antecedent.tensor(v), c1.linear + (f,), c1.banged, c1.goal
-    )
-    return HllProof(HllRule.OPLUS_H, conclusion, (premise1, premise2), principal=f, frame=v)
+    return _node(HllRule.OPLUS_H, (premise1, premise2), f, v)
 
 
 def lbang(premise: HllProof, a: HornFormula) -> HllProof:
-    c = premise.conclusion
-    linear = multiset_minus(c.linear, a)
-    if linear is None:
-        raise ValueError(f"premise does not carry {a.text} linearly")
-    conclusion = HornSequent(c.input, linear, c.banged + (a,), c.goal)
-    return HllProof(HllRule.LBANG, conclusion, (premise,), principal=a)
+    return _node(HllRule.LBANG, (premise,), a)
 
 
 def wbang(premise: HllProof, a: HornFormula) -> HllProof:
-    c = premise.conclusion
-    conclusion = HornSequent(c.input, c.linear, c.banged + (a,), c.goal)
-    return HllProof(HllRule.WBANG, conclusion, (premise,), principal=a)
+    return _node(HllRule.WBANG, (premise,), a)
 
 
 def cbang(premise: HllProof, a: HornFormula) -> HllProof:
-    c = premise.conclusion
-    banged = multiset_minus(c.banged, a)
-    if banged is None or a not in banged:
-        raise ValueError(f"premise needs two banged copies of {a.text}")
-    conclusion = HornSequent(c.input, c.linear, banged, c.goal)
-    return HllProof(HllRule.CBANG, conclusion, (premise,), principal=a)
+    return _node(HllRule.CBANG, (premise,), a)
 
 
 def cut(premise1: HllProof, premise2: HllProof) -> HllProof:
-    c1, c2 = premise1.conclusion, premise2.conclusion
-    if c2.input != c1.goal:
-        raise ValueError("cut premises do not chain")
-    conclusion = HornSequent(
-        c1.input, c1.linear + c2.linear, c1.banged + c2.banged, c2.goal
-    )
-    return HllProof(HllRule.CUT, conclusion, (premise1, premise2))
+    return _node(HllRule.CUT, (premise1, premise2))
 
 
 # --- Proof files -----------------------------------------------------------------

@@ -9,6 +9,14 @@ expands it and the implication-choice rule that introduces it.  Each choice
 product carries an integer tag so the two rules pair by occurrence even when
 equal formulas coexist; one context holds each tag at most once.
 
+Each rule's conclusion is stated once, in ``_ll_conclude``.  The node
+builders take their conclusions from there, and the checker rebuilds every
+node from its premises and compares; an implication-choice node is rebuilt
+with each pending tag of its second premise.  In a checked proof a tag
+leaves the context only at the node that consumes it, so the normalizer and
+the translation know a choice's consumer as the node below it whose
+conclusion no longer holds the tag.
+
 ``push_oplus_down`` moves every left-choice inference down until it sits
 immediately above the implication-choice inference that consumes its
 principal.  The left-choice rule is invertible: ``specialize`` replaces a
@@ -93,6 +101,13 @@ class LlSequent:
     def __post_init__(self):
         object.__setattr__(self, "context", canonical_zone(self.context))
 
+    @classmethod
+    def of_canonical(cls, context, goal):
+        """Wrap a context already in canonical order, skipping the sort."""
+        sequent = object.__new__(cls)
+        sequent.__dict__.update(context=context, goal=goal)
+        return sequent
+
     def __str__(self) -> str:
         return ll_sequent_text(self)
 
@@ -128,123 +143,106 @@ class LlProof:
     split: tuple[SimpleProduct, SimpleProduct] | None = None
 
 
-def _check_ll_node(node: LlProof) -> str | None:
-    c = node.conclusion
-    rule = node.rule
-    # Tags pair a left choice with its consumer, so one context holds each once.
-    tags = [g.tag for g in c.context if isinstance(g, LlOplusProduct)]
-    if len(set(tags)) != len(tags):
-        duplicated = sorted(tag for tag, count in Counter(tags).items() if count > 1)
-        return f"choice tags duplicated in one context: {duplicated}"
-
+def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequent | str:
+    """The conclusion ``rule`` draws from its premises, or the side condition
+    that fails.  I takes its product as ``principal``; LIMPOPLUS consumes the
+    pending choice tagged ``tag`` from its second premise."""
+    a = principal
     if rule is LlRule.I:
-        if len(c.context) != 1 or not isinstance(c.context[0], SimpleProduct):
-            return "identity context must be a single product"
-        if c.context[0] != c.goal:
-            return "identity requires context product = goal"
-        return None
-
+        return LlSequent.of_canonical((a,), a)
+    p = premises[0].conclusion
+    goal = p.goal
     if rule is LlRule.LTENSOR:
-        if node.split is None:
+        if split is None:
             return "product regrouping needs its split"
-        x, y = node.split
-        if x.tensor(y) != node.principal:
+        if split[0].tensor(split[1]) != a:
             return "split does not recombine to the principal product"
-        rest = multiset_minus(c.context, node.principal)
+        rest = multiset_minus(p.context, *split)
         if rest is None:
-            return "principal product not in the conclusion context"
-        p = node.premises[0].conclusion
-        expected = canonical_zone(rest + (x, y))
-        if p.context != expected:
-            return "premise context must split the principal product"
-        if p.goal != c.goal:
-            return "goal must be unchanged"
-        return None
-
-    if rule is LlRule.RTENSOR:
-        p1, p2 = (p.conclusion for p in node.premises)
-        if c.goal != p1.goal.tensor(p2.goal):
-            return "goal must be the tensor of the premise goals"
-        if c.context != canonical_zone(p1.context + p2.context):
-            return "context must merge the premise contexts"
-        return None
-
-    if rule is LlRule.LIMP:
-        f = node.principal
-        p1, p2 = (p.conclusion for p in node.premises)
-        if p1.goal != f.antecedent:
+            return "premise context must hold both parts of the split"
+        context = rest + (a,)
+    elif rule is LlRule.RTENSOR:
+        q = premises[1].conclusion
+        context, goal = p.context + q.context, p.goal.tensor(q.goal)
+    elif rule in (LlRule.LIMP, LlRule.LIMPOPLUS):
+        if p.goal != a.antecedent:
             return "first premise must prove the antecedent"
-        p2_rest = multiset_minus(p2.context, f.consequent)
-        if p2_rest is None:
-            return "second premise context must carry the consequent product"
-        if p2.goal != c.goal:
-            return "goal must come from the second premise"
-        expected = canonical_zone(p1.context + p2_rest + (f,))
-        if c.context != expected:
-            return "conclusion context must merge premises around the principal"
-        return None
-
-    if rule is LlRule.LIMPOPLUS:
-        f = node.principal
-        p1, p2 = (p.conclusion for p in node.premises)
-        if p1.goal != f.antecedent:
-            return "first premise must prove the antecedent"
-        pending = [
-            g
-            for g in p2.context
-            if isinstance(g, LlOplusProduct) and g.left == f.left and g.right == f.right
-        ]
-        if not pending:
-            return "second premise context must carry the pending choice product"
-        if p2.goal != c.goal:
-            return "goal must come from the second premise"
-        # Content-equal occurrences may coexist under different tags; the
-        # conclusion determines which one was consumed.
-        for occurrence in pending:
-            expected = canonical_zone(p1.context + multiset_minus(p2.context, occurrence) + (f,))
-            if c.context == expected:
-                if any(isinstance(g, LlOplusProduct) and g.tag == occurrence.tag for g in p1.context):
-                    # The conclusion would still hold the tag, so no consumer
-                    # below could tell which choice this node consumed.
-                    return "consumed choice tag is still pending in the first premise"
-                return None
-        return "conclusion context must merge premises around the principal"
-
-    if rule is LlRule.LOPLUS:
-        occ = node.principal
-        rest = multiset_minus(c.context, occ)
+        q = premises[1].conclusion
+        consumed = a.consequent if rule is LlRule.LIMP else LlOplusProduct(a.left, a.right, tag)
+        rest = multiset_minus(q.context, consumed)
         if rest is None:
-            return "principal choice product not in the conclusion context"
-        p1, p2 = (p.conclusion for p in node.premises)
-        if p1.context != canonical_zone(rest + (occ.left,)):
-            return "first premise context must expand to the left component"
-        if p2.context != canonical_zone(rest + (occ.right,)):
-            return "second premise context must expand to the right component"
-        if p1.goal != c.goal or p2.goal != c.goal:
-            return "premise goals must match the conclusion"
-        return None
-
-    if rule in (LlRule.LBANG, LlRule.WBANG, LlRule.CBANG):
-        a = node.principal
+            return f"second premise context must carry {consumed}"
+        if rule is LlRule.LIMPOPLUS and _holds_tag(p, tag):
+            # The conclusion would still hold the tag, so no consumer below
+            # could tell which choice this node consumed.
+            return "consumed choice tag is still pending in the first premise"
+        context, goal = p.context + rest + (a,), q.goal
+    elif rule is LlRule.LOPLUS:
+        q = premises[1].conclusion
+        if q.goal != goal:
+            return "premise goals must match"
+        rest = multiset_minus(p.context, a.left)
+        if rest is None or rest != multiset_minus(q.context, a.right):
+            return "premise contexts must expand one frame to the two components"
+        context = rest + (a,)
+    else:  # the bang rules
         if isinstance(a.formula, SimpleProduct):
             return "only implications may be banged"
-        p = node.premises[0].conclusion
-        if p.goal != c.goal:
-            return "goal must be unchanged"
-        rest = multiset_minus(c.context, a)
+        rest = p.context
+        if rule is LlRule.LBANG:  # dereliction: a linear copy becomes the bang
+            rest = multiset_minus(rest, a.formula)
+        elif rule is LlRule.CBANG:  # contraction: two bangs become one
+            rest = multiset_minus(rest, a, a)
         if rest is None:
-            return "banged principal not in the conclusion context"
-        if rule is LlRule.LBANG:
-            expected = canonical_zone(rest + (a.formula,))
-        elif rule is LlRule.WBANG:
-            expected = canonical_zone(rest)
-        else:  # CBANG
-            expected = canonical_zone(rest + (a, a))
-        if p.context != expected:
             return "premise context does not match the bang schema"
-        return None
+        context = rest + (a,)
+    context = canonical_zone(context)
+    return _tag_clash(context) or LlSequent.of_canonical(context, goal)
 
-    raise AssertionError(rule)
+
+def _tag_clash(context: tuple) -> str | None:
+    """Tags pair a left choice with its consumer, so one context holds each once."""
+    tags = [g.tag for g in context if isinstance(g, LlOplusProduct)]
+    if len(set(tags)) == len(tags):
+        return None
+    duplicated = sorted(tag for tag, count in Counter(tags).items() if count > 1)
+    return f"choice tags duplicated in one context: {duplicated}"
+
+
+def _holds_tag(sequent: LlSequent, tag: int) -> bool:
+    """Whether the sequent's context holds the pending choice tagged ``tag``."""
+    return any(isinstance(g, LlOplusProduct) and g.tag == tag for g in sequent.context)
+
+
+def _ll_node(rule: LlRule, premises: tuple, principal=None, split=None, tag=None) -> LlProof:
+    """The node ``rule`` draws from its premises; ValueError if it draws none.
+    An axiom's product is read back from its conclusion, so it is not kept."""
+    conclusion = _ll_conclude(rule, premises, principal, split, tag)
+    if isinstance(conclusion, str):
+        raise ValueError(f"{rule.value}: {conclusion}")
+    return LlProof(rule, conclusion, premises, principal if premises else None, split)
+
+
+def _check_ll_node(node: LlProof) -> str | None:
+    """None when the node's rule draws its conclusion; otherwise the mismatch.
+    An implication-choice node is tried with the tag of each pending choice of
+    its second premise that has the principal's sides, since content-equal
+    choices may coexist under different tags."""
+    c = node.conclusion
+    principal = c.goal if node.rule is LlRule.I else node.principal
+    tags = [None]
+    if node.rule is LlRule.LIMPOPLUS:
+        sides = (principal.left, principal.right)
+        tags = [g.tag for g in node.premises[1].conclusion.context
+                if isinstance(g, LlOplusProduct) and (g.left, g.right) == sides]
+    expected = "second premise context must carry the pending choice product"
+    for tag in tags:
+        expected = _ll_conclude(node.rule, node.premises, principal, node.split, tag)
+        if expected == c:
+            return None
+    # A rebuilt context never holds a tag twice, so a claimed one that does fails for that.
+    reason = _tag_clash(c.context) or expected
+    return reason if isinstance(reason, str) else f"conclusion must be {reason}"
 
 
 def check_ll_proof(proof: LlProof) -> hll.CheckResult:
@@ -252,116 +250,43 @@ def check_ll_proof(proof: LlProof) -> hll.CheckResult:
     return hll.check_tree(proof, _check_ll_node, _LL_RULES)
 
 
-# --- Node builders ------------------------------------------------------------
+# --- Node builders: each rule's conclusion comes from ``_ll_conclude`` ---------
 
 
 def ll_i(x: SimpleProduct) -> LlProof:
-    return LlProof(LlRule.I, LlSequent((x,), x))
+    return _ll_node(LlRule.I, (), x)
 
 
 def ll_ltensor(premise: LlProof, x: SimpleProduct, y: SimpleProduct) -> LlProof:
-    principal = x.tensor(y)
-    rest = multiset_minus(premise.conclusion.context, x)
-    if rest is None:
-        raise ValueError(f"premise lacks product {x}")
-    rest = multiset_minus(rest, y)
-    if rest is None:
-        raise ValueError(f"premise lacks product {y}")
-    conclusion = LlSequent(rest + (principal,), premise.conclusion.goal)
-    return LlProof(LlRule.LTENSOR, conclusion, (premise,), principal=principal, split=(x, y))
+    return _ll_node(LlRule.LTENSOR, (premise,), x.tensor(y), (x, y))
 
 
 def ll_rtensor(premise1: LlProof, premise2: LlProof) -> LlProof:
-    c1, c2 = premise1.conclusion, premise2.conclusion
-    conclusion = LlSequent(c1.context + c2.context, c1.goal.tensor(c2.goal))
-    return LlProof(LlRule.RTENSOR, conclusion, (premise1, premise2))
+    return _ll_node(LlRule.RTENSOR, (premise1, premise2))
 
 
 def ll_limp(premise1: LlProof, premise2: LlProof, imp: PlainImplication) -> LlProof:
-    c1, c2 = premise1.conclusion, premise2.conclusion
-    if c1.goal != imp.antecedent:
-        raise ValueError("first premise must prove the antecedent")
-    rest = multiset_minus(c2.context, imp.consequent)
-    if rest is None:
-        raise ValueError("second premise lacks the consequent product")
-    conclusion = LlSequent(c1.context + rest + (imp,), c2.goal)
-    return LlProof(LlRule.LIMP, conclusion, (premise1, premise2), principal=imp)
+    return _ll_node(LlRule.LIMP, (premise1, premise2), imp)
 
 
 def ll_limpoplus(premise1: LlProof, premise2: LlProof, imp: OplusImplication, tag: int) -> LlProof:
-    c1, c2 = premise1.conclusion, premise2.conclusion
-    if c1.goal != imp.antecedent:
-        raise ValueError("first premise must prove the antecedent")
-    occurrence = LlOplusProduct(imp.left, imp.right, tag)
-    rest = multiset_minus(c2.context, occurrence)
-    if rest is None:
-        raise ValueError(f"second premise lacks the pending choice {occurrence}")
-    conclusion = LlSequent(c1.context + rest + (imp,), c2.goal)
-    return LlProof(LlRule.LIMPOPLUS, conclusion, (premise1, premise2), principal=imp)
+    return _ll_node(LlRule.LIMPOPLUS, (premise1, premise2), imp, tag=tag)
 
 
 def ll_loplus(premise1: LlProof, premise2: LlProof, occurrence: LlOplusProduct) -> LlProof:
-    c1, c2 = premise1.conclusion, premise2.conclusion
-    if c1.goal != c2.goal:
-        raise ValueError("premise goals differ")
-    rest1 = multiset_minus(c1.context, occurrence.left)
-    rest2 = multiset_minus(c2.context, occurrence.right)
-    if rest1 is None or rest2 is None or rest1 != rest2:
-        raise ValueError("premise contexts do not share a frame for the choice")
-    conclusion = LlSequent(rest1 + (occurrence,), c1.goal)
-    return LlProof(LlRule.LOPLUS, conclusion, (premise1, premise2), principal=occurrence)
+    return _ll_node(LlRule.LOPLUS, (premise1, premise2), occurrence)
 
 
 def ll_lbang(premise: LlProof, formula: HornFormula) -> LlProof:
-    c = premise.conclusion
-    rest = multiset_minus(c.context, formula)
-    if rest is None:
-        raise ValueError(f"premise lacks linear {formula.text}")
-    banged = LlBang(formula)
-    conclusion = LlSequent(rest + (banged,), c.goal)
-    return LlProof(LlRule.LBANG, conclusion, (premise,), principal=banged)
+    return _ll_node(LlRule.LBANG, (premise,), LlBang(formula))
 
 
 def ll_wbang(premise: LlProof, formula: HornFormula) -> LlProof:
-    banged = LlBang(formula)
-    conclusion = LlSequent(premise.conclusion.context + (banged,), premise.conclusion.goal)
-    return LlProof(LlRule.WBANG, conclusion, (premise,), principal=banged)
+    return _ll_node(LlRule.WBANG, (premise,), LlBang(formula))
 
 
 def ll_cbang(premise: LlProof, formula: HornFormula) -> LlProof:
-    banged = LlBang(formula)
-    c = premise.conclusion
-    rest = multiset_minus(c.context, banged)
-    if rest is None or banged not in rest:
-        raise ValueError(f"premise needs two banged copies of {formula.text}")
-    conclusion = LlSequent(rest, c.goal)
-    return LlProof(LlRule.CBANG, conclusion, (premise,), principal=banged)
-
-
-def _consumed_tag(node: LlProof) -> int:
-    """The tag of the pending occurrence an implication-choice node consumes.
-
-    Content-equal occurrences may coexist under different tags; the consumed
-    one is the tag present in the second premise but absent from the
-    conclusion.
-    """
-    imp = node.principal
-    surviving = {
-        g.tag for g in node.conclusion.context if isinstance(g, LlOplusProduct)
-    }
-    consumed = [
-        g.tag
-        for g in node.premises[1].conclusion.context
-        if isinstance(g, LlOplusProduct)
-        and g.left == imp.left
-        and g.right == imp.right
-        and g.tag not in surviving
-    ]
-    if len(consumed) != 1:
-        raise ProofStructureError(
-            "implication-choice node must consume exactly one pending occurrence"
-        )
-    return consumed[0]
+    return _ll_node(LlRule.CBANG, (premise,), LlBang(formula))
 
 
 # --- The normalizer -----------------------------------------------------------
@@ -401,8 +326,10 @@ def specialize(proof: LlProof, tag: int, side: int) -> LlProof:
 
 
 def _consumes(node: LlProof, index: int, tag: int) -> bool:
-    """Whether node consumes the choice tagged tag from its premise index."""
-    return node.rule is LlRule.LIMPOPLUS and index == 1 and _consumed_tag(node) == tag
+    """Whether node consumes the choice tagged tag from its premise index: in
+    a checked proof only an implication-choice node drops a tag, the one it
+    consumes from its second premise."""
+    return node.rule is LlRule.LIMPOPLUS and index == 1 and not _holds_tag(node.conclusion, tag)
 
 
 def unadjacent_choice_paths(proof: LlProof) -> list[tuple[int, ...]]:
@@ -585,7 +512,7 @@ def _translate(node: LlProof, premises: list):
     if rule is LlRule.LIMPOPLUS:
         imp: OplusImplication = node.principal
         loplus = node.premises[1]
-        if loplus.rule is not LlRule.LOPLUS or _consumed_tag(node) != loplus.principal.tag:
+        if loplus.rule is not LlRule.LOPLUS or not _consumes(node, 1, loplus.principal.tag):
             raise ProofStructureError(
                 "implication-choice without its adjacent left choice; normalize first"
             )

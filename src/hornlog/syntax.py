@@ -6,7 +6,8 @@ compare equal; tensor reassociation and reordering never matter.  A frame may
 be empty (the residual of an antecedent match); a :class:`SimpleProduct` is
 the frame that must be non-empty.  Constructions from outside validate once;
 ``tensor``, ``match_antecedent`` and ``tensor_all`` merge entries that are
-already canonical and skip validation.
+already canonical and skip validation, as ``HornSequent.of_canonical`` does
+for zones already in canonical order.
 
 Implications come in two shapes, ``X -o Y`` and ``X -o (Y1 + Y2)``, and a
 sequent bundles an input product, a linear zone, a reusable (banged) zone and
@@ -212,6 +213,13 @@ class HornSequent:
         object.__setattr__(self, "linear", canonical_zone(self.linear))
         object.__setattr__(self, "banged", canonical_zone(self.banged))
 
+    @classmethod
+    def of_canonical(cls, input, linear, banged, goal):
+        """Wrap zones already in canonical order, skipping the sort."""
+        sequent = object.__new__(cls)
+        sequent.__dict__.update(input=input, linear=linear, banged=banged, goal=goal)
+        return sequent
+
     def __str__(self) -> str:
         return sequent_text(self)
 
@@ -219,13 +227,15 @@ class HornSequent:
 # --- Multiset operations ---------------------------------------------------
 
 
-def multiset_minus(items: tuple, item) -> tuple | None:
-    """The tuple without one occurrence of item, or None if item is absent."""
-    try:
-        index = items.index(item)
-    except ValueError:
-        return None
-    return items[:index] + items[index + 1:]
+def multiset_minus(items: tuple, *members) -> tuple | None:
+    """The tuple without one occurrence of each member, or None if one is absent."""
+    for member in members:
+        try:
+            index = items.index(member)
+        except ValueError:
+            return None
+        items = items[:index] + items[index + 1:]
+    return items
 
 
 def match_antecedent(x: SimpleProduct, antecedent: SimpleProduct) -> Frame | None:

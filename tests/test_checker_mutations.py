@@ -7,6 +7,10 @@ that node is valid, so the checker, which reports the first failure in
 preorder, must reject a changed conclusion at the node or at its parent, and
 must reject any other mutant at the node or not at all.  Checked on its own,
 a mutant is rejected at its root or not at all.  The checker never raises.
+
+Builders and checker state each rule once, so they agree: every corpus node
+is what its builder makes from its premises and parameters, and a mutant
+checks valid exactly when a builder makes it.
 """
 
 import random
@@ -114,3 +118,94 @@ def test_ll_checker_rejects_mutants_where_they_are(seed):
         ll_corpus(), ll_mutants, ll.check_ll_proof, seed
     )
     assert seen > 1400 and rejected > seen * 3 // 4
+
+
+# --- Builders and checkers agree ------------------------------------------------
+
+
+def attempt(build):
+    """The node a builder makes, or the reason it gives for making none."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+def hll_builds(node):
+    """What the builder of the node's rule makes from its premises and parameters."""
+    c, p, f, v, R = node.conclusion, node.premises, node.principal, node.frame, hll.HllRule
+    build = {
+        R.I: lambda: hll.i_axiom(c.goal),
+        R.H: lambda: hll.h_axiom(c.linear[0] if len(c.linear) == 1 else None),
+        R.LTENSOR: lambda: hll.ltensor(*p),
+        R.M: lambda: hll.frame_rule(*p, v),
+        R.OPLUS_H: lambda: hll.oplus_h(*p, f, v),
+        R.LBANG: lambda: hll.lbang(*p, f),
+        R.WBANG: lambda: hll.wbang(*p, f),
+        R.CBANG: lambda: hll.cbang(*p, f),
+        R.CUT: lambda: hll.cut(*p),
+    }[node.rule]
+    return [attempt(build)]
+
+
+def ll_builds(node):
+    """What the builder of the node's rule makes, once per pending tag of the
+    second premise for an implication-choice node; nothing for a regrouping
+    without its split, which no builder call can express."""
+    c, p, f, R = node.conclusion, node.premises, node.principal, ll.LlRule
+    if node.rule is R.LIMPOPLUS:
+        tags = [g.tag for g in p[1].conclusion.context if isinstance(g, ll.LlOplusProduct)]
+        return [attempt(lambda: ll.ll_limpoplus(*p, f, tag)) for tag in tags]
+    if node.rule is R.LTENSOR and node.split is None:
+        return []
+    build = {
+        R.I: lambda: ll.ll_i(c.goal),
+        R.LTENSOR: lambda: ll.ll_ltensor(*p, *node.split),
+        R.RTENSOR: lambda: ll.ll_rtensor(*p),
+        R.LIMP: lambda: ll.ll_limp(*p, f),
+        R.LOPLUS: lambda: ll.ll_loplus(*p, f),
+        R.LBANG: lambda: ll.ll_lbang(*p, f.formula),
+        R.WBANG: lambda: ll.ll_wbang(*p, f.formula),
+        R.CBANG: lambda: ll.ll_cbang(*p, f.formula),
+    }[node.rule]
+    return [attempt(build)]
+
+
+def assert_builders_agree(proofs, mutants, builds, check, rules, seed):
+    """Every corpus node is what its builder makes.  A mutant that passes the
+    premise-count and principal-kind gate checks valid exactly when a builder
+    makes it.  When the checker names a failed side condition rather than the
+    conclusion it expected, every builder call refuses, one with that reason;
+    the flat regrouping is left out there, as its builder derives the
+    principal from the split instead of taking it."""
+    rng = random.Random(seed)
+    gated = refused = 0
+    for proof in proofs:
+        for node, _ in hll.walk(proof):
+            assert node in builds(node), node.rule
+            for mutant in mutants(rng, node):
+                arity, kind = rules[mutant.rule]
+                if len(mutant.premises) != arity or not isinstance(mutant.principal, kind or type(None)):
+                    continue
+                gated += 1
+                result, made = check(mutant), builds(mutant)
+                assert result.ok == (mutant in made), (mutant.rule, result)
+                if (result.ok or result.failure.reason.startswith("conclusion must be ")
+                        or mutant.conclusion != node.conclusion or mutant.rule is ll.LlRule.LTENSOR):
+                    continue
+                assert all(isinstance(m, str) for m in made), (mutant.rule, result)
+                assert f"{mutant.rule.value}: {result.failure.reason}" in made
+                refused += 1
+    return gated, refused
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_hll_builders_agree_with_the_checker(seed):
+    gated, refused = assert_builders_agree(hll_corpus(), hll_mutants, hll_builds, hll.check_hll_proof, hll._RULES, seed)
+    assert gated > 3000 and refused > 150
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_ll_builders_agree_with_the_checker(seed):
+    gated, refused = assert_builders_agree(ll_corpus(), ll_mutants, ll_builds, ll.check_ll_proof, ll._LL_RULES, seed)
+    assert gated > 800 and refused > 0

@@ -400,6 +400,12 @@ def test_encode_rejects_a_wrong_input_count(dec_file):
     assert result.stderr == "error: expected 2 counters, got 1\n"
 
 
+def test_encode_rejects_a_negative_input(dec_file):
+    result = run_cli("encode", str(dec_file), "--input=-1,0", expect=2)
+    assert result.stdout == ""
+    assert result.stderr == "error: counters must be non-negative\n"
+
+
 def test_unexpected_error_exits_3(tmp_path, capsys, monkeypatch):
     def crash(args):
         raise RecursionError("maximum recursion depth exceeded")

@@ -127,6 +127,12 @@ def test_encoding_builds_its_sequent_without_rebuilding(monkeypatch):
     assert enc.sequent((2, 0)) == expected
 
 
+def test_build_sequent_rejects_a_negative_input():
+    # The configuration checks its counters; the encoding keeps no copy of that check.
+    with pytest.raises(ValueError, match=r"negative counter in Configuration\(label=1, counters=\(-1, 0\)\)"):
+        MachineEncoding.build(DEC).sequent((-1, 0))
+
+
 def test_build_sequent_zero_inputs():
     s = MachineEncoding.build(DEC).sequent((0, 0))
     assert s.input == parse_product("l1")

@@ -90,6 +90,20 @@ def test_choice_rule_accepts_either_orientation():
         assert verify_strong_solution(program, node.conclusion).ok
 
 
+def test_choice_rule_builder_refuses_premises_the_checker_rejects():
+    """The choice rule's premises must share both zones and the goal; the
+    builder once took them from the first premise and never looked at the
+    second, so it built nodes the checker rejected."""
+    choice = OplusImplication(F, G, H)
+    first = hll.wbang(hll.h_axiom(PlainImplication(G, M)), PlainImplication(H, M))
+    second = hll.h_axiom(PlainImplication(H, M))
+    with pytest.raises(ValueError, match="premises must share both zones and the goal"):
+        hll.oplus_h(first, second, choice, Frame())
+    c = first.conclusion
+    node = HllProof(HllRule.OPLUS_H, replace(c, input=F, linear=c.linear + (choice,)), (first, second), choice)
+    assert str(check_hll_proof(node)) == "OPLUS_H at root: premises must share both zones and the goal"
+
+
 def test_checker_rejects_a_principal_of_another_kind():
     axiom = HllProof(HllRule.I, parse_sequent("q ; ; |- q"), principal=parse_formula("q -o q"))
     assert str(check_hll_proof(axiom)) == "I at root: I cannot have q -o q as its principal"

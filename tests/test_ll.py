@@ -28,6 +28,7 @@ from hornlog.programs import verify_strong_solution
 from hornlog.syntax import (
     OplusImplication,
     PlainImplication,
+    multiset_minus,
     parse_formula,
     parse_product,
     parse_sequent,
@@ -118,7 +119,11 @@ def test_checker_rejects_a_tag_twice_in_one_context(tmp_path):
     tensor's conclusion holds (g + h)#1 twice, which the normalizer cannot
     pair with its consumers."""
     imp = OplusImplication(F, G, H)
-    pair = ll.ll_rtensor(make_choice_block(), make_choice_block())
+    block = make_choice_block()
+    with pytest.raises(ValueError, match=r"choice tags duplicated in one context: \[1\]"):
+        ll.ll_rtensor(block, block)
+    twice = LlSequent(block.conclusion.context * 2, block.conclusion.goal.tensor(block.conclusion.goal))
+    pair = LlProof(LlRule.RTENSOR, twice, (block, block))
     proof = ll.ll_limpoplus(ll.ll_i(F), ll.ll_limpoplus(ll.ll_i(F), pair, imp, 1), imp, 1)
     result = check_ll_proof(proof)
     assert not result.ok
@@ -147,7 +152,11 @@ def test_checker_rejects_a_consumed_tag_still_pending_in_the_first_premise(tmp_p
         occ = LlOplusProduct(y1, y2, 5)
         return ll.ll_loplus(branch(y1, *imps), branch(y2, *imps[::-1]), occ)
 
-    inner = ll.ll_limpoplus(expansion(a, b, x), expansion(c, d, g), OplusImplication(x, c, d), 5)
+    first, second, imp = expansion(a, b, x), expansion(c, d, g), OplusImplication(x, c, d)
+    with pytest.raises(ValueError, match="consumed choice tag is still pending in the first premise"):
+        ll.ll_limpoplus(first, second, imp, 5)
+    rest = multiset_minus(second.conclusion.context, LlOplusProduct(c, d, 5))
+    inner = LlProof(LlRule.LIMPOPLUS, LlSequent(first.conclusion.context + rest + (imp,), g), (first, second), principal=imp)
     proof = ll.ll_limpoplus(ll.ll_i(w), inner, OplusImplication(w, a, b), 5)
     result = check_ll_proof(proof)
     assert not result.ok
