@@ -10,14 +10,21 @@ and compares, so builders and checker cannot drift apart.  Proof nodes store
 their full conclusion sequent, so each inference is checked locally, giving
 precise failure positions.
 
-The compiler emits one program into a single builder from an explicit
-stack: an identity axiom adds nothing, a single-step axiom adds one edge, the
-choice rule adds its two edges and emits each premise under its own edge, a
-cut emits its second premise under each leaf of its first, and everything
-else passes through to its premise.  Both calculi's proofs are traversed
-only by ``walk`` and ``fold`` here, so depth never meets the recursion limit.
+The compiler spells its program out with ``ProgramBuilder.unfold``, as the
+prover does its witnesses, so vertices are numbered in preorder.  A key is
+the list of proofs still to be emitted: a single-step axiom gives one edge,
+the choice rule its two, a cut queues its first premise and then its second,
+an identity axiom gives nothing, and every other rule passes to its premise.
+Both calculi's proofs are traversed only by ``walk`` and ``fold`` here, so
+depth never meets the recursion limit.
+
 Both calculi's proof files are one flat table, read and written here by one
-codec that each calculus configures with a ``ProofFormat``.
+codec that each calculus configures with a ``ProofFormat``.  Each field names
+the kind of member it holds, not a parser: the reader parses each text of the
+table once, with ``syntax.parse_member``, and checks it against the kind of
+every field that cites it.  The format also says which rules take the rule
+parameter (a frame, or a split); the reader and the checker reject it on any
+other rule.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ from .syntax import (
     SimpleProduct,
     canonical_zone,
     multiset_minus,
-    parse_formula,
-    parse_product,
+    of_kind,
+    parse_member,
 )
 
 
@@ -207,15 +214,19 @@ def fold(tree, combine, premises=attrgetter("premises")):
     return results[0]
 
 
-def check_tree(proof, check_node, rules: dict) -> CheckResult:
-    """Check each node of either calculus's proof tree: its premise count and
-    principal kind against ``rules``, then its schema; report the first failure."""
+def check_tree(proof, check_node, form: ProofFormat) -> CheckResult:
+    """Check each node of either calculus's proof tree: its premise count,
+    principal kind and parameter against the format's rule table, then its
+    schema; report the first failure."""
+    parameter = form.fields[1][0]
     for node, trail in walk(proof):
-        arity, kind = rules[node.rule]
+        arity, kind = form.rules[node.rule]
         if len(node.premises) != arity:
             reason = f"{node.rule.value} takes {arity} premises, got {len(node.premises)}"
         elif not isinstance(node.principal, kind or type(None)):
             reason = f"{node.rule.value} cannot have {node.principal} as its principal"
+        elif node.rule not in form.takers and getattr(node, parameter) is not None:
+            reason = f"{node.rule.value} takes no {parameter}"
         else:
             reason = check_node(node)
         if reason is not None:
@@ -225,7 +236,7 @@ def check_tree(proof, check_node, rules: dict) -> CheckResult:
 
 def check_hll_proof(proof: HllProof) -> CheckResult:
     """Verify every node against its rule schema; report the first failure."""
-    return check_tree(proof, _check_node, _RULES)
+    return check_tree(proof, _check_node, _HLL_FORMAT)
 
 
 def compile_hll_to_program(proof: HllProof) -> HornProgram:
@@ -234,42 +245,32 @@ def compile_hll_to_program(proof: HllProof) -> HornProgram:
     if not result.ok:
         raise ValueError(f"cannot compile an invalid proof: {result}")
     builder = ProgramBuilder()
-    _emit(proof, builder)
+    builder.unfold(0, (proof, None), _moves)
     return builder.build()
 
 
-def _emit(proof: HllProof, builder: ProgramBuilder) -> None:
-    """Append the program of a checked proof under the builder's root.
-
-    A frame (node, where, leaves) emits node at where, a vertex, a (parent,
-    label) edge added only when popped, or a cut's first-premise leaves, and
-    appends its leaves to leaves; so ids are issued depth-first, left first.
-    """
-    stack = [(proof, 0, [])]
-    while stack:
-        node, where, leaves = stack.pop()
-        if type(where) is list:
-            stack.extend((node, mid, leaves) for mid in reversed(where))
-            continue
-        if type(where) is tuple:
-            where = builder.add_edge(*where)
+def _moves(pending) -> list:
+    """The edges below a vertex and, for each, the proofs still pending under
+    it; ``pending`` is a linked list ``(node, rest)`` of checked proofs, each
+    to be emitted at every leaf of the one before."""
+    while pending is not None:
+        node, rest = pending
         rule = node.rule
-        if rule is HllRule.I:
-            leaves.append(where)
-        elif rule is HllRule.H:
-            leaves.append(builder.add_edge(where, node.conclusion.linear[0]))
-        elif rule is HllRule.OPLUS_H:
-            f = node.principal
-            for p in reversed(node.premises):  # checked: each input is one side tensor the frame
+        if rule is HllRule.H:
+            return [(node.conclusion.linear[0], rest)]
+        if rule is HllRule.OPLUS_H:
+            f, edges = node.principal, []
+            for p in node.premises:  # checked: each input is one side tensor the frame
                 y = f.left if p.conclusion.input == f.left.tensor(node.frame) else f.right
-                stack.append((p, (where, PlainImplication(f.antecedent, y)), leaves))
-        elif rule is HllRule.CUT:
-            first, second = node.premises
-            mids: list[int] = []
-            stack.append((second, mids, leaves))
-            stack.append((first, where, mids))
+                edges.append((PlainImplication(f.antecedent, y), (p, rest)))
+            return edges
+        if rule is HllRule.CUT:
+            pending = (node.premises[0], (node.premises[1], rest))
+        elif rule is HllRule.I:
+            pending = rest
         else:
-            stack.append((node.premises[0], where, leaves))
+            pending = (node.premises[0], rest)
+    return []
 
 
 # --- Node builders: each rule's conclusion comes from ``_conclude`` -------------
@@ -317,15 +318,18 @@ def cut(premise1: HllProof, premise2: HllProof) -> HllProof:
 @dataclass(frozen=True)
 class ProofFormat:
     """How one calculus's proofs read and write as a flat table: ``formulas``
-    holds each distinct text once, and ``nodes`` runs in post-order, each with
-    its ``rule``, its ``premises`` as indices of earlier nodes, and its
-    ``conclusion`` parts and ``fields`` as indices into ``formulas``.  Parts
-    and fields are ``(attribute, parser, count)``: count 1 is one index, 2 a
-    pair, None a zone.  A principal must be of the kind ``rules`` gives."""
+    holds each distinct member text once, and ``nodes`` runs in post-order,
+    each with its ``rule``, its ``premises`` as indices of earlier nodes, and
+    its ``conclusion`` parts and ``fields`` as indices into ``formulas``.
+    Parts and fields are ``(attribute, kind, count)``: a product, a formula or
+    any member; count 1 is one index, 2 a pair, None a zone.  The fields are
+    the principal, which must be of the kind ``rules`` gives, and the rule
+    parameter, which only the rules in ``takers`` carry."""
 
     node: type
     sequent: type
     rules: dict
+    takers: frozenset
     parts: tuple
     fields: tuple
 
@@ -364,25 +368,27 @@ def proof_from_json(text: str, form: ProofFormat):
     texts, rows = (data.get("formulas"), data.get("nodes")) if isinstance(data, dict) else (None, None)
     if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts) and isinstance(rows, list) and rows):
         raise FormatError("a proof is a JSON object with a 'formulas' list of strings and a 'nodes' list")
-    columns: dict = {}  # parser -> {index: value} of the texts it has read
+    members: dict = {}  # index -> the member its text parses to, parsed once
 
-    def read(i, name, parse, refs, count):
+    def read(i, name, kind, refs, count):
         listed = count != 1
         refs = refs if listed else [refs]
         if not (isinstance(refs, list) and count in (None, len(refs)) and set(map(type, refs)) <= {int}
                 and 0 <= min(refs, default=0) and max(refs, default=0) < len(texts)):
             what = "a list of indices" if listed else "an index"
             raise FormatError(f"node {i}'s {name} must be {what} into 'formulas'")
-        column = columns.setdefault(parse, {})
-        for ref in sorted(set(refs).difference(column)):
+        values = []
+        for ref in refs:
             try:
-                column[ref] = parse(texts[ref])
+                if ref not in members:
+                    members[ref] = parse_member(texts[ref])
+                values.append(of_kind(members[ref], kind))
             except FormatError as exc:
                 raise FormatError(f"node {i}'s {name}: formulas[{ref}] {texts[ref]!r}: {exc}") from None
-        values = tuple(map(column.__getitem__, refs))
-        return values if listed else values[0]
+        return tuple(values) if listed else values[0]
 
     keys = {"rule", "conclusion", "premises", *(name for name, _, _ in form.fields)}
+    parameter = form.fields[1][0]
     built: list = []
     for i, row in enumerate(rows):
         if not (isinstance(row, dict) and row.keys() <= keys):
@@ -393,10 +399,12 @@ def proof_from_json(text: str, form: ProofFormat):
         conclusion, premises = row.get("conclusion"), row.get("premises", [])
         if not (isinstance(conclusion, list) and len(conclusion) == len(form.parts) and isinstance(premises, list)):
             raise FormatError(f"node {i} needs a conclusion list of {len(form.parts)} parts and a premise list")
-        parts = [read(i, name, parse, ref, n) for (name, parse, n), ref in zip(form.parts, conclusion)]
-        fields = {name: read(i, name, parse, row[name], n) for name, parse, n in form.fields if name in row}
+        parts = [read(i, name, kind, ref, n) for (name, kind, n), ref in zip(form.parts, conclusion)]
+        fields = {name: read(i, name, kind, row[name], n) for name, kind, n in form.fields if name in row}
         if "principal" in fields and not isinstance(fields["principal"], form.rules[rule][1] or type(None)):
             raise FormatError(f"node {i}: {rule.value} cannot have {fields['principal']} as its principal")
+        if parameter in fields and rule not in form.takers:
+            raise FormatError(f"node {i}: {rule.value} takes no {parameter}")
         below = []
         for p in premises:
             if type(p) is not int or not 0 <= p < i or built[p] is None:
@@ -410,10 +418,10 @@ def proof_from_json(text: str, form: ProofFormat):
 
 
 _HLL_FORMAT = ProofFormat(
-    HllProof, HornSequent, _RULES,
-    parts=(("input", parse_product, 1), ("linear", parse_formula, None),
-           ("banged", parse_formula, None), ("goal", parse_product, 1)),
-    fields=(("principal", parse_formula, 1), ("frame", parse_product, 1)),
+    HllProof, HornSequent, _RULES, frozenset({HllRule.M, HllRule.OPLUS_H}),
+    parts=(("input", SimpleProduct, 1), ("linear", HornFormula, None),
+           ("banged", HornFormula, None), ("goal", SimpleProduct, 1)),
+    fields=(("principal", HornFormula, 1), ("frame", SimpleProduct, 1)),
 )
 
 

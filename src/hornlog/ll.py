@@ -2,12 +2,12 @@
 translation into the zoned calculus.
 
 Sequents here are a flat context multiset over a single product goal.  Context
-members are ``syntax.py``'s own products and implications, plus two kinds of
-its own: ``LlBang``, a banged implication, and ``LlOplusProduct``, a choice
-product ``(Y1 + Y2)`` that exists only between the left-choice rule that
-expands it and the implication-choice rule that introduces it.  Each choice
-product carries an integer tag so the two rules pair by occurrence even when
-equal formulas coexist; one context holds each tag at most once.
+members are ``syntax.py``'s members: products, implications, ``LlBang``, a
+banged implication, and ``LlOplusProduct``, a choice product ``(Y1 + Y2)``
+that exists only between the left-choice rule that expands it and the
+implication-choice rule that introduces it.  Each choice product carries an
+integer tag so the two rules pair by occurrence even when equal formulas
+coexist; one context holds each tag at most once.
 
 Each rule's conclusion is stated once, in ``_ll_conclude``.  The node
 builders take their conclusions from there, and the checker rebuilds every
@@ -34,27 +34,21 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
-from typing import Union
 
 from . import hll
 from .hll import HllProof
 from .syntax import (
-    Choice,
     Frame,
-    FormatError,
     HornFormula,
     HornSequent,
+    LlBang,
+    LlOplusProduct,
+    Member,
     OplusImplication,
     PlainImplication,
-    Printed,
     SimpleProduct,
-    TokenStream,
-    _parse_bare_product,
-    _parse_formula_rest,
     canonical_zone,
     multiset_minus,
-    parse_product,
     tensor_all,
 )
 
@@ -63,39 +57,9 @@ class ProofStructureError(ValueError):
     """A proof object is malformed beyond schema mismatch (corrupt input)."""
 
 
-# --- Context formulas --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LlBang(Printed):
-    # Payload is normally an implication; a banged product is representable
-    # so the checker can reject it against the side condition.
-    formula: Union[HornFormula, SimpleProduct]
-
-    @cached_property
-    def text(self) -> str:
-        return f"!({self.formula.text})"
-
-
-@dataclass(frozen=True)
-class LlOplusProduct(Choice):
-    """A pending choice ``(Y1 + Y2)`` with its occurrence tag."""
-
-    left: SimpleProduct
-    right: SimpleProduct
-    tag: int
-
-    @cached_property
-    def text(self) -> str:
-        return f"({self.left.text} + {self.right.text})#{self.tag}"
-
-
-LlFormula = Union[SimpleProduct, PlainImplication, OplusImplication, LlBang, LlOplusProduct]
-
-
 @dataclass(frozen=True)
 class LlSequent:
-    context: tuple[LlFormula, ...]
+    context: tuple[Member, ...]
     goal: SimpleProduct
 
     def __post_init__(self):
@@ -138,7 +102,7 @@ class LlProof:
     rule: LlRule
     conclusion: LlSequent
     premises: tuple["LlProof", ...] = ()
-    principal: LlFormula | None = None
+    principal: Member | None = None
     # LTENSOR records how the principal product splits in the premise.
     split: tuple[SimpleProduct, SimpleProduct] | None = None
 
@@ -227,15 +191,16 @@ def _check_ll_node(node: LlProof) -> str | None:
     """None when the node's rule draws its conclusion; otherwise the mismatch.
     An implication-choice node is tried with the tag of each pending choice of
     its second premise that has the principal's sides, since content-equal
-    choices may coexist under different tags."""
+    choices may coexist under different tags; if none has them, with every
+    pending tag, so that the reason is the one its builder gives."""
     c = node.conclusion
     principal = c.goal if node.rule is LlRule.I else node.principal
     tags = [None]
     if node.rule is LlRule.LIMPOPLUS:
+        pending = [g for g in node.premises[1].conclusion.context if isinstance(g, LlOplusProduct)]
         sides = (principal.left, principal.right)
-        tags = [g.tag for g in node.premises[1].conclusion.context
-                if isinstance(g, LlOplusProduct) and (g.left, g.right) == sides]
-    expected = "second premise context must carry the pending choice product"
+        tags = [g.tag for g in pending if (g.left, g.right) == sides] or [g.tag for g in pending]
+    expected = "second premise context must carry a pending choice"
     for tag in tags:
         expected = _ll_conclude(node.rule, node.premises, principal, node.split, tag)
         if expected == c:
@@ -247,7 +212,7 @@ def _check_ll_node(node: LlProof) -> str | None:
 
 def check_ll_proof(proof: LlProof) -> hll.CheckResult:
     """Verify every node against its rule schema; report the first failure."""
-    return hll.check_tree(proof, _check_ll_node, _LL_RULES)
+    return hll.check_tree(proof, _check_ll_node, _LL_FORMAT)
 
 
 # --- Node builders: each rule's conclusion comes from ``_ll_conclude`` ---------
@@ -445,7 +410,7 @@ def horn_reading(sequent: LlSequent) -> HornSequent:
     return HornSequent(tensor_all(products), tuple(linear), tuple(banged), sequent.goal)
 
 
-def _context_products(context: tuple[LlFormula, ...]) -> Frame:
+def _context_products(context: tuple[Member, ...]) -> Frame:
     products = [g for g in context if isinstance(g, SimpleProduct)]
     return tensor_all(products) if products else Frame()
 
@@ -537,43 +502,10 @@ def ll_sequent_text(s: LlSequent) -> str:
     return f"{left}|- {s.goal.text}"
 
 
-def parse_ll_formula(text: str) -> LlFormula:
-    """One member: an optional ``!(``, then a product, bare or parenthesised,
-    and an optional ``-o`` rest; outside a bang the parenthesis may instead
-    open a tagged choice ``(Y1 + Y2)#n``."""
-    ts = TokenStream(text)
-    banged = ts.peek().text == "!"
-    if banged:
-        ts.next()
-        ts.expect("(")
-    if ts.peek().text == "(":
-        ts.next()
-        first = _parse_bare_product(ts)
-        if not banged and ts.peek().text == "+":
-            ts.next()
-            second = _parse_bare_product(ts)
-            ts.expect(")")
-            ts.expect("#")
-            num = ts.next()
-            if num.kind != "num":
-                raise FormatError("expected a tag number after '#'", num.position)
-            ts.done()
-            return LlOplusProduct(first, second, int(num.text))
-        ts.expect(")")
-    else:
-        first = _parse_bare_product(ts)
-    member = _parse_formula_rest(ts, first) if ts.peek().text == "-o" else first
-    if banged:
-        ts.expect(")")
-        member = LlBang(member)
-    ts.done()
-    return member
-
-
 _LL_FORMAT = hll.ProofFormat(
-    LlProof, LlSequent, _LL_RULES,
-    parts=(("context", parse_ll_formula, None), ("goal", parse_product, 1)),
-    fields=(("principal", parse_ll_formula, 1), ("split", parse_product, 2)),
+    LlProof, LlSequent, _LL_RULES, frozenset({LlRule.LTENSOR}),
+    parts=(("context", Member, None), ("goal", SimpleProduct, 1)),
+    fields=(("principal", Member, 1), ("split", SimpleProduct, 2)),
 )
 
 

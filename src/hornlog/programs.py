@@ -12,7 +12,10 @@ leaf reaches the goal using only the sequent's formulas, with each linear
 occurrence used exactly once on every root-to-leaf path.
 
 Every program the library constructs is appended to one ``ProgramBuilder``
-and validated once, by its ``build``.
+and validated once, by its ``build``.  Every tree-shaped one (a prover
+witness, a compiled proof, a grafted copy) is spelled out by ``unfold``, so
+its vertices are numbered in preorder; the bridge appends its chains of
+edges directly.
 """
 
 from __future__ import annotations

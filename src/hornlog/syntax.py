@@ -11,19 +11,24 @@ for zones already in canonical order.
 
 Implications come in two shapes, ``X -o Y`` and ``X -o (Y1 + Y2)``, and a
 sequent bundles an input product, a linear zone, a reusable (banged) zone and
-a goal product.  Products, formulas and flat-calculus context members compute
-their printed ``text`` once; it is the only order, for the two sides of a
-choice and for the members of a zone.  The module also owns the grammar::
+a goal product.  The flat calculus adds two members of its own: ``LlBang``, a
+banged implication, and ``LlOplusProduct``, a pending choice ``(Y1 + Y2)``
+with its occurrence tag.  Products, formulas and members compute their
+printed ``text`` once; it is the only order, for the two sides of a choice
+and for the members of a zone.  The module also owns the grammar::
 
     literal   = [A-Za-z][A-Za-z0-9_]*
     product   = lit * lit * ...
-    plain     = <product> -o <product>
-    choice    = <product> -o (<product> + <product>)
+    operand   = <product> | (<product>)
+    rhs       = <product> | (<product>) | (<product> + <product>)
+    member    = operand [-o rhs] | !(operand [-o rhs]) | (<product> + <product>)#tag
     sequent   = <product> ; <formulas> ; <formulas> |- <product>
 
-Formula lists are comma separated and may be empty; whitespace is
-insignificant.  Printing emits the canonical form, and parse/print round-trip
-bit-exactly on canonical text.
+``parse_member`` reads any member; a formula is a member ``operand -o rhs``,
+and ``parse_formula`` and the sequent's formula lists read a member and
+check its kind.  Formula lists are comma separated and may be empty;
+whitespace is insignificant.  Printing emits the canonical form, and
+parse/print round-trip bit-exactly on canonical text.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple
 
 LITERAL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -193,7 +198,34 @@ class OplusImplication(Choice):
         return f"{_operand_text(self.antecedent)} -o ({self.left.text} + {self.right.text})"
 
 
-HornFormula = Union[PlainImplication, OplusImplication]
+HornFormula = PlainImplication | OplusImplication
+
+
+@dataclass(frozen=True)
+class LlBang(Printed):
+    # Payload is normally an implication; a banged product is representable
+    # so the checker can reject it against the side condition.
+    formula: HornFormula | SimpleProduct
+
+    @cached_property
+    def text(self) -> str:
+        return f"!({self.formula.text})"
+
+
+@dataclass(frozen=True)
+class LlOplusProduct(Choice):
+    """A pending choice ``(Y1 + Y2)`` with its occurrence tag."""
+
+    left: SimpleProduct
+    right: SimpleProduct
+    tag: int
+
+    @cached_property
+    def text(self) -> str:
+        return f"({self.left.text} + {self.right.text})#{self.tag}"
+
+
+Member = SimpleProduct | HornFormula | LlBang | LlOplusProduct
 
 
 @dataclass(frozen=True)
@@ -359,44 +391,64 @@ def _parse_bare_product(ts: TokenStream) -> SimpleProduct:
     return SimpleProduct.of(*names)
 
 
-def _parse_operand(ts: TokenStream) -> SimpleProduct:
-    if ts.peek().text == "(":
+def _parse_group(ts: TokenStream, choice: bool = True) -> tuple[SimpleProduct, SimpleProduct | None]:
+    """A product, bare or parenthesised, or with ``choice`` a ``(Y1 + Y2)``."""
+    if ts.peek().text != "(":
+        return _parse_bare_product(ts), None
+    ts.next()
+    first, second = _parse_bare_product(ts), None
+    if choice and ts.peek().text == "+":
         ts.next()
-        p = _parse_bare_product(ts)
+        second = _parse_bare_product(ts)
+    ts.expect(")")
+    return first, second
+
+
+def _parse_member(ts: TokenStream) -> Member:
+    """An optional ``!(``, then an operand and an optional ``-o`` rest;
+    outside a bang the operand may instead be a tagged choice."""
+    banged = ts.peek().text == "!"
+    if banged:
+        ts.next()
+        ts.expect("(")
+    first, second = _parse_group(ts, choice=not banged)
+    if second is not None:
+        ts.expect("#")
+        num = ts.next()
+        if num.kind != "num":
+            raise FormatError("expected a tag number after '#'", num.position)
+        return LlOplusProduct(first, second, int(num.text))
+    member = first
+    if ts.peek().text == "-o":
+        ts.next()
+        y, other = _parse_group(ts)
+        member = PlainImplication(first, y) if other is None else OplusImplication(first, y, other)
+    if banged:
         ts.expect(")")
-        return p
-    return _parse_bare_product(ts)
+        member = LlBang(member)
+    return member
 
 
-def _parse_formula_rest(ts: TokenStream, antecedent: SimpleProduct) -> HornFormula:
-    ts.expect("-o")
-    if ts.peek().text == "(":
-        ts.next()
-        first = _parse_bare_product(ts)
-        tok = ts.next()
-        if tok.text == "+":
-            second = _parse_bare_product(ts)
-            ts.expect(")")
-            return OplusImplication(antecedent, first, second)
-        if tok.text == ")":
-            return PlainImplication(antecedent, first)
-        raise FormatError(f"expected '+' or ')', found {tok.text or 'end of input'!r}", tok.position)
-    return PlainImplication(antecedent, _parse_bare_product(ts))
+_KIND_NAMES = {SimpleProduct: "a product", HornFormula: "an implication"}
 
 
-def _parse_formula(ts: TokenStream) -> HornFormula:
-    return _parse_formula_rest(ts, _parse_operand(ts))
+def of_kind(member: Member, kind, position: int | None = None) -> Member:
+    """The member if it is of ``kind``; FormatError naming the kind otherwise."""
+    if not isinstance(member, kind):
+        raise FormatError(f"expected {_KIND_NAMES[kind]}, found {member.text!r}", position)
+    return member
 
 
 def _parse_formula_list(ts: TokenStream, stop: set[str]) -> list[HornFormula]:
     formulas: list[HornFormula] = []
     if ts.peek().text in stop:
         return formulas
-    formulas.append(_parse_formula(ts))
-    while ts.peek().text == ",":
+    while True:
+        position = ts.peek().position
+        formulas.append(of_kind(_parse_member(ts), HornFormula, position))
+        if ts.peek().text != ",":
+            return formulas
         ts.next()
-        formulas.append(_parse_formula(ts))
-    return formulas
 
 
 def parse_product(text: str) -> SimpleProduct:
@@ -406,11 +458,15 @@ def parse_product(text: str) -> SimpleProduct:
     return p
 
 
-def parse_formula(text: str) -> HornFormula:
+def parse_member(text: str) -> Member:
     ts = TokenStream(text)
-    f = _parse_formula(ts)
+    member = _parse_member(ts)
     ts.done()
-    return f
+    return member
+
+
+def parse_formula(text: str) -> HornFormula:
+    return of_kind(parse_member(text), HornFormula)
 
 
 def parse_sequent(text: str) -> HornSequent:

@@ -355,6 +355,24 @@ def test_wrong_kind_member_exits_2(tmp_path, capsys, calculus, mutate):
         assert run_main(tmp_path, capsys, command, table) == 2
 
 
+@pytest.mark.parametrize("command,table,message", [
+    pytest.param(("verify", "hll"), {"formulas": ["a"], "nodes": [
+        {"rule": "I", "conclusion": [0, [], [], 0], "frame": 0}]}, "node 0: I takes no frame", id="frame-on-an-identity"),
+    pytest.param(("verify", "ll"), {"formulas": ["a"], "nodes": [
+        {"rule": "I", "conclusion": [[0], 0], "split": [0, 0]}]}, "node 0: I takes no split", id="split-on-an-identity"),
+    pytest.param(("compile", "hll-to-program"), {"formulas": ["a"], "nodes": [
+        {"rule": "I", "conclusion": [0, [], [], 0]},
+        {"rule": "LTENSOR", "conclusion": [0, [], [], 0], "premises": [0], "frame": 0}]},
+        "node 1: LTENSOR takes no frame", id="frame-on-a-regrouping"),
+])
+def test_stray_parameter_field_exits_2(tmp_path, capsys, command, table, message):
+    """A frame or split on a node whose rule takes none, as a principal on an axiom."""
+    proof_file = tmp_path / "proof.json"
+    proof_file.write_text(json.dumps(table))
+    assert cli.main([*command, str(proof_file)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_two_node_tables_are_valid(tmp_path, capsys):
     for calculus in ("hll", "ll"):
         assert run_main(tmp_path, capsys, ("verify", calculus), _two_node_table(calculus)) == 0

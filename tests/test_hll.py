@@ -1,10 +1,11 @@
+import json
 import math
 from dataclasses import replace
 
 import pytest
 
-from corpora import hll_corpus, hll_rule_counts
-from hornlog import hll
+from corpora import hll_corpus, hll_rule_counts, ll_corpus
+from hornlog import hll, ll
 from hornlog.hll import (
     HllProof,
     HllRule,
@@ -111,6 +112,15 @@ def test_checker_rejects_a_principal_of_another_kind():
     assert str(check_hll_proof(weakening)) == "WBANG at root: WBANG cannot have None as its principal"
 
 
+def test_checker_rejects_a_frame_its_rule_does_not_take():
+    axiom = HllProof(HllRule.I, parse_sequent("q ; ; |- q"), frame=Q)
+    assert str(check_hll_proof(axiom)) == "I at root: I takes no frame"
+    regrouping = replace(hll.ltensor(hll.i_axiom(Q)), frame=Q)
+    assert str(check_hll_proof(regrouping)) == "LTENSOR at root: LTENSOR takes no frame"
+    with pytest.raises(ValueError, match="LTENSOR takes no frame"):
+        compile_hll_to_program(regrouping)
+
+
 def test_checker_reports_failure_path():
     bad_leaf = HllProof(HllRule.I, parse_sequent("q ; ; |- p"))
     node = hll.wbang(hll.wbang(bad_leaf, PlainImplication(F, G)), PlainImplication(G, H))
@@ -171,6 +181,23 @@ def test_serialization_round_trip():
         again = hll_proof_from_json(text)
         assert again == proof
         assert check_hll_proof(again).ok
+
+
+@pytest.mark.parametrize("texts", [["(a*b)", "a*b"], ["a*b", "(b*a)"]], ids=["input", "goal"])
+def test_product_fields_accept_a_parenthesised_product(texts):
+    """A product field reads an operand, as a flat context member does."""
+    zoned = hll_proof_from_json(json.dumps({"formulas": texts, "nodes": [{"rule": "I", "conclusion": [0, [], [], 1]}]}))
+    flat = ll.ll_proof_from_json(json.dumps({"formulas": texts, "nodes": [{"rule": "I", "conclusion": [[0], 1]}]}))
+    assert zoned.conclusion == parse_sequent("a*b ; ; |- a*b") and check_hll_proof(zoned).ok
+    assert flat.conclusion.goal == parse_product("a*b") and ll.check_ll_proof(flat).ok
+
+
+def test_compiled_programs_number_their_vertices_in_preorder():
+    """Like prover witnesses: a cut whose first premise forks included."""
+    proofs = hll_corpus() + [ll.translate_ll_to_hll(proof) for proof in ll_corpus()]
+    for proof in proofs:
+        program = compile_hll_to_program(proof)
+        assert tuple(program.preorder()) == tuple(range(len(program.vertices)))
 
 
 def test_corpus_soundness():

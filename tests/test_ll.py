@@ -18,7 +18,6 @@ from hornlog.ll import (
     ll_proof_to_json,
     ll_sequent_text,
     loplus_distance_sum,
-    parse_ll_formula,
     push_oplus_down,
     specialize,
     translate_ll_to_hll,
@@ -30,6 +29,7 @@ from hornlog.syntax import (
     PlainImplication,
     multiset_minus,
     parse_formula,
+    parse_member,
     parse_product,
     parse_sequent,
 )
@@ -66,6 +66,11 @@ def test_checker_rejects_a_principal_of_another_kind():
     block = make_choice_block()
     result = check_ll_proof(replace(block, principal=PlainImplication(G, M)))
     assert result.failure.path == () and result.failure.reason == "LOPLUS cannot have g -o m as its principal"
+
+
+def test_checker_rejects_a_split_its_rule_does_not_take():
+    axiom = replace(ll.ll_i(F), split=(F, F))
+    assert str(check_ll_proof(axiom)) == "I at root: I takes no split"
 
 
 def test_checker_rejects_context_drift():
@@ -301,7 +306,7 @@ def test_translate_choice_pipeline_builds_fork():
 
 def flat(members, goal: str) -> LlSequent:
     """The flat sequent whose context holds these member texts."""
-    return LlSequent(tuple(parse_ll_formula(text) for text in members), parse_product(goal))
+    return LlSequent(tuple(parse_member(text) for text in members), parse_product(goal))
 
 
 def test_horn_reading_zones():
@@ -338,6 +343,11 @@ def test_proof_serialization_round_trip():
         again = ll_proof_from_json(data)
         assert again == proof
         assert check_ll_proof(again).ok
+
+
+def test_a_text_cited_as_member_and_goal_is_read_once():
+    proof = ll_proof_from_json('{"formulas": ["a"], "nodes": [{"rule": "I", "conclusion": [[0], 0]}]}')
+    assert proof.conclusion.goal is proof.conclusion.context[0]
 
 
 # --- Corpus-wide laws ----------------------------------------------------------

@@ -13,6 +13,7 @@ from hornlog.syntax import (
     apply_implication,
     match_antecedent,
     parse_formula,
+    parse_member,
     parse_product,
     parse_sequent,
     sequent_text,
@@ -24,7 +25,6 @@ from hornlog.ll import (
     LlOplusProduct,
     LlSequent,
     ll_sequent_text,
-    parse_ll_formula,
 )
 
 names = st.sampled_from(["a", "b", "c", "d", "e"])
@@ -136,7 +136,7 @@ FLAT = ", ".join(FLAT_MEMBERS) + " |- q"
 
 def flat_sequent(members) -> LlSequent:
     """The flat sequent over ``q`` whose context holds these member texts."""
-    return LlSequent(tuple(parse_ll_formula(text) for text in members), parse_product("q"))
+    return LlSequent(tuple(parse_member(text) for text in members), parse_product("q"))
 
 
 def test_zones_print_in_text_order():
@@ -156,11 +156,11 @@ def test_flat_context_prints_in_text_order():
 @given(mixed_contexts, products)
 def test_flat_context_print_parse_print(context, goal):
     for member in context:
-        assert parse_ll_formula(member.text) == member
-    sequent = LlSequent(tuple(parse_ll_formula(g.text) for g in context), goal)
+        assert parse_member(member.text) == member
+    sequent = LlSequent(tuple(parse_member(g.text) for g in context), goal)
     assert sequent == LlSequent(tuple(context), goal)
     text = ll_sequent_text(sequent)
-    again = LlSequent(tuple(parse_ll_formula(g.text) for g in sequent.context), goal)
+    again = LlSequent(tuple(parse_member(g.text) for g in sequent.context), goal)
     assert ll_sequent_text(again) == text
 
 
@@ -170,7 +170,7 @@ MALFORMED_MEMBERS = ["!((a + b)#1)", "(a + b)", "(a + b)#x", "!(a -o b", "(a b)"
 @pytest.mark.parametrize("bad", MALFORMED_MEMBERS)
 def test_flat_member_parse_errors(bad):
     with pytest.raises(FormatError):
-        parse_ll_formula(bad)
+        parse_member(bad)
 
 
 def test_malformed_member_exits_2_from_verify(tmp_path, capsys):
@@ -184,7 +184,7 @@ def test_malformed_member_exits_2_from_verify(tmp_path, capsys):
 
 
 def test_bang_accepts_a_parenthesised_product():
-    assert parse_ll_formula("!((a*b))") == parse_ll_formula("!(a*b)") == LlBang(parse_product("a*b"))
+    assert parse_member("!((a*b))") == parse_member("!(a*b)") == LlBang(parse_product("a*b"))
 
 
 def _is_validated(r: Frame):
