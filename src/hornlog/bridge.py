@@ -144,7 +144,7 @@ def program_to_computation(
                     (fork, side_child),
                 )
             child, label = out[0]
-            family = enc.killer_family_for(label)
+            family = enc.killer_family_index.get(label)
             if family != m:
                 raise ExtractionError(
                     SIDE_CHAIN_FOREIGN_FORMULA,
@@ -187,7 +187,7 @@ def program_to_computation(
             break
         if len(out) == 1:
             child, label = out[0]
-            index = enc.instruction_for(label)
+            index = enc.instruction_index.get(label)
             if index is None:
                 raise ExtractionError(
                     NON_ENCODING_EDGE, f"label {label} is not an instruction formula", (at, child)
@@ -200,7 +200,7 @@ def program_to_computation(
         # forces a shared antecedent, so the two edges are its two branches.
         (c1, f1), (c2, _) = out
         joint = program.used_formula(at, c1)
-        index = enc.instruction_for(joint)
+        index = enc.instruction_index.get(joint)
         instruction = machine.instructions[index] if index is not None else None
         if instruction is None or instruction.kind != TESTZERO:
             raise ExtractionError(
@@ -255,7 +255,9 @@ def round_trip_check(
 ) -> RoundTripReport:
     """Drive both searches and cross-check every stage.
 
-    A disagreement that a bound can explain (the found object exceeds the
+    Every program the harness holds, the prover's witness included, must
+    extract to a halting run; one that does not is a DISAGREEMENT.  A
+    disagreement that a bound can explain (the found object exceeds the
     other search's bound) is reported as BOUNDS_INCONCLUSIVE, not failure.
     """
     machine = enc.machine
@@ -267,6 +269,14 @@ def round_trip_check(
     if computation is None and witness is None:
         return RoundTripReport(AGREE_NO_WITNESS_WITHIN_BOUNDS, sequent=sequent)
 
+    try:
+        from_witness = None if witness is None else program_to_computation(enc, witness, init)
+    except ExtractionError as error:
+        return RoundTripReport(
+            DISAGREEMENT, f"witness does not extract: {error}",
+            computation=computation, witness=witness, sequent=sequent,
+        )
+
     if computation is not None:
         trace = computation_to_program(enc, computation)
         report = verify_strong_solution(trace.program, sequent)
@@ -275,7 +285,13 @@ def round_trip_check(
                 DISAGREEMENT, f"built program is not a strong solution: {report}",
                 computation=computation, trace=trace, sequent=sequent,
             )
-        extracted = program_to_computation(enc, trace.program, init)
+        try:
+            extracted = program_to_computation(enc, trace.program, init)
+        except ExtractionError as error:
+            return RoundTripReport(
+                DISAGREEMENT, f"built program does not extract: {error}",
+                computation=computation, trace=trace, sequent=sequent,
+            )
         if extracted.configs != computation.configs:
             return RoundTripReport(
                 DISAGREEMENT, "extraction does not reproduce the run",
@@ -298,8 +314,8 @@ def round_trip_check(
             extracted=extracted, witness=witness, sequent=sequent,
         )
 
-    # Witness without a run: extract and see whether the run breaks a bound.
-    extracted = program_to_computation(enc, witness, init)
+    # Witness without a run: see whether its run breaks a bound.
+    extracted = from_witness
     peak = max(max(c.counters) for c in extracted.configs)
     if len(extracted.moves) > max_steps or peak > max_counter:
         return RoundTripReport(

@@ -10,9 +10,11 @@ the product ``l_i * r_1^c1 * ... * r_n^cn``.
 This module is the one owner of those shapes.  The naming lives in three
 module functions, ``label_literal``, ``counter_literal`` and
 ``killer_literal``; ``MachineEncoding`` holds the instruction formulas, the
-killer families, the two branch edges of each zero test and the goal ``l0``,
-and both bridges read them from it.  ``decode_product`` reads an encoded
-configuration back as a ``Configuration``.
+killer families and the goal ``l0``, and both bridges read them from it.  The
+two branch edges of a zero test are read off its formula in ``phi``, goto
+edge first, and a formula's provenance is looked up in the two index maps,
+``instruction_index`` and ``killer_family_index``.  ``decode_product`` reads
+an encoded configuration back as a ``Configuration``.
 """
 
 from __future__ import annotations
@@ -160,13 +162,11 @@ class MachineEncoding:
         return {f: m for m, group in enumerate(self.killers, start=1) for f in group}
 
     def branches(self, index: int) -> tuple[PlainImplication, PlainImplication]:
-        """The goto edge ``l_i -o l_j`` and the killer edge ``l_i -o k_m`` of zero test ``index``."""
-        instruction = self.machine.instructions[index]
-        l_i = SimpleProduct.of(label_literal(instruction.label))
-        return (
-            PlainImplication(l_i, SimpleProduct.of(label_literal(instruction.target))),
-            PlainImplication(l_i, SimpleProduct.of(killer_literal(instruction.counter))),
-        )
+        """The goto edge ``l_i -o l_j`` and the killer edge ``l_i -o k_m`` of
+        zero test ``index``: the fork edges of ``phi[index]``, goto first."""
+        left, right = self.phi[index].branches
+        killer = SimpleProduct.of(killer_literal(self.machine.instructions[index].counter))
+        return (right, left) if left.consequent == killer else (left, right)
 
     def program_formulas(self) -> tuple[HornFormula, ...]:
         return tuple(f for f in self.phi if f is not None)
@@ -174,14 +174,6 @@ class MachineEncoding:
     def killer_zone(self) -> tuple[PlainImplication, ...]:
         """All killer implications; n*n formulas in ascending killer order."""
         return tuple(f for group in self.killers for f in group)
-
-    def instruction_for(self, formula: HornFormula) -> int | None:
-        """Lowest instruction index axiomatized by this formula, if any."""
-        return self.instruction_index.get(formula)
-
-    def killer_family_for(self, formula: HornFormula) -> int | None:
-        """The killer index m whose family contains this formula, if any."""
-        return self.killer_family_index.get(formula)
 
     def sequent(self, inputs: tuple[int, ...]) -> HornSequent:
         """The target sequent: encoded start at L1, everything reusable, goal l0."""

@@ -259,11 +259,12 @@ def _moves(pending) -> list:
         if rule is HllRule.H:
             return [(node.conclusion.linear[0], rest)]
         if rule is HllRule.OPLUS_H:
-            f, edges = node.principal, []
-            for p in node.premises:  # checked: each input is one side tensor the frame
-                y = f.left if p.conclusion.input == f.left.tensor(node.frame) else f.right
-                edges.append((PlainImplication(f.antecedent, y), (p, rest)))
-            return edges
+            left, right = node.principal.branches
+            # Checked: each premise's input is one side tensor the frame.
+            return [
+                (left if p.conclusion.input == left.consequent.tensor(node.frame) else right, (p, rest))
+                for p in node.premises
+            ]
         if rule is HllRule.CUT:
             pending = (node.premises[0], (node.premises[1], rest))
         elif rule is HllRule.I:

@@ -12,7 +12,9 @@ leaf reaches the goal using only the sequent's formulas, with each linear
 occurrence used exactly once on every root-to-leaf path.
 
 Every program the library constructs is appended to one ``ProgramBuilder``
-and validated once, by its ``build``.  Every tree-shaped one (a prover
+and validated once, by its ``build``, which keeps the child map it checks the
+tree with: ``children`` maps every vertex to its (child, label) pairs, a leaf
+to ``()``, and every traversal reads it.  Every tree-shaped program (a prover
 witness, a compiled proof, a grafted copy) is spelled out by ``unfold``, so
 its vertices are numbered in preorder; the bridge appends its chains of
 edges directly.
@@ -21,7 +23,7 @@ edges directly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -46,6 +48,8 @@ class HornProgram:
     root: int
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, PlainImplication], ...]  # parent, child, label
+    # Every vertex to its (child, label) pairs in edge order; () at a leaf.
+    children: dict[int, tuple[tuple[int, PlainImplication], ...]] = field(compare=False, repr=False)
 
     @staticmethod
     def build(root: int, edges: Iterable[tuple[int, int, PlainImplication]]) -> "HornProgram":
@@ -60,11 +64,12 @@ class HornProgram:
             seen_child.add(child)
             children.setdefault(parent, []).append((child, label))
         vertices = [root]
+        tree: dict[int, tuple[tuple[int, PlainImplication], ...]] = {}
         index = 0
         while index < len(vertices):
             v = vertices[index]
             index += 1
-            out = children.get(v, [])
+            out = tree[v] = tuple(children.get(v, ()))
             if len(out) > 2:
                 raise ValueError(f"vertex {v} has {len(out)} children; at most 2 allowed")
             if len(out) == 2:
@@ -78,14 +83,7 @@ class HornProgram:
         if len(vertices) != len(seen_child) + 1:
             unreachable = seen_child - set(vertices)
             raise ValueError(f"vertices not reachable from the root: {sorted(unreachable)}")
-        return HornProgram(root, tuple(vertices), edges)
-
-    @cached_property
-    def children(self) -> dict[int, tuple[tuple[int, PlainImplication], ...]]:
-        out: dict[int, list[tuple[int, PlainImplication]]] = {v: [] for v in self.vertices}
-        for parent, child, label in self.edges:
-            out[parent].append((child, label))
-        return {v: tuple(cs) for v, cs in out.items()}
+        return HornProgram(root, tuple(vertices), edges, tree)
 
     @cached_property
     def leaves(self) -> tuple[int, ...]:
@@ -97,9 +95,6 @@ class HornProgram:
             v = stack.pop()
             yield v
             stack.extend(child for child, _ in reversed(self.children[v]))
-
-    def is_divergent(self, v: int) -> bool:
-        return len(self.children[v]) == 2
 
     def used_formula(self, parent: int, child: int) -> HornFormula:
         """The formula charged for an edge: the label itself, or the joint
@@ -381,15 +376,15 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
                 if residual is None:
                     continue
                 rest = multiset_minus(linear, f) if is_linear else linear
-                branches = []  # (height, move), left before right
-                for y in (f.left, f.right):
-                    child = (y.tensor(residual), rest)
+                won = []  # (height, move), left before right
+                for edge in f.branches:
+                    child = (edge.consequent.tensor(residual), rest)
                     height = yield child, budget - 1
                     if height is None:
                         break
-                    branches.append((height, (PlainImplication(f.antecedent, y), child)))
+                    won.append((height, (edge, child)))
                 else:
-                    return win(state, max(h for h, _ in branches) + 1, tuple(m for _, m in branches))
+                    return win(state, max(h for h, _ in won) + 1, tuple(m for _, m in won))
         prior = memo.get(state)
         if prior is None or (prior[0] == _FAIL and prior[1] < budget):
             memo[state] = (_FAIL, budget)

@@ -9,11 +9,13 @@ the frame that must be non-empty.  Constructions from outside validate once;
 already canonical and skip validation, as ``HornSequent.of_canonical`` does
 for zones already in canonical order.
 
-Implications come in two shapes, ``X -o Y`` and ``X -o (Y1 + Y2)``, and a
-sequent bundles an input product, a linear zone, a reusable (banged) zone and
-a goal product.  The flat calculus adds two members of its own: ``LlBang``, a
-banged implication, and ``LlOplusProduct``, a pending choice ``(Y1 + Y2)``
-with its occurrence tag.  Products, formulas and members compute their
+Implications come in two shapes, ``X -o Y`` and ``X -o (Y1 + Y2)``.  A choice
+implication states its own fork edges, ``X -o Y1`` and ``X -o Y2``, as its
+``branches``: the prover, the compiler and the machine encoding all split it
+there.  A sequent bundles an input product, a linear zone, a reusable
+(banged) zone and a goal product.  The flat calculus adds two members of its
+own: ``LlBang``, a banged implication, and ``LlOplusProduct``, a pending
+choice ``(Y1 + Y2)`` with its occurrence tag.  Products, formulas and members compute their
 printed ``text`` once; it is the only order, for the two sides of a choice
 and for the members of a zone.  The module also owns the grammar::
 
@@ -98,18 +100,11 @@ class Frame(Printed):
     def of(cls, *names: str):
         return cls(tuple(sorted(Counter(names).items())))
 
-    @classmethod
-    def from_counter(cls, counts: Counter[str]):
-        return cls(tuple(sorted(counts.items())))
-
     def __eq__(self, other) -> bool:
         return self.entries == other.entries if isinstance(other, Frame) else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.entries)
-
-    def counter(self) -> Counter[str]:
-        return Counter(dict(self.entries))
 
     @property
     def is_empty(self) -> bool:
@@ -119,17 +114,10 @@ class Frame(Printed):
     def size(self) -> int:
         return sum(count for _, count in self.entries)
 
-    def count(self, name: str) -> int:
-        return dict(self.entries).get(name, 0)
-
     def literals(self) -> Iterator[str]:
         for name, count in self.entries:
             for _ in range(count):
                 yield name
-
-    def to_product(self) -> "SimpleProduct":
-        """Lossless conversion; requires at least one entry."""
-        return SimpleProduct(self.entries)
 
     @cached_property
     def text(self) -> str:
@@ -196,6 +184,11 @@ class OplusImplication(Choice):
     @cached_property
     def text(self) -> str:
         return f"{_operand_text(self.antecedent)} -o ({self.left.text} + {self.right.text})"
+
+    @cached_property
+    def branches(self) -> tuple[PlainImplication, PlainImplication]:
+        """The fork edges ``X -o Y1`` and ``X -o Y2``, in side order."""
+        return PlainImplication(self.antecedent, self.left), PlainImplication(self.antecedent, self.right)
 
 
 HornFormula = PlainImplication | OplusImplication

@@ -44,7 +44,7 @@ def _oplus_template(rng: random.Random, conclusion_input: SimpleProduct) -> hll.
     def premise(y: SimpleProduct, mine: PlainImplication) -> hll.HllProof:
         p = hll.h_axiom(mine)
         if not v.is_empty:
-            p = hll.frame_rule(p, v.to_product())
+            p = hll.frame_rule(p, SimpleProduct(v.entries))
         p = hll.lbang(p, mine)
         for other in imps:
             if other != mine:

@@ -7,6 +7,7 @@ from hornlog.bridge import (
     AGREE_HALTS,
     AGREE_NO_WITNESS_WITHIN_BOUNDS,
     BOUNDS_INCONCLUSIVE,
+    DISAGREEMENT,
     MAIN_LEAF_NOT_L0,
     NON_ENCODING_EDGE,
     SIDE_CHAIN_FOREIGN_FORMULA,
@@ -25,7 +26,7 @@ from hornlog.minsky import (
     validate_computation,
 )
 from hornlog.programs import HornProgram, evaluate, prove_bounded, verify_strong_solution
-from hornlog.syntax import OplusImplication, PlainImplication, parse_formula, parse_product
+from hornlog.syntax import HornSequent, OplusImplication, PlainImplication, parse_formula, parse_product
 
 DEC = parse_machine("counters 2\nL1: ifzero x1 goto L0\nL1: dec x1 goto L1\n")
 INC = parse_machine("counters 2\nL1: inc x1 goto L1\n")
@@ -183,6 +184,41 @@ def test_round_trip_inc_absent():
     enc = MachineEncoding.build(INC)
     report = round_trip_check(enc, (0, 0), 1000, 10, 20)
     assert report.code == AGREE_NO_WITNESS_WITHIN_BOUNDS
+
+
+class EatingKiller(MachineEncoding):
+    """A mutant encoding: the killer k1 may also eat the counter it tests."""
+
+    def sequent(self, inputs):
+        s = super().sequent(inputs)
+        return HornSequent(s.input, s.linear, s.banged + (parse_formula("(k1*r1) -o k1"),), s.goal)
+
+
+def eating_killer(text: str) -> EatingKiller:
+    honest = MachineEncoding.build(parse_machine(text))
+    return EatingKiller(honest.machine, honest.phi)
+
+
+BLOCKED = "L1: ifzero x1 goto L2\nL2: dec x1 goto L0\n"
+
+
+def test_round_trip_reports_a_witness_that_does_not_extract():
+    enc = eating_killer("counters 1\n" + BLOCKED)
+    report = round_trip_check(enc, (1,), 50, 5, 10)
+    assert report.code == DISAGREEMENT and report.computation is None
+    assert report.detail.startswith("witness does not extract: SIDE_CHAIN_FOREIGN_FORMULA at edge 1->2: ")
+
+
+def test_round_trip_extracts_the_witness_when_a_run_was_found_too():
+    enc = eating_killer(
+        "counters 2\n" + BLOCKED
+        + "L1: dec x1 goto L3\nL3: inc x2 goto L4\nL4: dec x2 goto L5\nL5: ifzero x1 goto L0\n"
+    )
+    report = round_trip_check(enc, (1, 0), 10, 5, 3)
+    assert report.code == DISAGREEMENT and report.computation is not None
+    with pytest.raises(ExtractionError) as err:
+        program_to_computation(enc, report.witness, Configuration(1, (1, 0)))
+    assert report.detail == f"witness does not extract: {err.value}"
 
 
 def test_random_machines_cross_validate():

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from corpora import random_machine
 from hornlog.encoding import (
     MachineEncoding,
     decode_product,
@@ -57,7 +60,7 @@ def test_build_killers_n1():
 
 def test_build_killers_n3_family():
     killers = killer_zone(3)
-    family2 = [f for f in killers if f.antecedent.count("k2") or f.consequent.count("k2")]
+    family2 = [f for f in killers if "k2" in dict(f.antecedent.entries) or "k2" in dict(f.consequent.entries)]
     assert parse_formula("(k2*r1) -o k2") in family2
     assert parse_formula("(k2*r3) -o k2") in family2
     assert parse_formula("(k2*r2) -o k2") not in family2
@@ -72,6 +75,23 @@ def test_zero_test_branches_and_goal():
     enc = MachineEncoding.build(DEC)
     assert enc.branches(0) == (parse_formula("l1 -o l0"), parse_formula("l1 -o k1"))
     assert enc.goal == parse_product("l0")
+
+
+def test_zero_test_branches_are_the_fork_edges_of_phi_goto_first():
+    rng = random.Random(424242)
+    zero_tests = 0
+    for _ in range(60):
+        machine = random_machine(rng, rng.randint(1, 3))
+        enc = MachineEncoding.build(machine)
+        for i, instruction in enumerate(machine.instructions):
+            if instruction.kind != "ifzero":
+                continue
+            goto = parse_formula(f"l{instruction.label} -o l{instruction.target}")
+            edges = enc.phi[i].branches
+            assert goto in edges
+            assert enc.branches(i) == (goto, *(e for e in edges if e != goto))
+            zero_tests += 1
+    assert zero_tests > 20
 
 
 def test_encode_config_examples():
@@ -143,7 +163,7 @@ def test_build_sequent_zero_inputs():
 def test_build_sequent_n1_single_killer():
     machine = parse_machine("counters 1\nL1: dec x1 goto L1\n")
     s = MachineEncoding.build(machine).sequent((1,))
-    killer_like = [f for f in s.banged if isinstance(f, PlainImplication) and f.antecedent.count("k1")]
+    killer_like = [f for f in s.banged if isinstance(f, PlainImplication) and "k1" in dict(f.antecedent.entries)]
     assert killer_like == [parse_formula("k1 -o l0")]
 
 
@@ -169,17 +189,17 @@ def test_formula_head_structure():
 
 def test_provenance_lookup():
     enc = MachineEncoding.build(DEC)
-    assert enc.instruction_for(parse_formula("l1 -o (l0 + k1)")) == 0
-    assert enc.instruction_for(parse_formula("(l1*r1) -o l1")) == 1
-    assert enc.instruction_for(parse_formula("k1 -o l0")) is None
-    assert enc.killer_family_for(parse_formula("(k1*r2) -o k1")) == 1
-    assert enc.killer_family_for(parse_formula("(l1*r1) -o l1")) is None
+    assert enc.instruction_index.get(parse_formula("l1 -o (l0 + k1)")) == 0
+    assert enc.instruction_index.get(parse_formula("(l1*r1) -o l1")) == 1
+    assert enc.instruction_index.get(parse_formula("k1 -o l0")) is None
+    assert enc.killer_family_index.get(parse_formula("(k1*r2) -o k1")) == 1
+    assert enc.killer_family_index.get(parse_formula("(l1*r1) -o l1")) is None
 
 
 def test_ambiguous_instruction_resolves_lowest():
     machine = parse_machine("counters 1\nL1: inc x1 goto L1\nL1: inc x1 goto L1\n")
     enc = MachineEncoding.build(machine)
-    assert enc.instruction_for(parse_formula("l1 -o (l1*r1)")) == 0
+    assert enc.instruction_index.get(parse_formula("l1 -o (l1*r1)")) == 0
 
 
 def test_repeated_instruction_line_resolves_to_its_first_occurrence():
@@ -187,20 +207,20 @@ def test_repeated_instruction_line_resolves_to_its_first_occurrence():
         "counters 1\nL1: dec x1 goto L1\nL0: halt\nL1: inc x1 goto L1\nL1: inc x1 goto L1\n"
     )
     enc = MachineEncoding.build(machine)
-    assert enc.instruction_for(parse_formula("l1 -o (l1*r1)")) == 2
-    assert enc.instruction_for(parse_formula("(l1*r1) -o l1")) == 0
+    assert enc.instruction_index.get(parse_formula("l1 -o (l1*r1)")) == 2
+    assert enc.instruction_index.get(parse_formula("(l1*r1) -o l1")) == 0
 
 
 def test_killer_family_for_every_killer_formula_of_three_counters():
     machine = parse_machine("counters 3\nL1: ifzero x2 goto L0\nL1: dec x3 goto L1\n")
     enc = MachineEncoding.build(machine)
     for m in (1, 2, 3):
-        assert enc.killer_family_for(parse_formula(f"k{m} -o l0")) == m
+        assert enc.killer_family_index.get(parse_formula(f"k{m} -o l0")) == m
         for i in (1, 2, 3):
             killing = parse_formula(f"(k{m}*r{i}) -o k{m}")
-            assert enc.killer_family_for(killing) == (None if i == m else m)
+            assert enc.killer_family_index.get(killing) == (None if i == m else m)
     for formula in enc.program_formulas():
-        assert enc.killer_family_for(formula) is None
+        assert enc.killer_family_index.get(formula) is None
 
 
 configs = st.tuples(st.integers(0, 9), st.integers(0, 4), st.integers(0, 4)).map(

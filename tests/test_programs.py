@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpora import hll_corpus, random_machine
+from hornlog import hll
 from hornlog.bridge import computation_to_program
 from hornlog.encoding import MachineEncoding
 from hornlog.minsky import Computation, Configuration, parse_machine, search_halting
@@ -23,9 +25,10 @@ from hornlog.programs import (
     verify_strong_solution,
 )
 from hornlog.syntax import (
-    Frame,
+    OplusImplication,
     PlainImplication,
     SimpleProduct,
+    apply_implication,
     parse_formula,
     parse_product,
     parse_sequent,
@@ -78,6 +81,39 @@ def test_used_formula_on_fork(p0):
     joint = parse_formula("f -o (g + h)")
     assert p0.used_formula(p0.root, c1) == joint
     assert p0.used_formula(p0.root, c2) == joint
+
+
+def choice_implications() -> list[OplusImplication]:
+    """The choice principals of the zoned corpus and the zero-test formulas
+    of a seeded random machine corpus."""
+    found = [
+        node.principal
+        for proof in hll_corpus()
+        for node, _ in hll.walk(proof)
+        if isinstance(node.principal, OplusImplication)
+    ]
+    rng = random.Random(424242)
+    for _ in range(60):
+        enc = MachineEncoding.build(random_machine(rng, rng.randint(1, 3)))
+        found += [f for f in enc.phi if isinstance(f, OplusImplication)]
+    return found
+
+
+def test_choice_implication_states_its_fork_edges():
+    formulas = choice_implications()
+    assert len(formulas) > 60
+    for f in formulas:
+        left, right = PlainImplication(f.antecedent, f.left), PlainImplication(f.antecedent, f.right)
+        assert f.branches == (left, right)
+        fork = HornProgram.build(0, ((0, 1, left), (0, 2, right)))
+        assert fork.used_formula(0, 1) == f and fork.used_formula(0, 2) == f
+
+
+def test_build_keeps_a_child_map_of_every_vertex(p0):
+    again = HornProgram.build(p0.root, p0.edges)
+    assert again == p0 and hash(again) == hash(p0)
+    assert set(p0.children) == set(p0.vertices)
+    assert all(p0.children[leaf] == () for leaf in p0.leaves)
 
 
 def test_verify_p0_accepts(p0):
@@ -158,14 +194,14 @@ def test_strong_fork_shapes(p0):
     two = strong_fork(F, G, H, chain(()), chain(()))
     assert len(two.leaves) == 2 and program_height(two) == 1
     assert len(p0.leaves) == 2 and program_height(p0) == 2
-    assert p0.is_divergent(p0.root)
+    assert len(p0.children[p0.root]) == 2
 
 
 def test_prove_bounded_p0_shape(p0):
     s = parse_sequent("f ; ; f -o (g + h), g -o m, h -o m |- m")
     witness = prove_bounded(s, 5)
     assert witness is not None
-    assert witness.is_divergent(witness.root)
+    assert len(witness.children[witness.root]) == 2
     assert len(witness.leaves) == 2 and program_height(witness) == 2
     assert verify_strong_solution(witness, s).ok
 
@@ -284,9 +320,9 @@ def random_program(rng: random.Random, max_vertices: int = 6, start=None):
         antecedent = SimpleProduct.of(*picks)
         for _ in range(arity):
             consequent = SimpleProduct.of(*rng.choices(LITS, k=rng.randint(1, 2)))
-            edges.append((vertex, next_id, PlainImplication(antecedent, consequent)))
-            residual = value.counter() - antecedent.counter()
-            frontier.append((next_id, consequent.tensor(Frame.from_counter(residual))))
+            label = PlainImplication(antecedent, consequent)
+            edges.append((vertex, next_id, label))
+            frontier.append((next_id, apply_implication(value, label)))
             next_id += 1
     return HornProgram.build(0, edges), start
 
@@ -296,7 +332,7 @@ def scramble_an_edge(rng, program):
     solo = [
         (parent, child, label)
         for parent, child, label in program.edges
-        if not program.is_divergent(parent)
+        if len(program.children[parent]) != 2
     ]
     if not solo:
         return program
