@@ -3,12 +3,14 @@
 A halting computation becomes a program whose main branch tracks the
 configurations move by move; every zero test forks off a side chain that
 erases the other counters one unit per edge and then closes at the goal.
-Conversely, a strong-solution program over an encoded sequent is walked from
-the root: single edges must carry instruction formulas, forks must carry a
-zero-test choice with a valid killing chain on the side branch, and the main
-branch must end at the goal.  That walk reads plain values: ``evaluate``'s
-product at each vertex, which on the main branch ``decode_product`` turns
-into the ``Configuration`` it encodes.  Every formula shape comes from
+Both directions read a move's edges as ``MachineEncoding.branches`` gives
+them, main edge first.  Conversely, a strong-solution program over an
+encoded sequent is walked from the root: the formula each main vertex's
+out-edges charge (``HornProgram.charges``) must be an instruction formula,
+so a fork is a zero test, whose side branch must be a valid killing chain,
+and the main branch must end at the goal.  That walk reads plain values:
+``evaluate``'s product at each vertex, which on the main branch
+``decode_product`` turns into the ``Configuration`` it encodes.  Every formula shape comes from
 ``MachineEncoding``; the run read back is re-checked by
 ``validate_computation``.
 
@@ -21,13 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .encoding import MachineEncoding, decode_product, encode_config
-from .minsky import (
-    TESTZERO,
-    Computation,
-    Configuration,
-    search_halting,
-    validate_computation,
-)
+from .minsky import Computation, Configuration, search_halting, validate_computation
 from .programs import (
     HornProgram,
     ProgramBuilder,
@@ -90,16 +86,14 @@ def computation_to_program(enc: MachineEncoding, computation: Computation) -> Pr
     main = [0]
     side_chains: list[SideChain] = []
     for u, move in enumerate(computation.moves):
-        instruction = machine.instructions[move]
-        if instruction.kind != TESTZERO:
-            main.append(builder.add_edge(main[-1], enc.phi[move]))
-            continue
-        m = instruction.counter
-        goto, killer = enc.branches(move)
-        closing, *killing = enc.killers[m - 1]
         fork = main[-1]
-        main.append(builder.add_edge(fork, goto))
-        chain = [builder.add_edge(fork, killer)]
+        main_edge, *side = enc.branches(move)
+        main.append(builder.add_edge(fork, main_edge))
+        if not side:
+            continue
+        m = machine.instructions[move].counter
+        closing, *killing = enc.killers[m - 1]
+        chain = [builder.add_edge(fork, side[0])]
         counters = computation.configs[u].counters
         # The killing formulas follow the other counters in ascending order.
         for formula, count in zip(killing, counters[: m - 1] + counters[m:]):
@@ -185,31 +179,22 @@ def program_to_computation(
             if value != enc.goal:
                 raise ExtractionError(MAIN_LEAF_NOT_L0, f"main leaf {at} evaluates to {value}")
             break
-        if len(out) == 1:
-            child, label = out[0]
-            index = enc.instruction_index.get(label)
-            if index is None:
-                raise ExtractionError(
-                    NON_ENCODING_EDGE, f"label {label} is not an instruction formula", (at, child)
-                )
-            moves.append(index)
-            configs.append(main_config(child, (at, child)))
-            at = child
-            continue
-        # Divergent: the joint formula must be a zero test.  HornProgram
-        # forces a shared antecedent, so the two edges are its two branches.
-        (c1, f1), (c2, _) = out
-        joint = program.used_formula(at, c1)
-        index = enc.instruction_index.get(joint)
-        instruction = machine.instructions[index] if index is not None else None
-        if instruction is None or instruction.kind != TESTZERO:
-            raise ExtractionError(
-                NON_ENCODING_EDGE,
-                f"fork at {at} uses {joint}, not a zero-test formula",
-                (at, c1),
+        # The vertex's out-edges charge one instruction formula; only a zero
+        # test encodes to a choice, so a fork's two edges are its branches.
+        charged = program.charges[at]
+        index = enc.instruction_index.get(charged)
+        if index is None:
+            detail = (
+                f"fork at {at} uses {charged}, not a zero-test formula" if len(out) == 2
+                else f"label {charged} is not an instruction formula"
             )
-        main_child, side_child = (c1, c2) if f1 == enc.branches(index)[0] else (c2, c1)
-        check_side_chain(at, side_child, instruction.counter)
+            raise ExtractionError(NON_ENCODING_EDGE, detail, (at, out[0][0]))
+        main_edge = enc.branches(index)[0]
+        for child, label in out:
+            if label == main_edge:
+                main_child = child
+            else:
+                check_side_chain(at, child, machine.instructions[index].counter)
         moves.append(index)
         configs.append(main_config(main_child, (at, main_child)))
         at = main_child

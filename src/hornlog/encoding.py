@@ -11,10 +11,13 @@ This module is the one owner of those shapes.  The naming lives in three
 module functions, ``label_literal``, ``counter_literal`` and
 ``killer_literal``; ``MachineEncoding`` holds the instruction formulas, the
 killer families and the goal ``l0``, and both bridges read them from it.  The
-two branch edges of a zero test are read off its formula in ``phi``, goto
-edge first, and a formula's provenance is looked up in the two index maps,
-``instruction_index`` and ``killer_family_index``.  ``decode_product`` reads
-an encoded configuration back as a ``Configuration``.
+edges a move draws are read off its formula in ``phi`` by ``branches``, for
+every instruction alike: one edge for a plain implication, a zero test's two
+fork edges with the goto edge first.  A formula's provenance is looked up in
+the two index maps, ``instruction_index`` and ``killer_family_index``.
+``decode_product`` reads an encoded configuration back as a
+``Configuration``; it is the inverse of ``encode_config``, so it accepts
+exactly the literals ``label_literal`` and ``counter_literal`` name.
 """
 
 from __future__ import annotations
@@ -87,18 +90,17 @@ def decode_product(n: int, product: SimpleProduct) -> Configuration | None:
     """The configuration a product encodes; None if it encodes none.
 
     The product must hold exactly one label literal, once, and otherwise only
-    counter literals ``r1..rn``.
+    counter literals ``r1..rn``, each spelled as ``encode_config`` spells it
+    (so ``r01`` is no counter literal).
     """
     label = None
     counts = [0] * n
     for name, count in product.entries:
-        kind, digits = name[:1], name[1:]
-        if not digits.isdigit():
-            return None
-        index = int(digits)
-        if kind == "r" and 1 <= index <= n:
+        digits = name[1:]
+        index = int(digits) if digits.isdigit() else -1
+        if name == counter_literal(index) and 1 <= index <= n:
             counts[index - 1] = count
-        elif kind == "l" and label is None and count == 1:
+        elif name == label_literal(index) and label is None and count == 1:
             label = index
         else:
             return None
@@ -161,12 +163,14 @@ class MachineEncoding:
         """Each killer formula to its killer index m (the families are disjoint)."""
         return {f: m for m, group in enumerate(self.killers, start=1) for f in group}
 
-    def branches(self, index: int) -> tuple[PlainImplication, PlainImplication]:
-        """The goto edge ``l_i -o l_j`` and the killer edge ``l_i -o k_m`` of
-        zero test ``index``: the fork edges of ``phi[index]``, goto first."""
-        left, right = self.phi[index].branches
-        killer = SimpleProduct.of(killer_literal(self.machine.instructions[index].counter))
-        return (right, left) if left.consequent == killer else (left, right)
+    def branches(self, index: int) -> tuple[PlainImplication, ...]:
+        """The edges one move of non-halt instruction ``index`` draws, the
+        ``branches`` of ``phi[index]`` with the main edge first: the formula
+        itself for an assignment or a positive test, the goto edge
+        ``l_i -o l_j`` before the killer edge ``l_i -o k_m`` for a zero test."""
+        edges = self.phi[index].branches
+        killer = ((killer_literal(self.machine.instructions[index].counter), 1),)
+        return edges[::-1] if edges[0].consequent.entries == killer else edges
 
     def program_formulas(self) -> tuple[HornFormula, ...]:
         return tuple(f for f in self.phi if f is not None)

@@ -71,7 +71,7 @@ class Configuration:
     counters: tuple[int, ...]
 
     def __post_init__(self):
-        if any(c < 0 for c in self.counters):
+        if min(self.counters, default=0) < 0:
             raise ValueError(f"negative counter in {self!r}")
 
     def __str__(self) -> str:
@@ -236,7 +236,7 @@ def search_halting(
         for index, nxt in successors(machine, config):
             if nxt in parent:
                 continue
-            if any(c > max_counter for c in nxt.counters):
+            if max(nxt.counters) > max_counter:
                 continue
             parent[nxt] = (config, index)
             if nxt == target:

@@ -14,7 +14,11 @@ occurrence used exactly once on every root-to-leaf path.
 Every program the library constructs is appended to one ``ProgramBuilder``
 and validated once, by its ``build``, which keeps the child map it checks the
 tree with: ``children`` maps every vertex to its (child, label) pairs, a leaf
-to ``()``, and every traversal reads it.  Every tree-shaped program (a prover
+to ``()``, and every traversal reads it.  ``build`` also records what each
+vertex's out-edges charge as one formula, the reading of a Horn program in
+which a vertex's out-edges are one use of one formula: ``charges`` maps a
+unary vertex to its lone label, a divergent vertex to the joint choice of its
+pair, and a leaf to ``None``.  Every tree-shaped program (a prover
 witness, a compiled proof, a grafted copy) is spelled out by ``unfold``, so
 its vertices are numbered in preorder; the bridge appends its chains of
 edges directly.
@@ -50,6 +54,8 @@ class HornProgram:
     edges: tuple[tuple[int, int, PlainImplication], ...]  # parent, child, label
     # Every vertex to its (child, label) pairs in edge order; () at a leaf.
     children: dict[int, tuple[tuple[int, PlainImplication], ...]] = field(compare=False, repr=False)
+    # Every vertex to the formula its out-edges charge; None at a leaf.
+    charges: dict[int, HornFormula | None] = field(compare=False, repr=False)
 
     @staticmethod
     def build(root: int, edges: Iterable[tuple[int, int, PlainImplication]]) -> "HornProgram":
@@ -65,6 +71,7 @@ class HornProgram:
             children.setdefault(parent, []).append((child, label))
         vertices = [root]
         tree: dict[int, tuple[tuple[int, PlainImplication], ...]] = {}
+        charges: dict[int, HornFormula | None] = {}
         index = 0
         while index < len(vertices):
             v = vertices[index]
@@ -73,17 +80,20 @@ class HornProgram:
             if len(out) > 2:
                 raise ValueError(f"vertex {v} has {len(out)} children; at most 2 allowed")
             if len(out) == 2:
-                (c1, f1), (c2, f2) = out
+                (_, f1), (_, f2) = out
                 if f1.antecedent != f2.antecedent:
                     raise ValueError(
                         f"divergent vertex {v} edges must share an antecedent "
                         f"({f1.text} vs {f2.text})"
                     )
+                charges[v] = OplusImplication(f1.antecedent, f1.consequent, f2.consequent)
+            else:
+                charges[v] = out[0][1] if out else None
             vertices.extend(c for c, _ in out)
         if len(vertices) != len(seen_child) + 1:
             unreachable = seen_child - set(vertices)
             raise ValueError(f"vertices not reachable from the root: {sorted(unreachable)}")
-        return HornProgram(root, tuple(vertices), edges, tree)
+        return HornProgram(root, tuple(vertices), edges, tree, charges)
 
     @cached_property
     def leaves(self) -> tuple[int, ...]:
@@ -95,20 +105,6 @@ class HornProgram:
             v = stack.pop()
             yield v
             stack.extend(child for child, _ in reversed(self.children[v]))
-
-    def used_formula(self, parent: int, child: int) -> HornFormula:
-        """The formula charged for an edge: the label itself, or the joint
-        choice implication on both edges of a divergent vertex."""
-        out = self.children[parent]
-        for c, label in out:
-            if c == child:
-                break
-        else:
-            raise KeyError(f"no edge ({parent}, {child})")
-        if len(out) == 2:
-            (_, f1), (_, f2) = out
-            return OplusImplication(f1.antecedent, f1.consequent, f2.consequent)
-        return label
 
 
 class ProgramBuilder:
@@ -148,14 +144,6 @@ class ProgramBuilder:
 
     def build(self) -> HornProgram:
         return HornProgram.build(0, self.edges)
-
-
-def chain(formulas: Iterable[PlainImplication]) -> HornProgram:
-    builder = ProgramBuilder()
-    at = 0
-    for f in formulas:
-        at = builder.add_edge(at, f)
-    return builder.build()
 
 
 def evaluate(program: HornProgram, w: SimpleProduct) -> dict[int, SimpleProduct | None]:
@@ -232,7 +220,7 @@ def verify_strong_solution(program: HornProgram, sequent: HornSequent) -> Strong
 
     available = set(sequent.linear) | set(sequent.banged)
     for parent, child, _ in program.edges:
-        used = program.used_formula(parent, child)
+        used = program.charges[parent]
         if used not in available:
             violations.append(Violation(FOREIGN_FORMULA, edge=(parent, child), formula=used))
 
@@ -260,7 +248,7 @@ def verify_strong_solution(program: HornProgram, sequent: HornSequent) -> Strong
                 got = used_counts.get(f, 0)
                 if got != need and not (f in banged_set and got > need):
                     violations.append(Violation(LINEAR_COUNT, vertex=v, formula=f, count=got))
-        stack.extend((child, program.used_formula(v, child)) for child, _ in reversed(children))
+        stack.extend((child, program.charges[v]) for child, _ in reversed(children))
     return StrongSolutionReport(not violations, tuple(violations))
 
 
@@ -309,9 +297,9 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
     """Exhaustive search for a strong-solution witness of height <= max_depth.
 
     States are (current product, remaining linear multiset); plain rewrites are
-    tried before choice branches, candidates ordered by printed form, linear
-    formulas consumed and banged ones kept.  A choice formula succeeds only if
-    both branches do.  Absence within the depth bound proves nothing.
+    tried before choices, candidates ordered by printed form, linear formulas
+    consumed and banged ones kept.  A formula succeeds only if every edge of
+    its ``branches`` does.  Absence within the depth bound proves nothing.
 
     The memo keeps one winning move per state; the witness is read back from
     it and built once.
@@ -326,14 +314,14 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
     # for a plain step, two for a fork.
     memo: dict[tuple, tuple] = {}
 
-    # Candidates in text order, a linear occurrence before a banged copy of
-    # the same formula; a state tries a linear one only while it holds it.
+    # Candidates with their edges, plain (one edge) before choice (two), then
+    # in text order, a linear occurrence before a banged copy of the same
+    # formula; a state tries a linear one only while it holds it.
     ordered = sorted(
-        [(f, True) for f in dict.fromkeys(sequent.linear)] + [(f, False) for f in banged],
-        key=lambda item: (item[0].text, not item[1]),
+        [(f, True, f.branches) for f in dict.fromkeys(sequent.linear)]
+        + [(f, False, f.branches) for f in banged],
+        key=lambda item: (len(item[2]), item[0].text, not item[1]),
     )
-    plain_order = [item for item in ordered if isinstance(item[0], PlainImplication)]
-    fork_order = [item for item in ordered if not isinstance(item[0], PlainImplication)]
 
     def win(state: tuple, height: int, moves: tuple) -> int:
         # A win never replaces a lower-or-equal one.  A state can recur on its
@@ -359,32 +347,23 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
         if not linear and product == goal:
             return win(state, 0, ())
         if budget >= 1:
-            for f, is_linear in plain_order:
-                if is_linear and f not in linear:
-                    continue
-                nxt = apply_implication(product, f)
-                if nxt is None:
-                    continue
-                child = (nxt, multiset_minus(linear, f) if is_linear else linear)
-                height = yield child, budget - 1
-                if height is not None:
-                    return win(state, height + 1, ((f, child),))
-            for f, is_linear in fork_order:
+            for f, is_linear, edges in ordered:
                 if is_linear and f not in linear:
                     continue
                 residual = match_antecedent(product, f.antecedent)
                 if residual is None:
                     continue
                 rest = multiset_minus(linear, f) if is_linear else linear
-                won = []  # (height, move), left before right
-                for edge in f.branches:
+                top, moves = 0, []  # the highest child win; a move per edge
+                for edge in edges:
                     child = (edge.consequent.tensor(residual), rest)
                     height = yield child, budget - 1
                     if height is None:
                         break
-                    won.append((height, (edge, child)))
+                    top = max(top, height)
+                    moves.append((edge, child))
                 else:
-                    return win(state, max(h for h, _ in won) + 1, tuple(m for _, m in won))
+                    return win(state, top + 1, tuple(moves))
         prior = memo.get(state)
         if prior is None or (prior[0] == _FAIL and prior[1] < budget):
             memo[state] = (_FAIL, budget)
@@ -433,7 +412,10 @@ def _json_id(value) -> int:
 
 
 def program_from_json(text: str) -> HornProgram:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:  # a program nests three levels deep at most
+        raise FormatError("a program is a flat JSON object, not a nested document") from None
     if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise FormatError("a program is a JSON object with an edge list")
     vertices = data.get("vertices", [])
@@ -443,10 +425,7 @@ def program_from_json(text: str) -> HornProgram:
     for e in data["edges"]:
         if not isinstance(e, dict) or not isinstance(e.get("label"), str):
             raise FormatError(f"an edge is a JSON object with a string label: {e!r}")
-        label = parse_formula(e["label"])
-        if not isinstance(label, PlainImplication):
-            raise ValueError(f"edge label must be a plain implication: {e['label']}")
-        edges.append((_json_id(e.get("parent")), _json_id(e.get("child")), label))
+        edges.append((_json_id(e.get("parent")), _json_id(e.get("child")), parse_formula(e["label"])))
     program = HornProgram.build(_json_id(data.get("root")), edges)
     declared = sorted(_json_id(v) for v in vertices)
     if declared and declared != sorted(program.vertices):

@@ -9,10 +9,11 @@ the frame that must be non-empty.  Constructions from outside validate once;
 already canonical and skip validation, as ``HornSequent.of_canonical`` does
 for zones already in canonical order.
 
-Implications come in two shapes, ``X -o Y`` and ``X -o (Y1 + Y2)``.  A choice
-implication states its own fork edges, ``X -o Y1`` and ``X -o Y2``, as its
-``branches``: the prover, the compiler and the machine encoding all split it
-there.  A sequent bundles an input product, a linear zone, a reusable
+Implications come in two shapes, ``X -o Y`` and ``X -o (Y1 + Y2)``.  Every
+Horn formula names the program edges one use of it draws as its ``branches``:
+a plain implication the one edge ``X -o Y`` (itself), a choice implication its
+two fork edges ``X -o Y1`` and ``X -o Y2``.  The prover, the compiler and the
+machine encoding all split a formula there.  A sequent bundles an input product, a linear zone, a reusable
 (banged) zone and a goal product.  The flat calculus adds two members of its
 own: ``LlBang``, a banged implication, and ``LlOplusProduct``, a pending
 choice ``(Y1 + Y2)`` with its occurrence tag.  Products, formulas and members compute their
@@ -171,6 +172,11 @@ class PlainImplication(Printed):
     @cached_property
     def text(self) -> str:
         return f"{_operand_text(self.antecedent)} -o {_operand_text(self.consequent)}"
+
+    @property
+    def branches(self) -> tuple[PlainImplication]:
+        """The one edge a use of this formula draws: the formula itself."""
+        return (self,)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import random
 
 from hornlog import hll, ll
 from hornlog.minsky import Instruction, MinskyMachine
+from hornlog.programs import HornProgram, ProgramBuilder
 from hornlog.syntax import (
     Frame,
     OplusImplication,
@@ -26,6 +27,15 @@ def rand_product(rng: random.Random, pool=POOL, max_size=3) -> SimpleProduct:
 
 def rand_plain(rng: random.Random) -> PlainImplication:
     return PlainImplication(rand_product(rng), rand_product(rng))
+
+
+def chain(formulas) -> HornProgram:
+    """The unary program whose edges carry ``formulas`` from the root down."""
+    builder = ProgramBuilder()
+    at = 0
+    for f in formulas:
+        at = builder.add_edge(at, f)
+    return builder.build()
 
 
 # --- Zoned-calculus corpus ---------------------------------------------------

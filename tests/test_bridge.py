@@ -64,7 +64,7 @@ def test_side_chain_kills_other_counters():
     trace = computation_to_program(enc, run)
     first = trace.side_chains[0]
     assert first.kill_count == 1
-    killing = trace.program.used_formula(first.vertices[0], first.vertices[1])
+    killing = trace.program.charges[first.vertices[0]]
     assert killing == parse_formula("(k1*r2) -o k1")
     assert verify_strong_solution(trace.program, enc.sequent((0, 1))).ok
 
@@ -351,7 +351,7 @@ def test_three_counter_zero_test_on_the_middle_counter():
     first = trace.side_chains[0]
     assert first.counter == 2
     assert [
-        trace.program.used_formula(a, b) for a, b in zip(first.vertices, first.vertices[1:])
+        trace.program.charges[v] for v in first.vertices[:-1]
     ] == [parse_formula(f) for f in ("(k2*r1) -o k2", "(k2*r1) -o k2", "(k2*r3) -o k2", "k2 -o l0")]
     sequent = enc.sequent((2, 0, 1))
     assert verify_strong_solution(trace.program, sequent).ok

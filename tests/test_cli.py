@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
+from corpora import chain
 from hornlog import cli
 from hornlog.minsky import parse_computation, parse_machine, validate_computation
-from hornlog.programs import chain, program_from_json, program_height, program_to_json
+from hornlog.programs import program_from_json, program_height, program_to_json
 from hornlog.syntax import parse_formula, parse_sequent
 
 DEC_TEXT = "counters 2\nL1: ifzero x1 goto L0\nL1: dec x1 goto L1\nL0: halt\n"
@@ -237,6 +238,27 @@ def test_malformed_program_exits_2(dec_file, tmp_path, text):
     prog_file.write_text(text)
     result = run_cli("verify", "sequent-program", str(seq_file), str(prog_file), expect=2)
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param(
+        "[" * 100000 + "]" * 100000,
+        "error: a program is a flat JSON object, not a nested document\n",
+        id="deeply-nested-document",
+    ),
+    pytest.param(
+        '{"root": 0, "edges": [{"parent": 0, "child": 1, "label": "l1 -o (k1 + l0)"}]}',
+        "error: edge (0,1) must carry a plain implication\n",
+        id="choice-label",
+    ),
+])
+def test_malformed_program_message(tmp_path, capsys, text, message):
+    seq_file = tmp_path / "dec.seq"
+    seq_file.write_text("l1 ; ; l1 -o l0 |- l0\n")
+    prog_file = tmp_path / "bad.prog.json"
+    prog_file.write_text(text)
+    assert cli.main(["verify", "sequent-program", str(seq_file), str(prog_file)]) == 2
+    assert capsys.readouterr().err == message
 
 
 DROP = object()

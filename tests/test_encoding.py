@@ -14,6 +14,7 @@ from hornlog.minsky import Configuration, Instruction, parse_machine
 from hornlog.syntax import (
     OplusImplication,
     PlainImplication,
+    SimpleProduct,
     apply_implication,
     parse_formula,
     parse_product,
@@ -117,6 +118,26 @@ def test_decode_rejects_foreign_and_double_heads():
     assert decode_product(2, parse_product("r3*l1")) is None  # r3 out of range for n=2
     assert decode_product(2, parse_product("r0*l1")) is None
     assert decode_product(2, parse_product("l*r1")) is None
+
+
+def test_decode_accepts_only_the_literals_encode_config_spells():
+    assert decode_product(2, parse_product("l1*r01")) is None
+    assert decode_product(2, parse_product("l01*r1")) is None
+    assert decode_product(2, parse_product("l1*r1*r01")) is None
+
+
+def test_decode_inverts_encode_on_random_products():
+    rng = random.Random(2718)
+    names = ["l0", "l1", "l2", "l01", "l00", "r1", "r2", "r3", "r01", "r10", "k1", "x"]
+    decoded = 0
+    for _ in range(3000):
+        n = rng.randint(1, 3)
+        product = SimpleProduct.of(*rng.choices(names, k=rng.randint(1, 5)))
+        config = decode_product(n, product)
+        if config is not None:
+            decoded += 1
+            assert encode_config(n, config) == product
+    assert decoded > 100
 
 
 def test_killer_product_round_trip():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpora import hll_corpus, random_machine
+from corpora import chain, hll_corpus, random_machine
 from hornlog import hll
 from hornlog.bridge import computation_to_program
 from hornlog.encoding import MachineEncoding
@@ -13,7 +13,6 @@ from hornlog.programs import (
     HornProgram,
     LEAF_MISMATCH,
     LINEAR_COUNT,
-    chain,
     compose,
     evaluate,
     program_from_json,
@@ -79,8 +78,9 @@ def test_tree_shape_validation():
 def test_used_formula_on_fork(p0):
     (c1, _), (c2, _) = p0.children[p0.root]
     joint = parse_formula("f -o (g + h)")
-    assert p0.used_formula(p0.root, c1) == joint
-    assert p0.used_formula(p0.root, c2) == joint
+    assert p0.charges[p0.root] == joint
+    assert p0.charges[c1] == PlainImplication(G, M) and p0.charges[c2] == PlainImplication(H, M)
+    assert all(p0.charges[leaf] is None for leaf in p0.leaves)
 
 
 def choice_implications() -> list[OplusImplication]:
@@ -106,7 +106,7 @@ def test_choice_implication_states_its_fork_edges():
         left, right = PlainImplication(f.antecedent, f.left), PlainImplication(f.antecedent, f.right)
         assert f.branches == (left, right)
         fork = HornProgram.build(0, ((0, 1, left), (0, 2, right)))
-        assert fork.used_formula(0, 1) == f and fork.used_formula(0, 2) == f
+        assert fork.charges[0] == f
 
 
 def test_build_keeps_a_child_map_of_every_vertex(p0):
@@ -143,6 +143,12 @@ def test_verify_leaf_mismatch():
     kinds = {v.kind for v in report.violations}
     assert kinds == {LEAF_MISMATCH}
     assert report.violations[0].vertex == 1
+
+
+def test_verify_undefined_leaf():
+    # The input lacks the antecedent, so the leaf's value is undefined.
+    report = verify_strong_solution(chain((parse_formula("a -o b"),)), parse_sequent("c ; ; a -o b |- b"))
+    assert str(report) == "LEAF_MISMATCH vertex=1 undefined"
 
 
 def test_verify_foreign_formula(p0):
@@ -239,6 +245,15 @@ def test_prove_bounded_formula_in_both_zones():
     assert witness is not None
     assert verify_strong_solution(witness, s).ok
     assert len(witness.edges) == 1
+
+
+def test_prove_bounded_spends_a_linear_choice_once():
+    # The b side leads back to a, where the choice still matches: a linear
+    # occurrence is spent by then and must be skipped, a banged one forks again.
+    zone = "(b*t) -o a, (c*t) -o z, b -o z, c -o z"
+    assert prove_bounded(parse_sequent(f"a*t ; a -o (b + c) ; {zone} |- z"), 8) is None
+    witness = prove_bounded(parse_sequent(f"a*t ; ; a -o (b + c), {zone} |- z"), 8)
+    assert [v for v in witness.vertices if len(witness.children[v]) == 2] == [0, 2]
 
 
 def test_prove_bounded_terminates_on_a_loop():

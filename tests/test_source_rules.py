@@ -61,10 +61,11 @@ def unused_imports(tree):
     return [f"{line}:{name}" for name, line in bound.items() if name not in used]
 
 
-def split_calls(tree):
-    return [
+def antecedent_calls(cls: str):
+    """A finder of ``cls(<expr>.antecedent, ...)`` calls, by line and enclosing function."""
+    return lambda tree: [
         f"{c.lineno}:{where(within)}" for c, name, within in calls(tree)
-        if name == "PlainImplication" and c.args and getattr(c.args[0], "attr", None) == "antecedent"
+        if name == cls and c.args and getattr(c.args[0], "attr", None) == "antecedent"
     ]
 
 
@@ -185,7 +186,7 @@ def dump(x):
     return json.dumps(x)
 ''', ["5:os", "6:Union", "7:formula_text"]),
     "split_owner": Rule(
-        split_calls, ("syntax.py",),
+        antecedent_calls("PlainImplication"), ("syntax.py",),
         "A choice implication states its fork edges once, as OplusImplication.branches; any other "
         "PlainImplication(f.antecedent, ...) splits a choice by hand.", '''
 def fork(f, residual):
@@ -198,6 +199,20 @@ def moves(node):
 def fine(f):
     return f.branches
 ''', ["3:fork", "6:moves"]),
+    "joint_owner": Rule(
+        antecedent_calls("OplusImplication"), ("programs.py:build",),
+        "HornProgram.build states what a divergent pair charges once, as the joint choice in "
+        "HornProgram.charges; any other OplusImplication(f.antecedent, ...) rebuilds it from the pair.", '''
+def used_formula(self, parent, child):
+    (_, f1), (_, f2) = self.children[parent]
+    return OplusImplication(f1.antecedent, f1.consequent, f2.consequent)
+
+def build(root, edges):
+    joint = syntax.OplusImplication(f1.antecedent, f1.consequent, f2.consequent)
+
+def fine(program, v, l_i, l_j, k_m, f):
+    return program.charges[v], OplusImplication(l_i, l_j, k_m), PlainImplication(f.antecedent, f.left)
+''', ["4:used_formula", "7:build"]),
 }
 
 
