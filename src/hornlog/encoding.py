@@ -11,9 +11,10 @@ This module is the one owner of those shapes.  The naming lives in three
 module functions, ``label_literal``, ``counter_literal`` and
 ``killer_literal``; ``MachineEncoding`` holds the instruction formulas, the
 killer families and the goal ``l0``, and both bridges read them from it.  The
-edges a move draws are read off its formula in ``phi`` by ``branches``, for
-every instruction alike: one edge for a plain implication, a zero test's two
-fork edges with the goto edge first.  A formula's provenance is looked up in
+edges a move draws are read off its formula in ``phi`` once per instruction,
+into ``edges``, for every instruction alike: one edge for a plain
+implication, a zero test's two fork edges with the goto edge first;
+``branches`` reads them from there.  A formula's provenance is looked up in
 the two index maps, ``instruction_index`` and ``killer_family_index``.
 ``decode_product`` reads an encoded configuration back as a
 ``Configuration``; it is the inverse of ``encode_config``, so it accepts
@@ -96,8 +97,10 @@ def decode_product(n: int, product: SimpleProduct) -> Configuration | None:
     label = None
     counts = [0] * n
     for name, count in product.entries:
-        digits = name[1:]
-        index = int(digits) if digits.isdigit() else -1
+        try:  # int() also refuses more digits than the interpreter converts
+            index = int(name[1:])
+        except ValueError:
+            index = -1
         if name == counter_literal(index) and 1 <= index <= n:
             counts[index - 1] = count
         elif name == label_literal(index) and label is None and count == 1:
@@ -163,14 +166,26 @@ class MachineEncoding:
         """Each killer formula to its killer index m (the families are disjoint)."""
         return {f: m for m, group in enumerate(self.killers, start=1) for f in group}
 
-    def branches(self, index: int) -> tuple[PlainImplication, ...]:
-        """The edges one move of non-halt instruction ``index`` draws, the
-        ``branches`` of ``phi[index]`` with the main edge first: the formula
-        itself for an assignment or a positive test, the goto edge
+    @cached_property
+    def edges(self) -> tuple[tuple[PlainImplication, ...] | None, ...]:
+        """Per instruction index, the edges one move draws (None for halt):
+        the ``branches`` of ``phi[i]`` with the main edge first, that is the
+        formula itself for an assignment or a positive test, the goto edge
         ``l_i -o l_j`` before the killer edge ``l_i -o k_m`` for a zero test."""
-        edges = self.phi[index].branches
-        killer = ((killer_literal(self.machine.instructions[index].counter), 1),)
-        return edges[::-1] if edges[0].consequent.entries == killer else edges
+        table = []
+        for f, instruction in zip(self.phi, self.machine.instructions):
+            if f is None:
+                table.append(None)
+                continue
+            edges = f.branches
+            killer = ((killer_literal(instruction.counter), 1),)
+            table.append(edges[::-1] if edges[0].consequent.entries == killer else edges)
+        return tuple(table)
+
+    def branches(self, index: int) -> tuple[PlainImplication, ...]:
+        """The edges one move of non-halt instruction ``index`` draws, main
+        edge first, as ``edges`` holds them."""
+        return self.edges[index]
 
     def program_formulas(self) -> tuple[HornFormula, ...]:
         return tuple(f for f in self.phi if f is not None)

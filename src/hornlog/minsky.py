@@ -217,10 +217,15 @@ def search_halting(
     """Breadth-first search for a shortest run from init to the halting configuration.
 
     Visited configurations are expanded once, each by one ``successors`` call
-    that costs the number of instructions at its label; successors with any
-    counter above max_counter are pruned.  Zero is a valid bound for both; with
-    max_steps 0 the answer is the empty run iff init is halting.  Absence
-    within the bounds proves nothing.
+    that costs the number of instructions at its label.  Successors with any
+    counter above max_counter are pruned.  A move changes the counter total by
+    at most one, so a successor whose counter total exceeds the moves left (or
+    that is off L0 with no move left) cannot halt within max_steps and is
+    never expanded.  That bound falls by at most one per move, so everything
+    first reached from a pruned configuration would be pruned too: the run
+    returned does not depend on this prune.  Zero is a valid bound for both;
+    with max_steps 0 the answer is the empty run iff init is halting.
+    Absence within the bounds proves nothing.
     """
     if max_steps < 0 or max_counter < 0:
         raise ValueError("bounds must be non-negative")
@@ -231,12 +236,13 @@ def search_halting(
     frontier = deque([(init, 0)])
     while frontier:
         config, depth = frontier.popleft()
-        if depth >= max_steps:
-            continue
+        moves_left = max_steps - depth - 1
         for index, nxt in successors(machine, config):
             if nxt in parent:
                 continue
             if max(nxt.counters) > max_counter:
+                continue
+            if max(sum(nxt.counters), nxt.label != HALT_LABEL) > moves_left:
                 continue
             parent[nxt] = (config, index)
             if nxt == target:

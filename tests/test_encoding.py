@@ -95,6 +95,15 @@ def test_zero_test_branches_are_the_fork_edges_of_phi_goto_first():
     assert zero_tests > 20
 
 
+def test_branches_are_built_once_per_instruction():
+    enc = MachineEncoding.build(random_machine(random.Random(7), 3))
+    for i, f in enumerate(enc.phi):
+        if f is not None:
+            assert enc.branches(i) is enc.branches(i) is enc.edges[i]
+        else:
+            assert enc.edges[i] is None
+
+
 def test_encode_config_examples():
     assert encode_config(2, Configuration(1, (2, 0))) == parse_product("l1*r1*r1")
     assert encode_config(2, Configuration(0, (0, 0))) == parse_product("l0")
@@ -124,6 +133,13 @@ def test_decode_accepts_only_the_literals_encode_config_spells():
     assert decode_product(2, parse_product("l1*r01")) is None
     assert decode_product(2, parse_product("l01*r1")) is None
     assert decode_product(2, parse_product("l1*r1*r01")) is None
+
+
+def test_decode_refuses_literals_too_long_for_int():
+    # Python converts at most 4,300 digits by default; such a literal names
+    # no label or counter a machine can have.
+    assert decode_product(1, parse_product("l" + "1" * 5000)) is None
+    assert decode_product(1, parse_product("l1*r" + "1" * 5000)) is None
 
 
 def test_decode_inverts_encode_on_random_products():

@@ -304,8 +304,16 @@ def test_successors_match_the_naive_reference(case):
 def test_search_matches_the_naive_reference(case):
     machine, config = case
     for max_steps, max_counter in ((1, 1), (4, 2), (25, 6)):
-        assert (search_halting(machine, config, max_steps, max_counter)
-                == naive_search(machine, config, max_steps, max_counter))
+        run = naive_search(machine, config, max_steps, max_counter)
+        assert search_halting(machine, config, max_steps, max_counter) == run
+        if run is None:
+            continue
+        # At the run's own length the step bound prunes hardest; one less
+        # leaves no run at all.
+        for tight in (len(run.moves), len(run.moves) - 1):
+            if tight >= 0:
+                assert (search_halting(machine, config, tight, max_counter)
+                        == naive_search(machine, config, tight, max_counter))
 
 
 def ladder_text(rungs: int, seed: int) -> str:
@@ -352,3 +360,24 @@ def test_search_steps_only_the_instructions_at_each_label(monkeypatch):
     assert len(stepped) == sum(at_label)
     assert all(instruction.label == config.label for instruction, config in stepped)
     assert run is not None and validate_computation(machine, run).ok
+
+
+def test_search_expands_only_configurations_that_can_still_halt(monkeypatch):
+    # From (200, 0) the counter total alone needs 200 moves, so at the exact
+    # step bound only configurations that keep pace with the drain survive
+    # the prune; a depth cap alone expands more than 3,000.
+    machine, init = parse_machine(ladder_text(16, seed=3)), Configuration(1, (200, 0))
+    reference = naive_search(machine, init, 1000, 200)
+    assert reference is not None
+    steps = len(reference.moves)
+    expanded = []
+    real_successors = minsky.successors
+
+    def counting_successors(machine, config):
+        expanded.append(config)
+        return real_successors(machine, config)
+
+    monkeypatch.setattr(minsky, "successors", counting_successors)
+    run = search_halting(machine, init, steps, 200)
+    assert len(expanded) <= 3 * steps
+    assert run == naive_search(machine, init, steps, 200) == reference
