@@ -299,13 +299,25 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
     States are (current product, remaining linear multiset); plain rewrites are
     tried before choices, candidates ordered by printed form, linear formulas
     consumed and banged ones kept.  A formula succeeds only if every edge of
-    its ``branches`` does.  Absence within the depth bound proves nothing.
+    its ``branches`` does.  Depth 0 admits only the one-vertex program, when
+    the input is the goal and the linear zone is empty.  Absence within the
+    depth bound proves nothing.
+
+    The search is branch and bound.  Every root-to-leaf path of a witness ends
+    at the goal's size and spends each remaining linear occurrence once, and
+    one edge ``X -o Y`` changes the size (literal occurrences) by
+    ``|Y| - |X|``.  So a state with budget ``b`` is dropped unless it holds at
+    most ``b`` linear occurrences and its size lies above the goal's by at
+    most ``b`` times the largest shrink of any candidate edge, or below it by
+    at most ``b`` times the largest growth.  The bound falls by at most one per edge, so a dropped state has no witness
+    within its budget and neither has anything below it: every answer, every
+    memoized win and hence the witness are those of the unpruned search.
 
     The memo keeps one winning move per state; the witness is read back from
     it and built once.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be positive")
+    if max_depth < 0:
+        raise ValueError("max_depth must be non-negative")
     banged = tuple(dict.fromkeys(sequent.banged))  # canonical order, deduplicated
     goal = sequent.goal
 
@@ -314,14 +326,31 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
     # for a plain step, two for a fork.
     memo: dict[tuple, tuple] = {}
 
-    # Candidates with their edges, plain (one edge) before choice (two), then
-    # in text order, a linear occurrence before a banged copy of the same
-    # formula; a state tries a linear one only while it holds it.
+    # Candidates with their edges and each edge's size change, plain (one
+    # edge) before choice (two), then in text order, a linear occurrence
+    # before a banged copy of the same formula; a state tries a linear one
+    # only while it holds it.
+    def candidate(f: HornFormula, is_linear: bool) -> tuple:
+        return f, is_linear, tuple((e, e.consequent.size - e.antecedent.size) for e in f.branches)
+
     ordered = sorted(
-        [(f, True, f.branches) for f in dict.fromkeys(sequent.linear)]
-        + [(f, False, f.branches) for f in banged],
+        [candidate(f, True) for f in dict.fromkeys(sequent.linear)]
+        + [candidate(f, False) for f in banged],
         key=lambda item: (len(item[2]), item[0].text, not item[1]),
     )
+    deltas = [delta for _, _, edges in ordered for _, delta in edges]
+    # At 0, not below: a state already at the goal's size may be a leaf even
+    # when every edge grows (or every edge shrinks).
+    shrink, grow = max([0] + [-d for d in deltas]), max([0] + deltas)
+    goal_size = goal.size
+
+    def within(size: int, linear: tuple, budget: int) -> bool:
+        """Whether a state could still reach a leaf within budget edges."""
+        return (
+            len(linear) <= budget
+            and size - goal_size <= budget * shrink
+            and goal_size - size <= budget * grow
+        )
 
     def win(state: tuple, height: int, moves: tuple) -> int:
         # A win never replaces a lower-or-equal one.  A state can recur on its
@@ -334,9 +363,11 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
         memo[state] = (_WIN, height, moves)
         return height
 
-    def search(state: tuple, budget: int):
-        """Yield (child, budget) requests, each answered with that child's win
-        height or None; return the state's win height within budget, or None."""
+    def search(state: tuple, size: int, budget: int):
+        """Yield (child, size, budget) requests, each answered with that
+        child's win height or None; return the state's win height within
+        budget, or None.  A child that cannot win within the budget left is
+        not requested: its edge fails at once."""
         product, linear = state
         known = memo.get(state)
         if known is not None:
@@ -355,9 +386,11 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
                     continue
                 rest = multiset_minus(linear, f) if is_linear else linear
                 top, moves = 0, []  # the highest child win; a move per edge
-                for edge in edges:
+                for edge, delta in edges:
+                    if not within(size + delta, rest, budget - 1):
+                        break
                     child = (edge.consequent.tensor(residual), rest)
-                    height = yield child, budget - 1
+                    height = yield child, size + delta, budget - 1
                     if height is None:
                         break
                     top = max(top, height)
@@ -371,7 +404,8 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
 
     # An explicit stack of searches, so depth never meets the recursion limit.
     start = (sequent.input, sequent.linear)
-    stack = [search(start, max_depth)]
+    size = sequent.input.size
+    stack = [search(start, size, max_depth)] if within(size, sequent.linear, max_depth) else []
     height = None
     while stack:
         try:

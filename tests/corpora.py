@@ -320,3 +320,24 @@ def random_machine(rng: random.Random, n: int = 2, max_instructions: int = 4) ->
         for label in labels
     ]
     return MinskyMachine.build(n, instructions)
+
+
+def ladder_text(rungs: int, seed: int, counters: int = 2) -> str:
+    """A shuffled ladder: inc and dec of x1 and x2 from each rung to the next,
+    then drain and test x1 at the top rung and x2 one label above it.
+    Counters above 2 are declared but touched by nothing."""
+    lines = [
+        f"L{i}: {kind} x{m} goto L{i + 1}"
+        for i in range(1, rungs)
+        for kind in ("inc", "dec")
+        for m in (1, 2)
+    ]
+    top, last = rungs, rungs + 1
+    lines += [
+        f"L{top}: dec x1 goto L{top}",
+        f"L{top}: ifzero x1 goto L{last}",
+        f"L{last}: dec x2 goto L{last}",
+        f"L{last}: ifzero x2 goto L0",
+    ]
+    random.Random(seed).shuffle(lines)
+    return f"counters {counters}\n" + "\n".join(lines) + "\n"

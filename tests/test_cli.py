@@ -144,6 +144,21 @@ def test_prove_absent(dec_file, tmp_path):
     assert out.stdout.strip() == "absent"
 
 
+def test_prove_and_roundtrip_take_depth_zero(dec_file, tmp_path):
+    seq_file = tmp_path / "id.seq"
+    seq_file.write_text("q ; ; a -o q |- q\n")
+    program = program_from_json(run_cli("prove", str(seq_file), "--depth", "0").stdout)
+    assert program.vertices == (0,) and not program.edges
+    seq_file.write_text("a ; ; a -o q |- q\n")
+    assert run_cli("prove", str(seq_file), "--depth", "0", expect=1).stdout == "absent\n"
+    result = run_cli("prove", str(seq_file), "--depth", "-1", expect=2)
+    assert result.stderr == "error: max_depth must be non-negative\n"
+    result = run_cli("bridge", "roundtrip", str(dec_file), "--input", "0,1", "--depth", "0")
+    assert result.stdout == "AGREE_NO_WITNESS_WITHIN_BOUNDS\n"
+    result = run_cli("bridge", "roundtrip", str(dec_file), "--input", "1,0", "--depth", "0")
+    assert result.stdout.startswith("BOUNDS_INCONCLUSIVE")
+
+
 def test_verify_rejects_bad_program(dec_file, tmp_path):
     seq_file = tmp_path / "dec.seq"
     seq_file.write_text(run_cli("encode", str(dec_file), "--input", "1,0").stdout)

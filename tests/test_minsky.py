@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpora import random_machine
+from corpora import ladder_text, random_machine
 from hornlog import minsky
 from hornlog.minsky import (
     Computation,
@@ -314,26 +314,6 @@ def test_search_matches_the_naive_reference(case):
             if tight >= 0:
                 assert (search_halting(machine, config, tight, max_counter)
                         == naive_search(machine, config, tight, max_counter))
-
-
-def ladder_text(rungs: int, seed: int) -> str:
-    """A shuffled ladder: inc and dec of x1 and x2 from each rung to the next,
-    then drain and test x1 at the top rung and x2 one label above it."""
-    lines = [
-        f"L{i}: {kind} x{m} goto L{i + 1}"
-        for i in range(1, rungs)
-        for kind in ("inc", "dec")
-        for m in (1, 2)
-    ]
-    top, last = rungs, rungs + 1
-    lines += [
-        f"L{top}: dec x1 goto L{top}",
-        f"L{top}: ifzero x1 goto L{last}",
-        f"L{last}: dec x2 goto L{last}",
-        f"L{last}: ifzero x2 goto L0",
-    ]
-    random.Random(seed).shuffle(lines)
-    return "counters 2\n" + "\n".join(lines) + "\n"
 
 
 def test_search_steps_only_the_instructions_at_each_label(monkeypatch):

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpora import chain, hll_corpus, random_machine
-from hornlog import hll
+from corpora import chain, hll_corpus, ladder_text, random_machine
+from hornlog import hll, programs
 from hornlog.bridge import computation_to_program
 from hornlog.encoding import MachineEncoding
 from hornlog.minsky import Computation, Configuration, parse_machine, search_halting
@@ -24,6 +25,7 @@ from hornlog.programs import (
     verify_strong_solution,
 )
 from hornlog.syntax import (
+    HornSequent,
     OplusImplication,
     PlainImplication,
     SimpleProduct,
@@ -263,6 +265,100 @@ def test_prove_bounded_terminates_on_a_loop():
     witness = prove_bounded(s, 6)
     assert witness is not None and program_height(witness) <= 6
     assert verify_strong_solution(witness, s).ok
+
+
+def test_prove_bounded_depth_zero():
+    # Depth 0 admits the one-vertex program, and only when the input is the
+    # goal with no linear occurrence left to spend.
+    witness = prove_bounded(parse_sequent("q ; ; a -o q |- q"), 0)
+    assert witness is not None and witness.vertices == (0,) and not witness.edges
+    assert prove_bounded(parse_sequent("a ; ; a -o q |- q"), 0) is None
+    assert prove_bounded(parse_sequent("q ; q -o q ; |- q"), 0) is None
+    with pytest.raises(ValueError, match="max_depth must be non-negative"):
+        prove_bounded(parse_sequent("q ; ; |- q"), -1)
+
+
+def test_prove_bounded_drops_states_that_cannot_reach_the_goal(monkeypatch):
+    # x3 = 1 is touched by nothing, so the 5-rung ladder from (5, 0, 1) has
+    # no witness at any depth.  At depth 10 (the 7-move run without x3, plus
+    # 3) a depth cap alone makes 6,016 matcher calls; dropping the states
+    # whose size or linear zone cannot reach the goal in time leaves 1,666.
+    enc = MachineEncoding.build(parse_machine(ladder_text(5, seed=1, counters=3)))
+    calls = []
+    real_match = programs.match_antecedent
+
+    def counting_match(x, antecedent):
+        calls.append(antecedent)
+        return real_match(x, antecedent)
+
+    monkeypatch.setattr(programs, "match_antecedent", counting_match)
+    assert prove_bounded(enc.sequent((5, 0, 1)), 10) is None
+    assert len(calls) <= 2_000
+
+
+def _random_sequent(rng: random.Random) -> HornSequent:
+    """At most 3 literals, 2 linear and 3 banged formulas: plain, choice,
+    growing, shrinking, and cyclic pairs ``a -o b, b -o a``."""
+    pool = "abc"[: rng.randint(1, 3)]
+
+    def product(max_size: int = 2) -> SimpleProduct:
+        return SimpleProduct.of(*rng.choices(pool, k=rng.randint(1, max_size)))
+
+    def formulas() -> list:
+        kind = rng.choice(("plain", "choice", "grow", "shrink", "cycle"))
+        x, y = product(), product()
+        if kind == "choice":
+            return [OplusImplication(x, y, product())]
+        if kind == "grow":
+            return [PlainImplication(x, x.tensor(product(1)))]
+        if kind == "shrink":
+            return [PlainImplication(x.tensor(product(1)), x)]
+        if kind == "cycle":
+            return [PlainImplication(x, y), PlainImplication(y, x)]
+        return [PlainImplication(x, y)]
+
+    def zone(most: int) -> list:
+        picked = []
+        for _ in range(rng.randint(0, most)):
+            picked += formulas()
+        return picked[:most]
+
+    return HornSequent(product(3), tuple(zone(2)), tuple(zone(3)), product(3))
+
+
+def _naive_wins(product: Counter, linear: Counter, sequent: HornSequent, depth: int) -> bool:
+    """Whether a strong solution of height <= depth starts at this state, by
+    unmemoized enumeration of every use of every formula."""
+    if not linear and product == Counter(sequent.goal.literals()):
+        return True
+    if depth == 0:
+        return False
+    for f in set(linear) | set(sequent.banged):
+        need = Counter(f.antecedent.literals())
+        if need - product:
+            continue
+        spends = ([True] if linear[f] else []) + ([False] if f in sequent.banged else [])
+        for spend in spends:
+            rest = linear - Counter([f]) if spend else linear
+            if all(
+                _naive_wins(product - need + Counter(e.consequent.literals()), rest, sequent, depth - 1)
+                for e in f.branches
+            ):
+                return True
+    return False
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_prove_bounded_finds_a_witness_exactly_when_one_exists(seed):
+    sequent = _random_sequent(random.Random(seed))
+    start = Counter(sequent.input.literals()), Counter(sequent.linear)
+    for depth in range(5):
+        witness = prove_bounded(sequent, depth)
+        assert (witness is not None) == _naive_wins(*start, sequent, depth), (str(sequent), depth)
+        if witness is not None:
+            assert verify_strong_solution(witness, sequent).ok
+            assert program_height(witness) <= depth
 
 
 def test_verify_deep_program():
