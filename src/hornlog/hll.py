@@ -3,12 +3,13 @@ compiler from checked derivations to tree-like Horn programs.
 
 Nine rules: two axioms (identity and a single implication step), a regrouping
 no-op, a frame rule that tensors the same product onto input and goal, the
-two-premise choice rule, the three bang rules, and cut.  Each rule's
-conclusion is stated once, in ``_conclude``: a node builder takes its
-conclusion from there, and the checker rebuilds every node from its premises
-and compares, so builders and checker cannot drift apart.  Proof nodes store
-their full conclusion sequent, so each inference is checked locally, giving
-precise failure positions.
+two-premise choice rule, the three bang rules, and cut.  A node is fixed by
+its inference: rule, premises, principal (an axiom's too: the product of
+``I``, the implication of ``H``) and rule parameter.  Each rule's conclusion
+is stated once, in ``_conclude``, from those alone.  The node builders and
+the proof reader take every conclusion from there, and ``check_tree``
+rebuilds each node of either calculus from its own fields and compares, so
+they cannot drift apart; a node keeps its conclusion only as a cache.
 
 The compiler spells its program out with ``ProgramBuilder.unfold``, as the
 prover does its witnesses, so vertices are numbered in preorder.  A key is
@@ -18,13 +19,13 @@ an identity axiom gives nothing, and every other rule passes to its premise.
 Both calculi's proofs are traversed only by ``walk`` and ``fold`` here, so
 depth never meets the recursion limit.
 
-Both calculi's proof files are one flat table, read and written here by one
-codec that each calculus configures with a ``ProofFormat``.  Each field names
-the kind of member it holds, not a parser: the reader parses each text of the
-table once, with ``syntax.parse_member``, and checks it against the kind of
-every field that cites it.  The format also says which rules take the rule
-parameter (a frame, or a split); the reader and the checker reject it on any
-other rule.
+Both calculi's proof files are one flat table of inferences under the
+end-sequent, read and written here by one codec that each calculus
+configures with a ``ProofFormat``.  Each field names the kind of member it
+holds, not a parser: the reader parses each text of the table once, with
+``syntax.parse_member``, and checks it against the kind of every field that
+cites it.  The format also says which rules take each rule parameter; the
+reader and the checker reject it on any other rule.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
+from typing import Callable
 
 from .programs import HornProgram, ProgramBuilder
 from .syntax import (
@@ -40,6 +42,7 @@ from .syntax import (
     Frame,
     HornFormula,
     HornSequent,
+    Member,
     OplusImplication,
     PlainImplication,
     SimpleProduct,
@@ -64,9 +67,9 @@ class HllRule(Enum):
 
 # Each rule's premise count and its principal's kind (None: it has none).
 _RULES = {
-    HllRule.I: (0, None), HllRule.H: (0, None), HllRule.LTENSOR: (1, None), HllRule.M: (1, None),
-    HllRule.LBANG: (1, HornFormula), HllRule.WBANG: (1, HornFormula), HllRule.CBANG: (1, HornFormula),
-    HllRule.OPLUS_H: (2, OplusImplication), HllRule.CUT: (2, None),
+    HllRule.I: (0, SimpleProduct), HllRule.H: (0, PlainImplication), HllRule.LTENSOR: (1, None),
+    HllRule.M: (1, None), HllRule.LBANG: (1, HornFormula), HllRule.WBANG: (1, HornFormula),
+    HllRule.CBANG: (1, HornFormula), HllRule.OPLUS_H: (2, OplusImplication), HllRule.CUT: (2, None),
 }
 
 
@@ -75,7 +78,7 @@ class HllProof:
     rule: HllRule
     conclusion: HornSequent
     premises: tuple["HllProof", ...] = ()
-    principal: HornFormula | None = None  # OPLUS_H, LBANG, WBANG, CBANG
+    principal: Member | None = None  # I (a product), H, OPLUS_H, LBANG, WBANG, CBANG
     frame: Frame | None = None  # M (a SimpleProduct), OPLUS_H (maybe empty)
 
     def __post_init__(self):
@@ -104,18 +107,22 @@ class CheckResult:
         return "valid" if self.ok else str(self.failure)
 
 
+class InvalidProof(ValueError):
+    """An inference that draws no conclusion, and its row if read from a proof file."""
+
+    def __init__(self, rule: str, reason: str, row: int | None = None):
+        self.reason = reason
+        super().__init__(f"{rule}: {reason}" if row is None else f"{rule} at node {row}: {reason}")
+
+
 def _conclude(rule: HllRule, premises: tuple, principal, frame) -> HornSequent | str:
     """The conclusion ``rule`` draws from its premises, or the side condition
-    that fails.  An axiom takes its one parameter as ``principal``: the
-    product for I, the implication for H.  Premise zones are canonical, and
-    so is what is left when a member is removed; a zone that gains members
-    is sorted again."""
+    that fails.  Premise zones are canonical, and so is what is left when a
+    member is removed; a zone that gains members is sorted again."""
     f, sequent = principal, HornSequent.of_canonical
     if rule is HllRule.I:
         return sequent(f, (), (), f)
     if rule is HllRule.H:
-        if not isinstance(f, PlainImplication):
-            return "axiom formula must be a plain implication"
         return sequent(f.antecedent, (f,), (), f.consequent)
     p = premises[0].conclusion
     if rule is HllRule.LTENSOR:  # regrouping is invisible in canonical form
@@ -125,6 +132,7 @@ def _conclude(rule: HllRule, premises: tuple, principal, frame) -> HornSequent |
             return "frame rule needs a non-empty frame product"
         return sequent(p.input.tensor(frame), p.linear, p.banged, p.goal.tensor(frame))
     if rule is HllRule.OPLUS_H:
+        frame = frame or Frame()  # a proof file omits an empty frame
         q = premises[1].conclusion
         if (q.linear, q.banged, q.goal) != (p.linear, p.banged, p.goal):
             return "premises must share both zones and the goal"
@@ -152,26 +160,11 @@ def _conclude(rule: HllRule, premises: tuple, principal, frame) -> HornSequent |
 
 
 def _node(rule: HllRule, premises: tuple = (), principal=None, frame=None) -> HllProof:
-    """The node ``rule`` draws from its premises; ValueError if it draws none.
-    An axiom's parameter is read back from its conclusion, so it is not kept."""
+    """The node ``rule`` draws from its premises; InvalidProof if it draws none."""
     conclusion = _conclude(rule, premises, principal, frame)
     if isinstance(conclusion, str):
-        raise ValueError(f"{rule.value}: {conclusion}")
-    return HllProof(rule, conclusion, premises, principal if premises else None, frame)
-
-
-def _check_node(node: HllProof) -> str | None:
-    """None when the node's rule draws its conclusion; otherwise the mismatch."""
-    c = node.conclusion
-    principal = node.principal
-    if node.rule is HllRule.I:
-        principal = c.goal
-    elif node.rule is HllRule.H:
-        principal = c.linear[0] if len(c.linear) == 1 else None
-    expected = _conclude(node.rule, node.premises, principal, node.frame)
-    if expected == c:
-        return None
-    return expected if isinstance(expected, str) else f"conclusion must be {expected}"
+        raise InvalidProof(rule.value, conclusion)
+    return HllProof(rule, conclusion, premises, principal, frame)
 
 
 def walk(tree):
@@ -214,29 +207,36 @@ def fold(tree, combine, premises=attrgetter("premises")):
     return results[0]
 
 
-def check_tree(proof, check_node, form: ProofFormat) -> CheckResult:
-    """Check each node of either calculus's proof tree: its premise count,
-    principal kind and parameter against the format's rule table, then its
-    schema; report the first failure."""
-    parameter = form.fields[1][0]
+def _gate(form: ProofFormat, rule, premises: tuple, values: tuple) -> str | None:
+    """Why an inference's premise count, principal or parameters do not fit
+    its rule in the format's rule table, if they do not; ``values`` are the
+    node's fields in the format's order, the principal first."""
+    arity, kind = form.rules[rule]
+    if len(premises) != arity:
+        return f"{rule.value} takes {arity} premises, got {len(premises)}"
+    if not isinstance(values[0], kind or type(None)):
+        return f"{rule.value} cannot have {values[0]} as its principal"
+    return next((f"{rule.value} takes no {name}" for (name, _, _), value in zip(form.fields[1:], values[1:])
+                 if value is not None and rule not in form.takers[name]), None)
+
+
+def check_tree(proof, form: ProofFormat) -> CheckResult:
+    """Rebuild each node of either calculus's proof tree from its own fields,
+    through the format's gate and conclusion function, and compare with the
+    conclusion it holds; report the first failure."""
+    values_of = attrgetter(*(name for name, _, _ in form.fields))
     for node, trail in walk(proof):
-        arity, kind = form.rules[node.rule]
-        if len(node.premises) != arity:
-            reason = f"{node.rule.value} takes {arity} premises, got {len(node.premises)}"
-        elif not isinstance(node.principal, kind or type(None)):
-            reason = f"{node.rule.value} cannot have {node.principal} as its principal"
-        elif node.rule not in form.takers and getattr(node, parameter) is not None:
-            reason = f"{node.rule.value} takes no {parameter}"
-        else:
-            reason = check_node(node)
-        if reason is not None:
+        values = values_of(node)
+        drawn = _gate(form, node.rule, node.premises, values) or form.conclude(node.rule, node.premises, *values)
+        if drawn != node.conclusion:
+            reason = drawn if isinstance(drawn, str) else f"conclusion must be {drawn}"
             return CheckResult(False, CheckFailure(path_of(trail), node.rule.value, reason))
     return CheckResult(True)
 
 
 def check_hll_proof(proof: HllProof) -> CheckResult:
     """Verify every node against its rule schema; report the first failure."""
-    return check_tree(proof, _check_node, _HLL_FORMAT)
+    return check_tree(proof, _HLL_FORMAT)
 
 
 def compile_hll_to_program(proof: HllProof) -> HornProgram:
@@ -257,7 +257,7 @@ def _moves(pending) -> list:
         node, rest = pending
         rule = node.rule
         if rule is HllRule.H:
-            return [(node.conclusion.linear[0], rest)]
+            return [(node.principal, rest)]
         if rule is HllRule.OPLUS_H:
             left, right = node.principal.branches
             # Checked: each premise's input is one side tensor the frame.
@@ -319,18 +319,20 @@ def cut(premise1: HllProof, premise2: HllProof) -> HllProof:
 @dataclass(frozen=True)
 class ProofFormat:
     """How one calculus's proofs read and write as a flat table: ``formulas``
-    holds each distinct member text once, and ``nodes`` runs in post-order,
-    each with its ``rule``, its ``premises`` as indices of earlier nodes, and
-    its ``conclusion`` parts and ``fields`` as indices into ``formulas``.
-    Parts and fields are ``(attribute, kind, count)``: a product, a formula or
-    any member; count 1 is one index, 2 a pair, None a zone.  The fields are
-    the principal, which must be of the kind ``rules`` gives, and the rule
-    parameter, which only the rules in ``takers`` carry."""
+    holds each distinct member text once, ``conclusion`` the end-sequent's
+    parts, and ``nodes`` the inferences in post-order, each with its
+    ``rule``, its ``premises`` as indices of earlier nodes, and its
+    ``fields``.  Parts and fields are ``(attribute, kind, count)``: an int,
+    or a product, formula or member cited by index into ``formulas``; count
+    1 is one value, 2 a pair, None a zone.  The fields are the principal, of
+    the kind ``rules`` gives, and the rule parameters, each taken by the
+    rules ``takers`` names.  ``make`` is the node builder."""
 
-    node: type
+    make: Callable
+    conclude: Callable
     sequent: type
     rules: dict
-    takers: frozenset
+    takers: dict
     parts: tuple
     fields: tuple
 
@@ -339,45 +341,55 @@ def proof_to_json(proof, form: ProofFormat) -> str:
     formulas: dict[str, int] = {}
     nodes: list[str] = []
 
-    def refs(value, count):
+    def refs(value, kind, count):
+        if kind is int:
+            return value
         indices = [formulas.setdefault(v.text, len(formulas)) for v in ((value,) if count == 1 else value)]
         return indices[0] if count == 1 else indices
 
     def row(node, premises: list[int]) -> int:
-        data = {"rule": node.rule.value,
-                "conclusion": [refs(getattr(node.conclusion, name), n) for name, _, n in form.parts]}
+        data = {"rule": node.rule.value}
         if premises:
             data["premises"] = premises
-        for name, _, count in form.fields:
+        for name, kind, count in form.fields:
             value = getattr(node, name)
             if value is not None and not (isinstance(value, Frame) and value.is_empty):
-                data[name] = refs(value, count)
+                data[name] = refs(value, kind, count)
         nodes.append(json.dumps(data))
         return len(nodes) - 1
 
     fold(proof, row)
+    end = json.dumps([refs(getattr(proof.conclusion, name), kind, n) for name, kind, n in form.parts])
     texts, rows = (",\n    ".join(lines) for lines in (map(json.dumps, formulas), nodes))
-    return f'{{\n  "formulas": [\n    {texts}\n  ],\n  "nodes": [\n    {rows}\n  ]\n}}\n'
+    return f'{{\n  "formulas": [\n    {texts}\n  ],\n  "conclusion": {end},\n  "nodes": [\n    {rows}\n  ]\n}}\n'
 
 
 def proof_from_json(text: str, form: ProofFormat):
-    """The proof a table describes; FormatError unless the table is well formed."""
+    """The proof a table describes.  FormatError unless the table is well
+    formed; InvalidProof, naming the row, when an inference draws no
+    conclusion or the root does not draw the stated end-sequent."""
     try:
         data = json.loads(text)
     except RecursionError:  # a table nests four levels deep at most
         raise FormatError("a proof is a flat table, not a nested document") from None
-    texts, rows = (data.get("formulas"), data.get("nodes")) if isinstance(data, dict) else (None, None)
-    if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts) and isinstance(rows, list) and rows):
-        raise FormatError("a proof is a JSON object with a 'formulas' list of strings and a 'nodes' list")
+    texts, end, rows = map((data if isinstance(data, dict) else {}).get, ("formulas", "conclusion", "nodes"))
+    if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts) and isinstance(end, list)
+            and len(end) == len(form.parts) and isinstance(rows, list) and rows):
+        raise FormatError(f"a proof is a JSON object with a 'formulas' list of strings, a 'conclusion' list "
+                          f"of {len(form.parts)} parts and a 'nodes' list")
     members: dict = {}  # index -> the member its text parses to, parsed once
 
-    def read(i, name, kind, refs, count):
+    def read(where, kind, refs, count):
+        if kind is int:
+            if type(refs) is not int:
+                raise FormatError(f"{where} must be an integer")
+            return refs
         listed = count != 1
         refs = refs if listed else [refs]
         if not (isinstance(refs, list) and count in (None, len(refs)) and set(map(type, refs)) <= {int}
                 and 0 <= min(refs, default=0) and max(refs, default=0) < len(texts)):
             what = "a list of indices" if listed else "an index"
-            raise FormatError(f"node {i}'s {name} must be {what} into 'formulas'")
+            raise FormatError(f"{where} must be {what} into 'formulas'")
         values = []
         for ref in refs:
             try:
@@ -385,44 +397,51 @@ def proof_from_json(text: str, form: ProofFormat):
                     members[ref] = parse_member(texts[ref])
                 values.append(of_kind(members[ref], kind))
             except FormatError as exc:
-                raise FormatError(f"node {i}'s {name}: formulas[{ref}] {texts[ref]!r}: {exc}") from None
+                raise FormatError(f"{where}: formulas[{ref}] {texts[ref]!r}: {exc}") from None
         return tuple(values) if listed else values[0]
 
-    keys = {"rule", "conclusion", "premises", *(name for name, _, _ in form.fields)}
-    parameter = form.fields[1][0]
+    conclusion = form.sequent(*(read(f"the conclusion's {name}", kind, ref, n)
+                                for (name, kind, n), ref in zip(form.parts, end)))
+    keys = {"rule", "premises", *(name for name, _, _ in form.fields)}
     built: list = []
     for i, row in enumerate(rows):
-        if not (isinstance(row, dict) and row.keys() <= keys):
-            raise FormatError(f"node {i} must be a JSON object with fields among {sorted(keys)}")
+        if not (isinstance(row, dict) and row.keys() <= keys and isinstance(row.get("premises", []), list)):
+            raise FormatError(f"node {i} must be a JSON object with fields among {sorted(keys)}, premises a list")
         rule = next((r for r in form.rules if r.value == row.get("rule")), None)
         if rule is None:
             raise FormatError(f"node {i}'s rule must be one of {[r.value for r in form.rules]}")
-        conclusion, premises = row.get("conclusion"), row.get("premises", [])
-        if not (isinstance(conclusion, list) and len(conclusion) == len(form.parts) and isinstance(premises, list)):
-            raise FormatError(f"node {i} needs a conclusion list of {len(form.parts)} parts and a premise list")
-        parts = [read(i, name, kind, ref, n) for (name, kind, n), ref in zip(form.parts, conclusion)]
-        fields = {name: read(i, name, kind, row[name], n) for name, kind, n in form.fields if name in row}
-        if "principal" in fields and not isinstance(fields["principal"], form.rules[rule][1] or type(None)):
-            raise FormatError(f"node {i}: {rule.value} cannot have {fields['principal']} as its principal")
-        if parameter in fields and rule not in form.takers:
-            raise FormatError(f"node {i}: {rule.value} takes no {parameter}")
+        values = tuple(read(f"node {i}'s {name}", kind, row[name], n) if name in row else None
+                       for name, kind, n in form.fields)
         below = []
-        for p in premises:
+        for p in row.get("premises", []):
             if type(p) is not int or not 0 <= p < i or built[p] is None:
                 raise FormatError(f"node {i}'s premise {p!r} is not an earlier node that is no other premise")
             below.append(built[p])
             built[p] = None  # each node is the premise of one node only
-        built.append(form.node(rule, form.sequent(*parts), tuple(below), **fields))
+        arity, kind = form.rules[rule]
+        reason = _gate(form, rule, below, values)
+        if reason is None:
+            try:
+                built.append(form.make(rule, tuple(below), *values))
+                continue
+            except InvalidProof as exc:
+                reason = exc.reason
+        elif len(below) == arity and (kind is None or values[0] is not None):
+            raise FormatError(f"node {i}: {reason}")  # a field that does not fit its rule
+        raise InvalidProof(rule.value, reason, i)
     if sum(node is not None for node in built) != 1:
         raise FormatError("a proof has one root: every node but the last is the premise of a later one")
-    return built[-1]
+    root = built[-1]
+    if root.conclusion != conclusion:
+        raise InvalidProof(root.rule.value, f"conclusion must be {root.conclusion}", len(built) - 1)
+    return root
 
 
 _HLL_FORMAT = ProofFormat(
-    HllProof, HornSequent, _RULES, frozenset({HllRule.M, HllRule.OPLUS_H}),
+    _node, _conclude, HornSequent, _RULES, {"frame": frozenset({HllRule.M, HllRule.OPLUS_H})},
     parts=(("input", SimpleProduct, 1), ("linear", HornFormula, None),
            ("banged", HornFormula, None), ("goal", SimpleProduct, 1)),
-    fields=(("principal", HornFormula, 1), ("frame", SimpleProduct, 1)),
+    fields=(("principal", Member, 1), ("frame", SimpleProduct, 1)),
 )
 
 

@@ -9,13 +9,13 @@ implication-choice rule that introduces it.  Each choice product carries an
 integer tag so the two rules pair by occurrence even when equal formulas
 coexist; one context holds each tag at most once.
 
-Each rule's conclusion is stated once, in ``_ll_conclude``.  The node
-builders take their conclusions from there, and the checker rebuilds every
-node from its premises and compares; an implication-choice node is rebuilt
-with each pending tag of its second premise.  In a checked proof a tag
-leaves the context only at the node that consumes it, so the normalizer and
-the translation know a choice's consumer as the node below it whose
-conclusion no longer holds the tag.
+Each rule's conclusion is stated once, in ``_ll_conclude``, from the node's
+inference: rule, premises, principal (an axiom's product too), split and
+tag.  Builders and the proof reader take every conclusion from there, and
+``hll.check_tree`` rebuilds each node from its own fields and compares.  An
+implication-choice node keeps the tag it consumes, so the normalizer and the
+translation know a choice's consumer as the first implication-choice node
+below it, reached from its second premise, that carries the choice's tag.
 
 ``push_oplus_down`` moves every left-choice inference down until it sits
 immediately above the implication-choice inference that consumes its
@@ -90,7 +90,7 @@ class LlRule(Enum):
 
 # Each rule's premise count and its principal's kind (None: it has none).
 _LL_RULES = {
-    LlRule.I: (0, None), LlRule.LTENSOR: (1, SimpleProduct),
+    LlRule.I: (0, SimpleProduct), LlRule.LTENSOR: (1, SimpleProduct),
     LlRule.LBANG: (1, LlBang), LlRule.WBANG: (1, LlBang), LlRule.CBANG: (1, LlBang),
     LlRule.RTENSOR: (2, None), LlRule.LIMP: (2, PlainImplication),
     LlRule.LIMPOPLUS: (2, OplusImplication), LlRule.LOPLUS: (2, LlOplusProduct),
@@ -105,6 +105,7 @@ class LlProof:
     principal: Member | None = None
     # LTENSOR records how the principal product splits in the premise.
     split: tuple[SimpleProduct, SimpleProduct] | None = None
+    tag: int | None = None  # LIMPOPLUS: the tag of the choice it consumes
 
 
 def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequent | str:
@@ -131,12 +132,14 @@ def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequ
     elif rule in (LlRule.LIMP, LlRule.LIMPOPLUS):
         if p.goal != a.antecedent:
             return "first premise must prove the antecedent"
+        if rule is LlRule.LIMPOPLUS and tag is None:
+            return "implication choice needs the tag it consumes"
         q = premises[1].conclusion
         consumed = a.consequent if rule is LlRule.LIMP else LlOplusProduct(a.left, a.right, tag)
         rest = multiset_minus(q.context, consumed)
         if rest is None:
             return f"second premise context must carry {consumed}"
-        if rule is LlRule.LIMPOPLUS and _holds_tag(p, tag):
+        if rule is LlRule.LIMPOPLUS and any(isinstance(g, LlOplusProduct) and g.tag == tag for g in p.context):
             # The conclusion would still hold the tag, so no consumer below
             # could tell which choice this node consumed.
             return "consumed choice tag is still pending in the first premise"
@@ -173,46 +176,17 @@ def _tag_clash(context: tuple) -> str | None:
     return f"choice tags duplicated in one context: {duplicated}"
 
 
-def _holds_tag(sequent: LlSequent, tag: int) -> bool:
-    """Whether the sequent's context holds the pending choice tagged ``tag``."""
-    return any(isinstance(g, LlOplusProduct) and g.tag == tag for g in sequent.context)
-
-
 def _ll_node(rule: LlRule, premises: tuple, principal=None, split=None, tag=None) -> LlProof:
-    """The node ``rule`` draws from its premises; ValueError if it draws none.
-    An axiom's product is read back from its conclusion, so it is not kept."""
+    """The node ``rule`` draws from its premises; InvalidProof if it draws none."""
     conclusion = _ll_conclude(rule, premises, principal, split, tag)
     if isinstance(conclusion, str):
-        raise ValueError(f"{rule.value}: {conclusion}")
-    return LlProof(rule, conclusion, premises, principal if premises else None, split)
-
-
-def _check_ll_node(node: LlProof) -> str | None:
-    """None when the node's rule draws its conclusion; otherwise the mismatch.
-    An implication-choice node is tried with the tag of each pending choice of
-    its second premise that has the principal's sides, since content-equal
-    choices may coexist under different tags; if none has them, with every
-    pending tag, so that the reason is the one its builder gives."""
-    c = node.conclusion
-    principal = c.goal if node.rule is LlRule.I else node.principal
-    tags = [None]
-    if node.rule is LlRule.LIMPOPLUS:
-        pending = [g for g in node.premises[1].conclusion.context if isinstance(g, LlOplusProduct)]
-        sides = (principal.left, principal.right)
-        tags = [g.tag for g in pending if (g.left, g.right) == sides] or [g.tag for g in pending]
-    expected = "second premise context must carry a pending choice"
-    for tag in tags:
-        expected = _ll_conclude(node.rule, node.premises, principal, node.split, tag)
-        if expected == c:
-            return None
-    # A rebuilt context never holds a tag twice, so a claimed one that does fails for that.
-    reason = _tag_clash(c.context) or expected
-    return reason if isinstance(reason, str) else f"conclusion must be {reason}"
+        raise hll.InvalidProof(rule.value, conclusion)
+    return LlProof(rule, conclusion, premises, principal, split, tag)
 
 
 def check_ll_proof(proof: LlProof) -> hll.CheckResult:
     """Verify every node against its rule schema; report the first failure."""
-    return hll.check_tree(proof, _check_ll_node, _LL_FORMAT)
+    return hll.check_tree(proof, _LL_FORMAT)
 
 
 # --- Node builders: each rule's conclusion comes from ``_ll_conclude`` ---------
@@ -291,10 +265,10 @@ def specialize(proof: LlProof, tag: int, side: int) -> LlProof:
 
 
 def _consumes(node: LlProof, index: int, tag: int) -> bool:
-    """Whether node consumes the choice tagged tag from its premise index: in
-    a checked proof only an implication-choice node drops a tag, the one it
-    consumes from its second premise."""
-    return node.rule is LlRule.LIMPOPLUS and index == 1 and not _holds_tag(node.conclusion, tag)
+    """Whether node consumes the choice tagged tag from its premise index: an
+    implication-choice node consumes the tag it carries from its second
+    premise."""
+    return node.rule is LlRule.LIMPOPLUS and index == 1 and node.tag == tag
 
 
 def unadjacent_choice_paths(proof: LlProof) -> list[tuple[int, ...]]:
@@ -450,7 +424,7 @@ def _translate(node: LlProof, premises: list):
         return tuple(premises)
 
     if rule is LlRule.I:
-        return hll.i_axiom(node.conclusion.goal)
+        return hll.i_axiom(node.principal)
 
     if rule is LlRule.LTENSOR:
         # Regrouping is invisible in the canonical reading; keep the rule
@@ -503,9 +477,10 @@ def ll_sequent_text(s: LlSequent) -> str:
 
 
 _LL_FORMAT = hll.ProofFormat(
-    LlProof, LlSequent, _LL_RULES, frozenset({LlRule.LTENSOR}),
+    _ll_node, _ll_conclude, LlSequent, _LL_RULES,
+    {"split": frozenset({LlRule.LTENSOR}), "tag": frozenset({LlRule.LIMPOPLUS})},
     parts=(("context", Member, None), ("goal", SimpleProduct, 1)),
-    fields=(("principal", Member, 1), ("split", SimpleProduct, 2)),
+    fields=(("principal", Member, 1), ("split", SimpleProduct, 2), ("tag", int, 1)),
 )
 
 

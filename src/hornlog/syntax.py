@@ -416,7 +416,10 @@ def _parse_member(ts: TokenStream) -> Member:
         num = ts.next()
         if num.kind != "num":
             raise FormatError("expected a tag number after '#'", num.position)
-        return LlOplusProduct(first, second, int(num.text))
+        try:  # int() also refuses more digits than the interpreter converts
+            return LlOplusProduct(first, second, int(num.text))
+        except ValueError:
+            raise FormatError("tag number too long", num.position) from None
     member = first
     if ts.peek().text == "-o":
         ts.next()

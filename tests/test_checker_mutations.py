@@ -3,7 +3,7 @@
 Each mutant changes one node of a valid proof: its goal or input, one zone or
 context member (dropped or duplicated), its principal (dropped, another
 formula of its sequent, or for a flat node one of the same kind with a fresh
-part), its frame or split, or one premise (dropped).  Everything outside
+part), its frame, split or consumed tag, or one premise (dropped).  Everything outside
 that node is valid, so the checker, which reports the first failure in
 preorder, must reject a changed conclusion at the node or at its parent, and
 must reject any other mutant at the node or not at all.  Checked on its own,
@@ -56,7 +56,8 @@ def hll_mutants(rng, node):
         for members in drop_or_duplicate(rng, getattr(c, zone)):
             yield replace(node, conclusion=replace(c, **{zone: members}))
     others = [f for f in c.linear + c.banged + (c.input, c.goal) if f != node.principal]
-    yield replace(node, principal=rng.choice(others))
+    if others:  # an identity axiom's sequent holds its principal only
+        yield replace(node, principal=rng.choice(others))
     yield replace(node, principal=None)
     if node.rule in (hll.HllRule.M, hll.HllRule.OPLUS_H):
         for frame in (None, Frame(), c.input, FRESH):
@@ -88,7 +89,8 @@ def ll_mutants(rng, node):
     for members in drop_or_duplicate(rng, c.context):
         yield replace(node, conclusion=ll.LlSequent(members, c.goal))
     others = [f for f in c.context + (c.goal,) if f != node.principal]
-    yield replace(node, principal=rng.choice(others))
+    if others:  # an identity axiom's sequent holds its principal only
+        yield replace(node, principal=rng.choice(others))
     yield replace(node, principal=None)
     fresh = fresh_part(rng, node.principal)
     if fresh is not None:
@@ -97,6 +99,9 @@ def ll_mutants(rng, node):
         x, y = node.split
         for split in (None, (y, x), (node.principal, x), (x, y.tensor(FRESH))):
             yield replace(node, split=split)
+    if node.rule is ll.LlRule.LIMPOPLUS:
+        for tag in (None, node.tag + 1):
+            yield replace(node, tag=tag)
     if node.premises:
         i = rng.randrange(len(node.premises))
         yield replace(node, premises=node.premises[:i] + node.premises[i + 1:])
@@ -153,10 +158,10 @@ def attempt(build):
 
 def hll_builds(node):
     """What the builder of the node's rule makes from its premises and parameters."""
-    c, p, f, v, R = node.conclusion, node.premises, node.principal, node.frame, hll.HllRule
+    p, f, v, R = node.premises, node.principal, node.frame, hll.HllRule
     build = {
-        R.I: lambda: hll.i_axiom(c.goal),
-        R.H: lambda: hll.h_axiom(c.linear[0] if len(c.linear) == 1 else None),
+        R.I: lambda: hll.i_axiom(f),
+        R.H: lambda: hll.h_axiom(f),
         R.LTENSOR: lambda: hll.ltensor(*p),
         R.M: lambda: hll.frame_rule(*p, v),
         R.OPLUS_H: lambda: hll.oplus_h(*p, f, v),
@@ -169,17 +174,15 @@ def hll_builds(node):
 
 
 def ll_builds(node):
-    """What the builder of the node's rule makes, once per pending tag of the
-    second premise for an implication-choice node; nothing for a regrouping
-    without its split, which no builder call can express."""
-    c, p, f, R = node.conclusion, node.premises, node.principal, ll.LlRule
-    if node.rule is R.LIMPOPLUS:
-        tags = [g.tag for g in p[1].conclusion.context if isinstance(g, ll.LlOplusProduct)]
-        return [attempt(lambda: ll.ll_limpoplus(*p, f, tag)) for tag in tags]
+    """What the builder of the node's rule makes from its premises and
+    parameters; nothing for a regrouping without its split, which no builder
+    call can express."""
+    p, f, R = node.premises, node.principal, ll.LlRule
     if node.rule is R.LTENSOR and node.split is None:
         return []
     build = {
-        R.I: lambda: ll.ll_i(c.goal),
+        R.I: lambda: ll.ll_i(f),
+        R.LIMPOPLUS: lambda: ll.ll_limpoplus(*p, f, node.tag),
         R.LTENSOR: lambda: ll.ll_ltensor(*p, *node.split),
         R.RTENSOR: lambda: ll.ll_rtensor(*p),
         R.LIMP: lambda: ll.ll_limp(*p, f),

@@ -279,8 +279,8 @@ def test_malformed_program_message(tmp_path, capsys, text, message):
 DROP = object()
 # One-node tables, one per calculus: the identity axiom on the product ``a``.
 VALID_TABLE = {
-    "hll": {"formulas": ["a"], "nodes": [{"rule": "I", "conclusion": [0, [], [], 0]}]},
-    "ll": {"formulas": ["a"], "nodes": [{"rule": "I", "conclusion": [[0], 0]}]},
+    "hll": {"formulas": ["a"], "conclusion": [0, [], [], 0], "nodes": [{"rule": "I", "principal": 0}]},
+    "ll": {"formulas": ["a"], "conclusion": [[0], 0], "nodes": [{"rule": "I", "principal": 0}]},
 }
 
 
@@ -312,30 +312,27 @@ def run_main(tmp_path, capsys, command, table) -> int:
     pytest.param("split", [0, 0.5], id="number-in-split"),
 ])
 def test_malformed_proof_node_exits_2(tmp_path, capsys, command, key, value):
-    """Each node field with a JSON value of the wrong type; an index is an
-    integer, so a fractional number is the wrong type wherever one is due."""
+    """Each node field, and the table's end-sequent ``conclusion``, with a
+    JSON value of the wrong type; an index is an integer, so a fractional
+    number is the wrong type wherever one is due."""
     table = json.loads(json.dumps(VALID_TABLE["ll" if command[1] == "ll" else "hll"]))
-    node = table["nodes"][0]
+    target = table if key == "conclusion" else table["nodes"][0]
     if key is None:
         table["nodes"][0] = value
     elif value is DROP:
-        del node[key]
+        del target[key]
     else:
-        node[key] = value
+        target[key] = value
     assert run_main(tmp_path, capsys, command, table) == 2
 
 
 def _two_node_table(calculus: str) -> dict:
-    """A valid two-node table: an identity axiom under one unary inference."""
+    """A valid two-node table: an identity axiom under one unary inference.
+    The flat table also lists ``a -o a``, which no field cites."""
+    nodes = [{"rule": "I", "principal": 0}, {"rule": "WBANG", "premises": [0], "principal": 1}]
     if calculus == "hll":
-        return {"formulas": ["a", "a -o a"], "nodes": [
-            {"rule": "I", "conclusion": [0, [], [], 0]},
-            {"rule": "WBANG", "conclusion": [0, [], [1], 0], "premises": [0], "principal": 1},
-        ]}
-    return {"formulas": ["a", "!(a -o a)", "a -o a"], "nodes": [
-        {"rule": "I", "conclusion": [[0], 0]},
-        {"rule": "WBANG", "conclusion": [[0, 1], 0], "premises": [0], "principal": 1},
-    ]}
+        return {"formulas": ["a", "a -o a"], "conclusion": [0, [], [1], 0], "nodes": nodes}
+    return {"formulas": ["a", "!(a -o a)", "a -o a"], "conclusion": [[0, 1], 0], "nodes": nodes}
 
 
 def _set(path, value):
@@ -360,11 +357,12 @@ TABLE_CASES = [
     pytest.param(_set(("nodes", 1, "principal"), 9), id="formula-index-out-of-range"),
     pytest.param(_set(("nodes", 0, "principal"), -1), id="negative-formula-index"),
     pytest.param(_set(("formulas", 0), 5), id="non-string-formula"),
-    pytest.param(lambda t: {"rule": "I", "conclusion": "a |- a"}, id="nested-document"),
+    pytest.param(lambda t: {"rule": "I", "principal": 0}, id="nested-document"),
     pytest.param(lambda t: '{"premises": [' * 5000 + "]}" * 5000, id="deeply-nested-document"),
     pytest.param(lambda t: {**t, "nodes": []}, id="no-nodes"),
     pytest.param(_set(("nodes", 1, "rule"), "CUT?"), id="unknown-rule"),
     pytest.param(_set(("nodes", 0, "principal"), 1), id="principal-on-an-axiom"),
+    pytest.param(_set(("nodes", 1, "conclusion"), [0, 0]), id="row-conclusion"),
 ]
 
 
@@ -376,13 +374,13 @@ def test_malformed_table_exits_2(tmp_path, capsys, command, mutate):
 
 
 @pytest.mark.parametrize("calculus,mutate", [
-    pytest.param("hll", _set(("nodes", 0, "conclusion"), [0, [0], [], 0]), id="product-in-linear-zone"),
-    pytest.param("hll", _set(("nodes", 0, "conclusion"), [0, [], [], 1]), id="hll-implication-as-goal"),
-    pytest.param("ll", _set(("nodes", 0, "conclusion"), [[0], 2]), id="ll-implication-as-goal"),
+    pytest.param("hll", _set(("conclusion",), [0, [0], [1], 0]), id="product-in-linear-zone"),
+    pytest.param("hll", _set(("conclusion",), [0, [], [1], 1]), id="hll-implication-as-goal"),
+    pytest.param("ll", _set(("conclusion",), [[0, 1], 2]), id="ll-implication-as-goal"),
     pytest.param("hll", _set(("nodes", 1, "principal"), 0), id="product-as-banged-principal"),
     pytest.param("ll", _set(("nodes", 1, "principal"), 2), id="plain-formula-as-bang-principal"),
     pytest.param("ll", lambda t: {**t, "nodes": [t["nodes"][0], t["nodes"][0], {
-        "rule": "LOPLUS", "conclusion": [[0], 0], "premises": [0, 1], "principal": 2}]},
+        "rule": "LOPLUS", "premises": [0, 1], "principal": 2}]},
         id="plain-formula-as-loplus-principal"),
 ])
 def test_wrong_kind_member_exits_2(tmp_path, capsys, calculus, mutate):
@@ -393,17 +391,20 @@ def test_wrong_kind_member_exits_2(tmp_path, capsys, calculus, mutate):
 
 
 @pytest.mark.parametrize("command,table,message", [
-    pytest.param(("verify", "hll"), {"formulas": ["a"], "nodes": [
-        {"rule": "I", "conclusion": [0, [], [], 0], "frame": 0}]}, "node 0: I takes no frame", id="frame-on-an-identity"),
-    pytest.param(("verify", "ll"), {"formulas": ["a"], "nodes": [
-        {"rule": "I", "conclusion": [[0], 0], "split": [0, 0]}]}, "node 0: I takes no split", id="split-on-an-identity"),
-    pytest.param(("compile", "hll-to-program"), {"formulas": ["a"], "nodes": [
-        {"rule": "I", "conclusion": [0, [], [], 0]},
-        {"rule": "LTENSOR", "conclusion": [0, [], [], 0], "premises": [0], "frame": 0}]},
+    pytest.param(("verify", "hll"), {"formulas": ["a"], "conclusion": [0, [], [], 0], "nodes": [
+        {"rule": "I", "principal": 0, "frame": 0}]}, "node 0: I takes no frame", id="frame-on-an-identity"),
+    pytest.param(("verify", "ll"), {"formulas": ["a"], "conclusion": [[0], 0], "nodes": [
+        {"rule": "I", "principal": 0, "split": [0, 0]}]}, "node 0: I takes no split", id="split-on-an-identity"),
+    pytest.param(("compile", "hll-to-program"), {"formulas": ["a"], "conclusion": [0, [], [], 0], "nodes": [
+        {"rule": "I", "principal": 0},
+        {"rule": "LTENSOR", "premises": [0], "frame": 0}]},
         "node 1: LTENSOR takes no frame", id="frame-on-a-regrouping"),
+    pytest.param(("verify", "ll"), {"formulas": ["a"], "conclusion": [[0], 0], "nodes": [
+        {"rule": "I", "principal": 0, "tag": 1}]}, "node 0: I takes no tag", id="tag-on-an-identity"),
 ])
 def test_stray_parameter_field_exits_2(tmp_path, capsys, command, table, message):
-    """A frame or split on a node whose rule takes none, as a principal on an axiom."""
+    """A frame, split or tag on a node whose rule takes none, as a principal
+    of another kind."""
     proof_file = tmp_path / "proof.json"
     proof_file.write_text(json.dumps(table))
     assert cli.main([*command, str(proof_file)]) == 2
@@ -416,13 +417,37 @@ def test_two_node_tables_are_valid(tmp_path, capsys):
 
 
 def test_a_missing_principal_reads_and_fails_the_check(tmp_path, capsys):
+    """A row that draws no conclusion fails the reader's check: verify
+    rejects it by rule, row and reason, and a compiler calls it malformed."""
     proof_file = tmp_path / "proof.json"
     for calculus in ("hll", "ll"):
         table = _two_node_table(calculus)
         del table["nodes"][1]["principal"]
         proof_file.write_text(json.dumps(table))
         assert cli.main(["verify", calculus, str(proof_file)]) == 1
-        assert capsys.readouterr().out == "WBANG at root: WBANG cannot have None as its principal\n"
+        assert capsys.readouterr().out == "WBANG at node 1: WBANG cannot have None as its principal\n"
+        assert run_main(tmp_path, capsys, READERS[calculus][1], table) == 2
+
+
+@pytest.mark.parametrize("calculus,mutate,message", [
+    pytest.param("hll", _set(("conclusion",), [0, [], [], 0]), "WBANG at node 1: conclusion must be a ; ; a -o a |- a",
+                 id="hll-end-sequent-not-drawn"),
+    pytest.param("ll", _set(("conclusion",), [[0], 0]), "WBANG at node 1: conclusion must be !(a -o a), a |- a",
+                 id="ll-end-sequent-not-drawn"),
+    pytest.param("ll", lambda t: {**t, "nodes": [*t["nodes"], {"rule": "RTENSOR", "premises": [1]}]},
+                 "RTENSOR at node 2: RTENSOR takes 2 premises, got 1", id="premise-count"),
+    pytest.param("ll", lambda t: {**t, "formulas": ["a", "!(a)"]},
+                 "WBANG at node 1: only implications may be banged", id="failed-side-condition"),
+])
+def test_an_invalid_inference_is_rejected_by_row(tmp_path, capsys, calculus, mutate, message):
+    """A row whose rule draws no conclusion, or a root that does not draw the
+    stated end-sequent: verify names the rule, the row and the reason."""
+    table = mutate(_two_node_table(calculus))
+    proof_file = tmp_path / "proof.json"
+    proof_file.write_text(json.dumps(table))
+    assert cli.main(["verify", calculus, str(proof_file)]) == 1
+    assert capsys.readouterr().out == message + "\n"
+    assert run_main(tmp_path, capsys, READERS[calculus][1], table) == 2
 
 
 def test_deep_zoned_proof_through_the_cli(tmp_path):
@@ -440,7 +465,7 @@ def test_deep_flat_proof_through_the_cli(tmp_path):
     from corpora import stacked_weakenings
     from hornlog import hll, ll
 
-    proof = stacked_weakenings(1000)
+    proof = stacked_weakenings(2000)
     proof_file = tmp_path / "weakenings.ll.json"
     proof_file.write_text(ll.ll_proof_to_json(proof))
     assert run_cli("verify", "ll", str(proof_file)).stdout == "accept\n"

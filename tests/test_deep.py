@@ -3,7 +3,9 @@
 No layer may fail on a valid object just because it is deep; the chain and
 the stacked weakenings once raised ``RecursionError``, and so did the nested
 proof JSON that the flat proof table replaced.  Deep proofs are compared
-through their JSON text, since dataclass equality itself recurses.
+through their JSON text, since dataclass equality itself recurses.  A proof
+file states each inference but no conclusion save the end-sequent, so its
+size is linear in the node count.
 """
 
 from corpora import ltensor_chain, stacked_weakenings
@@ -44,3 +46,15 @@ def test_deep_proof_json_round_trips():
     again = ll.ll_proof_from_json(text)
     assert ll.check_ll_proof(again).ok
     assert ll.ll_proof_to_json(again) == text
+
+
+def test_deep_proof_files_grow_linearly():
+    """The flat file of 2000 stacked weakenings and its zoned translation are
+    each under 1 MB and at most 2.2 times their size at 1000."""
+    sizes = {}
+    for n in (1000, 2000):
+        proof = stacked_weakenings(n)
+        texts = (ll.ll_proof_to_json(proof), hll.hll_proof_to_json(ll.translate_ll_to_hll(proof)))
+        sizes[n] = [len(text.encode()) for text in texts]
+    assert all(size < 1_000_000 for size in sizes[2000]), sizes
+    assert all(big <= 2.2 * small for big, small in zip(sizes[2000], sizes[1000])), sizes

@@ -28,23 +28,23 @@ F, G, H, M, Q = (parse_product(x) for x in "fghmq")
 
 
 def test_identity_axiom_accepts():
-    proof = HllProof(HllRule.I, parse_sequent("q ; ; |- q"))
+    proof = HllProof(HllRule.I, parse_sequent("q ; ; |- q"), principal=Q)
     assert check_hll_proof(proof).ok
 
 
 def test_identity_axiom_rejects_mismatch():
-    proof = HllProof(HllRule.I, parse_sequent("q ; ; |- p"))
+    proof = HllProof(HllRule.I, parse_sequent("q ; ; |- p"), principal=Q)
     result = check_hll_proof(proof)
     assert not result.ok and result.failure.rule == "I"
 
 
 def test_single_step_axiom_accepts():
-    proof = HllProof(HllRule.H, parse_sequent("f ; f -o g ; |- g"))
+    proof = HllProof(HllRule.H, parse_sequent("f ; f -o g ; |- g"), principal=parse_formula("f -o g"))
     assert check_hll_proof(proof).ok
 
 
 def test_single_step_axiom_rejects_wrong_goal():
-    proof = HllProof(HllRule.H, parse_sequent("f ; f -o g ; |- f"))
+    proof = HllProof(HllRule.H, parse_sequent("f ; f -o g ; |- f"), principal=parse_formula("f -o g"))
     assert not check_hll_proof(proof).ok
 
 
@@ -113,7 +113,7 @@ def test_checker_rejects_a_principal_of_another_kind():
 
 
 def test_checker_rejects_a_frame_its_rule_does_not_take():
-    axiom = HllProof(HllRule.I, parse_sequent("q ; ; |- q"), frame=Q)
+    axiom = HllProof(HllRule.I, parse_sequent("q ; ; |- q"), principal=Q, frame=Q)
     assert str(check_hll_proof(axiom)) == "I at root: I takes no frame"
     regrouping = replace(hll.ltensor(hll.i_axiom(Q)), frame=Q)
     assert str(check_hll_proof(regrouping)) == "LTENSOR at root: LTENSOR takes no frame"
@@ -122,7 +122,7 @@ def test_checker_rejects_a_frame_its_rule_does_not_take():
 
 
 def test_checker_reports_failure_path():
-    bad_leaf = HllProof(HllRule.I, parse_sequent("q ; ; |- p"))
+    bad_leaf = HllProof(HllRule.I, parse_sequent("q ; ; |- p"), principal=Q)
     node = hll.wbang(hll.wbang(bad_leaf, PlainImplication(F, G)), PlainImplication(G, H))
     result = check_hll_proof(node)
     assert not result.ok and result.failure.path == (0, 0)
@@ -162,7 +162,7 @@ def test_compile_cut_composes():
 
 
 def test_compile_requires_valid_proof():
-    broken = HllProof(HllRule.I, parse_sequent("q ; ; |- p"))
+    broken = HllProof(HllRule.I, parse_sequent("q ; ; |- p"), principal=Q)
     with pytest.raises(ValueError):
         compile_hll_to_program(broken)
 
@@ -171,7 +171,7 @@ def test_checker_insensitive_to_product_regrouping():
     a = parse_sequent("f*c ; ; |- c*f")
     b = parse_sequent("c*f ; ; |- f*c")
     assert a == b
-    assert check_hll_proof(HllProof(HllRule.I, a)).ok
+    assert check_hll_proof(HllProof(HllRule.I, a, principal=parse_product("c*f"))).ok
 
 
 def test_serialization_round_trip():
@@ -183,11 +183,37 @@ def test_serialization_round_trip():
         assert check_hll_proof(again).ok
 
 
+def assert_same_conclusions(proof, again):
+    """Both trees have the same rules and premise counts in preorder, and
+    each node of ``again`` concludes what its counterpart in ``proof`` does;
+    a walk, since dataclass equality recurses."""
+    pairs = [[node for node, _ in hll.walk(tree)] for tree in (proof, again)]
+    assert len(pairs[0]) == len(pairs[1])
+    for node, other in zip(*pairs):
+        assert (other.rule, len(other.premises), other.conclusion) == (node.rule, len(node.premises), node.conclusion)
+
+
+def test_every_corpus_proof_round_trips_through_its_file():
+    """Every corpus proof, flat normal form and translation: written, read
+    back and written again, the text is the same, and the reader derives
+    every node's conclusion as the original holds it."""
+    flat = ll_corpus()
+    cases = [(proof, hll_proof_to_json, hll_proof_from_json) for proof in hll_corpus()]
+    cases += [(proof, ll.ll_proof_to_json, ll.ll_proof_from_json) for p in flat for proof in (p, ll.push_oplus_down(p))]
+    cases += [(ll.translate_ll_to_hll(p), hll_proof_to_json, hll_proof_from_json) for p in flat]
+    for proof, write, read in cases:
+        text = write(proof)
+        again = read(text)
+        assert write(again) == text
+        assert_same_conclusions(proof, again)
+
+
 @pytest.mark.parametrize("texts", [["(a*b)", "a*b"], ["a*b", "(b*a)"]], ids=["input", "goal"])
 def test_product_fields_accept_a_parenthesised_product(texts):
     """A product field reads an operand, as a flat context member does."""
-    zoned = hll_proof_from_json(json.dumps({"formulas": texts, "nodes": [{"rule": "I", "conclusion": [0, [], [], 1]}]}))
-    flat = ll.ll_proof_from_json(json.dumps({"formulas": texts, "nodes": [{"rule": "I", "conclusion": [[0], 1]}]}))
+    axiom = [{"rule": "I", "principal": 0}]
+    zoned = hll_proof_from_json(json.dumps({"formulas": texts, "conclusion": [0, [], [], 1], "nodes": axiom}))
+    flat = ll.ll_proof_from_json(json.dumps({"formulas": texts, "conclusion": [[0], 1], "nodes": axiom}))
     assert zoned.conclusion == parse_sequent("a*b ; ; |- a*b") and check_hll_proof(zoned).ok
     assert flat.conclusion.goal == parse_product("a*b") and ll.check_ll_proof(flat).ok
 

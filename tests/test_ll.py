@@ -71,6 +71,7 @@ def test_checker_rejects_a_principal_of_another_kind():
 def test_checker_rejects_a_split_its_rule_does_not_take():
     axiom = replace(ll.ll_i(F), split=(F, F))
     assert str(check_ll_proof(axiom)) == "I at root: I takes no split"
+    assert str(check_ll_proof(replace(ll.ll_i(F), tag=1))) == "I at root: I takes no tag"
 
 
 def test_checker_rejects_context_drift():
@@ -161,7 +162,7 @@ def test_checker_rejects_a_consumed_tag_still_pending_in_the_first_premise(tmp_p
     with pytest.raises(ValueError, match="consumed choice tag is still pending in the first premise"):
         ll.ll_limpoplus(first, second, imp, 5)
     rest = multiset_minus(second.conclusion.context, LlOplusProduct(c, d, 5))
-    inner = LlProof(LlRule.LIMPOPLUS, LlSequent(first.conclusion.context + rest + (imp,), g), (first, second), principal=imp)
+    inner = LlProof(LlRule.LIMPOPLUS, LlSequent(first.conclusion.context + rest + (imp,), g), (first, second), principal=imp, tag=5)
     proof = ll.ll_limpoplus(ll.ll_i(w), inner, OplusImplication(w, a, b), 5)
     result = check_ll_proof(proof)
     assert not result.ok
@@ -346,8 +347,8 @@ def test_proof_serialization_round_trip():
 
 
 def test_a_text_cited_as_member_and_goal_is_read_once():
-    proof = ll_proof_from_json('{"formulas": ["a"], "nodes": [{"rule": "I", "conclusion": [[0], 0]}]}')
-    assert proof.conclusion.goal is proof.conclusion.context[0]
+    proof = ll_proof_from_json('{"formulas": ["a"], "conclusion": [[0], 0], "nodes": [{"rule": "I", "principal": 0}]}')
+    assert proof.conclusion.goal is proof.conclusion.context[0] is proof.principal
 
 
 # --- Corpus-wide laws ----------------------------------------------------------
@@ -382,13 +383,14 @@ def test_translation_laws_on_corpus():
 
 def rendering(proof):
     """One line per node in preorder: rule, conclusion, principal, and split
-    or frame; it does not depend on the proof file format."""
+    or frame; it does not depend on the proof file format.  An axiom's
+    principal is left out, as its conclusion implies it."""
     for node, _ in hll.walk(proof):
         extra = getattr(node, "frame", None)
         split = getattr(node, "split", None)
         if split is not None:
             extra = " ".join(p.text for p in split)
-        principal = "" if node.principal is None else node.principal.text
+        principal = "" if node.principal is None or not node.premises else node.principal.text
         yield f"{node.rule.value} | {node.conclusion} | {principal} | {'' if extra is None else extra}\n"
 
 

@@ -69,6 +69,17 @@ def antecedent_calls(cls: str):
     ]
 
 
+def node_calls(tree):
+    """Calls that make a proof node: a node class, by name or through a proof
+    format, and ``replace`` with a new conclusion; by line, the functions
+    they sit in (dotted, outermost first) and the name called."""
+    return [
+        f"{c.lineno}:{'.'.join(fn.name for fn in within) or '-'}:{name}" for c, name, within in calls(tree)
+        if name in ("HllProof", "LlProof", "node")
+        or (name == "replace" and any(k.arg == "conclusion" for k in c.keywords))
+    ]
+
+
 def self_calls(tree):
     """Functions whose body calls them by name: bare, or as a method of self or cls."""
     found = {}
@@ -97,10 +108,12 @@ def late():
     import json as j
 ''', ["2:json", "3:json", "4:json.decoder", "9:json"]),
     "node_owner": Rule(
-        lambda tree: [f"{c.lineno}:{where(w)}:{n}" for c, n, w in calls(tree) if n in ("HllProof", "LlProof")],
-        ("hll.py:_node", "ll.py:_ll_node"),
+        node_calls,
+        ("hll.py:_node", "ll.py:_ll_node", "ll.py:specialize.combine"),
         "Each rule's conclusion is stated once, and only the factories hll._node and ll._ll_node "
-        "make nodes from it; any other HllProof(...) or LlProof(...) states a conclusion of its own.", '''
+        "make nodes from it, ll.specialize alone rewriting conclusions it has checked; any other "
+        "HllProof(...), LlProof(...), form.node(...) or replace(..., conclusion=...) states a "
+        "conclusion of its own.", '''
 LEAF = HllProof(HllRule.I, sequent)
 
 def _node(rule, premises):
@@ -112,7 +125,14 @@ def shortcut(premise):
     return LlProof(LlRule.I, LlSequent((x,), x)), inner
 
 FORMAT = ProofFormat(HllProof, HornSequent)
-''', ["2:-:HllProof", "5:_node:HllProof", "9:inner:HllProof", "10:shortcut:LlProof"]),
+
+def read(form, rule, parts, below):
+    return form.node(rule, form.sequent(*parts), below), form.make(rule, below)
+
+def rewrite(node, rest):
+    return replace(node, conclusion=rest), replace(node, premises=()), dataclasses.replace(node, conclusion=rest)
+''', ["2:-:HllProof", "5:_node:HllProof", "9:shortcut.inner:HllProof", "10:shortcut:LlProof",
+      "15:read:node", "18:rewrite:replace", "18:rewrite:replace"]),
     "encoding_owner": Rule(
         lambda tree: [
             f"{c.lineno}:{n}" for c, n, _ in calls(tree) if n in ("label_literal", "counter_literal", "killer_literal")

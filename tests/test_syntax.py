@@ -173,14 +173,33 @@ def test_flat_member_parse_errors(bad):
         parse_member(bad)
 
 
+LONG_TAG = "(a + b)#" + "1" * 5000  # more digits than int() converts
+
+
+def test_an_overlong_choice_tag_is_a_format_error():
+    with pytest.raises(FormatError) as raised:
+        parse_member(LONG_TAG)
+    assert raised.value.position == LONG_TAG.index("#") + 1
+
+
+def test_an_overlong_choice_tag_exits_2_from_verify_with_its_place(tmp_path, capsys):
+    proof_file = tmp_path / "tag.proof.json"
+    table = {"formulas": ["a", LONG_TAG], "conclusion": [[0], 0], "nodes": [{"rule": "I", "principal": 1}]}
+    proof_file.write_text(json.dumps(table))
+    assert cli.main(["verify", "ll", str(proof_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: node 0's principal: formulas[1] '(a + b)#111")
+    assert err.endswith("tag number too long (at offset 8)\n") and err.count("\n") == 1
+
+
 def test_malformed_member_exits_2_from_verify(tmp_path, capsys):
     proof_file = tmp_path / "bad.proof.json"
     for bad in MALFORMED_MEMBERS:
-        table = {"formulas": ["a", bad], "nodes": [{"rule": "I", "conclusion": [[1, 0], 0]}]}
+        table = {"formulas": ["a", bad], "conclusion": [[1, 0], 0], "nodes": [{"rule": "I", "principal": 0}]}
         proof_file.write_text(json.dumps(table))
         assert cli.main(["verify", "ll", str(proof_file)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: node 0's context: formulas[1]") and err.count("\n") == 1
+        assert err.startswith("error: the conclusion's context: formulas[1]") and err.count("\n") == 1
 
 
 def test_bang_accepts_a_parenthesised_product():
