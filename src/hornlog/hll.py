@@ -6,10 +6,10 @@ no-op, a frame rule that tensors the same product onto input and goal, the
 two-premise choice rule, the three bang rules, and cut.  A node is fixed by
 its inference: rule, premises, principal (an axiom's too: the product of
 ``I``, the implication of ``H``) and rule parameter.  Each rule's conclusion
-is stated once, in ``_conclude``, from those alone.  The node builders and
-the proof reader take every conclusion from there, and ``check_tree``
-rebuilds each node of either calculus from its own fields and compares, so
-they cannot drift apart; a node keeps its conclusion only as a cache.
+is stated once, in ``_conclude``.  ``check_tree`` redraws a node of either
+calculus through ``gate`` and the conclusion function, and the factories
+draw each node so: a proof from the builders or a file is checked once,
+when built, and marked ``checked``; the checkers walk only other nodes.
 
 The compiler spells its program out with ``ProgramBuilder.unfold``, as the
 prover does its witnesses, so vertices are numbered in preorder.  A key is
@@ -31,12 +31,12 @@ reader and the checker reject it on any other rule.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from typing import Callable
 
-from .programs import HornProgram, ProgramBuilder
+from .programs import HornProgram, ProgramBuilder, json_integer
 from .syntax import (
     FormatError,
     Frame,
@@ -80,6 +80,7 @@ class HllProof:
     premises: tuple["HllProof", ...] = ()
     principal: Member | None = None  # I (a product), H, OPLUS_H, LBANG, WBANG, CBANG
     frame: Frame | None = None  # M (a SimpleProduct), OPLUS_H (maybe empty)
+    checked: bool = field(default=False, init=False, compare=False, repr=False)  # set by _node alone
 
     def __post_init__(self):
         # The choice rule's frame may be empty; no frame means the empty one.
@@ -160,14 +161,16 @@ def _conclude(rule: HllRule, premises: tuple, principal, frame) -> HornSequent |
 
 
 def _node(rule: HllRule, premises: tuple = (), principal=None, frame=None) -> HllProof:
-    """The node ``rule`` draws from its premises; InvalidProof if it draws none."""
-    conclusion = _conclude(rule, premises, principal, frame)
+    """The node ``rule`` draws from its premises, checked when they are; InvalidProof if it draws none."""
+    conclusion = gate(_HLL_FORMAT, rule, premises, (principal, frame)) or _conclude(rule, premises, principal, frame)
     if isinstance(conclusion, str):
         raise InvalidProof(rule.value, conclusion)
-    return HllProof(rule, conclusion, premises, principal, frame)
+    node = HllProof(rule, conclusion, premises, principal, frame)
+    object.__setattr__(node, "checked", all(p.checked for p in premises))
+    return node
 
 
-def walk(tree):
+def walk(tree, premises=attrgetter("premises")):
     """Yield ``(node, trail)`` for every node of a proof tree in preorder,
     premises left to right.  The trail is None at the root and otherwise
     ``(parent_trail, parent, premise_index)``."""
@@ -175,9 +178,9 @@ def walk(tree):
     while stack:
         node, trail = stack.pop()
         yield node, trail
-        premises = node.premises
-        for i in range(len(premises) - 1, -1, -1):
-            stack.append((premises[i], (trail, node, i)))
+        below = premises(node)
+        for i in range(len(below) - 1, -1, -1):
+            stack.append((below[i], (trail, node, i)))
 
 
 def path_of(trail) -> tuple[int, ...]:
@@ -207,7 +210,7 @@ def fold(tree, combine, premises=attrgetter("premises")):
     return results[0]
 
 
-def _gate(form: ProofFormat, rule, premises: tuple, values: tuple) -> str | None:
+def gate(form: ProofFormat, rule, premises: tuple, values: tuple) -> str | None:
     """Why an inference's premise count, principal or parameters do not fit
     its rule in the format's rule table, if they do not; ``values`` are the
     node's fields in the format's order, the principal first."""
@@ -216,18 +219,21 @@ def _gate(form: ProofFormat, rule, premises: tuple, values: tuple) -> str | None
         return f"{rule.value} takes {arity} premises, got {len(premises)}"
     if not isinstance(values[0], kind or type(None)):
         return f"{rule.value} cannot have {values[0]} as its principal"
-    return next((f"{rule.value} takes no {name}" for (name, _, _), value in zip(form.fields[1:], values[1:])
-                 if value is not None and rule not in form.takers[name]), None)
+    for i in range(1, len(values)):  # a loop, not a generator: every node built passes here
+        if values[i] is not None and rule not in form.takers[form.fields[i][0]]:
+            return f"{rule.value} takes no {form.fields[i][0]}"
+    return None
 
 
 def check_tree(proof, form: ProofFormat) -> CheckResult:
     """Rebuild each node of either calculus's proof tree from its own fields,
     through the format's gate and conclusion function, and compare with the
-    conclusion it holds; report the first failure."""
+    conclusion it holds; report the first failure.  A checked subtree, so drawn by the factories, is skipped."""
     values_of = attrgetter(*(name for name, _, _ in form.fields))
-    for node, trail in walk(proof):
+    for node, trail in walk(proof, lambda node: () if node.checked else node.premises):
         values = values_of(node)
-        drawn = _gate(form, node.rule, node.premises, values) or form.conclude(node.rule, node.premises, *values)
+        drawn = node.conclusion if node.checked else (
+            gate(form, node.rule, node.premises, values) or form.conclude(node.rule, node.premises, *values))
         if drawn != node.conclusion:
             reason = drawn if isinstance(drawn, str) else f"conclusion must be {drawn}"
             return CheckResult(False, CheckFailure(path_of(trail), node.rule.value, reason))
@@ -369,7 +375,7 @@ def proof_from_json(text: str, form: ProofFormat):
     formed; InvalidProof, naming the row, when an inference draws no
     conclusion or the root does not draw the stated end-sequent."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=json_integer)
     except RecursionError:  # a table nests four levels deep at most
         raise FormatError("a proof is a flat table, not a nested document") from None
     texts, end, rows = map((data if isinstance(data, dict) else {}).get, ("formulas", "conclusion", "nodes"))
@@ -418,15 +424,14 @@ def proof_from_json(text: str, form: ProofFormat):
                 raise FormatError(f"node {i}'s premise {p!r} is not an earlier node that is no other premise")
             below.append(built[p])
             built[p] = None  # each node is the premise of one node only
+        try:
+            built.append(form.make(rule, tuple(below), *values))
+            continue
+        except InvalidProof as exc:
+            reason = exc.reason
         arity, kind = form.rules[rule]
-        reason = _gate(form, rule, below, values)
-        if reason is None:
-            try:
-                built.append(form.make(rule, tuple(below), *values))
-                continue
-            except InvalidProof as exc:
-                reason = exc.reason
-        elif len(below) == arity and (kind is None or values[0] is not None):
+        fits = len(below) == arity and (kind is None or values[0] is not None)
+        if fits and reason == gate(form, rule, below, values):
             raise FormatError(f"node {i}: {reason}")  # a field that does not fit its rule
         raise InvalidProof(rule.value, reason, i)
     if sum(node is not None for node in built) != 1:

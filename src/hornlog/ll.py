@@ -11,8 +11,8 @@ coexist; one context holds each tag at most once.
 
 Each rule's conclusion is stated once, in ``_ll_conclude``, from the node's
 inference: rule, premises, principal (an axiom's product too), split and
-tag.  Builders and the proof reader take every conclusion from there, and
-``hll.check_tree`` rebuilds each node from its own fields and compares.  An
+tag.  ``_ll_node`` draws each node as ``hll.check_tree`` does, so a proof from
+the builders or a file is checked once, when built, and marked ``checked``.  An
 implication-choice node keeps the tag it consumes, so the normalizer and the
 translation know a choice's consumer as the first implication-choice node
 below it, reached from its second premise, that carries the choice's tag.
@@ -32,7 +32,7 @@ Proof files are ``hll``'s proof table, laid out for this calculus.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import hll
@@ -106,6 +106,7 @@ class LlProof:
     # LTENSOR records how the principal product splits in the premise.
     split: tuple[SimpleProduct, SimpleProduct] | None = None
     tag: int | None = None  # LIMPOPLUS: the tag of the choice it consumes
+    checked: bool = field(default=False, init=False, compare=False, repr=False)  # set by _ll_node alone
 
 
 def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequent | str:
@@ -177,11 +178,14 @@ def _tag_clash(context: tuple) -> str | None:
 
 
 def _ll_node(rule: LlRule, premises: tuple, principal=None, split=None, tag=None) -> LlProof:
-    """The node ``rule`` draws from its premises; InvalidProof if it draws none."""
-    conclusion = _ll_conclude(rule, premises, principal, split, tag)
+    """The node ``rule`` draws from its premises, checked when they are; InvalidProof if it draws none."""
+    values = (principal, split, tag)
+    conclusion = hll.gate(_LL_FORMAT, rule, premises, values) or _ll_conclude(rule, premises, *values)
     if isinstance(conclusion, str):
         raise hll.InvalidProof(rule.value, conclusion)
-    return LlProof(rule, conclusion, premises, principal, split, tag)
+    node = LlProof(rule, conclusion, premises, principal, split, tag)
+    object.__setattr__(node, "checked", all(p.checked for p in premises))
+    return node
 
 
 def check_ll_proof(proof: LlProof) -> hll.CheckResult:

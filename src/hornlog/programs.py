@@ -439,15 +439,24 @@ def program_to_json(program: HornProgram) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _json_id(value) -> int:
+def json_integer(digits: str) -> int | float:
+    """``parse_int`` for both JSON readers: an integer too long for ``int`` reads
+    as an infinite float, which no field takes, so the reader names the field."""
+    try:
+        return int(digits)
+    except ValueError:
+        return float(digits)
+
+
+def _json_id(value, where: str) -> int:
     if type(value) is not int:
-        raise FormatError(f"root, parent and child must be integer vertex ids, got {value!r}")
+        raise FormatError(f"{where} must be an integer vertex id, got {value!r}")
     return value
 
 
 def program_from_json(text: str) -> HornProgram:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=json_integer)
     except RecursionError:  # a program nests three levels deep at most
         raise FormatError("a program is a flat JSON object, not a nested document") from None
     if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
@@ -456,12 +465,13 @@ def program_from_json(text: str) -> HornProgram:
     if not isinstance(vertices, list):
         raise FormatError("the vertex list must be a JSON list")
     edges = []
-    for e in data["edges"]:
+    for i, e in enumerate(data["edges"]):
         if not isinstance(e, dict) or not isinstance(e.get("label"), str):
             raise FormatError(f"an edge is a JSON object with a string label: {e!r}")
-        edges.append((_json_id(e.get("parent")), _json_id(e.get("child")), parse_formula(e["label"])))
-    program = HornProgram.build(_json_id(data.get("root")), edges)
-    declared = sorted(_json_id(v) for v in vertices)
+        ends = (_json_id(e.get(end), f"edge {i}'s {end}") for end in ("parent", "child"))
+        edges.append((*ends, parse_formula(e["label"])))
+    program = HornProgram.build(_json_id(data.get("root"), "root"), edges)
+    declared = sorted(_json_id(v, f"vertex {i}") for i, v in enumerate(vertices))
     if declared and declared != sorted(program.vertices):
         raise ValueError("vertex list does not match the edge list")
     return program

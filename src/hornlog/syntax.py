@@ -37,6 +37,7 @@ parse/print round-trip bit-exactly on canonical text.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -259,11 +260,11 @@ class HornSequent:
 
 
 def multiset_minus(items: tuple, *members) -> tuple | None:
-    """The tuple without one occurrence of each member, or None if one is absent."""
+    """A canonical zone without one occurrence of each member, or None if one
+    is absent.  Equal texts are equal members, so each is found by its text."""
     for member in members:
-        try:
-            index = items.index(member)
-        except ValueError:
+        index = bisect_left(items, member.text, key=attrgetter("text"))
+        if index == len(items) or items[index] != member:
             return None
         items = items[:index] + items[index + 1:]
     return items

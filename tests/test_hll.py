@@ -128,6 +128,40 @@ def test_checker_reports_failure_path():
     assert not result.ok and result.failure.path == (0, 0)
 
 
+def test_a_node_is_checked_when_built_only_over_checked_premises():
+    """The builders mark a node checked when its premises are, and the
+    checker skips a checked subtree; over a leaf forged with ``replace`` it
+    must still walk down to the leaf, through builder-made ancestors."""
+    leaf = hll.i_axiom(Q)
+    assert leaf.checked
+    assert not replace(leaf).checked
+    assert not HllProof(HllRule.I, leaf.conclusion, principal=Q).checked
+    forged = replace(leaf, conclusion=parse_sequent("q ; ; |- f"))
+    root = hll.cut(hll.i_axiom(Q), hll.wbang(hll.ltensor(forged), PlainImplication(F, G)))
+    assert root.premises[0].checked and not root.checked
+    assert str(check_hll_proof(root)) == f"I at 1.0.0: conclusion must be {leaf.conclusion}"
+    with pytest.raises(ValueError, match="conclusion must be"):
+        compile_hll_to_program(root)
+
+
+def test_builders_refuse_a_principal_the_checker_rejects():
+    """A builder runs the checker's gate before the conclusion function, so
+    no node it returns fails the checker; the identity axiom once took an
+    implication as its product."""
+    with pytest.raises(hll.InvalidProof, match="I cannot have q -o q as its principal"):
+        hll.i_axiom(parse_formula("q -o q"))
+    with pytest.raises(hll.InvalidProof, match="WBANG cannot have f as its principal"):
+        hll.wbang(hll.i_axiom(Q), F)
+
+
+def test_read_and_translated_proofs_are_checked_when_built():
+    for proof in hll_corpus():
+        assert hll_proof_from_json(hll_proof_to_json(proof)).checked
+    for proof in ll_corpus():
+        assert ll.ll_proof_from_json(ll.ll_proof_to_json(proof)).checked
+        assert ll.translate_ll_to_hll(proof).checked
+
+
 def test_compile_axioms():
     single = compile_hll_to_program(hll.i_axiom(Q))
     assert len(single.vertices) == 1

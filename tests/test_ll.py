@@ -25,6 +25,7 @@ from hornlog.ll import (
 )
 from hornlog.programs import verify_strong_solution
 from hornlog.syntax import (
+    FormatError,
     OplusImplication,
     PlainImplication,
     multiset_minus,
@@ -83,6 +84,42 @@ def test_checker_rejects_context_drift():
         principal=good.principal,
     )
     assert not check_ll_proof(tampered).ok
+
+
+def test_a_node_is_checked_when_built_only_over_checked_premises():
+    leaf = ll.ll_i(F)
+    assert leaf.checked
+    assert not replace(leaf).checked
+    assert not LlProof(LlRule.I, leaf.conclusion, principal=F).checked
+    forged = replace(leaf, conclusion=LlSequent((G,), F))
+    root = ll.ll_rtensor(ll.ll_i(H), ll.ll_wbang(forged, PlainImplication(G, M)))
+    assert root.premises[0].checked and not root.checked
+    assert str(check_ll_proof(root)) == f"I at 1.0: conclusion must be {leaf.conclusion}"
+    with pytest.raises(ValueError, match="cannot normalize an invalid proof"):
+        push_oplus_down(root)
+
+
+def test_moved_choices_are_checked_node_by_node():
+    """``specialize`` rewrites conclusions with ``replace`` and the nodes
+    below a moved choice are copied the same way, so the normalized proof is
+    unmarked where it changed, and the checker walks it."""
+    proof = _two_rule_separation()
+    normalized = push_oplus_down(proof)
+    assert proof.checked and not normalized.checked
+    assert check_ll_proof(normalized).ok
+
+
+def test_reader_names_the_field_of_an_overlong_integer():
+    """``json.loads`` converts a JSON integer with ``int``, which refuses
+    more than 4,300 digits; that ValueError once escaped the reader."""
+    long = "1" * 5000
+    table = ll_proof_to_json(ll.ll_i(F)).replace('"principal": 0', f'"principal": {long}')
+    with pytest.raises(FormatError, match="node 0's principal must be an index into 'formulas'"):
+        ll_proof_from_json(table)
+    choice = ll.ll_limpoplus(ll.ll_i(F), make_choice_block(), OplusImplication(F, G, H), 1)
+    table = ll_proof_to_json(choice).replace('"tag": 1', f'"tag": {long}')
+    with pytest.raises(FormatError, match=r"node \d+'s tag must be an integer"):
+        ll_proof_from_json(table)
 
 
 def make_choice_block(tag=1):

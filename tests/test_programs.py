@@ -25,6 +25,7 @@ from hornlog.programs import (
     verify_strong_solution,
 )
 from hornlog.syntax import (
+    FormatError,
     HornSequent,
     OplusImplication,
     PlainImplication,
@@ -402,6 +403,17 @@ def test_serialization_round_trip(p0):
     text = program_to_json(p0)
     assert program_from_json(text) == p0
     assert "digraph" in program_to_dot(p0)
+
+
+def test_reader_names_the_field_of_an_overlong_integer(p0):
+    """``json.loads`` converts a JSON integer with ``int``, which refuses
+    more than 4,300 digits; that ValueError once escaped the reader."""
+    text = program_to_json(p0)
+    long = "1" * 5000
+    with pytest.raises(FormatError, match="root must be an integer vertex id"):
+        program_from_json(text.replace('"root": 0', f'"root": {long}'))
+    with pytest.raises(FormatError, match="edge 0's parent must be an integer vertex id"):
+        program_from_json(text.replace('"parent": 0', f'"parent": {long}', 1))
 
 
 def test_deserialization_rejects_choice_labels(p0):

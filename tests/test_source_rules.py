@@ -26,18 +26,25 @@ def imports(tree: ast.AST) -> list[tuple[int, str | None, str, str]]:
     return sorted(found, key=lambda item: item[0])
 
 
-def calls(tree: ast.AST) -> list[tuple[ast.Call, str | None, tuple]]:
-    """Every call in source order: (call, the bare name or last attribute it
-    calls, the functions it sits in, outermost first)."""
-    found, stack = [], [(tree, ())]
+def located(tree: ast.AST):
+    """Every node below ``tree`` with the functions it sits in, outermost first."""
+    stack = [(tree, ())]
     while stack:
         node, within = stack.pop()
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                found.append((child, name, within))
+            yield child, within
             stack.append((child, within + (child,) if isinstance(child, FUNCTIONS) else within))
+
+
+def calls(tree: ast.AST) -> list[tuple[ast.Call, str | None, tuple]]:
+    """Every call in source order: (call, the bare name or last attribute it
+    calls, the functions it sits in, outermost first)."""
+    found = []
+    for child, within in located(tree):
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            found.append((child, name, within))
     return sorted(found, key=lambda item: (item[0].lineno, item[0].col_offset))
 
 
@@ -78,6 +85,24 @@ def node_calls(tree):
         if name in ("HllProof", "LlProof", "node")
         or (name == "replace" and any(k.arg == "conclusion" for k in c.keywords))
     ]
+
+
+def checked_writes(tree):
+    """Writes of a proof node's ``checked`` mark, by line and the functions
+    they sit in (dotted, outermost first): an assignment to ``.checked`` or
+    to ``[...]["checked"]``, ``setattr`` or ``object.__setattr__`` on the
+    name ``"checked"``, or a ``checked=`` keyword."""
+    found = [
+        (c, within) for c, name, within in calls(tree)
+        if (name in ("setattr", "__setattr__") and len(c.args) > 1 and getattr(c.args[1], "value", None) == "checked")
+        or any(k.arg == "checked" for k in c.keywords)
+    ] + [
+        (node, within) for node, within in located(tree)
+        if isinstance(getattr(node, "ctx", None), ast.Store)
+        and "checked" in (getattr(node, "attr", None), getattr(getattr(node, "slice", None), "value", None))
+    ]
+    return [f"{node.lineno}:{'.'.join(fn.name for fn in within) or '-'}"
+            for node, within in sorted(found, key=lambda item: item[0].lineno)]
 
 
 def self_calls(tree):
@@ -133,6 +158,29 @@ def rewrite(node, rest):
     return replace(node, conclusion=rest), replace(node, premises=()), dataclasses.replace(node, conclusion=rest)
 ''', ["2:-:HllProof", "5:_node:HllProof", "9:shortcut.inner:HllProof", "10:shortcut:LlProof",
       "15:read:node", "18:rewrite:replace", "18:rewrite:replace"]),
+    "checked_owner": Rule(
+        checked_writes, ("hll.py:_node", "ll.py:_ll_node"),
+        "check_tree skips a node marked checked, so only the factories hll._node and ll._ll_node, "
+        "which draw a node exactly as check_tree does and mark it only over checked premises, may "
+        "set the mark; a mark set anywhere else vouches for a node nobody checked.", '''
+class HllProof:
+    checked: bool = field(default=False, init=False)
+
+def _node(rule, premises):
+    node = HllProof(rule, conclude(rule, premises), premises)
+    object.__setattr__(node, "checked", all(p.checked for p in premises))
+    return node
+
+def trust(node):
+    node.checked = True
+    node.__dict__["checked"] = True
+    def inner():
+        setattr(node, "checked", True)
+    return replace(node, checked=True), vars(node).update(checked=True), inner
+
+def fine(node):
+    return node.checked, node.premises[0].checked, getattr(node, "checked"), walk(node, lambda n: n.checked)
+''', ["7:_node", "11:trust", "12:trust", "14:trust.inner", "15:trust", "15:trust"]),
     "encoding_owner": Rule(
         lambda tree: [
             f"{c.lineno}:{n}" for c, n, _ in calls(tree) if n in ("label_literal", "counter_literal", "killer_literal")
