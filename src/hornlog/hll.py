@@ -53,7 +53,15 @@ from .syntax import (
 )
 
 
-class HllRule(Enum):
+class Rule(Enum):
+    """An inference rule of either calculus.  Rules are compared by identity,
+    as every enum member is, and hash by it too: ``Enum.__hash__`` runs in
+    Python, and every node built looks its rule up."""
+
+    __hash__ = object.__hash__
+
+
+class HllRule(Rule):
     I = "I"
     LTENSOR = "LTENSOR"
     H = "H"
@@ -409,13 +417,14 @@ def proof_from_json(text: str, form: ProofFormat):
     conclusion = form.sequent(*(read(f"the conclusion's {name}", kind, ref, n)
                                 for (name, kind, n), ref in zip(form.parts, end)))
     keys = {"rule", "premises", *(name for name, _, _ in form.fields)}
+    by_name = {r.value: r for r in form.rules}
     built: list = []
     for i, row in enumerate(rows):
         if not (isinstance(row, dict) and row.keys() <= keys and isinstance(row.get("premises", []), list)):
             raise FormatError(f"node {i} must be a JSON object with fields among {sorted(keys)}, premises a list")
-        rule = next((r for r in form.rules if r.value == row.get("rule")), None)
+        rule = by_name.get(row.get("rule")) if isinstance(row.get("rule"), str) else None
         if rule is None:
-            raise FormatError(f"node {i}'s rule must be one of {[r.value for r in form.rules]}")
+            raise FormatError(f"node {i}'s rule must be one of {list(by_name)}")
         values = tuple(read(f"node {i}'s {name}", kind, row[name], n) if name in row else None
                        for name, kind, n in form.fields)
         below = []

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 from . import hll
 from .hll import HllProof
@@ -76,7 +75,7 @@ class LlSequent:
         return ll_sequent_text(self)
 
 
-class LlRule(Enum):
+class LlRule(hll.Rule):
     I = "I"
     LTENSOR = "LTENSOR"
     RTENSOR = "RTENSOR"

@@ -260,9 +260,9 @@ def search_halting(
 
 # --- Text formats -----------------------------------------------------------
 
-_COUNTERS_RE = re.compile(r"counters\s+(\d+)\Z")
-_INSTR_RE = re.compile(r"L(\d+)\s*:\s*(inc|dec|ifpos|ifzero)\s+x(\d+)\s+goto\s+L(\d+)\Z")
-_HALT_RE = re.compile(r"L(\d+)\s*:\s*halt\Z")
+_COUNTERS_RE = re.compile(r"counters\s+([0-9]+)\Z")
+_INSTR_RE = re.compile(r"L([0-9]+)\s*:\s*(inc|dec|ifpos|ifzero)\s+x([0-9]+)\s+goto\s+L([0-9]+)\Z")
+_HALT_RE = re.compile(r"L([0-9]+)\s*:\s*halt\Z")
 
 
 def parse_machine(text: str) -> MinskyMachine:
@@ -309,8 +309,8 @@ def machine_text(machine: MinskyMachine) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CONFIG_RE = re.compile(r"L(\d+)\s*:\s*(\d+(?:\s*,\s*\d+)*)\Z")
-_MOVE_RE = re.compile(r"I(\d+)\s*->\s*(.*)\Z")
+_CONFIG_RE = re.compile(r"L([0-9]+)\s*:\s*([0-9]+(?:\s*,\s*[0-9]+)*)\Z")
+_MOVE_RE = re.compile(r"I([0-9]+)\s*->\s*(.*)\Z")
 
 
 def _parse_config(text: str, lineno: int) -> Configuration:

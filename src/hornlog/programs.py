@@ -428,15 +428,16 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
 
 
 def program_to_json(program: HornProgram) -> str:
-    data = {
-        "root": program.root,
-        "vertices": list(program.vertices),
-        "edges": [
-            {"parent": parent, "child": child, "label": label.text}
-            for parent, child, label in program.edges
-        ],
-    }
-    return json.dumps(data, indent=2) + "\n"
+    """The program as ``json.dumps(..., indent=2)`` lays out its root, vertex
+    list and edge objects, byte for byte; ``json.dumps`` with an indent runs
+    the pure-Python encoder, so only each label goes through it."""
+    vertices = ",\n    ".join(map(str, program.vertices))
+    edges = ",\n    ".join(
+        f'{{\n      "parent": {parent},\n      "child": {child},\n      "label": {json.dumps(label.text)}\n    }}'
+        for parent, child, label in program.edges
+    )
+    edges = f"[\n    {edges}\n  ]" if edges else "[]"
+    return f'{{\n  "root": {program.root},\n  "vertices": [\n    {vertices}\n  ],\n  "edges": {edges}\n}}\n'
 
 
 def json_integer(digits: str) -> int | float:

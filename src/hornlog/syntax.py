@@ -18,13 +18,19 @@ machine encoding all split a formula there.  A sequent bundles an input product,
 own: ``LlBang``, a banged implication, and ``LlOplusProduct``, a pending
 choice ``(Y1 + Y2)`` with its occurrence tag.  Products, formulas and members compute their
 printed ``text`` once; it is the only order, for the two sides of a choice
-and for the members of a zone.  The module also owns the grammar::
+and for the members of a zone.  It is also the identity: a formula, banged
+formula or tagged choice compares and hashes by its kind and canonical text
+(``Printed``), a product or frame by its entries, so zone lookups and the
+verifier's counts never revisit fields.  The module also owns the grammar,
+whose names the tokenizer checks, so a parsed product is built without
+validating them again::
 
     literal   = [A-Za-z][A-Za-z0-9_]*
     product   = lit * lit * ...
     operand   = <product> | (<product>)
     rhs       = <product> | (<product>) | (<product> + <product>)
     member    = operand [-o rhs] | !(operand [-o rhs]) | (<product> + <product>)#tag
+    tag       = [0-9]+
     sequent   = <product> ; <formulas> ; <formulas> |- <product>
 
 ``parse_member`` reads any member; a formula is a member ``operand -o rhs``,
@@ -66,7 +72,17 @@ def check_literal(name: str) -> str:
 
 
 class Printed:
-    """A value printed as its canonical ``text``, which it computes once."""
+    """A value printed as its canonical ``text``, which it computes once.
+
+    The text is the member's identity: two members are equal exactly when
+    they are of one kind and print alike, and a member hashes as its text.
+    """
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and self.text == other.text
+
+    def __hash__(self) -> int:
+        return hash(self.text)
 
     def __str__(self) -> str:
         return self.text
@@ -165,7 +181,7 @@ def canonical_zone(members: Iterable) -> tuple:
     return tuple(sorted(members, key=attrgetter("text")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlainImplication(Printed):
     antecedent: SimpleProduct
     consequent: SimpleProduct
@@ -180,7 +196,7 @@ class PlainImplication(Printed):
         return (self,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OplusImplication(Choice):
     """``X -o (Y1 + Y2)``; the two consequents are stored in text order."""
 
@@ -201,7 +217,7 @@ class OplusImplication(Choice):
 HornFormula = PlainImplication | OplusImplication
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LlBang(Printed):
     # Payload is normally an implication; a banged product is representable
     # so the checker can reject it against the side condition.
@@ -212,7 +228,7 @@ class LlBang(Printed):
         return f"!({self.formula.text})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LlOplusProduct(Choice):
     """A pending choice ``(Y1 + Y2)`` with its occurrence tag."""
 
@@ -323,7 +339,7 @@ def sequent_text(s: HornSequent) -> str:
 # --- Parsing ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<num>\d+)"
+    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<num>[0-9]+)"
     r"|(?P<op>-o|\|-|[*(),;+!#]))"
 )
 
@@ -377,18 +393,20 @@ class TokenStream:
 
 
 def _parse_bare_product(ts: TokenStream) -> SimpleProduct:
-    names = []
+    """A product of ``ident`` tokens, whose names the token pattern has
+    already checked, so it is built without validation."""
+    counts: dict[str, int] = {}
     tok = ts.next()
     if tok.kind != "ident":
         raise FormatError(f"expected a literal, found {tok.text or 'end of input'!r}", tok.position)
-    names.append(tok.text)
+    counts[tok.text] = 1
     while ts.peek().text == "*":
         ts.next()
         tok = ts.next()
         if tok.kind != "ident":
             raise FormatError(f"expected a literal after '*', found {tok.text or 'end of input'!r}", tok.position)
-        names.append(tok.text)
-    return SimpleProduct.of(*names)
+        counts[tok.text] = counts.get(tok.text, 0) + 1
+    return SimpleProduct._trusted(tuple(sorted(counts.items())))
 
 
 def _parse_group(ts: TokenStream, choice: bool = True) -> tuple[SimpleProduct, SimpleProduct | None]:

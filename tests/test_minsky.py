@@ -165,6 +165,38 @@ def test_machine_format_errors(bad):
         parse_machine(bad)
 
 
+# Arabic-Indic digits (U+0660..U+0669) match \d and int() reads them, but the
+# grammar's numbers are ASCII, so a text with one is malformed, not renumbered.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("counters \u0662\n", "line 1: expected 'counters <n>' first"),
+        ("counters 1\nL\u0661: dec x1 goto L0\n", "line 2: unrecognized line 'L\u0661: dec x1 goto L0'"),
+        ("counters 1\nL1: dec x\u0661 goto L0\n", "line 2: unrecognized line 'L1: dec x\u0661 goto L0'"),
+        ("counters 1\nL1: dec x1 goto L\u0660\n", "line 2: unrecognized line 'L1: dec x1 goto L\u0660'"),
+        ("counters 1\nL\u0660: halt\n", "line 2: unrecognized line 'L\u0660: halt'"),
+    ],
+)
+def test_machine_numbers_are_ascii_digits(text, message):
+    with pytest.raises(MachineFormatError) as err:
+        parse_machine(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("L1 : \u0661,0\n", "line 1: bad configuration 'L1 : \u0661,0'"),
+        ("L\u0661 : 1,0\n", "line 1: bad configuration 'L\u0661 : 1,0'"),
+        ("L1 : 1,0\nI\u0661 -> L1 : 0,0\n", "line 2: expected 'I<k> -> L<i> : c1,c2,...'"),
+    ],
+)
+def test_computation_numbers_are_ascii_digits(text, message):
+    with pytest.raises(MachineFormatError) as err:
+        parse_computation(text)
+    assert str(err.value) == message
+
+
 def test_machine_error_carries_line():
     with pytest.raises(MachineFormatError) as err:
         parse_machine("counters 1\nL1: bump x1 goto L0\n")

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -403,6 +404,53 @@ def test_serialization_round_trip(p0):
     text = program_to_json(p0)
     assert program_from_json(text) == p0
     assert "digraph" in program_to_dot(p0)
+
+
+def _dumped(program: HornProgram) -> str:
+    """The program as one ``json.dumps`` call lays it out: the reference
+    ``program_to_json`` must match byte for byte."""
+    data = {
+        "root": program.root,
+        "vertices": list(program.vertices),
+        "edges": [{"parent": p, "child": c, "label": label.text} for p, c, label in program.edges],
+    }
+    return json.dumps(data, indent=2) + "\n"
+
+
+def _witnesses() -> list[HornProgram]:
+    rng = random.Random(5)
+    found = [prove_bounded(_random_sequent(rng), 4) for _ in range(150)]
+    for text, ks in ((TRANSFER, range(4)), (ladder_text(3, seed=2), range(2, 5))):
+        enc = MachineEncoding.build(parse_machine(text))
+        found += [prove_bounded(enc.sequent((k, 0)), 3 * k + 6) for k in ks]
+    return [w for w in found if w is not None]
+
+
+def _bridge_programs() -> list[HornProgram]:
+    rng = random.Random(11)
+    found = []
+    for _ in range(40):
+        machine = random_machine(rng)
+        run = search_halting(machine, machine.initial_configuration((rng.randint(0, 3), rng.randint(0, 3))), 12, 6)
+        if run is not None:
+            found.append(computation_to_program(MachineEncoding.build(machine), run).program)
+    return found
+
+
+def test_program_json_is_one_json_dumps_byte_for_byte():
+    groups = {
+        "witnesses": _witnesses(),
+        "bridge": _bridge_programs(),
+        "compiled": [hll.compile_hll_to_program(proof) for proof in hll_corpus()],
+        "one vertex": [HornProgram.build(0, ()), HornProgram.build(7, ())],
+    }
+    for name, group in groups.items():
+        assert len(group) >= 2, name
+        assert any(len(p.children[v]) == 2 for p in group for v in p.vertices) or name == "one vertex", name
+        for program in group:
+            text = program_to_json(program)
+            assert text == _dumped(program), name
+            assert program_from_json(text) == program
 
 
 def test_reader_names_the_field_of_an_overlong_integer(p0):

@@ -115,6 +115,32 @@ def self_calls(tree):
     return [found[line] for line in sorted(found)]
 
 
+def stated(node) -> str | None:
+    """The name a ``Name``, an attribute's last part or a definition states."""
+    return getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+
+
+def member_equality(tree):
+    """In the classes descending from ``Printed`` (by base name, within the
+    source): a ``@dataclass`` without ``eq=False``, by line and class, and a
+    definition of ``__eq__`` or ``__hash__``, by line and ``class.name``."""
+    family, found = {"Printed"}, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or (node.name != "Printed" and not {*map(stated, node.bases)} & family):
+            continue
+        family.add(node.name)
+        found += [
+            (deco.lineno, node.name) for deco in node.decorator_list
+            if stated(getattr(deco, "func", deco)) == "dataclass"
+            and not any(k.arg == "eq" and getattr(k.value, "value", None) is False for k in getattr(deco, "keywords", ()))
+        ]
+        for item in node.body:
+            for target in [item] if isinstance(item, FUNCTIONS) else getattr(item, "targets", []):
+                if stated(target) in ("__eq__", "__hash__"):
+                    found.append((item.lineno, f"{node.name}.{stated(target)}"))
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
 # A rule: its finder, its owners, why, and a seeded source with its findings.
 Rule = namedtuple("Rule", "find owners reason seed expected")
 RULES = {
@@ -281,6 +307,38 @@ def build(root, edges):
 def fine(program, v, l_i, l_j, k_m, f):
     return program.charges[v], OplusImplication(l_i, l_j, k_m), PlainImplication(f.antecedent, f.left)
 ''', ["4:used_formula", "7:build"]),
+    "member_equality": Rule(
+        member_equality,
+        ("syntax.py:Printed.__eq__", "syntax.py:Printed.__hash__", "syntax.py:Frame.__eq__", "syntax.py:Frame.__hash__"),
+        "A member is equal to another exactly when both are of one kind and print alike, as Printed states "
+        "once; a frame, possibly empty, compares its entries.  A dataclass member without eq=False, or an "
+        "__eq__ or __hash__ of its own, compares fields instead and can drift from its printed text.", '''
+class Printed:
+    def __eq__(self, other):
+        return type(self) is type(other) and self.text == other.text
+
+@dataclass(frozen=True)
+class Implication(Printed):
+    antecedent: SimpleProduct
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Bang(syntax.Printed):
+    __hash__ = object.__hash__
+
+@dataclass
+class Tagged(Bang):
+    def __eq__(self, other):
+        return self.tag == other.tag
+
+@dataclass(frozen=True, eq=True)
+class Sequent:
+    def __hash__(self):
+        return 0
+
+@dataclass(frozen=True, eq=False)
+class Fine(Implication):
+    text: str
+''', ["3:Printed.__eq__", "6:Implication", "12:Bang.__hash__", "14:Tagged", "16:Tagged.__eq__"]),
 }
 
 

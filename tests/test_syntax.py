@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 from hornlog.syntax import (
     FormatError,
     Frame,
+    Printed,
     HornSequent,
     OplusImplication,
     PlainImplication,
@@ -176,6 +179,15 @@ def test_flat_member_parse_errors(bad):
 LONG_TAG = "(a + b)#" + "1" * 5000  # more digits than int() converts
 
 
+# Arabic-Indic digits match \d and int() reads them; a tag is ASCII digits only,
+# so that a parsed tag prints back as the text it was read from.
+@pytest.mark.parametrize("text", ["(a + b)#\u0663", "(a + b)#1\u0661"])
+def test_a_choice_tag_is_ascii_digits(text):
+    with pytest.raises(FormatError) as raised:
+        parse_member(text)
+    assert str(raised.value) == f"unexpected character {text[-1]!r} (at offset {len(text) - 1})"
+
+
 def test_an_overlong_choice_tag_is_a_format_error():
     with pytest.raises(FormatError) as raised:
         parse_member(LONG_TAG)
@@ -233,7 +245,62 @@ def test_constructions_validate_once_and_merges_not_at_all(monkeypatch):
     x.tensor(x)
     match_antecedent(x, x)
     tensor_all([x, x])
+    parse_sequent("a*b*a ; a -o (b + a*c) ; (a*b) -o b |- b")  # the tokenizer checks names
     assert checked == []
+
+
+def _fieldwise(a, b) -> bool:
+    """Equality as the members' dataclasses once stated it: one class, and
+    equal fields in order, a frame's being its entries."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Frame):
+        return a.entries == b.entries
+    return all(
+        _fieldwise(x, y) if isinstance(x, Printed) else x == y
+        for x, y in zip(*([getattr(m, f.name) for f in dataclasses.fields(m)] for m in (a, b)))
+    )
+
+
+def _rebuilt(member):
+    if isinstance(member, Frame):
+        return type(member)(member.entries)
+    return type(member)(*(getattr(member, f.name) for f in dataclasses.fields(member)))
+
+
+@given(members, members, st.sampled_from(["drawn", "rebuilt", "parsed", "swapped"]))
+def test_members_are_equal_exactly_when_their_fields_are(a, drawn, how):
+    b = {
+        "drawn": drawn,
+        "rebuilt": _rebuilt(a),
+        "parsed": parse_member(a.text),
+        "swapped": _rebuilt(a) if not hasattr(a, "right") else dataclasses.replace(a, left=a.right, right=a.left),
+    }[how]
+    assert (a == b) == (b == a) == _fieldwise(a, b)
+    assert (a != b) == (not _fieldwise(a, b))
+    if type(a) is not type(b):
+        assert a != b
+    if _fieldwise(a, b):
+        assert hash(a) == hash(b) and {a: 1}.get(b) == 1 and b in {a}
+
+
+def test_a_frame_and_a_product_compare_entries():
+    assert Frame.of("b", "a") == SimpleProduct.of("a", "b") and SimpleProduct.of("a", "b") == Frame.of("a", "b")
+    assert hash(Frame.of("b", "a")) == hash(SimpleProduct.of("a", "b"))
+    assert Frame() != SimpleProduct.of("a") and Frame.of("a", "a") != SimpleProduct.of("a")
+    assert SimpleProduct.of("a") != PlainImplication(SimpleProduct.of("a"), SimpleProduct.of("a"))
+    assert PlainImplication(SimpleProduct.of("a"), SimpleProduct.of("a")) != SimpleProduct.of("a")
+
+
+literal_names = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
+
+
+@given(st.lists(st.one_of(names, literal_names), min_size=1, max_size=8))
+def test_a_parsed_product_is_the_canonical_product(ns):
+    parsed = parse_product("*".join(ns))
+    assert type(parsed) is SimpleProduct and parsed == SimpleProduct.of(*ns)
+    assert parsed.entries == tuple(sorted(Counter(ns).items())) == SimpleProduct.of(*ns).entries
+    assert parse_product(" * ".join(reversed(ns))).entries == parsed.entries
 
 
 def test_sequent_text_empty_zones():
