@@ -338,6 +338,12 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
         + [candidate(f, False) for f in banged],
         key=lambda item: (len(item[2]), item[0].text, not item[1]),
     )
+    # A product matches an antecedent only if it holds the antecedent's first
+    # literal, so each candidate is filed once under that literal and a state
+    # tries those filed under its own literals, in their order above.
+    filed: dict[str, list[int]] = {}
+    for i, (f, _, _) in enumerate(ordered):
+        filed.setdefault(f.antecedent.entries[0][0], []).append(i)
     deltas = [delta for _, _, edges in ordered for _, delta in edges]
     # At 0, not below: a state already at the goal's size may be a leaf even
     # when every edge grows (or every edge shrinks).
@@ -378,7 +384,8 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
         if not linear and product == goal:
             return win(state, 0, ())
         if budget >= 1:
-            for f, is_linear, edges in ordered:
+            tried = sorted(i for name, _ in product.entries for i in filed.get(name, ()))
+            for f, is_linear, edges in map(ordered.__getitem__, tried):
                 if is_linear and f not in linear:
                     continue
                 residual = match_antecedent(product, f.antecedent)
@@ -420,7 +427,8 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
     builder.unfold(0, start, lambda state: memo[state][2])
     witness = builder.build()
     report = verify_strong_solution(witness, sequent)
-    assert report.ok, f"prover returned a bad witness: {report}"
+    if not report.ok:  # a fault of the prover, never of its input
+        raise AssertionError(f"prover returned a bad witness: {report}")
     return witness
 
 

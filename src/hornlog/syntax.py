@@ -339,8 +339,8 @@ def sequent_text(s: HornSequent) -> str:
 # --- Parsing ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<num>[0-9]+)"
-    r"|(?P<op>-o|\|-|[*(),;+!#]))"
+    r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<num>[0-9]+)"
+    r"|(?P<op>-o|\|-|[*(),;+!#])|(?P<error>\S)"
 )
 
 
@@ -350,19 +350,17 @@ class Token(NamedTuple):
     position: int
 
 
+_token, _kind = Token._make, attrgetter("kind")
+
+
 def tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise FormatError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-            break
-        kind = m.lastgroup
-        tokens.append(Token(kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(Token("end", "", len(text)))
+    """The tokens of ``text`` and an end token, in one scan: the scan skips
+    whitespace, and any other character that starts no token is an error."""
+    tokens = [_token((m.lastgroup, m.group(), m.start())) for m in _TOKEN_RE.finditer(text)]
+    if "error" in map(_kind, tokens):
+        bad = next(tok for tok in tokens if tok.kind == "error")
+        raise FormatError(f"unexpected character {bad.text!r}", bad.position)
+    tokens.append(_token(("end", "", len(text))))
     return tokens
 
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from corpora import chain
-from hornlog import cli
+from hornlog import cli, programs
 from hornlog.minsky import parse_computation, parse_machine, validate_computation
 from hornlog.programs import program_from_json, program_height, program_to_json
 from hornlog.syntax import parse_formula, parse_sequent
@@ -496,3 +496,31 @@ def test_unexpected_error_exits_3(tmp_path, capsys, monkeypatch):
     assert cli.main(["prove", str(seq_file)]) == 3
     err = capsys.readouterr().err
     assert err == "error: internal RecursionError: maximum recursion depth exceeded\n"
+
+
+def failing_check(program, sequent):
+    return programs.StrongSolutionReport(False, (programs.Violation(programs.LEAF_MISMATCH, vertex=0),))
+
+
+# The same sabotage in a child process, so that it can run under ``python -O``.
+FAILING_CHECK_CLI = """
+import sys
+from hornlog import cli, programs
+programs.verify_strong_solution = lambda program, sequent: programs.StrongSolutionReport(
+    False, (programs.Violation(programs.LEAF_MISMATCH, vertex=0),))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_witness_failing_the_self_check_exits_3_even_under_python_O(tmp_path, capsys, monkeypatch):
+    seq_file = tmp_path / "q.seq"
+    seq_file.write_text("q ; ; |- q")
+    err = "error: internal AssertionError: prover returned a bad witness: LEAF_MISMATCH vertex=0\n"
+    monkeypatch.setattr(programs, "verify_strong_solution", failing_check)
+    assert cli.main(["prove", str(seq_file)]) == 3
+    assert capsys.readouterr() == ("", err)
+    for flags in ([], ["-O"]):
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", FAILING_CHECK_CLI, "prove", str(seq_file)], capture_output=True, text=True
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (3, "", err), flags

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpora import chain, hll_corpus, ladder_text, random_machine
 from hornlog import hll, programs
-from hornlog.bridge import computation_to_program
+from hornlog.bridge import AGREE_NO_WITNESS_WITHIN_BOUNDS, computation_to_program, round_trip_check
 from hornlog.encoding import MachineEncoding
 from hornlog.minsky import Computation, Configuration, parse_machine, search_halting
 from hornlog.programs import (
@@ -280,22 +280,55 @@ def test_prove_bounded_depth_zero():
         prove_bounded(parse_sequent("q ; ; |- q"), -1)
 
 
+def counted_matches(monkeypatch) -> list:
+    """Each antecedent ``programs.match_antecedent`` is asked to match, from now on."""
+    calls, real_match = [], programs.match_antecedent
+    monkeypatch.setattr(programs, "match_antecedent", lambda x, a: calls.append(a) or real_match(x, a))
+    return calls
+
+
 def test_prove_bounded_drops_states_that_cannot_reach_the_goal(monkeypatch):
     # x3 = 1 is touched by nothing, so the 5-rung ladder from (5, 0, 1) has
     # no witness at any depth.  At depth 10 (the 7-move run without x3, plus
-    # 3) a depth cap alone makes 6,016 matcher calls; dropping the states
-    # whose size or linear zone cannot reach the goal in time leaves 1,666.
+    # 3), trying every formula in every state, a depth cap alone makes 6,016
+    # matcher calls; dropping the states whose size or linear zone cannot
+    # reach the goal in time leaves 1,666.
     enc = MachineEncoding.build(parse_machine(ladder_text(5, seed=1, counters=3)))
-    calls = []
-    real_match = programs.match_antecedent
-
-    def counting_match(x, antecedent):
-        calls.append(antecedent)
-        return real_match(x, antecedent)
-
-    monkeypatch.setattr(programs, "match_antecedent", counting_match)
+    calls = counted_matches(monkeypatch)
     assert prove_bounded(enc.sequent((5, 0, 1)), 10) is None
     assert len(calls) <= 2_000
+
+
+def test_prove_bounded_raises_when_its_witness_fails_the_check(monkeypatch):
+    # Not a ValueError, which the CLI reports as malformed input, and not an
+    # assert statement, which python -O strips.
+    bad = programs.StrongSolutionReport(False, (programs.Violation(LEAF_MISMATCH, vertex=0),))
+    monkeypatch.setattr(programs, "verify_strong_solution", lambda program, sequent: bad)
+    with pytest.raises(AssertionError, match="^prover returned a bad witness: LEAF_MISMATCH vertex=0$"):
+        prove_bounded(parse_sequent("q ; ; |- q"), 0)
+
+
+def test_a_state_tries_only_the_formulas_filed_under_its_literals(monkeypatch):
+    # Every antecedent of an encoded sequent holds one label or killer
+    # literal, so a state tries the few formulas filed under its own: one
+    # round trip on the 5-rung ladder from (5, 0, 1), at the bench's bounds
+    # (the 7-move run without x3, plus slack), makes 145 matcher calls where
+    # trying every formula in every state makes 1,666.
+    enc = MachineEncoding.build(parse_machine(ladder_text(5, seed=1, counters=3)))
+    calls = counted_matches(monkeypatch)
+    assert round_trip_check(enc, (5, 0, 1), 9, 10, 10).code == AGREE_NO_WITNESS_WITHIN_BOUNDS
+    assert len(calls) <= 200
+
+
+def test_proving_long_runs_tries_only_the_formulas_filed_under_a_state(monkeypatch):
+    # DEC from 70 and the transfer from 22 at their runs' heights: 170
+    # matcher calls for both, 578 when every state tries every formula.
+    dec = MachineEncoding.build(parse_machine("counters 2\nL1: dec x1 goto L1\nL1: ifzero x1 goto L0\n"))
+    transfer = MachineEncoding.build(parse_machine(TRANSFER))
+    calls = counted_matches(monkeypatch)
+    assert prove_bounded(dec.sequent((70, 0)), 72) is not None
+    assert prove_bounded(transfer.sequent((22, 0)), 69) is not None
+    assert len(calls) <= 200
 
 
 def _random_sequent(rng: random.Random) -> HornSequent:

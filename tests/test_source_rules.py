@@ -115,6 +115,17 @@ def self_calls(tree):
     return [found[line] for line in sorted(found)]
 
 
+def debug_checks(tree):
+    """``assert`` statements and reads of ``__debug__``, by line and the
+    functions they sit in (dotted, outermost first)."""
+    found = [
+        (node, within) for node, within in located(tree)
+        if isinstance(node, ast.Assert) or getattr(node, "id", None) == "__debug__"
+    ]
+    return [f"{node.lineno}:{'.'.join(fn.name for fn in within) or '-'}"
+            for node, within in sorted(found, key=lambda item: (item[0].lineno, item[0].col_offset))]
+
+
 def stated(node) -> str | None:
     """The name a ``Name``, an attribute's last part or a definition states."""
     return getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
@@ -262,6 +273,26 @@ class Error(ValueError):
 def build(edges):
     return Program.build(edges)
 ''', ["2:size", "6:visit", "12:walk"]),
+    "no_debug_checks": Rule(
+        debug_checks, (),
+        "python -O strips assert statements and sets __debug__ to False, so a check written with "
+        "either vanishes there and a wrong result goes out as a right one; raise AssertionError(...) "
+        "or another error explicitly.", '''
+def check(report):
+    assert report.ok, report
+    if not report.ok:
+        raise AssertionError(report)
+
+class Prover:
+    def prove(self):
+        def inner():
+            assert False
+        return inner, isinstance(self, AssertionError)
+
+assert __debug__
+if __debug__ and check(None):
+    pass
+''', ["3:check", "10:prove.inner", "13:-", "13:-", "14:-"]),
     "no_unused_imports": Rule(
         unused_imports, ("__init__.py",),
         "A deleted helper leaves its imports behind; __init__.py re-exports by design and "

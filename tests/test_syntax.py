@@ -188,6 +188,16 @@ def test_a_choice_tag_is_ascii_digits(text):
     assert str(raised.value) == f"unexpected character {text[-1]!r} (at offset {len(text) - 1})"
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("a  @", 3), ("a ; ; |- b  $", 12), ("a ;\t;\n|- b é", 11), ("  _a ; ; |- a", 2), ("a - o", 2),
+])
+def test_an_unexpected_character_is_reported_where_it_stands(text, offset):
+    # Not at the whitespace before it.
+    with pytest.raises(FormatError) as raised:
+        parse_sequent(text)
+    assert str(raised.value) == f"unexpected character {text[offset]!r} (at offset {offset})"
+
+
 def test_an_overlong_choice_tag_is_a_format_error():
     with pytest.raises(FormatError) as raised:
         parse_member(LONG_TAG)
