@@ -2,18 +2,21 @@
 
 Exit status: 0 on success/accept, 1 on reject or no witness within bounds,
 2 on malformed input, 3 on an internal error (never a verdict, e.g. hitting
-the recursion limit).  Results go to stdout, diagnostics to stderr.
+the recursion limit).  Results go to stdout, diagnostics to stderr.  Before a
+command writes a run or a program, ``GATES`` re-checks it with the checker of
+its kind; an artefact that fails is a fault of hornlog, exit 3, not written.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import bridge, hll, ll, minsky, programs
-from .encoding import MachineEncoding
+from .encoding import MachineEncoding, encode_config
 from .minsky import parse_computation, parse_machine
-from .syntax import FormatError, parse_sequent, sequent_text
+from .syntax import FormatError, HornSequent, parse_sequent, sequent_text
 
 OK, REJECT, MALFORMED, INTERNAL = 0, 1, 2, 3
 
@@ -29,6 +32,38 @@ def _write_out(text: str, path: str | None):
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+def _run_failure(machine: minsky.MinskyMachine, run: minsky.Computation) -> str | None:
+    """Why a run is not a halting computation of the machine, or None."""
+    result = minsky.validate_computation(machine, run)
+    if not result.ok:
+        return f"at index {result.index}: {result.reason}"
+    if run.configs[-1] != machine.halting_configuration():
+        return f"at index {len(run.moves)}: {run.configs[-1]} is not the halting configuration"
+    return None
+
+
+def _program_failure(sequent: HornSequent, program: programs.HornProgram) -> str | None:
+    """Why a program is not a strong solution of the sequent, or None."""
+    report = programs.verify_strong_solution(program, sequent)
+    return None if report.ok else str(report)
+
+
+# Per artefact kind, its checker: (what the artefact must answer to: the
+# machine of a run, the sequent of a program; the artefact) to the reason the
+# artefact fails, or None.
+GATES = {"run": _run_failure, "program": _program_failure}
+
+
+def _write_checked(kind: str, subject, artefact, text: str, path: str | None) -> int:
+    """Write an artefact's text once the gate of its kind passes it."""
+    failure = GATES[kind](subject, artefact)
+    if failure is not None:
+        print(f"error: internal: {kind} fails its check: {failure}", file=sys.stderr)
+        return INTERNAL
+    _write_out(text, path)
+    return OK
 
 
 def _parse_inputs(text: str) -> tuple[int, ...]:
@@ -77,8 +112,7 @@ def cmd_machine_search(args) -> int:
     if computation is None:
         print("absent")
         return REJECT
-    _write_out(minsky.computation_text(computation), args.output)
-    return OK
+    return _write_checked("run", machine, computation, minsky.computation_text(computation), args.output)
 
 
 # --- encode / prove ----------------------------------------------------------
@@ -153,10 +187,20 @@ def cmd_bridge_comp_to_prog(args) -> int:
     machine = _load_machine(args.machine)
     enc = MachineEncoding.build(machine)
     computation = parse_computation(_read(args.computation))
+    if any(len(config.counters) != machine.n for config in computation.configs):
+        raise minsky.MachineFormatError(f"a run of this machine has {machine.n} counters in every configuration")
+    failure = _run_failure(machine, computation)
+    if failure is not None:
+        print(f"reject {failure}")
+        return REJECT
     trace = bridge.computation_to_program(enc, computation)
-    _write_out(programs.program_to_json(trace.program), args.output)
-    _maybe_dot(trace.program, args.dot)
-    return OK
+    # The sequent the run's first configuration encodes.
+    start = computation.configs[0]
+    sequent = dataclasses.replace(enc.sequent(start.counters), input=encode_config(machine.n, start))
+    status = _write_checked("program", sequent, trace.program, programs.program_to_json(trace.program), args.output)
+    if status == OK:
+        _maybe_dot(trace.program, args.dot)
+    return status
 
 
 def cmd_bridge_prog_to_comp(args) -> int:

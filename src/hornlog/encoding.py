@@ -10,7 +10,11 @@ the product ``l_i * r_1^c1 * ... * r_n^cn``.
 This module is the one owner of those shapes.  The naming lives in three
 module functions, ``label_literal``, ``counter_literal`` and
 ``killer_literal``; ``MachineEncoding`` holds the instruction formulas, the
-killer families and the goal ``l0``, and both bridges read them from it.  The
+killer families and the goal ``l0``, and both bridges read them from it.
+``build`` makes each literal's one-literal product once per encoding, in a
+dict of its own, and ``MachineEncoding.literal`` hands it out: every
+instruction formula, killer formula, the goal and the sequent's start share
+it, so a literal is checked, printed and sized once.  The
 edges a move draws are read off its formula in ``phi`` once per instruction,
 into ``edges``, for every instruction alike: one edge for a plain
 implication, a zero test's two fork edges with the goto edge first;
@@ -23,8 +27,9 @@ exactly the literals ``label_literal`` and ``counter_literal`` name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from .minsky import (
     DEC,
@@ -43,6 +48,7 @@ from .syntax import (
     OplusImplication,
     PlainImplication,
     SimpleProduct,
+    tensor_all,
 )
 
 
@@ -60,31 +66,37 @@ def killer_literal(m: int) -> str:
 
 def encode_instruction(instruction: Instruction) -> HornFormula:
     """The implication axiomatizing one non-halt instruction."""
+    return _instruction_formula(instruction, SimpleProduct.of)
+
+
+def _instruction_formula(instruction: Instruction, literal: Callable[[str], SimpleProduct]) -> HornFormula:
     if instruction.kind == HALT:
         raise ValueError("the halt instruction is not encoded")
-    l_i = SimpleProduct.of(label_literal(instruction.label))
-    l_j = SimpleProduct.of(label_literal(instruction.target))
-    r_m = counter_literal(instruction.counter)
+    l_i = literal(label_literal(instruction.label))
+    l_j = literal(label_literal(instruction.target))
+    r_m = literal(counter_literal(instruction.counter))
     if instruction.kind == INC:
-        return PlainImplication(l_i, l_j.tensor(SimpleProduct.of(r_m)))
+        return PlainImplication(l_i, l_j.tensor(r_m))
     if instruction.kind == DEC:
-        return PlainImplication(l_i.tensor(SimpleProduct.of(r_m)), l_j)
+        return PlainImplication(l_i.tensor(r_m), l_j)
     if instruction.kind == TESTPOS:
-        return PlainImplication(
-            l_i.tensor(SimpleProduct.of(r_m)), l_j.tensor(SimpleProduct.of(r_m))
-        )
+        return PlainImplication(l_i.tensor(r_m), l_j.tensor(r_m))
     if instruction.kind == TESTZERO:
-        return OplusImplication(l_i, l_j, SimpleProduct.of(killer_literal(instruction.counter)))
+        return OplusImplication(l_i, l_j, literal(killer_literal(instruction.counter)))
     raise AssertionError(instruction.kind)
 
 
 def encode_config(n: int, config: Configuration) -> SimpleProduct:
+    return _config_product(n, config, SimpleProduct.of)
+
+
+def _config_product(n: int, config: Configuration, literal: Callable[[str], SimpleProduct]) -> SimpleProduct:
     if len(config.counters) != n:
         raise ValueError(f"expected {n} counters, got {len(config.counters)}")
-    names = [label_literal(config.label)]
+    products = [literal(label_literal(config.label))]
     for m, count in enumerate(config.counters, start=1):
-        names.extend([counter_literal(m)] * count)
-    return SimpleProduct.of(*names)
+        products += [literal(counter_literal(m))] * count
+    return tensor_all(products)
 
 
 def decode_product(n: int, product: SimpleProduct) -> Configuration | None:
@@ -124,18 +136,28 @@ class MachineEncoding:
 
     machine: MinskyMachine
     phi: tuple[HornFormula | None, ...]
+    # A literal's one-literal product; ``build`` makes each once per encoding.
+    literal: Callable[[str], SimpleProduct] = field(default=SimpleProduct.of, compare=False, repr=False)
 
     @staticmethod
     def build(machine: MinskyMachine) -> "MachineEncoding":
+        products: dict[str, SimpleProduct] = {}
+
+        def literal(name: str) -> SimpleProduct:
+            product = products.get(name)
+            if product is None:
+                product = products[name] = SimpleProduct.of(name)
+            return product
+
         phi = tuple(
-            None if inst.kind == HALT else encode_instruction(inst)
+            None if inst.kind == HALT else _instruction_formula(inst, literal)
             for inst in machine.instructions
         )
-        return MachineEncoding(machine, phi)
+        return MachineEncoding(machine, phi, literal)
 
     @cached_property
     def goal(self) -> SimpleProduct:
-        return SimpleProduct.of(label_literal(HALT_LABEL))
+        return self.literal(label_literal(HALT_LABEL))
 
     @cached_property
     def killers(self) -> tuple[tuple[PlainImplication, ...], ...]:
@@ -144,9 +166,9 @@ class MachineEncoding:
         in ascending order."""
         n, families = self.machine.n, []
         for m in range(1, n + 1):
-            k_m = SimpleProduct.of(killer_literal(m))
+            k_m = self.literal(killer_literal(m))
             families.append((PlainImplication(k_m, self.goal),) + tuple(
-                PlainImplication(k_m.tensor(SimpleProduct.of(counter_literal(i))), k_m)
+                PlainImplication(k_m.tensor(self.literal(counter_literal(i))), k_m)
                 for i in range(1, n + 1)
                 if i != m
             ))
@@ -196,6 +218,6 @@ class MachineEncoding:
 
     def sequent(self, inputs: tuple[int, ...]) -> HornSequent:
         """The target sequent: encoded start at L1, everything reusable, goal l0."""
-        start = encode_config(self.machine.n, Configuration(1, tuple(inputs)))
+        start = _config_product(self.machine.n, Configuration(1, tuple(inputs)), self.literal)
         banged = self.program_formulas() + self.killer_zone()
         return HornSequent(start, (), banged, self.goal)

@@ -2,7 +2,9 @@
 
 A machine is an ordered instruction list; duplicate labels are allowed and are
 the source of nondeterminism.  Counters hold non-negative integers.  The
-halting configuration is label L0 with every counter at zero.
+halting configuration is label L0 with every counter at zero.  A
+``Configuration`` made outside validates its counters; one ``_step`` makes is
+trusted, since a move that would take a counter below zero is not enabled.
 
 Machine text format (line oriented, ``#`` starts a comment)::
 
@@ -73,6 +75,14 @@ class Configuration:
     def __post_init__(self):
         if min(self.counters, default=0) < 0:
             raise ValueError(f"negative counter in {self!r}")
+
+    @classmethod
+    def _trusted(cls, label: int, counters: tuple[int, ...]) -> "Configuration":
+        """Wrap a stepped configuration, whose counters cannot be negative."""
+        config = object.__new__(cls)
+        object.__setattr__(config, "label", label)
+        object.__setattr__(config, "counters", counters)
+        return config
 
     def __str__(self) -> str:
         return f"L{self.label} : {','.join(str(c) for c in self.counters)}"
@@ -150,23 +160,26 @@ class ValidationResult:
 
 
 def _step(instruction: Instruction, config: Configuration) -> Configuration | None:
-    """The configuration after the move, or None when the move is not enabled."""
+    """The configuration after the move, or None when the move is not enabled.
+
+    ``inc`` adds, ``dec`` runs only above 0 and the tests keep the counters,
+    so a stepped configuration has no negative counter and is not re-checked."""
     if instruction.kind == HALT or instruction.label != config.label:
         return None
     m = instruction.counter - 1
     value = config.counters[m]
     if instruction.kind == INC:
         counters = config.counters[:m] + (value + 1,) + config.counters[m + 1:]
-        return Configuration(instruction.target, counters)
+        return Configuration._trusted(instruction.target, counters)
     if instruction.kind == DEC:
         if value == 0:
             return None
         counters = config.counters[:m] + (value - 1,) + config.counters[m + 1:]
-        return Configuration(instruction.target, counters)
+        return Configuration._trusted(instruction.target, counters)
     if instruction.kind == TESTPOS:
-        return Configuration(instruction.target, config.counters) if value > 0 else None
+        return Configuration._trusted(instruction.target, config.counters) if value > 0 else None
     if instruction.kind == TESTZERO:
-        return Configuration(instruction.target, config.counters) if value == 0 else None
+        return Configuration._trusted(instruction.target, config.counters) if value == 0 else None
     raise AssertionError(instruction.kind)
 
 

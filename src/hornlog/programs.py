@@ -14,7 +14,10 @@ occurrence used exactly once on every root-to-leaf path.
 Every program the library constructs is appended to one ``ProgramBuilder``
 and validated once, by its ``build``, which keeps the child map it checks the
 tree with: ``children`` maps every vertex to its (child, label) pairs, a leaf
-to ``()``, and every traversal reads it.  ``build`` also records what each
+to ``()``, and every traversal reads it.  ``vertices`` is the breadth-first
+order ``build`` checks the tree in, parents before children, so ``evaluate``
+and ``program_height`` walk it in build order with no traversal of their own.
+``build`` also records what each
 vertex's out-edges charge as one formula, the reading of a Horn program in
 which a vertex's out-edges are one use of one formula: ``charges`` maps a
 unary vertex to its lone label, a divergent vertex to the joint choice of its
@@ -147,11 +150,14 @@ class ProgramBuilder:
 
 
 def evaluate(program: HornProgram, w: SimpleProduct) -> dict[int, SimpleProduct | None]:
-    """Per-vertex strong-computation values from ``w`` at the root; None marks undefined."""
+    """Per-vertex strong-computation values from ``w`` at the root; None marks undefined.
+
+    ``vertices`` lists parents before children, so one pass over it suffices."""
     out: dict[int, SimpleProduct | None] = {program.root: w}
-    for v in program.preorder():
+    children = program.children
+    for v in program.vertices:
         value = out[v]
-        for child, label in program.children[v]:
+        for child, label in children[v]:
             out[child] = None if value is None else apply_implication(value, label)
     return out
 
@@ -280,7 +286,7 @@ def strong_fork(
 def program_height(program: HornProgram) -> int:
     depth = {program.root: 0}
     best = 0
-    for v in program.preorder():
+    for v in program.vertices:
         for child, _ in program.children[v]:
             depth[child] = depth[v] + 1
             best = max(best, depth[child])
@@ -482,7 +488,7 @@ def program_from_json(text: str) -> HornProgram:
     program = HornProgram.build(_json_id(data.get("root"), "root"), edges)
     declared = sorted(_json_id(v, f"vertex {i}") for i, v in enumerate(vertices))
     if declared and declared != sorted(program.vertices):
-        raise ValueError("vertex list does not match the edge list")
+        raise FormatError("vertex list does not match the edge list")
     return program
 
 

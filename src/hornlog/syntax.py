@@ -7,7 +7,9 @@ be empty (the residual of an antecedent match); a :class:`SimpleProduct` is
 the frame that must be non-empty.  Constructions from outside validate once;
 ``tensor``, ``match_antecedent`` and ``tensor_all`` merge entries that are
 already canonical and skip validation, as ``HornSequent.of_canonical`` does
-for zones already in canonical order.
+for zones already in canonical order.  ``apply_implication`` rewrites in one
+pass: one count dict less the antecedent (the subtraction ``match_antecedent``
+shares), plus the consequent, sorted once, with no residual frame between.
 
 Implications come in two shapes, ``X -o Y`` and ``X -o (Y1 + Y2)``.  Every
 Horn formula names the program edges one use of it draws as its ``branches``:
@@ -286,28 +288,41 @@ def multiset_minus(items: tuple, *members) -> tuple | None:
     return items
 
 
+def _minus(x: SimpleProduct, antecedent: SimpleProduct) -> dict[str, int] | None:
+    """x's counts, in x's order, less the antecedent's; None if one runs short.
+    A name x lacks runs short at once, so only x's names are ever keys."""
+    counts = dict(x.entries)
+    for name, need in antecedent.entries:
+        left = counts.get(name, 0) - need
+        if left < 0:
+            return None
+        counts[name] = left
+    return counts
+
+
 def match_antecedent(x: SimpleProduct, antecedent: SimpleProduct) -> Frame | None:
     """The residual V with ``x = antecedent (x) V``, or None if no match.
 
     The residual may be empty (exact match); absence is a value, not an error.
     """
-    counts = dict(x.entries)
-    for name, need in antecedent.entries:
-        counts[name] = counts.get(name, 0) - need
-        if counts[name] < 0:
-            return None
-    # Only x's names remain, still in x's sorted order.
+    counts = _minus(x, antecedent)
+    if counts is None:
+        return None
     return Frame._trusted(tuple((name, count) for name, count in counts.items() if count))
 
 
 def apply_implication(x: SimpleProduct, f: PlainImplication) -> SimpleProduct | None:
-    """Rewrite ``x = X (x) V`` to ``Y (x) V`` for f = ``X -o Y``; None if X absent."""
+    """Rewrite ``x = X (x) V`` to ``Y (x) V`` for f = ``X -o Y``; None if X absent.
+
+    One pass: x's counts less X's plus Y's, sorted once, with no residual frame."""
     if not isinstance(f, PlainImplication):
         raise TypeError(f"apply_implication needs a plain implication, got {f!r}")
-    residual = match_antecedent(x, f.antecedent)
-    if residual is None:
+    counts = _minus(x, f.antecedent)
+    if counts is None:
         return None
-    return f.consequent.tensor(residual)
+    for name, count in f.consequent.entries:
+        counts[name] = counts.get(name, 0) + count
+    return SimpleProduct._trusted(tuple(sorted((name, count) for name, count in counts.items() if count)))
 
 
 def tensor_all(products: Iterable[SimpleProduct]) -> SimpleProduct:

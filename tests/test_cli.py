@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,9 +6,9 @@ import sys
 import pytest
 
 from corpora import chain
-from hornlog import cli, programs
-from hornlog.minsky import parse_computation, parse_machine, validate_computation
-from hornlog.programs import program_from_json, program_height, program_to_json
+from hornlog import bridge, cli, minsky, programs
+from hornlog.minsky import Computation, Configuration, parse_computation, parse_machine, validate_computation
+from hornlog.programs import HornProgram, program_from_json, program_height, program_to_json
 from hornlog.syntax import parse_formula, parse_sequent
 
 DEC_TEXT = "counters 2\nL1: ifzero x1 goto L0\nL1: dec x1 goto L1\nL0: halt\n"
@@ -524,3 +525,75 @@ def test_a_witness_failing_the_self_check_exits_3_even_under_python_O(tmp_path, 
             [sys.executable, *flags, "-c", FAILING_CHECK_CLI, "prove", str(seq_file)], capture_output=True, text=True
         )
         assert (result.returncode, result.stdout, result.stderr) == (3, "", err), flags
+
+
+@pytest.mark.parametrize("run, reason", [
+    ("L1 : 2,0\nI2 -> L1 : 1,0\nI1 -> L0 : 1,0\n", "reject at index 1: I1 not enabled at L1 : 1,0"),
+    ("L1 : 2,0\nI2 -> L1 : 1,0\n", "reject at index 1: L1 : 1,0 is not the halting configuration"),
+], ids=["not-a-run", "not-halting"])
+def test_comp_to_prog_rejects_a_well_formed_run_with_exit_1(dec_file, tmp_path, capsys, run, reason):
+    """A run that parses but is no halting run of the machine is a verdict
+    (exit 1, one reject line), as ``machine run`` gives one; only text that
+    does not parse is malformed input."""
+    run_file = tmp_path / "run.txt"
+    run_file.write_text(run)
+    out = tmp_path / "prog.json"
+    assert cli.main(["bridge", "comp-to-prog", str(dec_file), str(run_file), "--output", str(out)]) == 1
+    assert capsys.readouterr() == (reason + "\n", "")
+    assert not out.exists()
+    if "not enabled" in reason:
+        assert cli.main(["machine", "run", str(dec_file), str(run_file)]) == 1
+        assert capsys.readouterr().out == reason + "\n"
+    run_file.write_text(run.replace("I2 ->", "I2 -> L"))
+    assert cli.main(["bridge", "comp-to-prog", str(dec_file), str(run_file)]) == 2
+
+
+def _one_config_changed(search):
+    def sabotaged(machine, init, max_steps, max_counter):
+        run = search(machine, init, max_steps, max_counter)
+        wrong = Configuration(run.configs[1].label, tuple(c + 1 for c in run.configs[1].counters))
+        return Computation(run.configs[:1] + (wrong,) + run.configs[2:], run.moves)
+    return sabotaged
+
+
+def _one_edge_dropped(build):
+    def sabotaged(enc, computation):
+        trace = build(enc, computation)
+        program = HornProgram.build(trace.program.root, trace.program.edges[:-1])
+        return dataclasses.replace(trace, program=program)
+    return sabotaged
+
+
+def test_a_run_failing_the_output_gate_exits_3_unwritten(dec_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(minsky, "search_halting", _one_config_changed(minsky.search_halting))
+    out = tmp_path / "run.txt"
+    assert cli.main(["machine", "search", str(dec_file), "--input", "2,0", "--output", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "", "error: internal: run fails its check: at index 0: I2 yields L1 : 1,0, computation records L1 : 2,1\n"
+    )
+    assert not out.exists()
+
+
+def test_a_program_failing_the_output_gate_exits_3_unwritten(dec_file, tmp_path, capsys, monkeypatch):
+    run_file = tmp_path / "run.txt"
+    run_file.write_text("L1 : 2,0\nI2 -> L1 : 1,0\nI2 -> L1 : 0,0\nI1 -> L0 : 0,0\n")
+    monkeypatch.setattr(bridge, "computation_to_program", _one_edge_dropped(bridge.computation_to_program))
+    out, dot = tmp_path / "prog.json", tmp_path / "prog.dot"
+    argv = ["bridge", "comp-to-prog", str(dec_file), str(run_file), "--output", str(out), "--dot", str(dot)]
+    assert cli.main(argv) == 3
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("error: internal: program fails its check: LEAF_MISMATCH vertex=")
+    assert stderr.count("\n") == 1
+    assert not out.exists() and not dot.exists()
+
+
+def test_the_output_gate_passes_runs_from_any_start_label(tmp_path, capsys):
+    """The program gate checks against the sequent of the run's own first
+    configuration, which need not be at L1."""
+    machine = tmp_path / "two.mm"
+    machine.write_text("counters 1\nL2: dec x1 goto L1\nL1: ifzero x1 goto L0\n")
+    run_file = tmp_path / "run.txt"
+    assert cli.main(["machine", "search", str(machine), "--input", "1", "--start", "2", "--output", str(run_file)]) == 0
+    assert run_file.read_text() == "L2 : 1\nI1 -> L1 : 0\nI2 -> L0 : 0\n"
+    assert cli.main(["bridge", "comp-to-prog", str(machine), str(run_file)]) == 0
+    assert '"root": 0' in capsys.readouterr().out

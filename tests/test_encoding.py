@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from corpora import random_machine
+from corpora import ladder_text, random_machine
+from hornlog import syntax
 from hornlog.encoding import (
     MachineEncoding,
     decode_product,
@@ -268,3 +269,25 @@ configs = st.tuples(st.integers(0, 9), st.integers(0, 4), st.integers(0, 4)).map
 @given(configs)
 def test_decode_encode_round_trip(config):
     assert decode_product(2, encode_config(2, config)) == config
+
+
+def test_each_literal_is_built_once_per_encoding(monkeypatch):
+    """The encoding makes each literal's product once and shares it: every
+    one-literal operand naming a literal is that one object, and building the
+    encoding and its sequent checks each literal's name once."""
+    machine = parse_machine(ladder_text(6, seed=3))
+    checked = []
+    real = syntax.check_literal
+    monkeypatch.setattr(syntax, "check_literal", lambda name: checked.append(name) or real(name))
+    sequent = MachineEncoding.build(machine).sequent((7, 2))
+    literals = {name for f in sequent.banged for p in _operands(f) for name, _ in p.entries}
+    assert sorted(checked) == sorted(literals)
+    shared: dict[str, SimpleProduct] = {}
+    for p in [sequent.goal] + [p for f in sequent.banged for p in _operands(f)]:
+        if p.size == 1:
+            assert shared.setdefault(p.text, p) is p, p.text
+    assert {"l0", "l1", "k1", "k2"} <= set(shared)
+
+
+def _operands(f):
+    return (f.antecedent, f.consequent) if isinstance(f, PlainImplication) else (f.antecedent, f.left, f.right)

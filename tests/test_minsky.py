@@ -393,3 +393,24 @@ def test_search_expands_only_configurations_that_can_still_halt(monkeypatch):
     run = search_halting(machine, init, steps, 200)
     assert len(expanded) <= 3 * steps
     assert run == naive_search(machine, init, steps, 200) == reference
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80)
+def test_stepped_configurations_equal_their_validated_construction(seed):
+    """``_step`` trusts the configurations it makes; each must equal the
+    validating ``Configuration(label, counters)`` and hold no negative counter."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    machine = random_machine(rng, n, 6)
+    frontier = [machine.initial_configuration(tuple(rng.randint(0, 2) for _ in range(n)))]
+    for _ in range(12):
+        if not frontier:
+            break
+        for _, nxt in successors(machine, frontier.pop(rng.randrange(len(frontier)))):
+            assert nxt == Configuration(nxt.label, nxt.counters)
+            assert hash(nxt) == hash(Configuration(nxt.label, nxt.counters))
+            assert type(nxt) is Configuration and min(nxt.counters) >= 0
+            frontier.append(nxt)
+    with pytest.raises(ValueError, match="negative counter"):  # one made outside still validates
+        Configuration(1, (-1,))

@@ -32,6 +32,7 @@ from hornlog.syntax import (
     PlainImplication,
     SimpleProduct,
     apply_implication,
+    match_antecedent,
     parse_formula,
     parse_product,
     parse_sequent,
@@ -574,3 +575,39 @@ def test_evaluate_deterministic(seed):
     rng = random.Random(seed)
     program, x = random_program(rng)
     assert evaluate(program, x) == evaluate(program, x)
+
+
+def preorder_evaluation(program: HornProgram, w: SimpleProduct) -> dict:
+    """``evaluate`` as its definition reads: preorder, each edge's value the
+    consequent tensored onto the residual of its antecedent's match."""
+    out = {program.root: w}
+    for v in program.preorder():
+        for child, label in program.children[v]:
+            residual = None if out[v] is None else match_antecedent(out[v], label.antecedent)
+            out[child] = None if residual is None else label.consequent.tensor(residual)
+    return out
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80)
+def test_evaluate_in_build_order_equals_the_preorder_evaluation(seed):
+    rng = random.Random(seed)
+    program, x = random_program(rng, max_vertices=rng.randint(1, 14))
+    if rng.random() < 0.5:
+        program = scramble_an_edge(rng, program)  # usually an undefined subtree
+    if rng.random() < 0.3:
+        x = SimpleProduct.of(*rng.choices(LITS, k=rng.randint(1, 3)))
+    values = evaluate(program, x)
+    assert values == preorder_evaluation(program, x)
+    assert set(values) == set(program.vertices)
+    depth = {program.root: 0}
+    for v in program.preorder():
+        depth.update((child, depth[v] + 1) for child, _ in program.children[v])
+    assert program_height(program) == max(depth.values())
+
+
+def test_a_vertex_list_that_does_not_match_the_edges_is_a_format_error(p0):
+    data = json.loads(program_to_json(p0))
+    data["vertices"].append(99)
+    with pytest.raises(FormatError, match="vertex list does not match the edge list"):
+        program_from_json(json.dumps(data))

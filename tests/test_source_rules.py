@@ -338,6 +338,26 @@ def build(root, edges):
 def fine(program, v, l_i, l_j, k_m, f):
     return program.charges[v], OplusImplication(l_i, l_j, k_m), PlainImplication(f.antecedent, f.left)
 ''', ["4:used_formula", "7:build"]),
+    "trusted_owner": Rule(
+        lambda tree: [f"{c.lineno}:{where(within)}" for c, name, within in calls(tree) if name == "_trusted"],
+        ("syntax.py", "minsky.py:_step"),
+        "A _trusted constructor skips its class's checks, so only the module that defines the class may "
+        "call it, where the values are known good: syntax.py for frames and products, minsky._step for the "
+        "configurations a move makes; a call anywhere else vouches for a value nobody checked.", '''
+def tensor(self, other):
+    return SimpleProduct._trusted(merge(self.entries, other.entries))
+
+def _step(instruction, config):
+    return Configuration._trusted(instruction.target, config.counters)
+
+def start(counters):
+    def inner():
+        return syntax.Frame._trusted(())
+    return minsky.Configuration._trusted(1, counters), inner
+
+def fine(config, frame):
+    return Configuration(1, (0,)), Frame.of("a"), trusted(frame), frame._trusted
+''', ["3:tensor", "6:_step", "10:inner", "11:start"]),
     "member_equality": Rule(
         member_equality,
         ("syntax.py:Printed.__eq__", "syntax.py:Printed.__hash__", "syntax.py:Frame.__eq__", "syntax.py:Frame.__hash__"),

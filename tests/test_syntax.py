@@ -373,3 +373,18 @@ def test_parse_error_reports_position():
     with pytest.raises(FormatError) as err:
         parse_product("a * * b")
     assert err.value.position is not None
+
+
+@given(products, plains)
+def test_apply_implication_is_the_consequent_tensored_onto_the_match(x, f):
+    """The one-pass rewrite against its definition: match, then tensor;
+    ``x (x) X`` always matches."""
+    for y in (x, x.tensor(f.antecedent)):
+        residual = match_antecedent(y, f.antecedent)
+        rewritten = apply_implication(y, f)
+        if residual is None:
+            assert rewritten is None
+        else:
+            assert type(rewritten) is SimpleProduct
+            assert rewritten.entries == f.consequent.tensor(residual).entries
+            _is_validated(rewritten)
