@@ -3,16 +3,16 @@
 A halting computation becomes a program whose main branch tracks the
 configurations move by move; every zero test forks off a side chain that
 erases the other counters one unit per edge and then closes at the goal.
-Both directions read a move's edges as ``MachineEncoding.branches`` gives
-them, main edge first.  Conversely, a strong-solution program over an
-encoded sequent is walked from the root: the formula each main vertex's
+Both directions read a move's edges from ``MachineEncoding.edges``, main
+edge first.  Conversely, a strong-solution program over an encoded sequent
+is walked from the root: the formula each main vertex's
 out-edges charge (``HornProgram.charges``) must be an instruction formula,
 so a fork is a zero test, whose side branch must be a valid killing chain,
 and the main branch must end at the goal.  That walk reads plain values:
 ``evaluate``'s product at each vertex, which on the main branch
 ``decode_product`` turns into the ``Configuration`` it encodes.  Every formula shape comes from
 ``MachineEncoding``; the run read back is re-checked by
-``validate_computation``.
+``validate_halting_run``.
 
 Nothing structural is assumed of input programs: every claim is checked and
 violations are reported with a code.
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoding import MachineEncoding, decode_product, encode_config
-from .minsky import Computation, Configuration, search_halting, validate_computation
+from .encoding import MachineEncoding, decode_product
+from .minsky import Computation, Configuration, ValidationResult, search_halting, validate_halting_run
 from .programs import (
     HornProgram,
     ProgramBuilder,
@@ -38,6 +38,14 @@ MAIN_LEAF_NOT_L0 = "MAIN_LEAF_NOT_L0"
 SIDE_CHAIN_FOREIGN_FORMULA = "SIDE_CHAIN_FOREIGN_FORMULA"
 SIDE_CHAIN_NOT_KILLED = "SIDE_CHAIN_NOT_KILLED"
 NON_ENCODING_EDGE = "NON_ENCODING_EDGE"
+
+
+class RejectedRun(ValueError):
+    """A run that ``minsky.validate_halting_run`` rejects, with its result."""
+
+    def __init__(self, result: ValidationResult):
+        self.result = result
+        super().__init__(f"not a halting run of this machine: {result}")
 
 
 class ExtractionError(ValueError):
@@ -70,24 +78,23 @@ class ProgramTrace:
 def computation_to_program(enc: MachineEncoding, computation: Computation) -> ProgramTrace:
     """Build the strong-solution witness of a halting run.
 
+    RejectedRun unless the run is one ``validate_halting_run`` accepts.
     Assignment moves add one main edge; a zero test forks: the main edge moves
     to the target label, the side edge enters the killer state, then one edge
     per remaining counter unit (counters in ascending order) erases the frame,
     and a closing edge reaches the goal.
     """
     machine = enc.machine
-    result = validate_computation(machine, computation)
+    result = validate_halting_run(machine, computation)
     if not result.ok:
-        raise ValueError(f"not a computation of this machine: {result.reason} (index {result.index})")
-    if computation.configs[-1] != machine.halting_configuration():
-        raise ValueError(f"computation ends at {computation.configs[-1]}, not the halting configuration")
+        raise RejectedRun(result)
 
     builder = ProgramBuilder()
     main = [0]
     side_chains: list[SideChain] = []
     for u, move in enumerate(computation.moves):
         fork = main[-1]
-        main_edge, *side = enc.branches(move)
+        main_edge, *side = enc.edges[move]
         main.append(builder.add_edge(fork, main_edge))
         if not side:
             continue
@@ -114,10 +121,10 @@ def program_to_computation(
     the run shape: a main branch of instruction edges whose forks are zero
     tests with pure killing side chains ending at the goal.  Every value on
     the main branch is then an encoded configuration, so the walk decodes
-    without re-checking; ``validate_computation`` re-checks the moves.
+    without re-checking; ``validate_halting_run`` re-checks the run.
     """
     machine = enc.machine
-    values = evaluate(program, encode_config(machine.n, initial))
+    values = evaluate(program, enc.config_product(initial))
 
     def main_config(vertex: int, edge: tuple[int, int]) -> Configuration:
         value = values[vertex]
@@ -189,7 +196,7 @@ def program_to_computation(
                 else f"label {charged} is not an instruction formula"
             )
             raise ExtractionError(NON_ENCODING_EDGE, detail, (at, out[0][0]))
-        main_edge = enc.branches(index)[0]
+        main_edge = enc.edges[index][0]
         for child, label in out:
             if label == main_edge:
                 main_child = child
@@ -200,7 +207,7 @@ def program_to_computation(
         at = main_child
 
     computation = Computation(tuple(configs), tuple(moves))
-    result = validate_computation(machine, computation)
+    result = validate_halting_run(machine, computation)
     if not result.ok:
         raise ExtractionError(
             NON_ENCODING_EDGE,

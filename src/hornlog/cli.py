@@ -14,9 +14,9 @@ import dataclasses
 import sys
 
 from . import bridge, hll, ll, minsky, programs
-from .encoding import MachineEncoding, encode_config
+from .encoding import MachineEncoding
 from .minsky import parse_computation, parse_machine
-from .syntax import FormatError, HornSequent, parse_sequent, sequent_text
+from .syntax import FormatError, parse_sequent, sequent_text
 
 OK, REJECT, MALFORMED, INTERNAL = 0, 1, 2, 3
 
@@ -34,33 +34,17 @@ def _write_out(text: str, path: str | None):
             handle.write(text)
 
 
-def _run_failure(machine: minsky.MinskyMachine, run: minsky.Computation) -> str | None:
-    """Why a run is not a halting computation of the machine, or None."""
-    result = minsky.validate_computation(machine, run)
+# Per artefact kind, its checker: (a run and its machine, or a program and its
+# sequent) to a result with ``ok`` that prints why the artefact fails.
+GATES = {"run": minsky.validate_halting_run, "program": programs.verify_strong_solution}
+
+
+def _write_checked(kind: str, checked: tuple, text: str, path: str | None) -> int:
+    """Write an artefact's text once the gate of its kind passes it; ``checked``
+    are the gate's arguments."""
+    result = GATES[kind](*checked)
     if not result.ok:
-        return f"at index {result.index}: {result.reason}"
-    if run.configs[-1] != machine.halting_configuration():
-        return f"at index {len(run.moves)}: {run.configs[-1]} is not the halting configuration"
-    return None
-
-
-def _program_failure(sequent: HornSequent, program: programs.HornProgram) -> str | None:
-    """Why a program is not a strong solution of the sequent, or None."""
-    report = programs.verify_strong_solution(program, sequent)
-    return None if report.ok else str(report)
-
-
-# Per artefact kind, its checker: (what the artefact must answer to: the
-# machine of a run, the sequent of a program; the artefact) to the reason the
-# artefact fails, or None.
-GATES = {"run": _run_failure, "program": _program_failure}
-
-
-def _write_checked(kind: str, subject, artefact, text: str, path: str | None) -> int:
-    """Write an artefact's text once the gate of its kind passes it."""
-    failure = GATES[kind](subject, artefact)
-    if failure is not None:
-        print(f"error: internal: {kind} fails its check: {failure}", file=sys.stderr)
+        print(f"error: internal: {kind} fails its check: {result}", file=sys.stderr)
         return INTERNAL
     _write_out(text, path)
     return OK
@@ -101,7 +85,7 @@ def cmd_machine_run(args) -> int:
     if result.ok:
         print("accept")
         return OK
-    print(f"reject at index {result.index}: {result.reason}")
+    print(f"reject {result}")
     return REJECT
 
 
@@ -112,7 +96,7 @@ def cmd_machine_search(args) -> int:
     if computation is None:
         print("absent")
         return REJECT
-    return _write_checked("run", machine, computation, minsky.computation_text(computation), args.output)
+    return _write_checked("run", (machine, computation), minsky.computation_text(computation), args.output)
 
 
 # --- encode / prove ----------------------------------------------------------
@@ -189,15 +173,15 @@ def cmd_bridge_comp_to_prog(args) -> int:
     computation = parse_computation(_read(args.computation))
     if any(len(config.counters) != machine.n for config in computation.configs):
         raise minsky.MachineFormatError(f"a run of this machine has {machine.n} counters in every configuration")
-    failure = _run_failure(machine, computation)
-    if failure is not None:
-        print(f"reject {failure}")
+    try:
+        trace = bridge.computation_to_program(enc, computation)
+    except bridge.RejectedRun as exc:
+        print(f"reject {exc.result}")
         return REJECT
-    trace = bridge.computation_to_program(enc, computation)
     # The sequent the run's first configuration encodes.
     start = computation.configs[0]
-    sequent = dataclasses.replace(enc.sequent(start.counters), input=encode_config(machine.n, start))
-    status = _write_checked("program", sequent, trace.program, programs.program_to_json(trace.program), args.output)
+    sequent = dataclasses.replace(enc.sequent(start.counters), input=enc.config_product(start))
+    status = _write_checked("program", (trace.program, sequent), programs.program_to_json(trace.program), args.output)
     if status == OK:
         _maybe_dot(trace.program, args.dot)
     return status
@@ -234,6 +218,12 @@ def cmd_bridge_roundtrip(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hornlog", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options two commands share, each declared once and handed on by ``parents``.
+    start, bounds, depth = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    start.add_argument("--start", type=int, default=1, help="start label index (default 1)")
+    bounds.add_argument("--max-steps", type=int, default=1000)
+    bounds.add_argument("--max-counter", type=int, default=100)
+    depth.add_argument("--depth", type=int, default=20)
 
     machine = sub.add_parser("machine", help="counter machine tools")
     machine_sub = machine.add_subparsers(dest="subcommand", required=True)
@@ -244,26 +234,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("machine")
     p.add_argument("computation")
     p.set_defaults(handler=cmd_machine_run)
-    p = machine_sub.add_parser("search", help="breadth-first halting search")
+    p = machine_sub.add_parser("search", parents=[start, bounds], help="breadth-first halting search")
     p.add_argument("machine")
     p.add_argument("--input", required=True, help="comma-separated counters")
-    p.add_argument("--start", type=int, default=1, help="start label index (default 1)")
-    p.add_argument("--max-steps", type=int, default=1000)
-    p.add_argument("--max-counter", type=int, default=100)
-    p.add_argument("--output", default=None)
+    p.add_argument("--output")
     p.set_defaults(handler=cmd_machine_search)
 
     p = sub.add_parser("encode", help="machine + inputs to a sequent")
     p.add_argument("machine")
     p.add_argument("--input", required=True)
-    p.add_argument("--output", default=None)
+    p.add_argument("--output")
     p.set_defaults(handler=cmd_encode)
 
-    p = sub.add_parser("prove", help="bounded witness search for a sequent")
+    p = sub.add_parser("prove", parents=[depth], help="bounded witness search for a sequent")
     p.add_argument("sequent", help="file holding one sequent")
-    p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--output", default=None)
-    p.add_argument("--dot", default=None, help="also write the witness as dot")
+    p.add_argument("--output")
+    p.add_argument("--dot", help="also write the witness as dot")
     p.set_defaults(handler=cmd_prove)
 
     verify = sub.add_parser("verify", help="check programs and proofs")
@@ -283,12 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     compile_sub = compile_.add_subparsers(dest="subcommand", required=True)
     p = compile_sub.add_parser("ll-to-hll", help="normalize and translate")
     p.add_argument("proof")
-    p.add_argument("--output", default=None)
+    p.add_argument("--output")
     p.set_defaults(handler=cmd_compile_ll_to_hll)
     p = compile_sub.add_parser("hll-to-program", help="compile to a Horn program")
     p.add_argument("proof")
-    p.add_argument("--output", default=None)
-    p.add_argument("--dot", default=None)
+    p.add_argument("--output")
+    p.add_argument("--dot")
     p.set_defaults(handler=cmd_compile_hll_to_program)
 
     bridge_ = sub.add_parser("bridge", help="machine run <-> Horn program")
@@ -296,22 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = bridge_sub.add_parser("comp-to-prog")
     p.add_argument("machine")
     p.add_argument("computation")
-    p.add_argument("--output", default=None)
-    p.add_argument("--dot", default=None)
+    p.add_argument("--output")
+    p.add_argument("--dot")
     p.set_defaults(handler=cmd_bridge_comp_to_prog)
-    p = bridge_sub.add_parser("prog-to-comp")
+    p = bridge_sub.add_parser("prog-to-comp", parents=[start])
     p.add_argument("machine")
     p.add_argument("program")
     p.add_argument("--input", required=True)
-    p.add_argument("--start", type=int, default=1)
-    p.add_argument("--output", default=None)
+    p.add_argument("--output")
     p.set_defaults(handler=cmd_bridge_prog_to_comp)
-    p = bridge_sub.add_parser("roundtrip")
+    p = bridge_sub.add_parser("roundtrip", parents=[bounds, depth])
     p.add_argument("machine")
     p.add_argument("--input", required=True)
-    p.add_argument("--max-steps", type=int, default=1000)
-    p.add_argument("--max-counter", type=int, default=100)
-    p.add_argument("--depth", type=int, default=20)
     p.add_argument("--strict", action="store_true",
                    help="nonzero exit unless both searches succeed")
     p.set_defaults(handler=cmd_bridge_roundtrip)

@@ -5,7 +5,8 @@ Three disjoint literal families carry the encoding: ``l<i>`` for labels,
 states that erase the other counters after a zero test.  Each instruction
 becomes one implication, a machine becomes the reusable multiset of its
 instruction formulas plus the killer formulas, and a configuration becomes
-the product ``l_i * r_1^c1 * ... * r_n^cn``.
+the product ``l_i * r_1^c1 * ... * r_n^cn``, built from ``(literal, count)``
+entries with ``SimpleProduct.power`` in time linear in n, not in the counts.
 
 This module is the one owner of those shapes.  The naming lives in three
 module functions, ``label_literal``, ``counter_literal`` and
@@ -13,16 +14,17 @@ module functions, ``label_literal``, ``counter_literal`` and
 killer families and the goal ``l0``, and both bridges read them from it.
 ``build`` makes each literal's one-literal product once per encoding, in a
 dict of its own, and ``MachineEncoding.literal`` hands it out: every
-instruction formula, killer formula, the goal and the sequent's start share
-it, so a literal is checked, printed and sized once.  The
-edges a move draws are read off its formula in ``phi`` once per instruction,
-into ``edges``, for every instruction alike: one edge for a plain
-implication, a zero test's two fork edges with the goto edge first;
-``branches`` reads them from there.  A formula's provenance is looked up in
-the two index maps, ``instruction_index`` and ``killer_family_index``.
-``decode_product`` reads an encoded configuration back as a
-``Configuration``; it is the inverse of ``encode_config``, so it accepts
-exactly the literals ``label_literal`` and ``counter_literal`` name.
+instruction formula, killer formula, the goal and every start product
+(``config_product``, which ``sequent`` and extraction use) share it, so a
+literal is checked, printed and sized once.  The edges a move draws are read
+off its formula in ``phi`` once per instruction, into ``edges``, for every
+instruction alike: one edge for a plain implication, a zero test's two fork
+edges with the goto edge first; both bridges index ``edges`` by instruction.
+A formula's provenance is looked up in the two index maps,
+``instruction_index`` and ``killer_family_index``.  ``decode_product`` reads
+an encoded configuration back as a ``Configuration``; it is the inverse of
+``encode_config``, so it accepts exactly the literals ``label_literal`` and
+``counter_literal`` name.
 """
 
 from __future__ import annotations
@@ -94,8 +96,7 @@ def _config_product(n: int, config: Configuration, literal: Callable[[str], Simp
     if len(config.counters) != n:
         raise ValueError(f"expected {n} counters, got {len(config.counters)}")
     products = [literal(label_literal(config.label))]
-    for m, count in enumerate(config.counters, start=1):
-        products += [literal(counter_literal(m))] * count
+    products += (literal(counter_literal(m)).power(c) for m, c in enumerate(config.counters, start=1) if c)
     return tensor_all(products)
 
 
@@ -204,11 +205,6 @@ class MachineEncoding:
             table.append(edges[::-1] if edges[0].consequent.entries == killer else edges)
         return tuple(table)
 
-    def branches(self, index: int) -> tuple[PlainImplication, ...]:
-        """The edges one move of non-halt instruction ``index`` draws, main
-        edge first, as ``edges`` holds them."""
-        return self.edges[index]
-
     def program_formulas(self) -> tuple[HornFormula, ...]:
         return tuple(f for f in self.phi if f is not None)
 
@@ -216,8 +212,12 @@ class MachineEncoding:
         """All killer implications; n*n formulas in ascending killer order."""
         return tuple(f for group in self.killers for f in group)
 
+    def config_product(self, config: Configuration) -> SimpleProduct:
+        """The product encoding a configuration, built from this encoding's literal products."""
+        return _config_product(self.machine.n, config, self.literal)
+
     def sequent(self, inputs: tuple[int, ...]) -> HornSequent:
         """The target sequent: encoded start at L1, everything reusable, goal l0."""
-        start = _config_product(self.machine.n, Configuration(1, tuple(inputs)), self.literal)
+        start = self.config_product(Configuration(1, tuple(inputs)))
         banged = self.program_formulas() + self.killer_zone()
         return HornSequent(start, (), banged, self.goal)

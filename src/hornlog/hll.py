@@ -6,10 +6,10 @@ no-op, a frame rule that tensors the same product onto input and goal, the
 two-premise choice rule, the three bang rules, and cut.  A node is fixed by
 its inference: rule, premises, principal (an axiom's too: the product of
 ``I``, the implication of ``H``) and rule parameter.  Each rule's conclusion
-is stated once, in ``_conclude``.  ``check_tree`` redraws a node of either
-calculus through ``gate`` and the conclusion function, and the factories
-draw each node so: a proof from the builders or a file is checked once,
-when built, and marked ``checked``; the checkers walk only other nodes.
+is stated once, in ``_conclude``.  One factory, ``draw``, makes every node
+of either calculus, for the builders and the proof-file reader alike, so a
+proof from either is checked once, when built, and marked ``checked``;
+``check_tree`` redraws only unmarked nodes, as ``draw`` does.
 
 The compiler spells its program out with ``ProgramBuilder.unfold``, as the
 prover does its witnesses, so vertices are numbered in preorder.  A key is
@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from operator import attrgetter
 from typing import Callable
 
@@ -88,7 +89,7 @@ class HllProof:
     premises: tuple["HllProof", ...] = ()
     principal: Member | None = None  # I (a product), H, OPLUS_H, LBANG, WBANG, CBANG
     frame: Frame | None = None  # M (a SimpleProduct), OPLUS_H (maybe empty)
-    checked: bool = field(default=False, init=False, compare=False, repr=False)  # set by _node alone
+    checked: bool = field(default=False, init=False, compare=False, repr=False)  # set by draw alone
 
     def __post_init__(self):
         # The choice rule's frame may be empty; no frame means the empty one.
@@ -168,16 +169,6 @@ def _conclude(rule: HllRule, premises: tuple, principal, frame) -> HornSequent |
     raise AssertionError(rule)
 
 
-def _node(rule: HllRule, premises: tuple = (), principal=None, frame=None) -> HllProof:
-    """The node ``rule`` draws from its premises, checked when they are; InvalidProof if it draws none."""
-    conclusion = gate(_HLL_FORMAT, rule, premises, (principal, frame)) or _conclude(rule, premises, principal, frame)
-    if isinstance(conclusion, str):
-        raise InvalidProof(rule.value, conclusion)
-    node = HllProof(rule, conclusion, premises, principal, frame)
-    object.__setattr__(node, "checked", all(p.checked for p in premises))
-    return node
-
-
 def walk(tree, premises=attrgetter("premises")):
     """Yield ``(node, trail)`` for every node of a proof tree in preorder,
     premises left to right.  The trail is None at the root and otherwise
@@ -233,10 +224,21 @@ def gate(form: ProofFormat, rule, premises: tuple, values: tuple) -> str | None:
     return None
 
 
+def draw(form: ProofFormat, rule, premises: tuple, *values):
+    """The node an inference draws through the format's gate and conclusion, checked when its
+    premises are; InvalidProof if it draws none.  ``values`` are the format's fields."""
+    conclusion = gate(form, rule, premises, values) or form.conclude(rule, premises, *values)
+    if isinstance(conclusion, str):
+        raise InvalidProof(rule.value, conclusion)
+    node = form.node(rule, conclusion, premises, *values)
+    object.__setattr__(node, "checked", all(p.checked for p in premises))
+    return node
+
+
 def check_tree(proof, form: ProofFormat) -> CheckResult:
     """Rebuild each node of either calculus's proof tree from its own fields,
     through the format's gate and conclusion function, and compare with the
-    conclusion it holds; report the first failure.  A checked subtree, so drawn by the factories, is skipped."""
+    conclusion it holds; report the first failure.  A checked subtree, so drawn by ``draw``, is skipped."""
     values_of = attrgetter(*(name for name, _, _ in form.fields))
     for node, trail in walk(proof, lambda node: () if node.checked else node.premises):
         values = values_of(node)
@@ -288,23 +290,23 @@ def _moves(pending) -> list:
     return []
 
 
-# --- Node builders: each rule's conclusion comes from ``_conclude`` -------------
+# --- Node builders: each draws its node through ``draw`` ------------------------
 
 
 def i_axiom(x: SimpleProduct) -> HllProof:
-    return _node(HllRule.I, principal=x)
+    return _node(HllRule.I, (), x, None)
 
 
 def h_axiom(f: PlainImplication) -> HllProof:
-    return _node(HllRule.H, principal=f)
+    return _node(HllRule.H, (), f, None)
 
 
 def ltensor(premise: HllProof) -> HllProof:
-    return _node(HllRule.LTENSOR, (premise,))
+    return _node(HllRule.LTENSOR, (premise,), None, None)
 
 
 def frame_rule(premise: HllProof, v: SimpleProduct) -> HllProof:
-    return _node(HllRule.M, (premise,), frame=v)
+    return _node(HllRule.M, (premise,), None, v)
 
 
 def oplus_h(premise1: HllProof, premise2: HllProof, f: OplusImplication, v: Frame) -> HllProof:
@@ -312,19 +314,19 @@ def oplus_h(premise1: HllProof, premise2: HllProof, f: OplusImplication, v: Fram
 
 
 def lbang(premise: HllProof, a: HornFormula) -> HllProof:
-    return _node(HllRule.LBANG, (premise,), a)
+    return _node(HllRule.LBANG, (premise,), a, None)
 
 
 def wbang(premise: HllProof, a: HornFormula) -> HllProof:
-    return _node(HllRule.WBANG, (premise,), a)
+    return _node(HllRule.WBANG, (premise,), a, None)
 
 
 def cbang(premise: HllProof, a: HornFormula) -> HllProof:
-    return _node(HllRule.CBANG, (premise,), a)
+    return _node(HllRule.CBANG, (premise,), a, None)
 
 
 def cut(premise1: HllProof, premise2: HllProof) -> HllProof:
-    return _node(HllRule.CUT, (premise1, premise2))
+    return _node(HllRule.CUT, (premise1, premise2), None, None)
 
 
 # --- Proof files -----------------------------------------------------------------
@@ -340,9 +342,9 @@ class ProofFormat:
     or a product, formula or member cited by index into ``formulas``; count
     1 is one value, 2 a pair, None a zone.  The fields are the principal, of
     the kind ``rules`` gives, and the rule parameters, each taken by the
-    rules ``takers`` names.  ``make`` is the node builder."""
+    rules ``takers`` names.  ``node`` is the node class."""
 
-    make: Callable
+    node: type
     conclude: Callable
     sequent: type
     rules: dict
@@ -434,7 +436,7 @@ def proof_from_json(text: str, form: ProofFormat):
             below.append(built[p])
             built[p] = None  # each node is the premise of one node only
         try:
-            built.append(form.make(rule, tuple(below), *values))
+            built.append(draw(form, rule, tuple(below), *values))
             continue
         except InvalidProof as exc:
             reason = exc.reason
@@ -452,11 +454,12 @@ def proof_from_json(text: str, form: ProofFormat):
 
 
 _HLL_FORMAT = ProofFormat(
-    _node, _conclude, HornSequent, _RULES, {"frame": frozenset({HllRule.M, HllRule.OPLUS_H})},
+    HllProof, _conclude, HornSequent, _RULES, {"frame": frozenset({HllRule.M, HllRule.OPLUS_H})},
     parts=(("input", SimpleProduct, 1), ("linear", HornFormula, None),
            ("banged", HornFormula, None), ("goal", SimpleProduct, 1)),
     fields=(("principal", Member, 1), ("frame", SimpleProduct, 1)),
 )
+_node = partial(draw, _HLL_FORMAT)  # the builders' factory
 
 
 def hll_proof_to_json(proof: HllProof) -> str:

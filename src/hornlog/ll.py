@@ -11,8 +11,8 @@ coexist; one context holds each tag at most once.
 
 Each rule's conclusion is stated once, in ``_ll_conclude``, from the node's
 inference: rule, premises, principal (an axiom's product too), split and
-tag.  ``_ll_node`` draws each node as ``hll.check_tree`` does, so a proof from
-the builders or a file is checked once, when built, and marked ``checked``.  An
+tag.  ``_ll_node`` is ``hll.draw`` bound to this calculus's format, with no
+body of its own, so a flat proof too is checked once, when built.  An
 implication-choice node keeps the tag it consumes, so the normalizer and the
 translation know a choice's consumer as the first implication-choice node
 below it, reached from its second premise, that carries the choice's tag.
@@ -25,7 +25,9 @@ choice moves in one step, re-expanding the consumer's second premise from its
 two specializations.
 
 ``translate_ll_to_hll`` normalizes and then maps rule-for-rule into the zoned
-calculus, reading a flat context as input-product/linear/banged zones.
+calculus, reading a flat context as input-product/linear/banged zones.  It reads
+each frame off the zoned premises it has drawn, not the flat contexts: after
+normalization every node but a left choice holds a product, so both agree.
 Proof files are ``hll``'s proof table, laid out for this calculus.
 """
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import hll
 from .hll import HllProof
@@ -47,6 +50,7 @@ from .syntax import (
     PlainImplication,
     SimpleProduct,
     canonical_zone,
+    match_antecedent,
     multiset_minus,
     tensor_all,
 )
@@ -105,7 +109,7 @@ class LlProof:
     # LTENSOR records how the principal product splits in the premise.
     split: tuple[SimpleProduct, SimpleProduct] | None = None
     tag: int | None = None  # LIMPOPLUS: the tag of the choice it consumes
-    checked: bool = field(default=False, init=False, compare=False, repr=False)  # set by _ll_node alone
+    checked: bool = field(default=False, init=False, compare=False, repr=False)  # set by hll.draw alone
 
 
 def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequent | str:
@@ -176,59 +180,48 @@ def _tag_clash(context: tuple) -> str | None:
     return f"choice tags duplicated in one context: {duplicated}"
 
 
-def _ll_node(rule: LlRule, premises: tuple, principal=None, split=None, tag=None) -> LlProof:
-    """The node ``rule`` draws from its premises, checked when they are; InvalidProof if it draws none."""
-    values = (principal, split, tag)
-    conclusion = hll.gate(_LL_FORMAT, rule, premises, values) or _ll_conclude(rule, premises, *values)
-    if isinstance(conclusion, str):
-        raise hll.InvalidProof(rule.value, conclusion)
-    node = LlProof(rule, conclusion, premises, principal, split, tag)
-    object.__setattr__(node, "checked", all(p.checked for p in premises))
-    return node
-
-
 def check_ll_proof(proof: LlProof) -> hll.CheckResult:
     """Verify every node against its rule schema; report the first failure."""
     return hll.check_tree(proof, _LL_FORMAT)
 
 
-# --- Node builders: each rule's conclusion comes from ``_ll_conclude`` ---------
+# --- Node builders: each draws its node through ``hll.draw`` ---------------------
 
 
 def ll_i(x: SimpleProduct) -> LlProof:
-    return _ll_node(LlRule.I, (), x)
+    return _ll_node(LlRule.I, (), x, None, None)
 
 
 def ll_ltensor(premise: LlProof, x: SimpleProduct, y: SimpleProduct) -> LlProof:
-    return _ll_node(LlRule.LTENSOR, (premise,), x.tensor(y), (x, y))
+    return _ll_node(LlRule.LTENSOR, (premise,), x.tensor(y), (x, y), None)
 
 
 def ll_rtensor(premise1: LlProof, premise2: LlProof) -> LlProof:
-    return _ll_node(LlRule.RTENSOR, (premise1, premise2))
+    return _ll_node(LlRule.RTENSOR, (premise1, premise2), None, None, None)
 
 
 def ll_limp(premise1: LlProof, premise2: LlProof, imp: PlainImplication) -> LlProof:
-    return _ll_node(LlRule.LIMP, (premise1, premise2), imp)
+    return _ll_node(LlRule.LIMP, (premise1, premise2), imp, None, None)
 
 
 def ll_limpoplus(premise1: LlProof, premise2: LlProof, imp: OplusImplication, tag: int) -> LlProof:
-    return _ll_node(LlRule.LIMPOPLUS, (premise1, premise2), imp, tag=tag)
+    return _ll_node(LlRule.LIMPOPLUS, (premise1, premise2), imp, None, tag)
 
 
 def ll_loplus(premise1: LlProof, premise2: LlProof, occurrence: LlOplusProduct) -> LlProof:
-    return _ll_node(LlRule.LOPLUS, (premise1, premise2), occurrence)
+    return _ll_node(LlRule.LOPLUS, (premise1, premise2), occurrence, None, None)
 
 
 def ll_lbang(premise: LlProof, formula: HornFormula) -> LlProof:
-    return _ll_node(LlRule.LBANG, (premise,), LlBang(formula))
+    return _ll_node(LlRule.LBANG, (premise,), LlBang(formula), None, None)
 
 
 def ll_wbang(premise: LlProof, formula: HornFormula) -> LlProof:
-    return _ll_node(LlRule.WBANG, (premise,), LlBang(formula))
+    return _ll_node(LlRule.WBANG, (premise,), LlBang(formula), None, None)
 
 
 def ll_cbang(premise: LlProof, formula: HornFormula) -> LlProof:
-    return _ll_node(LlRule.CBANG, (premise,), LlBang(formula))
+    return _ll_node(LlRule.CBANG, (premise,), LlBang(formula), None, None)
 
 
 # --- The normalizer -----------------------------------------------------------
@@ -387,13 +380,9 @@ def horn_reading(sequent: LlSequent) -> HornSequent:
     return HornSequent(tensor_all(products), tuple(linear), tuple(banged), sequent.goal)
 
 
-def _context_products(context: tuple[Member, ...]) -> Frame:
-    products = [g for g in context if isinstance(g, SimpleProduct)]
-    return tensor_all(products) if products else Frame()
-
-
 def _framed(proof: HllProof, frame: Frame) -> HllProof:
-    return hll.frame_rule(proof, frame) if isinstance(frame, SimpleProduct) else proof
+    """The proof framed by a residual; an empty one adds nothing, ``tensor_all`` makes one a product."""
+    return proof if frame.is_empty else hll.frame_rule(proof, tensor_all((frame,)))
 
 
 def translate_ll_to_hll(proof: LlProof) -> HllProof:
@@ -435,20 +424,16 @@ def _translate(node: LlProof, premises: list):
         return hll.ltensor(premises[0])
 
     if rule is LlRule.RTENSOR:
-        pi1, pi2 = node.premises
         t1, t2 = premises
-        w1 = _context_products(pi1.conclusion.context)
-        z2 = pi2.conclusion.goal
-        proves = _framed(t2, w1)  # ... |- Z2 (x) W1
-        uses = hll.frame_rule(t1, z2)  # W1 (x) Z2, ... |- Z1 (x) Z2
+        proves = hll.frame_rule(t2, t1.conclusion.input)  # W2 (x) W1, ... |- Z2 (x) W1
+        uses = hll.frame_rule(t1, t2.conclusion.goal)  # W1 (x) Z2, ... |- Z1 (x) Z2
         return hll.cut(proves, uses)
 
     if rule is LlRule.LIMP:
         imp: PlainImplication = node.principal
         t1, t2 = premises
         inner = hll.cut(t1, hll.h_axiom(imp))
-        rest = multiset_minus(node.premises[1].conclusion.context, imp.consequent)
-        w2 = _context_products(rest)
+        w2 = match_antecedent(t2.conclusion.input, imp.consequent)
         return hll.cut(_framed(inner, w2), t2)
 
     if rule is LlRule.LIMPOPLUS:
@@ -459,8 +444,7 @@ def _translate(node: LlProof, premises: list):
                 "implication-choice without its adjacent left choice; normalize first"
             )
         t0, (t1, t2) = premises
-        rest1 = multiset_minus(loplus.premises[0].conclusion.context, imp.left)
-        v = _context_products(rest1)
+        v = match_antecedent(t1.conclusion.input, imp.left)
         choice = hll.oplus_h(t1, t2, imp, v)
         return hll.cut(_framed(t0, v), choice)
 
@@ -480,11 +464,12 @@ def ll_sequent_text(s: LlSequent) -> str:
 
 
 _LL_FORMAT = hll.ProofFormat(
-    _ll_node, _ll_conclude, LlSequent, _LL_RULES,
+    LlProof, _ll_conclude, LlSequent, _LL_RULES,
     {"split": frozenset({LlRule.LTENSOR}), "tag": frozenset({LlRule.LIMPOPLUS})},
     parts=(("context", Member, None), ("goal", SimpleProduct, 1)),
     fields=(("principal", Member, 1), ("split", SimpleProduct, 2), ("tag", int, 1)),
 )
+_ll_node = partial(hll.draw, _LL_FORMAT)  # the builders' factory
 
 
 def ll_proof_to_json(proof: LlProof) -> str:

@@ -2,7 +2,8 @@
 
 A machine is an ordered instruction list; duplicate labels are allowed and are
 the source of nondeterminism.  Counters hold non-negative integers.  The
-halting configuration is label L0 with every counter at zero.  A
+halting configuration is label L0 with every counter at zero; this module
+alone judges a run that halts there, in ``validate_halting_run``.  A
 ``Configuration`` made outside validates its counters; one ``_step`` makes is
 trusted, since a move that would take a counter below zero is not enabled.
 
@@ -158,6 +159,9 @@ class ValidationResult:
     index: int | None = None
     reason: str | None = None
 
+    def __str__(self) -> str:
+        return "valid" if self.ok else f"at index {self.index}: {self.reason}"
+
 
 def _step(instruction: Instruction, config: Configuration) -> Configuration | None:
     """The configuration after the move, or None when the move is not enabled.
@@ -219,6 +223,15 @@ def validate_computation(machine: MinskyMachine, computation: Computation) -> Va
                 f"I{move + 1} yields {expected}, computation records {computation.configs[u + 1]}",
             )
     return ValidationResult(True)
+
+
+def validate_halting_run(machine: MinskyMachine, computation: Computation) -> ValidationResult:
+    """Accept iff the computation is a run of the machine that ends at the halting configuration."""
+    result = validate_computation(machine, computation)
+    last = computation.configs[-1]
+    if result.ok and last != machine.halting_configuration():
+        return ValidationResult(False, len(computation.moves), f"{last} is not the halting configuration")
+    return result
 
 
 def search_halting(

@@ -5,11 +5,12 @@ sorted by literal, so two frames denote the same multiset exactly when they
 compare equal; tensor reassociation and reordering never matter.  A frame may
 be empty (the residual of an antecedent match); a :class:`SimpleProduct` is
 the frame that must be non-empty.  Constructions from outside validate once;
-``tensor``, ``match_antecedent`` and ``tensor_all`` merge entries that are
-already canonical and skip validation, as ``HornSequent.of_canonical`` does
-for zones already in canonical order.  ``apply_implication`` rewrites in one
-pass: one count dict less the antecedent (the subtraction ``match_antecedent``
-shares), plus the consequent, sorted once, with no residual frame between.
+``tensor``, ``power``, ``match_antecedent`` and ``tensor_all`` merge entries
+that are already canonical and skip validation, as
+``HornSequent.of_canonical`` does for zones already in canonical order.
+``apply_implication`` rewrites in one pass: one count dict less the
+antecedent (the subtraction ``match_antecedent`` shares), plus the
+consequent, sorted once, with no residual frame between.
 
 Implications come in two shapes, ``X -o Y`` and ``X -o (Y1 + Y2)``.  Every
 Horn formula names the program edges one use of it draws as its ``branches``:
@@ -157,6 +158,12 @@ class SimpleProduct(Frame):
 
     def tensor(self, other: Frame) -> "SimpleProduct":
         return SimpleProduct._trusted(_sum_entries(self.entries, other.entries))
+
+    def power(self, k: int) -> "SimpleProduct":
+        """The tensor of k >= 1 copies, its counts multiplied: O(entries), not O(k)."""
+        if k < 1:
+            raise ValueError(f"a power needs at least one copy, got {k}")
+        return SimpleProduct._trusted(tuple((name, count * k) for name, count in self.entries))
 
 
 def _sum_entries(*parts: Entries) -> Entries:

@@ -13,6 +13,7 @@ from hornlog.bridge import (
     SIDE_CHAIN_FOREIGN_FORMULA,
     SIDE_CHAIN_NOT_KILLED,
     ExtractionError,
+    RejectedRun,
     computation_to_program,
     program_to_computation,
     round_trip_check,
@@ -81,6 +82,13 @@ def test_rejects_non_halting_computation(enc):
     run = Computation((Configuration(1, (1, 0)), Configuration(1, (0, 0))), (1,))
     with pytest.raises(ValueError):
         computation_to_program(enc, run)
+
+
+def test_a_rejected_run_carries_its_judgment(enc):
+    run = Computation((Configuration(1, (1, 0)), Configuration(1, (0, 0))), (1,))
+    with pytest.raises(RejectedRun) as caught:
+        computation_to_program(enc, run)
+    assert str(caught.value.result) == "at index 1: L1 : 0,0 is not the halting configuration"
 
 
 def test_main_branch_correspondence(enc):

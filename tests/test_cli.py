@@ -548,6 +548,44 @@ def test_comp_to_prog_rejects_a_well_formed_run_with_exit_1(dec_file, tmp_path, 
     assert cli.main(["bridge", "comp-to-prog", str(dec_file), str(run_file)]) == 2
 
 
+def test_comp_to_prog_judges_its_run_once(dec_file, tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(machine, run):
+        calls.append(run)
+        return validate_computation(machine, run)
+
+    for module in (minsky, bridge):  # a module judging runs through its own import counts too
+        monkeypatch.setattr(module, "validate_computation", counted, raising=False)
+    run_file = tmp_path / "run.txt"
+    run_file.write_text("L1 : 1,0\nI2 -> L1 : 0,0\nI1 -> L0 : 0,0\n")
+    assert cli.main(["bridge", "comp-to-prog", str(dec_file), str(run_file)]) == 0
+    assert len(calls) == 1
+    run_file.write_text("L1 : 1,0\nI2 -> L1 : 0,0\n")
+    assert cli.main(["bridge", "comp-to-prog", str(dec_file), str(run_file)]) == 1
+    assert len(calls) == 2
+    assert capsys.readouterr().out.endswith("reject at index 1: L1 : 0,0 is not the halting configuration\n")
+
+
+# Under a 1 GB address-space limit, so that a start built one unit at a time
+# fails at once instead of filling the host's memory.
+LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from hornlog import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_roundtrip_from_a_huge_start_answers_at_once(dec_file):
+    """Encoding a start costs its number of counters, not their total, and
+    both searches prune a start of 10**15 units at once."""
+    argv = ["bridge", "roundtrip", str(dec_file), "--input", f"{10**15},0", "--max-steps", "5",
+            "--max-counter", "5", "--depth", "5"]
+    result = subprocess.run([sys.executable, "-c", LIMITED_CLI, *argv], capture_output=True, text=True, timeout=5)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "AGREE_NO_WITNESS_WITHIN_BOUNDS\n", "")
+
+
 def _one_config_changed(search):
     def sabotaged(machine, init, max_steps, max_counter):
         run = search(machine, init, max_steps, max_counter)

@@ -75,7 +75,7 @@ def test_build_killers_n3_family():
 
 def test_zero_test_branches_and_goal():
     enc = MachineEncoding.build(DEC)
-    assert enc.branches(0) == (parse_formula("l1 -o l0"), parse_formula("l1 -o k1"))
+    assert enc.edges[0] == (parse_formula("l1 -o l0"), parse_formula("l1 -o k1"))
     assert enc.goal == parse_product("l0")
 
 
@@ -91,18 +91,16 @@ def test_zero_test_branches_are_the_fork_edges_of_phi_goto_first():
             goto = parse_formula(f"l{instruction.label} -o l{instruction.target}")
             edges = enc.phi[i].branches
             assert goto in edges
-            assert enc.branches(i) == (goto, *(e for e in edges if e != goto))
+            assert enc.edges[i] == (goto, *(e for e in edges if e != goto))
             zero_tests += 1
     assert zero_tests > 20
 
 
 def test_branches_are_built_once_per_instruction():
     enc = MachineEncoding.build(random_machine(random.Random(7), 3))
+    assert enc.edges is enc.edges
     for i, f in enumerate(enc.phi):
-        if f is not None:
-            assert enc.branches(i) is enc.branches(i) is enc.edges[i]
-        else:
-            assert enc.edges[i] is None
+        assert (enc.edges[i] is None) == (f is None)
 
 
 def test_encode_config_examples():
@@ -160,7 +158,7 @@ def test_decode_inverts_encode_on_random_products():
 def test_killer_product_round_trip():
     # The killer edge of a zero test turns a configuration into a killer
     # state, which encodes no configuration.
-    killer = MachineEncoding.build(DEC).branches(0)[1]
+    killer = MachineEncoding.build(DEC).edges[0][1]
     x = apply_implication(encode_config(2, Configuration(1, (0, 1))), killer)
     assert x == parse_product("k1*r2")
     assert decode_product(2, x) is None
@@ -189,6 +187,14 @@ def test_build_sequent_rejects_a_negative_input():
     # The configuration checks its counters; the encoding keeps no copy of that check.
     with pytest.raises(ValueError, match=r"negative counter in Configuration\(label=1, counters=\(-1, 0\)\)"):
         MachineEncoding.build(DEC).sequent((-1, 0))
+
+
+def test_a_start_costs_its_number_of_counters_not_their_total():
+    enc = MachineEncoding.build(DEC)
+    huge = (("l1", 1), ("r1", 10**15))
+    assert enc.sequent((10**15, 0)).input.entries == huge
+    assert encode_config(2, Configuration(1, (10**15, 0))).entries == huge
+    assert enc.config_product(Configuration(3, (2, 10**15))).entries == (("l3", 1), ("r1", 2), ("r2", 10**15))
 
 
 def test_build_sequent_zero_inputs():

@@ -19,6 +19,7 @@ from hornlog.minsky import (
     search_halting,
     successors,
     validate_computation,
+    validate_halting_run,
 )
 
 DEC_TEXT = """\
@@ -93,6 +94,19 @@ def test_validate_rejects_wrong_arity(dec):
 
 def test_validate_accepts_singleton(dec):
     assert validate_computation(dec, Computation((Configuration(0, (0, 0)),), ())).ok
+
+
+def test_a_halting_run_is_a_run_that_ends_at_the_halting_configuration(dec):
+    halting = Computation((Configuration(1, (1, 0)), Configuration(1, (0, 0)), Configuration(0, (0, 0))), (1, 0))
+    assert validate_halting_run(dec, halting).ok and str(validate_halting_run(dec, halting)) == "valid"
+    short = Computation(halting.configs[:2], halting.moves[:1])
+    result = validate_halting_run(dec, short)
+    assert (result.ok, result.index) == (False, 1)
+    assert str(result) == "at index 1: L1 : 0,0 is not the halting configuration"
+    # A move that is not enabled is judged first, at its own index.
+    wrong = Computation((Configuration(1, (1, 0)), Configuration(0, (1, 0))), (0,))
+    assert validate_halting_run(dec, wrong) == validate_computation(dec, wrong)
+    assert str(validate_halting_run(dec, wrong)) == "at index 0: I1 not enabled at L1 : 1,0"
 
 
 def test_search_finds_shortest_run(dec):

@@ -171,15 +171,15 @@ def late():
 ''', ["2:json", "3:json", "4:json.decoder", "9:json"]),
     "node_owner": Rule(
         node_calls,
-        ("hll.py:_node", "ll.py:_ll_node", "ll.py:specialize.combine"),
-        "Each rule's conclusion is stated once, and only the factories hll._node and ll._ll_node "
-        "make nodes from it, ll.specialize alone rewriting conclusions it has checked; any other "
+        ("hll.py:draw", "ll.py:specialize.combine"),
+        "Each rule's conclusion is stated once, and only the one factory hll.draw makes a node of "
+        "either calculus from it, ll.specialize alone rewriting conclusions it has checked; any other "
         "HllProof(...), LlProof(...), form.node(...) or replace(..., conclusion=...) states a "
         "conclusion of its own.", '''
 LEAF = HllProof(HllRule.I, sequent)
 
-def _node(rule, premises):
-    return HllProof(rule, conclude(rule, premises), premises)
+def draw(form, rule, premises, *values):
+    return form.node(rule, form.conclude(rule, premises, *values), premises, *values)
 
 def shortcut(premise):
     def inner():
@@ -189,22 +189,22 @@ def shortcut(premise):
 FORMAT = ProofFormat(HllProof, HornSequent)
 
 def read(form, rule, parts, below):
-    return form.node(rule, form.sequent(*parts), below), form.make(rule, below)
+    return form.node(rule, form.sequent(*parts), below), draw(form, rule, below)
 
 def rewrite(node, rest):
     return replace(node, conclusion=rest), replace(node, premises=()), dataclasses.replace(node, conclusion=rest)
-''', ["2:-:HllProof", "5:_node:HllProof", "9:shortcut.inner:HllProof", "10:shortcut:LlProof",
+''', ["2:-:HllProof", "5:draw:node", "9:shortcut.inner:HllProof", "10:shortcut:LlProof",
       "15:read:node", "18:rewrite:replace", "18:rewrite:replace"]),
     "checked_owner": Rule(
-        checked_writes, ("hll.py:_node", "ll.py:_ll_node"),
-        "check_tree skips a node marked checked, so only the factories hll._node and ll._ll_node, "
-        "which draw a node exactly as check_tree does and mark it only over checked premises, may "
-        "set the mark; a mark set anywhere else vouches for a node nobody checked.", '''
+        checked_writes, ("hll.py:draw",),
+        "check_tree skips a node marked checked, so only the one factory hll.draw, which draws a "
+        "node of either calculus exactly as check_tree does and marks it only over checked premises, "
+        "may set the mark; a mark set anywhere else vouches for a node nobody checked.", '''
 class HllProof:
     checked: bool = field(default=False, init=False)
 
-def _node(rule, premises):
-    node = HllProof(rule, conclude(rule, premises), premises)
+def draw(form, rule, premises, *values):
+    node = form.node(rule, form.conclude(rule, premises, *values), premises, *values)
     object.__setattr__(node, "checked", all(p.checked for p in premises))
     return node
 
@@ -217,7 +217,7 @@ def trust(node):
 
 def fine(node):
     return node.checked, node.premises[0].checked, getattr(node, "checked"), walk(node, lambda n: n.checked)
-''', ["7:_node", "11:trust", "12:trust", "14:trust.inner", "15:trust", "15:trust"]),
+''', ["7:draw", "11:trust", "12:trust", "14:trust.inner", "15:trust", "15:trust"]),
     "encoding_owner": Rule(
         lambda tree: [
             f"{c.lineno}:{n}" for c, n, _ in calls(tree) if n in ("label_literal", "counter_literal", "killer_literal")
@@ -232,8 +232,28 @@ def kill(m, i):
     return encoding.killer_literal(m), counter_literal(i)
 
 def fine(enc, index):
-    return enc.branches(index), enc.goal
+    return enc.edges[index], enc.goal
 ''', ["3:label_literal", "6:killer_literal", "6:counter_literal"]),
+    "halting_owner": Rule(
+        lambda tree: [
+            f"{c.lineno}:{where(within)}" for c, name, within in calls(tree) if name == "halting_configuration"
+        ],
+        ("minsky.py",),
+        "A halting run is judged once, by minsky.validate_halting_run: a run of the machine that ends "
+        "at the halting configuration; any other module comparing with halting_configuration() states "
+        "that judgment again and can drift from it.", '''
+def search(machine, init):
+    target = machine.halting_configuration()
+
+def computation_to_program(enc, run):
+    if run.configs[-1] != enc.machine.halting_configuration():
+        raise ValueError(run)
+
+def gate(machine, run):
+    def inner():
+        return minsky.halting_configuration, HALT_LABEL
+    return validate_halting_run(machine, run), inner
+''', ["3:search", "6:computation_to_program"]),
     "grammar_owner": Rule(
         grammar_imports, ("syntax.py",),
         "The grammar lives in syntax.py and other layers read text through its public parsers; "

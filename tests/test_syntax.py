@@ -245,6 +245,18 @@ def test_merged_results_equal_their_validated_construction(x, a, xs):
             _is_validated(a.tensor(residual))
 
 
+@given(products, st.integers(1, 5))
+def test_a_power_is_the_tensor_of_its_copies(x, k):
+    assert x.power(k) == tensor_all([x] * k)
+    _is_validated(x.power(k))
+    assert x.power(10**15).entries == tuple((name, count * 10**15) for name, count in x.entries)
+
+
+def test_a_power_needs_a_copy():
+    with pytest.raises(ValueError, match="at least one copy"):
+        SimpleProduct.of("a").power(0)
+
+
 def test_constructions_validate_once_and_merges_not_at_all(monkeypatch):
     checked = []
     real = syntax.check_literal
@@ -255,6 +267,7 @@ def test_constructions_validate_once_and_merges_not_at_all(monkeypatch):
     x.tensor(x)
     match_antecedent(x, x)
     tensor_all([x, x])
+    x.power(3)
     parse_sequent("a*b*a ; a -o (b + a*c) ; (a*b) -o b |- b")  # the tokenizer checks names
     assert checked == []
 
