@@ -3,8 +3,8 @@
 Exit status: 0 on success/accept, 1 on reject or no witness within bounds,
 2 on malformed input, 3 on an internal error (never a verdict, e.g. hitting
 the recursion limit).  Results go to stdout, diagnostics to stderr.  Before a
-command writes a run or a program, ``GATES`` re-checks it with the checker of
-its kind; an artefact that fails is a fault of hornlog, exit 3, not written.
+command writes a run, program or zoned proof, ``GATES`` re-checks it with the
+checker of its kind; one that fails is a fault of hornlog, exit 3, not written.
 """
 
 from __future__ import annotations
@@ -34,9 +34,12 @@ def _write_out(text: str, path: str | None):
             handle.write(text)
 
 
-# Per artefact kind, its checker: (a run and its machine, or a program and its
-# sequent) to a result with ``ok`` that prints why the artefact fails.
-GATES = {"run": minsky.validate_halting_run, "program": programs.verify_strong_solution}
+# Per artefact kind, its checker: (a run and its machine, a program and its
+# sequent, or a zoned proof and the flat end-sequent it translates, judged by
+# its program, not by ``_conclude``) to a result with ``ok``.
+GATES = {"run": minsky.validate_halting_run, "program": programs.verify_strong_solution,
+         "zoned proof": lambda proof, flat: programs.verify_strong_solution(
+             hll.compile_hll_to_program(proof), ll.horn_reading(flat))}
 
 
 def _write_checked(kind: str, checked: tuple, text: str, path: str | None) -> int:
@@ -64,9 +67,12 @@ def _load_machine(path: str) -> minsky.MinskyMachine:
     return parse_machine(_read(path))
 
 
-def _maybe_dot(program: programs.HornProgram, path: str | None):
-    if path:
-        _write_out(programs.program_to_dot(program), path)
+def _write_program(program: programs.HornProgram, sequent, args) -> int:
+    """Write a program through its gate, then its dot view if ``--dot`` asks for one."""
+    status = _write_checked("program", (program, sequent), programs.program_to_json(program), args.output)
+    if status == OK and args.dot:
+        _write_out(programs.program_to_dot(program), args.dot)
+    return status
 
 
 # --- machine ---------------------------------------------------------------
@@ -115,9 +121,7 @@ def cmd_prove(args) -> int:
     if witness is None:
         print("absent")
         return REJECT
-    _write_out(programs.program_to_json(witness), args.output)
-    _maybe_dot(witness, args.dot)
-    return OK
+    return _write_program(witness, sequent, args)
 
 
 # --- verify -------------------------------------------------------------------
@@ -152,16 +156,12 @@ def cmd_verify_proof(args) -> int:
 def cmd_compile_ll_to_hll(args) -> int:
     proof = ll.ll_proof_from_json(_read(args.proof))
     translated = ll.translate_ll_to_hll(proof)
-    _write_out(hll.hll_proof_to_json(translated), args.output)
-    return OK
+    return _write_checked("zoned proof", (translated, proof.conclusion), hll.hll_proof_to_json(translated), args.output)
 
 
 def cmd_compile_hll_to_program(args) -> int:
     proof = hll.hll_proof_from_json(_read(args.proof))
-    program = hll.compile_hll_to_program(proof)
-    _write_out(programs.program_to_json(program), args.output)
-    _maybe_dot(program, args.dot)
-    return OK
+    return _write_program(hll.compile_hll_to_program(proof), proof.conclusion, args)
 
 
 # --- bridge ----------------------------------------------------------------------
@@ -171,8 +171,6 @@ def cmd_bridge_comp_to_prog(args) -> int:
     machine = _load_machine(args.machine)
     enc = MachineEncoding.build(machine)
     computation = parse_computation(_read(args.computation))
-    if any(len(config.counters) != machine.n for config in computation.configs):
-        raise minsky.MachineFormatError(f"a run of this machine has {machine.n} counters in every configuration")
     try:
         trace = bridge.computation_to_program(enc, computation)
     except bridge.RejectedRun as exc:
@@ -181,10 +179,7 @@ def cmd_bridge_comp_to_prog(args) -> int:
     # The sequent the run's first configuration encodes.
     start = computation.configs[0]
     sequent = dataclasses.replace(enc.sequent(start.counters), input=enc.config_product(start))
-    status = _write_checked("program", (trace.program, sequent), programs.program_to_json(trace.program), args.output)
-    if status == OK:
-        _maybe_dot(trace.program, args.dot)
-    return status
+    return _write_program(trace.program, sequent, args)
 
 
 def cmd_bridge_prog_to_comp(args) -> int:

@@ -47,10 +47,11 @@ from .syntax import (
     OplusImplication,
     PlainImplication,
     SimpleProduct,
-    canonical_zone,
     multiset_minus,
     of_kind,
     parse_member,
+    zone_insert,
+    zone_merge,
 )
 
 
@@ -127,8 +128,8 @@ class InvalidProof(ValueError):
 
 def _conclude(rule: HllRule, premises: tuple, principal, frame) -> HornSequent | str:
     """The conclusion ``rule`` draws from its premises, or the side condition
-    that fails.  Premise zones are canonical, and so is what is left when a
-    member is removed; a zone that gains members is sorted again."""
+    that fails.  Premise zones are canonical, and stay so through the zone
+    helpers: a member is removed or inserted by bisection, two zones merged."""
     f, sequent = principal, HornSequent.of_canonical
     if rule is HllRule.I:
         return sequent(f, (), (), f)
@@ -148,14 +149,14 @@ def _conclude(rule: HllRule, premises: tuple, principal, frame) -> HornSequent |
             return "premises must share both zones and the goal"
         if {p.input, q.input} != {f.left.tensor(frame), f.right.tensor(frame)}:
             return "premise inputs must be the two consequents tensored with the frame"
-        return sequent(f.antecedent.tensor(frame), canonical_zone(p.linear + (f,)), p.banged, p.goal)
+        return sequent(f.antecedent.tensor(frame), zone_insert(p.linear, f), p.banged, p.goal)
     if rule is HllRule.LBANG:
         linear = multiset_minus(p.linear, f)
         if linear is None:
             return "premise must carry the principal linearly"
-        return sequent(p.input, linear, canonical_zone(p.banged + (f,)), p.goal)
+        return sequent(p.input, linear, zone_insert(p.banged, f), p.goal)
     if rule is HllRule.WBANG:
-        return sequent(p.input, p.linear, canonical_zone(p.banged + (f,)), p.goal)
+        return sequent(p.input, p.linear, zone_insert(p.banged, f), p.goal)
     if rule is HllRule.CBANG:
         banged = multiset_minus(p.banged, f)
         if banged is None or f not in banged:
@@ -165,7 +166,7 @@ def _conclude(rule: HllRule, premises: tuple, principal, frame) -> HornSequent |
         q = premises[1].conclusion
         if q.input != p.goal:
             return "second premise input must be the first premise's goal"
-        return sequent(p.input, canonical_zone(p.linear + q.linear), canonical_zone(p.banged + q.banged), q.goal)
+        return sequent(p.input, zone_merge(p.linear, q.linear), zone_merge(p.banged, q.banged), q.goal)
     raise AssertionError(rule)
 
 

@@ -20,14 +20,17 @@ below it, reached from its second premise, that carries the choice's tag.
 ``push_oplus_down`` moves every left-choice inference down until it sits
 immediately above the implication-choice inference that consumes its
 principal.  The left-choice rule is invertible: ``specialize`` replaces a
-tagged choice product by one of its components throughout a subproof, so a
-choice moves in one step, re-expanding the consumer's second premise from its
-two specializations.
+tagged choice product by each of its components throughout a subproof, both
+in one traversal, so a choice moves in one step, re-expanding the consumer's
+second premise from the two.  The unadjacent choices are found once; a move
+rescans only that new left choice, and only if other choices were pending.
 
-``translate_ll_to_hll`` normalizes and then maps rule-for-rule into the zoned
-calculus, reading a flat context as input-product/linear/banged zones.  It reads
-each frame off the zoned premises it has drawn, not the flat contexts: after
-normalization every node but a left choice holds a product, so both agree.
+``translate_ll_to_hll`` normalizes and then maps each inference into the
+zoned calculus, reading a flat context as input-product/linear/banged zones
+and each frame off the zoned premises it has drawn.  It is not rule for rule:
+an identity axiom is never cut or framed, as the cut concludes its other
+premise and the framed identity is the identity of the tensor.  Neither emits
+a program edge, so the compiled program is the same.
 Proof files are ``hll``'s proof table, laid out for this calculus.
 """
 
@@ -53,6 +56,8 @@ from .syntax import (
     match_antecedent,
     multiset_minus,
     tensor_all,
+    zone_insert,
+    zone_merge,
 )
 
 
@@ -129,10 +134,10 @@ def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequ
         rest = multiset_minus(p.context, *split)
         if rest is None:
             return "premise context must hold both parts of the split"
-        context = rest + (a,)
+        context = zone_insert(rest, a)
     elif rule is LlRule.RTENSOR:
         q = premises[1].conclusion
-        context, goal = p.context + q.context, p.goal.tensor(q.goal)
+        context, goal = zone_merge(p.context, q.context), p.goal.tensor(q.goal)
     elif rule in (LlRule.LIMP, LlRule.LIMPOPLUS):
         if p.goal != a.antecedent:
             return "first premise must prove the antecedent"
@@ -147,7 +152,7 @@ def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequ
             # The conclusion would still hold the tag, so no consumer below
             # could tell which choice this node consumed.
             return "consumed choice tag is still pending in the first premise"
-        context, goal = p.context + rest + (a,), q.goal
+        context, goal = zone_merge(p.context, zone_insert(rest, a)), q.goal
     elif rule is LlRule.LOPLUS:
         q = premises[1].conclusion
         if q.goal != goal:
@@ -155,7 +160,7 @@ def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequ
         rest = multiset_minus(p.context, a.left)
         if rest is None or rest != multiset_minus(q.context, a.right):
             return "premise contexts must expand one frame to the two components"
-        context = rest + (a,)
+        context = zone_insert(rest, a)
     else:  # the bang rules
         if isinstance(a.formula, SimpleProduct):
             return "only implications may be banged"
@@ -166,9 +171,11 @@ def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequ
             rest = multiset_minus(rest, a, a)
         if rest is None:
             return "premise context does not match the bang schema"
-        context = rest + (a,)
-    context = canonical_zone(context)
-    return _tag_clash(context) or LlSequent.of_canonical(context, goal)
+        context = zone_insert(rest, a)
+    # Checked premises hold each tag once; over them only the two-premise
+    # rules, which join two contexts or add a choice, can hold one twice.
+    clash = (len(premises) == 2 or not all(premise.checked for premise in premises)) and _tag_clash(context)
+    return clash or LlSequent.of_canonical(context, goal)
 
 
 def _tag_clash(context: tuple) -> str | None:
@@ -227,35 +234,37 @@ def ll_cbang(premise: LlProof, formula: HornFormula) -> LlProof:
 # --- The normalizer -----------------------------------------------------------
 
 
-def specialize(proof: LlProof, tag: int, side: int) -> LlProof:
-    """Invert every left-choice step for a tag, committing to one component.
+def specialize(proof: LlProof, tag: int) -> tuple[LlProof, LlProof]:
+    """Invert every left-choice step for a tag, committing to each component.
 
-    The result proves the same sequent with the tagged choice product replaced
-    by its chosen side, and has no left-choice node for the tag.  A tag is in
-    a conclusion exactly when its left choice lies in the subtree, so only a
-    node with a changed premise gets the chosen side in its conclusion.
+    The pair proves the same sequent with the tagged choice product replaced
+    by its left, then its right side, and has no left-choice node for the
+    tag; one traversal draws both.  A tag is in a conclusion exactly when its
+    left choice lies in the subtree, so only a node with a changed premise
+    gets the chosen side in its conclusion.
     """
     occ = next((g for g in proof.conclusion.context if isinstance(g, LlOplusProduct) and g.tag == tag), None)
     if occ is None:
         raise ProofStructureError(f"cannot specialize: tag {tag} absent from conclusion")
-    chosen = occ.left if side == 1 else occ.right
 
     def expands(node: LlProof) -> bool:
         return node.rule is LlRule.LOPLUS and node.principal.tag == tag
 
-    def combine(node: LlProof, premises: list[LlProof]) -> LlProof:
+    def combine(node: LlProof, premises: list[tuple[LlProof, LlProof]]) -> tuple[LlProof, LlProof]:
         if expands(node):
-            return node.premises[side - 1]
-        if all(new is old for new, old in zip(premises, node.premises)):
-            return node
+            return node.premises
+        if all(new is old for (new, _), old in zip(premises, node.premises)):
+            return node, node
         rest = multiset_minus(node.conclusion.context, occ)
         if rest is None:  # the subtree consumes its own choice for the tag
-            return node
-        conclusion = LlSequent(rest + (chosen,), node.conclusion.goal)
-        return replace(node, conclusion=conclusion, premises=tuple(premises))
+            return node, node
+        goal = node.conclusion.goal
+        return tuple(LlProof(node.rule, LlSequent.of_canonical(zone_insert(rest, chosen), goal), below,
+                             node.principal, node.split, node.tag)
+                     for chosen, below in zip((occ.left, occ.right), zip(*premises)))
 
     result = hll.fold(proof, combine, lambda node: () if expands(node) else node.premises)
-    if result is proof:
+    if result[0] is proof:
         raise ProofStructureError(f"tag {tag} vanished above its expansion (corrupt proof)")
     return result
 
@@ -268,21 +277,27 @@ def _consumes(node: LlProof, index: int, tag: int) -> bool:
 
 
 def unadjacent_choice_paths(proof: LlProof) -> list[tuple[int, ...]]:
+    return _choice_paths(proof, ())
+
+
+def _choice_paths(tree: LlProof, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The paths, below ``prefix``, of the left choices in a subtree that no
+    parent within it consumes; one at the subtree's root comes first."""
     return [
-        hll.path_of(trail)
-        for node, trail in hll.walk(proof)
+        prefix + hll.path_of(trail)
+        for node, trail in hll.walk(tree)
         if node.rule is LlRule.LOPLUS
         and (trail is None or not _consumes(trail[1], trail[2], node.principal.tag))
     ]
 
 
-def _move_choice(proof: LlProof, path: tuple[int, ...]) -> LlProof:
+def _move_choice(proof: LlProof, path: tuple[int, ...]):
     """Move the left choice at ``path`` onto the inference consuming its tag.
 
     With ``S`` the consumer's second premise, ``S`` becomes the left choice
-    of ``specialize(S, tag, 1)`` and ``specialize(S, tag, 2)``.  No
-    conclusion changes, so the nodes below are copied with one premise
-    swapped.
+    of both sides of ``specialize(S, tag)``.  No conclusion changes, so the
+    nodes below are copied with one premise swapped.  Returns the proof, the
+    path of ``S`` and the left choice that replaced it.
     """
     trail, premise = None, proof
     for i in path:
@@ -290,13 +305,14 @@ def _move_choice(proof: LlProof, path: tuple[int, ...]) -> LlProof:
     occ: LlOplusProduct = premise.principal
     for _ in range(consumer_distance(occ.tag, trail) - 1):
         trail, premise = trail[0], trail[1]
-    moved = ll_loplus(specialize(premise, occ.tag, 1), specialize(premise, occ.tag, 2), occ)
+    moved = ll_loplus(*specialize(premise, occ.tag), occ)
     if moved.conclusion != premise.conclusion:
         raise ProofStructureError("moving a left choice changed the conclusion")
+    at, choice = hll.path_of(trail), moved
     while trail is not None:
         trail, node, i = trail
         moved = replace(node, premises=node.premises[:i] + (moved,) + node.premises[i + 1:])
-    return moved
+    return moved, at, choice
 
 
 def push_oplus_down(proof: LlProof, on_step=None) -> LlProof:
@@ -305,10 +321,12 @@ def push_oplus_down(proof: LlProof, on_step=None) -> LlProof:
     Repeatedly picks the unadjacent left-choice node closest to the conclusion
     (ties by leftmost path) and moves it in one step: the left-choice rule is
     invertible, so the consumer's second premise ``S`` becomes
-    ``ll_loplus(specialize(S, t, 1), specialize(S, t, 2), occ)``.  The other
-    choices in ``S`` are copied into both sides and move later.  The
-    result proves the same conclusion, with every left-choice node the
-    immediate second premise of the implication-choice node consuming its tag.
+    ``ll_loplus(*specialize(S, t), occ)``.  The other choices in ``S`` are
+    copied into both sides and move later; a move changes nothing outside
+    ``S``, so the unadjacent choices are found once and only the new left
+    choice is rescanned.  The result proves the same conclusion, with every
+    left-choice node the immediate second premise of the implication-choice
+    node consuming its tag.
 
     ``on_step``, when given, is called with the whole proof once per choice
     moved; ``loplus_distance_sum`` strictly decreases across those calls.
@@ -319,16 +337,19 @@ def push_oplus_down(proof: LlProof, on_step=None) -> LlProof:
 
     guard = 0
     limit = 4 * (sum(1 for _ in hll.walk(proof)) + 1) ** 3
-    while True:
-        paths = unadjacent_choice_paths(proof)
-        if not paths:
-            return proof
-        proof = _move_choice(proof, min(paths, key=lambda p: (len(p), p)))
+    paths = unadjacent_choice_paths(proof)
+    while paths:
+        proof, at, choice = _move_choice(proof, min(paths, key=lambda p: (len(p), p)))
+        kept = [p for p in paths if p[:len(at)] != at]
+        if len(kept) < len(paths) - 1:  # others were pending in S; [1:] skips the adjacent new root
+            kept += _choice_paths(choice, at)[1:]
+        paths = kept
         if on_step is not None:
             on_step(proof)
         guard += 1
         if guard > limit:
             raise ProofStructureError("normalization exceeded its conversion budget")
+    return proof
 
 
 def consumer_distance(tag: int, trail) -> int:
@@ -381,12 +402,26 @@ def horn_reading(sequent: LlSequent) -> HornSequent:
 
 
 def _framed(proof: HllProof, frame: Frame) -> HllProof:
-    """The proof framed by a residual; an empty one adds nothing, ``tensor_all`` makes one a product."""
-    return proof if frame.is_empty else hll.frame_rule(proof, tensor_all((frame,)))
+    """The proof framed by a residual: an empty one adds nothing, and an
+    identity framed is the identity of the tensor."""
+    if frame.is_empty:
+        return proof
+    if proof.rule is hll.HllRule.I:
+        return hll.i_axiom(proof.principal.tensor(frame))
+    return hll.frame_rule(proof, tensor_all((frame,)))
+
+
+def _cut(first: HllProof, second: HllProof) -> HllProof:
+    """The cut of two proofs, or the other premise where one is an identity
+    axiom on the product the cut passes on, since the cut would conclude it."""
+    if first.conclusion.goal == second.conclusion.input and hll.HllRule.I in (first.rule, second.rule):
+        return second if first.rule is hll.HllRule.I else first
+    return hll.cut(first, second)
 
 
 def translate_ll_to_hll(proof: LlProof) -> HllProof:
-    """Normalize, then simulate each inference in the zoned calculus.
+    """Normalize, then simulate each inference in the zoned calculus, with no
+    identity axiom cut or framed.
 
     The output checks valid and concludes exactly the zoned reading of the
     input's conclusion.
@@ -425,16 +460,16 @@ def _translate(node: LlProof, premises: list):
 
     if rule is LlRule.RTENSOR:
         t1, t2 = premises
-        proves = hll.frame_rule(t2, t1.conclusion.input)  # W2 (x) W1, ... |- Z2 (x) W1
-        uses = hll.frame_rule(t1, t2.conclusion.goal)  # W1 (x) Z2, ... |- Z1 (x) Z2
-        return hll.cut(proves, uses)
+        proves = _framed(t2, t1.conclusion.input)  # W2 (x) W1, ... |- Z2 (x) W1
+        uses = _framed(t1, t2.conclusion.goal)  # W1 (x) Z2, ... |- Z1 (x) Z2
+        return _cut(proves, uses)
 
     if rule is LlRule.LIMP:
         imp: PlainImplication = node.principal
         t1, t2 = premises
-        inner = hll.cut(t1, hll.h_axiom(imp))
+        inner = _cut(t1, hll.h_axiom(imp))
         w2 = match_antecedent(t2.conclusion.input, imp.consequent)
-        return hll.cut(_framed(inner, w2), t2)
+        return _cut(_framed(inner, w2), t2)
 
     if rule is LlRule.LIMPOPLUS:
         imp: OplusImplication = node.principal
@@ -446,7 +481,7 @@ def _translate(node: LlProof, premises: list):
         t0, (t1, t2) = premises
         v = match_antecedent(t1.conclusion.input, imp.left)
         choice = hll.oplus_h(t1, t2, imp, v)
-        return hll.cut(_framed(t0, v), choice)
+        return _cut(_framed(t0, v), choice)
 
     if rule in _BANG_RULES:
         return _BANG_RULES[rule](premises[0], node.principal.formula)

@@ -8,6 +8,9 @@ the frame that must be non-empty.  Constructions from outside validate once;
 ``tensor``, ``power``, ``match_antecedent`` and ``tensor_all`` merge entries
 that are already canonical and skip validation, as
 ``HornSequent.of_canonical`` does for zones already in canonical order.
+Canonical zones grow by ``zone_insert`` (one bisection) and ``zone_merge``
+(one merge of sorted runs) and shrink by ``multiset_minus``; only unsorted
+input, such as a parsed sequent, is sorted whole by ``canonical_zone``.
 ``apply_implication`` rewrites in one pass: one count dict less the
 antecedent (the subtraction ``match_antecedent`` shares), plus the
 consequent, sorted once, with no residual frame between.
@@ -46,7 +49,7 @@ parse/print round-trip bit-exactly on canonical text.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -293,6 +296,18 @@ def multiset_minus(items: tuple, *members) -> tuple | None:
             return None
         items = items[:index] + items[index + 1:]
     return items
+
+
+def zone_insert(zone: tuple, member) -> tuple:
+    """A canonical zone with one more member, placed by one bisection on its text."""
+    index = bisect_right(zone, member.text, key=attrgetter("text"))
+    return zone[:index] + (member,) + zone[index:]
+
+
+def zone_merge(a: tuple, b: tuple) -> tuple:
+    """Two canonical zones as one: the other when one is empty, else one pass,
+    as the sort merges two sorted runs."""
+    return canonical_zone(a + b) if a and b else a or b
 
 
 def _minus(x: SimpleProduct, antecedent: SimpleProduct) -> dict[str, int] | None:

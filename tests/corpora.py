@@ -234,7 +234,10 @@ def _ltensor_separated_case(names) -> ll.LlProof:
     return _finish(block, names, 1)
 
 
-def _stacked_case(names) -> ll.LlProof:
+def _stacked_case(names, weakenings: int = 0) -> ll.LlProof:
+    """Two nested choices, the outer one under ``weakenings`` weakenings, and
+    their consumers; with weakenings, moving the outer choice copies the
+    inner ones, which move after it."""
     fn, y1n, y2n, mn = names
     f2n, g2n, h2n = "f2", "g2", "h2"
     f1, g, h = SimpleProduct.of(fn), SimpleProduct.of(y1n), SimpleProduct.of(y2n)
@@ -256,6 +259,9 @@ def _stacked_case(names) -> ll.LlProof:
     occ1 = ll.LlOplusProduct(g, h, 1)
     inner = {y: ll.ll_loplus(pi(y, occ2.left), pi(y, occ2.right), occ2) for y in (g, h)}
     block = ll.ll_loplus(inner[occ1.left], inner[occ1.right], occ1)
+    for i in range(weakenings):
+        u = SimpleProduct.of(f"u{i}")
+        block = ll.ll_wbang(block, PlainImplication(u, u))
     step1 = ll.ll_limpoplus(ll.ll_i(f1), block, OplusImplication(f1, g, h), 1)
     return ll.ll_limpoplus(ll.ll_i(f2), step1, OplusImplication(f2, g2, h2), 2)
 

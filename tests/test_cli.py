@@ -8,7 +8,7 @@ import pytest
 from corpora import chain
 from hornlog import bridge, cli, minsky, programs
 from hornlog.minsky import Computation, Configuration, parse_computation, parse_machine, validate_computation
-from hornlog.programs import HornProgram, program_from_json, program_height, program_to_json
+from hornlog.programs import HornProgram, program_from_json, program_height, program_to_json, prove_bounded as prove
 from hornlog.syntax import parse_formula, parse_sequent
 
 DEC_TEXT = "counters 2\nL1: ifzero x1 goto L0\nL1: dec x1 goto L1\nL0: halt\n"
@@ -62,6 +62,21 @@ def test_machine_run_rejects_wrong_arity(dec_file, tmp_path):
     run.write_text("L1 : 1,0,7\nI2 -> L1 : 0,0,7\nI1 -> L0 : 0,0,7\n")
     result = run_cli("machine", "run", str(dec_file), str(run), expect=1)
     assert result.stdout.startswith("reject at index 0")
+
+
+def test_a_run_of_the_wrong_arity_gets_one_verdict(dec_file, tmp_path, capsys):
+    """A configuration with another number of counters than the machine is a
+    run the machine rejects, not malformed text: ``bridge comp-to-prog`` says
+    so as ``machine run`` does."""
+    run = tmp_path / "run.txt"
+    run.write_text("L1 : 1,0,7\nI2 -> L1 : 0,0,7\nI1 -> L0 : 0,0,7\n")
+    line = "reject at index 0: L1 : 1,0,7 has 3 counters, machine has 2\n"
+    out = tmp_path / "prog.json"
+    assert cli.main(["machine", "run", str(dec_file), str(run)]) == 1
+    assert capsys.readouterr() == (line, "")
+    assert cli.main(["bridge", "comp-to-prog", str(dec_file), str(run), "--output", str(out)]) == 1
+    assert capsys.readouterr() == (line, "")
+    assert not out.exists()
 
 
 def test_machine_search_rejects_a_negative_start_label(dec_file):
@@ -193,21 +208,32 @@ def test_bridge_roundtrip_agreement(dec_file):
     run_cli("bridge", "roundtrip", str(dec_file), "--input", "0,1", "--strict", expect=1)
 
 
+HUGE_FILES = {"machine": "counters 99999999999999999999\nL1: inc x1 goto L0\n",
+              "program": '{"root": 0, "edges": []}', "run": "L1 : 0\nI1 -> L0 : 1\n"}
+
+
+def huge_args(tmp_path, command) -> list[str]:
+    for name, text in HUGE_FILES.items():
+        (tmp_path / name).write_text(text)
+    return [arg.format(**{name: str(tmp_path / name) for name in HUGE_FILES}) for arg in command]
+
+
 @pytest.mark.parametrize("command", [
     ("encode", "{machine}", "--input", "1"),
     ("bridge", "roundtrip", "{machine}", "--input", "1"),
     ("bridge", "prog-to-comp", "{machine}", "{program}", "--input", "1"),
-    ("bridge", "comp-to-prog", "{machine}", "{run}"),
-], ids=["encode", "roundtrip", "prog-to-comp", "comp-to-prog"])
+], ids=["encode", "roundtrip", "prog-to-comp"])
 def test_huge_counter_count_exits_2_at_once(tmp_path, command):
     # The n*n killer formulas must not be built before the arity is checked.
-    files = {"machine": "counters 99999999999999999999\nL1: inc x1 goto L0\n",
-             "program": '{"root": 0, "edges": []}', "run": "L1 : 0\nI1 -> L0 : 1\n"}
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    args = [arg.format(**{name: str(tmp_path / name) for name in files}) for arg in command]
-    result = run_cli(*args, expect=2, timeout=5)
+    result = run_cli(*huge_args(tmp_path, command), expect=2, timeout=5)
     assert "99999999999999999999" in result.stderr
+
+
+def test_a_run_of_a_huge_counter_count_is_rejected_at_once(tmp_path):
+    """A run of one counter is not a run of the machine, which the one
+    judgment of a halting run says before any killer formula is built."""
+    result = run_cli(*huge_args(tmp_path, ("bridge", "comp-to-prog", "{machine}", "{run}")), expect=1, timeout=5)
+    assert result.stdout == "reject at index 0: L1 : 0 has 1 counters, machine has 99999999999999999999\n"
 
 
 def test_compile_pipeline(tmp_path):
@@ -635,3 +661,61 @@ def test_the_output_gate_passes_runs_from_any_start_label(tmp_path, capsys):
     assert run_file.read_text() == "L2 : 1\nI1 -> L1 : 0\nI2 -> L0 : 0\n"
     assert cli.main(["bridge", "comp-to-prog", str(machine), str(run_file)]) == 0
     assert '"root": 0' in capsys.readouterr().out
+
+
+def _leaf_dropped(program: HornProgram) -> HornProgram:
+    """The program without its last edge, which leads to a leaf: vertices are numbered in preorder."""
+    return HornProgram.build(program.root, program.edges[:-1])
+
+
+def test_a_witness_failing_the_output_gate_exits_3_unwritten(tmp_path, capsys, monkeypatch):
+    seq_file = tmp_path / "q.seq"
+    seq_file.write_text("a ; a -o b, b -o c ; |- c")
+    monkeypatch.setattr(programs, "prove_bounded", lambda sequent, depth: _leaf_dropped(prove(sequent, depth)))
+    out, dot = tmp_path / "prog.json", tmp_path / "prog.dot"
+    assert cli.main(["prove", str(seq_file), "--output", str(out), "--dot", str(dot)]) == 3
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("error: internal: program fails its check: ")
+    assert not out.exists() and not dot.exists()
+
+
+def translated_corpus(tmp_path) -> tuple:
+    from corpora import ll_corpus
+    from hornlog import hll, ll
+
+    files = []
+    for i in (0, 4):  # two proofs over other literals
+        files.append(tmp_path / f"proof{i}.ll.json")
+        files[-1].write_text(ll.ll_proof_to_json(ll_corpus()[i]))
+    zoned = tmp_path / "proof0.hll.json"
+    zoned.write_text(hll.hll_proof_to_json(ll.translate_ll_to_hll(ll_corpus()[0])))
+    return files, zoned
+
+
+def test_a_compiled_program_failing_the_output_gate_exits_3_unwritten(tmp_path, capsys, monkeypatch):
+    from hornlog import hll
+
+    _, zoned = translated_corpus(tmp_path)
+    compile_ = hll.compile_hll_to_program
+    monkeypatch.setattr(hll, "compile_hll_to_program", lambda proof: _leaf_dropped(compile_(proof)))
+    out, dot = tmp_path / "prog.json", tmp_path / "prog.dot"
+    assert cli.main(["compile", "hll-to-program", str(zoned), "--output", str(out), "--dot", str(dot)]) == 3
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("error: internal: program fails its check: ")
+    assert not out.exists() and not dot.exists()
+
+
+def test_a_translation_failing_the_output_gate_exits_3_unwritten(tmp_path, capsys, monkeypatch):
+    """The gate compiles the zoned proof and verifies the program against the
+    zoned reading of the flat end-sequent, so a valid zoned proof of another
+    sequent fails it."""
+    from hornlog import ll
+
+    (first, second), _ = translated_corpus(tmp_path)
+    other = ll.translate_ll_to_hll(ll.ll_proof_from_json(second.read_text()))
+    monkeypatch.setattr(ll, "translate_ll_to_hll", lambda proof: other)
+    out = tmp_path / "proof.hll.json"
+    assert cli.main(["compile", "ll-to-hll", str(first), "--output", str(out)]) == 3
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("error: internal: zoned proof fails its check: ")
+    assert not out.exists()

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from corpora import ll_corpus, ll_separation
+from corpora import _rtensor_separated_case, _stacked_case, ll_corpus, ll_separation
 from hornlog import cli, hll, ll
 from hornlog.ll import (
     LlBang,
@@ -23,7 +23,7 @@ from hornlog.ll import (
     translate_ll_to_hll,
     unadjacent_choice_paths,
 )
-from hornlog.programs import verify_strong_solution
+from hornlog.programs import program_to_json, verify_strong_solution
 from hornlog.syntax import (
     FormatError,
     OplusImplication,
@@ -100,9 +100,9 @@ def test_a_node_is_checked_when_built_only_over_checked_premises():
 
 
 def test_moved_choices_are_checked_node_by_node():
-    """``specialize`` rewrites conclusions with ``replace`` and the nodes
-    below a moved choice are copied the same way, so the normalized proof is
-    unmarked where it changed, and the checker walks it."""
+    """``specialize`` draws the nodes it changes with ``LlProof(...)`` and
+    the nodes below a moved choice are copied with ``replace``, so the
+    normalized proof is unmarked where it changed, and the checker walks it."""
     proof = _two_rule_separation()
     normalized = push_oplus_down(proof)
     assert proof.checked and not normalized.checked
@@ -140,7 +140,7 @@ def test_choice_expansion_accepts():
 
 def test_specialize_commits_a_branch():
     block = make_choice_block()
-    left = specialize(block, 1, 1)
+    left = specialize(block, 1)[0]
     assert check_ll_proof(left).ok
     assert G in left.conclusion.context
     assert not any(isinstance(g, LlOplusProduct) for g in left.conclusion.context)
@@ -152,8 +152,8 @@ def test_specialize_keeps_a_premise_that_consumes_its_own_choice():
     pair = ll.ll_limpoplus(ll.ll_i(F), make_choice_block(), OplusImplication(F, G, H), 1)
     proof = ll.ll_rtensor(make_choice_block(), pair)
     assert check_ll_proof(proof).ok
-    left = specialize(proof, 1, 1)
-    assert left == ll.ll_rtensor(specialize(make_choice_block(), 1, 1), pair)
+    left = specialize(proof, 1)[0]
+    assert left == ll.ll_rtensor(specialize(make_choice_block(), 1)[0], pair)
     assert left.premises[1] is pair
 
 
@@ -167,6 +167,9 @@ def test_checker_rejects_a_tag_twice_in_one_context(tmp_path):
         ll.ll_rtensor(block, block)
     twice = LlSequent(block.conclusion.context * 2, block.conclusion.goal.tensor(block.conclusion.goal))
     pair = LlProof(LlRule.RTENSOR, twice, (block, block))
+    # Over a premise nobody checked, a rule that joins nothing finds the clash too.
+    with pytest.raises(ValueError, match=r"choice tags duplicated in one context: \[1\]"):
+        ll.ll_wbang(pair, PlainImplication(Z, Z))
     proof = ll.ll_limpoplus(ll.ll_i(F), ll.ll_limpoplus(ll.ll_i(F), pair, imp, 1), imp, 1)
     result = check_ll_proof(proof)
     assert not result.ok
@@ -269,7 +272,7 @@ def test_moved_choice_is_the_consumer_premise_specialized_both_ways():
     proof = _two_rule_separation()
     premise = proof.premises[1]
     occ = LlOplusProduct(G, H, 1)
-    expected = ll.ll_loplus(specialize(premise, 1, 1), specialize(premise, 1, 2), occ)
+    expected = ll.ll_loplus(specialize(premise, 1)[0], specialize(premise, 1)[1], occ)
     assert push_oplus_down(proof).premises[1] == expected
 
 
@@ -320,16 +323,28 @@ def test_translate_axiom():
 
 
 def test_translate_left_implication_block():
+    """An implication between two identities is the single-step axiom alone:
+    the cuts with the identities would conclude what it concludes."""
     node = ll.ll_limp(ll.ll_i(F), ll.ll_i(G), PlainImplication(F, G))
     t = translate_ll_to_hll(node)
-    assert hll.check_hll_proof(t).ok
+    assert t == hll.h_axiom(PlainImplication(F, G))
     assert t.conclusion == parse_sequent("f ; f -o g ; |- g")
-    assert t.rule is hll.HllRule.CUT
-    inner = t.premises[0]
-    assert inner.rule is hll.HllRule.CUT
-    assert inner.premises[0].rule is hll.HllRule.I
-    assert inner.premises[1].rule is hll.HllRule.H
-    assert t.premises[1].rule is hll.HllRule.I
+
+
+def test_translate_a_tensor_of_identities_is_one_identity():
+    """Each framed identity is the identity of the tensor, and the cut of two
+    identities on one product is that identity."""
+    node = ll.ll_rtensor(ll.ll_rtensor(ll.ll_i(F), ll.ll_i(G)), ll.ll_rtensor(ll.ll_i(F), ll.ll_i(H)))
+    t = translate_ll_to_hll(node)
+    assert t == hll.i_axiom(parse_product("f*f*g*h"))
+    assert t.conclusion == parse_sequent("f*f*g*h ; ; |- f*f*g*h")
+
+
+def test_a_translation_cuts_or_frames_no_identity():
+    for proof in ll_corpus():
+        for node, _ in hll.walk(translate_ll_to_hll(proof)):
+            if node.rule in (hll.HllRule.CUT, hll.HllRule.M):
+                assert all(p.rule is not hll.HllRule.I for p in node.premises), node.rule
 
 
 def test_translate_choice_pipeline_builds_fork():
@@ -431,14 +446,57 @@ def rendering(proof):
         yield f"{node.rule.value} | {node.conclusion} | {principal} | {'' if extra is None else extra}\n"
 
 
-# sha256 of the rendering of every normalized corpus proof and its translation.
-NORMAL_FORM_SHA256 = "80c31b83d77e454ed95fc9173ed4d118eebff68c2bc842a0f282e31f25e7b5fa"
+# sha256 of the rendering of every normalized corpus proof, of every
+# translation, and of the JSON of every program compiled from a translation.
+NORMAL_FORM_SHA256 = "d20ed952d8ada420fb2d7d8939a07c9334a7b011046d736b7aacb9abcde26e06"
+TRANSLATION_SHA256 = "a91d20ec2d31aa470dcd63baef3365cfa3e944c72c707a5a54f66e3a84cea50f"
+PROGRAMS_SHA256 = "9110d5da2dbf605cced803b177eb539a8bb8a67860b80ada189ea18b0ac61138"
+
+
+def corpus_digest(texts) -> str:
+    digest = hashlib.sha256()
+    for proof in ll_corpus():
+        for text in texts(proof):
+            digest.update(text.encode())
+    return digest.hexdigest()
 
 
 def test_normal_form_of_corpus_is_pinned():
-    digest = hashlib.sha256()
-    for proof in ll_corpus():
-        for tree in (push_oplus_down(proof), translate_ll_to_hll(proof)):
-            for line in rendering(tree):
-                digest.update(line.encode())
-    assert digest.hexdigest() == NORMAL_FORM_SHA256
+    assert corpus_digest(lambda proof: rendering(push_oplus_down(proof))) == NORMAL_FORM_SHA256
+
+
+def test_translation_of_corpus_is_pinned():
+    assert corpus_digest(lambda proof: rendering(translate_ll_to_hll(proof))) == TRANSLATION_SHA256
+
+
+def test_programs_of_corpus_are_pinned():
+    """Cut, frame and identity nodes emit no edge, so dropping the identity
+    detours leaves every compiled program byte for byte as it was."""
+    def program(proof):
+        return [program_to_json(hll.compile_hll_to_program(translate_ll_to_hll(proof)))]
+    assert corpus_digest(program) == PROGRAMS_SHA256
+
+
+def rescan_steps(proof):
+    """The proofs a normalizer that finds the unadjacent choices afresh
+    after every move passes through, one per move."""
+    steps = []
+    while paths := unadjacent_choice_paths(proof):
+        proof = ll._move_choice(proof, min(paths, key=lambda p: (len(p), p)))[0]
+        steps.append(proof)
+    return steps
+
+
+def test_the_worklist_moves_what_a_full_rescan_moves():
+    """Beyond the corpus: nested choices, the outer one moved first, and two
+    such proofs side by side, so that moves under one premise leave the
+    choices pending under the other."""
+    stacked = _stacked_case(("f", "g", "h", "m"), 2)
+    pair = ll.ll_rtensor(stacked, _rtensor_separated_case(("x", "y", "t", "n")))
+    moves = 0
+    for proof in ll_corpus() + [stacked, pair]:
+        steps = []
+        push_oplus_down(proof, on_step=steps.append)
+        assert steps == rescan_steps(proof)
+        moves += len(steps)
+    assert moves == 11 + 2 + 3

@@ -254,6 +254,22 @@ def gate(machine, run):
         return minsky.halting_configuration, HALT_LABEL
     return validate_halting_run(machine, run), inner
 ''', ["3:search", "6:computation_to_program"]),
+    "zone_owner": Rule(
+        lambda tree: [f"{c.lineno}:{where(within)}" for c, name, within in calls(tree) if name == "canonical_zone"],
+        ("syntax.py", "ll.py:__post_init__"),
+        "A canonical zone grows through syntax.zone_insert and syntax.zone_merge and shrinks through "
+        "multiset_minus, each linear in the zone; canonical_zone sorts it whole, which only unsorted input, "
+        "a sequent built from outside, needs.", '''
+def _conclude(p, f):
+    return canonical_zone(p.linear + (f,)), syntax.canonical_zone(p.banged + p.banged)
+
+class LlSequent:
+    def __post_init__(self):
+        object.__setattr__(self, "context", canonical_zone(self.context))
+
+def fine(p, q, f):
+    return zone_insert(p.linear, f), zone_merge(p.banged, q.banged), canonical_zone
+''', ["3:_conclude", "3:_conclude", "7:__post_init__"]),
     "grammar_owner": Rule(
         grammar_imports, ("syntax.py",),
         "The grammar lives in syntax.py and other layers read text through its public parsers; "

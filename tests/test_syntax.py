@@ -167,6 +167,14 @@ def test_flat_context_print_parse_print(context, goal):
     assert ll_sequent_text(again) == text
 
 
+@given(st.lists(members, max_size=6), st.lists(members, max_size=6), members)
+def test_zone_helpers_keep_a_zone_canonical(a, b, member):
+    a, b = syntax.canonical_zone(a), syntax.canonical_zone(b)
+    assert syntax.zone_insert(a, member) == syntax.canonical_zone(a + (member,))
+    assert syntax.zone_merge(a, b) == syntax.canonical_zone(a + b)
+    assert syntax.zone_merge(a, ()) is a and syntax.zone_merge((), b) is b
+
+
 MALFORMED_MEMBERS = ["!((a + b)#1)", "(a + b)", "(a + b)#x", "!(a -o b", "(a b)"]
 
 
