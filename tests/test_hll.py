@@ -16,6 +16,7 @@ from hornlog.hll import (
 )
 from hornlog.programs import program_height, verify_strong_solution
 from hornlog.syntax import (
+    FormatError,
     Frame,
     OplusImplication,
     PlainImplication,
@@ -279,3 +280,123 @@ def test_leaf_count_law():
     for proof in hll_corpus(seed=99, count=20):
         program = compile_hll_to_program(proof)
         assert len(program.leaves) == hll.fold(proof, leaf_count)
+
+
+# --- The proof-file reader's error texts ------------------------------------------------
+
+
+def _table(calculus: str) -> dict:
+    """A valid two-node table: an identity axiom under one weakening."""
+    nodes = [{"rule": "I", "principal": 0}, {"rule": "WBANG", "premises": [0], "principal": 1}]
+    if calculus == "hll":
+        return {"formulas": ["a", "a -o a"], "conclusion": [0, [], [1], 0], "nodes": nodes}
+    return {"formulas": ["a", "!(a -o a)", "a -o a"], "conclusion": [[0, 1], 0], "nodes": nodes}
+
+
+def _with(*edits):
+    """The table with each ``(path, value)`` set, as proof-file text."""
+    def text(table: dict) -> str:
+        for path, value in edits:
+            target = table
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        return json.dumps(table)
+    return text
+
+
+def _rows(*rows):
+    return lambda table: json.dumps({**table, "nodes": table["nodes"] + list(rows)})
+
+
+def _long_field(field: str):
+    """A field holding an integer of more digits than ``int`` converts."""
+    return lambda table: json.dumps(table).replace(f'"{field}": 0', f'"{field}": {"1" * 5000}', 1)
+
+
+TABLE_SHAPE = "a proof is a JSON object with a 'formulas' list of strings, a 'conclusion' list of {} parts and a 'nodes' list"
+HLL_ROW = "node {} must be a JSON object with fields among ['frame', 'premises', 'principal', 'rule'], premises a list"
+LL_ROW = "node {} must be a JSON object with fields among ['premises', 'principal', 'rule', 'split', 'tag'], premises a list"
+NOT_ONE_USE = "node {}'s premise {} is not an earlier node that is no other premise"
+ONE_ROOT = "a proof has one root: every node but the last is the premise of a later one"
+HLL_RULES = "node 1's rule must be one of ['I', 'H', 'LTENSOR', 'M', 'LBANG', 'WBANG', 'CBANG', 'OPLUS_H', 'CUT']"
+LL_RULES = "node 1's rule must be one of ['I', 'LTENSOR', 'LBANG', 'WBANG', 'CBANG', 'RTENSOR', 'LIMP', 'LIMPOPLUS', 'LOPLUS']"
+Malformed, Invalid = FormatError, hll.InvalidProof
+
+READER_ERRORS = {
+    # the table's shape, a non-string formula among it
+    "hll/non-string-formula": (_with((("formulas", 1), 5)), Malformed, TABLE_SHAPE.format(4)),
+    "ll/non-string-formula": (_with((("formulas", 1), 5)), Malformed, TABLE_SHAPE.format(2)),
+    "ll/no-nodes": (_with((("nodes",), [])), Malformed, TABLE_SHAPE.format(2)),
+    "hll/nested-document": (lambda t: '{"premises": [' * 5000 + "]}" * 5000, Malformed,
+                            "a proof is a flat table, not a nested document"),
+    # an index out of range, or not an index
+    "hll/index-out-of-range": (_with((("nodes", 1, "principal"), 9)), Malformed, "node 1's principal must be an index into 'formulas'"),
+    "ll/negative-index": (_with((("nodes", 0, "principal"), -1)), Malformed, "node 0's principal must be an index into 'formulas'"),
+    "ll/boolean-index": (_with((("nodes", 0, "principal"), True)), Malformed, "node 0's principal must be an index into 'formulas'"),
+    "hll/fractional-index": (_with((("nodes", 0, "principal"), 1.0)), Malformed, "node 0's principal must be an index into 'formulas'"),
+    "ll/null-index": (_with((("nodes", 0, "principal"), None)), Malformed, "node 0's principal must be an index into 'formulas'"),
+    "hll/listed-index": (_with((("nodes", 0, "principal"), [0])), Malformed, "node 0's principal must be an index into 'formulas'"),
+    "hll/zone-index-out-of-range": (_with((("conclusion", 1), [1, 7])), Malformed,
+                                    "the conclusion's linear must be a list of indices into 'formulas'"),
+    "ll/zone-not-a-list": (_with((("conclusion", 0), 0)), Malformed, "the conclusion's context must be a list of indices into 'formulas'"),
+    "ll/zone-checked-whole-before-parsing": (_with((("formulas", 0), "a b"), (("conclusion", 0), [0, 9])), Malformed,
+                                             "the conclusion's context must be a list of indices into 'formulas'"),
+    "hll/listed-goal": (_with((("conclusion", 3), [0])), Malformed, "the conclusion's goal must be an index into 'formulas'"),
+    "ll/short-split": (_with((("nodes", 0, "split"), [0])), Malformed, "node 0's split must be a list of indices into 'formulas'"),
+    # a text that does not parse, or of the wrong kind
+    "hll/unparsable-text": (_with((("formulas", 0), "a b")), Malformed,
+                            "the conclusion's input: formulas[0] 'a b': trailing input 'b' (at offset 2)"),
+    "ll/unparsable-choice": (_with((("formulas", 1), "(a + b)")), Malformed,
+                             "the conclusion's context: formulas[1] '(a + b)': expected '#', found 'end of input' (at offset 7)"),
+    "hll/implication-as-goal": (_with((("conclusion", 3), 1)), Malformed,
+                                "the conclusion's goal: formulas[1] 'a -o a': expected a product, found 'a -o a'"),
+    "ll/implication-as-goal": (_with((("conclusion", 1), 2)), Malformed,
+                               "the conclusion's goal: formulas[2] 'a -o a': expected a product, found 'a -o a'"),
+    "hll/product-in-a-zone": (_with((("conclusion", 1), [0])), Malformed,
+                              "the conclusion's linear: formulas[0] 'a': expected an implication, found 'a'"),
+    "hll/zone-formula-as-frame": (_rows({"rule": "M", "premises": [1], "frame": 1}), Malformed,
+                                  "node 2's frame: formulas[1] 'a -o a': expected a product, found 'a -o a'"),
+    "ll/implication-in-a-split": (_rows({"rule": "LTENSOR", "premises": [1], "principal": 0, "split": [0, 2]}), Malformed,
+                                  "node 2's split: formulas[2] 'a -o a': expected a product, found 'a -o a'"),
+    "ll/product-as-bang-principal": (_with((("nodes", 1, "principal"), 0)), Malformed, "node 1: WBANG cannot have a as its principal"),
+    # a premise reused or pointing forward
+    "hll/premise-used-twice": (_with((("nodes", 1, "premises"), [0, 0])), Malformed, NOT_ONE_USE.format(1, 0)),
+    "ll/premise-points-forward": (_with((("nodes", 0, "premises"), [1])), Malformed, NOT_ONE_USE.format(0, 1)),
+    "ll/fractional-premise": (_with((("nodes", 1, "premises"), [0.0])), Malformed, NOT_ONE_USE.format(1, 0.0)),
+    # two roots
+    "hll/two-roots": (_rows({"rule": "I", "principal": 0}), Malformed, ONE_ROOT),
+    "ll/two-roots": (_rows({"rule": "I", "principal": 0}), Malformed, ONE_ROOT),
+    # a stray or misplaced field
+    "hll/stray-field": (_with((("nodes", 1, "conclusion"), 0)), Malformed, HLL_ROW.format(1)),
+    "ll/premises-not-a-list": (_with((("nodes", 1, "premises"), {})), Malformed, LL_ROW.format(1)),
+    "ll/row-not-an-object": (_with((("nodes", 0), [])), Malformed, LL_ROW.format(0)),
+    "hll/frame-on-an-identity": (_with((("nodes", 0, "frame"), 0)), Malformed, "node 0: I takes no frame"),
+    "ll/split-on-an-identity": (_with((("nodes", 0, "split"), [0, 0])), Malformed, "node 0: I takes no split"),
+    "ll/tag-on-a-weakening": (_with((("nodes", 1, "tag"), 3)), Malformed, "node 1: WBANG takes no tag"),
+    # an unknown rule
+    "hll/unknown-rule": (_with((("nodes", 1, "rule"), "CUT?")), Malformed, HLL_RULES),
+    "ll/numbered-rule": (_with((("nodes", 1, "rule"), 3)), Malformed, LL_RULES),
+    # an overlong integer
+    "hll/overlong-index": (_long_field("principal"), Malformed, "node 0's principal must be an index into 'formulas'"),
+    "ll/overlong-tag": (lambda t: _long_field("tag")({**t, "nodes": [{"rule": "I", "principal": 0, "tag": 0}]}), Malformed,
+                        "node 0's tag must be an integer"),
+    "ll/boolean-tag": (_with((("nodes", 0, "tag"), True)), Malformed, "node 0's tag must be an integer"),
+    # an inference that draws nothing, and a wrong end-sequent
+    "hll/unmet-side-condition": (_with((("nodes", 1, "rule"), "LBANG")), Invalid,
+                                 "LBANG at node 1: premise must carry the principal linearly"),
+    "ll/unmet-side-condition": (_with((("formulas", 1), "!(a)")), Invalid, "WBANG at node 1: only implications may be banged"),
+    "ll/premise-count": (_rows({"rule": "RTENSOR", "premises": [1]}), Invalid, "RTENSOR at node 2: RTENSOR takes 2 premises, got 1"),
+    "hll/wrong-end-sequent": (_with((("conclusion", 2), [])), Invalid, "WBANG at node 1: conclusion must be a ; ; a -o a |- a"),
+    "ll/wrong-end-sequent": (_with((("conclusion", 0), [0])), Invalid, "WBANG at node 1: conclusion must be !(a -o a), a |- a"),
+}
+READERS = {"hll": hll_proof_from_json, "ll": ll.ll_proof_from_json}
+
+
+@pytest.mark.parametrize("case", READER_ERRORS)
+def test_each_reader_error_has_its_exact_text(case):
+    mutate, error, message = READER_ERRORS[case]
+    calculus = case.split("/")[0]
+    with pytest.raises((FormatError, hll.InvalidProof)) as raised:
+        READERS[calculus](mutate(_table(calculus)))
+    assert (type(raised.value), str(raised.value)) == (error, message)

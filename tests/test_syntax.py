@@ -175,13 +175,77 @@ def test_zone_helpers_keep_a_zone_canonical(a, b, member):
     assert syntax.zone_merge(a, ()) is a and syntax.zone_merge((), b) is b
 
 
-MALFORMED_MEMBERS = ["!((a + b)#1)", "(a + b)", "(a + b)#x", "!(a -o b", "(a b)"]
+# Each malformed member and the exact error the parser gives it.
+MALFORMED_MEMBERS = {
+    "!((a + b)#1)": "expected ')', found '+' (at offset 5)",
+    "(a + b)": "expected '#', found 'end of input' (at offset 7)",
+    "(a + b)#x": "expected a tag number after '#' (at offset 8)",
+    "!(a -o b": "expected ')', found 'end of input' (at offset 8)",
+    "(a b)": "expected ')', found 'b' (at offset 3)",
+}
 
 
 @pytest.mark.parametrize("bad", MALFORMED_MEMBERS)
 def test_flat_member_parse_errors(bad):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as raised:
         parse_member(bad)
+    assert str(raised.value) == MALFORMED_MEMBERS[bad]
+
+
+PARSE_ERRORS = [
+    # unexpected character
+    (parse_member, "a @ b", "unexpected character '@'", 2),
+    (parse_member, "\u00e9", "unexpected character '\u00e9'", 0),
+    (parse_member, "a*\u00e9", "unexpected character '\u00e9'", 2),
+    (parse_product, "a - b", "unexpected character '-'", 2),
+    (parse_sequent, "a ; ; |- a | b", "unexpected character '|'", 11),
+    # expected a literal
+    (parse_member, "", "expected a literal, found 'end of input'", 0),
+    (parse_member, "*a", "expected a literal, found '*'", 0),
+    (parse_member, "a -o (b + )", "expected a literal, found ')'", 10),
+    (parse_product, "(a)", "expected a literal, found '('", 0),
+    (parse_product, "   ", "expected a literal, found 'end of input'", 3),
+    (parse_sequent, "a ; a -o b, ; |- b", "expected a literal, found ';'", 12),
+    (parse_sequent, "a ; ; |-", "expected a literal, found 'end of input'", 8),
+    # expected a literal after '*'
+    (parse_member, "a*", "expected a literal after '*', found 'end of input'", 2),
+    (parse_member, "a * -o b", "expected a literal after '*', found '-o'", 4),
+    (parse_product, "a*b*", "expected a literal after '*', found 'end of input'", 4),
+    (parse_sequent, "a ; ; |- b**a", "expected a literal after '*', found '*'", 11),
+    # expected '(' or ')'
+    (parse_member, "!a", "expected '(', found 'a'", 1),
+    (parse_member, "a -o (b + c", "expected ')', found 'end of input'", 11),
+    (parse_member, "(a*b -o c)", "expected ')', found '-o'", 5),
+    (parse_sequent, "a ; !(a -o b c ; |- b", "expected ')', found 'c'", 13),
+    # the sequent's separators, and a member of the wrong kind in a zone
+    (parse_sequent, "a |- a", "expected ';', found '|-'", 2),
+    (parse_sequent, "a ; ; a -o b b", "expected '|-', found 'b'", 13),
+    (parse_sequent, "a ; b ; |- a", "expected an implication, found 'b'", 4),
+    (parse_sequent, "a ; ; !(a -o b) |- b", "expected an implication, found '!(a -o b)'", 6),
+    (parse_sequent, "a ; (a + b)#1 ; |- b", "expected an implication, found '(a + b)#1'", 4),
+    # trailing input
+    (parse_member, "a -o b c", "trailing input 'c'", 7),
+    (parse_product, "a -o b", "trailing input '-o'", 2),
+    (parse_sequent, "a ; ; |- a ;", "trailing input ';'", 11),
+    # tag number missing, or too long for int()
+    (parse_member, "(a + b)#", "expected a tag number after '#'", 8),
+    (parse_member, "(a + b)#-o", "expected a tag number after '#'", 8),
+    (parse_member, "(a + b)#" + "1" * 5000, "tag number too long", 8),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, offset", PARSE_ERRORS,
+                         ids=[f"{parse.__name__}:{text[:16]}" for parse, text, _, _ in PARSE_ERRORS])
+def test_each_parse_error_has_its_exact_text_and_offset(parse, text, message, offset):
+    with pytest.raises(FormatError) as raised:
+        parse(text)
+    assert (str(raised.value), raised.value.position) == (f"{message} (at offset {offset})", offset)
+
+
+def test_a_formula_of_the_wrong_kind_is_named_without_an_offset():
+    with pytest.raises(FormatError) as raised:
+        parse_formula("a*b")
+    assert (str(raised.value), raised.value.position) == ("expected an implication, found 'a*b'", None)
 
 
 LONG_TAG = "(a + b)#" + "1" * 5000  # more digits than int() converts
