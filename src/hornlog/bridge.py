@@ -10,9 +10,10 @@ out-edges charge (``HornProgram.charges``) must be an instruction formula,
 so a fork is a zero test, whose side branch must be a valid killing chain,
 and the main branch must end at the goal.  That walk reads plain values:
 ``evaluate``'s product at each vertex, which on the main branch
-``decode_product`` turns into the ``Configuration`` it encodes.  Every formula shape comes from
-``MachineEncoding``; the run read back is re-checked by
-``validate_halting_run``.
+``decode_product`` turns into the ``Configuration`` it encodes, which also
+names a leaf that misses the goal (its text grows with the counts' digits,
+not with their units).  Every formula shape comes from ``MachineEncoding``;
+the run read back is re-checked by ``validate_halting_run``.
 
 Nothing structural is assumed of input programs: every claim is checked and
 violations are reported with a code.
@@ -165,16 +166,11 @@ def program_to_computation(
         if value is None:
             raise ExtractionError(SIDE_CHAIN_NOT_KILLED, f"side leaf {at} is undefined or foreign")
         if value != enc.goal:
-            tested = decode_product(machine.n, value).counters[m - 1]
-            if tested:
-                raise ExtractionError(
-                    SIDE_CHAIN_NOT_KILLED,
-                    f"tested counter x{m} is {tested}, not 0, at side leaf {at}",
-                )
-            raise ExtractionError(
-                SIDE_CHAIN_NOT_KILLED,
-                f"side leaf {at} evaluates to {value}, not the goal",
-            )
+            left = decode_product(machine.n, value)
+            tested = left.counters[m - 1]
+            detail = (f"tested counter x{m} is {tested}, not 0, at side leaf {at}" if tested
+                      else f"side leaf {at} evaluates to the encoding of {left}, not the goal")
+            raise ExtractionError(SIDE_CHAIN_NOT_KILLED, detail)
 
     configs = [initial]
     moves: list[int] = []
@@ -184,7 +180,7 @@ def program_to_computation(
         if not out:
             value = values[at]
             if value != enc.goal:
-                raise ExtractionError(MAIN_LEAF_NOT_L0, f"main leaf {at} evaluates to {value}")
+                raise ExtractionError(MAIN_LEAF_NOT_L0, f"main leaf {at} evaluates to the encoding of {configs[-1]}")
             break
         # The vertex's out-edges charge one instruction formula; only a zero
         # test encodes to a choice, so a fork's two edges are its branches.

@@ -22,10 +22,10 @@ depth never meets the recursion limit.
 Both calculi's proof files are one flat table of inferences under the
 end-sequent, read and written here by one codec that each calculus
 configures with a ``ProofFormat``.  Each field names the kind of member it
-holds, not a parser: the reader parses each text of the table once, with
-``syntax.parse_member``, and checks it against the kind of every field that
-cites it.  The format also says which rules take each rule parameter; the
-reader and the checker reject it on any other rule.
+holds, not a parser: the reader parses each index's text once, with
+``syntax.parse_member``, and checks it once against each kind that cites it;
+an error's text is built only when raised.  The format also says which rules
+take each rule parameter; the reader and the checker reject it on any other rule.
 """
 
 from __future__ import annotations
@@ -381,6 +381,10 @@ def proof_to_json(proof, form: ProofFormat) -> str:
     return f'{{\n  "formulas": [\n    {texts}\n  ],\n  "conclusion": {end},\n  "nodes": [\n    {rows}\n  ]\n}}\n'
 
 
+def _where(row: int | None, name: str) -> str:  # a row's field, or (row None) an end-sequent part
+    return f"the conclusion's {name}" if row is None else f"node {row}'s {name}"
+
+
 def proof_from_json(text: str, form: ProofFormat):
     """The proof a table describes.  FormatError unless the table is well
     formed; InvalidProof, naming the row, when an inference draws no
@@ -394,31 +398,32 @@ def proof_from_json(text: str, form: ProofFormat):
             and len(end) == len(form.parts) and isinstance(rows, list) and rows):
         raise FormatError(f"a proof is a JSON object with a 'formulas' list of strings, a 'conclusion' list "
                           f"of {len(form.parts)} parts and a 'nodes' list")
-    members: dict = {}  # index -> the member its text parses to, parsed once
+    resolved = {kind: {} for _, kind, _ in form.parts + form.fields}  # kind -> {index: member of the kind}
+    parsed = resolved.setdefault(Member, {})  # every member is of kind Member: these are the texts parsed
 
-    def read(where, kind, refs, count):
+    def read(refs, kind, count, row, name):
+        """The value of field ``name`` of node ``row`` (None: of the end-sequent).
+        Each index is parsed, and checked against each kind, at its first citation."""
+        known = resolved[kind]
+        if count == 1 and type(refs) is int and (kind is int or refs in known):
+            return refs if kind is int else known[refs]
         if kind is int:
-            if type(refs) is not int:
-                raise FormatError(f"{where} must be an integer")
-            return refs
-        listed = count != 1
-        refs = refs if listed else [refs]
-        if not (isinstance(refs, list) and count in (None, len(refs)) and set(map(type, refs)) <= {int}
-                and 0 <= min(refs, default=0) and max(refs, default=0) < len(texts)):
-            what = "a list of indices" if listed else "an index"
-            raise FormatError(f"{where} must be {what} into 'formulas'")
-        values = []
-        for ref in refs:
+            raise FormatError(f"{_where(row, name)} must be an integer")
+        indices = refs if count != 1 else [refs]
+        if not (isinstance(indices, list) and count in (None, len(indices)) and set(map(type, indices)) <= {int}
+                and 0 <= min(indices, default=0) and max(indices, default=0) < len(texts)):
+            what = "an index" if count == 1 else "a list of indices"
+            raise FormatError(f"{_where(row, name)} must be {what} into 'formulas'")
+        for ref in [ref for ref in indices if ref not in known]:
             try:
-                if ref not in members:
-                    members[ref] = parse_member(texts[ref])
-                values.append(of_kind(members[ref], kind))
+                if ref not in parsed:
+                    parsed[ref] = parse_member(texts[ref])
+                known[ref] = of_kind(parsed[ref], kind)
             except FormatError as exc:
-                raise FormatError(f"{where}: formulas[{ref}] {texts[ref]!r}: {exc}") from None
-        return tuple(values) if listed else values[0]
+                raise FormatError(f"{_where(row, name)}: formulas[{ref}] {texts[ref]!r}: {exc}") from None
+        return known[refs] if count == 1 else tuple([known[ref] for ref in indices])
 
-    conclusion = form.sequent(*(read(f"the conclusion's {name}", kind, ref, n)
-                                for (name, kind, n), ref in zip(form.parts, end)))
+    conclusion = form.sequent(*(read(ref, kind, n, None, name) for (name, kind, n), ref in zip(form.parts, end)))
     keys = {"rule", "premises", *(name for name, _, _ in form.fields)}
     by_name = {r.value: r for r in form.rules}
     built: list = []
@@ -428,8 +433,7 @@ def proof_from_json(text: str, form: ProofFormat):
         rule = by_name.get(row.get("rule")) if isinstance(row.get("rule"), str) else None
         if rule is None:
             raise FormatError(f"node {i}'s rule must be one of {list(by_name)}")
-        values = tuple(read(f"node {i}'s {name}", kind, row[name], n) if name in row else None
-                       for name, kind, n in form.fields)
+        values = tuple([read(row[name], kind, n, i, name) if name in row else None for name, kind, n in form.fields])
         below = []
         for p in row.get("premises", []):
             if type(p) is not int or not 0 <= p < i or built[p] is None:

@@ -30,7 +30,9 @@ zoned calculus, reading a flat context as input-product/linear/banged zones
 and each frame off the zoned premises it has drawn.  It is not rule for rule:
 an identity axiom is never cut or framed, as the cut concludes its other
 premise and the framed identity is the identity of the tensor.  Neither emits
-a program edge, so the compiled program is the same.
+a program edge, so the compiled program is the same.  An identity is carried
+as its bare product until a rule or the root keeps it, so the translation
+draws only the nodes it returns.
 Proof files are ``hll``'s proof table, laid out for this calculus.
 """
 
@@ -315,6 +317,9 @@ def _move_choice(proof: LlProof, path: tuple[int, ...]):
     return moved, at, choice
 
 
+_LEAST_BUDGET = 4 * (5 + 1) ** 3  # a left choice, its premises, its consumer and that one's first premise
+
+
 def push_oplus_down(proof: LlProof, on_step=None) -> LlProof:
     """Move left-choice inferences down to their consuming implications.
 
@@ -335,21 +340,22 @@ def push_oplus_down(proof: LlProof, on_step=None) -> LlProof:
     if not result.ok:
         raise ValueError(f"cannot normalize an invalid proof: {result}")
 
-    guard = 0
-    limit = 4 * (sum(1 for _ in hll.walk(proof)) + 1) ** 3
-    paths = unadjacent_choice_paths(proof)
+    guard, budget = 0, None  # the input's nodes are counted once guard passes the least budget
+    normal, paths = proof, unadjacent_choice_paths(proof)
     while paths:
-        proof, at, choice = _move_choice(proof, min(paths, key=lambda p: (len(p), p)))
+        normal, at, choice = _move_choice(normal, min(paths, key=lambda p: (len(p), p)))
         kept = [p for p in paths if p[:len(at)] != at]
         if len(kept) < len(paths) - 1:  # others were pending in S; [1:] skips the adjacent new root
             kept += _choice_paths(choice, at)[1:]
         paths = kept
         if on_step is not None:
-            on_step(proof)
+            on_step(normal)
         guard += 1
-        if guard > limit:
-            raise ProofStructureError("normalization exceeded its conversion budget")
-    return proof
+        if guard > _LEAST_BUDGET:
+            budget = budget or 4 * (sum(1 for _ in hll.walk(proof)) + 1) ** 3
+            if guard > budget:
+                raise ProofStructureError("normalization exceeded its conversion budget")
+    return normal
 
 
 def consumer_distance(tag: int, trail) -> int:
@@ -401,22 +407,38 @@ def horn_reading(sequent: LlSequent) -> HornSequent:
     return HornSequent(tensor_all(products), tuple(linear), tuple(banged), sequent.goal)
 
 
-def _framed(proof: HllProof, frame: Frame) -> HllProof:
-    """The proof framed by a residual: an empty one adds nothing, and an
+# A translation is a zoned proof, or the bare product of an identity axiom,
+# drawn only where a rule or the root keeps it.
+Translation = HllProof | SimpleProduct
+
+
+def _zoned(t: Translation) -> HllProof:
+    return hll.i_axiom(t) if isinstance(t, SimpleProduct) else t
+
+
+def _ends(t: Translation) -> tuple[SimpleProduct, SimpleProduct]:
+    """A translation's input and goal."""
+    return (t, t) if isinstance(t, SimpleProduct) else (t.conclusion.input, t.conclusion.goal)
+
+
+def _framed(t: Translation, frame: Frame) -> Translation:
+    """A translation framed by a residual: an empty one adds nothing, and an
     identity framed is the identity of the tensor."""
     if frame.is_empty:
-        return proof
-    if proof.rule is hll.HllRule.I:
-        return hll.i_axiom(proof.principal.tensor(frame))
-    return hll.frame_rule(proof, tensor_all((frame,)))
+        return t
+    if isinstance(t, SimpleProduct):
+        return t.tensor(frame)
+    return hll.frame_rule(t, tensor_all((frame,)))
 
 
-def _cut(first: HllProof, second: HllProof) -> HllProof:
-    """The cut of two proofs, or the other premise where one is an identity
-    axiom on the product the cut passes on, since the cut would conclude it."""
-    if first.conclusion.goal == second.conclusion.input and hll.HllRule.I in (first.rule, second.rule):
-        return second if first.rule is hll.HllRule.I else first
-    return hll.cut(first, second)
+def _cut(first: Translation, second: Translation) -> Translation:
+    """The cut of two translations, or the other one where one is an identity
+    on the product the cut passes on, since the cut would conclude it."""
+    if isinstance(first, SimpleProduct) and first == _ends(second)[0]:
+        return second
+    if isinstance(second, SimpleProduct) and _ends(first)[1] == second:
+        return first
+    return hll.cut(_zoned(first), _zoned(second))
 
 
 def translate_ll_to_hll(proof: LlProof) -> HllProof:
@@ -426,12 +448,10 @@ def translate_ll_to_hll(proof: LlProof) -> HllProof:
     The output checks valid and concludes exactly the zoned reading of the
     input's conclusion.
     """
-    translated = hll.fold(push_oplus_down(proof), _translate)
+    translated = _zoned(hll.fold(push_oplus_down(proof), _translate))
     expected = horn_reading(proof.conclusion)
     if translated.conclusion != expected:
-        raise AssertionError(
-            f"translation drifted: {translated.conclusion} != {expected}"
-        )
+        raise AssertionError(f"translation drifted: {translated.conclusion} != {expected}")
     return translated
 
 
@@ -451,40 +471,38 @@ def _translate(node: LlProof, premises: list):
         return tuple(premises)
 
     if rule is LlRule.I:
-        return hll.i_axiom(node.principal)
+        return node.principal
 
     if rule is LlRule.LTENSOR:
         # Regrouping is invisible in the canonical reading; keep the rule
         # as an explicit no-op step.
-        return hll.ltensor(premises[0])
+        return hll.ltensor(_zoned(premises[0]))
 
     if rule is LlRule.RTENSOR:
         t1, t2 = premises
-        proves = _framed(t2, t1.conclusion.input)  # W2 (x) W1, ... |- Z2 (x) W1
-        uses = _framed(t1, t2.conclusion.goal)  # W1 (x) Z2, ... |- Z1 (x) Z2
+        proves = _framed(t2, _ends(t1)[0])  # W2 (x) W1, ... |- Z2 (x) W1
+        uses = _framed(t1, _ends(t2)[1])  # W1 (x) Z2, ... |- Z1 (x) Z2
         return _cut(proves, uses)
 
     if rule is LlRule.LIMP:
         imp: PlainImplication = node.principal
         t1, t2 = premises
         inner = _cut(t1, hll.h_axiom(imp))
-        w2 = match_antecedent(t2.conclusion.input, imp.consequent)
+        w2 = match_antecedent(_ends(t2)[0], imp.consequent)
         return _cut(_framed(inner, w2), t2)
 
     if rule is LlRule.LIMPOPLUS:
         imp: OplusImplication = node.principal
         loplus = node.premises[1]
         if loplus.rule is not LlRule.LOPLUS or not _consumes(node, 1, loplus.principal.tag):
-            raise ProofStructureError(
-                "implication-choice without its adjacent left choice; normalize first"
-            )
+            raise ProofStructureError("implication-choice without its adjacent left choice; normalize first")
         t0, (t1, t2) = premises
-        v = match_antecedent(t1.conclusion.input, imp.left)
-        choice = hll.oplus_h(t1, t2, imp, v)
+        v = match_antecedent(_ends(t1)[0], imp.left)
+        choice = hll.oplus_h(_zoned(t1), _zoned(t2), imp, v)
         return _cut(_framed(t0, v), choice)
 
     if rule in _BANG_RULES:
-        return _BANG_RULES[rule](premises[0], node.principal.formula)
+        return _BANG_RULES[rule](_zoned(premises[0]), node.principal.formula)
 
     raise AssertionError(rule)
 

@@ -29,7 +29,8 @@ formula or tagged choice compares and hashes by its kind and canonical text
 (``Printed``), a product or frame by its entries, so zone lookups and the
 verifier's counts never revisit fields.  The module also owns the grammar,
 whose names the tokenizer checks, so a parsed product is built without
-validating them again::
+validating them again.  Tokens are plain strings from one ``findall`` scan,
+their kind read off the string; an error finds its offset only when raised::
 
     literal   = [A-Za-z][A-Za-z0-9_]*
     product   = lit * lit * ...
@@ -54,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 LITERAL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -375,83 +376,76 @@ def sequent_text(s: HornSequent) -> str:
 
 # --- Parsing ----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<num>[0-9]+)"
-    r"|(?P<op>-o|\|-|[*(),;+!#])|(?P<error>\S)"
-)
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[0-9]+|-o|\|-|[*(),;+!#]")
 
 
-class Token(NamedTuple):
-    kind: str  # "ident" | "num" | "op" | "end"
-    text: str
-    position: int
-
-
-_token, _kind = Token._make, attrgetter("kind")
-
-
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text`` and an end token, in one scan: the scan skips
-    whitespace, and any other character that starts no token is an error."""
-    tokens = [_token((m.lastgroup, m.group(), m.start())) for m in _TOKEN_RE.finditer(text)]
-    if "error" in map(_kind, tokens):
-        bad = next(tok for tok in tokens if tok.kind == "error")
-        raise FormatError(f"unexpected character {bad.text!r}", bad.position)
-    tokens.append(_token(("end", "", len(text))))
-    return tokens
+def tokenize(text: str) -> list[str]:
+    """The tokens of ``text`` as strings, then ``""`` for its end, in one scan
+    that skips whitespace; a literal name ``isidentifier``, a tag number
+    ``isdigit``.  Only if the tokens miss a character that is not
+    whitespace is the first one found, as the error."""
+    tokens = _TOKEN_RE.findall(text)
+    if len("".join(tokens)) != len("".join(text.split())):
+        bad = re.search(r"\S", _TOKEN_RE.sub(lambda m: " " * len(m.group()), text))
+        raise FormatError(f"unexpected character {bad.group()!r}", bad.start())
+    return [*tokens, ""]
 
 
 class TokenStream:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.index = 0
+    """A cursor over a text's tokens: the parser steps ``index`` past each
+    token it has matched, never past the end."""
 
-    def peek(self) -> Token:
+    def __init__(self, text: str):
+        self.text, self.tokens, self.index = text, tokenize(text), 0
+
+    def peek(self) -> str:
         return self.tokens[self.index]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.index]
-        if tok.kind != "end":
-            self.index += 1
-        return tok
+    def offset(self, index: int) -> int:
+        """Where the token at ``index`` starts: not kept, but found by scanning again."""
+        return [*(m.start() for m in _TOKEN_RE.finditer(self.text)), len(self.text)][index]
 
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise FormatError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.position)
-        return tok
+    def error(self, message: str) -> FormatError:
+        """The error at the token under the cursor."""
+        return FormatError(message, self.offset(self.index))
+
+    def expect(self, text: str):
+        tok = self.peek()
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok or 'end of input'!r}")
+        self.index += 1
 
     def done(self):
         tok = self.peek()
-        if tok.kind != "end":
-            raise FormatError(f"trailing input {tok.text!r}", tok.position)
+        if tok:
+            raise self.error(f"trailing input {tok!r}")
 
 
 def _parse_bare_product(ts: TokenStream) -> SimpleProduct:
-    """A product of ``ident`` tokens, whose names the token pattern has
-    already checked, so it is built without validation."""
+    """A product of literal names, which the token pattern has already
+    checked, so it is built without validation."""
+    tokens, i = ts.tokens, ts.index
     counts: dict[str, int] = {}
-    tok = ts.next()
-    if tok.kind != "ident":
-        raise FormatError(f"expected a literal, found {tok.text or 'end of input'!r}", tok.position)
-    counts[tok.text] = 1
-    while ts.peek().text == "*":
-        ts.next()
-        tok = ts.next()
-        if tok.kind != "ident":
-            raise FormatError(f"expected a literal after '*', found {tok.text or 'end of input'!r}", tok.position)
-        counts[tok.text] = counts.get(tok.text, 0) + 1
-    return SimpleProduct._trusted(tuple(sorted(counts.items())))
+    expected = "a literal"
+    while tokens[i].isidentifier():  # a name is never the end, so a token follows it
+        counts[tokens[i]] = counts.get(tokens[i], 0) + 1
+        if tokens[i + 1] != "*":
+            ts.index = i + 1
+            return SimpleProduct._trusted(tuple(sorted(counts.items())))
+        i += 2
+        expected = "a literal after '*'"
+    ts.index = i
+    raise ts.error(f"expected {expected}, found {tokens[i] or 'end of input'!r}")
 
 
 def _parse_group(ts: TokenStream, choice: bool = True) -> tuple[SimpleProduct, SimpleProduct | None]:
     """A product, bare or parenthesised, or with ``choice`` a ``(Y1 + Y2)``."""
-    if ts.peek().text != "(":
+    if ts.peek() != "(":
         return _parse_bare_product(ts), None
-    ts.next()
+    ts.index += 1
     first, second = _parse_bare_product(ts), None
-    if choice and ts.peek().text == "+":
-        ts.next()
+    if choice and ts.peek() == "+":
+        ts.index += 1
         second = _parse_bare_product(ts)
     ts.expect(")")
     return first, second
@@ -460,23 +454,25 @@ def _parse_group(ts: TokenStream, choice: bool = True) -> tuple[SimpleProduct, S
 def _parse_member(ts: TokenStream) -> Member:
     """An optional ``!(``, then an operand and an optional ``-o`` rest;
     outside a bang the operand may instead be a tagged choice."""
-    banged = ts.peek().text == "!"
+    banged = ts.peek() == "!"
     if banged:
-        ts.next()
+        ts.index += 1
         ts.expect("(")
     first, second = _parse_group(ts, choice=not banged)
     if second is not None:
         ts.expect("#")
-        num = ts.next()
-        if num.kind != "num":
-            raise FormatError("expected a tag number after '#'", num.position)
+        num = ts.peek()
+        if not num.isdigit():
+            raise ts.error("expected a tag number after '#'")
         try:  # int() also refuses more digits than the interpreter converts
-            return LlOplusProduct(first, second, int(num.text))
+            member = LlOplusProduct(first, second, int(num))
         except ValueError:
-            raise FormatError("tag number too long", num.position) from None
+            raise ts.error("tag number too long") from None
+        ts.index += 1
+        return member
     member = first
-    if ts.peek().text == "-o":
-        ts.next()
+    if ts.peek() == "-o":
+        ts.index += 1
         y, other = _parse_group(ts)
         member = PlainImplication(first, y) if other is None else OplusImplication(first, y, other)
     if banged:
@@ -497,14 +493,15 @@ def of_kind(member: Member, kind, position: int | None = None) -> Member:
 
 def _parse_formula_list(ts: TokenStream, stop: set[str]) -> list[HornFormula]:
     formulas: list[HornFormula] = []
-    if ts.peek().text in stop:
+    if ts.peek() in stop:
         return formulas
     while True:
-        position = ts.peek().position
-        formulas.append(of_kind(_parse_member(ts), HornFormula, position))
-        if ts.peek().text != ",":
+        start = ts.index
+        member = _parse_member(ts)
+        formulas.append(member if isinstance(member, HornFormula) else of_kind(member, HornFormula, ts.offset(start)))
+        if ts.peek() != ",":
             return formulas
-        ts.next()
+        ts.index += 1
 
 
 def parse_product(text: str) -> SimpleProduct:

@@ -612,6 +612,25 @@ def test_roundtrip_from_a_huge_start_answers_at_once(dec_file):
     assert (result.returncode, result.stdout, result.stderr) == (0, "AGREE_NO_WITNESS_WITHIN_BOUNDS\n", "")
 
 
+@pytest.mark.parametrize("run, message", [
+    ("L1 : 1,0\nI2 -> L1 : 0,0\nI1 -> L0 : 0,0\n",
+     f"SIDE_CHAIN_NOT_KILLED: side leaf 4 evaluates to the encoding of L0 : 0,{10**12}, not the goal\n"),
+    ("L1 : 1,0\n", f"MAIN_LEAF_NOT_L0: main leaf 0 evaluates to the encoding of L1 : 1,{10**12}\n"),
+], ids=["side-leaf", "main-leaf"])
+def test_a_leaf_of_a_huge_count_is_rejected_at_once(dec_file, tmp_path, run, message):
+    """Extraction names a leaf that misses the goal by the configuration it
+    encodes, not by a product text as long as its counter total."""
+    run_file, program_file = tmp_path / "run.txt", tmp_path / "program.json"
+    run_file.write_text(run)
+    if "->" in run:
+        run_cli("bridge", "comp-to-prog", str(dec_file), str(run_file), "--output", str(program_file))
+    else:
+        program_file.write_text('{"root": 0, "edges": []}')
+    argv = ["bridge", "prog-to-comp", str(dec_file), str(program_file), "--input", f"1,{10**12}"]
+    result = subprocess.run([sys.executable, "-c", LIMITED_CLI, *argv], capture_output=True, text=True, timeout=5)
+    assert (result.returncode, result.stdout, result.stderr) == (1, message, "")
+
+
 def _one_config_changed(search):
     def sabotaged(machine, init, max_steps, max_counter):
         run = search(machine, init, max_steps, max_counter)

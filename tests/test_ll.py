@@ -261,6 +261,19 @@ def _two_rule_separation():
     return ll.ll_limpoplus(ll.ll_i(F), block, OplusImplication(F, G, H), 1)
 
 
+def test_the_conversion_budget_is_four_times_the_cubed_node_count_plus_one(monkeypatch):
+    """A normalization that never ends stops after 4 * (nodes + 1) ** 3
+    moves of the input's nodes, each reported to ``on_step``."""
+    proof = _two_rule_separation()
+    nodes = sum(1 for _ in hll.walk(proof))
+    stuck = (9,) * 99  # a move that settles nothing: the pending choices stay as they are
+    monkeypatch.setattr(ll, "_move_choice", lambda tree, path: (tree, stuck, None))
+    steps = []
+    with pytest.raises(ProofStructureError, match="normalization exceeded its conversion budget"):
+        push_oplus_down(proof, on_step=steps.append)
+    assert len(steps) == 4 * (nodes + 1) ** 3 + 1
+
+
 def test_push_down_moves_a_choice_in_one_step():
     proof = _two_rule_separation()
     measures = [loplus_distance_sum(proof)]
@@ -345,6 +358,20 @@ def test_a_translation_cuts_or_frames_no_identity():
         for node, _ in hll.walk(translate_ll_to_hll(proof)):
             if node.rule in (hll.HllRule.CUT, hll.HllRule.M):
                 assert all(p.rule is not hll.HllRule.I for p in node.premises), node.rule
+
+
+def test_the_translation_draws_only_what_it_keeps(monkeypatch):
+    """Every zoned node the translation draws is a node of its result: an
+    identity axiom is carried as its product until a rule or the root keeps
+    it, so none is drawn only to be cut or framed away."""
+    draws = []
+    draw = hll._node
+    monkeypatch.setattr(hll, "_node", lambda *args: draws.append(args[0]) or draw(*args))
+    identities = [ll.ll_i(F), ll.ll_rtensor(ll.ll_rtensor(ll.ll_i(F), ll.ll_i(G)), ll.ll_i(H))]
+    for proof in [*ll_corpus(), _stacked_case(("f", "g", "h", "m"), 3), *identities]:
+        draws.clear()
+        translated = translate_ll_to_hll(proof)
+        assert len(draws) == sum(1 for _ in hll.walk(translated))
 
 
 def test_translate_choice_pipeline_builds_fork():
