@@ -176,7 +176,7 @@ def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequ
         context = zone_insert(rest, a)
     # Checked premises hold each tag once; over them only the two-premise
     # rules, which join two contexts or add a choice, can hold one twice.
-    clash = (len(premises) == 2 or not all(premise.checked for premise in premises)) and _tag_clash(context)
+    clash = (len(premises) == 2 or not premises[0].checked) and _tag_clash(context)
     return clash or LlSequent.of_canonical(context, goal)
 
 

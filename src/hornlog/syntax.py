@@ -359,7 +359,7 @@ def tensor_all(products: Iterable[SimpleProduct]) -> SimpleProduct:
 
 
 def _operand_text(p: SimpleProduct) -> str:
-    return f"({p.text})" if p.size >= 2 else p.text
+    return f"({p.text})" if "*" in p.text else p.text
 
 
 def sequent_text(s: HornSequent) -> str:
@@ -405,37 +405,34 @@ class TokenStream:
         """Where the token at ``index`` starts: not kept, but found by scanning again."""
         return [*(m.start() for m in _TOKEN_RE.finditer(self.text)), len(self.text)][index]
 
-    def error(self, message: str) -> FormatError:
-        """The error at the token under the cursor."""
-        return FormatError(message, self.offset(self.index))
-
     def expect(self, text: str):
         tok = self.peek()
         if tok != text:
-            raise self.error(f"expected {text!r}, found {tok or 'end of input'!r}")
+            raise FormatError(f"expected {text!r}, found {tok or 'end of input'!r}", self.offset(self.index))
         self.index += 1
 
     def done(self):
         tok = self.peek()
         if tok:
-            raise self.error(f"trailing input {tok!r}")
+            raise FormatError(f"trailing input {tok!r}", self.offset(self.index))
 
 
 def _parse_bare_product(ts: TokenStream) -> SimpleProduct:
     """A product of literal names, which the token pattern has already
-    checked, so it is built without validation."""
+    checked, so it is built without validation; its text is the names sorted."""
     tokens, i = ts.tokens, ts.index
     counts: dict[str, int] = {}
     expected = "a literal"
     while tokens[i].isidentifier():  # a name is never the end, so a token follows it
         counts[tokens[i]] = counts.get(tokens[i], 0) + 1
         if tokens[i + 1] != "*":
+            product = SimpleProduct._trusted(tuple(sorted(counts.items())))
+            product.__dict__["text"] = "*".join(sorted(tokens[ts.index:i + 1:2]))
             ts.index = i + 1
-            return SimpleProduct._trusted(tuple(sorted(counts.items())))
+            return product
         i += 2
         expected = "a literal after '*'"
-    ts.index = i
-    raise ts.error(f"expected {expected}, found {tokens[i] or 'end of input'!r}")
+    raise FormatError(f"expected {expected}, found {tokens[i] or 'end of input'!r}", ts.offset(i))
 
 
 def _parse_group(ts: TokenStream, choice: bool = True) -> tuple[SimpleProduct, SimpleProduct | None]:
@@ -463,11 +460,11 @@ def _parse_member(ts: TokenStream) -> Member:
         ts.expect("#")
         num = ts.peek()
         if not num.isdigit():
-            raise ts.error("expected a tag number after '#'")
+            raise FormatError("expected a tag number after '#'", ts.offset(ts.index))
         try:  # int() also refuses more digits than the interpreter converts
             member = LlOplusProduct(first, second, int(num))
         except ValueError:
-            raise ts.error("tag number too long") from None
+            raise FormatError("tag number too long", ts.offset(ts.index)) from None
         ts.index += 1
         return member
     member = first

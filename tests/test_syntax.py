@@ -396,6 +396,8 @@ def test_a_parsed_product_is_the_canonical_product(ns):
     assert type(parsed) is SimpleProduct and parsed == SimpleProduct.of(*ns)
     assert parsed.entries == tuple(sorted(Counter(ns).items())) == SimpleProduct.of(*ns).entries
     assert parse_product(" * ".join(reversed(ns))).entries == parsed.entries
+    # The parser sets the text from the names it read; the product derives it from its entries.
+    assert parsed.text == parse_product(" * ".join(reversed(ns))).text == SimpleProduct.of(*ns).text
 
 
 def test_sequent_text_empty_zones():
