@@ -9,11 +9,12 @@ is walked from the root: the formula each main vertex's
 out-edges charge (``HornProgram.charges``) must be an instruction formula,
 so a fork is a zero test, whose side branch must be a valid killing chain,
 and the main branch must end at the goal.  That walk reads plain values:
-``evaluate``'s product at each vertex, which on the main branch
-``decode_product`` turns into the ``Configuration`` it encodes, which also
-names a leaf that misses the goal (its text grows with the counts' digits,
-not with their units).  Every formula shape comes from ``MachineEncoding``;
-the run read back is re-checked by ``validate_halting_run``.
+``evaluate``'s product at each vertex (the verifier's values, when it checked
+the program from the same start), which on the main branch ``decode_product``
+turns into the ``Configuration`` it encodes, parsing each literal name's role
+once per walk; a configuration also names a leaf that misses the goal (its
+text grows with the counts' digits, not their units).  Every formula shape
+comes from ``MachineEncoding``; ``validate_halting_run`` re-checks the run.
 
 Nothing structural is assumed of input programs: every claim is checked and
 violations are reported with a code.
@@ -126,12 +127,7 @@ def program_to_computation(
     """
     machine = enc.machine
     values = evaluate(program, enc.config_product(initial))
-
-    def main_config(vertex: int, edge: tuple[int, int]) -> Configuration:
-        value = values[vertex]
-        if value is None:
-            raise ExtractionError(NON_ENCODING_EDGE, f"vertex {vertex} is undefined", edge)
-        return decode_product(machine.n, value)
+    roles: dict = {}  # each literal name's role, for every decode of this walk
 
     def check_side_chain(fork: int, side_child: int, m: int) -> None:
         closing = enc.killers[m - 1][0]
@@ -166,7 +162,7 @@ def program_to_computation(
         if value is None:
             raise ExtractionError(SIDE_CHAIN_NOT_KILLED, f"side leaf {at} is undefined or foreign")
         if value != enc.goal:
-            left = decode_product(machine.n, value)
+            left = decode_product(machine.n, value, roles)
             tested = left.counters[m - 1]
             detail = (f"tested counter x{m} is {tested}, not 0, at side leaf {at}" if tested
                       else f"side leaf {at} evaluates to the encoding of {left}, not the goal")
@@ -199,7 +195,9 @@ def program_to_computation(
             else:
                 check_side_chain(at, child, machine.instructions[index].counter)
         moves.append(index)
-        configs.append(main_config(main_child, (at, main_child)))
+        if values[main_child] is None:
+            raise ExtractionError(NON_ENCODING_EDGE, f"vertex {main_child} is undefined", (at, main_child))
+        configs.append(decode_product(machine.n, values[main_child], roles))
         at = main_child
 
     computation = Computation(tuple(configs), tuple(moves))

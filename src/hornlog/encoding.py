@@ -24,7 +24,7 @@ A formula's provenance is looked up in the two index maps,
 ``instruction_index`` and ``killer_family_index``.  ``decode_product`` reads
 an encoded configuration back as a ``Configuration``; it is the inverse of
 ``encode_config``, so it accepts exactly the literals ``label_literal`` and
-``counter_literal`` name.
+``counter_literal`` name; one walk's calls share a dict of the names' roles.
 """
 
 from __future__ import annotations
@@ -100,23 +100,29 @@ def _config_product(n: int, config: Configuration, literal: Callable[[str], Simp
     return tensor_all(products)
 
 
-def decode_product(n: int, product: SimpleProduct) -> Configuration | None:
+def decode_product(n: int, product: SimpleProduct, roles: dict | None = None) -> Configuration | None:
     """The configuration a product encodes; None if it encodes none.
 
     The product must hold exactly one label literal, once, and otherwise only
     counter literals ``r1..rn``, each spelled as ``encode_config`` spells it
-    (so ``r01`` is no counter literal).
+    (so ``r01`` is no counter literal).  A walk that decodes many products
+    hands every call one ``roles`` dict, so each name's role is read once.
     """
+    roles = {} if roles is None else roles
     label = None
     counts = [0] * n
     for name, count in product.entries:
-        try:  # int() also refuses more digits than the interpreter converts
-            index = int(name[1:])
-        except ValueError:
-            index = -1
-        if name == counter_literal(index) and 1 <= index <= n:
+        role = roles.get(name)
+        if role is None:
+            try:  # int() also refuses more digits than the interpreter converts
+                index = int(name[1:])
+            except ValueError:
+                index = -1
+            role = roles[name] = (name == counter_literal(index), name == label_literal(index), index)
+        is_counter, is_label, index = role
+        if is_counter and 1 <= index <= n:
             counts[index - 1] = count
-        elif name == label_literal(index) and label is None and count == 1:
+        elif is_label and label is None and count == 1:
             label = index
         else:
             return None

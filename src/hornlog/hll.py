@@ -37,7 +37,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable
 
-from .programs import HornProgram, ProgramBuilder, json_integer
+from .programs import HornProgram, ProgramBuilder, json_document
 from .syntax import (
     FormatError,
     Frame,
@@ -390,7 +390,7 @@ def proof_from_json(text: str, form: ProofFormat):
     formed; InvalidProof, naming the row, when an inference draws no
     conclusion or the root does not draw the stated end-sequent."""
     try:
-        data = json.loads(text, parse_int=json_integer)
+        data = json_document(text)
     except RecursionError:  # a table nests four levels deep at most
         raise FormatError("a proof is a flat table, not a nested document") from None
     texts, end, rows = map((data if isinstance(data, dict) else {}).get, ("formulas", "conclusion", "nodes"))

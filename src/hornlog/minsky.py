@@ -4,8 +4,10 @@ A machine is an ordered instruction list; duplicate labels are allowed and are
 the source of nondeterminism.  Counters hold non-negative integers.  The
 halting configuration is label L0 with every counter at zero; this module
 alone judges a run that halts there, in ``validate_halting_run``.  A
-``Configuration`` made outside validates its counters; one ``_step`` makes is
-trusted, since a move that would take a counter below zero is not enabled.
+``Configuration`` is a named tuple, so the search's visited map and the run
+checks hash and compare it in C (it equals the plain ``(label, counters)``).
+One made outside validates its counters; one ``_step`` makes is trusted,
+since a move that would take a counter below zero is not enabled.
 
 Machine text format (line oriented, ``#`` starts a comment)::
 
@@ -26,7 +28,7 @@ where ``I<k>`` is the 1-based index of the applied instruction.
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,22 +70,21 @@ class Instruction:
         return f"L{self.label}: {self.kind} x{self.counter} goto L{self.target}"
 
 
-@dataclass(frozen=True)
-class Configuration:
-    label: int
-    counters: tuple[int, ...]
+class Configuration(namedtuple("Configuration", ("label", "counters"))):
+    """A label and its counters as the tuple ``(label, counters)``."""
 
-    def __post_init__(self):
-        if min(self.counters, default=0) < 0:
-            raise ValueError(f"negative counter in {self!r}")
+    __slots__ = ()
+
+    def __new__(cls, label: int, counters: tuple[int, ...]):
+        config = tuple.__new__(cls, (label, counters))
+        if min(counters, default=0) < 0:
+            raise ValueError(f"negative counter in {config!r}")
+        return config
 
     @classmethod
     def _trusted(cls, label: int, counters: tuple[int, ...]) -> "Configuration":
         """Wrap a stepped configuration, whose counters cannot be negative."""
-        config = object.__new__(cls)
-        object.__setattr__(config, "label", label)
-        object.__setattr__(config, "counters", counters)
-        return config
+        return tuple.__new__(cls, (label, counters))
 
     def __str__(self) -> str:
         return f"L{self.label} : {','.join(str(c) for c in self.counters)}"
@@ -168,22 +169,21 @@ def _step(instruction: Instruction, config: Configuration) -> Configuration | No
 
     ``inc`` adds, ``dec`` runs only above 0 and the tests keep the counters,
     so a stepped configuration has no negative counter and is not re-checked."""
-    if instruction.kind == HALT or instruction.label != config.label:
+    label, counters = config
+    if instruction.kind == HALT or instruction.label != label:
         return None
     m = instruction.counter - 1
-    value = config.counters[m]
+    value = counters[m]
     if instruction.kind == INC:
-        counters = config.counters[:m] + (value + 1,) + config.counters[m + 1:]
-        return Configuration._trusted(instruction.target, counters)
+        return Configuration._trusted(instruction.target, counters[:m] + (value + 1,) + counters[m + 1:])
     if instruction.kind == DEC:
         if value == 0:
             return None
-        counters = config.counters[:m] + (value - 1,) + config.counters[m + 1:]
-        return Configuration._trusted(instruction.target, counters)
+        return Configuration._trusted(instruction.target, counters[:m] + (value - 1,) + counters[m + 1:])
     if instruction.kind == TESTPOS:
-        return Configuration._trusted(instruction.target, config.counters) if value > 0 else None
+        return Configuration._trusted(instruction.target, counters) if value > 0 else None
     if instruction.kind == TESTZERO:
-        return Configuration._trusted(instruction.target, config.counters) if value == 0 else None
+        return Configuration._trusted(instruction.target, counters) if value == 0 else None
     raise AssertionError(instruction.kind)
 
 
@@ -266,9 +266,10 @@ def search_halting(
         for index, nxt in successors(machine, config):
             if nxt in parent:
                 continue
-            if max(nxt.counters) > max_counter:
+            label, counters = nxt
+            if max(counters) > max_counter:
                 continue
-            if max(sum(nxt.counters), nxt.label != HALT_LABEL) > moves_left:
+            if max(sum(counters), label != HALT_LABEL) > moves_left:
                 continue
             parent[nxt] = (config, index)
             if nxt == target:

@@ -30,9 +30,11 @@ edges directly.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .syntax import (
     FormatError,
@@ -59,6 +61,7 @@ class HornProgram:
     children: dict[int, tuple[tuple[int, PlainImplication], ...]] = field(compare=False, repr=False)
     # Every vertex to the formula its out-edges charge; None at a leaf.
     charges: dict[int, HornFormula | None] = field(compare=False, repr=False)
+    _evaluated = None  # not a field: the last ``evaluate`` input and its values
 
     @staticmethod
     def build(root: int, edges: Iterable[tuple[int, int, PlainImplication]]) -> "HornProgram":
@@ -102,12 +105,14 @@ class HornProgram:
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in self.preorder() if not self.children[v])
 
-    def preorder(self) -> Iterator[int]:
-        stack = [self.root]
+    def preorder(self) -> list[int]:
+        children, stack, order = self.children, [self.root], []
         while stack:
             v = stack.pop()
-            yield v
-            stack.extend(child for child, _ in reversed(self.children[v]))
+            order.append(v)
+            for child, _ in reversed(children[v]):
+                stack.append(child)
+        return order
 
 
 class ProgramBuilder:
@@ -149,17 +154,24 @@ class ProgramBuilder:
         return HornProgram.build(0, self.edges)
 
 
-def evaluate(program: HornProgram, w: SimpleProduct) -> dict[int, SimpleProduct | None]:
+def evaluate(program: HornProgram, w: SimpleProduct) -> Mapping[int, SimpleProduct | None]:
     """Per-vertex strong-computation values from ``w`` at the root; None marks undefined.
 
-    ``vertices`` lists parents before children, so one pass over it suffices."""
+    ``vertices`` lists parents before children, so one pass over it suffices.
+    The program keeps its last input and values, read-only, for a call on an
+    equal input: the verifier and the extractor evaluate a certificate once."""
+    last = program._evaluated  # read once: another thread may replace it
+    if last is not None and last[0] == w:
+        return last[1]
     out: dict[int, SimpleProduct | None] = {program.root: w}
     children = program.children
     for v in program.vertices:
         value = out[v]
         for child, label in children[v]:
             out[child] = None if value is None else apply_implication(value, label)
-    return out
+    values = MappingProxyType(out)
+    object.__setattr__(program, "_evaluated", (w, values))
+    return values
 
 
 # --- Strong-solution verification --------------------------------------------
@@ -211,7 +223,8 @@ def verify_strong_solution(program: HornProgram, sequent: HornSequent) -> Strong
     charged formula is drawn from the sequent; (3) on each root-to-leaf path,
     every linear occurrence is charged exactly once (a divergent pair counts
     once, for whichever branch the path takes).  Formulas that also appear in
-    the banged zone may be charged any number of additional times.
+    the banged zone may be charged any number of additional times.  Only (3)
+    walks the paths; it counts linear formulas only, and with none, no walk.
     """
     violations: list[Violation] = []
     values = evaluate(program, sequent.input)
@@ -230,28 +243,26 @@ def verify_strong_solution(program: HornProgram, sequent: HornSequent) -> Strong
         if used not in available:
             violations.append(Violation(FOREIGN_FORMULA, edge=(parent, child), formula=used))
 
-    linear_need: dict[HornFormula, int] = {}
-    for f in sequent.linear:
-        linear_need[f] = linear_need.get(f, 0) + 1
+    linear_need = Counter(sequent.linear)
     banged_set = set(sequent.banged)
 
     # Depth-first with an explicit stack, so deep programs cannot exhaust the
     # recursion limit.  An entry (None, f) undoes the charge of f once the
-    # subtree below its edge is done.
-    used_counts: dict[HornFormula, int] = {}
-    stack: list[tuple[int | None, HornFormula | None]] = [(program.root, None)]
+    # subtree below its edge is done; no leaf reads a non-linear formula's count.
+    used_counts = dict.fromkeys(linear_need, 0)
+    stack: list[tuple[int | None, HornFormula | None]] = [(program.root, None)] if linear_need else []
     while stack:
         v, used = stack.pop()
         if v is None:
             used_counts[used] -= 1
             continue
-        if used is not None:
-            used_counts[used] = used_counts.get(used, 0) + 1
+        if used in used_counts:
+            used_counts[used] += 1
             stack.append((None, used))
         children = program.children[v]
         if not children:
             for f, need in linear_need.items():
-                got = used_counts.get(f, 0)
+                got = used_counts[f]
                 if got != need and not (f in banged_set and got > need):
                     violations.append(Violation(LINEAR_COUNT, vertex=v, formula=f, count=got))
         stack.extend((child, program.charges[v]) for child, _ in reversed(children))
@@ -463,6 +474,15 @@ def json_integer(digits: str) -> int | float:
         return float(digits)
 
 
+def json_document(text: str):
+    """JSON for both readers, read by the C scanner alone unless an integer too
+    long for ``int`` (or a syntax error, raised again) stops it."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return json.loads(text, parse_int=json_integer)
+
+
 def _json_id(value, where: str) -> int:
     if type(value) is not int:
         raise FormatError(f"{where} must be an integer vertex id, got {value!r}")
@@ -471,7 +491,7 @@ def _json_id(value, where: str) -> int:
 
 def program_from_json(text: str) -> HornProgram:
     try:
-        data = json.loads(text, parse_int=json_integer)
+        data = json_document(text)
     except RecursionError:  # a program nests three levels deep at most
         raise FormatError("a program is a flat JSON object, not a nested document") from None
     if not isinstance(data, dict) or not isinstance(data.get("edges"), list):

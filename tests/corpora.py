@@ -10,12 +10,22 @@ import random
 
 from hornlog import hll, ll
 from hornlog.minsky import Instruction, MinskyMachine
-from hornlog.programs import HornProgram, ProgramBuilder
+from hornlog.programs import (
+    FOREIGN_FORMULA,
+    LEAF_MISMATCH,
+    LINEAR_COUNT,
+    HornProgram,
+    ProgramBuilder,
+    StrongSolutionReport,
+    Violation,
+)
 from hornlog.syntax import (
     Frame,
+    HornSequent,
     OplusImplication,
     PlainImplication,
     SimpleProduct,
+    apply_implication,
 )
 
 POOL = ["a", "b", "c", "d", "e"]
@@ -347,3 +357,53 @@ def ladder_text(rungs: int, seed: int, counters: int = 2) -> str:
     ]
     random.Random(seed).shuffle(lines)
     return f"counters {counters}\n" + "\n".join(lines) + "\n"
+
+
+# --- The strong-solution verifier as it first read --------------------------------
+
+
+def reference_verify_strong_solution(program: HornProgram, sequent: HornSequent) -> StrongSolutionReport:
+    """``programs.verify_strong_solution`` before it skipped work: it evaluates
+    the program afresh and walks every path of every sequent, counting every
+    charged formula, linear or not.  The differential tests hold the library's
+    verifier to the same violations in the same order."""
+    violations: list[Violation] = []
+    values = {program.root: sequent.input}
+    for v in program.vertices:
+        for child, label in program.children[v]:
+            values[child] = None if values[v] is None else apply_implication(values[v], label)
+    for leaf in program.leaves:
+        value = values[leaf]
+        if value is None:
+            violations.append(Violation(LEAF_MISMATCH, vertex=leaf, detail="undefined"))
+        elif value != sequent.goal:
+            violations.append(Violation(LEAF_MISMATCH, vertex=leaf, detail=f"evaluates to {value}"))
+
+    available = set(sequent.linear) | set(sequent.banged)
+    for parent, child, _ in program.edges:
+        used = program.charges[parent]
+        if used not in available:
+            violations.append(Violation(FOREIGN_FORMULA, edge=(parent, child), formula=used))
+
+    linear_need: dict = {}
+    for f in sequent.linear:
+        linear_need[f] = linear_need.get(f, 0) + 1
+    banged_set = set(sequent.banged)
+    used_counts: dict = {}
+    stack: list = [(program.root, None)]
+    while stack:
+        v, used = stack.pop()
+        if v is None:
+            used_counts[used] -= 1
+            continue
+        if used is not None:
+            used_counts[used] = used_counts.get(used, 0) + 1
+            stack.append((None, used))
+        children = program.children[v]
+        if not children:
+            for f, need in linear_need.items():
+                got = used_counts.get(f, 0)
+                if got != need and not (f in banged_set and got > need):
+                    violations.append(Violation(LINEAR_COUNT, vertex=v, formula=f, count=got))
+        stack.extend((child, program.charges[v]) for child, _ in reversed(children))
+    return StrongSolutionReport(not violations, tuple(violations))

@@ -134,6 +134,19 @@ def test_decode_accepts_only_the_literals_encode_config_spells():
     assert decode_product(2, parse_product("l1*r1*r01")) is None
 
 
+@pytest.mark.parametrize("name", ["r01", "r1_0", "r0", "l01", "k1", "x1", "r" + "9" * 5000])
+def test_decode_refuses_a_name_encode_config_never_spells(name):
+    """Each name fails alone, next to a label, and next to a counter; a
+    ``roles`` dict shared across the calls of one walk changes no answer."""
+    roles: dict = {}
+    for text in (name, f"l1*{name}", f"r1*{name}"):
+        product = parse_product(text)
+        assert decode_product(2, product) is None
+        assert decode_product(2, product, roles) is None
+        assert decode_product(2, product, roles) is None
+    assert decode_product(2, parse_product("l1*r1*r2*r2"), roles) == Configuration(1, (1, 2))
+
+
 def test_decode_refuses_literals_too_long_for_int():
     # Python converts at most 4,300 digits by default; such a literal names
     # no label or counter a machine can have.

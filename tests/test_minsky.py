@@ -229,6 +229,28 @@ def test_configuration_rejects_negative():
         Configuration(1, (0, -1))
 
 
+def test_configuration_semantics_are_pinned():
+    """What a configuration prints, refuses, and equals."""
+    config = Configuration(3, (2, 0))
+    assert repr(config) == "Configuration(label=3, counters=(2, 0))"
+    assert str(config) == "L3 : 2,0"
+    assert (config.label, config.counters) == (3, (2, 0))
+    with pytest.raises(ValueError) as refused:
+        Configuration(label=1, counters=(0, -1))
+    assert str(refused.value) == "negative counter in Configuration(label=1, counters=(0, -1))"
+    rebuilt = Configuration(*config)
+    assert rebuilt == config and hash(rebuilt) == hash(config)
+    assert Configuration._trusted(3, (2, 0)) == config
+    assert hash(Configuration._trusted(3, (2, 0))) == hash(config)
+    assert config != Configuration(2, (2, 0))  # another label
+    assert config != Configuration(3, (0, 2))  # other counters
+    assert config != Configuration(3, (2, 0, 0))  # another arity
+    # A configuration is the tuple (label, counters): it equals that plain tuple.
+    assert config == (3, (2, 0)) and hash(config) == hash((3, (2, 0)))
+    with pytest.raises(AttributeError):
+        config.label = 4
+
+
 def test_instruction_shapes():
     with pytest.raises(ValueError):
         Instruction("inc", 0, 1, 1)  # non-halt label must be >= 1

@@ -572,9 +572,18 @@ def test_frame_law_random(seed):
 @given(st.integers(0, 10_000))
 @settings(max_examples=40)
 def test_evaluate_deterministic(seed):
+    """Equal programs on equal inputs evaluate alike, whether the values are
+    computed afresh or are the ones the program kept from its last call; the
+    kept values are read-only."""
     rng = random.Random(seed)
     program, x = random_program(rng)
-    assert evaluate(program, x) == evaluate(program, x)
+    first = evaluate(program, x)
+    assert first == evaluate(HornProgram.build(program.root, program.edges), x)
+    other = x.tensor(SimpleProduct.of("a"))
+    assert evaluate(program, other) == evaluate(HornProgram.build(program.root, program.edges), other)
+    assert evaluate(program, x) == first
+    with pytest.raises(TypeError):
+        first[program.root] = other
 
 
 def preorder_evaluation(program: HornProgram, w: SimpleProduct) -> dict:
