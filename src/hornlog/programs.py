@@ -24,7 +24,9 @@ unary vertex to its lone label, a divergent vertex to the joint choice of its
 pair, and a leaf to ``None``.  Every tree-shaped program (a prover
 witness, a compiled proof, a grafted copy) is spelled out by ``unfold``, so
 its vertices are numbered in preorder; the bridge appends its chains of
-edges directly.
+edges directly.  ``prove_bounded`` searches states of plain entries, a
+product's ``(literal, count)`` tuple with the linear formulas left, and
+matches each candidate's antecedent once for all the edges it draws.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from .syntax import (
     PlainImplication,
     SimpleProduct,
     apply_implication,
-    match_antecedent,
     multiset_minus,
     parse_formula,
+    step_entries,
 )
 
 Edge = tuple[int, int]  # (parent, child)
@@ -313,12 +315,14 @@ _FAIL = "fail"
 def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
     """Exhaustive search for a strong-solution witness of height <= max_depth.
 
-    States are (current product, remaining linear multiset); plain rewrites are
-    tried before choices, candidates ordered by printed form, linear formulas
-    consumed and banged ones kept.  A formula succeeds only if every edge of
-    its ``branches`` does.  Depth 0 admits only the one-vertex program, when
-    the input is the goal and the linear zone is empty.  Absence within the
-    depth bound proves nothing.
+    States are (the product's entries, remaining linear multiset), tuples that
+    hash and compare in C.  Plain rewrites are tried before choices, candidates
+    ordered by printed form, linear formulas consumed and banged ones kept;
+    ``step_entries`` matches a candidate's antecedent once against the state's
+    counts, for every edge of its ``branches``, and the formula succeeds only
+    if every edge does.  Depth 0 admits only the one-vertex program, when the
+    input is the goal and the linear zone is empty.  Absence within the depth
+    bound proves nothing.
 
     The search is branch and bound.  Every root-to-leaf path of a witness ends
     at the goal's size and spends each remaining linear occurrence once, and
@@ -335,8 +339,7 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
     """
     if max_depth < 0:
         raise ValueError("max_depth must be non-negative")
-    banged = tuple(dict.fromkeys(sequent.banged))  # canonical order, deduplicated
-    goal = sequent.goal
+    goal = sequent.goal.entries
 
     # memo: state -> ("win", height, moves) | ("fail", budget tried), where
     # moves is a tuple of (edge label, child state): empty at a leaf, one pair
@@ -348,24 +351,24 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
     # before a banged copy of the same formula; a state tries a linear one
     # only while it holds it.
     def candidate(f: HornFormula, is_linear: bool) -> tuple:
-        return f, is_linear, tuple((e, e.consequent.size - e.antecedent.size) for e in f.branches)
+        return f, is_linear, f.branches, tuple(e.consequent.size - e.antecedent.size for e in f.branches)
 
     ordered = sorted(
         [candidate(f, True) for f in dict.fromkeys(sequent.linear)]
-        + [candidate(f, False) for f in banged],
+        + [candidate(f, False) for f in dict.fromkeys(sequent.banged)],
         key=lambda item: (len(item[2]), item[0].text, not item[1]),
     )
     # A product matches an antecedent only if it holds the antecedent's first
     # literal, so each candidate is filed once under that literal and a state
     # tries those filed under its own literals, in their order above.
     filed: dict[str, list[int]] = {}
-    for i, (f, _, _) in enumerate(ordered):
+    for i, (f, *_) in enumerate(ordered):
         filed.setdefault(f.antecedent.entries[0][0], []).append(i)
-    deltas = [delta for _, _, edges in ordered for _, delta in edges]
+    deltas = [delta for *_, sizes in ordered for delta in sizes]
     # At 0, not below: a state already at the goal's size may be a leaf even
     # when every edge grows (or every edge shrinks).
     shrink, grow = max([0] + [-d for d in deltas]), max([0] + deltas)
-    goal_size = goal.size
+    goal_size = sequent.goal.size
 
     def within(size: int, linear: tuple, budget: int) -> bool:
         """Whether a state could still reach a leaf within budget edges."""
@@ -391,29 +394,30 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
         child's win height or None; return the state's win height within
         budget, or None.  A child that cannot win within the budget left is
         not requested: its edge fails at once."""
-        product, linear = state
+        entries, linear = state
         known = memo.get(state)
         if known is not None:
             if known[0] == _WIN and known[1] <= budget:
                 return known[1]
             if known[0] == _FAIL and budget <= known[1]:
                 return None
-        if not linear and product == goal:
+        if not linear and entries == goal:
             return win(state, 0, ())
         if budget >= 1:
-            tried = sorted(i for name, _ in product.entries for i in filed.get(name, ()))
-            for f, is_linear, edges in map(ordered.__getitem__, tried):
+            counts = dict(entries)
+            tried = sorted(i for name in counts for i in filed.get(name, ()))
+            for f, is_linear, edges, sizes in map(ordered.__getitem__, tried):
                 if is_linear and f not in linear:
                     continue
-                residual = match_antecedent(product, f.antecedent)
-                if residual is None:
+                children = step_entries(counts, edges)
+                if children is None:
                     continue
                 rest = multiset_minus(linear, f) if is_linear else linear
                 top, moves = 0, []  # the highest child win; a move per edge
-                for edge, delta in edges:
+                for edge, delta, child_entries in zip(edges, sizes, children):
                     if not within(size + delta, rest, budget - 1):
                         break
-                    child = (edge.consequent.tensor(residual), rest)
+                    child = (child_entries, rest)
                     height = yield child, size + delta, budget - 1
                     if height is None:
                         break
@@ -427,7 +431,7 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
         return None
 
     # An explicit stack of searches, so depth never meets the recursion limit.
-    start = (sequent.input, sequent.linear)
+    start = (sequent.input.entries, sequent.linear)
     size = sequent.input.size
     stack = [search(start, size, max_depth)] if within(size, sequent.linear, max_depth) else []
     height = None

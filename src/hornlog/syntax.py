@@ -13,7 +13,8 @@ Canonical zones grow by ``zone_insert`` (one bisection) and ``zone_merge``
 input, such as a parsed sequent, is sorted whole by ``canonical_zone``.
 ``apply_implication`` rewrites in one pass: one count dict less the
 antecedent (the subtraction ``match_antecedent`` shares), plus the
-consequent, sorted once, with no residual frame between.
+consequent, sorted once, with no residual frame between; ``step_entries``
+does so on plain entries, with one subtraction for both edges of a fork.
 
 Implications come in two shapes, ``X -o Y`` and ``X -o (Y1 + Y2)``.  Every
 Horn formula names the program edges one use of it draws as its ``branches``:
@@ -161,22 +162,13 @@ class SimpleProduct(Frame):
         super().__post_init__()
 
     def tensor(self, other: Frame) -> "SimpleProduct":
-        return SimpleProduct._trusted(_sum_entries(self.entries, other.entries))
+        return SimpleProduct._trusted(_plus(dict(self.entries), other.entries))
 
     def power(self, k: int) -> "SimpleProduct":
         """The tensor of k >= 1 copies, its counts multiplied: O(entries), not O(k)."""
         if k < 1:
             raise ValueError(f"a power needs at least one copy, got {k}")
         return SimpleProduct._trusted(tuple((name, count * k) for name, count in self.entries))
-
-
-def _sum_entries(*parts: Entries) -> Entries:
-    """The entries of the tensor of canonical entry tuples."""
-    counts: dict[str, int] = {}
-    for entries in parts:
-        for name, count in entries:
-            counts[name] = counts.get(name, 0) + count
-    return tuple(sorted(counts.items()))
 
 
 class Choice(Printed):
@@ -311,16 +303,33 @@ def zone_merge(a: tuple, b: tuple) -> tuple:
     return canonical_zone(a + b) if a and b else a or b
 
 
-def _minus(x: SimpleProduct, antecedent: SimpleProduct) -> dict[str, int] | None:
-    """x's counts, in x's order, less the antecedent's; None if one runs short.
-    A name x lacks runs short at once, so only x's names are ever keys."""
-    counts = dict(x.entries)
+def _minus(counts: dict[str, int], antecedent: SimpleProduct) -> dict[str, int] | None:
+    """counts (a fresh dict) less the antecedent's, a spent name dropped; None if
+    one runs short.  A name counts lacks runs short at once, so none is added."""
     for name, need in antecedent.entries:
         left = counts.get(name, 0) - need
         if left < 0:
             return None
-        counts[name] = left
+        if left:
+            counts[name] = left
+        else:
+            del counts[name]
     return counts
+
+
+def _plus(counts: dict[str, int], *parts: Entries) -> Entries:
+    """The canonical entries of counts, changed in place, plus each part's."""
+    for entries in parts:
+        for name, count in entries:
+            counts[name] = counts.get(name, 0) + count
+    return tuple(sorted(counts.items()))
+
+
+def step_entries(counts: dict[str, int], edges: tuple[PlainImplication, ...]) -> list[Entries] | None:
+    """Each edge's child entries from counts (a product's, left unchanged), the
+    antecedent the edges share matched once; None if a literal runs short."""
+    residual = _minus(dict(counts), edges[0].antecedent)
+    return None if residual is None else [_plus(dict(residual), e.consequent.entries) for e in edges]
 
 
 def match_antecedent(x: SimpleProduct, antecedent: SimpleProduct) -> Frame | None:
@@ -328,10 +337,8 @@ def match_antecedent(x: SimpleProduct, antecedent: SimpleProduct) -> Frame | Non
 
     The residual may be empty (exact match); absence is a value, not an error.
     """
-    counts = _minus(x, antecedent)
-    if counts is None:
-        return None
-    return Frame._trusted(tuple((name, count) for name, count in counts.items() if count))
+    counts = _minus(dict(x.entries), antecedent)
+    return None if counts is None else Frame._trusted(tuple(counts.items()))
 
 
 def apply_implication(x: SimpleProduct, f: PlainImplication) -> SimpleProduct | None:
@@ -340,16 +347,12 @@ def apply_implication(x: SimpleProduct, f: PlainImplication) -> SimpleProduct | 
     One pass: x's counts less X's plus Y's, sorted once, with no residual frame."""
     if not isinstance(f, PlainImplication):
         raise TypeError(f"apply_implication needs a plain implication, got {f!r}")
-    counts = _minus(x, f.antecedent)
-    if counts is None:
-        return None
-    for name, count in f.consequent.entries:
-        counts[name] = counts.get(name, 0) + count
-    return SimpleProduct._trusted(tuple(sorted((name, count) for name, count in counts.items() if count)))
+    counts = _minus(dict(x.entries), f.antecedent)
+    return None if counts is None else SimpleProduct._trusted(_plus(counts, f.consequent.entries))
 
 
 def tensor_all(products: Iterable[SimpleProduct]) -> SimpleProduct:
-    entries = _sum_entries(*(p.entries for p in products))
+    entries = _plus({}, *(p.entries for p in products))
     if not entries:
         raise ValueError("tensor_all needs at least one product")
     return SimpleProduct._trusted(entries)

@@ -21,11 +21,14 @@ from hornlog.programs import (
 )
 from hornlog.syntax import (
     Frame,
+    HornFormula,
     HornSequent,
     OplusImplication,
     PlainImplication,
     SimpleProduct,
     apply_implication,
+    match_antecedent,
+    multiset_minus,
 )
 
 POOL = ["a", "b", "c", "d", "e"]
@@ -407,3 +410,165 @@ def reference_verify_strong_solution(program: HornProgram, sequent: HornSequent)
                     violations.append(Violation(LINEAR_COUNT, vertex=v, formula=f, count=got))
         stack.extend((child, program.charges[v]) for child, _ in reversed(children))
     return StrongSolutionReport(not violations, tuple(violations))
+
+
+# --- Random sequents for the prover ----------------------------------------------
+
+
+def small_sequent(rng: random.Random) -> HornSequent:
+    """At most 3 literals, 2 linear and 3 banged formulas: plain, choice,
+    growing, shrinking, and cyclic pairs ``a -o b, b -o a``."""
+    pool = "abc"[: rng.randint(1, 3)]
+
+    def product(max_size: int = 2) -> SimpleProduct:
+        return SimpleProduct.of(*rng.choices(pool, k=rng.randint(1, max_size)))
+
+    def formulas() -> list:
+        kind = rng.choice(("plain", "choice", "grow", "shrink", "cycle"))
+        x, y = product(), product()
+        if kind == "choice":
+            return [OplusImplication(x, y, product())]
+        if kind == "grow":
+            return [PlainImplication(x, x.tensor(product(1)))]
+        if kind == "shrink":
+            return [PlainImplication(x.tensor(product(1)), x)]
+        if kind == "cycle":
+            return [PlainImplication(x, y), PlainImplication(y, x)]
+        return [PlainImplication(x, y)]
+
+    def zone(most: int) -> list:
+        picked = []
+        for _ in range(rng.randint(0, most)):
+            picked += formulas()
+        return picked[:most]
+
+    return HornSequent(product(3), tuple(zone(2)), tuple(zone(3)), product(3))
+
+
+def walked_sequent(rng: random.Random, both: bool) -> HornSequent:
+    """Up to 4 literals; five banged formulas, plain or choice, with
+    antecedents of 1 to 3 literals, and two spare plain ones.  The goal is
+    where a random walk of plain steps ends, then at times a choice whose two
+    sides close at one product, so most sequents have a witness.  The linear
+    zone is the spare formulas the walk spent, at times with one it did not
+    spend; with ``both`` its first formula is banged as well."""
+    pool = "abcd"[: rng.randint(2, 4)]
+
+    def product(most: int) -> SimpleProduct:
+        return SimpleProduct.of(*rng.choices(pool, k=rng.randint(1, most)))
+
+    def formula():
+        x, y = product(3), product(2)
+        return OplusImplication(x, y, product(2)) if rng.random() < 0.3 else PlainImplication(x, y)
+
+    spare = [PlainImplication(product(2), product(2)) for _ in range(2)]
+    banged = [formula() for _ in range(5)]
+    start = now = product(4)
+    linear = []
+    for _ in range(rng.randint(0, 4)):
+        f = rng.choice([f for f in spare + banged if isinstance(f, PlainImplication) and f not in linear])
+        residual = match_antecedent(now, f.antecedent)
+        if residual is not None:
+            now = f.consequent.tensor(residual)
+            linear += [f] if f in spare else []
+    if rng.random() < 0.3:
+        y1, y2, now2 = product(2), product(2), product(2)
+        banged += [OplusImplication(now, y1, y2), PlainImplication(y1, now2), PlainImplication(y2, now2)]
+        now = now2
+    if rng.random() < 0.2:
+        linear += [f for f in spare if f not in linear][:1]
+    banged += linear[:1] * both
+    return HornSequent(start, tuple(linear), tuple(banged), now)
+
+
+# --- The witness search on products, as it first read ----------------------------
+
+
+def reference_prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
+    """``programs.prove_bounded`` before its states were plain entries: a
+    state is (product, linear zone), and each edge's child is the edge's
+    consequent tensored with the residual ``match_antecedent`` returns.
+    Candidate order, filing, the size and linear bound, the memo's win and
+    fail rules and the read-back are the library's; the self-check is left
+    to the caller.  The differential tests hold the library's witness, or its
+    absence, to this one's."""
+    banged = tuple(dict.fromkeys(sequent.banged))
+    goal = sequent.goal
+    memo: dict[tuple, tuple] = {}
+
+    def candidate(f: HornFormula, is_linear: bool) -> tuple:
+        return f, is_linear, tuple((e, e.consequent.size - e.antecedent.size) for e in f.branches)
+
+    ordered = sorted(
+        [candidate(f, True) for f in dict.fromkeys(sequent.linear)]
+        + [candidate(f, False) for f in banged],
+        key=lambda item: (len(item[2]), item[0].text, not item[1]),
+    )
+    filed: dict[str, list[int]] = {}
+    for i, (f, _, _) in enumerate(ordered):
+        filed.setdefault(f.antecedent.entries[0][0], []).append(i)
+    deltas = [delta for _, _, edges in ordered for _, delta in edges]
+    shrink, grow = max([0] + [-d for d in deltas]), max([0] + deltas)
+
+    def within(size: int, linear: tuple, budget: int) -> bool:
+        return len(linear) <= budget and size - goal.size <= budget * shrink and goal.size - size <= budget * grow
+
+    def win(state: tuple, height: int, moves: tuple) -> int:
+        prior = memo.get(state)
+        if prior is not None and prior[0] == "win" and prior[1] <= height:
+            return prior[1]
+        memo[state] = ("win", height, moves)
+        return height
+
+    def search(state: tuple, size: int, budget: int):
+        product, linear = state
+        known = memo.get(state)
+        if known is not None:
+            if known[0] == "win" and known[1] <= budget:
+                return known[1]
+            if known[0] == "fail" and budget <= known[1]:
+                return None
+        if not linear and product == goal:
+            return win(state, 0, ())
+        if budget >= 1:
+            tried = sorted(i for name, _ in product.entries for i in filed.get(name, ()))
+            for f, is_linear, edges in map(ordered.__getitem__, tried):
+                if is_linear and f not in linear:
+                    continue
+                residual = match_antecedent(product, f.antecedent)
+                if residual is None:
+                    continue
+                rest = multiset_minus(linear, f) if is_linear else linear
+                top, moves = 0, []
+                for edge, delta in edges:
+                    if not within(size + delta, rest, budget - 1):
+                        break
+                    child = (edge.consequent.tensor(residual), rest)
+                    height = yield child, size + delta, budget - 1
+                    if height is None:
+                        break
+                    top = max(top, height)
+                    moves.append((edge, child))
+                else:
+                    return win(state, top + 1, tuple(moves))
+        prior = memo.get(state)
+        if prior is None or (prior[0] == "fail" and prior[1] < budget):
+            memo[state] = ("fail", budget)
+        return None
+
+    start = (sequent.input, sequent.linear)
+    size = sequent.input.size
+    stack = [search(start, size, max_depth)] if within(size, sequent.linear, max_depth) else []
+    height = None
+    while stack:
+        try:
+            stack.append(search(*stack[-1].send(height)))
+            height = None
+        except StopIteration as done:
+            stack.pop()
+            height = done.value
+    if height is None:
+        return None
+    builder = ProgramBuilder()
+    builder.unfold(0, start, lambda state: memo[state][2])
+    return builder.build()

@@ -140,6 +140,17 @@ def test_prove_and_verify(dec_file, tmp_path):
     assert accept.stdout.strip() == "accept"
 
 
+def test_the_package_runs_as_a_module(tmp_path):
+    # python -m hornlog, with no install, is the installed hornlog command.
+    seq_file = tmp_path / "fork.seq"
+    seq_file.write_text("f ; ; f -o (g + h), g -o m, h -o m |- m\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "hornlog", "prove", str(seq_file), "--depth", "2"], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(program_from_json(result.stdout).leaves) == 2
+
+
 def test_prove_deep_run(dec_file, tmp_path):
     """A 2000-move run needs a witness thousands of edges deep: the prover
     searches without recursion, and the witness verifies."""

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpora import chain, hll_corpus, ladder_text, random_machine
+from corpora import chain, hll_corpus, ladder_text, random_machine, small_sequent
 from hornlog import hll, programs
 from hornlog.bridge import AGREE_NO_WITNESS_WITHIN_BOUNDS, computation_to_program, round_trip_check
 from hornlog.encoding import MachineEncoding
@@ -282,9 +282,11 @@ def test_prove_bounded_depth_zero():
 
 
 def counted_matches(monkeypatch) -> list:
-    """Each antecedent ``programs.match_antecedent`` is asked to match, from now on."""
-    calls, real_match = [], programs.match_antecedent
-    monkeypatch.setattr(programs, "match_antecedent", lambda x, a: calls.append(a) or real_match(x, a))
+    """The edges whose antecedent ``programs.step_entries`` is asked to match, from now on.
+    A guard asserts its count is positive too: one that counted a helper the
+    prover no longer calls would read 0 and pass."""
+    calls, real_step = [], programs.step_entries
+    monkeypatch.setattr(programs, "step_entries", lambda counts, edges: calls.append(edges) or real_step(counts, edges))
     return calls
 
 
@@ -297,7 +299,7 @@ def test_prove_bounded_drops_states_that_cannot_reach_the_goal(monkeypatch):
     enc = MachineEncoding.build(parse_machine(ladder_text(5, seed=1, counters=3)))
     calls = counted_matches(monkeypatch)
     assert prove_bounded(enc.sequent((5, 0, 1)), 10) is None
-    assert len(calls) <= 2_000
+    assert 0 < len(calls) <= 2_000
 
 
 def test_prove_bounded_raises_when_its_witness_fails_the_check(monkeypatch):
@@ -318,7 +320,7 @@ def test_a_state_tries_only_the_formulas_filed_under_its_literals(monkeypatch):
     enc = MachineEncoding.build(parse_machine(ladder_text(5, seed=1, counters=3)))
     calls = counted_matches(monkeypatch)
     assert round_trip_check(enc, (5, 0, 1), 9, 10, 10).code == AGREE_NO_WITNESS_WITHIN_BOUNDS
-    assert len(calls) <= 200
+    assert 0 < len(calls) <= 200
 
 
 def test_proving_long_runs_tries_only_the_formulas_filed_under_a_state(monkeypatch):
@@ -329,37 +331,7 @@ def test_proving_long_runs_tries_only_the_formulas_filed_under_a_state(monkeypat
     calls = counted_matches(monkeypatch)
     assert prove_bounded(dec.sequent((70, 0)), 72) is not None
     assert prove_bounded(transfer.sequent((22, 0)), 69) is not None
-    assert len(calls) <= 200
-
-
-def _random_sequent(rng: random.Random) -> HornSequent:
-    """At most 3 literals, 2 linear and 3 banged formulas: plain, choice,
-    growing, shrinking, and cyclic pairs ``a -o b, b -o a``."""
-    pool = "abc"[: rng.randint(1, 3)]
-
-    def product(max_size: int = 2) -> SimpleProduct:
-        return SimpleProduct.of(*rng.choices(pool, k=rng.randint(1, max_size)))
-
-    def formulas() -> list:
-        kind = rng.choice(("plain", "choice", "grow", "shrink", "cycle"))
-        x, y = product(), product()
-        if kind == "choice":
-            return [OplusImplication(x, y, product())]
-        if kind == "grow":
-            return [PlainImplication(x, x.tensor(product(1)))]
-        if kind == "shrink":
-            return [PlainImplication(x.tensor(product(1)), x)]
-        if kind == "cycle":
-            return [PlainImplication(x, y), PlainImplication(y, x)]
-        return [PlainImplication(x, y)]
-
-    def zone(most: int) -> list:
-        picked = []
-        for _ in range(rng.randint(0, most)):
-            picked += formulas()
-        return picked[:most]
-
-    return HornSequent(product(3), tuple(zone(2)), tuple(zone(3)), product(3))
+    assert 0 < len(calls) <= 200
 
 
 def _naive_wins(product: Counter, linear: Counter, sequent: HornSequent, depth: int) -> bool:
@@ -387,7 +359,7 @@ def _naive_wins(product: Counter, linear: Counter, sequent: HornSequent, depth: 
 @given(st.integers(0, 10_000))
 @settings(max_examples=150, deadline=None)
 def test_prove_bounded_finds_a_witness_exactly_when_one_exists(seed):
-    sequent = _random_sequent(random.Random(seed))
+    sequent = small_sequent(random.Random(seed))
     start = Counter(sequent.input.literals()), Counter(sequent.linear)
     for depth in range(5):
         witness = prove_bounded(sequent, depth)
@@ -453,7 +425,7 @@ def _dumped(program: HornProgram) -> str:
 
 def _witnesses() -> list[HornProgram]:
     rng = random.Random(5)
-    found = [prove_bounded(_random_sequent(rng), 4) for _ in range(150)]
+    found = [prove_bounded(small_sequent(rng), 4) for _ in range(150)]
     for text, ks in ((TRANSFER, range(4)), (ladder_text(3, seed=2), range(2, 5))):
         enc = MachineEncoding.build(parse_machine(text))
         found += [prove_bounded(enc.sequent((k, 0)), 3 * k + 6) for k in ks]

@@ -18,19 +18,11 @@ import json
 import random
 from pathlib import Path
 
-from corpora import random_machine
+from corpora import random_machine, walked_sequent
 from hornlog.encoding import MachineEncoding
 from hornlog.minsky import parse_machine
 from hornlog.programs import program_to_json, prove_bounded
-from hornlog.syntax import (
-    HornSequent,
-    OplusImplication,
-    PlainImplication,
-    SimpleProduct,
-    match_antecedent,
-    parse_sequent,
-    sequent_text,
-)
+from hornlog.syntax import OplusImplication, parse_sequent, sequent_text
 
 FIXTURE = Path(__file__).with_name("prover_witnesses.json")
 
@@ -39,42 +31,6 @@ TRANSFER = (
     "counters 2\nL1: dec x1 goto L5\nL5: inc x2 goto L1\nL1: ifzero x1 goto L7\n"
     "L7: dec x2 goto L7\nL7: ifzero x2 goto L0\n"
 )
-
-
-def _random_sequent(rng: random.Random, both: bool) -> HornSequent:
-    """Up to 4 literals; five banged formulas, plain or choice, with
-    antecedents of 1 to 3 literals, and two spare plain ones.  The goal is
-    where a random walk of plain steps ends, then at times a choice whose two
-    sides close at one product, so most sequents have a witness.  The linear
-    zone is the spare formulas the walk spent, at times with one it did not
-    spend; with ``both`` its first formula is banged as well."""
-    pool = "abcd"[: rng.randint(2, 4)]
-
-    def product(most: int) -> SimpleProduct:
-        return SimpleProduct.of(*rng.choices(pool, k=rng.randint(1, most)))
-
-    def formula():
-        x, y = product(3), product(2)
-        return OplusImplication(x, y, product(2)) if rng.random() < 0.3 else PlainImplication(x, y)
-
-    spare = [PlainImplication(product(2), product(2)) for _ in range(2)]
-    banged = [formula() for _ in range(5)]
-    start = now = product(4)
-    linear = []
-    for _ in range(rng.randint(0, 4)):
-        f = rng.choice([f for f in spare + banged if isinstance(f, PlainImplication) and f not in linear])
-        residual = match_antecedent(now, f.antecedent)
-        if residual is not None:
-            now = f.consequent.tensor(residual)
-            linear += [f] if f in spare else []
-    if rng.random() < 0.3:
-        y1, y2, now2 = product(2), product(2), product(2)
-        banged += [OplusImplication(now, y1, y2), PlainImplication(y1, now2), PlainImplication(y2, now2)]
-        now = now2
-    if rng.random() < 0.2:
-        linear += [f for f in spare if f not in linear][:1]
-    banged += linear[:1] * both
-    return HornSequent(start, tuple(linear), tuple(banged), now)
 
 
 def corpus() -> list[tuple[str, int]]:
@@ -88,7 +44,7 @@ def corpus() -> list[tuple[str, int]]:
         cases.append((MachineEncoding.build(parse_machine(DEC.format(m=1 + k % 2))).sequent((k, k)), k + 2))
         cases.append((MachineEncoding.build(parse_machine(TRANSFER)).sequent((k, 0)), 3 * k + 3))
     for i in range(240):
-        cases.append((_random_sequent(rng, both=i % 4 == 0), rng.randint(2, 7)))
+        cases.append((walked_sequent(rng, both=i % 4 == 0), rng.randint(2, 7)))
     return [(sequent_text(sequent), depth) for sequent, depth in cases]
 
 

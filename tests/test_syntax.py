@@ -20,6 +20,7 @@ from hornlog.syntax import (
     parse_product,
     parse_sequent,
     sequent_text,
+    step_entries,
     tensor_all,
 )
 from hornlog import cli, syntax
@@ -109,6 +110,35 @@ def test_match_round_trip(x, a):
         assert a.tensor(residual) == x
     else:
         assert any(dict(x.entries).get(name, 0) < count for name, count in a.entries)
+
+
+@given(products, products, st.lists(products, min_size=1, max_size=2))
+def test_step_entries_is_a_match_then_a_tensor_per_edge(x, a, ys):
+    counts = dict(x.entries)
+    stepped = step_entries(counts, [PlainImplication(a, y) for y in ys])
+    assert counts == dict(x.entries)  # the state's counts are left as they were
+    residual = match_antecedent(x, a)
+    assert stepped == (None if residual is None else [y.tensor(residual).entries for y in ys])
+    # An exact match leaves an empty residual: each child is its consequent.
+    assert step_entries(counts, [PlainImplication(x, y) for y in ys]) == [y.entries for y in ys]
+
+
+def test_step_entries_needs_every_literal_in_full():
+    counts = dict(parse_product("a*a*b").entries)
+    assert step_entries(counts, [parse_formula("d -o c")]) is None  # absent
+    assert step_entries(counts, [parse_formula("(b*b) -o c")]) is None  # short
+    assert step_entries(counts, [parse_formula("(a*a) -o c")]) == [(("b", 1), ("c", 1))]
+
+
+def test_step_entries_steps_both_fork_edges_from_one_match(monkeypatch):
+    matches, real = [], syntax._minus
+    monkeypatch.setattr(syntax, "_minus", lambda counts, a: matches.append(a) or real(counts, a))
+    f = parse_formula("(a*b) -o (a*c + d)")
+    assert step_entries(dict(parse_product("a*a*b").entries), f.branches) == [
+        (("a", 2), ("c", 1)),
+        (("a", 1), ("d", 1)),
+    ]
+    assert matches == [f.antecedent]
 
 
 @given(products, products, plains)
