@@ -140,7 +140,7 @@ def cmd_verify_sequent_program(args) -> int:
 
 
 def cmd_verify_proof(args) -> int:
-    # The reader derives every conclusion, so a proof it returns is valid.
+    # The reader draws each node through hll.draw, the kernel, so a proof it returns is valid.
     try:
         args.read(_read(args.proof))
     except hll.InvalidProof as exc:

@@ -7,9 +7,9 @@ two-premise choice rule, the three bang rules, and cut.  A node is fixed by
 its inference: rule, premises, principal (an axiom's too: the product of
 ``I``, the implication of ``H``) and rule parameter.  Each rule's conclusion
 is stated once, in ``_conclude``.  One factory, ``draw``, makes every node
-of either calculus, for the builders and the proof-file reader alike, so a
-proof from either is checked once, when built, and marked ``checked``;
-``check_tree`` redraws only unmarked nodes, as ``draw`` does.
+of either calculus, for the builders, the normalizer and the proof-file
+reader alike, so a proof is checked once, when built, and marked
+``checked``; ``check_tree`` trusts the mark, redrawing only unmarked nodes.
 
 The compiler spells its program out with ``ProgramBuilder.unfold``, as the
 prover does its witnesses, so vertices are numbered in preorder.  A key is

@@ -11,19 +11,18 @@ coexist; one context holds each tag at most once.
 
 Each rule's conclusion is stated once, in ``_ll_conclude``, from the node's
 inference: rule, premises, principal (an axiom's product too), split and
-tag.  ``_ll_node`` is ``hll.draw`` bound to this calculus's format, with no
-body of its own, so a flat proof too is checked once, when built.  An
-implication-choice node keeps the tag it consumes, so the normalizer and the
-translation know a choice's consumer as the first implication-choice node
-below it, reached from its second premise, that carries the choice's tag.
+tag.  Every flat node, the normalizer's too, is drawn by ``_ll_node``, which
+is ``hll.draw`` bound to this calculus's format, so it is checked once, when
+built.  An implication-choice node keeps the tag it consumes: a choice's
+consumer is the first implication-choice node below it, reached from its
+second premise, that carries the choice's tag.
 
 ``push_oplus_down`` moves every left-choice inference down until it sits
 immediately above the implication-choice inference that consumes its
 principal.  The left-choice rule is invertible: ``specialize`` replaces a
 tagged choice product by each of its components throughout a subproof, both
-in one traversal, so a choice moves in one step, re-expanding the consumer's
-second premise from the two.  The unadjacent choices are found once; a move
-rescans only that new left choice, and only if other choices were pending.
+in one traversal, so a choice moves in one step.  The unadjacent choices are
+found once; a move rescans only its new left choice, if others were pending.
 
 ``translate_ll_to_hll`` normalizes and then maps each inference into the
 zoned calculus, reading a flat context as input-product/linear/banged zones
@@ -39,7 +38,7 @@ Proof files are ``hll``'s proof table, laid out for this calculus.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 from . import hll
@@ -233,6 +232,10 @@ def ll_cbang(premise: LlProof, formula: HornFormula) -> LlProof:
     return _ll_node(LlRule.CBANG, (premise,), LlBang(formula), None, None)
 
 
+def _redraw(node: LlProof, premises: tuple) -> LlProof:  # node's inference over other premises
+    return _ll_node(node.rule, premises, node.principal, node.split, node.tag)
+
+
 # --- The normalizer -----------------------------------------------------------
 
 
@@ -242,11 +245,10 @@ def specialize(proof: LlProof, tag: int) -> tuple[LlProof, LlProof]:
     The pair proves the same sequent with the tagged choice product replaced
     by its left, then its right side, and has no left-choice node for the
     tag; one traversal draws both.  A tag is in a conclusion exactly when its
-    left choice lies in the subtree, so only a node with a changed premise
-    gets the chosen side in its conclusion.
+    left choice lies above with no consumer of the tag between, so a node with
+    a changed premise is redrawn over each side's unless it consumes the tag.
     """
-    occ = next((g for g in proof.conclusion.context if isinstance(g, LlOplusProduct) and g.tag == tag), None)
-    if occ is None:
+    if not any(isinstance(g, LlOplusProduct) and g.tag == tag for g in proof.conclusion.context):
         raise ProofStructureError(f"cannot specialize: tag {tag} absent from conclusion")
 
     def expands(node: LlProof) -> bool:
@@ -255,15 +257,9 @@ def specialize(proof: LlProof, tag: int) -> tuple[LlProof, LlProof]:
     def combine(node: LlProof, premises: list[tuple[LlProof, LlProof]]) -> tuple[LlProof, LlProof]:
         if expands(node):
             return node.premises
-        if all(new is old for (new, _), old in zip(premises, node.premises)):
+        if _consumes(node, 1, tag) or all(new is old for (new, _), old in zip(premises, node.premises)):
             return node, node
-        rest = multiset_minus(node.conclusion.context, occ)
-        if rest is None:  # the subtree consumes its own choice for the tag
-            return node, node
-        goal = node.conclusion.goal
-        return tuple(LlProof(node.rule, LlSequent.of_canonical(zone_insert(rest, chosen), goal), below,
-                             node.principal, node.split, node.tag)
-                     for chosen, below in zip((occ.left, occ.right), zip(*premises)))
+        return tuple(_redraw(node, below) for below in zip(*premises))
 
     result = hll.fold(proof, combine, lambda node: () if expands(node) else node.premises)
     if result[0] is proof:
@@ -297,9 +293,10 @@ def _move_choice(proof: LlProof, path: tuple[int, ...]):
     """Move the left choice at ``path`` onto the inference consuming its tag.
 
     With ``S`` the consumer's second premise, ``S`` becomes the left choice
-    of both sides of ``specialize(S, tag)``.  No conclusion changes, so the
-    nodes below are copied with one premise swapped.  Returns the proof, the
-    path of ``S`` and the left choice that replaced it.
+    of both sides of ``specialize(S, tag)``.  No conclusion changes, so each
+    node below is redrawn with one premise swapped; the input is checked, so a
+    move that draws no node or changes one is a fault (AssertionError).
+    Returns the proof, the path of ``S`` and the left choice that replaced it.
     """
     trail, premise = None, proof
     for i in path:
@@ -307,13 +304,16 @@ def _move_choice(proof: LlProof, path: tuple[int, ...]):
     occ: LlOplusProduct = premise.principal
     for _ in range(consumer_distance(occ.tag, trail) - 1):
         trail, premise = trail[0], trail[1]
-    moved = ll_loplus(*specialize(premise, occ.tag), occ)
+    try:
+        moved = ll_loplus(*specialize(premise, occ.tag), occ)
+    except hll.InvalidProof as exc:
+        raise AssertionError(f"the normalizer drew an invalid node: {exc}") from None
     if moved.conclusion != premise.conclusion:
-        raise ProofStructureError("moving a left choice changed the conclusion")
+        raise AssertionError("moving a left choice changed the conclusion")
     at, choice = hll.path_of(trail), moved
     while trail is not None:
         trail, node, i = trail
-        moved = replace(node, premises=node.premises[:i] + (moved,) + node.premises[i + 1:])
+        moved = _redraw(node, node.premises[:i] + (moved,) + node.premises[i + 1:])
     return moved, at, choice
 
 
@@ -327,11 +327,11 @@ def push_oplus_down(proof: LlProof, on_step=None) -> LlProof:
     (ties by leftmost path) and moves it in one step: the left-choice rule is
     invertible, so the consumer's second premise ``S`` becomes
     ``ll_loplus(*specialize(S, t), occ)``.  The other choices in ``S`` are
-    copied into both sides and move later; a move changes nothing outside
+    drawn into both sides and move later; a move changes nothing outside
     ``S``, so the unadjacent choices are found once and only the new left
     choice is rescanned.  The result proves the same conclusion, with every
     left-choice node the immediate second premise of the implication-choice
-    node consuming its tag.
+    node consuming its tag, and is marked checked when the input is.
 
     ``on_step``, when given, is called with the whole proof once per choice
     moved; ``loplus_distance_sum`` strictly decreases across those calls.

@@ -393,7 +393,7 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
         """Yield (child, size, budget) requests, each answered with that
         child's win height or None; return the state's win height within
         budget, or None.  A child that cannot win within the budget left is
-        not requested: its edge fails at once."""
+        not requested: its edge fails at once, the first before any match."""
         entries, linear = state
         known = memo.get(state)
         if known is not None:
@@ -409,10 +409,10 @@ def prove_bounded(sequent: HornSequent, max_depth: int) -> HornProgram | None:
             for f, is_linear, edges, sizes in map(ordered.__getitem__, tried):
                 if is_linear and f not in linear:
                     continue
-                children = step_entries(counts, edges)
-                if children is None:
-                    continue
                 rest = multiset_minus(linear, f) if is_linear else linear
+                children = within(size + sizes[0], rest, budget - 1) and step_entries(counts, edges)
+                if not children:
+                    continue
                 top, moves = 0, []  # the highest child win; a move per edge
                 for edge, delta, child_entries in zip(edges, sizes, children):
                     if not within(size + delta, rest, budget - 1):

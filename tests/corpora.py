@@ -466,7 +466,10 @@ def walked_sequent(rng: random.Random, both: bool) -> HornSequent:
     start = now = product(4)
     linear = []
     for _ in range(rng.randint(0, 4)):
-        f = rng.choice([f for f in spare + banged if isinstance(f, PlainImplication) and f not in linear])
+        plain = [f for f in spare + banged if isinstance(f, PlainImplication) and f not in linear]
+        if not plain:  # the walk spent both spares and no banged formula is plain
+            break
+        f = rng.choice(plain)
         residual = match_antecedent(now, f.antecedent)
         if residual is not None:
             now = f.consequent.tensor(residual)

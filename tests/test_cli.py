@@ -749,3 +749,24 @@ def test_a_translation_failing_the_output_gate_exits_3_unwritten(tmp_path, capsy
     stdout, stderr = capsys.readouterr()
     assert stdout == "" and stderr.startswith("error: internal: zoned proof fails its check: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sides, reason", [
+    (2, "moving a left choice changed the conclusion"),
+    (1, "the normalizer drew an invalid node: LOPLUS: premise contexts must expand one frame to the two components"),
+], ids=["both-sides", "one-side"])
+def test_a_normalizer_fault_exits_3_unwritten(tmp_path, capsys, monkeypatch, sides, reason):
+    """A ``specialize`` that weakens its sides by one more formula breaks the
+    move it serves on a valid proof: hornlog's fault, not malformed input."""
+    from corpora import ll_corpus
+    from hornlog import ll
+
+    flat = tmp_path / "proof.ll.json"
+    flat.write_text(ll.ll_proof_to_json(ll_corpus()[1]))  # a choice one rule above its consumer
+    specialize, extra = ll.specialize, parse_formula("z -o z")
+    monkeypatch.setattr(ll, "specialize", lambda proof, tag: tuple(
+        ll.ll_wbang(side, extra) if i < sides else side for i, side in enumerate(specialize(proof, tag))))
+    out = tmp_path / "proof.hll.json"
+    assert cli.main(["compile", "ll-to-hll", str(flat), "--output", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"error: internal AssertionError: {reason}\n")
+    assert not out.exists()

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from corpora import _rtensor_separated_case, _stacked_case, ll_corpus, ll_separation
+from corpora import _rtensor_separated_case, _stacked_case, ll_corpus, ll_separation, stacked_weakenings
 from hornlog import cli, hll, ll
 from hornlog.ll import (
     LlBang,
@@ -100,13 +100,31 @@ def test_a_node_is_checked_when_built_only_over_checked_premises():
 
 
 def test_moved_choices_are_checked_node_by_node():
-    """``specialize`` draws the nodes it changes with ``LlProof(...)`` and
-    the nodes below a moved choice are copied with ``replace``, so the
-    normalized proof is unmarked where it changed, and the checker walks it."""
+    """``specialize`` and the nodes below a moved choice redraw every node
+    they change through ``hll.draw``, so the normalized proof is marked."""
     proof = _two_rule_separation()
-    normalized = push_oplus_down(proof)
-    assert proof.checked and not normalized.checked
+    assert push_oplus_down(proof) != proof
+    for proof in [proof, *ll_corpus()]:
+        normalized = push_oplus_down(proof)
+        assert all(node.checked for node, _ in hll.walk(normalized))
+        assert check_ll_proof(normalized).ok
+
+
+def test_checking_a_normalized_proof_derives_no_conclusion(monkeypatch):
+    """The normalizer's output is marked throughout, so its check trusts the
+    mark and derives nothing, where it once redrew every changed node."""
+    normalized = push_oplus_down(stacked_weakenings(2000))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return ll._ll_conclude(*args)
+
+    monkeypatch.setattr(ll, "_LL_FORMAT", replace(ll._LL_FORMAT, conclude=counted))
     assert check_ll_proof(normalized).ok
+    assert calls == []
+    assert check_ll_proof(replace(normalized)).ok  # a copy is unmarked: its root alone is derived
+    assert calls == [normalized.rule]
 
 
 def test_reader_names_the_field_of_an_overlong_integer():

@@ -41,6 +41,14 @@ def test_seeded_sequents_prove_alike_at_depths_0_to_5(generator):
     assert any(w is None for w in found) and any(w is not None for w in found)
 
 
+def test_a_walk_stops_when_no_plain_formula_is_left():
+    """This stream spends both spare formulas while every banged one is a
+    choice; the walk once drew from the empty list and raised IndexError."""
+    sequent = walked_sequent(random.Random(2347), both=False)
+    assert len(sequent.linear) == 2
+    assert_agree(sequent)
+
+
 @pytest.mark.parametrize("text, proves", [
     ("a*z ; ; a -o b |- b*z", True),    # z only in the input and the goal: carried along
     ("a*z ; ; a -o b |- b", False),     # z only in the input: never spent

@@ -78,12 +78,12 @@ def antecedent_calls(cls: str):
 
 def node_calls(tree):
     """Calls that make a proof node: a node class, by name or through a proof
-    format, and ``replace`` with a new conclusion; by line, the functions
-    they sit in (dotted, outermost first) and the name called."""
+    format, and ``replace`` with a new conclusion or new premises; by line,
+    the functions they sit in (dotted, outermost first) and the name called."""
     return [
         f"{c.lineno}:{'.'.join(fn.name for fn in within) or '-'}:{name}" for c, name, within in calls(tree)
         if name in ("HllProof", "LlProof", "node")
-        or (name == "replace" and any(k.arg == "conclusion" for k in c.keywords))
+        or (name == "replace" and any(k.arg in ("conclusion", "premises") for k in c.keywords))
     ]
 
 
@@ -171,11 +171,11 @@ def late():
 ''', ["2:json", "3:json", "4:json.decoder", "9:json"]),
     "node_owner": Rule(
         node_calls,
-        ("hll.py:draw", "ll.py:specialize.combine"),
+        ("hll.py:draw",),
         "Each rule's conclusion is stated once, and only the one factory hll.draw makes a node of "
-        "either calculus from it, ll.specialize alone rewriting conclusions it has checked; any other "
-        "HllProof(...), LlProof(...), form.node(...) or replace(..., conclusion=...) states a "
-        "conclusion of its own.", '''
+        "either calculus from it; any other HllProof(...), LlProof(...), form.node(...) or "
+        "replace(..., conclusion=...) states a conclusion of its own, and replace(..., premises=...) "
+        "keeps one its new premises may not draw.", '''
 LEAF = HllProof(HllRule.I, sequent)
 
 def draw(form, rule, premises, *values):
@@ -194,7 +194,7 @@ def read(form, rule, parts, below):
 def rewrite(node, rest):
     return replace(node, conclusion=rest), replace(node, premises=()), dataclasses.replace(node, conclusion=rest)
 ''', ["2:-:HllProof", "5:draw:node", "9:shortcut.inner:HllProof", "10:shortcut:LlProof",
-      "15:read:node", "18:rewrite:replace", "18:rewrite:replace"]),
+      "15:read:node", "18:rewrite:replace", "18:rewrite:replace", "18:rewrite:replace"]),
     "checked_owner": Rule(
         checked_writes, ("hll.py:draw",),
         "check_tree skips a node marked checked, so only the one factory hll.draw, which draws a "
@@ -445,3 +445,233 @@ def test_rule_holds_in_src(name):
         if path.name not in rule.owners and f"{path.name}:{finding.split(':')[1]}" not in rule.owners
     ]
     assert found == [], rule.reason
+
+
+# --- The kernel --------------------------------------------------------------
+#
+# Every verdict hornlog gives rests on these functions, and on nothing that
+# produces what they judge: the LCF-style kernel of the two proof calculi,
+# with hll.draw the only maker and marker of a node (node_owner and
+# checked_owner above), the zone helpers their conclusions use, the program
+# verifier and the run validator.
+KERNEL = (
+    "hll.py:gate", "hll.py:draw", "hll.py:check_tree", "hll.py:_conclude",
+    "ll.py:_ll_conclude", "ll.py:_tag_clash",
+    "syntax.py:multiset_minus", "syntax.py:zone_insert", "syntax.py:zone_merge",
+    "programs.py:verify_strong_solution", "programs.py:evaluate",
+    "minsky.py:validate_computation", "minsky.py:validate_halting_run",
+)
+# What makes the objects the kernel judges; a module name stands for all of it.
+PRODUCERS = (
+    "programs.py:prove_bounded", "programs.py:ProgramBuilder.unfold", "minsky.py:search_halting",
+    "ll.py:push_oplus_down", "ll.py:specialize", "ll.py:_translate", "bridge.py", "encoding.py",
+)
+
+
+def call_graph(modules: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Each definition of the modules (``module:name``, ``module:Class.name``
+    for a method, or a module-level name bound by assignment) to those it may
+    call or hand on.  A bare name resolves within its module or through a
+    relative import; ``mod.f`` through an imported module; ``C.m``, ``self.m``
+    and ``cls.m`` to the method the class defines or inherits, ``super().m``
+    to its bases'; a class to its constructor methods; any other
+    ``x.m(...)`` to every method named ``m``.  A nested function is its
+    outermost definition's body.  Calls made implicitly, by an operator or a
+    property, are not followed."""
+    bodies, methods, classes = {}, {}, {}  # classes: class to the names of its bases
+    names = {}  # (module, bare name) to a set of definitions, a module, or the (module, name) it imports
+    for module, tree in modules.items():
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                ident = f"{module}:{top.name}"
+                names[module, top.name], classes[ident] = {ident}, [stated(base) for base in top.bases]
+                for fn in top.body:
+                    if isinstance(fn, FUNCTIONS):
+                        bodies[f"{ident}.{fn.name}"] = fn, ident
+                        methods.setdefault(fn.name, set()).add(f"{ident}.{fn.name}")
+                continue
+            if isinstance(top, FUNCTIONS):
+                bound = [top.name]
+            else:  # a module-level assignment binds its names to its value
+                bound = [t.id for t in getattr(top, "targets", [getattr(top, "target", None)]) if isinstance(t, ast.Name)]
+            for name in bound:
+                bodies[f"{module}:{name}"], names[module, name] = (top, None), {f"{module}:{name}"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for a in node.names:
+                    names[module, a.asname or a.name] = (f"{node.module}.py", a.name) if node.module else f"{a.name}.py"
+
+    def lookup(module, name):
+        found = names.get((module, name))
+        while isinstance(found, tuple):
+            found = names.get(found)
+        return found
+
+    def lineage(cls):  # a class and its bases within the modules, nearest first
+        line = [cls]
+        for c in line:
+            module = c.split(":")[0]
+            line += [b for base in classes[c] for b in (lookup(module, base) or ()) if b in classes and b not in line]
+        return line
+
+    def members(owners, *wanted):  # the methods of those names each owner defines or inherits
+        return {next((f"{c}.{name}" for c in lineage(owner) if f"{c}.{name}" in bodies), None)
+                for owner in owners for name in wanted} - {None}
+
+    def resolve(module, cls, node, called):
+        if isinstance(node, ast.Name):
+            found = lookup(module, node.id)
+            found = found if isinstance(found, set) else set()
+            return (found - classes.keys()) | members(found & classes.keys(), "__init__", "__new__", "__post_init__")
+        if not isinstance(node, ast.Attribute):
+            return set()
+        base = node.value
+        if isinstance(base, ast.Call) and stated(base.func) == "super":
+            return members(lineage(cls)[1:], node.attr) if cls else set()
+        found = lookup(module, base.id) if isinstance(base, ast.Name) else None
+        if isinstance(found, str):  # a module
+            return resolve(found, None, ast.Name(node.attr), called)
+        if isinstance(base, ast.Name) and base.id in ("self", "cls") and cls:
+            found = {cls}
+        if found:
+            return members(found & classes.keys(), node.attr)
+        return methods.get(node.attr, set()) if called else set()
+
+    graph = {}
+    for ident, (top, cls) in bodies.items():
+        module, graph[ident] = ident.split(":")[0], set()
+        bases = {id(node.value) for node in ast.walk(top) if isinstance(node, ast.Attribute)}
+        for node in ast.walk(top):
+            if id(node) in bases:  # resolved with its attribute
+                continue
+            if isinstance(node, ast.Call):
+                graph[ident] |= resolve(module, cls, node.func, True)
+            elif isinstance(getattr(node, "ctx", None), ast.Load):
+                graph[ident] |= resolve(module, cls, node, False)
+        graph[ident].discard(ident)
+    return graph
+
+
+def producer_paths(modules: dict[str, ast.Module], kernel=KERNEL, producers=PRODUCERS) -> list[str]:
+    """Per kernel member that reaches a producer, the first call path to
+    one, breadth first; or the member itself if no module defines it."""
+    graph, found = call_graph(modules), []
+    for start in kernel:
+        if start not in graph:
+            found.append(f"{start} undefined")
+            continue
+        parent, queue = {start: None}, [start]
+        for ident in queue:
+            if ident in producers or ident.split(":")[0] in producers:
+                path = [ident]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                found.append(" -> ".join(reversed(path)))
+                break
+            for callee in sorted(graph[ident] - parent.keys()):
+                parent[callee] = ident
+                queue.append(callee)
+    return found
+
+
+KERNEL_SEED = {
+    "check.py": '''
+from . import build
+from .build import grow as grown, Tree
+
+class Failure(ValueError):
+    def __init__(self, message):
+        super().__init__(message)
+
+class Leaf(Tree):
+    def __init__(self, root):
+        super().__init__(root)
+
+def judge(proof):
+    return walk(proof), build.size(proof)
+
+def walk(proof):
+    return [grown(p) for p in proof]
+
+def mark(node):
+    return node.unfold()
+
+def fine(tree):
+    if not tree:
+        raise Failure("empty")
+    return tree.goal, Tree.height(tree), build.unfold
+
+def leaf(root):
+    return Leaf(root)
+
+FACTORY = lambda node: build.prove(node)
+
+def bound(node):
+    return FACTORY(node)
+''',
+    "build.py": '''
+from .encode import normal
+
+def grow(p):
+    return prove(p)
+
+def size(p):
+    return p.height()
+
+def prove(p):
+    return p
+
+def unfold(p):
+    return p
+
+class Tree:
+    def __init__(self, root):
+        self.root = normal(root)
+
+    def height(self):
+        return self.root
+
+    def unfold(self):
+        return self.height()
+
+    @property
+    def goal(self):
+        return prove(self)
+''',
+    "encode.py": '''
+def normal(x):
+    return x
+''',
+}
+KERNEL_SEED_FINDINGS = [
+    "check.py:judge -> check.py:walk -> build.py:grow -> build.py:prove",
+    "check.py:mark -> build.py:Tree.unfold",
+    "check.py:leaf -> check.py:Leaf.__init__ -> build.py:Tree.__init__ -> encode.py:normal",
+    "check.py:bound -> check.py:FACTORY -> build.py:prove",
+    "check.py:absent undefined",
+]
+
+
+def test_kernel_independence_finds_its_seeded_findings():
+    modules = {name: ast.parse(source) for name, source in KERNEL_SEED.items()}
+    kernel = ("check.py:judge", "check.py:mark", "check.py:fine", "check.py:leaf", "check.py:bound", "check.py:absent")
+    assert producer_paths(modules, kernel, ("build.py:prove", "build.py:Tree.unfold", "encode.py")) \
+        == KERNEL_SEED_FINDINGS
+
+
+def test_kernel_reaches_no_producer_in_src():
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert producer_paths(modules) == [], (
+        "A checker that calls what makes the objects it judges shares that code's faults, so it "
+        "could pass them; the kernel's static call closure must not reach a producer.")
+
+
+def test_readme_states_the_kernel():
+    """The README names each kernel member and the lines their definitions span."""
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    spans = {f"{module}:{top.name}": top.end_lineno - top.lineno + 1
+             for module, tree in modules.items() for top in tree.body if isinstance(top, FUNCTIONS)}
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = " ".join(readme.split("\n## The kernel\n", 1)[1].split("\n## ", 1)[0].split())
+    assert f"{len(KERNEL)} functions, {sum(spans[ident] for ident in KERNEL)} lines of `src/`" in section
+    assert [ident for ident in KERNEL if f"`{ident.replace('.py:', '.')}`" not in section] == []
