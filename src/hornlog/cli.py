@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compile_ = sub.add_parser("compile", help="proof transformations")
     compile_sub = compile_.add_subparsers(dest="subcommand", required=True)
-    p = compile_sub.add_parser("ll-to-hll", help="normalize and translate")
+    p = compile_sub.add_parser("ll-to-hll", help="translate into the zoned calculus")
     p.add_argument("proof")
     p.add_argument("--output")
     p.set_defaults(handler=cmd_compile_ll_to_hll)

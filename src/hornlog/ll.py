@@ -24,14 +24,16 @@ tagged choice product by each of its components throughout a subproof, both
 in one traversal, so a choice moves in one step.  The unadjacent choices are
 found once; a move rescans only its new left choice, if others were pending.
 
-``translate_ll_to_hll`` normalizes and then maps each inference into the
-zoned calculus, reading a flat context as input-product/linear/banged zones
-and each frame off the zoned premises it has drawn.  It is not rule for rule:
-an identity axiom is never cut or framed, as the cut concludes its other
-premise and the framed identity is the identity of the tensor.  Neither emits
-a program edge, so the compiled program is the same.  An identity is carried
-as its bare product until a rule or the root keeps it, so the translation
-draws only the nodes it returns.
+``translate_ll_to_hll`` resolves each choice where it is consumed: one fold
+keys a node's translations by the sides chosen for the choices pending in
+its conclusion, the commuting conversion done by evaluation.  It maps each
+inference into the zoned calculus, reading a flat context as
+input-product/linear/banged zones and each frame off the zoned premises it
+has drawn.  It is not rule for rule: an identity axiom is never cut or
+framed, as the cut concludes its other premise and the framed identity is
+the identity of the tensor.  Neither emits a program edge, so the compiled
+program is the same.  An identity is carried as its bare product until a
+rule or the root keeps it, so the translation draws only the nodes it returns.
 Proof files are ``hll``'s proof table, laid out for this calculus.
 """
 
@@ -40,6 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 
 from . import hll
 from .hll import HllProof
@@ -442,17 +445,52 @@ def _cut(first: Translation, second: Translation) -> Translation:
 
 
 def translate_ll_to_hll(proof: LlProof) -> HllProof:
-    """Normalize, then simulate each inference in the zoned calculus, with no
-    identity axiom cut or framed.
+    """Simulate each inference in the zoned calculus, resolving each left
+    choice where it is consumed, with no identity axiom cut or framed.
 
     The output checks valid and concludes exactly the zoned reading of the
-    input's conclusion.
+    input's conclusion.  Once the input is checked, a node the translation
+    cannot draw is a fault (AssertionError), not malformed input.
     """
-    translated = _zoned(hll.fold(push_oplus_down(proof), _translate))
+    result = check_ll_proof(proof)
+    if not result.ok:
+        raise ValueError(f"cannot translate an invalid proof: {result}")
+    # A tag pending in the end-sequent has no consumer; refused before any
+    # side of it is resolved, as k of them would be resolved 2**k ways.
+    orphans = [g.tag for g in proof.conclusion.context if isinstance(g, LlOplusProduct)]
+    if orphans:
+        raise ProofStructureError(f"left-choice tag {min(orphans)} has no consumer below")
+    try:
+        (translated,) = hll.fold(proof, _resolve).values()
+    except hll.InvalidProof as exc:
+        raise AssertionError(f"the translation drew an invalid node: {exc}") from None
+    translated = _zoned(translated)
     expected = horn_reading(proof.conclusion)
     if translated.conclusion != expected:
         raise AssertionError(f"translation drifted: {translated.conclusion} != {expected}")
     return translated
+
+
+def _resolve(node: LlProof, premises: list[dict]) -> dict:
+    """A node's translations, keyed by the side (0 left, 1 right) chosen for
+    each choice tag pending in its conclusion, as a frozenset of (tag, side).
+
+    A left choice files each premise's translations under its side; the
+    implication-choice consuming the tag pairs them again.  Every node is
+    translated once per combination of its premises' translations, so one
+    with no tag pending has one translation, shared by every copy above it.
+    """
+    if node.rule is LlRule.LOPLUS:
+        tag = node.principal.tag
+        return {sides | {(tag, side)}: t for side, below in enumerate(premises) for sides, t in below.items()}
+    if node.rule is LlRule.LIMPOPLUS:
+        left, right = ({sides - {(node.tag, side)}: t for sides, t in premises[1].items() if (node.tag, side) in sides}
+                       for side in (0, 1))
+        premises = [premises[0], {sides: (t, right[sides]) for sides, t in left.items()}]
+    return {
+        frozenset().union(*(sides for sides, _ in combination)): _translate(node, [t for _, t in combination])
+        for combination in product(*(below.items() for below in premises))
+    }
 
 
 _BANG_RULES = {LlRule.LBANG: hll.lbang, LlRule.WBANG: hll.wbang, LlRule.CBANG: hll.cbang}
@@ -460,16 +498,9 @@ _BANG_RULES = {LlRule.LBANG: hll.lbang, LlRule.WBANG: hll.wbang, LlRule.CBANG: h
 
 def _translate(node: LlProof, premises: list):
     """One inference simulated in the zoned calculus, given the translations
-    of its premises.  A left choice gives the pair of its premises'
-    translations, which only the implication-choice consuming it unpacks."""
+    of its premises; an implication-choice is given its second premise's
+    pair, one translation per side of the choice it consumes."""
     rule = node.rule
-    for i, p in enumerate(node.premises):
-        if p.rule is LlRule.LOPLUS and not (rule is LlRule.LIMPOPLUS and i == 1):
-            raise ProofStructureError("left choice surfaced outside its consuming inference")
-
-    if rule is LlRule.LOPLUS:
-        return tuple(premises)
-
     if rule is LlRule.I:
         return node.principal
 
@@ -493,9 +524,6 @@ def _translate(node: LlProof, premises: list):
 
     if rule is LlRule.LIMPOPLUS:
         imp: OplusImplication = node.principal
-        loplus = node.premises[1]
-        if loplus.rule is not LlRule.LOPLUS or not _consumes(node, 1, loplus.principal.tag):
-            raise ProofStructureError("implication-choice without its adjacent left choice; normalize first")
         t0, (t1, t2) = premises
         v = match_antecedent(_ends(t1)[0], imp.left)
         choice = hll.oplus_h(_zoned(t1), _zoned(t2), imp, v)

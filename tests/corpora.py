@@ -200,34 +200,42 @@ def _adjacent_case(names) -> ll.LlProof:
     return _finish(_choice_block(names, 1), names, 1)
 
 
-def _unary_separated_case(names) -> ll.LlProof:
+# The separated shapes put ``n`` rounds of their rule between a choice and
+# its consumer; the corpus takes one round of each.
+
+
+def _unary_separated_case(names, n: int = 1) -> ll.LlProof:
     block = _choice_block(names, 1)
     junk1 = PlainImplication(SimpleProduct.of("u"), SimpleProduct.of("u"))
     junk2 = PlainImplication(SimpleProduct.of("w"), SimpleProduct.of("w"))
-    block = ll.ll_wbang(block, junk1)
-    block = ll.ll_cbang(ll.ll_wbang(ll.ll_wbang(block, junk2), junk2), junk2)
+    for _ in range(n):
+        block = ll.ll_wbang(block, junk1)
+        block = ll.ll_cbang(ll.ll_wbang(ll.ll_wbang(block, junk2), junk2), junk2)
     return _finish(block, names, 1)
 
 
-def _rtensor_separated_case(names) -> ll.LlProof:
+def _rtensor_separated_case(names, n: int = 1) -> ll.LlProof:
     block = _choice_block(names, 1)
     side = SimpleProduct.of("s")
-    block = ll.ll_rtensor(block, ll.ll_i(side))
+    for _ in range(n):
+        block = ll.ll_rtensor(block, ll.ll_i(side))
     block = ll.ll_wbang(block, PlainImplication(side, side))
     return _finish(block, names, 1)
 
 
-def _limp_separated_case(names) -> ll.LlProof:
+def _limp_separated_case(names, n: int = 1) -> ll.LlProof:
     _, _, _, mn = names
-    m = SimpleProduct.of(mn)
-    z = SimpleProduct.of("z")
+    z = SimpleProduct.of(mn)
     block = _choice_block(names, 1)
-    block = ll.ll_limp(block, ll.ll_i(z), PlainImplication(m, z))
+    for i in range(n):
+        z, step = SimpleProduct.of(f"z{i}" if i else "z"), z
+        block = ll.ll_limp(block, ll.ll_i(z), PlainImplication(step, z))
     block = ll.ll_wbang(block, PlainImplication(z, z))
     return _finish(block, names, 1)
 
 
-def _ltensor_separated_case(names) -> ll.LlProof:
+def _ltensor_separated_case(names, n: int = 1) -> ll.LlProof:
+    """One regrouping, then n - 1 weakenings."""
     fn, y1n, y2n, mn = names
     y1, y2, m = SimpleProduct.of(y1n), SimpleProduct.of(y2n), SimpleProduct.of(mn)
     x1, x2 = SimpleProduct.of("p"), SimpleProduct.of("q")
@@ -244,6 +252,9 @@ def _ltensor_separated_case(names) -> ll.LlProof:
     block = ll.ll_loplus(branch(occ.left), branch(occ.right), occ)
     block = ll.ll_ltensor(block, x1, x2)
     block = ll.ll_wbang(block, PlainImplication(x1, x1))
+    for i in range(n - 1):
+        u = SimpleProduct.of(f"u{i}")
+        block = ll.ll_wbang(block, PlainImplication(u, u))
     return _finish(block, names, 1)
 
 
@@ -298,6 +309,14 @@ def ll_corpus() -> list[ll.LlProof]:
         result = ll.check_ll_proof(proof)
         assert result.ok, f"corpus generator produced an invalid proof: {result}"
     return proofs
+
+
+def separated_shapes(n: int) -> list[ll.LlProof]:
+    """The five separated shapes, each with n rounds of its separating rule."""
+    names = ("f", "g", "h", "m")
+    return [build(names, n) for build in (
+        _unary_separated_case, _rtensor_separated_case, _limp_separated_case, _ltensor_separated_case,
+    )] + [_stacked_case(names, n)]
 
 
 def ll_separation(proof: ll.LlProof) -> int:

@@ -751,22 +751,67 @@ def test_a_translation_failing_the_output_gate_exits_3_unwritten(tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sides, reason", [
-    (2, "moving a left choice changed the conclusion"),
-    (1, "the normalizer drew an invalid node: LOPLUS: premise contexts must expand one frame to the two components"),
-], ids=["both-sides", "one-side"])
-def test_a_normalizer_fault_exits_3_unwritten(tmp_path, capsys, monkeypatch, sides, reason):
-    """A ``specialize`` that weakens its sides by one more formula breaks the
-    move it serves on a valid proof: hornlog's fault, not malformed input."""
+def _orphans(tags):
+    """A flat proof whose left choices, one per tag, have no consumer below:
+    the one choice block alone, or several joined by right tensors."""
+    from corpora import _choice_block
+    from hornlog import ll
+
+    names = [("f", "g", "h", "m"), ("x", "y", "t", "n")]
+    blocks = [_choice_block(names[i], tag) for i, tag in enumerate(tags)]
+    proof = blocks[0]
+    for block in blocks[1:]:
+        proof = ll.ll_rtensor(proof, block)
+    return proof
+
+
+@pytest.mark.parametrize("tags", [(1,), (1, 2)], ids=["one-orphan", "two-orphans-under-a-tensor"])
+def test_an_orphan_choice_is_malformed_input(tmp_path, capsys, tags):
+    """A left choice that nothing below consumes cannot be translated: the
+    input's fault, exit 2, naming the least tag left pending."""
+    from hornlog import ll
+
+    flat = tmp_path / "orphan.ll.json"
+    flat.write_text(ll.ll_proof_to_json(_orphans(tags)))
+    out = tmp_path / "orphan.hll.json"
+    assert cli.main(["verify", "ll", str(flat)]) == 0
+    capsys.readouterr()
+    assert cli.main(["compile", "ll-to-hll", str(flat), "--output", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: left-choice tag 1 has no consumer below\n")
+    assert not out.exists()
+
+
+def test_a_zoned_node_the_translation_cannot_draw_exits_3_unwritten(tmp_path, capsys, monkeypatch):
+    """A choice rule that reuses its first premise draws no node on any
+    checked flat proof: hornlog's fault, not malformed input."""
+    from corpora import ll_corpus
+    from hornlog import hll, ll
+
+    oplus_h = hll.oplus_h
+    monkeypatch.setattr(hll, "oplus_h", lambda first, second, imp, frame: oplus_h(first, first, imp, frame))
+    reason = "OPLUS_H: premise inputs must be the two consequents tensored with the frame"
+    flat, out = tmp_path / "proof.ll.json", tmp_path / "proof.hll.json"
+    for proof in ll_corpus():
+        flat.write_text(ll.ll_proof_to_json(proof))
+        assert cli.main(["compile", "ll-to-hll", str(flat), "--output", str(out)]) == 3
+        assert capsys.readouterr() == ("", f"error: internal AssertionError: the translation drew an invalid node: {reason}\n")
+        assert not out.exists()
+
+
+def test_a_translation_fault_exits_3_unwritten(tmp_path, capsys, monkeypatch):
+    """A fold that files a left choice's sides swapped hands the choice rule
+    a first premise that starts from the other consequent; with the choice
+    tensored with a side product, no frame fits both premises."""
     from corpora import ll_corpus
     from hornlog import ll
 
     flat = tmp_path / "proof.ll.json"
-    flat.write_text(ll.ll_proof_to_json(ll_corpus()[1]))  # a choice one rule above its consumer
-    specialize, extra = ll.specialize, parse_formula("z -o z")
-    monkeypatch.setattr(ll, "specialize", lambda proof, tag: tuple(
-        ll.ll_wbang(side, extra) if i < sides else side for i, side in enumerate(specialize(proof, tag))))
+    flat.write_text(ll.ll_proof_to_json(ll_corpus()[2]))  # a choice under a tensor with a side product
+    resolve = ll._resolve
+    monkeypatch.setattr(ll, "_resolve", lambda node, premises: resolve(
+        node, premises[::-1] if node.rule is ll.LlRule.LOPLUS else premises))
     out = tmp_path / "proof.hll.json"
     assert cli.main(["compile", "ll-to-hll", str(flat), "--output", str(out)]) == 3
-    assert capsys.readouterr() == ("", f"error: internal AssertionError: {reason}\n")
+    reason = "OPLUS_H: premise inputs must be the two consequents tensored with the frame"
+    assert capsys.readouterr() == ("", f"error: internal AssertionError: the translation drew an invalid node: {reason}\n")
     assert not out.exists()

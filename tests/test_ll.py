@@ -3,7 +3,15 @@ from dataclasses import replace
 
 import pytest
 
-from corpora import _rtensor_separated_case, _stacked_case, ll_corpus, ll_separation, stacked_weakenings
+from corpora import (
+    _choice_block,
+    _rtensor_separated_case,
+    _stacked_case,
+    ll_corpus,
+    ll_separation,
+    separated_shapes,
+    stacked_weakenings,
+)
 from hornlog import cli, hll, ll
 from hornlog.ll import (
     LlBang,
@@ -164,11 +172,17 @@ def test_specialize_commits_a_branch():
     assert not any(isinstance(g, LlOplusProduct) for g in left.conclusion.context)
 
 
+def _same_tag_beside_its_consumer():
+    """A choice beside a sibling that expands and consumes its own choice
+    under the same tag; returns the sibling and their tensor."""
+    pair = ll.ll_limpoplus(ll.ll_i(F), make_choice_block(), OplusImplication(F, G, H), 1)
+    return pair, ll.ll_rtensor(make_choice_block(), pair)
+
+
 def test_specialize_keeps_a_premise_that_consumes_its_own_choice():
     """Tags are unique per context only: a sibling subtree may expand and
     consume its own choice under the same tag, and stays as it is."""
-    pair = ll.ll_limpoplus(ll.ll_i(F), make_choice_block(), OplusImplication(F, G, H), 1)
-    proof = ll.ll_rtensor(make_choice_block(), pair)
+    pair, proof = _same_tag_beside_its_consumer()
     assert check_ll_proof(proof).ok
     left = specialize(proof, 1)[0]
     assert left == ll.ll_rtensor(specialize(make_choice_block(), 1)[0], pair)
@@ -292,6 +306,21 @@ def test_the_conversion_budget_is_four_times_the_cubed_node_count_plus_one(monke
     assert len(steps) == 4 * (nodes + 1) ** 3 + 1
 
 
+@pytest.mark.parametrize("sides, reason", [
+    (2, "moving a left choice changed the conclusion"),
+    (1, "the normalizer drew an invalid node: LOPLUS: premise contexts must expand one frame to the two components"),
+], ids=["both-sides", "one-side"])
+def test_a_normalizer_fault_is_an_assertion(monkeypatch, sides, reason):
+    """A ``specialize`` that weakens its sides by one more formula breaks the
+    move it serves on a valid proof: the normalizer's fault, not the input's."""
+    specialize, extra = ll.specialize, parse_formula("z -o z")
+    monkeypatch.setattr(ll, "specialize", lambda proof, tag: tuple(
+        ll.ll_wbang(side, extra) if i < sides else side for i, side in enumerate(specialize(proof, tag))))
+    with pytest.raises(AssertionError) as caught:
+        push_oplus_down(ll_corpus()[1])  # a choice one rule above its consumer
+    assert str(caught.value) == reason
+
+
 def test_push_down_moves_a_choice_in_one_step():
     proof = _two_rule_separation()
     measures = [loplus_distance_sum(proof)]
@@ -312,9 +341,8 @@ def test_push_down_rejects_orphan_choice():
         push_oplus_down(make_choice_block())
 
 
-def test_content_equal_choices_under_distinct_tags():
-    """Two pending (g + h) occurrences: the conclusion decides which tag each
-    implication-choice inference consumes."""
+def _content_equal_choices():
+    """Two pending (g + h) occurrences, the one tagged 2 consumed first."""
     f1, f2 = parse_product("f1"), parse_product("f2")
     combos = [(y, yp) for y in (G, H) for yp in (G, H)]
     imps = {y.tensor(yp): PlainImplication(y.tensor(yp), M) for y, yp in combos}
@@ -334,7 +362,27 @@ def test_content_equal_choices_under_distinct_tags():
     # Consume tag 2 first although tag 1 sorts first among the content-equal
     # occurrences: the consumed occurrence is not the first context match.
     step = ll.ll_limpoplus(ll.ll_i(f1), outer, OplusImplication(f1, G, H), 2)
-    proof = ll.ll_limpoplus(ll.ll_i(f2), step, OplusImplication(f2, G, H), 1)
+    return step, ll.ll_limpoplus(ll.ll_i(f2), step, OplusImplication(f2, G, H), 1)
+
+
+def test_orphan_choices_are_refused_before_any_is_resolved(monkeypatch):
+    """Forty choices with no consumer below, side by side: the end-sequent
+    names them, so none of the 2**40 ways to resolve them is tried."""
+    proof = make_choice_block(1)
+    for tag in range(2, 41):
+        names = tuple(f"{x}{tag}" for x in "fghm")
+        proof = ll.ll_rtensor(proof, _choice_block(names, tag))
+    resolved = []
+    monkeypatch.setattr(ll, "_resolve", lambda node, premises: resolved.append(node))
+    with pytest.raises(ProofStructureError, match="^left-choice tag 1 has no consumer below$"):
+        translate_ll_to_hll(proof)
+    assert resolved == []
+
+
+def test_content_equal_choices_under_distinct_tags():
+    """Two pending (g + h) occurrences: the conclusion decides which tag each
+    implication-choice inference consumes."""
+    step, proof = _content_equal_choices()
     assert check_ll_proof(step).ok
     assert check_ll_proof(proof).ok
     normalized = push_oplus_down(proof)
@@ -378,18 +426,29 @@ def test_a_translation_cuts_or_frames_no_identity():
                 assert all(p.rule is not hll.HllRule.I for p in node.premises), node.rule
 
 
+def _shared_side_case():
+    """A choice tensored with a side proof that draws a zoned node, which
+    both sides of the choice keep."""
+    block = ll.ll_rtensor(make_choice_block(), ll.ll_limp(ll.ll_i(C), ll.ll_i(Z), PlainImplication(C, Z)))
+    return ll.ll_limpoplus(ll.ll_i(F), block, OplusImplication(F, G, H), 1)
+
+
 def test_the_translation_draws_only_what_it_keeps(monkeypatch):
-    """Every zoned node the translation draws is a node of its result: an
-    identity axiom is carried as its product until a rule or the root keeps
-    it, so none is drawn only to be cut or framed away."""
+    """Every zoned node the translation draws is a distinct node of its
+    result: an identity axiom is carried as its product until a rule or the
+    root keeps it, so none is drawn only to be cut or framed away, and a
+    subproof with no choice pending is drawn once, however many sides keep it."""
     draws = []
     draw = hll._node
     monkeypatch.setattr(hll, "_node", lambda *args: draws.append(args[0]) or draw(*args))
     identities = [ll.ll_i(F), ll.ll_rtensor(ll.ll_rtensor(ll.ll_i(F), ll.ll_i(G)), ll.ll_i(H))]
-    for proof in [*ll_corpus(), _stacked_case(("f", "g", "h", "m"), 3), *identities]:
+    shared = 0
+    for proof in [*ll_corpus(), _stacked_case(("f", "g", "h", "m"), 3), _shared_side_case(), *identities]:
         draws.clear()
-        translated = translate_ll_to_hll(proof)
-        assert len(draws) == sum(1 for _ in hll.walk(translated))
+        nodes = [node for node, _ in hll.walk(translate_ll_to_hll(proof))]
+        assert len(draws) == len({id(node) for node in nodes})
+        shared += len(nodes) - len(draws)
+    assert shared == 1  # the side proof's single-step axiom, kept under both sides
 
 
 def test_translate_choice_pipeline_builds_fork():
@@ -478,6 +537,17 @@ def test_translation_laws_on_corpus():
         assert verify_strong_solution(program, t.conclusion).ok
 
 
+def test_every_checked_flat_proof_compiles_to_a_strong_solution_of_its_reading():
+    """The flat checker's soundness, judged by a second route: each proof it
+    accepts translates and compiles to a program that the program verifier,
+    which shares nothing with ``_ll_conclude``, accepts against the zoned
+    reading of its end-sequent."""
+    for proof in [*ll_corpus(), *separated_shapes(1), *separated_shapes(6)]:
+        assert check_ll_proof(proof).ok
+        program = hll.compile_hll_to_program(translate_ll_to_hll(proof))
+        assert verify_strong_solution(program, horn_reading(proof.conclusion)).ok
+
+
 def rendering(proof):
     """One line per node in preorder: rule, conclusion, principal, and split
     or frame; it does not depend on the proof file format.  An axiom's
@@ -520,6 +590,33 @@ def test_programs_of_corpus_are_pinned():
     def program(proof):
         return [program_to_json(hll.compile_hll_to_program(translate_ll_to_hll(proof)))]
     assert corpus_digest(program) == PROGRAMS_SHA256
+
+
+def test_resolving_each_choice_where_consumed_equals_normalizing_first():
+    """The translation resolves each left choice at its consumer; on proofs
+    with choices nested, stacked, shared, reusing a tag, content-equal or
+    deep, it gives what translating the normal form gives, node for node
+    and byte for byte."""
+    _, same_tag = _same_tag_beside_its_consumer()
+    proofs = [
+        *ll_corpus(), _stacked_case(("f", "g", "h", "m")), _stacked_case(("f", "g", "h", "m"), 3),
+        ll.ll_limpoplus(ll.ll_i(F), same_tag, OplusImplication(F, G, H), 1),
+        _content_equal_choices()[1], _shared_side_case(), stacked_weakenings(200),
+    ]
+    for proof in proofs:
+        resolved, normalized = translate_ll_to_hll(proof), translate_ll_to_hll(push_oplus_down(proof))
+        assert list(rendering(resolved)) == list(rendering(normalized))
+        assert hll.hll_proof_to_json(resolved) == hll.hll_proof_to_json(normalized)
+
+
+def test_the_translation_neither_normalizes_nor_specializes(monkeypatch):
+    calls = []
+    for name in ("push_oplus_down", "specialize", "unadjacent_choice_paths"):
+        original = getattr(ll, name)
+        monkeypatch.setattr(ll, name, lambda *args, name=name, original=original: calls.append(name) or original(*args))
+    for proof in ll_corpus():
+        translate_ll_to_hll(proof)
+    assert calls == []
 
 
 def rescan_steps(proof):

@@ -464,7 +464,8 @@ KERNEL = (
 # What makes the objects the kernel judges; a module name stands for all of it.
 PRODUCERS = (
     "programs.py:prove_bounded", "programs.py:ProgramBuilder.unfold", "minsky.py:search_halting",
-    "ll.py:push_oplus_down", "ll.py:specialize", "ll.py:_translate", "bridge.py", "encoding.py",
+    "ll.py:push_oplus_down", "ll.py:specialize", "ll.py:_resolve", "ll.py:_translate", "bridge.py",
+    "encoding.py",
 )
 
 
