@@ -6,10 +6,10 @@ no-op, a frame rule that tensors the same product onto input and goal, the
 two-premise choice rule, the three bang rules, and cut.  A node is fixed by
 its inference: rule, premises, principal (an axiom's too: the product of
 ``I``, the implication of ``H``) and rule parameter.  Each rule's conclusion
-is stated once, in ``_conclude``.  One factory, ``draw``, makes every node
-of either calculus, for the builders, the normalizer and the proof-file
-reader alike, so a proof is checked once, when built, and marked
-``checked``; ``check_tree`` trusts the mark, redrawing only unmarked nodes.
+is stated once, in ``_conclude``.  One factory, ``draw``, makes every node of
+either calculus, for the builders, the normalizer and the proof-file reader
+alike, writing its fields and ``checked`` mark in one step, so a proof is
+checked once, when built; ``check_tree`` trusts the mark, redrawing the rest.
 
 The compiler spells its program out with ``ProgramBuilder.unfold``, as the
 prover does its witnesses, so vertices are numbered in preorder.  A key is
@@ -22,10 +22,10 @@ depth never meets the recursion limit.
 Both calculi's proof files are one flat table of inferences under the
 end-sequent, read and written here by one codec that each calculus
 configures with a ``ProofFormat``.  Each field names the kind of member it
-holds, not a parser: the reader parses each index's text once, with
-``syntax.parse_member``, and checks it once against each kind that cites it;
-an error's text is built only when raised.  The format also says which rules
-take each rule parameter; the reader and the checker reject it on any other rule.
+holds, not a parser: one ``syntax.member_parser`` per table parses each text,
+and each distinct product text, once, checked once against each kind citing
+it; an error's text is built only when raised.  The format says which rules
+take each rule parameter, rejected on any other; an omitted frame is empty.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from operator import attrgetter
 from typing import Callable
 
@@ -48,8 +48,8 @@ from .syntax import (
     PlainImplication,
     SimpleProduct,
     multiset_minus,
+    member_parser,
     of_kind,
-    parse_member,
     zone_insert,
     zone_merge,
 )
@@ -91,11 +91,6 @@ class HllProof:
     principal: Member | None = None  # I (a product), H, OPLUS_H, LBANG, WBANG, CBANG
     frame: Frame | None = None  # M (a SimpleProduct), OPLUS_H (maybe empty)
     checked: bool = field(default=False, init=False, compare=False, repr=False)  # set by draw alone
-
-    def __post_init__(self):
-        # The choice rule's frame may be empty; no frame means the empty one.
-        if self.rule is HllRule.OPLUS_H and self.frame is None:
-            object.__setattr__(self, "frame", Frame())
 
 
 @dataclass(frozen=True)
@@ -143,11 +138,10 @@ def _conclude(rule: HllRule, premises: tuple, principal, frame) -> HornSequent |
             return "frame rule needs a non-empty frame product"
         return sequent(p.input.tensor(frame), p.linear, p.banged, p.goal.tensor(frame))
     if rule is HllRule.OPLUS_H:
-        frame = frame or Frame()  # a proof file omits an empty frame
         q = premises[1].conclusion
         if (q.linear, q.banged, q.goal) != (p.linear, p.banged, p.goal):
             return "premises must share both zones and the goal"
-        if {p.input, q.input} != {f.left.tensor(frame), f.right.tensor(frame)}:
+        if frame is None or {p.input, q.input} != {f.left.tensor(frame), f.right.tensor(frame)}:
             return "premise inputs must be the two consequents tensored with the frame"
         return sequent(f.antecedent.tensor(frame), zone_insert(p.linear, f), p.banged, p.goal)
     if rule is HllRule.LBANG:
@@ -226,13 +220,14 @@ def gate(form: ProofFormat, rule, premises: tuple, values: tuple) -> str | None:
 
 
 def draw(form: ProofFormat, rule, premises: tuple, *values):
-    """The node an inference draws through the format's gate and conclusion, checked when its
-    premises are; InvalidProof if it draws none.  ``values`` are the format's fields."""
+    """The node an inference draws through the format's gate and conclusion, fields and mark (checked
+    when its premises, two at most, are) written in one step; InvalidProof if it draws none."""
     conclusion = gate(form, rule, premises, values) or form.conclude(rule, premises, *values)
     if isinstance(conclusion, str):
         raise InvalidProof(rule.value, conclusion)
-    node = form.node(rule, conclusion, premises, *values)
-    object.__setattr__(node, "checked", all(p.checked for p in premises))
+    node = object.__new__(form.node)  # __match_args__: the fields __init__ takes, in its order
+    node.__dict__.update(zip(form.node.__match_args__, (rule, conclusion, premises, *values)),
+                         checked=not premises or premises[0].checked and premises[-1].checked)
     return node
 
 
@@ -353,6 +348,12 @@ class ProofFormat:
     parts: tuple
     fields: tuple
 
+    @cached_property
+    def rows(self) -> dict:  # rule name: the rule, its fields, and each one's value where omitted
+        return {rule.value: (rule, [(name, kind, n, Frame() if i and n == 1 and kind is SimpleProduct
+                                     and rule in self.takers[name] else None)  # an empty frame is omitted
+                                    for i, (name, kind, n) in enumerate(self.fields)]) for rule in self.rules}
+
 
 def proof_to_json(proof, form: ProofFormat) -> str:
     formulas: dict[str, int] = {}
@@ -386,9 +387,9 @@ def _where(row: int | None, name: str) -> str:  # a row's field, or (row None) a
 
 
 def proof_from_json(text: str, form: ProofFormat):
-    """The proof a table describes.  FormatError unless the table is well
-    formed; InvalidProof, naming the row, when an inference draws no
-    conclusion or the root does not draw the stated end-sequent."""
+    """The proof a table describes, each row read as ``form.rows`` says and drawn once, each text
+    parsed once; FormatError unless the table is well formed, InvalidProof (naming the row) when
+    an inference draws no conclusion or the root does not draw the stated end-sequent."""
     try:
         data = json_document(text)
     except RecursionError:  # a table nests four levels deep at most
@@ -399,7 +400,7 @@ def proof_from_json(text: str, form: ProofFormat):
         raise FormatError(f"a proof is a JSON object with a 'formulas' list of strings, a 'conclusion' list "
                           f"of {len(form.parts)} parts and a 'nodes' list")
     resolved = {kind: {} for _, kind, _ in form.parts + form.fields}  # kind -> {index: member of the kind}
-    parsed = resolved.setdefault(Member, {})  # every member is of kind Member: these are the texts parsed
+    parse = member_parser()  # each text parsed once, at its first citation
 
     def read(refs, kind, count, row, name):
         """The value of field ``name`` of node ``row`` (None: of the end-sequent).
@@ -410,30 +411,28 @@ def proof_from_json(text: str, form: ProofFormat):
         if kind is int:
             raise FormatError(f"{_where(row, name)} must be an integer")
         indices = refs if count != 1 else [refs]
-        if not (isinstance(indices, list) and count in (None, len(indices)) and set(map(type, indices)) <= {int}
+        if not (count == 1 and type(refs) is int and 0 <= refs < len(texts)) and not (
+                isinstance(indices, list) and count in (None, len(indices)) and set(map(type, indices)) <= {int}
                 and 0 <= min(indices, default=0) and max(indices, default=0) < len(texts)):
             what = "an index" if count == 1 else "a list of indices"
             raise FormatError(f"{_where(row, name)} must be {what} into 'formulas'")
         for ref in [ref for ref in indices if ref not in known]:
             try:
-                if ref not in parsed:
-                    parsed[ref] = parse_member(texts[ref])
-                known[ref] = of_kind(parsed[ref], kind)
+                known[ref] = of_kind(parse(texts[ref]), kind)
             except FormatError as exc:
                 raise FormatError(f"{_where(row, name)}: formulas[{ref}] {texts[ref]!r}: {exc}") from None
         return known[refs] if count == 1 else tuple([known[ref] for ref in indices])
 
     conclusion = form.sequent(*(read(ref, kind, n, None, name) for (name, kind, n), ref in zip(form.parts, end)))
-    keys = {"rule", "premises", *(name for name, _, _ in form.fields)}
-    by_name = {r.value: r for r in form.rules}
+    keys, by_name = {"rule", "premises", *(name for name, _, _ in form.fields)}, form.rows
     built: list = []
     for i, row in enumerate(rows):
         if not (isinstance(row, dict) and row.keys() <= keys and isinstance(row.get("premises", []), list)):
             raise FormatError(f"node {i} must be a JSON object with fields among {sorted(keys)}, premises a list")
-        rule = by_name.get(row.get("rule")) if isinstance(row.get("rule"), str) else None
+        rule, fields = by_name.get(row.get("rule"), (None, None)) if isinstance(row.get("rule"), str) else (None, None)
         if rule is None:
             raise FormatError(f"node {i}'s rule must be one of {list(by_name)}")
-        values = tuple([read(row[name], kind, n, i, name) if name in row else None for name, kind, n in form.fields])
+        values = [read(row[f], kind, n, i, f) if f in row else omitted for f, kind, n, omitted in fields]
         below = []
         for p in row.get("premises", []):
             if type(p) is not int or not 0 <= p < i or built[p] is None:
@@ -442,14 +441,12 @@ def proof_from_json(text: str, form: ProofFormat):
             built[p] = None  # each node is the premise of one node only
         try:
             built.append(draw(form, rule, tuple(below), *values))
-            continue
         except InvalidProof as exc:
-            reason = exc.reason
-        arity, kind = form.rules[rule]
-        fits = len(below) == arity and (kind is None or values[0] is not None)
-        if fits and reason == gate(form, rule, below, values):
-            raise FormatError(f"node {i}: {reason}")  # a field that does not fit its rule
-        raise InvalidProof(rule.value, reason, i)
+            arity, kind = form.rules[rule]
+            fits = len(below) == arity and (kind is None or values[0] is not None)
+            if fits and exc.reason == gate(form, rule, below, values):
+                raise FormatError(f"node {i}: {exc.reason}") from None  # a field that does not fit its rule
+            raise InvalidProof(rule.value, exc.reason, i) from None
     if sum(node is not None for node in built) != 1:
         raise FormatError("a proof has one root: every node but the last is the premise of a later one")
     root = built[-1]

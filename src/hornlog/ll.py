@@ -487,12 +487,18 @@ def _resolve(node: LlProof, premises: list[dict]) -> dict:
         left, right = ({sides - {(node.tag, side)}: t for sides, t in premises[1].items() if (node.tag, side) in sides}
                        for side in (0, 1))
         premises = [premises[0], {sides: (t, right[sides]) for sides, t in left.items()}]
+    untagged = [below[_NONE] for below in premises if len(below) == 1 and _NONE in below]
+    if len(untagged) == len(premises):
+        return {_NONE: _translate(node, untagged)}
+    if len(premises) == 1:  # the premise's sides are the node's
+        return {sides: _translate(node, [t]) for sides, t in premises[0].items()}
     return {
         frozenset().union(*(sides for sides, _ in combination)): _translate(node, [t for _, t in combination])
         for combination in product(*(below.items() for below in premises))
     }
 
 
+_NONE = frozenset()  # the sides chosen where no tag is pending
 _BANG_RULES = {LlRule.LBANG: hll.lbang, LlRule.WBANG: hll.wbang, LlRule.CBANG: hll.cbang}
 
 

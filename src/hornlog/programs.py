@@ -46,8 +46,9 @@ from .syntax import (
     PlainImplication,
     SimpleProduct,
     apply_implication,
+    member_parser,
     multiset_minus,
-    parse_formula,
+    of_kind,
     step_entries,
 )
 
@@ -503,12 +504,12 @@ def program_from_json(text: str) -> HornProgram:
     vertices = data.get("vertices", [])
     if not isinstance(vertices, list):
         raise FormatError("the vertex list must be a JSON list")
-    edges = []
+    edges, parse = [], member_parser()  # the labels share what they parse
     for i, e in enumerate(data["edges"]):
         if not isinstance(e, dict) or not isinstance(e.get("label"), str):
             raise FormatError(f"an edge is a JSON object with a string label: {e!r}")
         ends = (_json_id(e.get(end), f"edge {i}'s {end}") for end in ("parent", "child"))
-        edges.append((*ends, parse_formula(e["label"])))
+        edges.append((*ends, of_kind(parse(e["label"]), HornFormula)))
     program = HornProgram.build(_json_id(data.get("root"), "root"), edges)
     declared = sorted(_json_id(v, f"vertex {i}") for i, v in enumerate(vertices))
     if declared and declared != sorted(program.vertices):

@@ -29,9 +29,9 @@ and for the members of a zone.  It is also the identity: a formula, banged
 formula or tagged choice compares and hashes by its kind and canonical text
 (``Printed``), a product or frame by its entries, so zone lookups and the
 verifier's counts never revisit fields.  The module also owns the grammar,
-whose names the tokenizer checks, so a parsed product is built without
-validating them again.  Tokens are plain strings from one ``findall`` scan,
-their kind read off the string; an error finds its offset only when raised::
+whose names the tokenizer checks: a product is built unvalidated, once per
+text or ``member_parser``.  Tokens are strings from one ``findall`` scan, kind
+read off the string; an error finds its offset only when raised::
 
     literal   = [A-Za-z][A-Za-z0-9_]*
     product   = lit * lit * ...
@@ -56,7 +56,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 LITERAL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -396,10 +396,10 @@ def tokenize(text: str) -> list[str]:
 
 class TokenStream:
     """A cursor over a text's tokens: the parser steps ``index`` past each
-    token it has matched, never past the end."""
+    token it has matched, never past the end; ``products`` keeps those parsed."""
 
     def __init__(self, text: str):
-        self.text, self.tokens, self.index = text, tokenize(text), 0
+        self.text, self.tokens, self.index, self.products = text, tokenize(text), 0, {}
 
     def peek(self) -> str:
         return self.tokens[self.index]
@@ -422,20 +422,22 @@ class TokenStream:
 
 def _parse_bare_product(ts: TokenStream) -> SimpleProduct:
     """A product of literal names, which the token pattern has already
-    checked, so it is built without validation; its text is the names sorted."""
+    checked; one whose names ``ts.products`` holds is shared, not built again."""
     tokens, i = ts.tokens, ts.index
-    counts: dict[str, int] = {}
-    expected = "a literal"
-    while tokens[i].isidentifier():  # a name is never the end, so a token follows it
-        counts[tokens[i]] = counts.get(tokens[i], 0) + 1
-        if tokens[i + 1] != "*":
-            product = SimpleProduct._trusted(tuple(sorted(counts.items())))
-            product.__dict__["text"] = "*".join(sorted(tokens[ts.index:i + 1:2]))
-            ts.index = i + 1
-            return product
+    while tokens[i].isidentifier() and tokens[i + 1] == "*":  # a name is never the end
         i += 2
-        expected = "a literal after '*'"
-    raise FormatError(f"expected {expected}, found {tokens[i] or 'end of input'!r}", ts.offset(i))
+    if not tokens[i].isidentifier():
+        expected = "a literal after '*'" if i > ts.index else "a literal"
+        raise FormatError(f"expected {expected}, found {tokens[i] or 'end of input'!r}", ts.offset(i))
+    key = tokens[i] if i == ts.index else "".join(tokens[ts.index:i + 1])  # names and stars as written
+    if key not in ts.products:  # new names, built without validation: its text is the names sorted
+        names, counts = sorted(tokens[ts.index:i + 1:2]), {}
+        for name in names:
+            counts[name] = counts.get(name, 0) + 1
+        ts.products[key] = SimpleProduct._trusted(tuple(counts.items()))
+        ts.products[key].__dict__["text"] = "*".join(names)
+    ts.index = i + 1
+    return ts.products[key]
 
 
 def _parse_group(ts: TokenStream, choice: bool = True) -> tuple[SimpleProduct, SimpleProduct | None]:
@@ -512,10 +514,24 @@ def parse_product(text: str) -> SimpleProduct:
 
 
 def parse_member(text: str) -> Member:
-    ts = TokenStream(text)
-    member = _parse_member(ts)
-    ts.done()
-    return member
+    return member_parser()(text)
+
+
+def member_parser() -> Callable[[str], Member]:
+    """``parse_member`` over one table's texts: one dict keeps each member by its text, each bare product
+    by its names and stars as written (its text too), and X as the member a parsed ``!(X)`` holds."""
+    members: dict[str, Member] = {}
+
+    def parse(text: str) -> Member:
+        if text not in members:
+            ts = TokenStream(text)
+            ts.products = members
+            members[text], _ = _parse_member(ts), ts.done()  # kept only if the whole text parses
+            if isinstance(members[text], LlBang) and text.startswith("!(") and text.endswith(")"):
+                members.setdefault(text[2:-1], members[text].formula)  # X alone parses as inside !(X)
+        return members[text]
+
+    return parse
 
 
 def parse_formula(text: str) -> HornFormula:

@@ -566,6 +566,10 @@ def rendering(proof):
 NORMAL_FORM_SHA256 = "d20ed952d8ada420fb2d7d8939a07c9334a7b011046d736b7aacb9abcde26e06"
 TRANSLATION_SHA256 = "a91d20ec2d31aa470dcd63baef3365cfa3e944c72c707a5a54f66e3a84cea50f"
 PROGRAMS_SHA256 = "9110d5da2dbf605cced803b177eb539a8bb8a67860b80ada189ea18b0ac61138"
+# sha256 of the zoned-proof JSON and of the program JSON that the five
+# separated shapes at the benchmark's size give, each read from its flat JSON.
+SHAPES_ZONED_SHA256 = "469a5d27cd90219ab8b46da6e391d34eeb3847bc38b69cef60f4d451c88f79cc"
+SHAPES_PROGRAMS_SHA256 = "bf013c79255f4e7e9e3ae92ad9c4aa0ed939b03f6e415463ea357987ccff0cda"
 
 
 def corpus_digest(texts) -> str:
@@ -590,6 +594,15 @@ def test_programs_of_corpus_are_pinned():
     def program(proof):
         return [program_to_json(hll.compile_hll_to_program(translate_ll_to_hll(proof)))]
     assert corpus_digest(program) == PROGRAMS_SHA256
+
+
+def test_the_shapes_at_the_benchmark_size_translate_and_compile_as_pinned():
+    zoned, programs = hashlib.sha256(), hashlib.sha256()
+    for proof in separated_shapes(14):
+        translated = translate_ll_to_hll(ll_proof_from_json(ll_proof_to_json(proof)))
+        zoned.update(hll.hll_proof_to_json(translated).encode())
+        programs.update(program_to_json(hll.compile_hll_to_program(translated)).encode())
+    assert (zoned.hexdigest(), programs.hexdigest()) == (SHAPES_ZONED_SHA256, SHAPES_PROGRAMS_SHA256)
 
 
 def test_resolving_each_choice_where_consumed_equals_normalizing_first():

@@ -78,11 +78,14 @@ def antecedent_calls(cls: str):
 
 def node_calls(tree):
     """Calls that make a proof node: a node class, by name or through a proof
-    format, and ``replace`` with a new conclusion or new premises; by line,
-    the functions they sit in (dotted, outermost first) and the name called."""
+    format, called or given to a ``__new__``, and ``replace`` with a new
+    conclusion or new premises; by line, the functions they sit in (dotted,
+    outermost first) and the name called."""
+    node_class = ("HllProof", "LlProof", "node")
     return [
         f"{c.lineno}:{'.'.join(fn.name for fn in within) or '-'}:{name}" for c, name, within in calls(tree)
-        if name in ("HllProof", "LlProof", "node")
+        if name in node_class
+        or (name == "__new__" and any(stated(n) in node_class for n in (getattr(c.func, "value", None), *c.args[:1])))
         or (name == "replace" and any(k.arg in ("conclusion", "premises") for k in c.keywords))
     ]
 
@@ -91,11 +94,15 @@ def checked_writes(tree):
     """Writes of a proof node's ``checked`` mark, by line and the functions
     they sit in (dotted, outermost first): an assignment to ``.checked`` or
     to ``[...]["checked"]``, ``setattr`` or ``object.__setattr__`` on the
-    name ``"checked"``, or a ``checked=`` keyword."""
+    name ``"checked"``, a ``checked=`` keyword, or a method of a ``__dict__``
+    or ``vars(...)`` called with the name ``"checked"`` anywhere in its arguments."""
     found = [
         (c, within) for c, name, within in calls(tree)
         if (name in ("setattr", "__setattr__") and len(c.args) > 1 and getattr(c.args[1], "value", None) == "checked")
         or any(k.arg == "checked" for k in c.keywords)
+        or (stated(getattr(c.func, "value", None)) == "__dict__"
+            or stated(getattr(getattr(c.func, "value", None), "func", None)) == "vars")
+        and any(getattr(n, "value", None) == "checked" for arg in c.args for n in ast.walk(arg))
     ] + [
         (node, within) for node, within in located(tree)
         if isinstance(getattr(node, "ctx", None), ast.Store)
@@ -173,7 +180,8 @@ def late():
         node_calls,
         ("hll.py:draw",),
         "Each rule's conclusion is stated once, and only the one factory hll.draw makes a node of "
-        "either calculus from it; any other HllProof(...), LlProof(...), form.node(...) or "
+        "either calculus from it; any other HllProof(...), LlProof(...), form.node(...), "
+        "object.__new__(form.node) or "
         "replace(..., conclusion=...) states a conclusion of its own, and replace(..., premises=...) "
         "keeps one its new premises may not draw.", '''
 LEAF = HllProof(HllRule.I, sequent)
@@ -193,8 +201,13 @@ def read(form, rule, parts, below):
 
 def rewrite(node, rest):
     return replace(node, conclusion=rest), replace(node, premises=()), dataclasses.replace(node, conclusion=rest)
+
+def fill(form, rule, cls):
+    blank = object.__new__(form.node)
+    return blank, hll.HllProof.__new__(LlProof), object.__new__(cls), Frame.__new__(cls)
 ''', ["2:-:HllProof", "5:draw:node", "9:shortcut.inner:HllProof", "10:shortcut:LlProof",
-      "15:read:node", "18:rewrite:replace", "18:rewrite:replace", "18:rewrite:replace"]),
+      "15:read:node", "18:rewrite:replace", "18:rewrite:replace", "18:rewrite:replace",
+      "21:fill:__new__", "22:fill:__new__"]),
     "checked_owner": Rule(
         checked_writes, ("hll.py:draw",),
         "check_tree skips a node marked checked, so only the one factory hll.draw, which draws a "
@@ -217,7 +230,12 @@ def trust(node):
 
 def fine(node):
     return node.checked, node.premises[0].checked, getattr(node, "checked"), walk(node, lambda n: n.checked)
-''', ["7:draw", "11:trust", "12:trust", "14:trust.inner", "15:trust", "15:trust"]),
+
+def fill(node, names, values):
+    node.__dict__.update({"rule": None, "checked": True})
+    vars(node).setdefault("checked", True)
+    node.__dict__.update(zip((*names, "checked"), values)), node.__dict__.update(zip(names, values))
+''', ["7:draw", "11:trust", "12:trust", "14:trust.inner", "15:trust", "15:trust", "21:fill", "22:fill", "23:fill"]),
     "encoding_owner": Rule(
         lambda tree: [
             f"{c.lineno}:{n}" for c, n, _ in calls(tree) if n in ("label_literal", "counter_literal", "killer_literal")
