@@ -125,6 +125,24 @@ class MinskyMachine:
                 groups.setdefault(instruction.label, []).append((index, instruction))
         return {label: tuple(group) for label, group in groups.items()}
 
+    @cached_property
+    def tests_to_halt(self) -> dict[int, int]:
+        """The fewest ifpos/ifzero moves on any path to L0, for each label with one.
+
+        One backward 0-1 BFS from L0: a test edge costs 1, an inc/dec edge 0."""
+        into: dict[int, list[tuple[int, int]]] = {}
+        for i in self.instructions:
+            if i.kind != HALT:
+                into.setdefault(i.target, []).append((i.label, int(i.kind in (TESTPOS, TESTZERO))))
+        tests, queue = {HALT_LABEL: 0}, deque([HALT_LABEL])
+        while queue:
+            label = queue.popleft()
+            for source, cost in into.get(label, ()):
+                if source not in tests or tests[label] + cost < tests[source]:
+                    tests[source] = tests[label] + cost
+                    (queue.append if cost else queue.appendleft)(source)
+        return tests
+
     def halting_configuration(self) -> Configuration:
         return Configuration(HALT_LABEL, (0,) * self.n)
 
@@ -244,12 +262,14 @@ def search_halting(
 
     Visited configurations are expanded once, each by one ``successors`` call
     that costs the number of instructions at its label.  Successors with any
-    counter above max_counter are pruned.  A move changes the counter total by
-    at most one, so a successor whose counter total exceeds the moves left (or
-    that is off L0 with no move left) cannot halt within max_steps and is
-    never expanded.  That bound falls by at most one per move, so everything
-    first reached from a pruned configuration would be pruned too: the run
-    returned does not depend on this prune.  Zero is a valid bound for both;
+    counter above max_counter are pruned.  A halting run needs a ``dec`` per
+    unit of the counter total (an ``inc`` adds one, a test none) besides the
+    fewest tests on any path from the label to L0 (``tests_to_halt``), and off
+    L0 one move at least.  A successor whose label has no path to L0 (whatever
+    max_steps is) or that needs more moves than are left is never expanded.
+    That bound falls by at most one per move, so everything first reached
+    from a pruned configuration would be pruned too: the run returned does
+    not depend on this prune.  Zero is a valid bound for both;
     with max_steps 0 the answer is the empty run iff init is halting.
     Absence within the bounds proves nothing.
     """
@@ -258,6 +278,7 @@ def search_halting(
     target = machine.halting_configuration()
     if init == target:
         return Computation((init,), ())
+    tests_to_halt = machine.tests_to_halt
     parent: dict[Configuration, tuple[Configuration, int] | None] = {init: None}
     frontier = deque([(init, 0)])
     while frontier:
@@ -267,9 +288,9 @@ def search_halting(
             if nxt in parent:
                 continue
             label, counters = nxt
-            if max(counters) > max_counter:
+            if max(counters) > max_counter or label not in tests_to_halt:
                 continue
-            if max(sum(counters), label != HALT_LABEL) > moves_left:
+            if max(sum(counters) + tests_to_halt[label], label != HALT_LABEL) > moves_left:
                 continue
             parent[nxt] = (config, index)
             if nxt == target:

@@ -64,6 +64,13 @@ def test_machine_run_rejects_wrong_arity(dec_file, tmp_path):
     assert result.stdout.startswith("reject at index 0")
 
 
+def test_machine_run_rejects_an_instruction_one_past_the_last(dec_file, tmp_path, capsys):
+    run = tmp_path / "run.txt"
+    run.write_text("L1 : 1,0\nI4 -> L1 : 0,0\n")
+    assert cli.main(["machine", "run", str(dec_file), str(run)]) == 1
+    assert capsys.readouterr() == ("reject at index 0: no instruction I4\n", "")
+
+
 def test_a_run_of_the_wrong_arity_gets_one_verdict(dec_file, tmp_path, capsys):
     """A configuration with another number of counters than the machine is a
     run the machine rejects, not malformed text: ``bridge comp-to-prog`` says

@@ -213,6 +213,18 @@ def test_checker_rejects_a_tag_twice_in_one_context(tmp_path):
     assert cli.main(["compile", "ll-to-hll", str(proof_file)]) == 2
 
 
+def test_a_tag_clash_names_only_the_duplicated_tags():
+    """Tag 1 twice and tag 2 once in one context: only tag 1 is reported."""
+    block, inner = make_choice_block(1), ll.ll_rtensor(make_choice_block(1), make_choice_block(2))
+    with pytest.raises(ValueError) as raised:
+        ll.ll_rtensor(block, inner)
+    assert str(raised.value) == "RTENSOR: choice tags duplicated in one context: [1]"
+    conclusion = LlSequent(block.conclusion.context + inner.conclusion.context,
+                           block.conclusion.goal.tensor(inner.conclusion.goal))
+    result = check_ll_proof(LlProof(LlRule.RTENSOR, conclusion, (block, inner)))
+    assert result.failure.reason == "choice tags duplicated in one context: [1]"
+
+
 def test_checker_rejects_a_consumed_tag_still_pending_in_the_first_premise(tmp_path):
     """An implication-choice node whose first premise still holds a choice
     under the tag it consumes: its conclusion keeps the tag, so the node

@@ -12,6 +12,7 @@ from hornlog.minsky import (
     Instruction,
     MachineFormatError,
     MinskyMachine,
+    ValidationResult,
     computation_text,
     machine_text,
     parse_computation,
@@ -90,6 +91,12 @@ def test_validate_rejects_wrong_arity(dec):
     one = (Configuration(1, (0, 0)), Configuration(0, (0,)))
     result = validate_computation(dec, Computation(one, (0,)))
     assert not result.ok and result.index == 1
+
+
+def test_validate_rejects_an_instruction_one_past_the_last(dec):
+    # DEC lists three instructions (its halt included), so I4 names none.
+    run = Computation((Configuration(1, (1, 0)), Configuration(1, (0, 0))), (3,))
+    assert validate_computation(dec, run) == ValidationResult(False, 0, "no instruction I4")
 
 
 def test_validate_accepts_singleton(dec):
@@ -384,21 +391,67 @@ def test_search_matches_the_naive_reference(case):
                         == naive_search(machine, config, tight, max_counter))
 
 
-def test_search_steps_only_the_instructions_at_each_label(monkeypatch):
-    machine = parse_machine(ladder_text(16, seed=3))
-    assert len(machine.instructions) == 64 + 1
-    expanded, stepped = [], []
-    real_successors, real_step = minsky.successors, minsky._step
+def naive_tests_to_halt(machine):
+    """The fewest tests on a path to L0 per label, relaxed to a fixpoint."""
+    tests, changed = {0: 0}, True
+    while changed:
+        changed = False
+        for i in machine.instructions:
+            if i.kind != "halt" and i.target in tests:
+                cost = tests[i.target] + (i.kind in ("ifpos", "ifzero"))
+                if cost < tests.get(i.label, cost + 1):
+                    tests[i.label], changed = cost, True
+    return tests
+
+
+def halting_bound(machine, config):
+    """The search's lower bound on the moves a halting run from config needs."""
+    return max(sum(config.counters) + machine.tests_to_halt[config.label], config.label != 0)
+
+
+@given(machines_and_configs())
+@settings(max_examples=200)
+def test_the_halting_bound_falls_by_at_most_one_per_move(case):
+    machine, config = case
+    assert machine.tests_to_halt == naive_tests_to_halt(machine)
+    for _, nxt in successors(machine, config):
+        if nxt.label in machine.tests_to_halt:  # then so is the label it came from
+            assert halting_bound(machine, nxt) >= halting_bound(machine, config) - 1
+
+
+@given(machines_and_configs())
+@settings(max_examples=60)
+def test_the_halting_bound_never_exceeds_the_moves_a_found_run_has_left(case):
+    machine, config = case
+    run = search_halting(machine, config, 25, 6)
+    if run is not None:
+        for i, at in enumerate(run.configs):
+            assert halting_bound(machine, at) <= len(run.moves) - i
+
+
+def record_expansions(monkeypatch):
+    """The configurations search_halting expands, in order, as a list it fills."""
+    expanded = []
+    real_successors = minsky.successors
 
     def counting_successors(machine, config):
         expanded.append(config)
         return real_successors(machine, config)
 
+    monkeypatch.setattr(minsky, "successors", counting_successors)
+    return expanded
+
+
+def test_search_steps_only_the_instructions_at_each_label(monkeypatch):
+    machine = parse_machine(ladder_text(16, seed=3))
+    assert len(machine.instructions) == 64 + 1
+    expanded, stepped = record_expansions(monkeypatch), []
+    real_step = minsky._step
+
     def counting_step(instruction, config):
         stepped.append((instruction, config))
         return real_step(instruction, config)
 
-    monkeypatch.setattr(minsky, "successors", counting_successors)
     monkeypatch.setattr(minsky, "_step", counting_step)
     run = search_halting(machine, Configuration(1, (20, 0)), 60, 30)
     at_label = [
@@ -411,24 +464,26 @@ def test_search_steps_only_the_instructions_at_each_label(monkeypatch):
 
 
 def test_search_expands_only_configurations_that_can_still_halt(monkeypatch):
-    # From (200, 0) the counter total alone needs 200 moves, so at the exact
-    # step bound only configurations that keep pace with the drain survive
-    # the prune; a depth cap alone expands more than 3,000.
+    # From (200, 0) a halting run needs 200 decrements plus the two zero tests
+    # above the ladder, so at the exact step bound only the configurations of
+    # the run itself survive the prune, one per move; a prune on the counter
+    # total alone would expand 418, and a depth cap alone more than 3,000.
     machine, init = parse_machine(ladder_text(16, seed=3)), Configuration(1, (200, 0))
     reference = naive_search(machine, init, 1000, 200)
     assert reference is not None
     steps = len(reference.moves)
-    expanded = []
-    real_successors = minsky.successors
-
-    def counting_successors(machine, config):
-        expanded.append(config)
-        return real_successors(machine, config)
-
-    monkeypatch.setattr(minsky, "successors", counting_successors)
+    expanded = record_expansions(monkeypatch)
     run = search_halting(machine, init, steps, 200)
-    assert len(expanded) <= 3 * steps
+    assert len(expanded) == steps == 202
     assert run == naive_search(machine, init, steps, 200) == reference
+
+
+def test_search_expands_nothing_from_which_halt_cannot_be_reached(inc, monkeypatch):
+    # L1 only loops to itself, so every successor is cut whatever max_steps
+    # is; the counter total alone would expand (0, 0) through (10, 0).
+    expanded = record_expansions(monkeypatch)
+    assert search_halting(inc, Configuration(1, (0, 0)), 100, 10) is None
+    assert expanded == [Configuration(1, (0, 0))]
 
 
 @given(st.integers(0, 10_000))
