@@ -192,8 +192,7 @@ def cmd_bridge_prog_to_comp(args) -> int:
     except bridge.ExtractionError as exc:
         print(exc)
         return REJECT
-    _write_out(minsky.computation_text(computation), args.output)
-    return OK
+    return _write_checked("run", (machine, computation), minsky.computation_text(computation), args.output)
 
 
 def cmd_bridge_roundtrip(args) -> int:

@@ -30,7 +30,6 @@ an encoded configuration back as a ``Configuration``; it is the inverse of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 from .minsky import (
@@ -50,6 +49,7 @@ from .syntax import (
     OplusImplication,
     PlainImplication,
     SimpleProduct,
+    lazy,
     tensor_all,
 )
 
@@ -162,11 +162,11 @@ class MachineEncoding:
         )
         return MachineEncoding(machine, phi, literal)
 
-    @cached_property
+    @lazy
     def goal(self) -> SimpleProduct:
         return self.literal(label_literal(HALT_LABEL))
 
-    @cached_property
+    @lazy
     def killers(self) -> tuple[tuple[PlainImplication, ...], ...]:
         """Per killer index m (at m-1): the closing implication ``k_m -o l0``,
         then one killing implication ``(k_m*r_i) -o k_m`` per other counter i
@@ -181,7 +181,7 @@ class MachineEncoding:
             ))
         return tuple(families)
 
-    @cached_property
+    @lazy
     def instruction_index(self) -> dict[HornFormula, int]:
         """Each instruction formula to the lowest instruction index it axiomatizes."""
         index: dict[HornFormula, int] = {}
@@ -190,12 +190,12 @@ class MachineEncoding:
                 index.setdefault(f, i)
         return index
 
-    @cached_property
+    @lazy
     def killer_family_index(self) -> dict[PlainImplication, int]:
         """Each killer formula to its killer index m (the families are disjoint)."""
         return {f: m for m, group in enumerate(self.killers, start=1) for f in group}
 
-    @cached_property
+    @lazy
     def edges(self) -> tuple[tuple[PlainImplication, ...] | None, ...]:
         """Per instruction index, the edges one move draws (None for halt):
         the ``branches`` of ``phi[i]`` with the main edge first, that is the

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 from operator import attrgetter
 from typing import Callable
 
@@ -47,6 +47,7 @@ from .syntax import (
     OplusImplication,
     PlainImplication,
     SimpleProduct,
+    lazy,
     multiset_minus,
     member_parser,
     of_kind,
@@ -58,7 +59,11 @@ from .syntax import (
 class Rule(Enum):
     """An inference rule of either calculus.  Rules are compared by identity,
     as every enum member is, and hash by it too: ``Enum.__hash__`` runs in
-    Python, and every node built looks its rule up."""
+    Python, and every node built looks its rule up.  Code run once per node
+    names a rule by the module-level name bound next to its enum, not as
+    ``HllRule.X``: the enum metaclass defines ``__getattr__``, so in Python
+    3.11 every attribute read on the class takes the slow getattr hook, about
+    ten times the cost of reading a global."""
 
     __hash__ = object.__hash__
 
@@ -75,11 +80,12 @@ class HllRule(Rule):
     CUT = "CUT"
 
 
+I, LTENSOR, H, M, OPLUS_H, LBANG, WBANG, CBANG, CUT = HllRule  # the members, bound once
+
 # Each rule's premise count and its principal's kind (None: it has none).
 _RULES = {
-    HllRule.I: (0, SimpleProduct), HllRule.H: (0, PlainImplication), HllRule.LTENSOR: (1, None),
-    HllRule.M: (1, None), HllRule.LBANG: (1, HornFormula), HllRule.WBANG: (1, HornFormula),
-    HllRule.CBANG: (1, HornFormula), HllRule.OPLUS_H: (2, OplusImplication), HllRule.CUT: (2, None),
+    I: (0, SimpleProduct), H: (0, PlainImplication), LTENSOR: (1, None), M: (1, None), LBANG: (1, HornFormula),
+    WBANG: (1, HornFormula), CBANG: (1, HornFormula), OPLUS_H: (2, OplusImplication), CUT: (2, None),
 }
 
 
@@ -126,37 +132,37 @@ def _conclude(rule: HllRule, premises: tuple, principal, frame) -> HornSequent |
     that fails.  Premise zones are canonical, and stay so through the zone
     helpers: a member is removed or inserted by bisection, two zones merged."""
     f, sequent = principal, HornSequent.of_canonical
-    if rule is HllRule.I:
+    if rule is I:
         return sequent(f, (), (), f)
-    if rule is HllRule.H:
+    if rule is H:
         return sequent(f.antecedent, (f,), (), f.consequent)
     p = premises[0].conclusion
-    if rule is HllRule.LTENSOR:  # regrouping is invisible in canonical form
+    if rule is LTENSOR:  # regrouping is invisible in canonical form
         return p
-    if rule is HllRule.M:
+    if rule is M:
         if not isinstance(frame, SimpleProduct):
             return "frame rule needs a non-empty frame product"
         return sequent(p.input.tensor(frame), p.linear, p.banged, p.goal.tensor(frame))
-    if rule is HllRule.OPLUS_H:
+    if rule is OPLUS_H:
         q = premises[1].conclusion
         if (q.linear, q.banged, q.goal) != (p.linear, p.banged, p.goal):
             return "premises must share both zones and the goal"
         if frame is None or {p.input, q.input} != {f.left.tensor(frame), f.right.tensor(frame)}:
             return "premise inputs must be the two consequents tensored with the frame"
         return sequent(f.antecedent.tensor(frame), zone_insert(p.linear, f), p.banged, p.goal)
-    if rule is HllRule.LBANG:
+    if rule is LBANG:
         linear = multiset_minus(p.linear, f)
         if linear is None:
             return "premise must carry the principal linearly"
         return sequent(p.input, linear, zone_insert(p.banged, f), p.goal)
-    if rule is HllRule.WBANG:
+    if rule is WBANG:
         return sequent(p.input, p.linear, zone_insert(p.banged, f), p.goal)
-    if rule is HllRule.CBANG:
+    if rule is CBANG:
         banged = multiset_minus(p.banged, f)
         if banged is None or f not in banged:
             return "premise banged zone must hold two copies of the principal"
         return sequent(p.input, p.linear, banged, p.goal)
-    if rule is HllRule.CUT:
+    if rule is CUT:
         q = premises[1].conclusion
         if q.input != p.goal:
             return "second premise input must be the first premise's goal"
@@ -268,18 +274,18 @@ def _moves(pending) -> list:
     while pending is not None:
         node, rest = pending
         rule = node.rule
-        if rule is HllRule.H:
+        if rule is H:
             return [(node.principal, rest)]
-        if rule is HllRule.OPLUS_H:
+        if rule is OPLUS_H:
             left, right = node.principal.branches
             # Checked: each premise's input is one side tensor the frame.
             return [
                 (left if p.conclusion.input == left.consequent.tensor(node.frame) else right, (p, rest))
                 for p in node.premises
             ]
-        if rule is HllRule.CUT:
+        if rule is CUT:
             pending = (node.premises[0], (node.premises[1], rest))
-        elif rule is HllRule.I:
+        elif rule is I:
             pending = rest
         else:
             pending = (node.premises[0], rest)
@@ -290,39 +296,39 @@ def _moves(pending) -> list:
 
 
 def i_axiom(x: SimpleProduct) -> HllProof:
-    return _node(HllRule.I, (), x, None)
+    return _node(I, (), x, None)
 
 
 def h_axiom(f: PlainImplication) -> HllProof:
-    return _node(HllRule.H, (), f, None)
+    return _node(H, (), f, None)
 
 
 def ltensor(premise: HllProof) -> HllProof:
-    return _node(HllRule.LTENSOR, (premise,), None, None)
+    return _node(LTENSOR, (premise,), None, None)
 
 
 def frame_rule(premise: HllProof, v: SimpleProduct) -> HllProof:
-    return _node(HllRule.M, (premise,), None, v)
+    return _node(M, (premise,), None, v)
 
 
 def oplus_h(premise1: HllProof, premise2: HllProof, f: OplusImplication, v: Frame) -> HllProof:
-    return _node(HllRule.OPLUS_H, (premise1, premise2), f, v)
+    return _node(OPLUS_H, (premise1, premise2), f, v)
 
 
 def lbang(premise: HllProof, a: HornFormula) -> HllProof:
-    return _node(HllRule.LBANG, (premise,), a, None)
+    return _node(LBANG, (premise,), a, None)
 
 
 def wbang(premise: HllProof, a: HornFormula) -> HllProof:
-    return _node(HllRule.WBANG, (premise,), a, None)
+    return _node(WBANG, (premise,), a, None)
 
 
 def cbang(premise: HllProof, a: HornFormula) -> HllProof:
-    return _node(HllRule.CBANG, (premise,), a, None)
+    return _node(CBANG, (premise,), a, None)
 
 
 def cut(premise1: HllProof, premise2: HllProof) -> HllProof:
-    return _node(HllRule.CUT, (premise1, premise2), None, None)
+    return _node(CUT, (premise1, premise2), None, None)
 
 
 # --- Proof files -----------------------------------------------------------------
@@ -348,7 +354,7 @@ class ProofFormat:
     parts: tuple
     fields: tuple
 
-    @cached_property
+    @lazy
     def rows(self) -> dict:  # rule name: the rule, its fields, and each one's value where omitted
         return {rule.value: (rule, [(name, kind, n, Frame() if i and n == 1 and kind is SimpleProduct
                                      and rule in self.takers[name] else None)  # an empty frame is omitted
@@ -456,7 +462,7 @@ def proof_from_json(text: str, form: ProofFormat):
 
 
 _HLL_FORMAT = ProofFormat(
-    HllProof, _conclude, HornSequent, _RULES, {"frame": frozenset({HllRule.M, HllRule.OPLUS_H})},
+    HllProof, _conclude, HornSequent, _RULES, {"frame": frozenset({M, OPLUS_H})},
     parts=(("input", SimpleProduct, 1), ("linear", HornFormula, None),
            ("banged", HornFormula, None), ("goal", SimpleProduct, 1)),
     fields=(("principal", Member, 1), ("frame", SimpleProduct, 1)),

@@ -43,6 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
+from typing import Callable
 
 from . import hll
 from .hll import HllProof
@@ -100,12 +101,12 @@ class LlRule(hll.Rule):
     CBANG = "CBANG"
 
 
+I, LTENSOR, RTENSOR, LIMP, LIMPOPLUS, LOPLUS, LBANG, WBANG, CBANG = LlRule  # the members, bound once
+
 # Each rule's premise count and its principal's kind (None: it has none).
 _LL_RULES = {
-    LlRule.I: (0, SimpleProduct), LlRule.LTENSOR: (1, SimpleProduct),
-    LlRule.LBANG: (1, LlBang), LlRule.WBANG: (1, LlBang), LlRule.CBANG: (1, LlBang),
-    LlRule.RTENSOR: (2, None), LlRule.LIMP: (2, PlainImplication),
-    LlRule.LIMPOPLUS: (2, OplusImplication), LlRule.LOPLUS: (2, LlOplusProduct),
+    I: (0, SimpleProduct), LTENSOR: (1, SimpleProduct), LBANG: (1, LlBang), WBANG: (1, LlBang), CBANG: (1, LlBang),
+    RTENSOR: (2, None), LIMP: (2, PlainImplication), LIMPOPLUS: (2, OplusImplication), LOPLUS: (2, LlOplusProduct),
 }
 
 
@@ -126,11 +127,11 @@ def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequ
     that fails.  I takes its product as ``principal``; LIMPOPLUS consumes the
     pending choice tagged ``tag`` from its second premise."""
     a = principal
-    if rule is LlRule.I:
+    if rule is I:
         return LlSequent.of_canonical((a,), a)
     p = premises[0].conclusion
     goal = p.goal
-    if rule is LlRule.LTENSOR:
+    if rule is LTENSOR:
         if split is None:
             return "product regrouping needs its split"
         if split[0].tensor(split[1]) != a:
@@ -139,25 +140,25 @@ def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequ
         if rest is None:
             return "premise context must hold both parts of the split"
         context = zone_insert(rest, a)
-    elif rule is LlRule.RTENSOR:
+    elif rule is RTENSOR:
         q = premises[1].conclusion
         context, goal = zone_merge(p.context, q.context), p.goal.tensor(q.goal)
-    elif rule in (LlRule.LIMP, LlRule.LIMPOPLUS):
+    elif rule in (LIMP, LIMPOPLUS):
         if p.goal != a.antecedent:
             return "first premise must prove the antecedent"
-        if rule is LlRule.LIMPOPLUS and tag is None:
+        if rule is LIMPOPLUS and tag is None:
             return "implication choice needs the tag it consumes"
         q = premises[1].conclusion
-        consumed = a.consequent if rule is LlRule.LIMP else LlOplusProduct(a.left, a.right, tag)
+        consumed = a.consequent if rule is LIMP else LlOplusProduct(a.left, a.right, tag)
         rest = multiset_minus(q.context, consumed)
         if rest is None:
             return f"second premise context must carry {consumed}"
-        if rule is LlRule.LIMPOPLUS and any(isinstance(g, LlOplusProduct) and g.tag == tag for g in p.context):
+        if rule is LIMPOPLUS and any(isinstance(g, LlOplusProduct) and g.tag == tag for g in p.context):
             # The conclusion would still hold the tag, so no consumer below
             # could tell which choice this node consumed.
             return "consumed choice tag is still pending in the first premise"
         context, goal = zone_merge(p.context, zone_insert(rest, a)), q.goal
-    elif rule is LlRule.LOPLUS:
+    elif rule is LOPLUS:
         q = premises[1].conclusion
         if q.goal != goal:
             return "premise goals must match"
@@ -169,9 +170,9 @@ def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequ
         if isinstance(a.formula, SimpleProduct):
             return "only implications may be banged"
         rest = p.context
-        if rule is LlRule.LBANG:  # dereliction: a linear copy becomes the bang
+        if rule is LBANG:  # dereliction: a linear copy becomes the bang
             rest = multiset_minus(rest, a.formula)
-        elif rule is LlRule.CBANG:  # contraction: two bangs become one
+        elif rule is CBANG:  # contraction: two bangs become one
             rest = multiset_minus(rest, a, a)
         if rest is None:
             return "premise context does not match the bang schema"
@@ -200,39 +201,39 @@ def check_ll_proof(proof: LlProof) -> hll.CheckResult:
 
 
 def ll_i(x: SimpleProduct) -> LlProof:
-    return _ll_node(LlRule.I, (), x, None, None)
+    return _ll_node(I, (), x, None, None)
 
 
 def ll_ltensor(premise: LlProof, x: SimpleProduct, y: SimpleProduct) -> LlProof:
-    return _ll_node(LlRule.LTENSOR, (premise,), x.tensor(y), (x, y), None)
+    return _ll_node(LTENSOR, (premise,), x.tensor(y), (x, y), None)
 
 
 def ll_rtensor(premise1: LlProof, premise2: LlProof) -> LlProof:
-    return _ll_node(LlRule.RTENSOR, (premise1, premise2), None, None, None)
+    return _ll_node(RTENSOR, (premise1, premise2), None, None, None)
 
 
 def ll_limp(premise1: LlProof, premise2: LlProof, imp: PlainImplication) -> LlProof:
-    return _ll_node(LlRule.LIMP, (premise1, premise2), imp, None, None)
+    return _ll_node(LIMP, (premise1, premise2), imp, None, None)
 
 
 def ll_limpoplus(premise1: LlProof, premise2: LlProof, imp: OplusImplication, tag: int) -> LlProof:
-    return _ll_node(LlRule.LIMPOPLUS, (premise1, premise2), imp, None, tag)
+    return _ll_node(LIMPOPLUS, (premise1, premise2), imp, None, tag)
 
 
 def ll_loplus(premise1: LlProof, premise2: LlProof, occurrence: LlOplusProduct) -> LlProof:
-    return _ll_node(LlRule.LOPLUS, (premise1, premise2), occurrence, None, None)
+    return _ll_node(LOPLUS, (premise1, premise2), occurrence, None, None)
 
 
 def ll_lbang(premise: LlProof, formula: HornFormula) -> LlProof:
-    return _ll_node(LlRule.LBANG, (premise,), LlBang(formula), None, None)
+    return _ll_node(LBANG, (premise,), LlBang(formula), None, None)
 
 
 def ll_wbang(premise: LlProof, formula: HornFormula) -> LlProof:
-    return _ll_node(LlRule.WBANG, (premise,), LlBang(formula), None, None)
+    return _ll_node(WBANG, (premise,), LlBang(formula), None, None)
 
 
 def ll_cbang(premise: LlProof, formula: HornFormula) -> LlProof:
-    return _ll_node(LlRule.CBANG, (premise,), LlBang(formula), None, None)
+    return _ll_node(CBANG, (premise,), LlBang(formula), None, None)
 
 
 def _redraw(node: LlProof, premises: tuple) -> LlProof:  # node's inference over other premises
@@ -255,7 +256,7 @@ def specialize(proof: LlProof, tag: int) -> tuple[LlProof, LlProof]:
         raise ProofStructureError(f"cannot specialize: tag {tag} absent from conclusion")
 
     def expands(node: LlProof) -> bool:
-        return node.rule is LlRule.LOPLUS and node.principal.tag == tag
+        return node.rule is LOPLUS and node.principal.tag == tag
 
     def combine(node: LlProof, premises: list[tuple[LlProof, LlProof]]) -> tuple[LlProof, LlProof]:
         if expands(node):
@@ -274,7 +275,7 @@ def _consumes(node: LlProof, index: int, tag: int) -> bool:
     """Whether node consumes the choice tagged tag from its premise index: an
     implication-choice node consumes the tag it carries from its second
     premise."""
-    return node.rule is LlRule.LIMPOPLUS and index == 1 and node.tag == tag
+    return node.rule is LIMPOPLUS and index == 1 and node.tag == tag
 
 
 def unadjacent_choice_paths(proof: LlProof) -> list[tuple[int, ...]]:
@@ -287,7 +288,7 @@ def _choice_paths(tree: LlProof, prefix: tuple[int, ...]) -> list[tuple[int, ...
     return [
         prefix + hll.path_of(trail)
         for node, trail in hll.walk(tree)
-        if node.rule is LlRule.LOPLUS
+        if node.rule is LOPLUS
         and (trail is None or not _consumes(trail[1], trail[2], node.principal.tag))
     ]
 
@@ -381,7 +382,7 @@ def loplus_distance_sum(proof: LlProof) -> int:
     return sum(
         consumer_distance(node.principal.tag, trail)
         for node, trail in hll.walk(proof)
-        if node.rule is LlRule.LOPLUS and trail is not None
+        if node.rule is LOPLUS and trail is not None
     )
 
 
@@ -460,8 +461,16 @@ def translate_ll_to_hll(proof: LlProof) -> HllProof:
     orphans = [g.tag for g in proof.conclusion.context if isinstance(g, LlOplusProduct)]
     if orphans:
         raise ProofStructureError(f"left-choice tag {min(orphans)} has no consumer below")
+    limit = None  # the bound; the nodes are counted once a node may draw over _TRANSLATIONS_PER_NODE
+
+    def bound(count: int):
+        nonlocal limit
+        limit = limit or _TRANSLATIONS_PER_NODE * sum(1 for _ in hll.walk(proof))
+        if count > limit:
+            raise ProofStructureError(f"translation would draw {count} translations of one node, over its bound "
+                                      f"of {limit}: {_TRANSLATIONS_PER_NODE} per node of the flat proof")
     try:
-        (translated,) = hll.fold(proof, _resolve).values()
+        (translated,) = hll.fold(proof, partial(_resolve, bound=bound)).values()
     except hll.InvalidProof as exc:
         raise AssertionError(f"the translation drew an invalid node: {exc}") from None
     translated = _zoned(translated)
@@ -471,7 +480,7 @@ def translate_ll_to_hll(proof: LlProof) -> HllProof:
     return translated
 
 
-def _resolve(node: LlProof, premises: list[dict]) -> dict:
+def _resolve(node: LlProof, premises: list[dict], bound: Callable[[int], None]) -> dict:
     """A node's translations, keyed by the side (0 left, 1 right) chosen for
     each choice tag pending in its conclusion, as a frozenset of (tag, side).
 
@@ -479,11 +488,13 @@ def _resolve(node: LlProof, premises: list[dict]) -> dict:
     implication-choice consuming the tag pairs them again.  Every node is
     translated once per combination of its premises' translations, so one
     with no tag pending has one translation, shared by every copy above it.
+    Only a two-premise node adds to them, k choices pending making 2**k, so
+    a count over ``_TRANSLATIONS_PER_NODE`` goes to ``bound`` before any is drawn.
     """
-    if node.rule is LlRule.LOPLUS:
+    if node.rule is LOPLUS:
         tag = node.principal.tag
         return {sides | {(tag, side)}: t for side, below in enumerate(premises) for sides, t in below.items()}
-    if node.rule is LlRule.LIMPOPLUS:
+    if node.rule is LIMPOPLUS:
         left, right = ({sides - {(node.tag, side)}: t for sides, t in premises[1].items() if (node.tag, side) in sides}
                        for side in (0, 1))
         premises = [premises[0], {sides: (t, right[sides]) for sides, t in left.items()}]
@@ -492,6 +503,8 @@ def _resolve(node: LlProof, premises: list[dict]) -> dict:
         return {_NONE: _translate(node, untagged)}
     if len(premises) == 1:  # the premise's sides are the node's
         return {sides: _translate(node, [t]) for sides, t in premises[0].items()}
+    if (count := len(premises[0]) * len(premises[1])) > _TRANSLATIONS_PER_NODE:
+        bound(count)
     return {
         frozenset().union(*(sides for sides, _ in combination)): _translate(node, [t for _, t in combination])
         for combination in product(*(below.items() for below in premises))
@@ -499,7 +512,8 @@ def _resolve(node: LlProof, premises: list[dict]) -> dict:
 
 
 _NONE = frozenset()  # the sides chosen where no tag is pending
-_BANG_RULES = {LlRule.LBANG: hll.lbang, LlRule.WBANG: hll.wbang, LlRule.CBANG: hll.cbang}
+_TRANSLATIONS_PER_NODE = 8  # one node's translations are at most this many times the flat proof's nodes
+_BANG_RULES = {LBANG: hll.lbang, WBANG: hll.wbang, CBANG: hll.cbang}
 
 
 def _translate(node: LlProof, premises: list):
@@ -507,28 +521,28 @@ def _translate(node: LlProof, premises: list):
     of its premises; an implication-choice is given its second premise's
     pair, one translation per side of the choice it consumes."""
     rule = node.rule
-    if rule is LlRule.I:
+    if rule is I:
         return node.principal
 
-    if rule is LlRule.LTENSOR:
+    if rule is LTENSOR:
         # Regrouping is invisible in the canonical reading; keep the rule
         # as an explicit no-op step.
         return hll.ltensor(_zoned(premises[0]))
 
-    if rule is LlRule.RTENSOR:
+    if rule is RTENSOR:
         t1, t2 = premises
         proves = _framed(t2, _ends(t1)[0])  # W2 (x) W1, ... |- Z2 (x) W1
         uses = _framed(t1, _ends(t2)[1])  # W1 (x) Z2, ... |- Z1 (x) Z2
         return _cut(proves, uses)
 
-    if rule is LlRule.LIMP:
+    if rule is LIMP:
         imp: PlainImplication = node.principal
         t1, t2 = premises
         inner = _cut(t1, hll.h_axiom(imp))
         w2 = match_antecedent(_ends(t2)[0], imp.consequent)
         return _cut(_framed(inner, w2), t2)
 
-    if rule is LlRule.LIMPOPLUS:
+    if rule is LIMPOPLUS:
         imp: OplusImplication = node.principal
         t0, (t1, t2) = premises
         v = match_antecedent(_ends(t1)[0], imp.left)
@@ -552,7 +566,7 @@ def ll_sequent_text(s: LlSequent) -> str:
 
 _LL_FORMAT = hll.ProofFormat(
     LlProof, _ll_conclude, LlSequent, _LL_RULES,
-    {"split": frozenset({LlRule.LTENSOR}), "tag": frozenset({LlRule.LIMPOPLUS})},
+    {"split": frozenset({LTENSOR}), "tag": frozenset({LIMPOPLUS})},
     parts=(("context", Member, None), ("goal", SimpleProduct, 1)),
     fields=(("principal", Member, 1), ("split", SimpleProduct, 2), ("tag", int, 1)),
 )

@@ -30,7 +30,8 @@ from __future__ import annotations
 import re
 from collections import deque, namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+
+from .syntax import lazy
 
 INC, DEC, TESTPOS, TESTZERO, HALT = "inc", "dec", "ifpos", "ifzero", "halt"
 
@@ -116,7 +117,7 @@ class MinskyMachine:
                 raise ValueError(f"goto target L{i.target} has no instruction ({i})")
         return MinskyMachine(n, instructions, labels)
 
-    @cached_property
+    @lazy
     def index_by_label(self) -> dict[int, tuple[tuple[int, Instruction], ...]]:
         """Each label's non-halt instructions as (index, instruction), in program order."""
         groups: dict[int, list[tuple[int, Instruction]]] = {}
@@ -125,7 +126,7 @@ class MinskyMachine:
                 groups.setdefault(instruction.label, []).append((index, instruction))
         return {label: tuple(group) for label, group in groups.items()}
 
-    @cached_property
+    @lazy
     def tests_to_halt(self) -> dict[int, int]:
         """The fewest ifpos/ifzero moves on any path to L0, for each label with one.
 

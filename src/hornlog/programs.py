@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -46,6 +45,7 @@ from .syntax import (
     PlainImplication,
     SimpleProduct,
     apply_implication,
+    lazy,
     member_parser,
     multiset_minus,
     of_kind,
@@ -104,7 +104,7 @@ class HornProgram:
             raise ValueError(f"vertices not reachable from the root: {sorted(unreachable)}")
         return HornProgram(root, tuple(vertices), edges, tree, charges)
 
-    @cached_property
+    @lazy
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in self.preorder() if not self.children[v])
 

@@ -24,7 +24,7 @@ machine encoding all split a formula there.  A sequent bundles an input product,
 (banged) zone and a goal product.  The flat calculus adds two members of its
 own: ``LlBang``, a banged implication, and ``LlOplusProduct``, a pending
 choice ``(Y1 + Y2)`` with its occurrence tag.  Products, formulas and members compute their
-printed ``text`` once; it is the only order, for the two sides of a choice
+printed ``text`` once, at its first read (``lazy``); it is the only order, for the two sides of a choice
 and for the members of a zone.  It is also the identity: a formula, banged
 formula or tagged choice compares and hashes by its kind and canonical text
 (``Printed``), a product or frame by its entries, so zone lookups and the
@@ -41,7 +41,7 @@ read off the string; an error finds its offset only when raised::
     tag       = [0-9]+
     sequent   = <product> ; <formulas> ; <formulas> |- <product>
 
-``parse_member`` reads any member; a formula is a member ``operand -o rhs``,
+``parse_member`` reads one member through one ``TokenStream``; a formula is a member ``operand -o rhs``,
 and ``parse_formula`` and the sequent's formula lists read a member and
 check its kind.  Formula lists are comma separated and may be empty;
 whitespace is insignificant.  Printing emits the canonical form, and
@@ -54,7 +54,6 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
@@ -77,6 +76,22 @@ def check_literal(name: str) -> str:
     if not LITERAL_RE.match(name):
         raise ValueError(f"invalid literal name: {name!r}")
     return name
+
+
+class lazy:
+    """``functools.cached_property`` without the lock Python 3.11 takes on each
+    first access: the value is computed once and stored in the instance
+    ``__dict__``, found there first as this defines no ``__set__``.  Values are
+    pure functions of frozen fields, so racing first accesses compute equals."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class Printed:
@@ -145,7 +160,7 @@ class Frame(Printed):
             for _ in range(count):
                 yield name
 
-    @cached_property
+    @lazy
     def text(self) -> str:
         return "*".join(self.literals())
 
@@ -191,7 +206,7 @@ class PlainImplication(Printed):
     antecedent: SimpleProduct
     consequent: SimpleProduct
 
-    @cached_property
+    @lazy
     def text(self) -> str:
         return f"{_operand_text(self.antecedent)} -o {_operand_text(self.consequent)}"
 
@@ -209,11 +224,11 @@ class OplusImplication(Choice):
     left: SimpleProduct
     right: SimpleProduct
 
-    @cached_property
+    @lazy
     def text(self) -> str:
         return f"{_operand_text(self.antecedent)} -o ({self.left.text} + {self.right.text})"
 
-    @cached_property
+    @lazy
     def branches(self) -> tuple[PlainImplication, PlainImplication]:
         """The fork edges ``X -o Y1`` and ``X -o Y2``, in side order."""
         return PlainImplication(self.antecedent, self.left), PlainImplication(self.antecedent, self.right)
@@ -228,7 +243,7 @@ class LlBang(Printed):
     # so the checker can reject it against the side condition.
     formula: HornFormula | SimpleProduct
 
-    @cached_property
+    @lazy
     def text(self) -> str:
         return f"!({self.formula.text})"
 
@@ -241,7 +256,7 @@ class LlOplusProduct(Choice):
     right: SimpleProduct
     tag: int
 
-    @cached_property
+    @lazy
     def text(self) -> str:
         return f"({self.left.text} + {self.right.text})#{self.tag}"
 
@@ -514,7 +529,10 @@ def parse_product(text: str) -> SimpleProduct:
 
 
 def parse_member(text: str) -> Member:
-    return member_parser()(text)
+    ts = TokenStream(text)
+    member = _parse_member(ts)
+    ts.done()
+    return member
 
 
 def member_parser() -> Callable[[str], Member]:

@@ -649,9 +649,10 @@ def test_a_leaf_of_a_huge_count_is_rejected_at_once(dec_file, tmp_path, run, mes
     assert (result.returncode, result.stdout, result.stderr) == (1, message, "")
 
 
-def _one_config_changed(search):
-    def sabotaged(machine, init, max_steps, max_counter):
-        run = search(machine, init, max_steps, max_counter)
+def _one_config_changed(make_run):
+    """``make_run`` with every counter of the run's second configuration raised by one."""
+    def sabotaged(*args):
+        run = make_run(*args)
         wrong = Configuration(run.configs[1].label, tuple(c + 1 for c in run.configs[1].counters))
         return Computation(run.configs[:1] + (wrong,) + run.configs[2:], run.moves)
     return sabotaged
@@ -669,6 +670,19 @@ def test_a_run_failing_the_output_gate_exits_3_unwritten(dec_file, tmp_path, cap
     monkeypatch.setattr(minsky, "search_halting", _one_config_changed(minsky.search_halting))
     out = tmp_path / "run.txt"
     assert cli.main(["machine", "search", str(dec_file), "--input", "2,0", "--output", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "", "error: internal: run fails its check: at index 0: I2 yields L1 : 1,0, computation records L1 : 2,1\n"
+    )
+    assert not out.exists()
+
+
+def test_an_extracted_run_failing_the_output_gate_exits_3_unwritten(dec_file, tmp_path, capsys, monkeypatch):
+    run_file, program_file, out = tmp_path / "run.txt", tmp_path / "prog.json", tmp_path / "back.txt"
+    run_file.write_text("L1 : 2,0\nI2 -> L1 : 1,0\nI2 -> L1 : 0,0\nI1 -> L0 : 0,0\n")
+    assert cli.main(["bridge", "comp-to-prog", str(dec_file), str(run_file), "--output", str(program_file)]) == 0
+    monkeypatch.setattr(bridge, "program_to_computation", _one_config_changed(bridge.program_to_computation))
+    argv = ["bridge", "prog-to-comp", str(dec_file), str(program_file), "--input", "2,0", "--output", str(out)]
+    assert cli.main(argv) == 3
     assert capsys.readouterr() == (
         "", "error: internal: run fails its check: at index 0: I2 yields L1 : 1,0, computation records L1 : 2,1\n"
     )
@@ -788,6 +802,21 @@ def test_an_orphan_choice_is_malformed_input(tmp_path, capsys, tags):
     assert not out.exists()
 
 
+def test_a_flat_proof_with_sixteen_choices_pending_at_once_exits_2_at_once(tmp_path):
+    """Its translation would give one node 2**16 translations; the fold
+    refuses it, naming its bound, before drawing more than the bound's worth."""
+    from corpora import pending_choices
+    from hornlog import ll
+
+    flat = tmp_path / "pending.ll.json"
+    flat.write_text(ll.ll_proof_to_json(pending_choices(16)))
+    out = tmp_path / "pending.hll.json"
+    result = run_cli("compile", "ll-to-hll", str(flat), "--output", str(out), expect=2, timeout=5)
+    assert result.stderr == ("error: translation would draw 2048 translations of one node, over its bound of 1784: "
+                             "8 per node of the flat proof\n")
+    assert not out.exists()
+
+
 def test_a_zoned_node_the_translation_cannot_draw_exits_3_unwritten(tmp_path, capsys, monkeypatch):
     """A choice rule that reuses its first premise draws no node on any
     checked flat proof: hornlog's fault, not malformed input."""
@@ -815,8 +844,8 @@ def test_a_translation_fault_exits_3_unwritten(tmp_path, capsys, monkeypatch):
     flat = tmp_path / "proof.ll.json"
     flat.write_text(ll.ll_proof_to_json(ll_corpus()[2]))  # a choice under a tensor with a side product
     resolve = ll._resolve
-    monkeypatch.setattr(ll, "_resolve", lambda node, premises: resolve(
-        node, premises[::-1] if node.rule is ll.LlRule.LOPLUS else premises))
+    monkeypatch.setattr(ll, "_resolve", lambda node, premises, bound: resolve(
+        node, premises[::-1] if node.rule is ll.LlRule.LOPLUS else premises, bound))
     out = tmp_path / "proof.hll.json"
     assert cli.main(["compile", "ll-to-hll", str(flat), "--output", str(out)]) == 3
     reason = "OPLUS_H: premise inputs must be the two consequents tensored with the frame"

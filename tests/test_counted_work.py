@@ -87,8 +87,8 @@ def _results(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def recorded(*args):
-        calls.append((args, original(*args)))
+    def recorded(*args, **keywords):
+        calls.append((args, original(*args, **keywords)))
         return calls[-1][1]
 
     monkeypatch.setattr(module, name, recorded)

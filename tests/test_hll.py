@@ -400,3 +400,10 @@ def test_each_reader_error_has_its_exact_text(case):
     with pytest.raises((FormatError, hll.InvalidProof)) as raised:
         READERS[calculus](mutate(_table(calculus)))
     assert (type(raised.value), str(raised.value)) == (error, message)
+
+
+def test_each_rule_is_bound_to_its_own_name_in_its_module():
+    """Per-node code compares rules with module-level names, unpacked from
+    each enum in definition order; a reordered enum must not rebind them."""
+    for module, rules in ((hll, hll.HllRule), (ll, ll.LlRule)):
+        assert [getattr(module, rule.name) for rule in rules] == list(rules)

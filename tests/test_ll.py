@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from corpora import (
     _stacked_case,
     ll_corpus,
     ll_separation,
+    pending_choices,
     separated_shapes,
     stacked_weakenings,
 )
@@ -389,6 +391,33 @@ def test_orphan_choices_are_refused_before_any_is_resolved(monkeypatch):
     with pytest.raises(ProofStructureError, match="^left-choice tag 1 has no consumer below$"):
         translate_ll_to_hll(proof)
     assert resolved == []
+
+
+def test_a_node_with_more_translations_than_the_bound_is_refused_before_they_are_drawn(monkeypatch):
+    """Sixteen choices pending at once would give a node 2**16 translations.
+    The fold refuses the first node whose premises would give it more than 8
+    per node of the flat proof, before drawing any of them, so at most the
+    bound's worth of translations is drawn for any one node."""
+    proof = pending_choices(16)
+    nodes = sum(1 for _ in hll.walk(proof))
+    drawn = []
+    translate = ll._translate
+    monkeypatch.setattr(ll, "_translate", lambda node, premises: drawn.append(node) or translate(node, premises))
+    with pytest.raises(ProofStructureError, match=(
+            rf"^translation would draw 2048 translations of one node, over its bound of {8 * nodes}: "
+            r"8 per node of the flat proof$")):
+        translate_ll_to_hll(proof)
+    assert max(Counter(drawn).values()) == 1024
+
+
+def test_choices_pending_within_the_bound_translate():
+    """Ten choices pending at once give one node 1024 translations, within
+    the bound of 8 per flat node (139 nodes), and the translation is sound."""
+    proof = pending_choices(10)
+    assert sum(1 for _ in hll.walk(proof)) == 139
+    translated = translate_ll_to_hll(proof)
+    assert translated.conclusion == horn_reading(proof.conclusion)
+    assert hll.check_hll_proof(translated).ok
 
 
 def test_content_equal_choices_under_distinct_tags():

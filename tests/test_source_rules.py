@@ -159,6 +159,21 @@ def member_equality(tree):
     return [f"{line}:{name}" for line, name in sorted(found)]
 
 
+def slow_lookups(tree):
+    """Attribute reads on ``HllRule`` or ``LlRule`` inside a function, by
+    line and the function they sit in, and each import or attribute read of
+    ``functools.cached_property``, by line."""
+    found = [
+        (node.lineno, where(within)) for node, within in located(tree)
+        if within and isinstance(node, ast.Attribute) and stated(node.value) in ("HllRule", "LlRule")
+    ] + [(line, "cached_property") for line, module, name, _ in imports(tree)
+         if (module, name) == ("functools", "cached_property")] + [
+        (node.lineno, "cached_property") for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "cached_property" and stated(node.value) == "functools"
+    ]
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
 # A rule: its finder, its owners, why, and a seeded source with its findings.
 Rule = namedtuple("Rule", "find owners reason seed expected")
 RULES = {
@@ -444,6 +459,28 @@ class Sequent:
 class Fine(Implication):
     text: str
 ''', ["3:Printed.__eq__", "6:Implication", "12:Bang.__hash__", "14:Tagged", "16:Tagged.__eq__"]),
+    "slow_lookup": Rule(
+        slow_lookups, (),
+        "In Python 3.11 the enum metaclass's __getattr__ sends every attribute read on HllRule or LlRule "
+        "through the slow getattr hook, and functools.cached_property takes a lock on every first access; "
+        "code run once per node names a rule by the module-level name bound next to its enum, or a table "
+        "built at import, and computes a value once through syntax.lazy.", '''
+from functools import cached_property, partial
+import functools, enum
+
+RULES = {HllRule.I: 0, ll.LlRule.LOPLUS: 1, I: 2}
+
+def conclude(rule):
+    if rule is HllRule.I or rule in (LlRule.LIMP, hll.HllRule.CUT):
+        return [r for r in HllRule], rule is I, rule.value
+    def inner():
+        return HllRule.__members__
+
+class Proof:
+    @functools.cached_property
+    def text(self):
+        return RULES[self.rule], self.rule is LOPLUS, functools.partial
+''', ["2:cached_property", "8:conclude", "8:conclude", "8:conclude", "11:inner", "14:cached_property"]),
 }
 
 

@@ -505,3 +505,42 @@ def test_apply_implication_is_the_consequent_tensored_onto_the_match(x, f):
             assert type(rewritten) is SimpleProduct
             assert rewritten.entries == f.consequent.tensor(residual).entries
             _is_validated(rewritten)
+
+
+# --- The lazy attribute -------------------------------------------------------
+
+
+def test_a_lazy_attribute_is_computed_once_and_then_read_from_the_instance_dict():
+    calls = []
+
+    class Counted:
+        @syntax.lazy
+        def value(self):
+            """The answer."""
+            calls.append(self)
+            return 42
+
+    counted = Counted()
+    assert (counted.value, counted.value) == (42, 42)
+    assert calls == [counted]
+    assert counted.__dict__ == {"value": 42}
+    counted.__dict__["value"] = 7  # a later access reads the dict, not the function
+    assert counted.value == 7 and calls == [counted]
+    assert isinstance(Counted.value, syntax.lazy) and Counted.value.__doc__ == "The answer."
+
+
+def test_lazy_attributes_on_frozen_dataclasses():
+    from hornlog.minsky import parse_machine
+    from hornlog.programs import HornProgram
+
+    f = PlainImplication(SimpleProduct.of("a", "b"), SimpleProduct.of("c"))
+    machine = parse_machine("counters 1\nL2: dec x1 goto L1\nL1: ifzero x1 goto L0\n")
+    program = HornProgram.build(0, [(0, 1, f), (0, 2, f), (2, 3, f)])
+    for obj, name, value in [(f, "text", "(a*b) -o c"), (machine, "tests_to_halt", {0: 0, 1: 1, 2: 1}),
+                             (program, "leaves", (1, 3))]:
+        assert isinstance(getattr(type(obj), name), syntax.lazy)
+        assert name not in obj.__dict__
+        assert getattr(obj, name) == value and obj.__dict__[name] == value
+        assert getattr(obj, name) is obj.__dict__[name]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
