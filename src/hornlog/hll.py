@@ -59,11 +59,9 @@ from .syntax import (
 class Rule(Enum):
     """An inference rule of either calculus.  Rules are compared by identity,
     as every enum member is, and hash by it too: ``Enum.__hash__`` runs in
-    Python, and every node built looks its rule up.  Code run once per node
-    names a rule by the module-level name bound next to its enum, not as
-    ``HllRule.X``: the enum metaclass defines ``__getattr__``, so in Python
-    3.11 every attribute read on the class takes the slow getattr hook, about
-    ten times the cost of reading a global."""
+    Python, and every node built looks its rule up.  Per-node code names a rule
+    by the module name bound next to its enum: in Python 3.11 ``HllRule.X``
+    takes the enum metaclass's ``__getattr__`` hook, ten times a global read."""
 
     __hash__ = object.__hash__
 

@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from typing import Callable
+from math import prod
 
 from . import hll
 from .hll import HllProof
@@ -461,16 +461,8 @@ def translate_ll_to_hll(proof: LlProof) -> HllProof:
     orphans = [g.tag for g in proof.conclusion.context if isinstance(g, LlOplusProduct)]
     if orphans:
         raise ProofStructureError(f"left-choice tag {min(orphans)} has no consumer below")
-    limit = None  # the bound; the nodes are counted once a node may draw over _TRANSLATIONS_PER_NODE
-
-    def bound(count: int):
-        nonlocal limit
-        limit = limit or _TRANSLATIONS_PER_NODE * sum(1 for _ in hll.walk(proof))
-        if count > limit:
-            raise ProofStructureError(f"translation would draw {count} translations of one node, over its bound "
-                                      f"of {limit}: {_TRANSLATIONS_PER_NODE} per node of the flat proof")
     try:
-        (translated,) = hll.fold(proof, partial(_resolve, bound=bound)).values()
+        (translated,) = hll.fold(proof, partial(_resolve, budget=_Budget(proof))).values()
     except hll.InvalidProof as exc:
         raise AssertionError(f"the translation drew an invalid node: {exc}") from None
     translated = _zoned(translated)
@@ -480,7 +472,24 @@ def translate_ll_to_hll(proof: LlProof) -> HllProof:
     return translated
 
 
-def _resolve(node: LlProof, premises: list[dict], bound: Callable[[int], None]) -> dict:
+class _Budget:
+    """The fold's running total of translations, refused before a node's are drawn
+    once past ``_TRANSLATIONS_PER_NODE`` per flat-proof node.  Those nodes are
+    counted only once the total outgrows that many per node folded so far."""
+
+    def __init__(self, proof: LlProof):
+        self.proof, self.total, self.folded, self.limit = proof, 0, 0, 0
+
+    def draw(self, count: int) -> None:
+        self.total, self.folded = self.total + count, self.folded + 1
+        if self.total > _TRANSLATIONS_PER_NODE * self.folded:
+            self.limit = self.limit or _TRANSLATIONS_PER_NODE * sum(1 for _ in hll.walk(self.proof))
+            if self.total > self.limit:
+                raise ProofStructureError(f"translation would draw {self.total} translations, over its bound of "
+                                          f"{self.limit}: {_TRANSLATIONS_PER_NODE} per node of the flat proof")
+
+
+def _resolve(node: LlProof, premises: list[dict], budget: _Budget) -> dict:
     """A node's translations, keyed by the side (0 left, 1 right) chosen for
     each choice tag pending in its conclusion, as a frozenset of (tag, side).
 
@@ -488,23 +497,22 @@ def _resolve(node: LlProof, premises: list[dict], bound: Callable[[int], None]) 
     implication-choice consuming the tag pairs them again.  Every node is
     translated once per combination of its premises' translations, so one
     with no tag pending has one translation, shared by every copy above it.
-    Only a two-premise node adds to them, k choices pending making 2**k, so
-    a count over ``_TRANSLATIONS_PER_NODE`` goes to ``bound`` before any is drawn.
+    k choices pending make 2**k: each node's count goes to ``budget`` first.
     """
     if node.rule is LOPLUS:
         tag = node.principal.tag
+        budget.draw(len(premises[0]) + len(premises[1]))
         return {sides | {(tag, side)}: t for side, below in enumerate(premises) for sides, t in below.items()}
     if node.rule is LIMPOPLUS:
         left, right = ({sides - {(node.tag, side)}: t for sides, t in premises[1].items() if (node.tag, side) in sides}
                        for side in (0, 1))
         premises = [premises[0], {sides: (t, right[sides]) for sides, t in left.items()}]
+    budget.draw(prod(map(len, premises)))
     untagged = [below[_NONE] for below in premises if len(below) == 1 and _NONE in below]
     if len(untagged) == len(premises):
         return {_NONE: _translate(node, untagged)}
     if len(premises) == 1:  # the premise's sides are the node's
         return {sides: _translate(node, [t]) for sides, t in premises[0].items()}
-    if (count := len(premises[0]) * len(premises[1])) > _TRANSLATIONS_PER_NODE:
-        bound(count)
     return {
         frozenset().union(*(sides for sides, _ in combination)): _translate(node, [t for _, t in combination])
         for combination in product(*(below.items() for below in premises))
@@ -512,7 +520,7 @@ def _resolve(node: LlProof, premises: list[dict], bound: Callable[[int], None]) 
 
 
 _NONE = frozenset()  # the sides chosen where no tag is pending
-_TRANSLATIONS_PER_NODE = 8  # one node's translations are at most this many times the flat proof's nodes
+_TRANSLATIONS_PER_NODE = 8  # the fold's translations are at most this many times the flat proof's nodes
 _BANG_RULES = {LBANG: hll.lbang, WBANG: hll.wbang, CBANG: hll.cbang}
 
 

@@ -41,7 +41,7 @@ read off the string; an error finds its offset only when raised::
     tag       = [0-9]+
     sequent   = <product> ; <formulas> ; <formulas> |- <product>
 
-``parse_member`` reads one member through one ``TokenStream``; a formula is a member ``operand -o rhs``,
+``parse_member`` reads any member; a formula is a member ``operand -o rhs``,
 and ``parse_formula`` and the sequent's formula lists read a member and
 check its kind.  Formula lists are comma separated and may be empty;
 whitespace is insignificant.  Printing emits the canonical form, and
@@ -80,9 +80,8 @@ def check_literal(name: str) -> str:
 
 class lazy:
     """``functools.cached_property`` without the lock Python 3.11 takes on each
-    first access: the value is computed once and stored in the instance
-    ``__dict__``, found there first as this defines no ``__set__``.  Values are
-    pure functions of frozen fields, so racing first accesses compute equals."""
+    first access: the value, a pure function of frozen fields, is computed once
+    into the instance ``__dict__``, which is read first as this has no ``__set__``."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
@@ -90,8 +89,7 @@ class lazy:
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
+        return instance.__dict__.setdefault(self.name, self.func(instance))
 
 
 class Printed:
@@ -529,10 +527,7 @@ def parse_product(text: str) -> SimpleProduct:
 
 
 def parse_member(text: str) -> Member:
-    ts = TokenStream(text)
-    member = _parse_member(ts)
-    ts.done()
-    return member
+    return member_parser()(text)
 
 
 def member_parser() -> Callable[[str], Member]:

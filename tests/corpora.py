@@ -342,14 +342,17 @@ def stacked_weakenings(n: int) -> ll.LlProof:
     return _finish(block, names, 1)
 
 
-def pending_choices(k: int) -> ll.LlProof:
+def pending_choices(k: int, weakenings: int = 0) -> ll.LlProof:
     """k choice blocks over distinct literals joined by right tensors, then
-    each consumed below: k choices are pending at once in the tensors above
-    the consumers, so the translation fold draws 2**k translations there."""
+    ``weakenings`` bang weakenings, then each choice consumed below: k choices
+    are pending at once in the tensors and weakenings above the consumers, so
+    the translation fold draws 2**k translations of each of those nodes."""
     names = [tuple(f"{x}{tag}" for x in "fghm") for tag in range(1, k + 1)]
     proof = _choice_block(names[0], 1)
     for tag in range(2, k + 1):
         proof = ll.ll_rtensor(proof, _choice_block(names[tag - 1], tag))
+    for _ in range(weakenings):
+        proof = ll.ll_wbang(proof, PlainImplication(SimpleProduct.of("u"), SimpleProduct.of("u")))
     for tag in range(1, k + 1):
         proof = _finish(proof, names[tag - 1], tag)
     return proof

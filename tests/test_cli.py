@@ -804,7 +804,8 @@ def test_an_orphan_choice_is_malformed_input(tmp_path, capsys, tags):
 
 def test_a_flat_proof_with_sixteen_choices_pending_at_once_exits_2_at_once(tmp_path):
     """Its translation would give one node 2**16 translations; the fold
-    refuses it, naming its bound, before drawing more than the bound's worth."""
+    refuses it, naming its bound, before drawing more than the bound's worth
+    in all."""
     from corpora import pending_choices
     from hornlog import ll
 
@@ -812,7 +813,7 @@ def test_a_flat_proof_with_sixteen_choices_pending_at_once_exits_2_at_once(tmp_p
     flat.write_text(ll.ll_proof_to_json(pending_choices(16)))
     out = tmp_path / "pending.hll.json"
     result = run_cli("compile", "ll-to-hll", str(flat), "--output", str(out), expect=2, timeout=5)
-    assert result.stderr == ("error: translation would draw 2048 translations of one node, over its bound of 1784: "
+    assert result.stderr == ("error: translation would draw 2180 translations, over its bound of 1784: "
                              "8 per node of the flat proof\n")
     assert not out.exists()
 
@@ -844,8 +845,8 @@ def test_a_translation_fault_exits_3_unwritten(tmp_path, capsys, monkeypatch):
     flat = tmp_path / "proof.ll.json"
     flat.write_text(ll.ll_proof_to_json(ll_corpus()[2]))  # a choice under a tensor with a side product
     resolve = ll._resolve
-    monkeypatch.setattr(ll, "_resolve", lambda node, premises, bound: resolve(
-        node, premises[::-1] if node.rule is ll.LlRule.LOPLUS else premises, bound))
+    monkeypatch.setattr(ll, "_resolve", lambda node, premises, budget: resolve(
+        node, premises[::-1] if node.rule is ll.LlRule.LOPLUS else premises, budget))
     out = tmp_path / "proof.hll.json"
     assert cli.main(["compile", "ll-to-hll", str(flat), "--output", str(out)]) == 3
     reason = "OPLUS_H: premise inputs must be the two consequents tensored with the frame"

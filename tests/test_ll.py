@@ -393,28 +393,43 @@ def test_orphan_choices_are_refused_before_any_is_resolved(monkeypatch):
     assert resolved == []
 
 
-def test_a_node_with_more_translations_than_the_bound_is_refused_before_they_are_drawn(monkeypatch):
-    """Sixteen choices pending at once would give a node 2**16 translations.
-    The fold refuses the first node whose premises would give it more than 8
-    per node of the flat proof, before drawing any of them, so at most the
-    bound's worth of translations is drawn for any one node."""
-    proof = pending_choices(16)
+def _drawn_until_refused(monkeypatch, proof, message):
+    """The nodes translated before the fold refuses proof with message, which
+    must name the bound of 8 translations per node of the flat proof."""
     nodes = sum(1 for _ in hll.walk(proof))
     drawn = []
     translate = ll._translate
     monkeypatch.setattr(ll, "_translate", lambda node, premises: drawn.append(node) or translate(node, premises))
-    with pytest.raises(ProofStructureError, match=(
-            rf"^translation would draw 2048 translations of one node, over its bound of {8 * nodes}: "
-            r"8 per node of the flat proof$")):
+    with pytest.raises(ProofStructureError, match=rf"^{message}, over its bound of {8 * nodes}: 8 per node "
+                                                  r"of the flat proof$"):
         translate_ll_to_hll(proof)
-    assert max(Counter(drawn).values()) == 1024
+    assert len(drawn) <= 8 * nodes
+    return drawn
+
+
+def test_translations_past_the_bound_are_refused_before_they_are_drawn(monkeypatch):
+    """Sixteen choices pending at once would give a node 2**16 translations.
+    The fold keeps a running total of the translations, and refuses the first
+    node that would take it past 8 per node of the flat proof (223 nodes)
+    before drawing that node's, so at most the bound's worth is drawn."""
+    drawn = _drawn_until_refused(monkeypatch, pending_choices(16), "translation would draw 2180 translations")
+    assert max(Counter(drawn).values()) == 512
+
+
+def test_a_chain_of_one_premise_nodes_each_within_the_bound_is_refused_by_their_total(monkeypatch):
+    """Two hundred weakenings above six pending choices each draw 64
+    translations, far under 8 per flat node (283 nodes); their total is not."""
+    drawn = _drawn_until_refused(monkeypatch, pending_choices(6, weakenings=200),
+                                 "translation would draw 2314 translations")
+    assert max(Counter(drawn).values()) == 64
 
 
 def test_choices_pending_within_the_bound_translate():
-    """Ten choices pending at once give one node 1024 translations, within
-    the bound of 8 per flat node (139 nodes), and the translation is sound."""
-    proof = pending_choices(10)
-    assert sum(1 for _ in hll.walk(proof)) == 139
+    """Eight choices pending at once give one node 256 translations and the
+    fold 867 in all, within the bound of 8 per flat node (111 nodes), and the
+    translation is sound."""
+    proof = pending_choices(8)
+    assert sum(1 for _ in hll.walk(proof)) == 111
     translated = translate_ll_to_hll(proof)
     assert translated.conclusion == horn_reading(proof.conclusion)
     assert hll.check_hll_proof(translated).ok
