@@ -3,10 +3,12 @@
 Products, implications and sequents with canonical multiset identity;
 tree-like Horn programs with a strong-computation evaluator, a strong-solution
 verifier and a bounded witness prover; a zoned sequent calculus with a checker
-and a program compiler; a flat cut-free calculus with a choice-normalizer and
-a translation into the zoned one; nondeterministic counter machines, their
-sequent encoding, and the two constructive bridges between machine runs and
-programs.
+and a program compiler; a flat cut-free calculus with a translation into the
+zoned one, which resolves each choice in its fold (``compile ll-to-hll``), and
+a choice-normalizer, ``push_oplus_down``, kept only as the reference that fold
+is tested against and the bench traces, not as a product stage;
+nondeterministic counter machines, their sequent encoding, and the two
+constructive bridges between machine runs and programs.
 """
 
 from .syntax import (
@@ -33,12 +35,7 @@ from .minsky import (
     successors,
     validate_computation,
 )
-from .encoding import (
-    MachineEncoding,
-    decode_product,
-    encode_config,
-    encode_instruction,
-)
+from .encoding import MachineEncoding, decode_product
 from .programs import (
     HornProgram,
     ProgramBuilder,

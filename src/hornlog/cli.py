@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 
 from . import bridge, hll, ll, minsky, programs
@@ -19,6 +20,7 @@ from .minsky import parse_computation, parse_machine
 from .syntax import FormatError, parse_sequent, sequent_text
 
 OK, REJECT, MALFORMED, INTERNAL = 0, 1, 2, 3
+_INTEGER_RE = re.compile(r"\s*-?[0-9]+\s*")
 
 
 def _read(path: str) -> str:
@@ -53,10 +55,22 @@ def _write_checked(kind: str, checked: tuple, text: str, path: str | None) -> in
     return OK
 
 
+def _integer(text: str) -> int:
+    """An option's integer, read as every file format reads a count: ASCII
+    digits in optional white space, after an optional ``-`` that the reader
+    of the value refuses with its own message."""
+    try:
+        if _INTEGER_RE.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_inputs(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
+        values = tuple(_integer(part) for part in text.split(","))
+    except argparse.ArgumentTypeError:
         raise FormatError(f"bad counter list {text!r}") from None
     if any(v < 0 for v in values):
         raise FormatError("counters must be non-negative")
@@ -214,10 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # Options two commands share, each declared once and handed on by ``parents``.
     start, bounds, depth = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-    start.add_argument("--start", type=int, default=1, help="start label index (default 1)")
-    bounds.add_argument("--max-steps", type=int, default=1000)
-    bounds.add_argument("--max-counter", type=int, default=100)
-    depth.add_argument("--depth", type=int, default=20)
+    start.add_argument("--start", type=_integer, default=1, help="start label index (default 1)")
+    bounds.add_argument("--max-steps", type=_integer, default=1000)
+    bounds.add_argument("--max-counter", type=_integer, default=100)
+    depth.add_argument("--depth", type=_integer, default=20)
 
     machine = sub.add_parser("machine", help="counter machine tools")
     machine_sub = machine.add_subparsers(dest="subcommand", required=True)

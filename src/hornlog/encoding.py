@@ -23,7 +23,7 @@ edges with the goto edge first; both bridges index ``edges`` by instruction.
 A formula's provenance is looked up in the two index maps,
 ``instruction_index`` and ``killer_family_index``.  ``decode_product`` reads
 an encoded configuration back as a ``Configuration``; it is the inverse of
-``encode_config``, so it accepts exactly the literals ``label_literal`` and
+``config_product``, so it accepts exactly the literals ``label_literal`` and
 ``counter_literal`` name; one walk's calls share a dict of the names' roles.
 """
 
@@ -66,14 +66,8 @@ def killer_literal(m: int) -> str:
     return f"k{m}"
 
 
-def encode_instruction(instruction: Instruction) -> HornFormula:
-    """The implication axiomatizing one non-halt instruction."""
-    return _instruction_formula(instruction, SimpleProduct.of)
-
-
 def _instruction_formula(instruction: Instruction, literal: Callable[[str], SimpleProduct]) -> HornFormula:
-    if instruction.kind == HALT:
-        raise ValueError("the halt instruction is not encoded")
+    """The implication axiomatizing one non-halt instruction."""
     l_i = literal(label_literal(instruction.label))
     l_j = literal(label_literal(instruction.target))
     r_m = literal(counter_literal(instruction.counter))
@@ -88,23 +82,12 @@ def _instruction_formula(instruction: Instruction, literal: Callable[[str], Simp
     raise AssertionError(instruction.kind)
 
 
-def encode_config(n: int, config: Configuration) -> SimpleProduct:
-    return _config_product(n, config, SimpleProduct.of)
-
-
-def _config_product(n: int, config: Configuration, literal: Callable[[str], SimpleProduct]) -> SimpleProduct:
-    if len(config.counters) != n:
-        raise ValueError(f"expected {n} counters, got {len(config.counters)}")
-    products = [literal(label_literal(config.label))]
-    products += (literal(counter_literal(m)).power(c) for m, c in enumerate(config.counters, start=1) if c)
-    return tensor_all(products)
-
-
 def decode_product(n: int, product: SimpleProduct, roles: dict | None = None) -> Configuration | None:
-    """The configuration a product encodes; None if it encodes none.
+    """The configuration a product encodes, the inverse of
+    ``MachineEncoding.config_product``; None if it encodes none.
 
     The product must hold exactly one label literal, once, and otherwise only
-    counter literals ``r1..rn``, each spelled as ``encode_config`` spells it
+    counter literals ``r1..rn``, each spelled as ``config_product`` spells it
     (so ``r01`` is no counter literal).  A walk that decodes many products
     hands every call one ``roles`` dict, so each name's role is read once.
     """
@@ -144,7 +127,7 @@ class MachineEncoding:
     machine: MinskyMachine
     phi: tuple[HornFormula | None, ...]
     # A literal's one-literal product; ``build`` makes each once per encoding.
-    literal: Callable[[str], SimpleProduct] = field(default=SimpleProduct.of, compare=False, repr=False)
+    literal: Callable[[str], SimpleProduct] = field(compare=False, repr=False)
 
     @staticmethod
     def build(machine: MinskyMachine) -> "MachineEncoding":
@@ -220,7 +203,12 @@ class MachineEncoding:
 
     def config_product(self, config: Configuration) -> SimpleProduct:
         """The product encoding a configuration, built from this encoding's literal products."""
-        return _config_product(self.machine.n, config, self.literal)
+        n, literal = self.machine.n, self.literal
+        if len(config.counters) != n:
+            raise ValueError(f"expected {n} counters, got {len(config.counters)}")
+        products = [literal(label_literal(config.label))]
+        products += (literal(counter_literal(m)).power(c) for m, c in enumerate(config.counters, start=1) if c)
+        return tensor_all(products)
 
     def sequent(self, inputs: tuple[int, ...]) -> HornSequent:
         """The target sequent: encoded start at L1, everything reusable, goal l0."""

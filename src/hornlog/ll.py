@@ -19,9 +19,12 @@ second premise, that carries the choice's tag.
 
 ``push_oplus_down`` moves every left-choice inference down until it sits
 immediately above the implication-choice inference that consumes its
-principal.  The left-choice rule is invertible: ``specialize`` replaces a
-tagged choice product by each of its components throughout a subproof, both
-in one traversal, so a choice moves in one step.  The unadjacent choices are
+principal.  It is no product stage: ``compile ll-to-hll`` resolves each choice
+in the translation's fold below, and the normalizer is kept only as the
+reference that fold is tested against and the bench traces.  The left-choice
+rule is invertible: ``specialize`` replaces a tagged choice product by each of
+its components throughout a subproof, both in one traversal, so a choice
+moves in one step.  The unadjacent choices are
 found once; a move rescans only its new left choice, if others were pending.
 
 ``translate_ll_to_hll`` resolves each choice where it is consumed: one fold

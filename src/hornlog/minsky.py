@@ -352,12 +352,6 @@ def parse_machine(text: str) -> MinskyMachine:
         raise MachineFormatError(str(exc)) from None
 
 
-def machine_text(machine: MinskyMachine) -> str:
-    lines = [f"counters {machine.n}"]
-    lines.extend(str(i) for i in machine.instructions)
-    return "\n".join(lines) + "\n"
-
-
 _CONFIG_RE = re.compile(r"L([0-9]+)\s*:\s*([0-9]+(?:\s*,\s*[0-9]+)*)\Z")
 _MOVE_RE = re.compile(r"I([0-9]+)\s*->\s*(.*)\Z")
 

@@ -512,7 +512,7 @@ def program_from_json(text: str) -> HornProgram:
         edges.append((*ends, of_kind(parse(e["label"]), HornFormula)))
     program = HornProgram.build(_json_id(data.get("root"), "root"), edges)
     declared = sorted(_json_id(v, f"vertex {i}") for i, v in enumerate(vertices))
-    if declared and declared != sorted(program.vertices):
+    if "vertices" in data and declared != sorted(program.vertices):  # only an omitted list goes unchecked
         raise FormatError("vertex list does not match the edge list")
     return program
 

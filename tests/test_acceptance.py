@@ -23,7 +23,7 @@ from hornlog.bridge import (
     program_to_computation,
     round_trip_check,
 )
-from hornlog.encoding import MachineEncoding, encode_config
+from hornlog.encoding import MachineEncoding
 from hornlog.minsky import Configuration, parse_machine, search_halting
 from hornlog.programs import evaluate, prove_bounded, verify_strong_solution
 from hornlog.syntax import SimpleProduct
@@ -156,10 +156,10 @@ def test_criterion_8_vertex_correspondence():
         init = Configuration(1, (k1, 0))
         run = search_halting(DEC, init, 100, 20)
         trace = computation_to_program(enc, run)
-        values = evaluate(trace.program, encode_config(enc.machine.n, init))
+        values = evaluate(trace.program, enc.config_product(init))
         assert len(trace.main_vertices) == len(run.configs)
         for vertex, config in zip(trace.main_vertices, run.configs):
-            assert values[vertex] == encode_config(enc.machine.n, config)
+            assert values[vertex] == enc.config_product(config)
         for side in trace.side_chains:
             fork_index = trace.main_vertices.index(side.fork_vertex)
             at_fork = run.configs[fork_index]

@@ -18,7 +18,7 @@ from hornlog.bridge import (
     program_to_computation,
     round_trip_check,
 )
-from hornlog.encoding import MachineEncoding, encode_config
+from hornlog.encoding import MachineEncoding
 from hornlog.minsky import (
     Computation,
     Configuration,
@@ -94,10 +94,10 @@ def test_a_rejected_run_carries_its_judgment(enc):
 def test_main_branch_correspondence(enc):
     run = dec_run(3)
     trace = computation_to_program(enc, run)
-    values = evaluate(trace.program, encode_config(enc.machine.n, run.configs[0]))
+    values = evaluate(trace.program, enc.config_product(run.configs[0]))
     assert len(trace.main_vertices) == len(run.configs)
     for vertex, config in zip(trace.main_vertices, run.configs):
-        assert values[vertex] == encode_config(enc.machine.n, config)
+        assert values[vertex] == enc.config_product(config)
 
 
 def test_extraction_round_trip(enc):
@@ -204,7 +204,7 @@ class EatingKiller(MachineEncoding):
 
 def eating_killer(text: str) -> EatingKiller:
     honest = MachineEncoding.build(parse_machine(text))
-    return EatingKiller(honest.machine, honest.phi)
+    return EatingKiller(honest.machine, honest.phi, honest.literal)
 
 
 BLOCKED = "L1: ifzero x1 goto L2\nL2: dec x1 goto L0\n"

@@ -311,6 +311,11 @@ def test_malformed_program_exits_2(dec_file, tmp_path, text):
         "error: edge (0,1) must carry a plain implication\n",
         id="choice-label",
     ),
+    pytest.param(
+        '{"root": 0, "vertices": [], "edges": [{"parent": 0, "child": 1, "label": "l1 -o l0"}]}',
+        "error: vertex list does not match the edge list\n",
+        id="empty-vertex-list",
+    ),
 ])
 def test_malformed_program_message(tmp_path, capsys, text, message):
     seq_file = tmp_path / "dec.seq"
@@ -529,6 +534,25 @@ def test_encode_rejects_a_negative_input(dec_file):
     result = run_cli("encode", str(dec_file), "--input=-1,0", expect=2)
     assert result.stdout == ""
     assert result.stderr == "error: counters must be non-negative\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("encode", "MACHINE", "--input", "\u0661,0"),
+    ("encode", "MACHINE", "--input", "1_0,0"),
+    ("encode", "MACHINE", "--input", "+2,0"),
+    ("prove", "MACHINE", "--depth", "\u0661"),
+    ("machine", "search", "MACHINE", "--input", "1,0", "--max-steps", "1_0"),
+    ("machine", "search", "MACHINE", "--input", "1,0", "--max-counter", "+2"),
+    ("bridge", "prog-to-comp", "MACHINE", "MACHINE", "--input", "1,0", "--start", "\uff11"),
+], ids=["arabic-indic-digit", "underscore", "plus-sign", "depth", "max-steps", "max-counter", "start"])
+def test_a_number_no_file_format_reads_exits_2(dec_file, args):
+    """Counts are ASCII digits in every file format, so the options refuse
+    what int() alone would take: another script's digits, ``_`` and ``+``."""
+    result = run_cli(*(str(dec_file) if arg == "MACHINE" else arg for arg in args), expect=2)
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert lines[-1].endswith(repr(args[-1]))
 
 
 def test_unexpected_error_exits_3(tmp_path, capsys, monkeypatch):

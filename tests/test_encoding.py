@@ -5,12 +5,7 @@ from hypothesis import given, strategies as st
 
 from corpora import ladder_text, random_machine
 from hornlog import syntax
-from hornlog.encoding import (
-    MachineEncoding,
-    decode_product,
-    encode_config,
-    encode_instruction,
-)
+from hornlog.encoding import MachineEncoding, decode_product
 from hornlog.minsky import Configuration, Instruction, parse_machine
 from hornlog.syntax import (
     OplusImplication,
@@ -23,27 +18,24 @@ from hornlog.syntax import (
 )
 
 DEC = parse_machine("counters 2\nL1: ifzero x1 goto L0\nL1: dec x1 goto L1\n")
+# An encoding per number of counters, for configurations of any label.
+ENCODINGS = {n: MachineEncoding.build(parse_machine(f"counters {n}\nL1: inc x1 goto L1\n")) for n in (1, 2, 3)}
 
 
 def test_encode_instruction_forms():
-    inc = Instruction("inc", 2, 1, 3)
-    assert encode_instruction(inc) == parse_formula("l2 -o (l3*r1)")
-    zero = Instruction("ifzero", 1, 1, 0)
-    assert encode_instruction(zero) == parse_formula("l1 -o (l0 + k1)")
-    dec = Instruction("dec", 1, 1, 1)
-    assert encode_instruction(dec) == parse_formula("(l1*r1) -o l1")
-    pos = Instruction("ifpos", 1, 2, 2)
-    assert encode_instruction(pos) == parse_formula("(l1*r2) -o (l2*r2)")
+    enc = MachineEncoding.build(parse_machine(
+        "counters 2\nL2: inc x1 goto L3\nL1: ifzero x1 goto L0\nL1: dec x1 goto L1\n"
+        "L1: ifpos x2 goto L2\nL3: dec x2 goto L1\n"
+    ))
+    assert enc.phi[0] == parse_formula("l2 -o (l3*r1)")
+    assert enc.phi[1] == parse_formula("l1 -o (l0 + k1)")
+    assert enc.phi[2] == parse_formula("(l1*r1) -o l1")
+    assert enc.phi[3] == parse_formula("(l1*r2) -o (l2*r2)")
 
 
 def test_encode_instruction_rejects_halt():
-    with pytest.raises(ValueError):
-        encode_instruction(Instruction("halt", 0))
-
-
-def killer_zone(n: int):
-    machine = parse_machine(f"counters {n}\nL1: inc x1 goto L1\n")
-    return MachineEncoding.build(machine).killer_zone()
+    assert DEC.instructions[-1] == Instruction("halt", 0)
+    assert [f is None for f in MachineEncoding.build(DEC).phi] == [False, False, True]
 
 
 def test_build_killers_n2():
@@ -53,15 +45,15 @@ def test_build_killers_n2():
         parse_formula("k2 -o l0"),
         parse_formula("(k2*r1) -o k2"),
     }
-    assert set(killer_zone(2)) == expected
+    assert set(ENCODINGS[2].killer_zone()) == expected
 
 
 def test_build_killers_n1():
-    assert killer_zone(1) == (parse_formula("k1 -o l0"),)
+    assert ENCODINGS[1].killer_zone() == (parse_formula("k1 -o l0"),)
 
 
 def test_build_killers_n3_family():
-    killers = killer_zone(3)
+    killers = ENCODINGS[3].killer_zone()
     family2 = [f for f in killers if "k2" in dict(f.antecedent.entries) or "k2" in dict(f.consequent.entries)]
     assert parse_formula("(k2*r1) -o k2") in family2
     assert parse_formula("(k2*r3) -o k2") in family2
@@ -104,11 +96,12 @@ def test_branches_are_built_once_per_instruction():
 
 
 def test_encode_config_examples():
-    assert encode_config(2, Configuration(1, (2, 0))) == parse_product("l1*r1*r1")
-    assert encode_config(2, Configuration(0, (0, 0))) == parse_product("l0")
-    assert encode_config(2, Configuration(2, (0, 3))) == parse_product("l2*r2*r2*r2")
+    enc = ENCODINGS[2]
+    assert enc.config_product(Configuration(1, (2, 0))) == parse_product("l1*r1*r1")
+    assert enc.config_product(Configuration(0, (0, 0))) == parse_product("l0")
+    assert enc.config_product(Configuration(2, (0, 3))) == parse_product("l2*r2*r2*r2")
     with pytest.raises(ValueError, match="expected 2 counters, got 1"):
-        encode_config(2, Configuration(1, (0,)))
+        enc.config_product(Configuration(1, (0,)))
 
 
 def test_decode_product_examples():
@@ -164,7 +157,7 @@ def test_decode_inverts_encode_on_random_products():
         config = decode_product(n, product)
         if config is not None:
             decoded += 1
-            assert encode_config(n, config) == product
+            assert ENCODINGS[n].config_product(config) == product
     assert decoded > 100
 
 
@@ -172,7 +165,7 @@ def test_killer_product_round_trip():
     # The killer edge of a zero test turns a configuration into a killer
     # state, which encodes no configuration.
     killer = MachineEncoding.build(DEC).edges[0][1]
-    x = apply_implication(encode_config(2, Configuration(1, (0, 1))), killer)
+    x = apply_implication(ENCODINGS[2].config_product(Configuration(1, (0, 1))), killer)
     assert x == parse_product("k1*r2")
     assert decode_product(2, x) is None
 
@@ -206,7 +199,7 @@ def test_a_start_costs_its_number_of_counters_not_their_total():
     enc = MachineEncoding.build(DEC)
     huge = (("l1", 1), ("r1", 10**15))
     assert enc.sequent((10**15, 0)).input.entries == huge
-    assert encode_config(2, Configuration(1, (10**15, 0))).entries == huge
+    assert enc.config_product(Configuration(1, (10**15, 0))).entries == huge
     assert enc.config_product(Configuration(3, (2, 10**15))).entries == (("l3", 1), ("r1", 2), ("r2", 10**15))
 
 
@@ -287,7 +280,7 @@ configs = st.tuples(st.integers(0, 9), st.integers(0, 4), st.integers(0, 4)).map
 
 @given(configs)
 def test_decode_encode_round_trip(config):
-    assert decode_product(2, encode_config(2, config)) == config
+    assert decode_product(2, ENCODINGS[2].config_product(config)) == config
 
 
 def test_each_literal_is_built_once_per_encoding(monkeypatch):

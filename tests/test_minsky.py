@@ -14,7 +14,6 @@ from hornlog.minsky import (
     MinskyMachine,
     ValidationResult,
     computation_text,
-    machine_text,
     parse_computation,
     parse_machine,
     search_halting,
@@ -160,7 +159,9 @@ def test_search_rejects_negative_bounds(max_steps, max_counter):
 
 
 def test_machine_text_round_trip(dec):
-    assert parse_machine(machine_text(dec)) == dec
+    """A machine printed line by line, each instruction as ``str`` writes it, reads back as itself."""
+    text = "".join(f"{line}\n" for line in (f"counters {dec.n}", *map(str, dec.instructions)))
+    assert parse_machine(text) == dec
 
 
 def test_halt_implicit(inc):

@@ -524,23 +524,27 @@ PRODUCERS = (
 )
 
 
-def call_graph(modules: dict[str, ast.Module]) -> dict[str, set[str]]:
-    """Each definition of the modules (``module:name``, ``module:Class.name``
-    for a method, or a module-level name bound by assignment) to those it may
-    call or hand on.  A bare name resolves within its module or through a
-    relative import; ``mod.f`` through an imported module; ``C.m``, ``self.m``
-    and ``cls.m`` to the method the class defines or inherits, ``super().m``
-    to its bases'; a class to its constructor methods; any other
-    ``x.m(...)`` to every method named ``m``.  A nested function is its
-    outermost definition's body.  Calls made implicitly, by an operator or a
-    property, are not followed."""
-    bodies, methods, classes = {}, {}, {}  # classes: class to the names of its bases
+def index(modules: dict[str, ast.Module]):
+    """The definitions of the modules (``module:name``, ``module:Class.name``
+    for a method, ``module:Class`` for a class, or a module-level name bound
+    by assignment), each with the code it runs and its class, if a method; the
+    classes, each to the names of its bases; and ``resolve(module, cls, node,
+    called)``, the definitions a name or attribute read in a module may be.  A
+    bare name resolves within its module or through a relative import; ``mod.f``
+    through an imported module; ``C.m``, ``self.m`` and ``cls.m`` to the method
+    the class defines or inherits, ``super().m`` to its bases'; a class to
+    itself and its constructor methods; a module-level name read as ``x.m`` to
+    itself; any other ``x.m(...)`` to every method named ``m``.  A class runs
+    its class-level statements: annotations, assignments, decorators."""
+    bodies, methods, classes = {}, {}, {}
     names = {}  # (module, bare name) to a set of definitions, a module, or the (module, name) it imports
     for module, tree in modules.items():
         for top in tree.body:
             if isinstance(top, ast.ClassDef):
                 ident = f"{module}:{top.name}"
                 names[module, top.name], classes[ident] = {ident}, [stated(base) for base in top.bases]
+                own = [s for s in top.body if not isinstance(s, FUNCTIONS)]
+                bodies[ident] = ast.Module(own + [ast.Expr(d) for d in top.decorator_list], []), ident
                 for fn in top.body:
                     if isinstance(fn, FUNCTIONS):
                         bodies[f"{ident}.{fn.name}"] = fn, ident
@@ -578,7 +582,7 @@ def call_graph(modules: dict[str, ast.Module]) -> dict[str, set[str]]:
         if isinstance(node, ast.Name):
             found = lookup(module, node.id)
             found = found if isinstance(found, set) else set()
-            return (found - classes.keys()) | members(found & classes.keys(), "__init__", "__new__", "__post_init__")
+            return found | members(found & classes.keys(), "__init__", "__new__", "__post_init__")
         if not isinstance(node, ast.Attribute):
             return set()
         base = node.value
@@ -590,9 +594,17 @@ def call_graph(modules: dict[str, ast.Module]) -> dict[str, set[str]]:
         if isinstance(base, ast.Name) and base.id in ("self", "cls") and cls:
             found = {cls}
         if found:
-            return members(found & classes.keys(), node.attr)
+            return (found - classes.keys()) | members(found & classes.keys(), node.attr)
         return methods.get(node.attr, set()) if called else set()
 
+    return bodies, classes, resolve
+
+
+def call_graph(modules: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Each definition of the modules (see ``index``) to those it may call or
+    hand on.  A nested function is its outermost definition's body.  Calls
+    made implicitly, by an operator or a property, are not followed."""
+    bodies, classes, resolve = index(modules)
     graph = {}
     for ident, (top, cls) in bodies.items():
         module, graph[ident] = ident.split(":")[0], set()
@@ -604,6 +616,9 @@ def call_graph(modules: dict[str, ast.Module]) -> dict[str, set[str]]:
                 graph[ident] |= resolve(module, cls, node.func, True)
             elif isinstance(getattr(node, "ctx", None), ast.Load):
                 graph[ident] |= resolve(module, cls, node, False)
+        if ident in classes:  # its bases, as classes, not as constructors called
+            for base in classes[ident]:
+                graph[ident] |= resolve(module, None, ast.Name(base), False) & classes.keys()
         graph[ident].discard(ident)
     return graph
 
@@ -731,3 +746,181 @@ def test_readme_states_the_kernel():
     section = " ".join(readme.split("\n## The kernel\n", 1)[1].split("\n## ", 1)[0].split())
     assert f"{len(KERNEL)} functions, {sum(spans[ident] for ident in KERNEL)} lines of `src/`" in section
     assert [ident for ident in KERNEL if f"`{ident.replace('.py:', '.')}`" not in section] == []
+
+
+# --- Reachability ------------------------------------------------------------
+#
+# src/ holds only what a command, a checker or the bench reaches: every
+# definition is reached from cli.main, from a name perfbench/ reads, or from
+# a LIBRARY entry, which states on its line why it stays without a caller.
+BENCH = SRC.parents[1] / "perfbench"
+LIBRARY = {
+    "syntax.py:parse_product": "a public reader: the text of one product",
+    "syntax.py:parse_formula": "a public reader: the text of one implication",
+    "syntax.py:parse_member": "a public reader: the text of any one zone member",
+    "ll.py:ll_cbang": "the ninth flat builder, for the theorem's converse (ROADMAP item 2)",
+    "ll.py:loplus_distance_sum": "the reference normalizer's measure, read by the acceptance test",
+}
+
+
+def dotted(node) -> str | None:
+    """``a.b.c`` for a chain of attributes on a name; None for any other node."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def bench_reads(modules: dict[str, ast.Module], tracer: str, workloads: str) -> dict[str, set[str]]:
+    """Each ``hornlog`` name the bench reads (``module.py:path``) to the
+    definitions of ``modules`` it resolves to: the functions the tracer's
+    ``WRAPPED`` names, and every longest attribute chain the workloads read
+    from a hornlog import (``ll.ll_i``, ``hornlog.MachineEncoding.build``,
+    ``SimpleProduct.of``)."""
+    wrapped = next(node.value for node in ast.parse(tracer).body
+                   if isinstance(node, ast.Assign) and stated(node.targets[0]) == "WRAPPED")
+    reads = [(f"{module}.py", path) for module, path in ast.literal_eval(wrapped)]
+    tree = ast.parse(workloads)
+    heads = {}  # a name the workloads bind to a hornlog module, or to a name in one
+    for _, module, name, bound in imports(tree):
+        if (module or "").split(".")[0] != "hornlog":
+            continue
+        home = f"{module.partition('.')[2] or '__init__'}.py"
+        if name == module:  # import hornlog
+            heads[bound] = (home, None)
+        elif home == "__init__.py" and f"{name}.py" in modules:  # from hornlog import ll
+            heads[bound] = (f"{name}.py", None)
+        else:  # from hornlog[.syntax] import name
+            heads[bound] = (home, name)
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        head, _, rest = ((dotted(node) if id(node) not in inner else None) or "").partition(".")
+        if head in heads:
+            module, name = heads[head]
+            path = ".".join(part for part in (name, rest) if part)
+            if path:
+                reads.append((module, path))
+    _, _, resolve = index(modules)
+    return {f"{module}:{path}": resolve(module, None, ast.parse(path, mode="eval").body, False)
+            for module, path in sorted(set(reads))}
+
+
+def unreached(modules: dict[str, ast.Module], roots) -> list[str]:
+    """Each root no module defines (``<root> undefined``), then every
+    definition of the modules that no root reaches.  Every dunder, property
+    and ``lazy`` attribute is a root too: the graph does not follow the
+    implicit calls that run them."""
+    graph, (bodies, _, _) = call_graph(modules), index(modules)
+    implicit = [
+        ident for ident, (top, _) in bodies.items()
+        if ident.split(":")[1].split(".")[-1][:2] == ident[-2:] == "__"
+        or {*map(stated, getattr(top, "decorator_list", ()))} & {"property", "lazy"}
+    ]
+    found = [f"{root} undefined" for root in roots if root not in graph]
+    reached = {root for root in (*roots, *implicit) if root in graph}
+    queue = list(reached)
+    for ident in queue:
+        queue += sorted(graph[ident] - reached)
+        reached |= graph[ident]
+    return found + sorted(graph.keys() - reached)
+
+
+def src_modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def bench_reads_of_src() -> dict[str, set[str]]:
+    return bench_reads(src_modules(), (BENCH / "tracer.py").read_text(), (BENCH / "workloads.py").read_text())
+
+
+def test_every_name_the_bench_reads_resolves_in_src():
+    assert [name for name, found in bench_reads_of_src().items() if not found] == [], (
+        "The bench wraps and calls these names; a function deleted from src/ while the bench "
+        "still names it fails the bench run.")
+
+
+def test_src_holds_only_what_a_command_a_checker_or_the_bench_reaches():
+    roots = ["cli.py:main", *LIBRARY, *(ident for found in bench_reads_of_src().values() for ident in found)]
+    assert unreached(src_modules(), roots) == [], (
+        "A definition no command, checker or bench run reaches is dead code; delete it, or list it "
+        "in LIBRARY with the reason it stays.")
+
+
+REACH_SEED = {
+    "__init__.py": '''
+from .shapes import Shape, grow
+''',
+    "cli.py": '''
+import re
+from .shapes import Shape
+
+_NAME_RE = re.compile(r"[a-z]+")
+
+def main(argv):
+    return [Shape(a).area for a in argv if _NAME_RE.match(a)]
+
+def unused(argv):
+    return main(argv)
+''',
+    "shapes.py": '''
+Side = tuple[int, int]
+
+class Shape:
+    sides: Side
+
+    def __init__(self, text):
+        self.text = text
+
+    @property
+    def area(self):
+        return self._measure()
+
+    def _measure(self):
+        return len(self.text)
+
+    def __repr__(self):
+        return quoted(self.text)
+
+    def scale(self):
+        return Shape(self.text * 2)
+
+def quoted(text):
+    return repr(text)
+
+def grow(shape):
+    return shape.scale()
+
+def shrink(shape):
+    return shape
+''',
+}
+REACH_SEED_TRACER = 'WRAPPED = (("shapes", "shrink"), ("shapes", "Shape.gone"))\n'
+REACH_SEED_WORKLOADS = '''
+import hornlog
+from hornlog import shapes
+from hornlog.shapes import Shape
+
+def op(text):
+    return hornlog.grow(Shape(text)), shapes.Shape.area
+'''
+
+
+def test_reachability_finds_its_seeded_findings():
+    modules = {name: ast.parse(source) for name, source in REACH_SEED.items()}
+    reads = bench_reads(modules, REACH_SEED_TRACER, REACH_SEED_WORKLOADS)
+    assert reads == {
+        "__init__.py:grow": {"shapes.py:grow"},
+        "shapes.py:Shape": {"shapes.py:Shape", "shapes.py:Shape.__init__"},
+        "shapes.py:Shape.area": {"shapes.py:Shape.area"},
+        "shapes.py:Shape.gone": set(),
+        "shapes.py:shrink": {"shapes.py:shrink"},
+    }
+    # A dead function and a LIBRARY entry naming nothing are found; a method
+    # reached only through a property, a function reached only through a
+    # dunder, a constant used only as _NAME_RE.match and an alias used only in
+    # a class-level annotation are not.
+    assert unreached(modules, ["cli.py:main", "shapes.py:gone"]) == [
+        "shapes.py:gone undefined", "cli.py:unused", "shapes.py:Shape.scale", "shapes.py:grow", "shapes.py:shrink"]
+    roots = ["cli.py:main", *(ident for found in reads.values() for ident in found)]
+    assert unreached(modules, roots) == ["cli.py:unused"]
