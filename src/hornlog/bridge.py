@@ -22,8 +22,6 @@ violations are reported with a code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .encoding import MachineEncoding, decode_product
 from .minsky import Computation, Configuration, ValidationResult, search_halting, validate_halting_run
 from .programs import (
@@ -34,7 +32,7 @@ from .programs import (
     program_height,
     verify_strong_solution,
 )
-from .syntax import HornSequent
+from .syntax import HornSequent, Value
 
 MAIN_LEAF_NOT_L0 = "MAIN_LEAF_NOT_L0"
 SIDE_CHAIN_FOREIGN_FORMULA = "SIDE_CHAIN_FOREIGN_FORMULA"
@@ -58,23 +56,29 @@ class ExtractionError(ValueError):
         super().__init__(f"{code}{where}: {detail}")
 
 
-@dataclass(frozen=True)
-class SideChain:
+class SideChain(Value):
     """A zero-test side branch: fork vertex, killer index, and the chain."""
 
+    __match_args__ = ("fork_vertex", "counter", "vertices", "kill_count")
     fork_vertex: int
     counter: int  # the tested counter m
     vertices: tuple[int, ...]  # from the fork's side child to the final leaf
     kill_count: int  # edges before the closing one
 
+    def __init__(self, fork_vertex: int, counter: int, vertices: tuple[int, ...], kill_count: int):
+        self.__dict__.update(fork_vertex=fork_vertex, counter=counter, vertices=vertices, kill_count=kill_count)
 
-@dataclass(frozen=True)
-class ProgramTrace:
+
+class ProgramTrace(Value):
     """A built program together with its main branch bookkeeping."""
 
+    __match_args__ = ("program", "main_vertices", "side_chains")
     program: HornProgram
     main_vertices: tuple[int, ...]
     side_chains: tuple[SideChain, ...]
+
+    def __init__(self, program: HornProgram, main_vertices: tuple[int, ...], side_chains: tuple[SideChain, ...]):
+        self.__dict__.update(program=program, main_vertices=main_vertices, side_chains=side_chains)
 
 
 def computation_to_program(enc: MachineEncoding, computation: Computation) -> ProgramTrace:
@@ -218,15 +222,21 @@ BOUNDS_INCONCLUSIVE = "BOUNDS_INCONCLUSIVE"
 DISAGREEMENT = "DISAGREEMENT"
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
+class RoundTripReport(Value):
+    __match_args__ = ("code", "detail", "computation", "trace", "extracted", "witness", "sequent")
     code: str
-    detail: str = ""
-    computation: Computation | None = None
-    trace: ProgramTrace | None = None
-    extracted: Computation | None = None
-    witness: HornProgram | None = None
-    sequent: HornSequent | None = None
+    detail: str
+    computation: Computation | None
+    trace: ProgramTrace | None
+    extracted: Computation | None
+    witness: HornProgram | None
+    sequent: HornSequent | None
+
+    def __init__(self, code: str, detail: str = "", computation: Computation | None = None,
+                 trace: ProgramTrace | None = None, extracted: Computation | None = None,
+                 witness: HornProgram | None = None, sequent: HornSequent | None = None):
+        self.__dict__.update(code=code, detail=detail, computation=computation, trace=trace, extracted=extracted,
+                             witness=witness, sequent=sequent)
 
     def __str__(self) -> str:
         return f"{self.code}{': ' + self.detail if self.detail else ''}"

@@ -10,14 +10,13 @@ checker of its kind; one that fails is a fault of hornlog, exit 3, not written.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import re
 import sys
 
 from . import bridge, hll, ll, minsky, programs
 from .encoding import MachineEncoding
 from .minsky import parse_computation, parse_machine
-from .syntax import FormatError, parse_sequent, sequent_text
+from .syntax import FormatError, HornSequent, parse_sequent, sequent_text
 
 OK, REJECT, MALFORMED, INTERNAL = 0, 1, 2, 3
 _INTEGER_RE = re.compile(r"\s*-?[0-9]+\s*")
@@ -190,9 +189,10 @@ def cmd_bridge_comp_to_prog(args) -> int:
     except bridge.RejectedRun as exc:
         print(f"reject {exc.result}")
         return REJECT
-    # The sequent the run's first configuration encodes.
+    # The sequent the run's first configuration encodes; its zones are canonical already.
     start = computation.configs[0]
-    sequent = dataclasses.replace(enc.sequent(start.counters), input=enc.config_product(start))
+    s = enc.sequent(start.counters)
+    sequent = HornSequent.of_canonical(enc.config_product(start), s.linear, s.banged, s.goal)
     return _write_program(trace.program, sequent, args)
 
 

@@ -29,7 +29,6 @@ an encoded configuration back as a ``Configuration``; it is the inverse of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .minsky import (
@@ -49,6 +48,7 @@ from .syntax import (
     OplusImplication,
     PlainImplication,
     SimpleProduct,
+    Value,
     lazy,
     tensor_all,
 )
@@ -114,8 +114,7 @@ def decode_product(n: int, product: SimpleProduct, roles: dict | None = None) ->
     return Configuration(label, tuple(counts))
 
 
-@dataclass(frozen=True)
-class MachineEncoding:
+class MachineEncoding(Value):
     """A machine's formulas with their provenance kept separate.
 
     ``phi[i]`` is the formula of instruction i (None for halt); killer
@@ -124,10 +123,16 @@ class MachineEncoding:
     first use.
     """
 
+    __match_args__ = ("machine", "phi", "literal")
+    _hidden = ("literal",)
     machine: MinskyMachine
     phi: tuple[HornFormula | None, ...]
     # A literal's one-literal product; ``build`` makes each once per encoding.
-    literal: Callable[[str], SimpleProduct] = field(compare=False, repr=False)
+    literal: Callable[[str], SimpleProduct]
+
+    def __init__(self, machine: MinskyMachine, phi: tuple[HornFormula | None, ...],
+                 literal: Callable[[str], SimpleProduct]):
+        self.__dict__.update(machine=machine, phi=phi, literal=literal)
 
     @staticmethod
     def build(machine: MinskyMachine) -> "MachineEncoding":

@@ -31,7 +31,6 @@ take each rule parameter, rejected on any other; an omitted frame is empty.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from operator import attrgetter
@@ -47,6 +46,7 @@ from .syntax import (
     OplusImplication,
     PlainImplication,
     SimpleProduct,
+    Value,
     lazy,
     multiset_minus,
     member_parser,
@@ -87,31 +87,40 @@ _RULES = {
 }
 
 
-@dataclass(frozen=True)
-class HllProof:
+class HllProof(Value):
+    __match_args__ = ("rule", "conclusion", "premises", "principal", "frame")
     rule: HllRule
     conclusion: HornSequent
-    premises: tuple["HllProof", ...] = ()
-    principal: Member | None = None  # I (a product), H, OPLUS_H, LBANG, WBANG, CBANG
-    frame: Frame | None = None  # M (a SimpleProduct), OPLUS_H (maybe empty)
-    checked: bool = field(default=False, init=False, compare=False, repr=False)  # set by draw alone
+    premises: tuple[HllProof, ...]
+    principal: Member | None  # I (a product), H, OPLUS_H, LBANG, WBANG, CBANG
+    frame: Frame | None  # M (a SimpleProduct), OPLUS_H (maybe empty)
+    checked = False  # not a field; set by draw alone
+
+    def __init__(self, rule: HllRule, conclusion: HornSequent, premises: tuple = (), principal=None, frame=None):
+        self.__dict__.update(rule=rule, conclusion=conclusion, premises=premises, principal=principal, frame=frame)
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(Value):
+    __match_args__ = ("path", "rule", "reason")
     path: tuple[int, ...]  # premise indices from the root
     rule: str
     reason: str
+
+    def __init__(self, path: tuple[int, ...], rule: str, reason: str):
+        self.__dict__.update(path=path, rule=rule, reason=reason)
 
     def __str__(self) -> str:
         where = "root" if not self.path else ".".join(str(i) for i in self.path)
         return f"{self.rule} at {where}: {self.reason}"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
+    __match_args__ = ("ok", "failure")
     ok: bool
-    failure: CheckFailure | None = None
+    failure: CheckFailure | None
+
+    def __init__(self, ok: bool, failure: CheckFailure | None = None):
+        self.__dict__.update(ok=ok, failure=failure)
 
     def __str__(self) -> str:
         return "valid" if self.ok else str(self.failure)
@@ -332,8 +341,7 @@ def cut(premise1: HllProof, premise2: HllProof) -> HllProof:
 # --- Proof files -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofFormat:
+class ProofFormat(Value):
     """How one calculus's proofs read and write as a flat table: ``formulas``
     holds each distinct member text once, ``conclusion`` the end-sequent's
     parts, and ``nodes`` the inferences in post-order, each with its
@@ -344,6 +352,7 @@ class ProofFormat:
     the kind ``rules`` gives, and the rule parameters, each taken by the
     rules ``takers`` names.  ``node`` is the node class."""
 
+    __match_args__ = ("node", "conclude", "sequent", "rules", "takers", "parts", "fields")
     node: type
     conclude: Callable
     sequent: type
@@ -351,6 +360,11 @@ class ProofFormat:
     takers: dict
     parts: tuple
     fields: tuple
+
+    def __init__(self, node: type, conclude: Callable, sequent: type, rules: dict, takers: dict, parts: tuple,
+                 fields: tuple):
+        self.__dict__.update(node=node, conclude=conclude, sequent=sequent, rules=rules, takers=takers, parts=parts,
+                             fields=fields)
 
     @lazy
     def rows(self) -> dict:  # rule name: the rule, its fields, and each one's value where omitted
@@ -370,7 +384,7 @@ def proof_to_json(proof, form: ProofFormat) -> str:
         return indices[0] if count == 1 else indices
 
     def row(node, premises: list[int]) -> int:
-        data = {"rule": node.rule.value}
+        data = {"rule": node.rule._value_}  # Enum.value is a property that runs in Python
         if premises:
             data["premises"] = premises
         for name, kind, count in form.fields:

@@ -43,7 +43,6 @@ Proof files are ``hll``'s proof table, laid out for this calculus.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from math import prod
@@ -60,6 +59,7 @@ from .syntax import (
     OplusImplication,
     PlainImplication,
     SimpleProduct,
+    Value,
     canonical_zone,
     match_antecedent,
     multiset_minus,
@@ -73,13 +73,13 @@ class ProofStructureError(ValueError):
     """A proof object is malformed beyond schema mismatch (corrupt input)."""
 
 
-@dataclass(frozen=True)
-class LlSequent:
+class LlSequent(Value):
+    __match_args__ = ("context", "goal")
     context: tuple[Member, ...]
     goal: SimpleProduct
 
-    def __post_init__(self):
-        object.__setattr__(self, "context", canonical_zone(self.context))
+    def __init__(self, context: tuple, goal: SimpleProduct):
+        self.__dict__.update(context=canonical_zone(context), goal=goal)
 
     @classmethod
     def of_canonical(cls, context, goal):
@@ -113,16 +113,21 @@ _LL_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class LlProof:
+class LlProof(Value):
+    __match_args__ = ("rule", "conclusion", "premises", "principal", "split", "tag")
     rule: LlRule
     conclusion: LlSequent
-    premises: tuple["LlProof", ...] = ()
-    principal: Member | None = None
+    premises: tuple[LlProof, ...]
+    principal: Member | None
     # LTENSOR records how the principal product splits in the premise.
-    split: tuple[SimpleProduct, SimpleProduct] | None = None
-    tag: int | None = None  # LIMPOPLUS: the tag of the choice it consumes
-    checked: bool = field(default=False, init=False, compare=False, repr=False)  # set by hll.draw alone
+    split: tuple[SimpleProduct, SimpleProduct] | None
+    tag: int | None  # LIMPOPLUS: the tag of the choice it consumes
+    checked = False  # not a field; set by hll.draw alone
+
+    def __init__(self, rule: LlRule, conclusion: LlSequent, premises: tuple = (), principal=None, split=None,
+                 tag=None):
+        self.__dict__.update(rule=rule, conclusion=conclusion, premises=premises, principal=principal, split=split,
+                             tag=tag)
 
 
 def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequent | str:

@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import re
 from collections import deque, namedtuple
-from dataclasses import dataclass
-
-from .syntax import lazy
+from .syntax import Value, lazy
 
 INC, DEC, TESTPOS, TESTZERO, HALT = "inc", "dec", "ifpos", "ifzero", "halt"
 
 HALT_LABEL = 0
+_set = object.__setattr__
 
 
 class MachineFormatError(ValueError):
@@ -46,23 +45,29 @@ class MachineFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(Value):
+    __match_args__ = ("kind", "label", "counter", "target")
     kind: str  # one of INC, DEC, TESTPOS, TESTZERO, HALT
     label: int
-    counter: int | None = None  # 1-based; None for halt
-    target: int | None = None
+    counter: int | None  # 1-based; None for halt
+    target: int | None
 
-    def __post_init__(self):
-        if self.kind == HALT:
-            if self.label != HALT_LABEL or self.counter is not None or self.target is not None:
+    def __init__(self, kind: str, label: int, counter: int | None = None, target: int | None = None):
+        # Not through __dict__: once read, the dict holds the fields for good, and the halting
+        # search, which reads them at every step, reads them twice as fast where they are kept otherwise.
+        _set(self, "kind", kind)
+        _set(self, "label", label)
+        _set(self, "counter", counter)
+        _set(self, "target", target)
+        if kind == HALT:
+            if label != HALT_LABEL or counter is not None or target is not None:
                 raise ValueError("halt must be 'L0: halt'")
         else:
-            if self.kind not in (INC, DEC, TESTPOS, TESTZERO):
-                raise ValueError(f"unknown instruction kind {self.kind!r}")
-            if self.label < 1:
-                raise ValueError(f"non-halt instruction label must be >= 1, got L{self.label}")
-            if self.counter is None or self.counter < 1 or self.target is None or self.target < 0:
+            if kind not in (INC, DEC, TESTPOS, TESTZERO):
+                raise ValueError(f"unknown instruction kind {kind!r}")
+            if label < 1:
+                raise ValueError(f"non-halt instruction label must be >= 1, got L{label}")
+            if counter is None or counter < 1 or target is None or target < 0:
                 raise ValueError(f"malformed instruction {self!r}")
 
     def __str__(self) -> str:
@@ -91,11 +96,14 @@ class Configuration(namedtuple("Configuration", ("label", "counters"))):
         return f"L{self.label} : {','.join(str(c) for c in self.counters)}"
 
 
-@dataclass(frozen=True)
-class MinskyMachine:
+class MinskyMachine(Value):
+    __match_args__ = ("n", "instructions", "labels")
     n: int
     instructions: tuple[Instruction, ...]
     labels: frozenset[int]
+
+    def __init__(self, n: int, instructions: tuple[Instruction, ...], labels: frozenset[int]):
+        self.__dict__.update(n=n, instructions=instructions, labels=labels)
 
     @staticmethod
     def build(n: int, instructions: list[Instruction] | tuple[Instruction, ...]) -> "MinskyMachine":
@@ -155,29 +163,33 @@ class MinskyMachine:
         return Configuration(label, tuple(counters))
 
 
-@dataclass(frozen=True)
-class Computation:
+class Computation(Value):
     """A validated-shape move sequence: len(moves) == len(configs) - 1.
 
     Moves are 0-based indices into the machine's instruction list; whether
     each move is actually enabled is the business of validate_computation.
     """
 
+    __match_args__ = ("configs", "moves")
     configs: tuple[Configuration, ...]
     moves: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.configs:
+    def __init__(self, configs: tuple[Configuration, ...], moves: tuple[int, ...]):
+        self.__dict__.update(configs=configs, moves=moves)
+        if not configs:
             raise ValueError("a computation has at least one configuration")
-        if len(self.moves) != len(self.configs) - 1:
+        if len(moves) != len(configs) - 1:
             raise ValueError("need exactly one move per configuration step")
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(Value):
+    __match_args__ = ("ok", "index", "reason")
     ok: bool
-    index: int | None = None
-    reason: str | None = None
+    index: int | None
+    reason: str | None
+
+    def __init__(self, ok: bool, index: int | None = None, reason: str | None = None):
+        self.__dict__.update(ok=ok, index=index, reason=reason)
 
     def __str__(self) -> str:
         return "valid" if self.ok else f"at index {self.index}: {self.reason}"

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -44,6 +43,7 @@ from .syntax import (
     OplusImplication,
     PlainImplication,
     SimpleProduct,
+    Value,
     apply_implication,
     lazy,
     member_parser,
@@ -55,16 +55,20 @@ from .syntax import (
 Edge = tuple[int, int]  # (parent, child)
 
 
-@dataclass(frozen=True)
-class HornProgram:
+class HornProgram(Value):
+    __match_args__ = ("root", "vertices", "edges", "children", "charges")
+    _hidden = ("children", "charges")
     root: int
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, PlainImplication], ...]  # parent, child, label
     # Every vertex to its (child, label) pairs in edge order; () at a leaf.
-    children: dict[int, tuple[tuple[int, PlainImplication], ...]] = field(compare=False, repr=False)
+    children: dict[int, tuple[tuple[int, PlainImplication], ...]]
     # Every vertex to the formula its out-edges charge; None at a leaf.
-    charges: dict[int, HornFormula | None] = field(compare=False, repr=False)
+    charges: dict[int, HornFormula | None]
     _evaluated = None  # not a field: the last ``evaluate`` input and its values
+
+    def __init__(self, root: int, vertices: tuple[int, ...], edges: tuple, children: dict, charges: dict):
+        self.__dict__.update(root=root, vertices=vertices, edges=edges, children=children, charges=charges)
 
     @staticmethod
     def build(root: int, edges: Iterable[tuple[int, int, PlainImplication]]) -> "HornProgram":
@@ -184,14 +188,18 @@ FOREIGN_FORMULA = "FOREIGN_FORMULA"
 LINEAR_COUNT = "LINEAR_COUNT"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
+    __match_args__ = ("kind", "vertex", "edge", "formula", "count", "detail")
     kind: str
-    vertex: int | None = None
-    edge: Edge | None = None
-    formula: HornFormula | None = None
-    count: int | None = None
-    detail: str = ""
+    vertex: int | None
+    edge: Edge | None
+    formula: HornFormula | None
+    count: int | None
+    detail: str
+
+    def __init__(self, kind: str, vertex: int | None = None, edge: Edge | None = None,
+                 formula: HornFormula | None = None, count: int | None = None, detail: str = ""):
+        self.__dict__.update(kind=kind, vertex=vertex, edge=edge, formula=formula, count=count, detail=detail)
 
     def __str__(self) -> str:
         parts = [self.kind]
@@ -208,10 +216,13 @@ class Violation:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class StrongSolutionReport:
+class StrongSolutionReport(Value):
+    __match_args__ = ("ok", "violations")
     ok: bool
-    violations: tuple[Violation, ...] = ()
+    violations: tuple[Violation, ...]
+
+    def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
+        self.__dict__.update(ok=ok, violations=violations)
 
     def __str__(self) -> str:
         if self.ok:

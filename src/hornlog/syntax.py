@@ -46,6 +46,11 @@ and ``parse_formula`` and the sequent's formula lists read a member and
 check its kind.  Formula lists are comma separated and may be empty;
 whitespace is insignificant.  Printing emits the canonical form, and
 parse/print round-trip bit-exactly on canonical text.
+
+Every value class of the package, here and in the other modules, derives
+from :class:`Value`: a frozen record whose ``__match_args__`` names its
+fields, with equality, hash and repr read from that one tuple at run time, so
+importing the package generates and compiles no code.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
@@ -92,7 +96,50 @@ class lazy:
         return instance.__dict__.setdefault(self.name, self.func(instance))
 
 
-class Printed:
+class FrozenError(AttributeError):
+    """An assignment to, or deletion of, an attribute of a :class:`Value`."""
+
+
+class Value:
+    """A frozen record of the fields ``__match_args__`` names, in the order its
+    ``__init__`` takes them, declared with no code generated at import.
+
+    ``__eq__`` and ``__hash__`` compare the fields as one tuple, leaving out
+    those ``_hidden`` names; a value of another class is ``NotImplemented``.
+    ``__repr__`` prints the same fields as ``Class(name=value, ...)``, and
+    assignment and deletion raise :class:`FrozenError`.  Each subclass stores
+    its fields in an ``__init__`` of its own, most straight into the instance
+    ``__dict__``, where ``lazy`` values go too: one loop over the field names
+    for every class would cost twice as much per instance.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()  # fields outside equality, hash and repr
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._shown = tuple(name for name in cls.__match_args__ if name not in cls._hidden)
+        if cls._shown:
+            cls._key = attrgetter(*cls._shown)
+
+    def __eq__(self, other) -> bool:
+        key = self._key
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._shown)})"
+
+    def __setattr__(self, name, value):
+        raise FrozenError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenError(f"cannot delete field {name!r}")
+
+
+class Printed(Value):
     """A value printed as its canonical ``text``, which it computes once.
 
     The text is the member's identity: two members are equal exactly when
@@ -109,7 +156,6 @@ class Printed:
         return self.text
 
 
-@dataclass(frozen=True, eq=False)
 class Frame(Printed):
     """A literal multiset, possibly empty: the residual of an antecedent match.
 
@@ -117,16 +163,18 @@ class Frame(Printed):
     :class:`SimpleProduct`.
     """
 
-    entries: Entries = ()
+    __match_args__ = ("entries",)
+    entries: Entries
 
-    def __post_init__(self):
-        counts = dict(self.entries)
+    def __init__(self, entries: Entries = ()):
+        self.__dict__["entries"] = entries
+        counts = dict(entries)
         for name, count in counts.items():
             check_literal(name)
             if count < 1:
                 raise ValueError(f"literal {name!r} has non-positive count {count}")
-        if self.entries != tuple(sorted(counts.items())):
-            raise ValueError(f"entries not canonical: {self.entries!r}")
+        if entries != tuple(sorted(counts.items())):
+            raise ValueError(f"entries not canonical: {entries!r}")
 
     @classmethod
     def _trusted(cls, entries: Entries):
@@ -169,10 +217,10 @@ class Frame(Printed):
 class SimpleProduct(Frame):
     """A non-empty literal multiset: the products formulas and sequents hold."""
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: Entries = ()):
+        if not entries:
             raise ValueError("a simple product must contain at least one literal")
-        super().__post_init__()
+        super().__init__(entries)
 
     def tensor(self, other: Frame) -> "SimpleProduct":
         return SimpleProduct._trusted(_plus(dict(self.entries), other.entries))
@@ -184,25 +232,20 @@ class SimpleProduct(Frame):
         return SimpleProduct._trusted(tuple((name, count * k) for name, count in self.entries))
 
 
-class Choice(Printed):
-    """A frozen choice, its two sides stored in text order (choice commutes)."""
-
-    def __post_init__(self):
-        if self.right.text < self.left.text:
-            left, right = self.right, self.left
-            object.__setattr__(self, "left", left)
-            object.__setattr__(self, "right", right)
-
-
 def canonical_zone(members: Iterable) -> tuple:
     """A zone or flat context in canonical order: sorted by printed text."""
     return tuple(sorted(members, key=attrgetter("text")))
 
 
-@dataclass(frozen=True, eq=False)
 class PlainImplication(Printed):
+    __match_args__ = ("antecedent", "consequent")
     antecedent: SimpleProduct
     consequent: SimpleProduct
+
+    def __init__(self, antecedent: SimpleProduct, consequent: SimpleProduct):
+        fields = self.__dict__
+        fields["antecedent"] = antecedent
+        fields["consequent"] = consequent
 
     @lazy
     def text(self) -> str:
@@ -214,13 +257,18 @@ class PlainImplication(Printed):
         return (self,)
 
 
-@dataclass(frozen=True, eq=False)
-class OplusImplication(Choice):
-    """``X -o (Y1 + Y2)``; the two consequents are stored in text order."""
+class OplusImplication(Printed):
+    """``X -o (Y1 + Y2)``; the two consequents are stored in text order (choice commutes)."""
 
+    __match_args__ = ("antecedent", "left", "right")
     antecedent: SimpleProduct
     left: SimpleProduct
     right: SimpleProduct
+
+    def __init__(self, antecedent: SimpleProduct, left: SimpleProduct, right: SimpleProduct):
+        fields = self.__dict__
+        fields["antecedent"] = antecedent
+        fields["left"], fields["right"] = (right, left) if right.text < left.text else (left, right)
 
     @lazy
     def text(self) -> str:
@@ -235,24 +283,32 @@ class OplusImplication(Choice):
 HornFormula = PlainImplication | OplusImplication
 
 
-@dataclass(frozen=True, eq=False)
 class LlBang(Printed):
     # Payload is normally an implication; a banged product is representable
     # so the checker can reject it against the side condition.
+    __match_args__ = ("formula",)
     formula: HornFormula | SimpleProduct
+
+    def __init__(self, formula: HornFormula | SimpleProduct):
+        self.__dict__["formula"] = formula
 
     @lazy
     def text(self) -> str:
         return f"!({self.formula.text})"
 
 
-@dataclass(frozen=True, eq=False)
-class LlOplusProduct(Choice):
-    """A pending choice ``(Y1 + Y2)`` with its occurrence tag."""
+class LlOplusProduct(Printed):
+    """A pending choice ``(Y1 + Y2)`` with its occurrence tag; sides in text order, as a choice implication's."""
 
+    __match_args__ = ("left", "right", "tag")
     left: SimpleProduct
     right: SimpleProduct
     tag: int
+
+    def __init__(self, left: SimpleProduct, right: SimpleProduct, tag: int):
+        fields = self.__dict__
+        fields["left"], fields["right"] = (right, left) if right.text < left.text else (left, right)
+        fields["tag"] = tag
 
     @lazy
     def text(self) -> str:
@@ -262,22 +318,21 @@ class LlOplusProduct(Choice):
 Member = SimpleProduct | HornFormula | LlBang | LlOplusProduct
 
 
-@dataclass(frozen=True)
-class HornSequent:
+class HornSequent(Value):
     """``W ; Gamma ; Delta |- Z``: input product, linear zone, banged zone, goal.
 
     Zones are multisets; they are stored in canonical order so sequent
     equality is zone-multiset equality.
     """
 
+    __match_args__ = ("input", "linear", "banged", "goal")
     input: SimpleProduct
     linear: tuple[HornFormula, ...]
     banged: tuple[HornFormula, ...]
     goal: SimpleProduct
 
-    def __post_init__(self):
-        object.__setattr__(self, "linear", canonical_zone(self.linear))
-        object.__setattr__(self, "banged", canonical_zone(self.banged))
+    def __init__(self, input: SimpleProduct, linear: tuple, banged: tuple, goal: SimpleProduct):
+        self.__dict__.update(input=input, linear=canonical_zone(linear), banged=canonical_zone(banged), goal=goal)
 
     @classmethod
     def of_canonical(cls, input, linear, banged, goal):

@@ -34,6 +34,13 @@ from hornlog.syntax import (
 POOL = ["a", "b", "c", "d", "e"]
 
 
+def replace(value, **changes):
+    """A copy of a hornlog value with some fields changed, built through its
+    constructor, so a proof node's copy is unmarked; the constructor refuses
+    a name that is no field."""
+    return type(value)(**{**{name: getattr(value, name) for name in value.__match_args__}, **changes})
+
+
 def rand_product(rng: random.Random, pool=POOL, max_size=3) -> SimpleProduct:
     return SimpleProduct.of(*rng.choices(pool, k=rng.randint(1, max_size)))
 

@@ -15,11 +15,10 @@ checks valid exactly when a builder makes it.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
-from corpora import hll_corpus, ll_corpus
+from corpora import hll_corpus, ll_corpus, replace
 from hornlog import hll, ll
 from hornlog.syntax import Frame, OplusImplication, PlainImplication, SimpleProduct
 

@@ -1,11 +1,10 @@
-import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from corpora import chain
+from corpora import chain, replace
 from hornlog import bridge, cli, minsky, programs
 from hornlog.minsky import Computation, Configuration, parse_computation, parse_machine, validate_computation
 from hornlog.programs import HornProgram, program_from_json, program_height, program_to_json, prove_bounded as prove
@@ -686,7 +685,7 @@ def _one_edge_dropped(build):
     def sabotaged(enc, computation):
         trace = build(enc, computation)
         program = HornProgram.build(trace.program.root, trace.program.edges[:-1])
-        return dataclasses.replace(trace, program=program)
+        return replace(trace, program=program)
     return sabotaged
 
 

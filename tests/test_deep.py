@@ -3,7 +3,7 @@
 No layer may fail on a valid object just because it is deep; the chain and
 the stacked weakenings once raised ``RecursionError``, and so did the nested
 proof JSON that the flat proof table replaced.  Deep proofs are compared
-through their JSON text, since dataclass equality itself recurses.  A proof
+through their JSON text, since field equality itself recurses.  A proof
 file states each inference but no conclusion save the end-sequent, so its
 size is linear in the node count.
 """

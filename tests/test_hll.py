@@ -1,10 +1,9 @@
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
-from corpora import hll_corpus, hll_rule_counts, ll_corpus
+from corpora import hll_corpus, hll_rule_counts, ll_corpus, replace
 from hornlog import hll, ll
 from hornlog.hll import (
     HllProof,
@@ -221,7 +220,7 @@ def test_serialization_round_trip():
 def assert_same_conclusions(proof, again):
     """Both trees have the same rules and premise counts in preorder, and
     each node of ``again`` concludes what its counterpart in ``proof`` does;
-    a walk, since dataclass equality recurses."""
+    a walk, since field equality recurses."""
     pairs = [[node for node, _ in hll.walk(tree)] for tree in (proof, again)]
     assert len(pairs[0]) == len(pairs[1])
     for node, other in zip(*pairs):

@@ -1,6 +1,5 @@
 import hashlib
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -11,6 +10,7 @@ from corpora import (
     ll_corpus,
     ll_separation,
     pending_choices,
+    replace,
     separated_shapes,
     stacked_weakenings,
 )

@@ -159,6 +159,16 @@ def member_equality(tree):
     return [f"{line}:{name}" for line, name in sorted(found)]
 
 
+def generated_classes(tree):
+    """Imports of ``dataclasses``, by line, and ``@dataclass`` decorators,
+    bare, called or read from a module, by line and class."""
+    found = [(line, name) for line, module, name, _ in imports(tree)
+             if (module or "").split(".")[0] == "dataclasses"]
+    found += [(deco.lineno, node.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              for deco in node.decorator_list if stated(getattr(deco, "func", deco)) == "dataclass"]
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
 def slow_lookups(tree):
     """Attribute reads on ``HllRule`` or ``LlRule`` inside a function, by
     line and the function they sit in, and each import or attribute read of
@@ -289,7 +299,7 @@ def gate(machine, run):
 ''', ["3:search", "6:computation_to_program"]),
     "zone_owner": Rule(
         lambda tree: [f"{c.lineno}:{where(within)}" for c, name, within in calls(tree) if name == "canonical_zone"],
-        ("syntax.py", "ll.py:__post_init__"),
+        ("syntax.py", "ll.py:__init__"),
         "A canonical zone grows through syntax.zone_insert and syntax.zone_merge and shrinks through "
         "multiset_minus, each linear in the zone; canonical_zone sorts it whole, which only unsorted input, "
         "a sequent built from outside, needs.", '''
@@ -459,6 +469,31 @@ class Sequent:
 class Fine(Implication):
     text: str
 ''', ["3:Printed.__eq__", "6:Implication", "12:Bang.__hash__", "14:Tagged", "16:Tagged.__eq__"]),
+    "no_generated_code": Rule(
+        generated_classes, (),
+        "dataclasses compiles each class's methods through exec at every import, and imports inspect, "
+        "which every command pays for before it reads its input; a value class derives from syntax.Value, "
+        "whose methods read one field tuple per class.", '''
+import dataclasses
+from dataclasses import dataclass, field
+import os, dataclasses as dc
+from .dataclasses import record
+from .syntax import Value
+
+@dataclass(frozen=True)
+class Point:
+    x: int
+
+@dc.dataclass
+class Pair(Value):
+    __match_args__ = ("left",)
+
+@record
+class Fine(Value):
+    def late(self):
+        from dataclasses import replace
+        return replace(self)
+''', ["2:dataclasses", "3:dataclass", "3:field", "4:dataclasses", "8:Point", "12:Pair", "19:replace"]),
     "slow_lookup": Rule(
         slow_lookups, (),
         "In Python 3.11 the enum metaclass's __getattr__ sends every attribute read on HllRule or LlRule "

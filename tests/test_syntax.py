@@ -1,9 +1,10 @@
-import dataclasses
 import json
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
+
+from corpora import replace
 
 from hornlog.syntax import (
     FormatError,
@@ -383,14 +384,14 @@ def _fieldwise(a, b) -> bool:
         return a.entries == b.entries
     return all(
         _fieldwise(x, y) if isinstance(x, Printed) else x == y
-        for x, y in zip(*([getattr(m, f.name) for f in dataclasses.fields(m)] for m in (a, b)))
+        for x, y in zip(*([getattr(m, name) for name in m.__match_args__] for m in (a, b)))
     )
 
 
 def _rebuilt(member):
     if isinstance(member, Frame):
         return type(member)(member.entries)
-    return type(member)(*(getattr(member, f.name) for f in dataclasses.fields(member)))
+    return type(member)(*(getattr(member, name) for name in member.__match_args__))
 
 
 @given(members, members, st.sampled_from(["drawn", "rebuilt", "parsed", "swapped"]))
@@ -399,7 +400,7 @@ def test_members_are_equal_exactly_when_their_fields_are(a, drawn, how):
         "drawn": drawn,
         "rebuilt": _rebuilt(a),
         "parsed": parse_member(a.text),
-        "swapped": _rebuilt(a) if not hasattr(a, "right") else dataclasses.replace(a, left=a.right, right=a.left),
+        "swapped": _rebuilt(a) if not hasattr(a, "right") else replace(a, left=a.right, right=a.left),
     }[how]
     assert (a == b) == (b == a) == _fieldwise(a, b)
     assert (a != b) == (not _fieldwise(a, b))
@@ -542,5 +543,5 @@ def test_lazy_attributes_on_frozen_dataclasses():
         assert name not in obj.__dict__
         assert getattr(obj, name) == value and obj.__dict__[name] == value
         assert getattr(obj, name) is obj.__dict__[name]
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(syntax.FrozenError):
             setattr(obj, name, None)
