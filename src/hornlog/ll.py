@@ -24,8 +24,8 @@ in the translation's fold below, and the normalizer is kept only as the
 reference that fold is tested against and the bench traces.  The left-choice
 rule is invertible: ``specialize`` replaces a tagged choice product by each of
 its components throughout a subproof, both in one traversal, so a choice
-moves in one step.  The unadjacent choices are
-found once; a move rescans only its new left choice, if others were pending.
+moves in one step.  A move redraws the consumer's second premise and every
+node below it, so the unadjacent choices are found afresh after each move.
 
 ``translate_ll_to_hll`` resolves each choice where it is consumed: one fold
 keys a node's translations by the sides chosen for the choices pending in
@@ -287,28 +287,22 @@ def _consumes(node: LlProof, index: int, tag: int) -> bool:
 
 
 def unadjacent_choice_paths(proof: LlProof) -> list[tuple[int, ...]]:
-    return _choice_paths(proof, ())
-
-
-def _choice_paths(tree: LlProof, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The paths, below ``prefix``, of the left choices in a subtree that no
-    parent within it consumes; one at the subtree's root comes first."""
+    """The paths of the left choices that their parent does not consume, in preorder."""
     return [
-        prefix + hll.path_of(trail)
-        for node, trail in hll.walk(tree)
+        hll.path_of(trail)
+        for node, trail in hll.walk(proof)
         if node.rule is LOPLUS
         and (trail is None or not _consumes(trail[1], trail[2], node.principal.tag))
     ]
 
 
-def _move_choice(proof: LlProof, path: tuple[int, ...]):
+def _move_choice(proof: LlProof, path: tuple[int, ...]) -> LlProof:
     """Move the left choice at ``path`` onto the inference consuming its tag.
 
     With ``S`` the consumer's second premise, ``S`` becomes the left choice
     of both sides of ``specialize(S, tag)``.  No conclusion changes, so each
     node below is redrawn with one premise swapped; the input is checked, so a
     move that draws no node or changes one is a fault (AssertionError).
-    Returns the proof, the path of ``S`` and the left choice that replaced it.
     """
     trail, premise = None, proof
     for i in path:
@@ -322,51 +316,41 @@ def _move_choice(proof: LlProof, path: tuple[int, ...]):
         raise AssertionError(f"the normalizer drew an invalid node: {exc}") from None
     if moved.conclusion != premise.conclusion:
         raise AssertionError("moving a left choice changed the conclusion")
-    at, choice = hll.path_of(trail), moved
     while trail is not None:
         trail, node, i = trail
         moved = _redraw(node, node.premises[:i] + (moved,) + node.premises[i + 1:])
-    return moved, at, choice
-
-
-_LEAST_BUDGET = 4 * (5 + 1) ** 3  # a left choice, its premises, its consumer and that one's first premise
+    return moved
 
 
 def push_oplus_down(proof: LlProof, on_step=None) -> LlProof:
     """Move left-choice inferences down to their consuming implications.
 
-    Repeatedly picks the unadjacent left-choice node closest to the conclusion
-    (ties by leftmost path) and moves it in one step: the left-choice rule is
+    While a left-choice node is unadjacent, moves the one closest to the
+    conclusion (ties by leftmost path) in one step: the left-choice rule is
     invertible, so the consumer's second premise ``S`` becomes
     ``ll_loplus(*specialize(S, t), occ)``.  The other choices in ``S`` are
-    drawn into both sides and move later; a move changes nothing outside
-    ``S``, so the unadjacent choices are found once and only the new left
-    choice is rescanned.  The result proves the same conclusion, with every
-    left-choice node the immediate second premise of the implication-choice
-    node consuming its tag, and is marked checked when the input is.
+    drawn into both sides and move later.  The result proves the same
+    conclusion, with every left-choice node the immediate second premise of
+    the implication-choice node consuming its tag, and is marked checked when
+    the input is.  More than ``4 * (nodes + 1) ** 3`` moves, with the input's
+    nodes counted once, is refused as a conversion that never ends.
 
     ``on_step``, when given, is called with the whole proof once per choice
-    moved; ``loplus_distance_sum`` strictly decreases across those calls.
+    moved; the sum of each left choice's distance to its consumer strictly
+    decreases across those calls.
     """
     result = check_ll_proof(proof)
     if not result.ok:
         raise ValueError(f"cannot normalize an invalid proof: {result}")
-
-    guard, budget = 0, None  # the input's nodes are counted once guard passes the least budget
-    normal, paths = proof, unadjacent_choice_paths(proof)
-    while paths:
-        normal, at, choice = _move_choice(normal, min(paths, key=lambda p: (len(p), p)))
-        kept = [p for p in paths if p[:len(at)] != at]
-        if len(kept) < len(paths) - 1:  # others were pending in S; [1:] skips the adjacent new root
-            kept += _choice_paths(choice, at)[1:]
-        paths = kept
+    budget = 4 * (sum(1 for _ in hll.walk(proof)) + 1) ** 3
+    normal, moves = proof, 0
+    while paths := unadjacent_choice_paths(normal):
+        normal = _move_choice(normal, min(paths, key=lambda p: (len(p), p)))
         if on_step is not None:
             on_step(normal)
-        guard += 1
-        if guard > _LEAST_BUDGET:
-            budget = budget or 4 * (sum(1 for _ in hll.walk(proof)) + 1) ** 3
-            if guard > budget:
-                raise ProofStructureError("normalization exceeded its conversion budget")
+        moves += 1
+        if moves > budget:
+            raise ProofStructureError("normalization exceeded its conversion budget")
     return normal
 
 
@@ -380,18 +364,6 @@ def consumer_distance(tag: int, trail) -> int:
             return steps
         steps += 1
     raise ProofStructureError(f"left-choice tag {tag} has no consumer below")
-
-
-def loplus_distance_sum(proof: LlProof) -> int:
-    """Sum over left-choice nodes of their edge distance to their consumer.
-
-    The measure the conversions drive down; adjacency contributes 1 per node.
-    """
-    return sum(
-        consumer_distance(node.principal.tag, trail)
-        for node, trail in hll.walk(proof)
-        if node.rule is LOPLUS and trail is not None
-    )
 
 
 # --- Horn reading and translation ----------------------------------------------

@@ -326,6 +326,15 @@ _INSTR_RE = re.compile(r"L([0-9]+)\s*:\s*(inc|dec|ifpos|ifzero)\s+x([0-9]+)\s+go
 _HALT_RE = re.compile(r"L([0-9]+)\s*:\s*halt\Z")
 
 
+def _numbers(lineno: int, *digits: str) -> list[int]:
+    """The numbers a line's pattern matched; one with more digits than the
+    interpreter converts is malformed input on that line."""
+    try:
+        return list(map(int, digits))
+    except ValueError:
+        raise MachineFormatError("number too long", lineno) from None
+
+
 def parse_machine(text: str) -> MinskyMachine:
     n = None
     instructions: list[Instruction] = []
@@ -337,21 +346,21 @@ def parse_machine(text: str) -> MinskyMachine:
             m = _COUNTERS_RE.match(line)
             if m is None:
                 raise MachineFormatError("expected 'counters <n>' first", lineno)
-            n = int(m.group(1))
+            (n,) = _numbers(lineno, m.group(1))
             if n < 1:
                 raise MachineFormatError("need at least one counter", lineno)
             continue
         m = _INSTR_RE.match(line)
         if m:
-            label, kind, counter, target = int(m.group(1)), m.group(2), int(m.group(3)), int(m.group(4))
+            label, counter, target = _numbers(lineno, *m.group(1, 3, 4))
             try:
-                instructions.append(Instruction(kind, label, counter, target))
+                instructions.append(Instruction(m.group(2), label, counter, target))
             except ValueError as exc:
                 raise MachineFormatError(str(exc), lineno) from None
             continue
         m = _HALT_RE.match(line)
         if m:
-            if int(m.group(1)) != HALT_LABEL:
+            if _numbers(lineno, m.group(1)) != [HALT_LABEL]:
                 raise MachineFormatError("halt must be labelled L0", lineno)
             instructions.append(Instruction(HALT, HALT_LABEL))
             continue
@@ -372,8 +381,8 @@ def _parse_config(text: str, lineno: int) -> Configuration:
     m = _CONFIG_RE.match(text.strip())
     if m is None:
         raise MachineFormatError(f"bad configuration {text.strip()!r}", lineno)
-    counters = tuple(int(c) for c in m.group(2).split(","))
-    return Configuration(int(m.group(1)), counters)
+    label, *counters = _numbers(lineno, m.group(1), *m.group(2).split(","))
+    return Configuration(label, tuple(counters))
 
 
 def parse_computation(text: str) -> Computation:
@@ -389,7 +398,7 @@ def parse_computation(text: str) -> Computation:
         m = _MOVE_RE.match(line)
         if m is None:
             raise MachineFormatError("expected 'I<k> -> L<i> : c1,c2,...'", lineno)
-        moves.append(int(m.group(1)) - 1)
+        moves.append(_numbers(lineno, m.group(1))[0] - 1)
         configs.append(_parse_config(m.group(2), lineno))
     if not configs:
         raise MachineFormatError("empty computation text")

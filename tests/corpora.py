@@ -338,6 +338,18 @@ def ll_separation(proof: ll.LlProof) -> int:
     )
 
 
+def loplus_distance_sum(proof: ll.LlProof) -> int:
+    """Sum over left-choice nodes of their edge distance to their consumer.
+
+    The measure the conversions drive down; adjacency contributes 1 per node.
+    """
+    return sum(
+        ll.consumer_distance(node.principal.tag, trail)
+        for node, trail in hll.walk(proof)
+        if node.rule is ll.LlRule.LOPLUS and trail is not None
+    )
+
+
 def stacked_weakenings(n: int) -> ll.LlProof:
     """A choice block under n weakenings by distinct formulas, then its
     consumer: the unary separated shape, n + 6 inferences deep."""

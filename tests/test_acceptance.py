@@ -13,6 +13,7 @@ from corpora import (
     hll_rule_counts,
     ll_corpus,
     ll_separation,
+    loplus_distance_sum,
     random_machine,
 )
 from hornlog import hll, ll
@@ -99,9 +100,9 @@ def test_criterion_5_commuting_conversions():
     corpus = ll_corpus()
     conversions = 0
     for proof in corpus:
-        measures = [ll.loplus_distance_sum(proof)]
+        measures = [loplus_distance_sum(proof)]
         normalized = ll.push_oplus_down(
-            proof, on_step=lambda p: measures.append(ll.loplus_distance_sum(p))
+            proof, on_step=lambda p: measures.append(loplus_distance_sum(p))
         )
         assert normalized.conclusion == proof.conclusion
         assert ll.check_ll_proof(normalized).ok

@@ -253,6 +253,23 @@ def test_a_run_of_a_huge_counter_count_is_rejected_at_once(tmp_path):
     assert result.stdout == "reject at index 0: L1 : 0 has 1 counters, machine has 99999999999999999999\n"
 
 
+LONG = "9" * 5000  # more digits than the interpreter converts to an int
+
+
+@pytest.mark.parametrize("command, text", [
+    (("machine", "check", "{file}"), f"counters 2\nL{LONG}: inc x1 goto L0\n"),
+    (("machine", "run", "{machine}", "{file}"), f"L1 : 1,0\nI2 -> L1 : 0,{LONG}\n"),
+], ids=["machine-label", "run-counter"])
+def test_an_overlong_number_names_its_line(dec_file, tmp_path, command, text):
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    result = run_cli(*(arg.format(machine=dec_file, file=path) for arg in command), expect=2)
+    lines = result.stderr.splitlines()
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert lines[-1].startswith("error: line 2: ")
+    assert "set_int_max_str_digits" not in result.stderr
+
+
 def test_compile_pipeline(tmp_path):
     from corpora import ll_corpus
     from hornlog import ll

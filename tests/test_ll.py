@@ -9,6 +9,7 @@ from corpora import (
     _stacked_case,
     ll_corpus,
     ll_separation,
+    loplus_distance_sum,
     pending_choices,
     replace,
     separated_shapes,
@@ -27,7 +28,6 @@ from hornlog.ll import (
     ll_proof_from_json,
     ll_proof_to_json,
     ll_sequent_text,
-    loplus_distance_sum,
     push_oplus_down,
     specialize,
     translate_ll_to_hll,
@@ -312,8 +312,8 @@ def test_the_conversion_budget_is_four_times_the_cubed_node_count_plus_one(monke
     moves of the input's nodes, each reported to ``on_step``."""
     proof = _two_rule_separation()
     nodes = sum(1 for _ in hll.walk(proof))
-    stuck = (9,) * 99  # a move that settles nothing: the pending choices stay as they are
-    monkeypatch.setattr(ll, "_move_choice", lambda tree, path: (tree, stuck, None))
+    # A move that settles nothing: the pending choices stay as they are.
+    monkeypatch.setattr(ll, "_move_choice", lambda tree, path: tree)
     steps = []
     with pytest.raises(ProofStructureError, match="normalization exceeded its conversion budget"):
         push_oplus_down(proof, on_step=steps.append)
@@ -572,8 +572,17 @@ def test_corpus_is_checked_and_separated():
     assert sum(1 for p in corpus if ll_separation(p) >= 2) >= 3
 
 
+def nested_and_side_by_side():
+    """Beyond the corpus: nested choices, the outer one moved first, and two
+    such proofs side by side, so that moves under one premise leave the
+    choices pending under the other."""
+    stacked = _stacked_case(("f", "g", "h", "m"), 2)
+    return [stacked, ll.ll_rtensor(stacked, _rtensor_separated_case(("x", "y", "t", "n")))]
+
+
 def test_normalization_laws_on_corpus():
-    for proof in ll_corpus():
+    moves = 0
+    for proof in ll_corpus() + nested_and_side_by_side():
         measures = [loplus_distance_sum(proof)]
         normalized = push_oplus_down(
             proof, on_step=lambda p: measures.append(loplus_distance_sum(p))
@@ -582,6 +591,8 @@ def test_normalization_laws_on_corpus():
         assert check_ll_proof(normalized).ok
         assert unadjacent_choice_paths(normalized) == []
         assert measures == sorted(measures, reverse=True) and len(set(measures)) == len(measures)
+        moves += len(measures) - 1
+    assert moves == 11 + 2 + 3
 
 
 def test_translation_laws_on_corpus():
@@ -620,6 +631,9 @@ def rendering(proof):
 # sha256 of the rendering of every normalized corpus proof, of every
 # translation, and of the JSON of every program compiled from a translation.
 NORMAL_FORM_SHA256 = "d20ed952d8ada420fb2d7d8939a07c9334a7b011046d736b7aacb9abcde26e06"
+# sha256 of the rendering of every proof the normalizer passes to on_step, on
+# the corpus and then on nested_and_side_by_side.
+NORMALIZER_STEPS_SHA256 = "b1999e5122691cda6221541f97414618bbc8df8379080e6876a59766ec30d726"
 TRANSLATION_SHA256 = "a91d20ec2d31aa470dcd63baef3365cfa3e944c72c707a5a54f66e3a84cea50f"
 PROGRAMS_SHA256 = "9110d5da2dbf605cced803b177eb539a8bb8a67860b80ada189ea18b0ac61138"
 # sha256 of the zoned-proof JSON and of the program JSON that the five
@@ -638,6 +652,13 @@ def corpus_digest(texts) -> str:
 
 def test_normal_form_of_corpus_is_pinned():
     assert corpus_digest(lambda proof: rendering(push_oplus_down(proof))) == NORMAL_FORM_SHA256
+
+
+def test_every_step_of_the_normalizer_is_pinned():
+    digest = hashlib.sha256()
+    for proof in ll_corpus() + nested_and_side_by_side():
+        push_oplus_down(proof, on_step=lambda step: digest.update("".join(rendering(step)).encode()))
+    assert digest.hexdigest() == NORMALIZER_STEPS_SHA256
 
 
 def test_translation_of_corpus_is_pinned():
@@ -668,7 +689,8 @@ def test_resolving_each_choice_where_consumed_equals_normalizing_first():
     and byte for byte."""
     _, same_tag = _same_tag_beside_its_consumer()
     proofs = [
-        *ll_corpus(), _stacked_case(("f", "g", "h", "m")), _stacked_case(("f", "g", "h", "m"), 3),
+        *ll_corpus(), *nested_and_side_by_side(), _stacked_case(("f", "g", "h", "m")),
+        _stacked_case(("f", "g", "h", "m"), 3),
         ll.ll_limpoplus(ll.ll_i(F), same_tag, OplusImplication(F, G, H), 1),
         _content_equal_choices()[1], _shared_side_case(), stacked_weakenings(200),
     ]
@@ -686,28 +708,3 @@ def test_the_translation_neither_normalizes_nor_specializes(monkeypatch):
     for proof in ll_corpus():
         translate_ll_to_hll(proof)
     assert calls == []
-
-
-def rescan_steps(proof):
-    """The proofs a normalizer that finds the unadjacent choices afresh
-    after every move passes through, one per move."""
-    steps = []
-    while paths := unadjacent_choice_paths(proof):
-        proof = ll._move_choice(proof, min(paths, key=lambda p: (len(p), p)))[0]
-        steps.append(proof)
-    return steps
-
-
-def test_the_worklist_moves_what_a_full_rescan_moves():
-    """Beyond the corpus: nested choices, the outer one moved first, and two
-    such proofs side by side, so that moves under one premise leave the
-    choices pending under the other."""
-    stacked = _stacked_case(("f", "g", "h", "m"), 2)
-    pair = ll.ll_rtensor(stacked, _rtensor_separated_case(("x", "y", "t", "n")))
-    moves = 0
-    for proof in ll_corpus() + [stacked, pair]:
-        steps = []
-        push_oplus_down(proof, on_step=steps.append)
-        assert steps == rescan_steps(proof)
-        moves += len(steps)
-    assert moves == 11 + 2 + 3

@@ -794,7 +794,6 @@ LIBRARY = {
     "syntax.py:parse_formula": "a public reader: the text of one implication",
     "syntax.py:parse_member": "a public reader: the text of any one zone member",
     "ll.py:ll_cbang": "the ninth flat builder, for the theorem's converse (ROADMAP item 2)",
-    "ll.py:loplus_distance_sum": "the reference normalizer's measure, read by the acceptance test",
 }
 
 
@@ -880,6 +879,17 @@ def test_src_holds_only_what_a_command_a_checker_or_the_bench_reaches():
     assert unreached(src_modules(), roots) == [], (
         "A definition no command, checker or bench run reaches is dead code; delete it, or list it "
         "in LIBRARY with the reason it stays.")
+
+
+def test_no_command_runs_the_reference_normalizer_or_the_program_composers():
+    """``push_oplus_down`` is the reference the translation's fold is tested
+    against, and ``compose`` and ``strong_fork`` are kept for the bench; a
+    command that comes to run one of them must revisit its form."""
+    unreached_from_cli = unreached(src_modules(), ["cli.py:main"])
+    reached = [ident for ident in ("ll.py:push_oplus_down", "ll.py:specialize", "ll.py:unadjacent_choice_paths",
+                                   "programs.py:compose", "programs.py:strong_fork")
+               if ident not in unreached_from_cli]
+    assert reached == []
 
 
 REACH_SEED = {
