@@ -19,6 +19,9 @@ from .minsky import parse_computation, parse_machine
 from .syntax import FormatError, HornSequent, parse_sequent, sequent_text
 
 OK, REJECT, MALFORMED, INTERNAL = 0, 1, 2, 3
+# The most literal occurrences ``encode`` prints in its start product, whose
+# text spells each counter unit as one literal: past it the text could not be held.
+PRINTED_LITERALS = 10_000_000
 _INTEGER_RE = re.compile(r"\s*-?[0-9]+\s*")
 
 
@@ -124,6 +127,9 @@ def cmd_machine_search(args) -> int:
 def cmd_encode(args) -> int:
     machine = _load_machine(args.machine)
     sequent = MachineEncoding.build(machine).sequent(_parse_inputs(args.input))
+    if sequent.input.size > PRINTED_LITERALS:
+        raise ValueError(f"the start product has {sequent.input.size} literal occurrences; "
+                         f"encode prints at most {PRINTED_LITERALS}")
     _write_out(sequent_text(sequent) + "\n", args.output)
     return OK
 
@@ -189,10 +195,8 @@ def cmd_bridge_comp_to_prog(args) -> int:
     except bridge.RejectedRun as exc:
         print(f"reject {exc.result}")
         return REJECT
-    # The sequent the run's first configuration encodes; its zones are canonical already.
-    start = computation.configs[0]
-    s = enc.sequent(start.counters)
-    sequent = HornSequent.of_canonical(enc.config_product(start), s.linear, s.banged, s.goal)
+    # The sequent the run's first configuration encodes, around the encoding's ordered zone.
+    sequent = HornSequent.of_canonical(enc.config_product(computation.configs[0]), (), enc.banged, enc.goal)
     return _write_program(trace.program, sequent, args)
 
 

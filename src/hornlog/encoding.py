@@ -16,10 +16,13 @@ killer families and the goal ``l0``, and both bridges read them from it.
 dict of its own, and ``MachineEncoding.literal`` hands it out: every
 instruction formula, killer formula, the goal and every start product
 (``config_product``, which ``sequent`` and extraction use) share it, so a
-literal is checked, printed and sized once.  The edges a move draws are read
-off its formula in ``phi`` once per instruction, into ``edges``, for every
-instruction alike: one edge for a plain implication, a zero test's two fork
-edges with the goto edge first; both bridges index ``edges`` by instruction.
+literal is checked, printed and sized once.  The banged zone, instruction
+formulas then killers, is put in canonical order once per encoding, into
+``banged``, and every ``sequent`` wraps that one tuple around its start.
+The edges a move draws are read off its formula in ``phi`` once per
+instruction, into ``edges``, for every instruction alike: one edge for a
+plain implication, a zero test's two fork edges with the goto edge first;
+both bridges index ``edges`` by instruction.
 A formula's provenance is looked up in the two index maps,
 ``instruction_index`` and ``killer_family_index``.  ``decode_product`` reads
 an encoded configuration back as a ``Configuration``; it is the inverse of
@@ -215,8 +218,16 @@ class MachineEncoding(Value):
         products += (literal(counter_literal(m)).power(c) for m, c in enumerate(config.counters, start=1) if c)
         return tensor_all(products)
 
+    @lazy
+    def banged(self) -> tuple[HornFormula, ...]:
+        """The reusable zone, instruction formulas then killers, in canonical
+        order: sorted once per encoding, by ``HornSequent``'s constructor."""
+        return HornSequent(self.goal, (), self.program_formulas() + self.killer_zone(), self.goal).banged
+
     def sequent(self, inputs: tuple[int, ...]) -> HornSequent:
-        """The target sequent: encoded start at L1, everything reusable, goal l0."""
+        """The target sequent: encoded start at L1, everything reusable, goal l0.
+
+        The banged zone is ordered once per encoding; every sequent it builds
+        shares that one tuple, ``banged``."""
         start = self.config_product(Configuration(1, tuple(inputs)))
-        banged = self.program_formulas() + self.killer_zone()
-        return HornSequent(start, (), banged, self.goal)
+        return HornSequent.of_canonical(start, (), self.banged, self.goal)

@@ -4,9 +4,11 @@ A :class:`Frame` is a literal multiset stored as ``(literal, count)`` pairs
 sorted by literal, so two frames denote the same multiset exactly when they
 compare equal; tensor reassociation and reordering never matter.  A frame may
 be empty (the residual of an antecedent match); a :class:`SimpleProduct` is
-the frame that must be non-empty.  Constructions from outside validate once;
+the frame that must be non-empty.  Constructions from outside validate once
+(``of`` checks each distinct name and builds entries and text directly);
 ``tensor``, ``power``, ``match_antecedent`` and ``tensor_all`` merge entries
-that are already canonical and skip validation, as
+that are already canonical and skip validation (``tensor`` appends them when
+one side's names all sort first), as
 ``HornSequent.of_canonical`` does for zones already in canonical order.
 Canonical zones grow by ``zone_insert`` (one bisection) and ``zone_merge``
 (one merge of sorted runs) and shrink by ``multiset_minus``; only unsorted
@@ -57,7 +59,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
@@ -185,7 +186,18 @@ class Frame(Printed):
 
     @classmethod
     def of(cls, *names: str):
-        return cls(tuple(sorted(Counter(names).items())))
+        """The frame of these literal names, its entries and text built directly:
+        each distinct name is checked once, and the built entries are not checked again."""
+        if not names:
+            return cls()  # a frame may be empty; a simple product refuses
+        ordered, counts = sorted(names), {}
+        for name in ordered:
+            counts[name] = counts.get(name, 0) + 1
+        for name in counts:
+            check_literal(name)
+        frame = cls._trusted(tuple(counts.items()))
+        frame.__dict__["text"] = "*".join(ordered)
+        return frame
 
     def __eq__(self, other) -> bool:
         return self.entries == other.entries if isinstance(other, Frame) else NotImplemented
@@ -223,7 +235,14 @@ class SimpleProduct(Frame):
         super().__init__(entries)
 
     def tensor(self, other: Frame) -> "SimpleProduct":
-        return SimpleProduct._trusted(_plus(dict(self.entries), other.entries))
+        """The multiset sum: the two entry tuples appended when every name of
+        one sorts before every name of the other, else merged by counts."""
+        a, b = self.entries, other.entries
+        if b and a[-1][0] < b[0][0]:
+            return SimpleProduct._trusted(a + b)
+        if b and b[-1][0] < a[0][0]:
+            return SimpleProduct._trusted(b + a)
+        return SimpleProduct._trusted(_plus(dict(a), b))
 
     def power(self, k: int) -> "SimpleProduct":
         """The tensor of k >= 1 copies, its counts multiplied: O(entries), not O(k)."""

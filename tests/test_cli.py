@@ -546,6 +546,13 @@ def test_encode_rejects_a_wrong_input_count(dec_file):
     assert result.stderr == "error: expected 2 counters, got 1\n"
 
 
+def test_encode_refuses_a_start_too_long_to_print_at_once(dec_file):
+    result = run_cli("encode", str(dec_file), "--input", "1000000000000,0", expect=2, timeout=5)
+    assert result.stdout == ""
+    assert result.stderr == (f"error: the start product has 1000000000001 literal occurrences; "
+                             f"encode prints at most {cli.PRINTED_LITERALS}\n")
+
+
 def test_encode_rejects_a_negative_input(dec_file):
     result = run_cli("encode", str(dec_file), "--input=-1,0", expect=2)
     assert result.stdout == ""

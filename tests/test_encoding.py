@@ -8,6 +8,7 @@ from hornlog import syntax
 from hornlog.encoding import MachineEncoding, decode_product
 from hornlog.minsky import Configuration, Instruction, parse_machine
 from hornlog.syntax import (
+    HornSequent,
     OplusImplication,
     PlainImplication,
     SimpleProduct,
@@ -299,6 +300,21 @@ def test_each_literal_is_built_once_per_encoding(monkeypatch):
         if p.size == 1:
             assert shared.setdefault(p.text, p) is p, p.text
     assert {"l0", "l1", "k1", "k2"} <= set(shared)
+
+
+def test_the_banged_zone_is_sorted_once_per_encoding(monkeypatch):
+    """However many sequents one encoding builds, it orders its banged zone
+    once, and every sequent holds that one tuple: the zone of a sequent
+    built from scratch."""
+    enc = MachineEncoding.build(parse_machine(ladder_text(6, seed=3)))
+    sorted_zones = []
+    real = syntax.canonical_zone
+    monkeypatch.setattr(syntax, "canonical_zone", lambda members: sorted_zones.append(members) or real(members))
+    sequents = [enc.sequent(inputs) for inputs in [(7, 2), (0, 0), (7, 2), (10**15, 3)]]
+    assert [len(zone) for zone in sorted_zones if zone] == [len(sequents[0].banged)]
+    monkeypatch.undo()
+    assert all(s.banged is sequents[0].banged for s in sequents)
+    assert sequents[0].banged == HornSequent(enc.goal, (), enc.program_formulas() + enc.killer_zone(), enc.goal).banged
 
 
 def _operands(f):

@@ -78,6 +78,50 @@ def test_simple_product_must_be_nonempty():
         SimpleProduct(())
 
 
+# Names whose sort order is not their length order, and names the grammar refuses.
+spelled = st.sampled_from(["A", "Z", "a", "a1", "b", "k1", "l0", "l1", "l10", "l2", "r1", "r10", "r2", "x_"])
+misspelled = st.sampled_from(["", "1a", "a-b", "_x", "\u00e9"])
+
+
+def _outcome(build):
+    """What a constructor gives: entries, text, hash and class, or its error text."""
+    try:
+        value = build()
+    except ValueError as error:
+        return str(error)
+    return value.entries, value.text, hash(value), type(value)
+
+
+@given(st.lists(st.one_of(spelled, spelled, misspelled), max_size=8), st.sampled_from([Frame, SimpleProduct]))
+def test_of_agrees_with_the_validating_constructor(names, cls):
+    """``of`` builds entries and text directly; the validating constructor on
+    the counted names gives the same value, or the same error."""
+    assert _outcome(lambda: cls.of(*names)) == _outcome(lambda: cls(tuple(sorted(Counter(names).items()))))
+
+
+@st.composite
+def operand_names(draw):
+    """Two name lists, either possibly empty: split at a pivot name, so that every
+    name of one sorts before every name of the other, or drawn apart, so
+    that they interleave or share names."""
+    first, second = draw(st.lists(spelled, max_size=6)), draw(st.lists(spelled, max_size=6))
+    if draw(st.booleans()):
+        pivot = draw(spelled)
+        names = first + second
+        first, second = [n for n in names if n < pivot], [n for n in names if n >= pivot]
+    return first, second
+
+
+@given(operand_names())
+def test_tensor_agrees_with_the_dict_merge(operands):
+    """Appended or merged, in either order, a tensor is the validated sum of counts."""
+    for x, y in (operands, operands[::-1]):
+        if x:
+            a, b = SimpleProduct.of(*x), Frame.of(*y)
+            merged = syntax._plus(dict(a.entries), b.entries)
+            assert _outcome(lambda: a.tensor(b)) == _outcome(lambda: SimpleProduct(merged))
+
+
 def test_frame_converts_to_product():
     assert SimpleProduct(Frame.of("a", "a").entries) == parse_product("a*a")
     with pytest.raises(ValueError):
