@@ -59,26 +59,18 @@ class ExtractionError(ValueError):
 class SideChain(Value):
     """A zero-test side branch: fork vertex, killer index, and the chain."""
 
-    __match_args__ = ("fork_vertex", "counter", "vertices", "kill_count")
     fork_vertex: int
     counter: int  # the tested counter m
     vertices: tuple[int, ...]  # from the fork's side child to the final leaf
     kill_count: int  # edges before the closing one
 
-    def __init__(self, fork_vertex: int, counter: int, vertices: tuple[int, ...], kill_count: int):
-        self.__dict__.update(fork_vertex=fork_vertex, counter=counter, vertices=vertices, kill_count=kill_count)
-
 
 class ProgramTrace(Value):
     """A built program together with its main branch bookkeeping."""
 
-    __match_args__ = ("program", "main_vertices", "side_chains")
     program: HornProgram
     main_vertices: tuple[int, ...]
     side_chains: tuple[SideChain, ...]
-
-    def __init__(self, program: HornProgram, main_vertices: tuple[int, ...], side_chains: tuple[SideChain, ...]):
-        self.__dict__.update(program=program, main_vertices=main_vertices, side_chains=side_chains)
 
 
 def computation_to_program(enc: MachineEncoding, computation: Computation) -> ProgramTrace:
@@ -223,20 +215,13 @@ DISAGREEMENT = "DISAGREEMENT"
 
 
 class RoundTripReport(Value):
-    __match_args__ = ("code", "detail", "computation", "trace", "extracted", "witness", "sequent")
     code: str
-    detail: str
-    computation: Computation | None
-    trace: ProgramTrace | None
-    extracted: Computation | None
-    witness: HornProgram | None
-    sequent: HornSequent | None
-
-    def __init__(self, code: str, detail: str = "", computation: Computation | None = None,
-                 trace: ProgramTrace | None = None, extracted: Computation | None = None,
-                 witness: HornProgram | None = None, sequent: HornSequent | None = None):
-        self.__dict__.update(code=code, detail=detail, computation=computation, trace=trace, extracted=extracted,
-                             witness=witness, sequent=sequent)
+    detail: str = ""
+    computation: Computation | None = None
+    trace: ProgramTrace | None = None
+    extracted: Computation | None = None
+    witness: HornProgram | None = None
+    sequent: HornSequent | None = None
 
     def __str__(self) -> str:
         return f"{self.code}{': ' + self.detail if self.detail else ''}"

@@ -126,16 +126,11 @@ class MachineEncoding(Value):
     first use.
     """
 
-    __match_args__ = ("machine", "phi", "literal")
     _hidden = ("literal",)
     machine: MinskyMachine
     phi: tuple[HornFormula | None, ...]
     # A literal's one-literal product; ``build`` makes each once per encoding.
     literal: Callable[[str], SimpleProduct]
-
-    def __init__(self, machine: MinskyMachine, phi: tuple[HornFormula | None, ...],
-                 literal: Callable[[str], SimpleProduct]):
-        self.__dict__.update(machine=machine, phi=phi, literal=literal)
 
     @staticmethod
     def build(machine: MinskyMachine) -> "MachineEncoding":

@@ -88,26 +88,18 @@ _RULES = {
 
 
 class HllProof(Value):
-    __match_args__ = ("rule", "conclusion", "premises", "principal", "frame")
     rule: HllRule
     conclusion: HornSequent
-    premises: tuple[HllProof, ...]
-    principal: Member | None  # I (a product), H, OPLUS_H, LBANG, WBANG, CBANG
-    frame: Frame | None  # M (a SimpleProduct), OPLUS_H (maybe empty)
+    premises: tuple[HllProof, ...] = ()
+    principal: Member | None = None  # I (a product), H, OPLUS_H, LBANG, WBANG, CBANG
+    frame: Frame | None = None  # M (a SimpleProduct), OPLUS_H (maybe empty)
     checked = False  # not a field; set by draw alone
-
-    def __init__(self, rule: HllRule, conclusion: HornSequent, premises: tuple = (), principal=None, frame=None):
-        self.__dict__.update(rule=rule, conclusion=conclusion, premises=premises, principal=principal, frame=frame)
 
 
 class CheckFailure(Value):
-    __match_args__ = ("path", "rule", "reason")
     path: tuple[int, ...]  # premise indices from the root
     rule: str
     reason: str
-
-    def __init__(self, path: tuple[int, ...], rule: str, reason: str):
-        self.__dict__.update(path=path, rule=rule, reason=reason)
 
     def __str__(self) -> str:
         where = "root" if not self.path else ".".join(str(i) for i in self.path)
@@ -115,12 +107,8 @@ class CheckFailure(Value):
 
 
 class CheckResult(Value):
-    __match_args__ = ("ok", "failure")
     ok: bool
-    failure: CheckFailure | None
-
-    def __init__(self, ok: bool, failure: CheckFailure | None = None):
-        self.__dict__.update(ok=ok, failure=failure)
+    failure: CheckFailure | None = None
 
     def __str__(self) -> str:
         return "valid" if self.ok else str(self.failure)
@@ -238,7 +226,7 @@ def draw(form: ProofFormat, rule, premises: tuple, *values):
     conclusion = gate(form, rule, premises, values) or form.conclude(rule, premises, *values)
     if isinstance(conclusion, str):
         raise InvalidProof(rule.value, conclusion)
-    node = object.__new__(form.node)  # __match_args__: the fields __init__ takes, in its order
+    node = object.__new__(form.node)  # __match_args__: the fields, in the order the class annotates them
     node.__dict__.update(zip(form.node.__match_args__, (rule, conclusion, premises, *values)),
                          checked=not premises or premises[0].checked and premises[-1].checked)
     return node
@@ -352,7 +340,6 @@ class ProofFormat(Value):
     the kind ``rules`` gives, and the rule parameters, each taken by the
     rules ``takers`` names.  ``node`` is the node class."""
 
-    __match_args__ = ("node", "conclude", "sequent", "rules", "takers", "parts", "fields")
     node: type
     conclude: Callable
     sequent: type
@@ -360,11 +347,6 @@ class ProofFormat(Value):
     takers: dict
     parts: tuple
     fields: tuple
-
-    def __init__(self, node: type, conclude: Callable, sequent: type, rules: dict, takers: dict, parts: tuple,
-                 fields: tuple):
-        self.__dict__.update(node=node, conclude=conclude, sequent=sequent, rules=rules, takers=takers, parts=parts,
-                             fields=fields)
 
     @lazy
     def rows(self) -> dict:  # rule name: the rule, its fields, and each one's value where omitted

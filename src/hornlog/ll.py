@@ -74,7 +74,6 @@ class ProofStructureError(ValueError):
 
 
 class LlSequent(Value):
-    __match_args__ = ("context", "goal")
     context: tuple[Member, ...]
     goal: SimpleProduct
 
@@ -114,20 +113,14 @@ _LL_RULES = {
 
 
 class LlProof(Value):
-    __match_args__ = ("rule", "conclusion", "premises", "principal", "split", "tag")
     rule: LlRule
     conclusion: LlSequent
-    premises: tuple[LlProof, ...]
-    principal: Member | None
+    premises: tuple[LlProof, ...] = ()
+    principal: Member | None = None
     # LTENSOR records how the principal product splits in the premise.
-    split: tuple[SimpleProduct, SimpleProduct] | None
-    tag: int | None  # LIMPOPLUS: the tag of the choice it consumes
+    split: tuple[SimpleProduct, SimpleProduct] | None = None
+    tag: int | None = None  # LIMPOPLUS: the tag of the choice it consumes
     checked = False  # not a field; set by hll.draw alone
-
-    def __init__(self, rule: LlRule, conclusion: LlSequent, premises: tuple = (), principal=None, split=None,
-                 tag=None):
-        self.__dict__.update(rule=rule, conclusion=conclusion, premises=premises, principal=principal, split=split,
-                             tag=tag)
 
 
 def _ll_conclude(rule: LlRule, premises: tuple, principal, split, tag) -> LlSequent | str:

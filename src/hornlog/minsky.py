@@ -46,7 +46,6 @@ class MachineFormatError(ValueError):
 
 
 class Instruction(Value):
-    __match_args__ = ("kind", "label", "counter", "target")
     kind: str  # one of INC, DEC, TESTPOS, TESTZERO, HALT
     label: int
     counter: int | None  # 1-based; None for halt
@@ -97,13 +96,9 @@ class Configuration(namedtuple("Configuration", ("label", "counters"))):
 
 
 class MinskyMachine(Value):
-    __match_args__ = ("n", "instructions", "labels")
     n: int
     instructions: tuple[Instruction, ...]
     labels: frozenset[int]
-
-    def __init__(self, n: int, instructions: tuple[Instruction, ...], labels: frozenset[int]):
-        self.__dict__.update(n=n, instructions=instructions, labels=labels)
 
     @staticmethod
     def build(n: int, instructions: list[Instruction] | tuple[Instruction, ...]) -> "MinskyMachine":
@@ -170,7 +165,6 @@ class Computation(Value):
     each move is actually enabled is the business of validate_computation.
     """
 
-    __match_args__ = ("configs", "moves")
     configs: tuple[Configuration, ...]
     moves: tuple[int, ...]
 
@@ -183,13 +177,9 @@ class Computation(Value):
 
 
 class ValidationResult(Value):
-    __match_args__ = ("ok", "index", "reason")
     ok: bool
-    index: int | None
-    reason: str | None
-
-    def __init__(self, ok: bool, index: int | None = None, reason: str | None = None):
-        self.__dict__.update(ok=ok, index=index, reason=reason)
+    index: int | None = None
+    reason: str | None = None
 
     def __str__(self) -> str:
         return "valid" if self.ok else f"at index {self.index}: {self.reason}"

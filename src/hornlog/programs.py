@@ -56,7 +56,6 @@ Edge = tuple[int, int]  # (parent, child)
 
 
 class HornProgram(Value):
-    __match_args__ = ("root", "vertices", "edges", "children", "charges")
     _hidden = ("children", "charges")
     root: int
     vertices: tuple[int, ...]
@@ -66,9 +65,6 @@ class HornProgram(Value):
     # Every vertex to the formula its out-edges charge; None at a leaf.
     charges: dict[int, HornFormula | None]
     _evaluated = None  # not a field: the last ``evaluate`` input and its values
-
-    def __init__(self, root: int, vertices: tuple[int, ...], edges: tuple, children: dict, charges: dict):
-        self.__dict__.update(root=root, vertices=vertices, edges=edges, children=children, charges=charges)
 
     @staticmethod
     def build(root: int, edges: Iterable[tuple[int, int, PlainImplication]]) -> "HornProgram":
@@ -189,17 +185,12 @@ LINEAR_COUNT = "LINEAR_COUNT"
 
 
 class Violation(Value):
-    __match_args__ = ("kind", "vertex", "edge", "formula", "count", "detail")
     kind: str
-    vertex: int | None
-    edge: Edge | None
-    formula: HornFormula | None
-    count: int | None
-    detail: str
-
-    def __init__(self, kind: str, vertex: int | None = None, edge: Edge | None = None,
-                 formula: HornFormula | None = None, count: int | None = None, detail: str = ""):
-        self.__dict__.update(kind=kind, vertex=vertex, edge=edge, formula=formula, count=count, detail=detail)
+    vertex: int | None = None
+    edge: Edge | None = None
+    formula: HornFormula | None = None
+    count: int | None = None
+    detail: str = ""
 
     def __str__(self) -> str:
         parts = [self.kind]
@@ -217,12 +208,8 @@ class Violation(Value):
 
 
 class StrongSolutionReport(Value):
-    __match_args__ = ("ok", "violations")
     ok: bool
-    violations: tuple[Violation, ...]
-
-    def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
-        self.__dict__.update(ok=ok, violations=violations)
+    violations: tuple[Violation, ...] = ()
 
     def __str__(self) -> str:
         if self.ok:

@@ -4,6 +4,7 @@ against a finding's second field; a finding anywhere else fails with the
 rule's reason.  Each rule also runs on a seeded source with known findings."""
 
 import ast
+import re
 from collections import namedtuple
 from pathlib import Path
 
@@ -166,6 +167,18 @@ def generated_classes(tree):
              if (module or "").split(".")[0] == "dataclasses"]
     found += [(deco.lineno, node.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
               for deco in node.decorator_list if stated(getattr(deco, "func", deco)) == "dataclass"]
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
+def match_args_bindings(tree):
+    """Statements of a class body that bind ``__match_args__`` (an assignment,
+    annotated or augmented, or one of a tuple's targets), by line and class."""
+    found = [
+        (item.lineno, node.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body
+        if any(getattr(n, "id", None) == "__match_args__" and isinstance(n.ctx, ast.Store)
+               for target in getattr(item, "targets", [getattr(item, "target", None)]) if target
+               for n in ast.walk(target) if isinstance(n, ast.Name))
+    ]
     return [f"{line}:{name}" for line, name in sorted(found)]
 
 
@@ -516,6 +529,37 @@ class Proof:
     def text(self):
         return RULES[self.rule], self.rule is LOPLUS, functools.partial
 ''', ["2:cached_property", "8:conclude", "8:conclude", "8:conclude", "11:inner", "14:cached_property"]),
+    "fields_from_annotations": Rule(
+        match_args_bindings, ("syntax.py:Value",),
+        "A value class's fields are the names its class body annotates, which Value.__init_subclass__ reads "
+        "into __match_args__ for the constructor, equality, hash and repr; a class body that states "
+        "__match_args__ as well lists its fields a second time, which can drift from the annotations.  "
+        "Value itself states the empty list a class without fields inherits.", '''
+class Point(Value):
+    __match_args__ = ("x", "y")
+    x: int
+    y: int
+
+class Pair(syntax.Value):
+    __match_args__: tuple[str, ...] = ("left", "right")
+    left, __match_args__ = 1, ("left",)
+
+class Outer:
+    class Inner(Value):
+        __match_args__ += ("z",)
+
+    def fine(self):
+        __match_args__ = ()
+        return self.__match_args__, {self.__match_args__: 1}
+
+class Fine(Value):
+    x: int
+    y: int = 0
+    names = Point.__match_args__
+
+def subclass(cls, own):
+    cls.__match_args__ = tuple(own)
+''', ["3:Point", "8:Pair", "9:Pair", "13:Inner"]),
 }
 
 
@@ -523,6 +567,24 @@ class Proof:
 def test_rule_finds_its_seeded_findings(name):
     rule = RULES[name]
     assert rule.find(ast.parse(rule.seed)) == rule.expected
+
+
+def oldest_python() -> tuple[int, int]:
+    """The oldest interpreter ``pyproject.toml`` admits, as ``requires-python = ">=3.N"`` states it."""
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M).groups()
+    return int(major), int(minor)
+
+
+def test_src_parses_with_the_oldest_supported_grammar():
+    """CI runs one later interpreter, whose parser takes newer forms too; ``feature_version``
+    refuses some of them (``except*`` among them, though not every one), as the seed shows."""
+    assert oldest_python() == (3, 10)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=oldest_python())
+    ast.parse("match x:\n    case 1:\n        pass\n", feature_version=oldest_python())
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=path.name, feature_version=oldest_python())
 
 
 @pytest.mark.parametrize("name", RULES)

@@ -130,6 +130,57 @@ def test_no_field_can_be_assigned_or_deleted(index):
     assert repr(value) == before and issubclass(FrozenError, AttributeError)
 
 
+# The classes whose ``__init__`` is their own: those that validate or canonicalize their fields, and the two
+# the bench builds tens of times per op.
+OWN_INIT = {syntax.Frame, SimpleProduct, syntax.OplusImplication, syntax.LlOplusProduct, syntax.HornSequent,
+            ll.LlSequent, minsky.Instruction, minsky.Computation, syntax.PlainImplication, syntax.LlBang}
+
+
+def _fields(value) -> dict:
+    return {name: getattr(value, name) for name in type(value).__match_args__}
+
+
+@pytest.mark.parametrize("index", range(24))
+def test_a_value_rebuilds_equal_from_its_fields_by_position_or_by_name(index):
+    value, _ = instances()[index]
+    fields = _fields(value)
+    for copy in (type(value)(*fields.values()), type(value)(**fields)):
+        assert copy == value and repr(copy) == repr(value) and _fields(copy) == fields
+
+
+def test_only_validating_and_hot_classes_keep_a_constructor_of_their_own():
+    own = {type(value) for value, _ in instances() if type(value).__init__ is not Value.__init__}
+    assert own == OWN_INIT
+
+
+@pytest.mark.parametrize("index", [i for i, (value, _) in enumerate(instances()) if type(value) not in OWN_INIT])
+def test_the_shared_constructor_refuses_each_misuse_with_a_type_error(index):
+    value, _ = instances()[index]
+    cls, fields = type(value), _fields(value)
+    first, *_ = fields
+    required = [name for name in fields if name not in cls._defaults]
+    misuses = {
+        "takes": lambda: cls(*fields.values(), None),
+        "has no field 'unknown'": lambda: cls(*fields.values(), unknown=None),
+        f"got field {first!r} twice": lambda: cls(*fields.values(), **{first: fields[first]}),
+        f"needs field {required[-1]!r}": lambda: cls(**{n: v for n, v in fields.items() if n != required[-1]}),
+    }
+    for message, build in misuses.items():
+        with pytest.raises(TypeError) as caught:
+            build()
+        assert not isinstance(caught.value, ValueError) and str(caught.value).startswith(f"{cls.__qualname__} {message}")
+
+
+def test_an_omitted_field_takes_its_declared_default():
+    violation = programs.Violation(programs.LEAF_MISMATCH)
+    assert violation.vertex is None and violation.edge is None and violation.detail == ""
+    assert violation == programs.Violation(kind=programs.LEAF_MISMATCH, detail="")
+    node = hll.HllProof(hll.HllRule.I, syntax.HornSequent(SimpleProduct.of("a"), (), (), SimpleProduct.of("a")))
+    assert node.premises == () and node.principal is None and node.frame is None
+    assert bridge.RoundTripReport("CODE") == bridge.RoundTripReport("CODE", "", None, None, None, None, None)
+    assert minsky.ValidationResult(True).reason is None and programs.StrongSolutionReport(True).violations == ()
+
+
 def test_importing_the_cli_loads_no_code_generator():
     """A command pays for every module its import loads: ``dataclasses``
     compiles each class's methods through ``exec`` and imports ``inspect``."""
